@@ -161,21 +161,16 @@ def run_fig4(
 # repair so batch runs and benchmarks share one code path.
 
 
-def run_effectiveness(
-    heuristic: str = "full",
-    analysis_cache_dir: Optional[str] = None,
-) -> List[CaseOutcome]:
+def run_effectiveness(heuristic: str = "full") -> List[CaseOutcome]:
     """Fix and revalidate the full 23-bug corpus (§6.1).
 
     Routed through the :class:`BatchSupervisor` (in-process serial
     mode, no journal) so corpus runs exercise the exact scheduling path
     production batches use; the rich per-case outcomes are recovered
-    from the supervisor's in-process results.  ``analysis_cache_dir``
-    enables the shared on-disk analysis cache (the bench-smoke job runs
-    the corpus cold and warm against one directory).
+    from the supervisor's in-process results.
     """
     supervisor = BatchSupervisor(
-        corpus_tasks(heuristic=heuristic, analysis_cache_dir=analysis_cache_dir),
+        corpus_tasks(heuristic=heuristic),
         config=SupervisorConfig(
             mode="inprocess", heuristic=heuristic, max_retries=0,
             task_timeout=600.0,
@@ -255,22 +250,13 @@ def run_fig5() -> List[OverheadRow]:
     kv = KVStore(redis)
     redis_trace_workload(kv)
     trace = kv.finish()
-
-    import time
-    import tracemalloc
-
-    tracemalloc.start()
-    start = time.perf_counter()
-    report = Hippocrates(redis, trace, kv.machine).fix()
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    report = Hippocrates(redis, trace, kv.machine).fix(measure_overhead=True)
     rows.append(
         OverheadRow(
             target="Redis-pmem",
             ir_kinstr=redis.instruction_count() / 1000.0,
-            seconds=seconds,
-            peak_mb=peak / (1024 * 1024),
+            seconds=report.elapsed_seconds,
+            peak_mb=report.peak_memory_bytes / (1024 * 1024),
             bugs_fixed=report.bugs_fixed,
         )
     )

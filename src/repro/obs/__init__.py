@@ -1,15 +1,15 @@
 """Observability for the repair pipeline: spans, metrics, profiling.
 
 Three layers, strictly off the canonical path (a batch report's bytes
-are identical with observability on or off — see the smoke check in
-:mod:`repro.obs.smoke` and the differential tests):
+are identical with observability on or off, in both worker modes —
+see ``tests/test_obs_pipeline.py``):
 
 - :mod:`repro.obs.spans` — nested span tracing over an injectable
   monotonic clock (deterministic under test);
 - :mod:`repro.obs.metrics` — typed counters / gauges / histograms in a
   mergeable registry;
 - :mod:`repro.obs.sink` — fsync'd JSONL appends for spans/events, one
-  atomic snapshot file for metrics, plus the schema validators CI runs;
+  atomic snapshot file for metrics, plus the schema validators;
 - :mod:`repro.obs.profile` — cProfile wrapping with top-N hotspots
   (``repro batch --profile``).
 

@@ -92,7 +92,7 @@ def write_metrics(path: str, snapshot: Dict[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# schema validation (the obs-smoke CI job runs this over real output)
+# schema validation (the obs pipeline tests run this over real batch output)
 # ---------------------------------------------------------------------------
 
 

@@ -77,7 +77,7 @@ def run_case(
     obs: Optional[Observability] = None,
     incremental_revalidate: bool = True,
     engine_kind: Optional[str] = None,
-    machine_pool: Any = True,
+    machine_pool: bool = True,
 ) -> CaseOutcome:
     """Detect, fix, and revalidate one corpus case.
 
@@ -90,21 +90,15 @@ def run_case(
     ``--no-incremental-revalidate`` escape hatch) re-runs everything
     from scratch.  ``engine_kind`` picks the execution engine for every
     run this case makes (detection, replay, revalidation); results are
-    byte-identical across engines.  ``machine_pool`` controls machine
-    buffer reuse across this case's runs: True (the default) builds a
-    private :class:`~repro.memory.pool.MachinePool`, a pool instance is
-    used directly (cross-case reuse — callers own thread safety), and
-    False allocates fresh buffers per run; results are byte-identical
-    either way.
+    byte-identical across engines.  With ``machine_pool`` (the default)
+    this case's runs reuse machine buffers through a private
+    :class:`~repro.memory.pool.MachinePool`; ``machine_pool=False``
+    allocates fresh buffers per run.  Results are byte-identical either
+    way.
     """
     obs = obs if obs is not None else NULL_OBS
     metrics = obs.metrics if obs.enabled else None
-    if isinstance(machine_pool, MachinePool):
-        pool: Optional[MachinePool] = machine_pool
-    elif machine_pool:
-        pool = MachinePool()
-    else:
-        pool = None
+    pool = MachinePool() if machine_pool else None
     module = case.build()
     engine: Optional[IncrementalRevalidator] = None
     if incremental_revalidate:

@@ -1,5 +1,9 @@
 """Unit tests for the experiment harness (small-scale runs)."""
 
+import tracemalloc
+
+import pytest
+
 from repro.bench import (
     REDIS_FULL,
     REDIS_INTRA,
@@ -9,6 +13,8 @@ from repro.bench import (
     run_case,
     run_fig4,
 )
+from repro.bench import harness
+from repro.core.hippocrates import Hippocrates
 from repro.corpus import pclht_case
 
 
@@ -45,3 +51,17 @@ def test_run_case_outcome_fields():
     assert outcome.reports_after_fix == 0
     assert outcome.fixed
     assert outcome.fix_kinds
+
+
+def test_run_fig5_stops_tracemalloc_when_redis_repair_raises(monkeypatch):
+    stub = harness.OverheadRow("stub", 0.0, 0.0, 0.0, 0)
+    monkeypatch.setattr(harness, "_measure_target", lambda *args: stub)
+
+    def boom(self):
+        raise RuntimeError("injected compute_fixes failure")
+
+    monkeypatch.setattr(Hippocrates, "compute_fixes", boom)
+    assert not tracemalloc.is_tracing()
+    with pytest.raises(RuntimeError, match="injected"):
+        harness.run_fig5()
+    assert not tracemalloc.is_tracing()

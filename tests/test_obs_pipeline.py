@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.faultinject.resume import run_kill_resume
 from repro.obs import (
     JsonlSink,
     ManualClock,
     Observability,
+    load_metrics,
     read_spans,
     validate_spans_file,
 )
@@ -110,17 +113,27 @@ class TestTaskInstrumentation:
 
 
 class TestBatchByteIdentity:
-    def test_report_identical_with_obs_on_or_off(self, tmp_path):
-        baseline = run_batch(corpus_tasks(CASES), config=fast_config())
-        sink = JsonlSink(str(tmp_path / "spans.jsonl"))
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_report_identical_with_obs_on_or_off(self, tmp_path, mode):
+        config = fast_config(mode=mode)
+        baseline = run_batch(corpus_tasks(CASES), config=config)
+        spans_path = str(tmp_path / "spans.jsonl")
+        sink = JsonlSink(spans_path)
         obs = Observability(sink=sink)
-        instrumented = run_batch(corpus_tasks(CASES), config=fast_config(), obs=obs)
+        instrumented = run_batch(corpus_tasks(CASES), config=config, obs=obs)
         obs.close()
         assert instrumented.canonical_json() == baseline.canonical_json()
         assert sink.dropped == 0
         # The sink captured real batch structure while staying off-path.
-        names = {r["name"] for r in read_spans(str(tmp_path / "spans.jsonl"))}
+        assert validate_spans_file(spans_path) > 0
+        names = {r["name"] for r in read_spans(spans_path)}
         assert {"batch.start", "batch.end", "supervisor.spawn", "task"} <= names
+        # The metrics artifact round-trips and saw the pipeline's work.
+        metrics_path = str(tmp_path / "metrics.json")
+        obs.write_metrics(metrics_path)
+        counters = load_metrics(metrics_path)["counters"]
+        for name in ("pipeline.bugs", "pipeline.fixes_applied", "interp.steps"):
+            assert counters.get(name), f"metrics missing counter {name!r}"
 
     def test_kill_resume_with_obs_is_byte_identical(self, tmp_path):
         tasks = corpus_tasks(CASES)
