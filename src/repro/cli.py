@@ -409,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "subprocess", "inprocess"),
         default="auto",
-        help="worker execution mode; auto degrades to in-process serial "
-        "execution when subprocesses are unavailable (default: %(default)s)",
+        help="worker execution mode: subprocess forks one worker process "
+        "per task; auto degrades to in-process serial execution where "
+        "the platform cannot fork (default: %(default)s)",
     )
     batch.add_argument(
         "--task-timeout",

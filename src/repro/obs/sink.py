@@ -41,8 +41,8 @@ class ObsSchemaError(ReproError):
 class JsonlSink:
     """Append JSON records to a file, one per line, fsync'd.
 
-    Thread-safe: the supervisor's stdout-reader threads forward worker
-    records concurrently with the dispatch loop's own events.
+    Thread-safe: in-process worker threads emit their spans
+    concurrently with the dispatch loop's own events.
     """
 
     def __init__(self, path: str, fsync: bool = True):

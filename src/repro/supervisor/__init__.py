@@ -2,7 +2,7 @@
 
 The process-level resilience layer above :mod:`repro.core`: a
 :class:`BatchSupervisor` runs repair tasks through watchdogged worker
-subprocesses (with in-process serial fallback), records every state
+processes forked from it (with in-process serial fallback), records every state
 transition in a CRC-guarded, fsync'd :class:`CheckpointJournal`, and
 can resume after a hard kill to a byte-identical aggregate report.
 """

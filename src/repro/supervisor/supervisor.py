@@ -5,9 +5,13 @@ transactions, budgets).  This layer assumes the process itself is the
 failure domain — a worker can hang in the Andersen fixpoint, die
 silently, or be OOM-killed — and keeps the *batch* correct anyway:
 
-- **process-per-task workers** (``python -m repro.supervisor.worker``)
-  with heartbeat lines, so silent death is detected by silence, not
-  only by ``waitpid``;
+- **process-per-task workers**, forked from the already-imported
+  supervisor (:func:`~repro.supervisor.worker.fork_worker`), with
+  heartbeat lines, so silent death is detected by silence, not only by
+  ``waitpid``;
+- an **event-driven loop**: the supervisor blocks on its workers' pipes
+  (:mod:`selectors`) until a line arrives, a worker exits, or the next
+  watchdog, backoff or drain deadline falls due — it never polls;
 - a **watchdog** that SIGKILLs a worker whose heartbeats stop or whose
   task exceeds its wall-time budget, and requeues the task;
 - **bounded retries** with exponential backoff and deterministic
@@ -22,7 +26,7 @@ silently, or be OOM-killed — and keeps the *batch* correct anyway:
 - clean **SIGINT/SIGTERM draining**: stop dispatching, let in-flight
   tasks finish (bounded by a grace period), journal the interruption,
   and return a report that a later ``resume`` completes;
-- **graceful degradation**: when subprocesses are unavailable (or
+- **graceful degradation**: when the platform cannot fork (or
   ``mode="inprocess"``), tasks run serially in-process under the same
   journal, the same retry/quarantine ladder, and a thread-based
   watchdog — identical semantics, smaller failure domain.
@@ -33,11 +37,11 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import selectors
 import signal
-import subprocess
-import sys
 import threading
 import time
+import traceback
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -47,6 +51,7 @@ from ..obs.observability import NULL_OBS, Observability
 from .journal import CheckpointJournal, RecoveredJournal
 from .report import DONE, QUARANTINED, BatchReport, TaskOutcome
 from .tasks import RepairTask, TaskResult, execute_task
+from .worker import fork_worker
 
 #: the analysis-stats keys a batch report aggregates, and the metrics
 #: counters (``analysis.<key>``) a worker's METRICS snapshot carries
@@ -124,7 +129,12 @@ def backoff_delay(config: SupervisorConfig, task_id: str, attempt: int) -> float
 
 
 class _WorkerHandle:
-    """Common view the dispatch loop has of an in-flight attempt."""
+    """Common view the dispatch loop has of an in-flight attempt.
+
+    A handle is waitable: :meth:`fileno` is a pipe that turns readable
+    when the worker has something to say or is done, and :meth:`pump`
+    consumes what arrived.
+    """
 
     #: False for workers that cannot emit heartbeats (in-process mode);
     #: the watchdog then relies on the task timeout alone
@@ -142,95 +152,100 @@ class _WorkerHandle:
         self.metrics_record: Optional[Dict[str, Any]] = None  # METRICS snapshot
         self.fail_info: Optional[Dict[str, Any]] = None
         self.silent_death = False
+        self._fd = -1  # the read end of the worker's pipe
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def close(self) -> None:
+        """Release the pipe once the loop no longer waits on it."""
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def pump(self) -> None:
+        raise NotImplementedError
 
     def finished(self) -> bool:
+        raise NotImplementedError
+
+    def settle(self) -> None:
         raise NotImplementedError
 
     def kill(self) -> None:
         raise NotImplementedError
 
 
-class _SubprocessWorker(_WorkerHandle):
-    """A worker subprocess plus its stdout/stderr reader threads."""
+class _ForkedWorker(_WorkerHandle):
+    """A worker process forked from the supervisor, read through its
+    protocol pipe (see :mod:`repro.supervisor.worker`)."""
 
-    def __init__(self, task, index, attempt, config, fault_env: str,
+    def __init__(self, task, index, attempt, config, fault: str,
                  obs: Observability = NULL_OBS):
         super().__init__(task, index, attempt)
         self._obs = obs
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_WORKER_HEARTBEAT"] = str(config.heartbeat_interval)
-        if obs.enabled:
-            env["REPRO_WORKER_OBS"] = "1"
-        else:
-            env.pop("REPRO_WORKER_OBS", None)
-        if fault_env:
-            env["REPRO_WORKER_FAULT"] = fault_env
-        else:
-            env.pop("REPRO_WORKER_FAULT", None)
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.supervisor.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
+        self.pid, self._fd = fork_worker(
+            task, config.heartbeat_interval, fault, forward_spans=obs.enabled
         )
-        self.stderr_tail: List[str] = []
-        self._lock = threading.Lock()
-        try:
-            self.proc.stdin.write(json.dumps(task.to_spec()))
-            self.proc.stdin.close()
-        except OSError:
-            pass  # the worker died before reading its spec; settle() classifies it
-        self._stdout_thread = threading.Thread(target=self._read_stdout, daemon=True)
-        self._stdout_thread.start()
-        threading.Thread(target=self._read_stderr, daemon=True).start()
+        self.returncode: Optional[int] = None
+        #: the last non-protocol lines (stderr chatter: tracebacks)
+        self.output_tail: List[str] = []
+        self._partial = b""
+        self._eof = False
 
-    def _read_stdout(self) -> None:
-        for line in self.proc.stdout:
-            line = line.rstrip("\n")
-            with self._lock:
-                if line.startswith("HB "):
-                    self.last_heartbeat = time.monotonic()
-                    self._obs.event(
-                        "supervisor.heartbeat",
-                        task=self.task.task_id,
-                        attempt=self.attempt,
-                    )
-                elif line.startswith("METRICS "):
-                    try:
-                        self._ingest_metrics(json.loads(line[len("METRICS "):]))
-                    except ValueError:
-                        pass  # observability only; never fails the task
-                elif line.startswith("OBS "):
-                    try:
-                        self._forward_obs(json.loads(line[len("OBS "):]))
-                    except ValueError:
-                        pass  # observability only; never fails the task
-                elif line.startswith("RESULT "):
-                    try:
-                        self.result_record = json.loads(line[len("RESULT "):])
-                    except ValueError:
-                        self.fail_info = {
-                            "error_type": "ProtocolError",
-                            "error": "unparseable RESULT line",
-                        }
-                elif line.startswith("FAIL "):
-                    try:
-                        self.fail_info = json.loads(line[len("FAIL "):])
-                    except ValueError:
-                        self.fail_info = {
-                            "error_type": "ProtocolError",
-                            "error": "unparseable FAIL line",
-                        }
-        self.proc.stdout.close()
+    def pump(self) -> None:
+        data = os.read(self._fd, 1 << 16)
+        if not data:
+            # End of file: the worker has exited (or is exiting); a
+            # final line without its newline still counts.
+            self._eof = True
+            data = b"\n" if self._partial else b""
+        lines = (self._partial + data).split(b"\n")
+        self._partial = lines.pop()
+        for line in lines:
+            self._handle_line(line.decode("utf-8", "replace"))
+
+    def _handle_line(self, line: str) -> None:
+        if line.startswith("HB "):
+            self.last_heartbeat = time.monotonic()
+            self._obs.event(
+                "supervisor.heartbeat",
+                task=self.task.task_id,
+                attempt=self.attempt,
+            )
+        elif line.startswith("METRICS "):
+            try:
+                self._ingest_metrics(json.loads(line[len("METRICS "):]))
+            except ValueError:
+                pass  # observability only; never fails the task
+        elif line.startswith("OBS "):
+            try:
+                self._forward_obs(json.loads(line[len("OBS "):]))
+            except ValueError:
+                pass  # observability only; never fails the task
+        elif line.startswith("RESULT "):
+            try:
+                self.result_record = json.loads(line[len("RESULT "):])
+            except ValueError:
+                self.fail_info = {
+                    "error_type": "ProtocolError",
+                    "error": "unparseable RESULT line",
+                }
+        elif line.startswith("FAIL "):
+            try:
+                self.fail_info = json.loads(line[len("FAIL "):])
+            except ValueError:
+                self.fail_info = {
+                    "error_type": "ProtocolError",
+                    "error": "unparseable FAIL line",
+                }
+        else:
+            self.output_tail.append(line)
+            del self.output_tail[:-50]
 
     def _ingest_metrics(self, snapshot: Any) -> None:
         """Keep the worker's METRICS snapshot and derive from it the
-        analysis-stats dict the batch report aggregates (the typed
-        replacement for the old free-form STATS line)."""
+        analysis-stats dict the batch report aggregates."""
         if not isinstance(snapshot, dict):
             return
         self.metrics_record = snapshot
@@ -252,41 +267,34 @@ class _SubprocessWorker(_WorkerHandle):
             attrs.setdefault("attempt", self.attempt)
         self._obs.emit(record)
 
-    def _read_stderr(self) -> None:
-        for line in self.proc.stderr:
-            with self._lock:
-                self.stderr_tail.append(line.rstrip("\n"))
-                del self.stderr_tail[:-50]
-        self.proc.stderr.close()
-
     def finished(self) -> bool:
-        return self.proc.poll() is not None
+        """Exited and reaped.  Every line it wrote has been consumed by
+        then: the pipe reached end-of-file first."""
+        if self.returncode is None and self._eof:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode is not None
 
     def settle(self) -> None:
-        """After exit: classify a worker that died without a verdict.
-
-        Waits for the stdout reader to hit EOF first — the process can
-        be reaped by ``poll()`` an instant before its final ``RESULT``
-        line is consumed, and that race must not look like death.
-        """
-        self._stdout_thread.join(timeout=5.0)
-        with self._lock:
-            if self.result_record is None and self.fail_info is None:
-                self.silent_death = True
-                tail = "; ".join(self.stderr_tail[-3:])
-                self.fail_info = {
-                    "error_type": "WorkerDied",
-                    "error": (
-                        f"worker exited with code {self.proc.returncode} "
-                        f"without a result"
-                        + (f" (stderr: {tail})" if tail else "")
-                    ),
-                }
+        """After exit: classify a worker that died without a verdict."""
+        if self.result_record is None and self.fail_info is None:
+            self.silent_death = True
+            tail = "; ".join(self.output_tail[-3:])
+            self.fail_info = {
+                "error_type": "WorkerDied",
+                "error": (
+                    f"worker exited with code {self.returncode} "
+                    f"without a result"
+                    + (f" (stderr: {tail})" if tail else "")
+                ),
+            }
 
     def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
 
 
 class _InprocessWorker(_WorkerHandle):
@@ -296,28 +304,29 @@ class _InprocessWorker(_WorkerHandle):
     hangs it (the watchdog times out and abandons it — daemon threads
     die with the interpreter), and a ``kill-worker-at-nth`` fault makes
     it finish without a verdict, which the supervisor classifies as
-    silent death exactly as it would a vanished subprocess.
+    silent death exactly as it would a vanished subprocess.  It writes
+    one byte to its pipe when it is done, which wakes the loop.
     """
 
     heartbeats = False  # a thread cannot heartbeat mid-task
 
-    def __init__(self, task, index, attempt, config, fault_env: str,
+    def __init__(self, task, index, attempt, config, fault: str,
                  obs: Observability = NULL_OBS):
         super().__init__(task, index, attempt)
         self._obs = obs
-        self._fault_env = fault_env
+        self._fault = fault
         self._done = threading.Event()
-        self._abandoned = False
+        self._abandoned = threading.Event()
+        self._fd, self._done_fd = os.pipe()
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
 
     def _run(self) -> None:
         try:
-            if self._fault_env == "hang":
-                while not self._abandoned:
-                    time.sleep(0.02)
+            if self._fault == "hang":
+                self._abandoned.wait()
                 return
-            if self._fault_env == "kill":
+            if self._fault == "kill":
                 self.silent_death = True
                 return
             # In-process workers share the supervisor's facade directly:
@@ -328,16 +337,24 @@ class _InprocessWorker(_WorkerHandle):
             self.outcome_obj = result.outcome
             self.stats_record = result.stats
         except Exception as exc:
-            import traceback as _tb
-
             self.fail_info = {
                 "error_type": type(exc).__name__,
                 "error": str(exc),
-                "traceback": _tb.format_exc(),
+                "traceback": traceback.format_exc(),
             }
         finally:
             self.last_heartbeat = time.monotonic()
             self._done.set()
+            # The thread owns the write end: an abandoned thread may
+            # outlive the loop's read end, and then the write just fails.
+            try:
+                os.write(self._done_fd, b"\0")
+            except OSError:
+                pass
+            os.close(self._done_fd)
+
+    def pump(self) -> None:
+        os.read(self._fd, 1)
 
     def finished(self) -> bool:
         return self._done.is_set()
@@ -352,7 +369,7 @@ class _InprocessWorker(_WorkerHandle):
 
     def kill(self) -> None:
         # Threads cannot be killed; the watchdog abandons this one.
-        self._abandoned = True
+        self._abandoned.set()
         self._done.set()
 
 
@@ -411,7 +428,7 @@ class BatchSupervisor:
             if appended == fault.nth:
                 raise SupervisorKilled(f"simulated SIGKILL at checkpoint {appended}")
 
-    def _worker_fault_env(self, index: int, attempt: int) -> str:
+    def _worker_fault(self, index: int, attempt: int) -> str:
         fault = self.fault
         if fault is None or getattr(fault, "nth", 0) != index:
             return ""
@@ -454,41 +471,35 @@ class BatchSupervisor:
     # -- mode resolution ----------------------------------------------------
 
     def _spawn(self, task: RepairTask, index: int, attempt: int) -> _WorkerHandle:
-        fault_env = self._worker_fault_env(index, attempt)
+        fault = self._worker_fault(index, attempt)
         self.obs.event(
             "supervisor.spawn", task=task.task_id, attempt=attempt,
             mode=self._mode,
         )
         self.obs.count("supervisor.spawns")
+        started = time.monotonic()
         if self._mode == "subprocess":
             try:
-                return _SubprocessWorker(
-                    task, index, attempt, self.config, fault_env, obs=self.obs
+                worker: _WorkerHandle = _ForkedWorker(
+                    task, index, attempt, self.config, fault, obs=self.obs
                 )
             except OSError as exc:
                 raise SupervisorError(f"cannot spawn worker: {exc}") from exc
-        return _InprocessWorker(
-            task, index, attempt, self.config, fault_env, obs=self.obs
-        )
+        else:
+            worker = _InprocessWorker(
+                task, index, attempt, self.config, fault, obs=self.obs
+            )
+        self.obs.observe("supervisor.spawn_seconds", time.monotonic() - started)
+        return worker
 
     def _resolve_mode(self) -> None:
-        if self.config.mode != "auto":
-            self._mode = self.config.mode
-            return
-        # Graceful degradation: probe for a usable interpreter to fork.
-        if sys.executable and hasattr(subprocess, "Popen"):
-            try:
-                probe = subprocess.run(
-                    [sys.executable, "-c", "pass"],
-                    capture_output=True,
-                    timeout=30,
-                )
-                if probe.returncode == 0:
-                    self._mode = "subprocess"
-                    return
-            except (OSError, subprocess.SubprocessError):
-                pass
-        self._mode = "inprocess"
+        mode = self.config.mode
+        if mode == "auto":
+            # Graceful degradation: no fork, no worker processes.
+            mode = "subprocess" if hasattr(os, "fork") else "inprocess"
+        elif mode == "subprocess" and not hasattr(os, "fork"):
+            raise SupervisorError("subprocess mode needs os.fork; use inprocess")
+        self._mode = mode
 
     # -- resume -------------------------------------------------------------
 
@@ -644,7 +655,14 @@ class BatchSupervisor:
         outcomes_by_id: Dict[str, TaskOutcome],
         report: BatchReport,
     ) -> bool:
-        """The scheduling loop; returns True if interrupted by a signal."""
+        """The scheduling loop; returns True if interrupted by a signal.
+
+        Between events the loop blocks on its workers' pipes and a
+        wake-up pipe that an arriving signal writes to, never longer than
+        the next deadline (a retry's backoff, a watchdog budget, the
+        drain grace).  Workers still running when the loop unwinds
+        (a simulated supervisor kill, an error) are killed and reaped.
+        """
         config = self.config
         index_of = {task.task_id: i + 1 for i, task in enumerate(self.tasks)}
         # ready queue: (not_before, submission index, attempt, task)
@@ -654,86 +672,137 @@ class BatchSupervisor:
         running: List[_WorkerHandle] = []
         jobs = config.jobs if self._mode == "subprocess" else 1
         drain_deadline: Optional[float] = None
+        selector = selectors.DefaultSelector()
+        # A signal (the drain) wakes the wait through this pipe, from
+        # whichever thread the kernel delivered it to.
+        wake_read, wake_write = os.pipe()
+        os.set_blocking(wake_write, False)
+        selector.register(wake_read, selectors.EVENT_READ)
+        previous_wakeup = None
+        if threading.current_thread() is threading.main_thread():
+            previous_wakeup = signal.set_wakeup_fd(wake_write)
 
-        while queue or running:
-            now = time.monotonic()
-            if self._draining and drain_deadline is None:
-                drain_deadline = now + config.drain_grace
+        def retire(worker: _WorkerHandle) -> None:
+            selector.unregister(worker)
+            worker.close()
 
-            # dispatch ready tasks into free slots (not while draining)
-            while (
-                not self._draining
-                and len(running) < jobs
-                and queue
-                and queue[0][0] <= now
-            ):
-                _, index, attempt, task = heapq.heappop(queue)
-                self._append(
-                    {"type": "task-start", "task": task.task_id, "attempt": attempt}
-                )
-                self._notify("start", task.task_id, f"attempt {attempt}")
-                running.append(self._spawn(task, index, attempt))
-
-            # poll in-flight workers
-            still_running: List[_WorkerHandle] = []
-            for worker in running:
+        try:
+            while queue or running:
                 now = time.monotonic()
-                if worker.finished():
-                    worker.settle()
-                    if worker.result_record is not None:
-                        self._record_done(worker, outcomes_by_id, report)
+                if self._draining and drain_deadline is None:
+                    drain_deadline = now + config.drain_grace
+
+                # dispatch ready tasks into free slots (not while draining)
+                while (
+                    not self._draining
+                    and len(running) < jobs
+                    and queue
+                    and queue[0][0] <= now
+                ):
+                    _, index, attempt, task = heapq.heappop(queue)
+                    self._append(
+                        {"type": "task-start", "task": task.task_id, "attempt": attempt}
+                    )
+                    self._notify("start", task.task_id, f"attempt {attempt}")
+                    worker = self._spawn(task, index, attempt)
+                    selector.register(worker, selectors.EVENT_READ, worker)
+                    running.append(worker)
+
+                # wait for a worker's line or exit, a signal, or a deadline
+                deadline = self._next_deadline(queue, running, jobs, drain_deadline)
+                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+                events = selector.select(timeout)
+                self.obs.count("supervisor.wakeups")
+                for key, _ in events:
+                    if key.data is None:
+                        os.read(wake_read, 512)
                     else:
+                        key.data.pump()
+
+                # settle exited workers, kill hung ones
+                still_running: List[_WorkerHandle] = []
+                for worker in running:
+                    now = time.monotonic()
+                    if worker.finished():
+                        retire(worker)
+                        worker.settle()
+                        if worker.result_record is not None:
+                            self._record_done(worker, outcomes_by_id, report)
+                        else:
+                            self._record_failure(
+                                worker, queue, index_of, outcomes_by_id, report
+                            )
+                        continue
+                    hung = (
+                        worker.heartbeats
+                        and now - worker.last_heartbeat > config.heartbeat_timeout
+                    )
+                    overtime = now - worker.started > config.task_timeout
+                    if hung or overtime:
+                        worker.kill()
+                        retire(worker)
+                        reason = (
+                            f"watchdog: no heartbeat for {config.heartbeat_timeout}s"
+                            if hung
+                            else f"watchdog: task exceeded {config.task_timeout}s"
+                        )
+                        self.obs.event(
+                            "supervisor.kill",
+                            task=worker.task.task_id,
+                            attempt=worker.attempt,
+                            reason=reason,
+                        )
+                        self.obs.count("supervisor.watchdog_kills")
+                        worker.fail_info = {"error_type": "WatchdogTimeout", "error": reason}
                         self._record_failure(
                             worker, queue, index_of, outcomes_by_id, report
                         )
-                    continue
-                hung = (
-                    worker.heartbeats
-                    and now - worker.last_heartbeat > config.heartbeat_timeout
-                )
-                overtime = now - worker.started > config.task_timeout
-                if hung or overtime:
-                    worker.kill()
-                    reason = (
-                        f"watchdog: no heartbeat for {config.heartbeat_timeout}s"
-                        if hung
-                        else f"watchdog: task exceeded {config.task_timeout}s"
-                    )
-                    self.obs.event(
-                        "supervisor.kill",
-                        task=worker.task.task_id,
-                        attempt=worker.attempt,
-                        reason=reason,
-                    )
-                    self.obs.count("supervisor.watchdog_kills")
-                    worker.fail_info = {"error_type": "WatchdogTimeout", "error": reason}
-                    self._record_failure(
-                        worker, queue, index_of, outcomes_by_id, report
-                    )
-                    continue
-                still_running.append(worker)
-            running = still_running
+                        continue
+                    still_running.append(worker)
+                running = still_running
 
-            if self._draining:
-                if not running:
-                    return True
-                if drain_deadline is not None and time.monotonic() > drain_deadline:
-                    for worker in running:
-                        worker.kill()
-                        worker.fail_info = {
-                            "error_type": "Drained",
-                            "error": f"killed by {self._drain_signal or 'signal'} "
-                            f"drain after {config.drain_grace}s grace",
-                        }
-                        self._record_failure(
-                            worker, queue, index_of, outcomes_by_id, report,
-                            requeue=False,
-                        )
-                    return True
+                if self._draining:
+                    if not running:
+                        return True
+                    if drain_deadline is not None and time.monotonic() > drain_deadline:
+                        for worker in running:
+                            worker.kill()
+                            retire(worker)
+                            worker.fail_info = {
+                                "error_type": "Drained",
+                                "error": f"killed by {self._drain_signal or 'signal'} "
+                                f"drain after {config.drain_grace}s grace",
+                            }
+                            self._record_failure(
+                                worker, queue, index_of, outcomes_by_id, report,
+                                requeue=False,
+                            )
+                        return True
+            return self._draining
+        finally:
+            if previous_wakeup is not None:
+                signal.set_wakeup_fd(previous_wakeup)
+            leftover = [key.data for key in selector.get_map().values() if key.data]
+            selector.close()
+            for worker in leftover:
+                worker.kill()
+                worker.close()
+            os.close(wake_read)
+            os.close(wake_write)
 
-            if queue or running:
-                time.sleep(0.01)
-        return self._draining
+    def _next_deadline(self, queue, running, jobs, drain_deadline) -> Optional[float]:
+        """The earliest moment the loop must act with no worker event:
+        a backoff ending with a slot free, a watchdog budget, the drain
+        grace.  None only when nothing is pending at all."""
+        config = self.config
+        deadlines = [] if drain_deadline is None else [drain_deadline]
+        if queue and len(running) < jobs and not self._draining:
+            deadlines.append(queue[0][0])
+        for worker in running:
+            deadlines.append(worker.started + config.task_timeout)
+            if worker.heartbeats:
+                deadlines.append(worker.last_heartbeat + config.heartbeat_timeout)
+        return min(deadlines, default=None)
 
     def _record_done(
         self, worker: _WorkerHandle, outcomes_by_id, report: BatchReport

@@ -1,7 +1,7 @@
 """Repair tasks: the unit of work the batch supervisor schedules.
 
-A :class:`RepairTask` is pure, JSON-serializable data — a worker
-subprocess can rebuild everything it needs from the spec alone:
+A :class:`RepairTask` is pure data — a worker process (forked with the
+task in its memory) rebuilds everything it needs from the task alone:
 
 - ``corpus`` tasks name a case from the 23-bug corpus by id; the worker
   rebuilds the module, re-collects the trace, repairs, and revalidates
@@ -227,42 +227,6 @@ class RepairTask:
             raise TaskError("corpus task needs a case_id")
         if self.kind == "file" and not (self.module_path and self.trace_path):
             raise TaskError("file task needs module_path and trace_path")
-
-    def to_spec(self) -> Dict[str, Any]:
-        """The JSON form shipped to a worker subprocess."""
-        return {
-            "task_id": self.task_id,
-            "kind": self.kind,
-            "case_id": self.case_id,
-            "module_path": self.module_path,
-            "trace_path": self.trace_path,
-            "output_path": self.output_path,
-            "heuristic": self.heuristic,
-            "lenient": self.lenient,
-            "analysis_cache_dir": self.analysis_cache_dir,
-            "incremental_revalidate": self.incremental_revalidate,
-            "engine": self.engine,
-            "machine_pool": self.machine_pool,
-        }
-
-    @staticmethod
-    def from_spec(spec: Dict[str, Any]) -> "RepairTask":
-        return RepairTask(
-            task_id=spec["task_id"],
-            kind=spec.get("kind", "corpus"),
-            case_id=spec.get("case_id", ""),
-            module_path=spec.get("module_path", ""),
-            trace_path=spec.get("trace_path", ""),
-            output_path=spec.get("output_path"),
-            heuristic=spec.get("heuristic", "full"),
-            lenient=bool(spec.get("lenient", False)),
-            analysis_cache_dir=spec.get("analysis_cache_dir"),
-            incremental_revalidate=bool(
-                spec.get("incremental_revalidate", True)
-            ),
-            engine=spec.get("engine", get_default_engine()),
-            machine_pool=bool(spec.get("machine_pool", True)),
-        )
 
 
 def corpus_tasks(

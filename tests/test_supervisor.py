@@ -8,6 +8,8 @@ Covers the batch layer's resilience invariants at every level:
 - supervision (watchdog kill of hung workers, bounded retries with
   deterministic backoff, retry-then-quarantine ordering, no batch
   stall);
+- the dispatch loop (it wakes on worker events and signals, not on a
+  timer; forked workers are reaped and keep their output to their pipe);
 - resume (kill at checkpoint boundaries, byte-identical aggregate
   reports, no task executed twice, stale-journal refusal);
 - the end-to-end signal path (SIGTERM mid-batch drains to exit code 8
@@ -20,6 +22,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -351,6 +354,94 @@ def test_watchdog_kills_hung_worker_within_budget(tmp_path, mode):
     assert elapsed < 30.0
     target = report.outcome(tasks[0].task_id)
     assert target is not None and target.attempts == 2
+
+
+# ---------------------------------------------------------------------------
+# the event-driven loop and forked workers
+# ---------------------------------------------------------------------------
+
+
+def test_loop_wakes_once_per_event_not_on_a_timer():
+    """An in-process worker wakes the loop exactly when it finishes; a
+    polling loop would wake every few milliseconds instead."""
+    from repro.obs import Observability
+
+    tasks = small_tasks()
+    obs = Observability()
+    report = run_batch(tasks, config=fast_config(), obs=obs)
+    assert report.ok
+    wakeups = obs.metrics_snapshot()["counters"]["supervisor.wakeups"]
+    assert wakeups <= len(tasks) + 1
+
+
+def test_forked_workers_do_not_leak_output_into_the_supervisor(capfd):
+    report = run_batch(
+        small_tasks(), config=fast_config(mode="subprocess", task_timeout=120.0)
+    )
+    assert report.ok and report.mode == "subprocess"
+    captured = capfd.readouterr()
+    for line in (captured.out + captured.err).splitlines():
+        assert not line.startswith(("HB ", "METRICS ", "RESULT ", "OBS ")), line
+
+
+def test_auto_mode_forks_without_probing_an_interpreter(monkeypatch):
+    def no_interpreter(*args, **kwargs):
+        raise AssertionError("auto mode launched a process to probe")
+
+    monkeypatch.setattr(subprocess, "run", no_interpreter)
+    monkeypatch.setattr(subprocess, "Popen", no_interpreter)
+    supervisor = BatchSupervisor(small_tasks(), config=SupervisorConfig())
+    supervisor._resolve_mode()
+    assert supervisor._mode == ("subprocess" if hasattr(os, "fork") else "inprocess")
+
+
+def test_supervisor_kill_reaps_its_running_workers(tmp_path, monkeypatch):
+    """A simulated supervisor kill unwinds the loop with a worker in
+    flight; that worker is killed and reaped, not left as a zombie or
+    an orphan still writing into a dead pipe."""
+    import repro.supervisor.supervisor as supervisor_module
+
+    pids = []
+    real_fork = supervisor_module.fork_worker
+
+    def recording_fork(*args, **kwargs):
+        pid, fd = real_fork(*args, **kwargs)
+        pids.append(pid)
+        return pid, fd
+
+    monkeypatch.setattr(supervisor_module, "fork_worker", recording_fork)
+    # appends: batch-start (1), task-start A (2), task-start B (3): the
+    # kill lands while A runs and before B is forked
+    plan = FaultPlan("supervisor", mode="kill-supervisor-at-nth", nth=3)
+    with pytest.raises(SupervisorKilled):
+        run_batch(small_tasks(), journal_path=str(tmp_path / "j.journal"),
+                  config=fast_config(mode="subprocess", jobs=2), fault=plan)
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_signal_wakes_a_blocked_loop_and_starts_the_drain(tmp_path):
+    """The loop sleeps until its next deadline (here: a 60 s task
+    budget), so a SIGTERM must wake it; the drain grace then runs from
+    the signal, not from whenever the loop next woke."""
+    tasks = small_tasks()
+    plan = FaultPlan("worker", mode="hang-worker", nth=1, attempts=0)
+    config = fast_config(task_timeout=60.0, drain_grace=0.2)
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGTERM))
+    started = time.monotonic()
+    timer.start()
+    try:
+        report = run_batch(tasks, journal_path=str(tmp_path / "j.journal"),
+                           config=config, fault=plan)
+    finally:
+        timer.cancel()
+    assert time.monotonic() - started < 10.0
+    assert report.interrupted
+    assert report.pending == [tasks[1].task_id]
+    records = CheckpointJournal.read(str(tmp_path / "j.journal")).records
+    assert records[-1]["type"] == "batch-interrupted"
+    assert records[-1]["signal"] == "SIGTERM"
 
 
 # ---------------------------------------------------------------------------
