@@ -201,9 +201,7 @@ def cmd_batch(ns: argparse.Namespace) -> int:
                 ns.cases or None,
                 heuristic=ns.heuristic,
                 analysis_cache_dir=cache_dir,
-                incremental_revalidate=not ns.no_incremental_revalidate,
                 engine=ns.engine,
-                machine_pool=not ns.no_machine_pool,
             )
         )
     for spec in ns.task or []:
@@ -224,7 +222,6 @@ def cmd_batch(ns: argparse.Namespace) -> int:
                 heuristic=ns.heuristic,
                 lenient=ns.lenient,
                 analysis_cache_dir=cache_dir,
-                engine=ns.engine or "flat",
             )
         )
     if not tasks:
@@ -456,21 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its own whole-program analyses)",
     )
     batch.add_argument(
-        "--no-incremental-revalidate",
-        action="store_true",
-        help="revalidate every corpus repair by re-running the full "
-        "workload instead of the incremental engine; results are "
-        "byte-identical either way (escape hatch / differential "
-        "testing)",
-    )
-    batch.add_argument(
-        "--no-machine-pool",
-        action="store_true",
-        help="allocate fresh machine buffers for every run instead of "
-        "reusing a per-task pool; results are byte-identical either "
-        "way (escape hatch / differential testing)",
-    )
-    batch.add_argument(
         "--metrics-out",
         metavar="FILE",
         help="write the batch metrics snapshot (counters/gauges/"
@@ -494,7 +476,24 @@ def build_parser() -> argparse.ArgumentParser:
         "functions by cumulative time plus a per-opcode execution "
         "histogram to stderr (default N: 25)",
     )
-    add_engine_flag(batch)
+    batch.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default="flat",
+        help="'flat' (the default) runs the fast pipeline: flat engine, "
+        "incremental revalidation, pooled machines; 'reference' runs "
+        "the oracle: tree-walking engine, full re-run revalidation, "
+        "fresh machines.  Reports are byte-identical either way",
+    )
+    # Older spellings of `--engine reference`, still accepted.
+    for alias in ("--no-incremental-revalidate", "--no-machine-pool"):
+        batch.add_argument(
+            alias,
+            dest="engine",
+            action="store_const",
+            const="reference",
+            help=argparse.SUPPRESS,
+        )
     batch.set_defaults(fn=cmd_batch)
     return parser
 

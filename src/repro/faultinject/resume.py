@@ -315,7 +315,6 @@ def run_resume_campaign(
     journal_dir: Optional[str] = None,
     torn_variant: bool = True,
     worker_checks: bool = True,
-    incremental_revalidate: bool = True,
     progress=None,
 ) -> ResumeCampaignResult:
     """Kill the supervisor at every checkpoint boundary and resume.
@@ -329,20 +328,16 @@ def run_resume_campaign(
     :param torn_variant: also tear the last journal record before each
         resume.
     :param worker_checks: include the hang/kill worker matrix.
-    :param incremental_revalidate: revalidate through the incremental
-        engine.  A worker killed mid-revalidation re-executes its task
-        from pristine state on resume — the recorded baseline and its
-        dependency index are rebuilt, never half-trusted — so the
-        resumed report must be byte-identical either way.
+
+    A worker killed mid-revalidation re-executes its task from pristine
+    state on resume — the recorded baseline and its dependency index
+    are rebuilt, never half-trusted — so the resumed report must be
+    byte-identical.
     """
     import tempfile
 
     result = ResumeCampaignResult()
-    tasks = corpus_tasks(
-        case_ids,
-        heuristic=heuristic,
-        incremental_revalidate=incremental_revalidate,
-    )
+    tasks = corpus_tasks(case_ids, heuristic=heuristic)
     if journal_dir is None:
         journal_dir = tempfile.mkdtemp(prefix="repro-resume-campaign-")
     os.makedirs(journal_dir, exist_ok=True)

@@ -6,11 +6,13 @@ Two engines execute the same IR with byte-identical observable behavior:
   dispatch over flat opcode tuples (see :mod:`repro.interp.compile` and
   :mod:`repro.interp.engine`);
 - ``"reference"`` (:class:`Interpreter`) — the tree-walking reference
-  implementation, kept as the semantic oracle and escape hatch
-  (``--engine reference`` on the CLI).
+  implementation, kept as the semantic oracle.  ``--engine reference``
+  on the CLI selects it; for ``repro batch`` it also selects the rest of
+  the oracle pipeline (full re-run revalidation, fresh machines).
 
 :func:`make_interpreter` is the construction point everything routes
-through; the differential suite holds the two engines byte-identical.
+through; the engine differential suite holds the two engines
+byte-identical, the oracle differential suite the two batch pipelines.
 """
 
 from .compile import (
@@ -30,26 +32,11 @@ from .intrinsics import SimulatedCrash, intrinsic_names, is_intrinsic
 #: Valid engine kinds, in preference order.
 ENGINES = ("flat", "reference")
 
-_DEFAULT_ENGINE = "flat"
-
-
-def get_default_engine() -> str:
-    """The engine kind used when none is requested explicitly."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine kind (tests / tooling)."""
-    global _DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
-    _DEFAULT_ENGINE = engine
-
 
 def engine_class(engine: str = None):
-    """The interpreter class implementing ``engine`` (default kind when
+    """The interpreter class implementing ``engine`` (``"flat"`` when
     ``None``)."""
-    kind = engine or _DEFAULT_ENGINE
+    kind = engine or "flat"
     if kind == "flat":
         return FlatEngine
     if kind == "reference":
@@ -86,7 +73,6 @@ __all__ = [
     "FlatEngine",
     "Frame",
     "function_signature",
-    "get_default_engine",
     "Interpreter",
     "intrinsic_names",
     "is_intrinsic",
@@ -94,6 +80,5 @@ __all__ = [
     "Machine",
     "make_interpreter",
     "run_module",
-    "set_default_engine",
     "SimulatedCrash",
 ]

@@ -594,9 +594,8 @@ def run_module(
 ) -> Tuple[ExecutionResult, PMTrace, Machine]:
     """One-shot convenience: run an entry point and finish the trace.
 
-    Runs on the process-default engine (normally the flat engine); the
-    import is deferred because the engine module subclasses
-    :class:`Interpreter`.
+    Runs on the flat engine; the import is deferred because the engine
+    module subclasses :class:`Interpreter`.
     """
     from . import make_interpreter
 

@@ -35,9 +35,11 @@ for the common case:
   any failure → full re-record.
 
 The engine's contract is *byte-identity*: detection results, canonical
-reports, and do-no-harm verdicts are identical with the engine on or
-off (enforced by ``tests/test_revalidate_differential.py`` and the
-property suite).
+reports, and do-no-harm verdicts are identical to the oracle's — the
+tree-walking engine plus a full re-run, which is what ``repro batch
+--engine reference`` selects instead of this package (enforced by
+``tests/test_oracle_differential.py``, the synthesis suite in
+``tests/test_revalidate_differential.py``, and the property suite).
 """
 
 from .engine import IncrementalRevalidator, RevalidationOutcome
@@ -46,7 +48,6 @@ from .replay import (
     FlatReplayInterpreter,
     ReplayDivergence,
     ReplayInterpreter,
-    replay_class,
 )
 from .snapshot import MachineSnapshot
 from .synthesize import (
@@ -71,7 +72,6 @@ __all__ = [
     "InsertionSpec",
     "MachineSnapshot",
     "RecordedRun",
-    "replay_class",
     "ReplayDivergence",
     "ReplayInterpreter",
     "RevalidationOutcome",

@@ -64,14 +64,14 @@ from typing import Iterable, Optional, Set, Tuple
 from ..detect import Driver
 from ..detect.durability import ChainIndex, DurabilityChecker
 from ..detect.reports import DetectionResult
-from ..interp import ENGINES, get_default_engine, make_interpreter
+from ..interp import make_interpreter
 from ..interp.costs import CostModel
 from ..interp.interpreter import Interpreter, Machine
 from ..ir.module import Module
 from ..memory.pool import MachinePool
 from ..trace.trace import PMTrace
 from .recording import RecordedRun, RecordingTraceRecorder, RunRecorder
-from .replay import ReplayDivergence, replay_class
+from .replay import FlatReplayInterpreter, ReplayDivergence
 from .synthesize import (
     SynthesisResult,
     synthesize_fixed_trace,
@@ -127,6 +127,10 @@ class RevalidationOutcome:
 class IncrementalRevalidator:
     """Records one workload execution and revalidates fixes against it.
 
+    Recording, replay, and fallback runs all execute on the flat
+    engine: the revalidator is the fast path, and its oracle is a full
+    tree-walking re-run (``run_case(engine="reference")``).
+
     :param driver: the workload driver (same contract as
         :func:`~repro.detect.pmemcheck_run`).
     :param cost_model:, :param fuel: interpreter configuration, applied
@@ -136,9 +140,6 @@ class IncrementalRevalidator:
     :param metrics: optional
         :class:`~repro.obs.metrics.MetricsRegistry`; receives the
         ``revalidate.*`` counters and the interpreters' totals.
-    :param engine: execution engine kind, applied identically to
-        recording, replay, and fallback runs (default: the process-wide
-        default engine).  Both engines yield byte-identical recordings.
     :param pool: optional :class:`~repro.memory.pool.MachinePool`;
         recording, replay, and fallback machines then reuse pooled
         buffers instead of reallocating (replay and fallback machines
@@ -154,7 +155,6 @@ class IncrementalRevalidator:
         fuel: int = 50_000_000,
         max_snapshots: int = 32,
         metrics=None,
-        engine: Optional[str] = None,
         pool: Optional[MachinePool] = None,
     ):
         self.driver = driver
@@ -162,11 +162,6 @@ class IncrementalRevalidator:
         self.fuel = fuel
         self.max_snapshots = max_snapshots
         self.metrics = metrics
-        self.engine = engine or get_default_engine()
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (choose from {ENGINES})"
-            )
         self.pool = pool
         self.baseline: Optional[RecordedRun] = None
         self.last_outcome: Optional[RevalidationOutcome] = None
@@ -228,7 +223,6 @@ class IncrementalRevalidator:
         machine.recorder = trace_recorder
         interp = make_interpreter(
             module,
-            engine=self.engine,
             machine=machine,
             cost_model=self.cost_model,
             fuel=self.fuel,
@@ -527,7 +521,7 @@ class IncrementalRevalidator:
         assert snapshot is not None
         machine = snapshot.materialize(self.pool)
         try:
-            replay = replay_class(self.engine)(
+            replay = FlatReplayInterpreter(
                 module,
                 machine,
                 snapshot,

@@ -98,12 +98,3 @@ class FlatReplayInterpreter(ReplayInterpreter, FlatEngine):
     the ``call()`` skip-list logic, :class:`FlatEngine` the compiled
     execution core, so replay-from-snapshot runs the same code path the
     recording did under the flat engine."""
-
-
-def replay_class(engine: str):
-    """The replay interpreter class for an engine kind."""
-    if engine == "flat":
-        return FlatReplayInterpreter
-    if engine == "reference":
-        return ReplayInterpreter
-    raise ValueError(f"unknown engine {engine!r}")

@@ -108,6 +108,10 @@ class SupervisorConfig:
             raise SupervisorError(f"unknown mode {self.mode!r}; use {MODES}")
         if self.jobs < 1:
             raise SupervisorError("jobs must be >= 1")
+        if self.task_timeout <= 0:
+            raise SupervisorError("task_timeout must be > 0")
+        if self.max_retries < 0:
+            raise SupervisorError("max_retries must be >= 0")
 
 
 def backoff_delay(config: SupervisorConfig, task_id: str, attempt: int) -> float:

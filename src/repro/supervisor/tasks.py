@@ -15,6 +15,11 @@ Execution is **deterministic**: :func:`execute_task` returns a
 time, no memory numbers, no attempt counters.  That determinism is what
 lets a resumed batch replay completed tasks from the journal and still
 produce a byte-identical aggregate report.
+
+A task's ``engine`` is the batch's one fast-path switch, decided in
+:func:`run_case`: ``"flat"`` runs the fast pipeline, ``"reference"``
+the oracle every fast path must match byte for byte (``repro batch
+--engine reference``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from ..core.hippocrates import FixReport, Hippocrates
 from ..corpus.bugs import BugCase, all_cases, classify_fix, compare_fix_kinds
 from ..detect import pmemcheck_run
 from ..errors import ReproError
-from ..interp import ENGINES, get_default_engine
+from ..interp import ENGINES
 from ..ir.printer import format_module
 from ..memory.pool import MachinePool
 from ..obs.observability import NULL_OBS, Observability
@@ -75,75 +80,55 @@ def run_case(
     heuristic: str = "full",
     analysis_cache_dir: Optional[str] = None,
     obs: Optional[Observability] = None,
-    incremental_revalidate: bool = True,
-    engine_kind: Optional[str] = None,
-    machine_pool: bool = True,
+    engine: str = "flat",
 ) -> CaseOutcome:
     """Detect, fix, and revalidate one corpus case.
 
-    With ``incremental_revalidate`` (the default) the detection run is
-    recorded and the post-fix check goes through the
-    :class:`~repro.revalidate.engine.IncrementalRevalidator` — same
-    detection results, byte-identical canonical reports, but witnessed
-    repairs revalidate without re-executing the workload.
-    ``incremental_revalidate=False`` (the
-    ``--no-incremental-revalidate`` escape hatch) re-runs everything
-    from scratch.  ``engine_kind`` picks the execution engine for every
-    run this case makes (detection, replay, revalidation); results are
-    byte-identical across engines.  With ``machine_pool`` (the default)
-    this case's runs reuse machine buffers through a private
-    :class:`~repro.memory.pool.MachinePool`; ``machine_pool=False``
-    allocates fresh buffers per run.  Results are byte-identical either
-    way.
+    ``engine`` is the one fast-path switch.  ``"flat"`` (the default)
+    runs the fast pipeline: the flat engine records the detection run,
+    the post-fix check goes through the
+    :class:`~repro.revalidate.engine.IncrementalRevalidator`, and the
+    case's machines come from a private
+    :class:`~repro.memory.pool.MachinePool`.  ``"reference"`` runs the
+    oracle: the tree-walking engine, fresh machines, and a full re-run
+    of the workload to revalidate.  Both produce byte-identical
+    canonical records (``tests/test_oracle_differential.py``).
     """
     obs = obs if obs is not None else NULL_OBS
     metrics = obs.metrics if obs.enabled else None
-    pool = MachinePool() if machine_pool else None
     module = case.build()
-    engine: Optional[IncrementalRevalidator] = None
-    if incremental_revalidate:
-        engine = IncrementalRevalidator(
-            case.drive, metrics=metrics, engine=engine_kind, pool=pool
-        )
+    revalidator: Optional[IncrementalRevalidator] = None
     with obs.span("detect", case=case.case_id):
-        if engine is not None:
-            detection, trace, interp = engine.record(module)
+        if engine == "flat":
+            revalidator = IncrementalRevalidator(
+                case.drive, metrics=metrics, pool=MachinePool()
+            )
+            detection, trace, interp = revalidator.record(module)
         else:
             detection, trace, interp = pmemcheck_run(
-                module, case.drive, metrics=metrics, engine=engine_kind,
-                pool=pool,
+                module, case.drive, metrics=metrics, engine=engine
             )
-    try:
-        fixer = Hippocrates(
-            module,
-            trace,
-            interp.machine,
-            heuristic=heuristic,
-            analysis_cache_dir=analysis_cache_dir,
-            obs=obs,
-            revalidator=engine,
-        )
-        plan = fixer.compute_fixes()
-        fix_report = fixer.apply(plan)
-        revalidation: Optional[Dict[str, Any]] = None
-        with obs.span("revalidate", case=case.case_id):
-            if engine is not None:
-                outcome = fixer.revalidate()
-                after = outcome.detection
-                revalidation = outcome.as_stats()
-            else:
-                after, _, replay_interp = pmemcheck_run(
-                    module, case.drive, metrics=metrics, engine=engine_kind,
-                    pool=pool,
-                )
-                if pool is not None:
-                    pool.release(replay_interp.machine)
-    finally:
-        # The detection machine outlives the fix phase (Hippocrates
-        # reads it for Trace-AA and observable-output checks); it is
-        # dead once the case is done.
-        if pool is not None:
-            pool.release(interp.machine)
+    fixer = Hippocrates(
+        module,
+        trace,
+        interp.machine,
+        heuristic=heuristic,
+        analysis_cache_dir=analysis_cache_dir,
+        obs=obs,
+        revalidator=revalidator,
+    )
+    plan = fixer.compute_fixes()
+    fix_report = fixer.apply(plan)
+    revalidation: Optional[Dict[str, Any]] = None
+    with obs.span("revalidate", case=case.case_id):
+        if revalidator is not None:
+            outcome = fixer.revalidate()
+            after = outcome.detection
+            revalidation = outcome.as_stats()
+        else:
+            after, _, _ = pmemcheck_run(
+                module, case.drive, metrics=metrics, engine=engine
+            )
     kinds = sorted({classify_fix(f) for f in plan.fixes})
     comparison = None
     if case.developer_fix:
@@ -186,21 +171,14 @@ class RepairTask:
         content-addressed, so it never changes *what* a task computes —
         only whether the Andersen fixpoint is re-solved — and is
         deliberately excluded from the journaled result record.
-    :param incremental_revalidate: route post-fix revalidation through
-        the incremental engine (corpus tasks).  Results are
-        byte-identical either way (the differential suite enforces it),
-        so — like the analysis cache — the flag is excluded from the
-        journaled record.
-    :param engine: execution engine kind (``"flat"`` or
-        ``"reference"``).  Results are byte-identical across engines
-        (differential suite again), so the flag is likewise excluded
-        from the journaled record — a resumed batch may finish under a
-        different engine than it started with.
-    :param machine_pool: reuse pooled machine buffers across the task's
-        runs (detect, replay, re-record).  Pure construction-cost
-        optimisation — pooled and fresh machines start byte-identical
-        (the differential suite enforces it) — so, like the engine
-        flag, it is excluded from the journaled record.
+    :param engine: ``"flat"`` runs a corpus task's fast pipeline (flat
+        engine, incremental revalidation, pooled machines);
+        ``"reference"`` runs the oracle (tree-walking engine, a full
+        re-run to revalidate, fresh machines).  See :func:`run_case`.
+        Results are byte-identical either way (the oracle differential
+        suite enforces it), so — like the analysis cache — the field
+        is excluded from the journaled record: a resumed batch may
+        finish on a different path than it started on.
     """
 
     task_id: str
@@ -212,9 +190,7 @@ class RepairTask:
     heuristic: str = "full"
     lenient: bool = False
     analysis_cache_dir: Optional[str] = None
-    incremental_revalidate: bool = True
     engine: str = "flat"
-    machine_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -233,9 +209,7 @@ def corpus_tasks(
     case_ids: Optional[List[str]] = None,
     heuristic: str = "full",
     analysis_cache_dir: Optional[str] = None,
-    incremental_revalidate: bool = True,
-    engine: Optional[str] = None,
-    machine_pool: bool = True,
+    engine: str = "flat",
 ) -> List[RepairTask]:
     """Build the corpus batch (default: every case, corpus order)."""
     known = {case.case_id: case for case in all_cases()}
@@ -251,9 +225,7 @@ def corpus_tasks(
             RepairTask(task_id=case_id, kind="corpus", case_id=case_id,
                        heuristic=heuristic,
                        analysis_cache_dir=analysis_cache_dir,
-                       incremental_revalidate=incremental_revalidate,
-                       engine=engine or get_default_engine(),
-                       machine_pool=machine_pool)
+                       engine=engine)
         )
     return tasks
 
@@ -322,9 +294,7 @@ def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskR
                 heuristic=task.heuristic,
                 analysis_cache_dir=task.analysis_cache_dir,
                 obs=obs,
-                incremental_revalidate=task.incremental_revalidate,
-                engine_kind=task.engine,
-                machine_pool=task.machine_pool,
+                engine=task.engine,
             )
             digest = _module_digest(outcome.module)
             return TaskResult(

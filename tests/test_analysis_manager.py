@@ -5,9 +5,11 @@ Covers the invalidation matrix (flush/fence insertion preserves the
 whole-program analyses; clones/retargets drop them; clean rollbacks
 preserve everything), failure memoization (a budget-exhausted Andersen
 solves once, not once per mode per fix), the content-addressed on-disk
-round trip (including the UNKNOWN site's identity), and the contract
-that matters most: enabling the cache never changes repair output —
-byte-identical batch reports, including across a mid-run kill/resume.
+round trip (including the UNKNOWN site's identity), scoped
+verification, and the contract that matters most: enabling the cache
+never changes repair output — cold or warm, and across a mid-run
+kill/resume, the batch report is byte-identical to the oracle's, which
+runs with no cache (``test_oracle_differential.py``).
 """
 
 import json
@@ -29,7 +31,6 @@ from repro.core import Hippocrates
 from repro.core.transaction import FixTransaction
 from repro.detect import pmemcheck_run
 from repro.errors import BudgetExceeded
-from repro.faultinject.resume import run_kill_resume
 from repro.ir import (
     I64,
     ModuleBuilder,
@@ -37,9 +38,12 @@ from repro.ir import (
     format_module,
     parse_module,
 )
-from repro.supervisor import corpus_tasks, run_batch, SupervisorConfig
 
 from conftest import build_listing5_module, drive_main
+from test_oracle_differential import (
+    assert_batch_matches_oracle,
+    assert_killed_fast_batch_resumes_to_oracle,
+)
 
 
 def build_module():
@@ -371,40 +375,22 @@ def test_verify_scope_skips_unknown_functions():
 
 
 # ---------------------------------------------------------------------------
-# the differential: cache on == cache off, byte for byte
+# the differential: cache on == cache off (the oracle), byte for byte
 # ---------------------------------------------------------------------------
-
-
-def _config():
-    return SupervisorConfig(
-        mode="inprocess", jobs=1, max_retries=0, task_timeout=600.0
-    )
 
 
 def test_corpus_cache_on_vs_off_is_byte_identical(tmp_path):
     cache_dir = str(tmp_path / "acache")
-    off = run_batch(corpus_tasks(), config=_config())
-    cold = run_batch(
-        corpus_tasks(analysis_cache_dir=cache_dir), config=_config()
-    )
-    warm = run_batch(
-        corpus_tasks(analysis_cache_dir=cache_dir), config=_config()
-    )
-    assert cold.canonical_json() == off.canonical_json()
-    assert warm.canonical_json() == off.canonical_json()
+    assert_batch_matches_oracle(analysis_cache_dir=cache_dir)  # cold
+    warm = assert_batch_matches_oracle(analysis_cache_dir=cache_dir)
     assert warm.analysis_stats["disk_hits"] == len(warm.outcomes)
     assert "analysis cache" in warm.summary()
 
 
 def test_resume_after_kill_with_cache_is_byte_identical(tmp_path):
-    cases = ["PMDK-447", "PMDK-452", "PMDK-458"]
-    cache_dir = str(tmp_path / "acache")
-    baseline = run_batch(corpus_tasks(cases), config=_config())
-    record = run_kill_resume(
-        corpus_tasks(cases, analysis_cache_dir=cache_dir),
+    assert_killed_fast_batch_resumes_to_oracle(
         str(tmp_path / "kill.journal"),
         boundary=3,  # right after the first task-done checkpoint
-        baseline_bytes=baseline.canonical_json(),
-        torn=False,
+        cases=["PMDK-447", "PMDK-452", "PMDK-458"],
+        analysis_cache_dir=str(tmp_path / "acache"),
     )
-    assert record.ok, record.problems

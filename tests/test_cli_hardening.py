@@ -97,3 +97,19 @@ def test_missing_trace_file_exits_2(workspace, capsys):
     ir, _ = workspace
     assert main(["fix", str(ir), "--trace", str(ir.parent / "nope.trace")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--task-timeout", "0"], ["--jobs", "0"], ["--retries", "-1"]],
+    ids=["task-timeout-0", "jobs-0", "retries-negative"],
+)
+def test_bad_batch_config_exits_2_before_journaling(tmp_path, capsys, flags):
+    """A supervision policy that cannot work is rejected up front: no
+    task runs and no journal is created."""
+    journal = tmp_path / "b.journal"
+    code = main(["batch", "--cases", "PMDK-447", "--journal", str(journal),
+                 *flags])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not journal.exists()

@@ -3,18 +3,16 @@ reference.
 
 The flat engine's contract is *byte-identity*: for any program —
 corpus case or seeded random — detection traces, bug records, cost
-cycles, per-opcode counts, observable output, error messages, and the
-batch layer's canonical journaled records must be exactly the same on
-both engines.  These tests diff all of it: per-case detect runs,
-property-based random programs, the error paths (fuel, traps,
-undefined values), the full repair pipeline per corpus case, and a
-batch killed mid-run on the flat engine resumed against a
-reference-engine baseline.
+cycles, per-opcode counts, observable output, and error messages must
+be exactly the same on both engines.  These tests diff all of it:
+per-case detect runs, property-based random programs, the error paths
+(fuel, traps, undefined values), and — through the oracle harness in
+``test_oracle_differential.py`` — the full repair pipeline per corpus
+case, a batch, and a flat-engine batch killed mid-run and resumed
+against the reference-engine oracle.
 """
 
 from __future__ import annotations
-
-import json
 
 import hypothesis.strategies as st
 import pytest
@@ -22,11 +20,15 @@ from hypothesis import given, settings
 
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
-from repro.faultinject.resume import run_kill_resume
 from repro.interp import ENGINES, make_interpreter
 from repro.ir import I64, ModuleBuilder, PTR
-from repro.supervisor import SupervisorConfig, run_batch
-from repro.supervisor.tasks import corpus_tasks, execute_task
+
+from test_oracle_differential import (
+    BATCH_CASES,
+    assert_batch_matches_oracle,
+    assert_killed_fast_batch_resumes_to_oracle,
+    assert_records_match,
+)
 
 CASE_IDS = [case.case_id for case in all_cases()]
 
@@ -214,66 +216,23 @@ def test_top_level_entry_errors_match():
 
 
 # ---------------------------------------------------------------------------
-# full pipeline + batch + kill/resume
+# full pipeline + batch + kill/resume, against the oracle harness
 # ---------------------------------------------------------------------------
-
-
-def _task(case_id, engine):
-    from repro.supervisor import RepairTask
-
-    return RepairTask(
-        task_id=case_id, kind="corpus", case_id=case_id, engine=engine
-    )
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_pipeline_records_byte_identical_across_engines(case_id):
-    """The journaled record — detection counts, fixes, do-no-harm
-    verdicts, revalidation outcomes — must not depend on the engine."""
-    flat = execute_task(_task(case_id, "flat")).record
-    reference = execute_task(_task(case_id, "reference")).record
-    assert json.dumps(flat, sort_keys=True) == json.dumps(
-        reference, sort_keys=True
-    )
+    assert_records_match(case_id)
 
 
-BATCH_CASES = ["PMDK-452", "PMDK-940", "PMDK-447"]
-
-
-def _fast_config():
-    return SupervisorConfig(
-        mode="inprocess", max_retries=1, backoff_base=0.0, task_timeout=600.0
-    )
-
-
-def test_batch_reports_byte_identical_across_engines(tmp_path):
-    flat = run_batch(
-        corpus_tasks(BATCH_CASES, engine="flat"),
-        journal_path=str(tmp_path / "flat.journal"),
-        config=_fast_config(),
-    )
-    reference = run_batch(
-        corpus_tasks(BATCH_CASES, engine="reference"),
-        journal_path=str(tmp_path / "ref.journal"),
-        config=_fast_config(),
-    )
-    assert flat.canonical_json() == reference.canonical_json()
+def test_batch_reports_byte_identical_across_engines():
+    assert_batch_matches_oracle(BATCH_CASES)
 
 
 def test_kill_mid_flat_batch_resumes_to_reference_baseline(tmp_path):
-    """The strongest cross-check: kill a flat-engine batch mid-task,
-    resume it, and compare the canonical bytes against an uninterrupted
-    reference-engine run of the same tasks."""
-    baseline = run_batch(
-        corpus_tasks(BATCH_CASES, engine="reference"),
-        journal_path=str(tmp_path / "ref.journal"),
-        config=_fast_config(),
-    ).canonical_json()
-    record = run_kill_resume(
-        corpus_tasks(BATCH_CASES, engine="flat"),
-        str(tmp_path / "kill-flat.journal"),
-        boundary=4,
-        baseline_bytes=baseline,
-        torn=False,
+    """Kill a flat-engine batch at boundary 6 — after the second
+    task-done, so the kill interrupts the structural case PMDK-447 —
+    resume it, and compare against the uninterrupted reference run."""
+    assert_killed_fast_batch_resumes_to_oracle(
+        str(tmp_path / "kill-flat.journal"), boundary=6
     )
-    assert record.ok, record.problems

@@ -1,29 +1,31 @@
 """Differential equivalence: incremental revalidation on vs off.
 
-The incremental engine's contract is *byte-identity*: for every corpus
-case, the full repair pipeline must produce identical canonical records
-— detection counts, fix lists, do-no-harm verdicts, module digests —
-whether post-fix revalidation re-executes the workload or goes through
-the synthesis/replay tiers.  These tests run the whole pipeline both
-ways and diff the bytes, then check that the engine actually took the
-fast tier where it should (flush/fence-only repairs) and fell back
-where it must (structural repairs).
+Against the same repaired module instance, the trace the revalidator
+synthesizes — for flush/fence-only and structural (clone/retarget)
+repairs alike — must equal a full re-run event for event.  Through the
+oracle harness in ``test_oracle_differential.py``, the whole pipeline
+with revalidation on (the fast pipeline) must produce the same records
+and outcomes as with it off (the oracle), per corpus case, through the
+CLI's older oracle flags, and across a kill/resume.
 """
 
 from __future__ import annotations
-
-import json
-import re
 
 import pytest
 
 from repro.core.hippocrates import Hippocrates
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
-from repro.faultinject.resume import run_kill_resume
 from repro.revalidate import IncrementalRevalidator
-from repro.supervisor import RepairTask, SupervisorConfig, run_batch
-from repro.supervisor.tasks import corpus_tasks, execute_task, run_case
+
+from test_oracle_differential import (
+    CASE_IDS,
+    assert_cli_flag_selects_matching_oracle,
+    assert_killed_fast_batch_resumes_to_oracle,
+    assert_outcomes_match,
+    assert_records_match,
+    assert_revalidation_on_vs_off,
+)
 
 #: Cases whose repairs are flush/fence-only; every other corpus case
 #: also needs a structural (clone/retarget) fix.  Both kinds now take
@@ -33,55 +35,6 @@ SYNTH_CASES = {"PMDK-452", "PMDK-940", "PMDK-943", "P-CLHT"}
 STRUCTURAL_CASES = sorted(
     case.case_id for case in all_cases() if case.case_id not in SYNTH_CASES
 )
-
-CASE_IDS = [case.case_id for case in all_cases()]
-
-
-def _task(case_id: str, incremental: bool) -> RepairTask:
-    return RepairTask(
-        task_id=case_id,
-        kind="corpus",
-        case_id=case_id,
-        incremental_revalidate=incremental,
-    )
-
-
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_records_byte_identical_on_vs_off(case_id):
-    """The journaled record — the batch layer's unit of truth — must not
-    depend on how revalidation ran."""
-    on = execute_task(_task(case_id, True)).record
-    off = execute_task(_task(case_id, False)).record
-    assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
-
-
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_outcome_equivalence_and_expected_mode(case_id):
-    case = next(c for c in all_cases() if c.case_id == case_id)
-    inc = run_case(case, incremental_revalidate=True)
-    ref = run_case(case, incremental_revalidate=False)
-
-    assert inc.reports_found == ref.reports_found
-    assert inc.reports_after_fix == ref.reports_after_fix
-    assert inc.fix_kinds == ref.fix_kinds
-    assert inc.comparison == ref.comparison
-    assert inc.fixed == ref.fixed
-    # iids are globally unique across module builds, so strip them from
-    # the human descriptions before comparing the two pipelines.
-    def scrubbed(outcome):
-        return [
-            re.sub(r"#\d+", "#N", f.describe())
-            for f in outcome.fix_report.plan.fixes
-        ]
-
-    assert scrubbed(inc) == scrubbed(ref)
-
-    assert ref.revalidation is None  # escape hatch: engine never built
-    assert inc.revalidation is not None
-    mode = inc.revalidation["mode"]
-    assert mode == "synthesized"
-    assert inc.revalidation["chains_rechecked"] >= 1
-    assert inc.revalidation["segments_replayed"] == 0
 
 
 @pytest.mark.parametrize(
@@ -134,103 +87,65 @@ def test_revalidate_is_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# batch + kill/resume interaction
+# the pipeline with revalidation on (fast) vs off (oracle)
 # ---------------------------------------------------------------------------
 
-#: a small mixed batch: two synthesis-tier cases + one structural
-BATCH_CASES = ["PMDK-452", "PMDK-940", "PMDK-447"]
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_records_byte_identical_on_vs_off(case_id):
+    """The journaled record — the batch layer's unit of truth — must not
+    depend on how revalidation ran, and it ran by synthesis on the fast
+    side and by a full re-run on the oracle side."""
+    assert_records_match(case_id)
+    assert_revalidation_on_vs_off(case_id)
 
 
-def _fast_config() -> SupervisorConfig:
-    return SupervisorConfig(
-        mode="inprocess", max_retries=1, backoff_base=0.0, task_timeout=600.0
-    )
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_outcome_equivalence_and_expected_mode(case_id):
+    assert_outcomes_match(case_id)
+    assert_revalidation_on_vs_off(case_id)
 
 
 def test_batch_reports_byte_identical_across_flag(tmp_path):
-    on_tasks = corpus_tasks(BATCH_CASES, incremental_revalidate=True)
-    off_tasks = corpus_tasks(BATCH_CASES, incremental_revalidate=False)
-    on = run_batch(on_tasks, journal_path=str(tmp_path / "on.journal"),
-                   config=_fast_config())
-    off = run_batch(off_tasks, journal_path=str(tmp_path / "off.journal"),
-                    config=_fast_config())
-    assert on.canonical_json() == off.canonical_json()
+    assert_cli_flag_selects_matching_oracle(
+        tmp_path, "--no-incremental-revalidate"
+    )
+
+
+def test_batch_reports_byte_identical_across_machine_pool_flag(tmp_path):
+    assert_cli_flag_selects_matching_oracle(tmp_path, "--no-machine-pool")
+
+
+# ---------------------------------------------------------------------------
+# kill/resume of a fast batch against the oracle
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("torn", [False, True])
 def test_kill_mid_incremental_batch_resumes_byte_identical(tmp_path, torn):
-    """A worker killed mid-incremental-revalidation resumes to the same
-    canonical bytes: the resumed task re-records its baseline and
-    dependency index from pristine state — nothing half-built is ever
-    trusted.  Boundary 4 lands after the first task-done, so the kill
-    interrupts the second task (PMDK-940, a synthesis-tier case)."""
-    tasks = corpus_tasks(BATCH_CASES, incremental_revalidate=True)
-    baseline = run_batch(
-        tasks, journal_path=str(tmp_path / "base.journal"),
-        config=_fast_config(),
-    ).canonical_json()
+    """A worker killed mid-incremental-revalidation resumes to the
+    oracle's bytes.  Boundary 4 lands after the first task-done, so the
+    kill interrupts the second task (PMDK-940, a synthesis-tier case)."""
     suffix = "torn" if torn else "plain"
-    record = run_kill_resume(
-        tasks,
-        str(tmp_path / f"kill-{suffix}.journal"),
-        boundary=4,
-        baseline_bytes=baseline,
-        torn=torn,
+    assert_killed_fast_batch_resumes_to_oracle(
+        str(tmp_path / f"kill-{suffix}.journal"), boundary=4, torn=torn
     )
-    assert record.ok, record.problems
 
 
 def test_kill_resume_matches_non_incremental_baseline(tmp_path):
-    """The strongest cross-check: kill an *incremental* batch, resume
-    it, and compare against an uninterrupted *non-incremental* run."""
-    off_tasks = corpus_tasks(BATCH_CASES, incremental_revalidate=False)
-    baseline = run_batch(
-        off_tasks, journal_path=str(tmp_path / "off.journal"),
-        config=_fast_config(),
-    ).canonical_json()
-    on_tasks = corpus_tasks(BATCH_CASES, incremental_revalidate=True)
-    record = run_kill_resume(
-        on_tasks,
-        str(tmp_path / "kill-on.journal"),
-        boundary=4,
-        baseline_bytes=baseline,
-        torn=False,
+    """A fast (incremental) batch killed at boundary 5, right after the
+    second task-done, resumes to the oracle's non-incremental bytes: the
+    resume replays two records from the journal and runs only the last
+    task."""
+    assert_killed_fast_batch_resumes_to_oracle(
+        str(tmp_path / "kill-5.journal"), boundary=5
     )
-    assert record.ok, record.problems
-
-
-# ---------------------------------------------------------------------------
-# machine pooling
-# ---------------------------------------------------------------------------
-
-
-def test_batch_reports_byte_identical_across_machine_pool_flag(tmp_path):
-    """Pooled buffer reuse is a pure allocation optimisation: the batch
-    canonical report must not change with the pool disabled."""
-    on_tasks = corpus_tasks(BATCH_CASES, machine_pool=True)
-    off_tasks = corpus_tasks(BATCH_CASES, machine_pool=False)
-    on = run_batch(on_tasks, journal_path=str(tmp_path / "pool-on.journal"),
-                   config=_fast_config())
-    off = run_batch(off_tasks, journal_path=str(tmp_path / "pool-off.journal"),
-                    config=_fast_config())
-    assert on.canonical_json() == off.canonical_json()
 
 
 def test_kill_resume_pooled_matches_unpooled_baseline(tmp_path):
-    """Kill a *pooled* batch mid-task, resume it, and compare against an
-    uninterrupted *unpooled* run: reused buffers must never leak state
-    into the canonical bytes, even across a death boundary."""
-    off_tasks = corpus_tasks(BATCH_CASES, machine_pool=False)
-    baseline = run_batch(
-        off_tasks, journal_path=str(tmp_path / "nopool.journal"),
-        config=_fast_config(),
-    ).canonical_json()
-    on_tasks = corpus_tasks(BATCH_CASES, machine_pool=True)
-    record = run_kill_resume(
-        on_tasks,
-        str(tmp_path / "kill-pool.journal"),
-        boundary=4,
-        baseline_bytes=baseline,
-        torn=False,
+    """A fast (pooled) batch killed at boundary 7, after the last
+    task-done but before batch-end, resumes to the oracle's unpooled
+    bytes: the resume replays every record and executes nothing."""
+    assert_killed_fast_batch_resumes_to_oracle(
+        str(tmp_path / "kill-7.journal"), boundary=7
     )
-    assert record.ok, record.problems

@@ -97,11 +97,12 @@ def _repair_incrementally(module):
 @settings(max_examples=30, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=8))
 def test_incremental_matches_scratch_detection(actions):
-    """Synthesis tier: the revalidated detection equals a from-scratch
-    run over the same repaired module, record for record."""
+    """Synthesis tier: the revalidated detection equals the oracle's —
+    a from-scratch tree-walking run over the same repaired module —
+    record for record."""
     module = build(actions)
     engine, fixer, outcome = _repair_incrementally(module)
-    scratch, _, _ = pmemcheck_run(module, drive)
+    scratch, _, _ = pmemcheck_run(module, drive, engine="reference")
     assert outcome.mode in ("baseline", "synthesized")
     assert _bug_records(outcome.detection) == _bug_records(scratch)
     # same module instance on both sides, so describe() (which embeds

@@ -22,7 +22,8 @@ from __future__ import annotations
 import sys
 
 from repro.core.hippocrates import Hippocrates
-from repro.detect import pmemcheck_run
+from repro.detect import check_trace, pmemcheck_run
+from repro.interp import Machine, make_interpreter
 from repro.ir import I64, ModuleBuilder, PTR
 from repro.memory.pool import MachinePool
 from repro.obs.metrics import MetricsRegistry
@@ -176,6 +177,15 @@ def _machine_state(machine):
     )
 
 
+def _pooled_run(module, pool):
+    """A detection run on a machine acquired from ``pool``."""
+    space, image = pool.acquire()
+    interp = make_interpreter(module, machine=Machine(space=space, image=image))
+    drive(interp)
+    trace = interp.finish()
+    return check_trace(trace), trace, interp
+
+
 def test_pooled_detect_run_byte_identical_to_fresh():
     """A detection run on *reused* pooled buffers must produce the same
     trace, detection, and final machine bytes as a fresh-buffer run."""
@@ -183,9 +193,9 @@ def test_pooled_detect_run_byte_identical_to_fresh():
     fresh_detection, fresh_trace, fresh_interp = pmemcheck_run(module, drive)
 
     pool = MachinePool()
-    _, _, cold = pmemcheck_run(module, drive, pool=pool)  # miss: fresh pair
+    _, _, cold = _pooled_run(module, pool)  # miss: fresh pair
     pool.release(cold.machine)
-    warm_detection, warm_trace, warm = pmemcheck_run(module, drive, pool=pool)
+    warm_detection, warm_trace, warm = _pooled_run(module, pool)
     assert pool.hits >= 1  # the warm run actually reused buffers
 
     assert [b.describe() for b in warm_detection.bugs] == [
@@ -206,7 +216,7 @@ def test_pooled_materialize_zeroes_stale_suffix():
     snapshot = _boundary_snapshot(engine)
 
     pool = MachinePool()
-    _, _, dirty_interp = pmemcheck_run(module, drive, pool=pool)
+    _, _, dirty_interp = _pooled_run(module, pool)
     machine = dirty_interp.machine
     # push every high-water mark well past anything the boundary
     # snapshot recorded, then poison the durable view too
