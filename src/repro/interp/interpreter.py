@@ -88,11 +88,7 @@ class Machine:
         space: Optional[AddressSpace] = None,
         image: Optional[PersistentImage] = None,
     ):
-        # ``space``/``image`` accept clean pooled buffers (see
-        # :class:`~repro.memory.pool.MachinePool.acquire`); they must be
-        # indistinguishable from freshly constructed ones, so the
-        # resulting machine is too.  When ``space`` is given,
-        # ``pm_size`` is ignored.
+        # When ``space`` is given, ``pm_size`` is ignored.
         if space is None:
             space = AddressSpace(pm_size=pm_size)
         self.space = space
@@ -171,17 +167,18 @@ class Machine:
         """A fresh machine booted from a post-crash PM image.
 
         Models restarting the process after a power failure: persistent
-        memory holds exactly ``crash_image`` (typically from
-        :meth:`PersistentImage.crash` or a
+        memory holds exactly ``crash_image`` and zeros past its end
+        (typically from :meth:`PersistentImage.crash` or a
         :class:`~repro.memory.crash.CrashState`), caches are cold,
         volatile memory is gone.  PM addresses are stable: the pool
         root, PM globals, and the allocator watermark carry over, so
         recovery code can chase the pointers it persisted.
         """
         machine = cls(pm_size=old_machine.space.pm.size)
-        machine.space.pm.data[: len(crash_image)] = crash_image
+        pm = machine.space.pm
+        pm.write_bytes(pm.base, crash_image)
         machine.image.restore(crash_image)
-        machine.space.pm.set_brk(old_machine.space.pm.brk)
+        pm.set_brk(old_machine.space.pm.brk)
         machine.pm_root_addr = old_machine.pm_root_addr
         machine.pm_root_size = old_machine.pm_root_size
         # PM globals keep their addresses (they live in the image); the

@@ -34,7 +34,8 @@ class CrashState:
 
     def read(self, addr: int, size: int) -> bytes:
         offset = addr - self.pm_base
-        return self.image[offset : offset + size]
+        chunk = self.image[offset : offset + size]
+        return chunk + bytes(size - len(chunk))  # zeros past the image
 
     def read_int(self, addr: int, size: int) -> int:
         return int.from_bytes(self.read(addr, size), "little")

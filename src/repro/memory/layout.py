@@ -47,13 +47,18 @@ def lines_covering(addr: int, size: int) -> List[int]:
 
 
 class Region:
-    """A contiguous byte-addressable region with a bump allocator."""
+    """A contiguous byte-addressable region with a bump allocator.
+
+    Memory is lazy: ``data`` holds only the written prefix of the
+    region and grows on write; every byte past its end reads as zero.
+    Bounds are checked against ``size``, never against ``len(data)``.
+    """
 
     def __init__(self, name: str, base: int, size: int):
         self.name = name
         self.base = base
         self.size = size
-        self.data = bytearray(size)
+        self.data = bytearray()
         self._brk = 0
         self._high_water = 0
 
@@ -68,14 +73,13 @@ class Region:
         """Bump-allocate ``size`` bytes, returning the address."""
         if size <= 0:
             raise MemoryError_(f"bad allocation size {size}")
-        self._brk = (self._brk + align - 1) & ~(align - 1)
-        if self._brk + size > self.size:
+        start = (self._brk + align - 1) & ~(align - 1)
+        if start + size > self.size:  # a failed allocation moves nothing
             raise MemoryError_(f"region {self.name!r} exhausted")
-        addr = self.base + self._brk
-        self._brk += size
+        self._brk = start + size
         if self._brk > self._high_water:
             self._high_water = self._brk
-        return addr
+        return self.base + start
 
     @property
     def brk(self) -> int:
@@ -92,23 +96,21 @@ class Region:
     def high_water(self) -> int:
         """Highest offset ever allocated or written.
 
-        Bytes at or beyond this offset are zero by construction, which
-        is what lets a machine snapshot copy only the live prefix of a
-        region instead of all 16 MiB.
+        Every byte at or beyond this offset is zero, so it bounds the
+        live prefix a snapshot or crash image has to copy.
         """
         return self._high_water
 
     def note_high_water(self, offset: int) -> None:
-        """Raise the high-water mark (snapshot restore)."""
+        """Raise the high-water mark (a durable image was loaded)."""
         if offset > self._high_water:
             self._high_water = offset
 
     def reset_high_water(self, offset: int) -> None:
-        """Set the high-water mark exactly (pooled snapshot restore).
+        """Set the high-water mark exactly (snapshot restore).
 
         Unlike :meth:`note_high_water` this may *lower* the mark, so the
-        caller must have re-established the invariant that every byte at
-        or beyond ``offset`` is zero.
+        caller must have made every byte at or beyond ``offset`` zero.
         """
         if offset < 0 or offset > self.size:
             raise MemoryError_(
@@ -117,15 +119,8 @@ class Region:
         self._high_water = offset
 
     def reset(self) -> None:
-        """Return the region to its freshly constructed state.
-
-        Only the live prefix (up to the high-water mark) can be nonzero,
-        so pooled reuse zeroes just that prefix instead of reallocating
-        the full buffer.
-        """
-        high = self._high_water
-        if high:
-            self.data[:high] = bytes(high)
+        """Return the region to its freshly constructed state."""
+        self.data.clear()
         self._brk = 0
         self._high_water = 0
 
@@ -137,7 +132,10 @@ class Region:
                 f"read of {size}B at {addr:#x} outside region {self.name!r}"
             )
         offset = addr - self.base
-        return bytes(self.data[offset : offset + size])
+        chunk = bytes(self.data[offset : offset + size])
+        if len(chunk) < size:  # past the written prefix: zeros
+            chunk += bytes(size - len(chunk))
+        return chunk
 
     def write_bytes(self, addr: int, payload: bytes) -> None:
         if not self.contains(addr, len(payload)):
@@ -146,7 +144,10 @@ class Region:
             )
         offset = addr - self.base
         end = offset + len(payload)
-        self.data[offset:end] = payload
+        data = self.data
+        if offset > len(data):  # grow over the unwritten gap
+            data.extend(bytes(offset - len(data)))
+        data[offset:end] = payload
         if end > self._high_water:
             self._high_water = end
 

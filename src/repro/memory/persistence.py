@@ -18,13 +18,24 @@ adversarial: it assumes pending lines did *not* survive.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from .layout import AddressSpace, CACHE_LINE, line_of
 
 
+def _line(buffer: bytearray, offset: int) -> bytes:
+    """One cache line of a lazy buffer, zero-padded past its end."""
+    line = bytes(buffer[offset : offset + CACHE_LINE])
+    return line + bytes(CACHE_LINE - len(line))
+
+
 class PersistentImage:
-    """Tracks the durable bytes of the PM region."""
+    """Tracks the durable bytes of the PM region.
+
+    Like the region's cache view, the durable view is lazy: ``_durable``
+    holds a prefix that grows on write-back, and every byte past its
+    end is zero.
+    """
 
     def __init__(self, space: AddressSpace):
         self.space = space
@@ -32,22 +43,16 @@ class PersistentImage:
         #: number of line write-backs performed (a persistence-traffic
         #: counter used by performance benchmarks)
         self.writebacks = 0
-        # Highest durable offset that may hold a nonzero byte.  The
-        # initial copy is nonzero only below the cache view's high-water
-        # mark, and every later mutation raises the bound, so a pooled
-        # reset only has to zero this prefix instead of all 16 MiB.
-        self._dirty_high = space.pm.high_water
 
     # -- write-back ------------------------------------------------------------
 
     def write_back_line(self, line_addr: int) -> None:
         """Copy one cache line from the cache view to the durable view."""
         offset = line_addr - self.space.pm.base
-        self._durable[offset : offset + CACHE_LINE] = self.space.pm.data[
-            offset : offset + CACHE_LINE
-        ]
-        if offset + CACHE_LINE > self._dirty_high:
-            self._dirty_high = offset + CACHE_LINE
+        durable = self._durable
+        if offset > len(durable):  # grow over the unwritten gap
+            durable.extend(bytes(offset - len(durable)))
+        durable[offset : offset + CACHE_LINE] = _line(self.space.pm.data, offset)
         self.writebacks += 1
 
     def write_back_lines(self, line_addrs: Iterable[int]) -> None:
@@ -59,29 +64,32 @@ class PersistentImage:
     def durable_bytes(self, addr: int, size: int) -> bytes:
         """Read from the durable view (what a post-crash program sees)."""
         offset = addr - self.space.pm.base
-        if offset < 0 or offset + size > len(self._durable):
+        if offset < 0 or offset + size > self.space.pm.size:
             raise IndexError(f"durable read out of range at {addr:#x}")
-        return bytes(self._durable[offset : offset + size])
+        chunk = bytes(self._durable[offset : offset + size])
+        return chunk + bytes(size - len(chunk))
 
     def cache_bytes(self, addr: int, size: int) -> bytes:
         """Read from the cache view (what the running program sees)."""
         return self.space.read_bytes(addr, size)
 
     def line_divergence(self) -> List[int]:
-        """Lines whose cache view differs from the durable view."""
-        diverged = []
+        """Lines whose cache view differs from the durable view.
+
+        Only lines below the longer of the two live prefixes can differ.
+        """
         data, durable = self.space.pm.data, self._durable
-        for offset in range(0, len(durable), CACHE_LINE):
-            if data[offset : offset + CACHE_LINE] != durable[offset : offset + CACHE_LINE]:
-                diverged.append(self.space.pm.base + offset)
-        return diverged
+        return [
+            self.space.pm.base + offset
+            for offset in range(0, max(len(data), len(durable)), CACHE_LINE)
+            if _line(data, offset) != _line(durable, offset)
+        ]
 
     def is_line_durable(self, addr: int) -> bool:
         """True if the line containing ``addr`` is identical in both views."""
         offset = line_of(addr) - self.space.pm.base
-        return (
-            self.space.pm.data[offset : offset + CACHE_LINE]
-            == self._durable[offset : offset + CACHE_LINE]
+        return _line(self.space.pm.data, offset) == _line(
+            self._durable, offset
         )
 
     # -- crash ---------------------------------------------------------------------
@@ -92,48 +100,42 @@ class PersistentImage:
         ``surviving_lines`` models the hardware nondeterminism: pending
         lines that happened to be written back before power was lost.
         The adversarial default is that none survive.
+
+        Like :meth:`snapshot_durable`, the image covers the PM region's
+        live prefix (up to its high-water mark); every byte past it is
+        zero.
         """
-        image = bytearray(self._durable)
+        pm = self.space.pm
+        image = bytearray(self.snapshot_durable())
         for line_addr in surviving_lines:
-            offset = line_addr - self.space.pm.base
-            image[offset : offset + CACHE_LINE] = self.space.pm.data[
-                offset : offset + CACHE_LINE
-            ]
+            offset = line_addr - pm.base
+            image[offset : offset + CACHE_LINE] = _line(pm.data, offset)
+        del image[pm.high_water :]  # a line may straddle the mark
         return bytes(image)
 
     def snapshot_durable(self) -> bytes:
-        return bytes(self._durable)
+        """The durable view of the PM region's live prefix."""
+        pm = self.space.pm
+        return self.durable_bytes(pm.base, pm.high_water)
 
     def restore(self, image: bytes) -> None:
         """Load a post-crash image as the durable contents.
 
         Used when rebooting a machine from a crash state: the durable
-        view becomes the image and nothing is pending.
+        view becomes the image and nothing is pending.  ``image`` may
+        be any prefix of the region; the rest of the view is unchanged.
         """
-        if len(image) > len(self._durable):
+        if len(image) > self.space.pm.size:
             raise IndexError("restore image larger than the PM region")
         self._durable[: len(image)] = image
-        if len(image) > self._dirty_high:
-            self._dirty_high = len(image)
-
-    # -- pooled reuse ---------------------------------------------------------------
+        # keep the image inside the live prefix that crash images cover
+        self.space.pm.note_high_water(len(image))
 
     def restore_prefix(self, durable: bytes) -> None:
-        """Make the durable view exactly ``durable`` padded with zeroes.
-
-        Equivalent to constructing a fresh image over an all-zero PM
-        region and then writing ``durable`` at offset 0, but reuses the
-        existing buffer: stale bytes between ``len(durable)`` and the
-        previous dirty bound are zeroed explicitly.
-        """
-        if len(durable) > len(self._durable):
+        """Make the durable view exactly ``durable`` padded with zeroes."""
+        if len(durable) > self.space.pm.size:
             raise IndexError("restore image larger than the PM region")
-        if self._dirty_high > len(durable):
-            self._durable[len(durable) : self._dirty_high] = bytes(
-                self._dirty_high - len(durable)
-            )
-        self._durable[: len(durable)] = durable
-        self._dirty_high = len(durable)
+        self._durable[:] = durable
 
     def reset(self) -> None:
         """Return the image to its freshly constructed, all-zero state.
@@ -141,7 +143,5 @@ class PersistentImage:
         Valid only when the owning :class:`AddressSpace` has been (or is
         about to be) reset too: both views become all zeroes, in sync.
         """
-        if self._dirty_high:
-            self._durable[: self._dirty_high] = bytes(self._dirty_high)
-        self._dirty_high = 0
+        self._durable.clear()
         self.writebacks = 0

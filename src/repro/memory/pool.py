@@ -1,31 +1,24 @@
-"""Pooled reuse of machine memory across runs.
+"""Pooled reuse of machine memory objects across runs.
 
-A corpus case is construction-bound: at ~2.8K interpreted steps per
-case, allocating three 16 MiB :class:`~repro.memory.layout.Region`
-buffers plus the 16 MiB :class:`~repro.memory.persistence.PersistentImage`
-copy for every detect / replay / revalidate run costs more than the
-interpretation itself.  :class:`MachinePool` keeps retired
-``(AddressSpace, PersistentImage)`` pairs and hands them back out,
-resetting only the live prefixes in place (regions zero up to their
-high-water mark, the image up to its dirty bound) instead of
-reallocating.
+Machine memory is lazy (:class:`~repro.memory.layout.Region` and
+:class:`~repro.memory.persistence.PersistentImage` grow on write), so
+building a machine costs O(live bytes) and a reset is a truncation.
+:class:`MachinePool` keeps retired ``(AddressSpace, PersistentImage)``
+pairs and hands them back out; all it saves is object allocation.
 
 The pool is a pure allocation cache: a machine built from pooled parts
 is byte-for-byte indistinguishable from one built from fresh buffers.
 Two reset disciplines cover the two construction paths:
 
 * ``acquire`` — for fresh-machine construction (detect, re-record).
-  The pair comes back fully reset: all-zero regions, all-zero durable
+  The pair comes back fully reset: empty regions, an empty durable
   view, zeroed counters.
 * ``acquire_raw`` — for :meth:`MachineSnapshot.materialize`, which
-  overwrites state wholesale anyway.  The pair comes back *dirty* and
-  the snapshot-restore path zeroes exactly the gaps it does not
-  overwrite (see ``_restore_region`` / ``restore_prefix``).
+  overwrites every region, watermark and the durable view anyway.
 
-Pairs are released raw (no reset on release), so a release is O(1); the
-zeroing cost is paid only when a pair is actually reused.  The pool is
-not thread-safe — each supervisor worker (one process per task) or
-in-process batch loop owns its own pool.
+Pairs are released raw (no reset on release), so a release is O(1).
+The pool is not thread-safe — each supervisor worker (one process per
+task) or in-process batch loop owns its own pool.
 """
 
 from __future__ import annotations
@@ -95,8 +88,8 @@ class MachinePool:
     ) -> Optional[Tuple[AddressSpace, PersistentImage]]:
         """A dirty pair for snapshot restore, or ``None`` on a miss.
 
-        The caller owns re-establishing every invariant: region
-        contents, brk and high-water marks, and the durable prefix.
+        The caller owns overwriting region contents, brk and high-water
+        marks, and the durable view.
         """
         pair = self._take((vol_size, stack_size, pm_size))
         if pair is None:

@@ -142,9 +142,9 @@ class IncrementalRevalidator:
         ``revalidate.*`` counters and the interpreters' totals.
     :param pool: optional :class:`~repro.memory.pool.MachinePool`;
         recording, replay, and fallback machines then reuse pooled
-        buffers instead of reallocating (replay and fallback machines
-        are retired back into the pool; the machine :meth:`record`
-        returns to its caller is the caller's to release).
+        memory objects instead of building new ones (replay and
+        fallback machines are retired back into the pool; the machine
+        :meth:`record` returns to its caller is the caller's to release).
     """
 
     def __init__(

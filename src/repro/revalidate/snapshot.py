@@ -8,10 +8,9 @@ registry, and the trace recorder's sequence counter.
 
 Two properties make snapshots cheap and safe:
 
-- **Prefix copies.** Region bytes are copied only up to the region's
-  high-water mark (every byte beyond it is zero by construction —
-  :class:`~repro.memory.layout.Region` tracks the mark on every
-  allocate and write), so a snapshot costs kilobytes, not 3×16 MiB.
+- **Prefix copies.** Regions hold only their written prefix (every
+  byte beyond it is zero — :class:`~repro.memory.layout.Region` is
+  lazy), so a snapshot costs kilobytes, not 3×16 MiB.
 - **Deep copies both ways.** Capture copies every mutable layer out of
   the live machine, and :meth:`materialize` builds fresh containers
   from the snapshot — in particular the cache's per-line
@@ -34,7 +33,7 @@ from ..memory.persistence import PersistentImage
 from ..memory.pool import MachinePool
 from ..trace.trace import TraceRecorder
 
-#: (brk, high_water, live bytes up to high_water) for one region
+#: (brk, high_water, written prefix) for one region
 _RegionState = Tuple[int, int, bytes]
 
 #: (line address, dirty store seqs, flushing store seqs)
@@ -42,21 +41,12 @@ _LineSnapshot = Tuple[int, frozenset, frozenset]
 
 
 def _capture_region(region: Region) -> _RegionState:
-    high = region.high_water
-    return (region.brk, high, bytes(region.data[:high]))
+    return (region.brk, region.high_water, bytes(region.data))
 
 
 def _restore_region(region: Region, state: _RegionState) -> None:
     brk, high, data = state
-    # The target may be a *reused* pooled region whose previous run left
-    # nonzero bytes above this snapshot's high-water mark; zero that gap
-    # explicitly so the restored region is byte-identical to a fresh one
-    # (every byte at or beyond the mark must be zero by invariant).
-    if region.high_water > len(data):
-        region.data[len(data) : region.high_water] = bytes(
-            region.high_water - len(data)
-        )
-    region.data[: len(data)] = data
+    region.data[:] = data
     region.set_brk(brk)
     region.reset_high_water(high)
 
@@ -109,9 +99,7 @@ class MachineSnapshot:
             pm_size=space.pm.size,
             vol_size=space.vol.size,
             stack_size=space.stack.size,
-            durable=machine.image.durable_bytes(
-                space.pm.base, space.pm.high_water
-            ),
+            durable=machine.image.snapshot_durable(),
             writebacks=machine.image.writebacks,
             lines=tuple(
                 (
@@ -160,10 +148,6 @@ class MachineSnapshot:
         _restore_region(space.stack, self.stack)
         _restore_region(space.pm, self.pm)
         if image is None:
-            # PersistentImage seeds its durable view from the cache
-            # view; beyond the high-water mark both views are all
-            # zeroes, so restoring the recorded durable prefix leaves
-            # the image exactly as captured.
             image = PersistentImage(space)
         image.restore_prefix(self.durable)
         image.writebacks = self.writebacks
@@ -176,7 +160,7 @@ class MachineSnapshot:
         cache.clean_flush_count = self.clean_flush_count
         cache.fence_count = self.fence_count
         # Assemble the machine without Machine.__init__ (which would
-        # allocate and immediately discard a second set of regions).
+        # build and immediately discard a second address space).
         machine = Machine.__new__(Machine)
         machine.space = space
         machine.image = image

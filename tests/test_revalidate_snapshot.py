@@ -28,6 +28,7 @@ from repro.ir import I64, ModuleBuilder, PTR
 from repro.memory.pool import MachinePool
 from repro.obs.metrics import MetricsRegistry
 from repro.revalidate import IncrementalRevalidator
+from repro.revalidate.snapshot import MachineSnapshot
 
 
 def build_two_phase_module():
@@ -229,6 +230,36 @@ def test_pooled_materialize_zeroes_stale_suffix():
     assert pool.hits >= 1  # the dirty pair really was reused
     fresh = snapshot.materialize()
     assert _machine_state(pooled) == _machine_state(fresh)
+
+
+def test_rebooted_machine_pools_clean_and_snapshots_its_pm():
+    """Regression: a reboot used to load the crash image straight into
+    the PM buffer without raising the region's high-water mark, so a
+    pooled ``acquire`` handed the old bytes back out as "clean" and a
+    snapshot of the rebooted machine captured none of its PM."""
+    old = Machine()
+    addr = old.space.alloc_pm(64, align=64)
+    old.space.write_int(addr, 8, 0xDEADBEEF)
+    old.image.write_back_line(addr)
+    crash_image = old.image.crash()
+    rebooted = Machine.reboot(old, crash_image)
+    assert rebooted.space.read_int(addr, 8) == 0xDEADBEEF
+
+    # capture/restore round-trips the rebooted image
+    interp = make_interpreter(build_two_phase_module(), machine=rebooted)
+    restored = MachineSnapshot.capture(interp).materialize()
+    assert restored.space.read_int(addr, 8) == 0xDEADBEEF
+    assert restored.image.durable_bytes(addr, 8) == (0xDEADBEEF).to_bytes(8, "little")
+    assert restored.image.crash() == crash_image
+
+    pool = MachinePool()
+    pool.release(rebooted)
+    space, image = pool.acquire()
+    assert pool.hits == 1
+    assert space.read_int(addr, 8) == 0
+    assert space.pm.read_bytes(space.pm.base, 4096) == bytes(4096)
+    assert image.durable_bytes(addr, 8) == bytes(8)
+    assert image.line_divergence() == []
 
 
 def test_double_replay_from_one_snapshot_on_pooled_regions():
