@@ -17,7 +17,7 @@ mutation                points_to   callgraph  locator  verified(fn)    compiled
 flush/fence insertion   preserved   preserved  preserv  touched only    touched
 clone / call retarget   dropped     dropped    preserv  touched only    touched
 rollback (clean)        preserved   preserved  preserv  preserved       touched
-rollback (failed)       stale       stale      stale    stale           touched
+rollback (failed)       dropped     dropped    dropped  dropped         dropped
 ======================  ==========  =========  =======  ==============  =========
 
 The compiled program (the flat engine's input, see
@@ -38,8 +38,8 @@ changes both, so those are dropped along with everything registered as
 depending on them (the PM classifications).  The locator indexes
 original-program locations, which no fix rewrites, so it always
 survives.  A clean rollback restores content exactly, hence everything
-revalidates; a *failed* rollback leaves integrity unknown, so nothing
-does and every entry recomputes on next use.
+revalidates; a *failed* rollback leaves integrity unknown, so every
+entry is dropped and recomputes on next use.
 
 Failures cache too: if computing an analysis raised (e.g. the Andersen
 fixpoint exhausted its budget), the same exception is re-raised on every
@@ -72,15 +72,6 @@ POINTS_TO = "points_to"
 CALLGRAPH = "callgraph"
 LOCATOR = "locator"
 VERIFIED = "verified"
-#: The incremental-revalidation baseline (a
-#: :class:`~repro.revalidate.recording.RecordedRun`): the recorded
-#: detection run the engine revalidates committed fixes against.  It
-#: survives *every* mutation — flush/fence and structural alike — and
-#: is only computed when missing: the revalidation engine itself
-#: decides per-commit-batch whether its witness supports trace
-#: synthesis (flush/fence insertions, or structural fixes via
-#: callee-span rewriting), snapshot replay, or a full re-record.
-REVALIDATION_INDEX = "revalidation_index"
 #: The flat engine's register-compiled program (a
 #: :class:`~repro.interp.compile.CompiledProgram`).  Epoch-bound by
 #: construction: dropped on *every* epoch change (commit or rollback)
@@ -88,11 +79,7 @@ REVALIDATION_INDEX = "revalidation_index"
 COMPILED = "compiled_program"
 
 #: Analyses a structural mutation (clone insertion, call retarget)
-#: invalidates; flush/fence insertion preserves them.  The
-#: revalidation index is *not* among them: the recorded baseline stays
-#: valid as the thing fixes are revalidated against, and the engine
-#: falls back to an internal re-record exactly when the structural
-#: witness cannot support synthesis.
+#: invalidates; flush/fence insertion preserves them.
 STRUCTURE_KEYS = (POINTS_TO, CALLGRAPH)
 
 
@@ -178,20 +165,14 @@ class AnalysisManager:
         key: Hashable,
         compute: Callable[[Module], object],
         depends: Iterable[Hashable] = (),
-        keep_cached: bool = False,
     ) -> None:
         """Register (or replace) the computation behind ``key``.
 
         ``depends`` names keys whose invalidation cascades to this one.
-        Replacing a registration drops any cached entry unless
-        ``keep_cached`` says the new computation is result-compatible.
+        Replacing a registration drops any cached entry.
         """
         self._registry[key] = _Registration(compute, tuple(depends))
-        if not keep_cached:
-            self._entries.pop(key, None)
-
-    def registered(self, key: Hashable) -> bool:
-        return key in self._registry
+        self._entries.pop(key, None)
 
     # -- lookup ---------------------------------------------------------------
 
@@ -252,10 +233,6 @@ class AnalysisManager:
             if self._entries.pop(key, None) is not None:
                 self._count("invalidations")
 
-    def invalidate_all(self) -> None:
-        self._count("invalidations", len(self._entries))
-        self._entries.clear()
-
     def _revalidate_surviving(self) -> None:
         # Cached *failures* describe a computation attempted against one
         # exact content state; carrying them across an epoch boundary
@@ -309,10 +286,14 @@ class AnalysisManager:
         A clean rollback restored the exact prior content, so every
         cached entry is still correct and revalidates.  A failed
         rollback (partial undo) leaves the module in an unknown state:
-        entries keep their stale epoch and recompute on next use.
+        every entry is dropped, so none can be re-stamped by a later
+        commit, and each recomputes on next use.
         """
         if clean:
             self._revalidate_surviving()
+        else:
+            self._count("invalidations", len(self._entries))
+            self._entries.clear()
 
     # -- scoped verification --------------------------------------------------
 
@@ -363,12 +344,6 @@ class AnalysisManager:
 
     def _compute_callgraph(self, module: Module) -> CallGraph:
         return CallGraph(module)
-
-    def seed(self, key: Hashable, value: object) -> None:
-        """Install an externally computed value for ``key`` at the
-        current epoch (e.g. a revalidation baseline recorded before the
-        manager existed).  A current cached entry wins."""
-        self._seed(key, value)
 
     def _seed(self, key: Hashable, value: object) -> None:
         """Install a value obtained as a by-product (disk-cache load)

@@ -61,10 +61,6 @@ class Fix:
     #: instructions inserted when the fix was applied
     inserted: List[Instruction] = field(default_factory=list)
 
-    @property
-    def bug_ids(self) -> List[int]:
-        return [b.report_id for b in self.bugs]
-
     def describe(self) -> str:  # pragma: no cover - overridden
         return "fix"
 

@@ -59,7 +59,6 @@ from ..analysis.manager import (
     CALLGRAPH,
     LOCATOR,
     POINTS_TO,
-    REVALIDATION_INDEX,
     classification_key,
 )
 from ..budget import Budget
@@ -308,18 +307,6 @@ class Hippocrates:
         self.revalidator = revalidator
         #: the last :class:`~repro.revalidate.engine.RevalidationOutcome`
         self.last_revalidation = None
-        if revalidator is not None:
-            # The baseline is a keyed analysis that survives *every*
-            # commit (flush/fence and structural alike): the engine
-            # itself decides per-revalidation whether the witness
-            # supports synthesis, snapshot replay, or a full re-record.
-            # The compute hook only fires when no baseline exists yet.
-            self.manager.register(
-                REVALIDATION_INDEX,
-                lambda m: revalidator.rebuild_baseline(m),
-            )
-            if revalidator.baseline is not None:
-                self.manager.seed(REVALIDATION_INDEX, revalidator.baseline)
         for mode in ("full", "trace"):
             self.manager.register(
                 classification_key(mode),
@@ -667,7 +654,10 @@ class Hippocrates:
                         # Chain the rollback error onto the original
                         # exception so the root cause stays visible, and
                         # never quarantine — the module's integrity is
-                        # unknown.
+                        # unknown, so the recorded baseline is dropped
+                        # and the next revalidation re-records in full.
+                        if self.revalidator is not None:
+                            self.revalidator.baseline = None
                         raise rollback_exc from exc
                     obs.count("pipeline.fixes_rolled_back")
                     if not self.keep_going:
@@ -715,20 +705,18 @@ class Hippocrates:
     def revalidate(self):
         """Re-check the repaired module through the incremental engine.
 
-        Consults the ``revalidation_index`` analysis first: commits of
-        every kind preserve the recorded baseline across epochs (the
-        lookup only re-records when no baseline exists at all), and the
-        engine picks the cheapest sound tier against it — trace
-        synthesis for witnessed flush/fence *and* structural commits,
-        snapshot replay, or a full re-record.  Returns the
+        The engine picks the cheapest sound tier against its recorded
+        baseline — trace synthesis for witnessed flush/fence *and*
+        structural commits, snapshot replay, or a full re-record (also
+        taken when no baseline exists, e.g. after a failed rollback
+        dropped it).  Returns the
         :class:`~repro.revalidate.engine.RevalidationOutcome`, also
         stored as :attr:`last_revalidation`.
         """
         if self.revalidator is None:
             raise FixError("no revalidator attached to this pipeline")
         with self.obs.span("phase.revalidate"):
-            baseline = self.manager.get(REVALIDATION_INDEX)
-            outcome = self.revalidator.revalidate(self.module, baseline)
+            outcome = self.revalidator.revalidate(self.module)
         self.last_revalidation = outcome
         return outcome
 

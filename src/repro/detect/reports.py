@@ -42,10 +42,6 @@ class BugReport:
     occurrences: int = 1
     report_id: int = 0
 
-    @property
-    def store_iid(self) -> int:
-        return self.store.iid
-
     def describe(self) -> str:
         where = f"{self.store.function} at {self.store.loc}"
         return (

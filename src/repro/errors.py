@@ -64,10 +64,6 @@ class TraceError(ReproError):
         super().__init__(message)
 
 
-class DetectionError(ReproError):
-    """A bug detector was misused (e.g., bad checkpoint nesting)."""
-
-
 class FixError(ReproError):
     """Hippocrates could not compute or apply a fix."""
 

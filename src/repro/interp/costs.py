@@ -129,9 +129,6 @@ class CostCounter:
         else:
             self._dense[index] += 1
 
-    def charge_extra(self, amount: int) -> None:
-        self.cycles += amount
-
     @property
     def counts(self) -> Dict[str, int]:
         """Per-kind charge counts (kinds with zero charges omitted,

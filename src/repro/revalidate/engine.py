@@ -7,10 +7,11 @@ what Hippocrates inserts for every intraprocedural repair — incremental:
 1. **Record** (:meth:`IncrementalRevalidator.record`): the initial
    detection run executes under a
    :class:`~repro.revalidate.recording.RunRecorder`, memoizing machine
-   snapshots and executed-iid sets per top-level call, and the checker
-   pass builds the chain dependency index plus
-   :class:`~repro.detect.durability.CheckerState` forks at every
-   snapshot boundary.
+   snapshots and executed-iid sets per top-level call (the segments'
+   executed-iid sets are the *dependency index* that maps a fix's
+   anchors to the first segment it can affect), and the checker pass
+   memoizes :class:`~repro.detect.durability.CheckerState` forks at
+   every snapshot boundary.
 2. **Witness** (:meth:`note_commit`): after each committed fix, the
    :class:`~repro.core.transaction.FixTransaction` reports the *anchor*
    iids — the existing instructions the fix inserted flushes/fences
@@ -62,13 +63,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Set, Tuple
 
 from ..detect import Driver
-from ..detect.durability import ChainIndex, DurabilityChecker
+from ..detect.durability import DurabilityChecker
 from ..detect.reports import DetectionResult
 from ..interp import make_interpreter
 from ..interp.costs import CostModel
 from ..interp.interpreter import Interpreter, Machine
 from ..ir.module import Module
+from ..memory.layout import lines_covering
 from ..memory.pool import MachinePool
+from ..trace.events import FlushEvent, StoreEvent
 from ..trace.trace import PMTrace
 from .recording import RecordedRun, RecordingTraceRecorder, RunRecorder
 from .replay import FlatReplayInterpreter, ReplayDivergence
@@ -176,11 +179,6 @@ class IncrementalRevalidator:
         #: commit order; None once any structural commit lacked one
         #: (structural synthesis then ineligible — full re-record)
         self._pending_struct_specs: Optional[list] = []
-        #: set when the analysis manager recomputed the baseline via
-        #: :meth:`rebuild_baseline` (a full re-record); the next
-        #: revalidation reports mode ``"full"`` even though the fresh
-        #: baseline's fingerprint now matches the module.
-        self._manager_rebuild = False
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:
@@ -234,10 +232,8 @@ class IncrementalRevalidator:
         trace = interp.finish()
 
         # One checker pass over the full trace, forking the state at
-        # every snapshot-bearing segment boundary and collecting the
-        # chain dependency index.
-        chain_index = ChainIndex()
-        checker = DurabilityChecker(collector=chain_index)
+        # every snapshot-bearing segment boundary.
+        checker = DurabilityChecker()
         state = checker.new_state()
         forks = {}
         position = 0
@@ -262,7 +258,6 @@ class IncrementalRevalidator:
             segments=recorder.segments,
             trace=trace,
             detection=detection,
-            chain_index=chain_index,
             forks=forks,
             fuel=self.fuel,
             vol_ops=tuple(trace_recorder.vol_ops),
@@ -282,15 +277,6 @@ class IncrementalRevalidator:
                 )
             )
         return detection, trace, interp
-
-    def rebuild_baseline(self, module: Module) -> RecordedRun:
-        """Re-record and return the fresh baseline (the analysis
-        manager's compute hook for the ``revalidation_index`` key)."""
-        _, _, interp = self.record(module)
-        self._release_machine(interp.machine)
-        self._manager_rebuild = True
-        assert self.baseline is not None
-        return self.baseline
 
     # -- the mutation witness -------------------------------------------------
 
@@ -326,43 +312,21 @@ class IncrementalRevalidator:
 
     # -- revalidation ---------------------------------------------------------
 
-    def revalidate(
-        self, module: Module, baseline: Optional[RecordedRun] = None
-    ) -> RevalidationOutcome:
+    def revalidate(self, module: Module) -> RevalidationOutcome:
         """Detect against the (fixed) module, incrementally if possible."""
-        base = baseline if baseline is not None else self.baseline
-        if base is not None and base is not self.baseline:
-            # The analysis manager recomputed the baseline (structural
-            # invalidation); adopt it.  record() already cleared the
-            # witness state when it built this baseline.
-            self.baseline = base
-        rebuilt = self._manager_rebuild
-        self._manager_rebuild = False
+        base = self.baseline
         if base is None:
             outcome = self._full(module, "no recording to revalidate against")
         elif self._pending_structural:
             outcome = self._structural(module, base)
         elif module.fingerprint() == base.module_fingerprint:
-            if rebuilt:
-                # The analysis manager just re-recorded (structural
-                # invalidation cascaded to the revalidation index), so
-                # this *is* a full revalidation — the fresh recording's
-                # detection is the post-fix verdict.
-                outcome = RevalidationOutcome(
-                    mode="full",
-                    detection=base.detection,
-                    trace=base.trace,
-                    segments_total=len(base.segments),
-                    fallback_reason="baseline re-recorded after invalidation",
-                )
-            else:
-                self._count("revalidate.noop_hits")
-                outcome = RevalidationOutcome(
-                    mode="baseline",
-                    detection=base.detection,
-                    trace=base.trace,
-                    segments_total=len(base.segments),
-                )
+            self._count("revalidate.noop_hits")
+            outcome = RevalidationOutcome(
+                mode="baseline",
+                detection=base.detection,
+                trace=base.trace,
+                segments_total=len(base.segments),
+            )
         elif not self._pending_anchors:
             outcome = self._full(
                 module, "module changed without a mutation witness"
@@ -426,8 +390,7 @@ class IncrementalRevalidator:
             ):
                 start = segment
         state = base.forks[start.index].fork()
-        rechecked = ChainIndex()
-        checker = DurabilityChecker(collector=rechecked)
+        checker = DurabilityChecker()
         for event in trace.events[start.trace_start :]:
             checker.feed(state, event)
         detection = checker.finalize(state)
@@ -543,14 +506,20 @@ class IncrementalRevalidator:
         combined = PMTrace(
             list(base.trace.events[: start.trace_start]) + list(suffix.events)
         )
-        rechecked = ChainIndex()
-        checker = DurabilityChecker(collector=rechecked)
-        state = base.forks[start.index].fork()
+        # The re-checked chains: every line the forked state still
+        # tracks, plus every line a suffix store or flush touches.
+        fork = base.forks[start.index]
+        chains = set(fork.dirty) | set(fork.flushing)
+        checker = DurabilityChecker()
+        state = fork.fork()
         for event in suffix.events:
             checker.feed(state, event)
+            if isinstance(event, StoreEvent) and event.space == "pm":
+                chains.update(lines_covering(event.addr, event.size))
+            elif isinstance(event, FlushEvent):
+                chains.add(event.line_addr)
         detection = checker.finalize(state)
 
-        chains = rechecked.chains()
         self._count("revalidate.incremental_hits")
         self._count("revalidate.chains_rechecked", len(chains))
         self._count(

@@ -10,9 +10,9 @@ becomes a :class:`CallRecord` — a segment of the run — carrying:
 - the trace offset and recorder sequence value at call entry, so a
   replayed suffix splices seamlessly onto the baseline trace prefix;
 - the set of instruction iids executed during the call — the
-  *dependency index* entry that decides whether a committed fix (whose
-  anchor iid is known from the ``FixTransaction`` witness) can affect
-  the segment;
+  *dependency index*: the segments' executed-iid sets are what decide
+  whether a committed fix (whose anchor iid is known from the
+  ``FixTransaction`` witness) can affect a segment;
 - optionally a :class:`~repro.revalidate.snapshot.MachineSnapshot`
   taken at call entry.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..detect.durability import ChainIndex, CheckerState
+from ..detect.durability import CheckerState
 from ..detect.reports import DetectionResult
 from ..interp.interpreter import ExecutionResult, Interpreter
 from ..trace.events import CallStack, StoreEvent
@@ -234,9 +234,9 @@ class RecordedRun:
 
     Everything needed to revalidate a flush/fence-fixed module without
     a full re-execution: the segments (with snapshots and executed-iid
-    sets), the full baseline trace, the detection result, the chain
-    dependency index, and checker-state forks memoized at each
-    snapshot-bearing segment's trace offset.
+    sets), the full baseline trace, the detection result, and
+    checker-state forks memoized at each snapshot-bearing segment's
+    trace offset.
 
     ``module_iids`` is the id set of the module *as recorded* — a fix
     anchored at an instruction outside it post-dates the recording, so
@@ -248,7 +248,6 @@ class RecordedRun:
     segments: List[CallRecord]
     trace: PMTrace
     detection: DetectionResult
-    chain_index: ChainIndex
     #: segment index -> checker state forked at that segment's trace_start
     forks: Dict[int, CheckerState]
     fuel: int
@@ -259,9 +258,6 @@ class RecordedRun:
     #: True when the span record is complete (no exception ever unwound
     #: past an open callee during recording)
     spans_ok: bool = True
-
-    def snapshot_segments(self) -> List[CallRecord]:
-        return [s for s in self.segments if s.snapshot is not None]
 
     def first_affected_segment(self, anchor_iids: Set[int]) -> Optional[int]:
         """Index of the earliest segment executing any anchor iid."""

@@ -98,14 +98,6 @@ class RecoveredJournal:
                 done[record["task"]] = record
         return done
 
-    def task_order(self) -> List[str]:
-        """Submission order from the batch-start record (empty if the
-        journal was killed before batch-start survived)."""
-        for record in self.records:
-            if record.get("type") == "batch-start":
-                return list(record.get("tasks", []))
-        return []
-
     def attempts(self, task_id: str) -> int:
         """How many attempts of ``task_id`` were dispatched."""
         return sum(

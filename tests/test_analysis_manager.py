@@ -3,8 +3,9 @@ cache-on/cache-off differential.
 
 Covers the invalidation matrix (flush/fence insertion preserves the
 whole-program analyses; clones/retargets drop them; clean rollbacks
-preserve everything), failure memoization (a budget-exhausted Andersen
-solves once, not once per mode per fix), the content-addressed on-disk
+preserve everything; failed rollbacks drop everything), failure
+memoization (a budget-exhausted Andersen solves once, not once per
+mode per fix), the content-addressed on-disk
 round trip (including the UNKNOWN site's identity), scoped
 verification, and the contract that matters most: enabling the cache
 never changes repair output — cold or warm, and across a mid-run
@@ -170,6 +171,24 @@ def test_clean_rollback_preserves_everything():
     assert call.callee == "pm_alloc"
     assert manager.get(POINTS_TO) is points_to
     assert manager.stats.misses == 1
+
+
+def test_failed_rollback_entries_are_never_restamped():
+    """A failed rollback leaves integrity unknown: no entry may survive
+    it, not even by being re-stamped at a later commit's epoch."""
+    module = build_module()
+    manager = AnalysisManager(module)
+    manager.get(POINTS_TO)
+    manager.get(CALLGRAPH)
+
+    module.bump_epoch()  # the mutation whose undo failed
+    manager.mutation_rolled_back(clean=False)
+    assert manager.stats.invalidations == 2
+    module.bump_epoch()  # a later fix commits
+    manager.mutation_committed()
+
+    assert manager.cached(POINTS_TO) is None
+    assert manager.cached(CALLGRAPH) is None
 
 
 # ---------------------------------------------------------------------------

@@ -423,3 +423,36 @@ def test_double_failure_chains_original_cause_through_apply(monkeypatch):
         fixer.fix()
     # keep_going=True must NOT swallow a double failure
     assert isinstance(info.value.__cause__, InjectedFault)
+
+
+def test_double_failure_makes_next_revalidation_full(monkeypatch):
+    """Fail-closed: after a double failure the recorded baseline is
+    never trusted again — the next revalidation re-records in full and
+    reaches the oracle's verdict on whatever the module now is."""
+    from repro.errors import RollbackError
+    from repro.revalidate import IncrementalRevalidator
+
+    module = build_listing5_module()
+    revalidator = IncrementalRevalidator(drive_main)
+    _, trace, interp = revalidator.record(module)
+    fixer = Hippocrates(
+        module, trace, interp.machine, keep_going=True, revalidator=revalidator
+    )
+    install_faults(fixer, FaultPlan("transformer", nth=1))
+
+    def broken_rollback(self):
+        raise RollbackError("rollback failed (simulated)")
+
+    monkeypatch.setattr(FixTransaction, "rollback", broken_rollback)
+    with pytest.raises(RollbackError):
+        fixer.fix()
+    monkeypatch.undo()
+
+    outcome = fixer.revalidate()
+    assert outcome.mode == "full"
+    oracle, _, _ = pmemcheck_run(module, drive_main, engine="reference")
+    # same module instance on both sides, so describe() (which embeds
+    # iids) is a sound canonical form
+    assert [(b.report_id, b.describe()) for b in outcome.detection.bugs] == [
+        (b.report_id, b.describe()) for b in oracle.bugs
+    ]

@@ -77,6 +77,17 @@ def _lines_by_bugs(detection):
     return by_line
 
 
+def _changed_lines(before_detection, after_detection):
+    """Cache lines whose per-line bug population differs."""
+    before = _lines_by_bugs(before_detection)
+    after = _lines_by_bugs(after_detection)
+    return {
+        line
+        for line in set(before) | set(after)
+        if before.get(line, set()) != after.get(line, set())
+    }
+
+
 def _repair_incrementally(module):
     """Record, repair, revalidate; returns (engine, fixer, outcome).
 
@@ -132,14 +143,10 @@ def test_rechecked_chains_cover_every_state_change(actions):
         )
         return
 
-    before = _lines_by_bugs(baseline_detection)
-    after = _lines_by_bugs(outcome.detection)
-    changed = {
-        line
-        for line in set(before) | set(after)
-        if before.get(line, set()) != after.get(line, set())
-    }
-    assert changed <= outcome.rechecked_chains
+    assert (
+        _changed_lines(baseline_detection, outcome.detection)
+        <= outcome.rechecked_chains
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -158,6 +165,11 @@ def test_replay_tier_matches_synthesis_tier(actions):
     replayed = fixer.revalidate()
     assert replayed.mode == "incremental"
     assert _bug_records(replayed.detection) == _bug_records(synth.detection)
+    # Completeness holds for the replay tier too.
+    assert (
+        _changed_lines(engine.baseline.detection, replayed.detection)
+        <= replayed.rechecked_chains
+    )
 
 
 @settings(max_examples=10, deadline=None)
