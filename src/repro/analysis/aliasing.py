@@ -33,25 +33,29 @@ from ..ir.instructions import Store
 from ..ir.module import Module
 from ..ir.values import Value
 from ..trace.trace import PMTrace
-from .andersen import AllocSite, PointsTo, UNKNOWN_SITE
+from .andersen import PointsTo, UNKNOWN_SITE
 from .callgraph import CallGraph
 
 
 class PMClassification:
-    """A set of allocation-site keys considered persistent."""
+    """A set of allocation-site keys considered persistent.
+
+    The keys are turned into two masks over the points-to bits once, so
+    every per-pointer question is an AND or two.
+    """
 
     def __init__(self, points_to: PointsTo, pm_keys: Set[str], name: str):
         self.points_to = points_to
         self.pm_keys = frozenset(pm_keys)
         self.name = name
-
-    # -- per-site -----------------------------------------------------------
-
-    def site_is_pm(self, site: AllocSite) -> bool:
-        return site.key in self.pm_keys
-
-    def site_is_volatile(self, site: AllocSite) -> bool:
-        return site.key not in self.pm_keys and site.space != "unknown"
+        self._pm_mask = points_to.mask_of_keys(self.pm_keys)
+        # every tracked site that is not PM (UNKNOWN is neither)
+        self._volatile_mask = (
+            points_to.mask_of_keys(points_to.sites) & ~self._pm_mask
+        )
+        self._maybe_pm_mask = self._pm_mask | points_to.mask_of_keys(
+            [UNKNOWN_SITE.key]
+        )
 
     # -- per-pointer -----------------------------------------------------------
 
@@ -69,12 +73,9 @@ class PMClassification:
         widely-shared helper's store score arbitrarily high merely
         because many persistent callers exist.
         """
-        has_pm = has_volatile = False
-        for site in self.points_to.sites_of(pointer):
-            if self.site_is_pm(site):
-                has_pm = True
-            elif self.site_is_volatile(site):
-                has_volatile = True
+        mask = self.points_to.mask_of(pointer)
+        has_pm = bool(mask & self._pm_mask)
+        has_volatile = bool(mask & self._volatile_mask)
         if has_pm and not has_volatile:
             return 1
         if has_volatile and not has_pm:
@@ -87,13 +88,8 @@ class PMClassification:
         Conservative: empty/unknown points-to answers True.  Used to
         decide which stores a persistent-subprogram clone must flush.
         """
-        sites = self.points_to.sites_of(pointer)
-        if not sites:
-            return True
-        for site in sites:
-            if self.site_is_pm(site) or site is UNKNOWN_SITE:
-                return True
-        return False
+        mask = self.points_to.mask_of(pointer)
+        return not mask or bool(mask & self._maybe_pm_mask)
 
     def store_may_be_pm(self, store: Store) -> bool:
         return self.may_be_pm(store.pointer)
@@ -120,11 +116,6 @@ def classify_full_aa(module: Module, points_to: Optional[PointsTo] = None) -> PM
     pm_keys = {
         site.key for site in points_to.sites.values() if site.space == "pm"
     }
-    # Globals declared persistent might not appear in sites until
-    # referenced; include them directly.
-    for gv in module.globals.values():
-        if gv.space == "pm":
-            pm_keys.add(f"global:{gv.name}")
     return PMClassification(points_to, pm_keys, "Full-AA")
 
 

@@ -29,15 +29,35 @@ IR construct          constraint
 ``p = load q``        ∀s ∈ pts(q): heap(s) ⊆ pts(p)
 ``call f(a…)``        pts(aᵢ) ⊆ pts(paramᵢ); returns flow back
 ====================  =====================================
+
+Representation.  Every site is interned as a bit position when it is
+created (UNKNOWN is bit 0, then every global, then the sites met during
+constraint generation), and a points-to set is a Python ``int`` mask
+over those bits: ``_var`` maps a value to its mask and ``_heap`` a site's
+bit to the mask of what its object may hold.  Union is ``|``, the
+change test is ``!=``, and the queries answer with ANDs against a
+per-space mask built as sites are interned; only :meth:`PointsTo.
+sites_of` decodes a mask back into :class:`AllocSite` objects.  Every
+site, globals included, is interned by the end of constraint
+generation, so queries are read-only: they never add to
+:attr:`PointsTo.sites`.
+
+Pass order.  The fixpoint re-evaluates every constraint in the same
+round-robin order each pass — copies, then loads, then stores — and
+charges the budget once per pass for all of them.  The pass count, and
+so the budget's item count, is therefore the same as for a set-based
+solver, which keeps the ``full → trace → off`` downgrade points where
+they were.  A worklist with difference propagation was measured about
+2.6× slower on the pointer-web modules of the end-to-end benchmark's
+``fix-analysis`` workload, so the passes stay round-robin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..budget import Budget
-from ..ir.function import Function
 from ..ir.instructions import (
     Alloca,
     Call,
@@ -49,7 +69,7 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.module import Module
-from ..ir.values import Argument, Constant, GlobalVariable, Value
+from ..ir.values import Value
 
 #: Intrinsics that allocate; mapped to the space they allocate in.
 _ALLOC_INTRINSICS = {"pm_alloc": "pm", "vol_alloc": "vol"}
@@ -68,6 +88,9 @@ class AllocSite:
 
 UNKNOWN_SITE = AllocSite("unknown", "unknown")
 
+#: UNKNOWN is interned first in every :class:`PointsTo`
+_UNKNOWN_BIT = 1
+
 
 class PointsTo:
     """Solved points-to information for one module."""
@@ -82,87 +105,101 @@ class PointsTo:
         orchestrator must catch the signal and downgrade to a cheaper
         heuristic rather than read a half-solved analysis.
         """
-        self.module = module
+        self._reset(module)
         self.budget = budget
-        self.sites: Dict[str, AllocSite] = {}
-        self._var_pts: Dict[Value, Set[AllocSite]] = {}
-        self._heap_pts: Dict[AllocSite, Set[AllocSite]] = {}
         self._solve()
 
-    @classmethod
-    def from_solution(
-        cls,
-        module: Module,
-        sites: Dict[str, AllocSite],
-        var_pts: Dict[Value, Set[AllocSite]],
-        heap_pts: Dict[AllocSite, Set[AllocSite]],
-    ) -> "PointsTo":
-        """Rebuild a solved instance without re-running the fixpoint.
+    def _reset(
+        self, module: Module, sites: Optional[Iterable[AllocSite]] = None
+    ) -> None:
+        """Empty tables with ``sites`` interned in bit order.
 
-        Used by the content-addressed on-disk analysis cache: the
-        serialized fixpoint of an identical-fingerprint module is
-        translated back onto this module's values (see
-        :mod:`repro.analysis.diskcache`) and installed directly.  No
-        budget is attached — restoring a solution costs no analysis
-        work, so none is charged.
+        By default that is UNKNOWN and then every global; the on-disk
+        cache passes a stored solution's site list instead (see
+        :mod:`repro.analysis.diskcache`).  Either way each global
+        points to its own site.
         """
-        self = cls.__new__(cls)
         self.module = module
-        self.budget = None
-        self.sites = sites
-        self._var_pts = var_pts
-        self._heap_pts = heap_pts
-        return self
+        self.budget: Optional[Budget] = None
+        #: key -> site, for every interned site except UNKNOWN
+        self.sites: Dict[str, AllocSite] = {}
+        self._site_list: List[AllocSite] = []  # bit position -> site
+        self._bits: Dict[str, int] = {}  # site key -> its one-bit mask
+        self._space_masks: Dict[str, int] = {}
+        self._var: Dict[Value, int] = {}
+        self._heap: Dict[int, int] = {}  # site bit position -> mask
+        if sites is None:
+            sites = [UNKNOWN_SITE] + [
+                AllocSite(f"global:{gv.name}", gv.space)
+                for gv in module.globals.values()
+            ]
+        for site in sites:
+            self._intern(site)
+        for gv in module.globals.values():
+            self._var[gv] = self._bits[f"global:{gv.name}"]
 
     # -- public queries -----------------------------------------------------------
 
     def sites_of(self, value: Value) -> FrozenSet[AllocSite]:
         """The abstract objects ``value`` may point to."""
-        if isinstance(value, GlobalVariable):
-            return frozenset({self._global_site(value)})
-        return frozenset(self._var_pts.get(value, set()))
+        return frozenset(self._decode(self.mask_of(value)))
+
+    def mask_of(self, value: Value) -> int:
+        """``value``'s points-to set as a mask (see :meth:`mask_of_keys`)."""
+        return self._var.get(value, 0)
+
+    def mask_of_keys(self, keys: Iterable[str]) -> int:
+        """The mask of the interned sites among ``keys``."""
+        bits = self._bits
+        mask = 0
+        for key in keys:
+            mask |= bits.get(key, 0)
+        return mask
 
     def may_alias(self, a: Value, b: Value) -> bool:
         """True if the two pointers may reference the same object."""
-        sa, sb = self.sites_of(a), self.sites_of(b)
-        if not sa or not sb:
+        ma, mb = self.mask_of(a), self.mask_of(b)
+        if not ma or not mb:
             return True  # untracked: be conservative
-        if UNKNOWN_SITE in sa or UNKNOWN_SITE in sb:
+        if (ma | mb) & _UNKNOWN_BIT:
             return True
-        return bool(sa & sb)
+        return bool(ma & mb)
 
     def may_point_to_space(self, value: Value, space: str) -> bool:
         """True if ``value`` may point into the given space ("pm"/"vol").
 
         Empty or unknown points-to sets answer True (conservative).
         """
-        sites = self.sites_of(value)
-        if not sites:
+        mask = self.mask_of(value)
+        if not mask:
             return True
-        for site in sites:
-            if site.space == space or site.space == "unknown":
-                return True
-        return False
+        return bool(mask & (self._space_masks.get(space, 0) | _UNKNOWN_BIT))
 
     # -- solving ---------------------------------------------------------------------
 
-    def _site(self, key: str, space: str) -> AllocSite:
-        if key not in self.sites:
-            self.sites[key] = AllocSite(key, space)
-        return self.sites[key]
+    def _intern(self, site: AllocSite) -> int:
+        """Give ``site`` the next bit position; returns its one-bit mask."""
+        bit = 1 << len(self._site_list)
+        self._site_list.append(site)
+        self._bits[site.key] = bit
+        self._space_masks[site.space] = self._space_masks.get(site.space, 0) | bit
+        if site is not UNKNOWN_SITE:
+            self.sites[site.key] = site
+        return bit
 
-    def _global_site(self, gv: GlobalVariable) -> AllocSite:
-        return self._site(f"global:{gv.name}", gv.space)
+    def _site(self, key: str, space: str) -> int:
+        bit = self._bits.get(key)
+        return self._intern(AllocSite(key, space)) if bit is None else bit
 
-    def _pts(self, value: Value) -> Set[AllocSite]:
-        if value not in self._var_pts:
-            self._var_pts[value] = set()
-        return self._var_pts[value]
+    def _decode(self, mask: int) -> Iterator[AllocSite]:
+        sites = self._site_list
+        while mask:
+            low = mask & -mask
+            yield sites[low.bit_length() - 1]
+            mask ^= low
 
-    def _heap(self, site: AllocSite) -> Set[AllocSite]:
-        if site not in self._heap_pts:
-            self._heap_pts[site] = set()
-        return self._heap_pts[site]
+    def _add(self, value: Value, bit: int) -> None:
+        self._var[value] = self._var.get(value, 0) | bit
 
     def _solve(self) -> None:
         copies: List[Tuple[Value, Value]] = []  # pts(dst) ⊇ pts(src)
@@ -170,18 +207,11 @@ class PointsTo:
         stores: List[Tuple[Value, Value]] = []  # heap(pts(ptr)) ⊇ pts(src)
         returns: Dict[str, List[Value]] = {}
 
-        def base_set(value: Value) -> Set[AllocSite]:
-            if isinstance(value, GlobalVariable):
-                return {self._global_site(value)}
-            if isinstance(value, Constant):
-                return set()
-            return self._pts(value)
-
         # -- constraint generation --------------------------------------------
         for fn in self.module.functions.values():
             for instr in fn.instructions():
                 if isinstance(instr, Alloca):
-                    self._pts(instr).add(self._site(f"alloca:{instr.iid}", "stack"))
+                    self._add(instr, self._site(f"alloca:{instr.iid}", "stack"))
                 elif isinstance(instr, Gep):
                     copies.append((instr.base, instr))
                 elif isinstance(instr, Select) and instr.type.is_pointer:
@@ -189,11 +219,9 @@ class PointsTo:
                     copies.append((instr.operands[2], instr))
                 elif isinstance(instr, Cast) and instr.type.is_pointer:
                     if instr.kind == "inttoptr":
-                        src = instr.operands[0]
                         # Round-tripping ptr->int->ptr is untrackable
                         # field-insensitively; give up to UNKNOWN.
-                        self._pts(instr).add(UNKNOWN_SITE)
-                        del src
+                        self._add(instr, _UNKNOWN_BIT)
                     else:
                         copies.append((instr.operands[0], instr))
                 elif isinstance(instr, Load) and instr.type.is_pointer:
@@ -216,29 +244,45 @@ class PointsTo:
                         copies.append((ret_value, call))
 
         # -- fixpoint ------------------------------------------------------------
+        # A constant (null) pointer has no entry, so it reads as mask 0.
         per_pass = len(copies) + len(loads) + len(stores)
+        pts, heap = self._var, self._heap
+        get, heap_get = pts.get, heap.get
         changed = True
         while changed:
             if self.budget is not None:
                 self.budget.charge(per_pass)
             changed = False
             for src, dst in copies:
-                before = len(self._pts(dst))
-                self._pts(dst).update(base_set(src))
-                changed |= len(self._pts(dst)) != before
+                old = get(dst, 0)
+                new = old | get(src, 0)
+                if new != old:
+                    pts[dst] = new
+                    changed = True
             for ptr, dst in loads:
-                target = self._pts(dst)
-                before = len(target)
-                for site in list(base_set(ptr)):
-                    target.update(self._heap(site))
-                changed |= len(target) != before
+                old = get(dst, 0)
+                new = old
+                targets = get(ptr, 0)
+                while targets:
+                    low = targets & -targets
+                    new |= heap_get(low.bit_length() - 1, 0)
+                    targets ^= low
+                if new != old:
+                    pts[dst] = new
+                    changed = True
             for src, ptr in stores:
-                src_sites = base_set(src)
-                for site in list(base_set(ptr)):
-                    heap = self._heap(site)
-                    before = len(heap)
-                    heap.update(src_sites)
-                    changed |= len(heap) != before
+                src_mask = get(src, 0)
+                if not src_mask:
+                    continue
+                targets = get(ptr, 0)
+                while targets:
+                    low = targets & -targets
+                    site = low.bit_length() - 1
+                    old = heap_get(site, 0)
+                    if old | src_mask != old:
+                        heap[site] = old | src_mask
+                        changed = True
+                    targets ^= low
 
     def _call_constraints(
         self, call: Call, copies: List[Tuple[Value, Value]]
@@ -251,16 +295,16 @@ class PointsTo:
                     copies.append((actual, formal))
             return
         if callee_name in _ALLOC_INTRINSICS:
-            self._pts(call).add(
-                self._site(f"call:{call.iid}", _ALLOC_INTRINSICS[callee_name])
+            self._add(
+                call, self._site(f"call:{call.iid}", _ALLOC_INTRINSICS[callee_name])
             )
             return
         if callee_name == "pm_root":
-            self._pts(call).add(self._site("pm_root", "pm"))
+            self._add(call, self._site("pm_root", "pm"))
             return
         if call.type.is_pointer:
             # Unknown intrinsic returning a pointer: untrackable.
-            self._pts(call).add(UNKNOWN_SITE)
+            self._add(call, _UNKNOWN_BIT)
 
 
 def analyze(module: Module, budget: Optional[Budget] = None) -> PointsTo:

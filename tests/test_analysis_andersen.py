@@ -1,7 +1,18 @@
-"""Unit tests for Andersen's points-to analysis."""
+"""Unit tests for Andersen's points-to analysis, and a property test
+of the mask solver against a set-based reference solver."""
 
-from repro.analysis import PointsTo, UNKNOWN_SITE
+from typing import Dict, List, Set, Tuple
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.analysis import AllocSite, PointsTo, UNKNOWN_SITE
+from repro.budget import Budget
+from repro.corpus.bugs import all_cases
 from repro.ir import I64, ModuleBuilder, PTR
+from repro.ir.instructions import Alloca, Call, Cast, Gep, Load, Ret, Select, Store
+from repro.ir.values import NULL, Constant, GlobalVariable, Value
 
 
 def test_alloc_sites_distinct():
@@ -142,3 +153,282 @@ def test_may_point_to_space_conservative_on_empty():
     # No callers: empty points-to set, conservatively maybe-anything.
     assert pts.may_point_to_space(arg, "pm")
     assert pts.may_point_to_space(arg, "vol")
+
+
+# ---------------------------------------------------------------------------
+# the mask solver against a set-based reference
+# ---------------------------------------------------------------------------
+
+
+class ReferencePointsTo:
+    """The set-based solver, kept here only as a test oracle.
+
+    One ``Set[AllocSite]`` per value and per heap object, the same
+    constraints, and the same round-robin passes (copies, then loads,
+    then stores) charged to the budget once per pass.
+    """
+
+    def __init__(self, module, budget=None):
+        self.module = module
+        self.budget = budget
+        self.sites: Dict[str, AllocSite] = {}
+        self.var_pts: Dict[Value, Set[AllocSite]] = {}
+        self.heap_pts: Dict[AllocSite, Set[AllocSite]] = {}
+        self._solve()
+
+    def sites_of(self, value):
+        if isinstance(value, GlobalVariable):
+            return frozenset({self._global_site(value)})
+        return frozenset(self.var_pts.get(value, set()))
+
+    def _site(self, key, space):
+        if key not in self.sites:
+            self.sites[key] = AllocSite(key, space)
+        return self.sites[key]
+
+    def _global_site(self, gv):
+        return self._site(f"global:{gv.name}", gv.space)
+
+    def _pts(self, value):
+        if value not in self.var_pts:
+            self.var_pts[value] = set()
+        return self.var_pts[value]
+
+    def _heap(self, site):
+        if site not in self.heap_pts:
+            self.heap_pts[site] = set()
+        return self.heap_pts[site]
+
+    def _solve(self):
+        copies: List[Tuple[Value, Value]] = []
+        loads: List[Tuple[Value, Value]] = []
+        stores: List[Tuple[Value, Value]] = []
+        returns: Dict[str, List[Value]] = {}
+
+        def base_set(value):
+            if isinstance(value, GlobalVariable):
+                return {self._global_site(value)}
+            if isinstance(value, Constant):
+                return set()
+            return self._pts(value)
+
+        for fn in self.module.functions.values():
+            for instr in fn.instructions():
+                if isinstance(instr, Alloca):
+                    self._pts(instr).add(self._site(f"alloca:{instr.iid}", "stack"))
+                elif isinstance(instr, Gep):
+                    copies.append((instr.base, instr))
+                elif isinstance(instr, Select) and instr.type.is_pointer:
+                    copies.append((instr.operands[1], instr))
+                    copies.append((instr.operands[2], instr))
+                elif isinstance(instr, Cast) and instr.type.is_pointer:
+                    if instr.kind == "inttoptr":
+                        self._pts(instr).add(UNKNOWN_SITE)
+                    else:
+                        copies.append((instr.operands[0], instr))
+                elif isinstance(instr, Load) and instr.type.is_pointer:
+                    loads.append((instr.pointer, instr))
+                elif isinstance(instr, Store) and instr.value.type.is_pointer:
+                    stores.append((instr.value, instr.pointer))
+                elif isinstance(instr, Ret) and instr.value is not None:
+                    if instr.value.type.is_pointer:
+                        returns.setdefault(fn.name, []).append(instr.value)
+                elif isinstance(instr, Call):
+                    self._call_constraints(instr, copies)
+
+        for fn in self.module.functions.values():
+            for call in fn.calls():
+                if not call.type.is_pointer:
+                    continue
+                if self.module.has_function(call.callee):
+                    for ret_value in returns.get(call.callee, []):
+                        copies.append((ret_value, call))
+
+        per_pass = len(copies) + len(loads) + len(stores)
+        changed = True
+        while changed:
+            if self.budget is not None:
+                self.budget.charge(per_pass)
+            changed = False
+            for src, dst in copies:
+                before = len(self._pts(dst))
+                self._pts(dst).update(base_set(src))
+                changed |= len(self._pts(dst)) != before
+            for ptr, dst in loads:
+                target = self._pts(dst)
+                before = len(target)
+                for site in list(base_set(ptr)):
+                    target.update(self._heap(site))
+                changed |= len(target) != before
+            for src, ptr in stores:
+                src_sites = base_set(src)
+                for site in list(base_set(ptr)):
+                    heap = self._heap(site)
+                    before = len(heap)
+                    heap.update(src_sites)
+                    changed |= len(heap) != before
+
+    def _call_constraints(self, call, copies):
+        callee_name = call.callee
+        if self.module.has_function(callee_name):
+            callee = self.module.get_function(callee_name)
+            for formal, actual in zip(callee.args, call.args):
+                if formal.type.is_pointer:
+                    copies.append((actual, formal))
+            return
+        if callee_name in ("pm_alloc", "vol_alloc"):
+            space = "pm" if callee_name == "pm_alloc" else "vol"
+            self._pts(call).add(self._site(f"call:{call.iid}", space))
+            return
+        if callee_name == "pm_root":
+            self._pts(call).add(self._site("pm_root", "pm"))
+            return
+        if call.type.is_pointer:
+            self._pts(call).add(UNKNOWN_SITE)
+
+
+def decoded_heap(points_to):
+    """``PointsTo``'s heap solution as site -> frozenset of sites."""
+    return {
+        points_to._site_list[bit]: frozenset(points_to._decode(mask))
+        for bit, mask in points_to._heap.items()
+    }
+
+
+def assert_matches_reference(module):
+    budget, reference_budget = Budget(), Budget()
+    solved = PointsTo(module, budget=budget)
+    reference = ReferencePointsTo(module, budget=reference_budget)
+    for fn in module.functions.values():
+        for value in [*fn.args, *fn.instructions()]:
+            assert solved.sites_of(value) == reference.sites_of(value), value
+    for gv in module.globals.values():
+        assert solved.sites_of(gv) == reference.sites_of(gv)
+    assert decoded_heap(solved) == {
+        site: frozenset(sites)
+        for site, sites in reference.heap_pts.items()
+        if sites
+    }
+    assert budget.spent_items == reference_budget.spent_items
+    return solved
+
+
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.case_id)
+def test_corpus_matches_reference_solver(case):
+    assert_matches_reference(case.build())
+
+
+def build_pointer_web(functions=4, sites=6, chain=30):
+    """The benchmark's pointer-web shape, scaled down: each helper
+    merges fresh PM sites, stores the merge through a slot and back
+    through itself after a gep chain, and passes it to the next."""
+    mb = ModuleBuilder("web")
+    for i in range(functions):
+        b = mb.function(f"web{i}", [("p", PTR)], PTR, source_file="web.c")
+        cond = b.icmp("eq", i + 7, i)
+        merged = b.function.args[0]
+        for _ in range(sites):
+            merged = b.select(cond, b.call("pm_alloc", [8], PTR), merged)
+        slot = b.alloca(8)
+        b.store(merged, slot, PTR)
+        cursor = b.load(slot, PTR)
+        for _ in range(chain):
+            cursor = b.gep(cursor, 8)
+        b.store(cursor, merged, PTR)
+        if i + 1 < functions:
+            linked = b.call(f"web{i + 1}", [cursor], PTR)
+            cursor = b.select(cond, cursor, linked)
+        b.ret(cursor)
+    b = mb.function("work", [], source_file="work.c")
+    b.call("web0", [b.call("pm_root", [64], PTR)], PTR)
+    b.ret()
+    return mb.module
+
+
+def test_pointer_web_matches_reference_solver():
+    solved = assert_matches_reference(build_pointer_web())
+    # the web really does merge: the last helper sees earlier helpers' sites
+    last = solved.module.get_function("web3").args[0]
+    assert len(solved.sites_of(last)) > 6
+
+
+HELPERS = 3
+pick = st.integers(min_value=0, max_value=63)
+pointer_op = st.one_of(
+    st.tuples(st.just("alloca")),
+    st.tuples(st.just("alloc"), st.sampled_from(["pm_alloc", "vol_alloc", "pm_root"])),
+    st.tuples(st.just("gep"), pick),
+    st.tuples(st.just("select"), pick, pick),
+    st.tuples(st.just("select_null"), pick),
+    st.tuples(st.just("load"), pick),
+    st.tuples(st.just("store"), pick, pick),
+    st.tuples(st.just("store_null"), pick),
+    st.tuples(st.just("call"), st.integers(0, HELPERS - 1), pick),
+    st.tuples(st.just("mystery")),
+    st.tuples(st.just("inttoptr"), pick),
+    st.tuples(st.just("zext"), pick),
+)
+#: one (body, returned pointer) per helper, then main's
+pointer_program = st.lists(
+    st.tuples(st.lists(pointer_op, max_size=12), pick),
+    min_size=HELPERS + 1,
+    max_size=HELPERS + 1,
+)
+
+
+def build_pointer_program(bodies):
+    """Helpers ``h0..h2`` (pointer in, pointer out) and ``main``, each a
+    random straight-line body over a pool of pointers that starts with
+    its parameter and a PM and a volatile global."""
+    mb = ModuleBuilder("ptrs")
+    pm_global = mb.global_("pmg", 64, "pm")
+    vol_global = mb.global_("volg", 64, "vol")
+    for index, (ops, ret_pick) in enumerate(bodies):
+        if index < HELPERS:
+            b = mb.function(f"h{index}", [("p", PTR)], PTR, source_file="p.c")
+            pool = [b.function.args[0], pm_global, vol_global]
+        else:
+            b = mb.function("main", [], I64, source_file="p.c")
+            pool = [pm_global, vol_global]
+        cond = b.icmp("eq", 1, 2)
+
+        def at(i):
+            return pool[i % len(pool)]
+
+        for op, *args in ops:
+            if op == "alloca":
+                pool.append(b.alloca(8))
+            elif op == "alloc":
+                pool.append(b.call(args[0], [64], PTR))
+            elif op == "gep":
+                pool.append(b.gep(at(args[0]), 8))
+            elif op == "select":
+                pool.append(b.select(cond, at(args[0]), at(args[1])))
+            elif op == "select_null":
+                pool.append(b.select(cond, NULL, at(args[0])))
+            elif op == "load":
+                pool.append(b.load(at(args[0]), PTR))
+            elif op == "store":
+                b.store(at(args[0]), at(args[1]), PTR)
+            elif op == "store_null":
+                b.store(NULL, at(args[0]), PTR)
+            elif op == "call":
+                pool.append(b.call(f"h{args[0]}", [at(args[1])], PTR))
+            elif op == "mystery":
+                pool.append(b.call("mystery_ptr", [], PTR))
+            elif op == "inttoptr":
+                as_int = b.cast("ptrtoint", at(args[0]), I64)
+                pool.append(b.cast("inttoptr", as_int, PTR))
+            elif op == "zext":  # a pointer-to-pointer cast: a copy
+                pool.append(b.cast("zext", at(args[0]), PTR))
+        if index < HELPERS:
+            b.ret(at(ret_pick))
+        else:
+            b.ret(0)
+    return mb.module
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies=pointer_program)
+def test_random_pointer_programs_match_reference_solver(bodies):
+    assert_matches_reference(build_pointer_program(bodies))

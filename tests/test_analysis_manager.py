@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.analysis import CallGraph, PointsTo, UNKNOWN_SITE
+from repro.analysis import CallGraph, PointsTo, UNKNOWN_SITE, classify_full_aa
 from repro.analysis.diskcache import AnalysisDiskCache
 from repro.analysis.manager import (
     CALLGRAPH,
@@ -294,6 +294,34 @@ def build_disk_module():
     return mb.module
 
 
+def portable_key(module, site):
+    """``site``'s key with an embedded instruction id replaced by the
+    instruction's position, so keys compare across re-parsed modules."""
+    prefix, _, iid = site.key.partition(":")
+    if prefix not in ("alloca", "call"):
+        return site.key, site.space
+    for fn in module.functions.values():
+        for bi, block in enumerate(fn.blocks):
+            for ii, instr in enumerate(block.instructions):
+                if str(instr.iid) == iid:
+                    return f"{prefix}:{fn.name}:{bi}:{ii}", site.space
+    raise AssertionError(f"{site.key} names no instruction")
+
+
+def portable_sites(module, sites):
+    return frozenset(portable_key(module, site) for site in sites)
+
+
+def portable_heap(points_to):
+    module = points_to.module
+    return {
+        portable_key(module, points_to._site_list[bit]): portable_sites(
+            module, points_to._decode(mask)
+        )
+        for bit, mask in points_to._heap.items()
+    }
+
+
 def test_disk_round_trip_preserves_solution(tmp_path):
     module = build_disk_module()
     cache = AnalysisDiskCache(str(tmp_path))
@@ -310,11 +338,18 @@ def test_disk_round_trip_preserves_solution(tmp_path):
     for fn_name in module.function_names():
         original_fn = module.get_function(fn_name)
         restored_fn = reparsed.get_function(fn_name)
-        for a, b in zip(original_fn.instructions(), restored_fn.instructions()):
-            sites_a = solved.sites_of(a)
-            sites_b = points_to.sites_of(b)
-            assert len(sites_a) == len(sites_b)
-            assert {s.space for s in sites_a} == {s.space for s in sites_b}
+        originals = [*original_fn.args, *original_fn.instructions()]
+        restoreds = [*restored_fn.args, *restored_fn.instructions()]
+        assert len(originals) == len(restoreds)
+        for a, b in zip(originals, restoreds):
+            assert portable_sites(module, solved.sites_of(a)) == portable_sites(
+                reparsed, points_to.sites_of(b)
+            )
+    assert portable_heap(solved) == portable_heap(points_to)
+    assert portable_heap(solved)  # the module does store a pointer
+    assert portable_sites(module, solved.sites.values()) == portable_sites(
+        reparsed, points_to.sites.values()
+    )
 
 
 def test_disk_round_trip_keeps_unknown_site_identity(tmp_path):
@@ -342,15 +377,115 @@ def test_corrupt_or_stale_entries_load_as_misses(tmp_path):
     entry_path = os.path.join(str(tmp_path), f"{module.fingerprint()}.json")
 
     with open(entry_path) as handle:
-        payload = json.load(handle)
-    payload["schema"] = "some-other-schema"
-    with open(entry_path, "w") as handle:
-        json.dump(payload, handle)
-    assert cache.load(module) is None
+        good = json.load(handle)
+
+    def loads_with(payload):
+        with open(entry_path, "w") as handle:
+            json.dump(payload, handle)
+        return cache.load(module)
+
+    def edited(edit):
+        payload = json.loads(json.dumps(good))
+        edit(payload)
+        return payload
+
+    assert loads_with(good) is not None  # the unedited entry is a hit
+    width = len(good["points_to"]["sites"])
+    some_var = sorted(good["points_to"]["var"])[0]
+
+    def set_var(text):
+        return lambda p: p["points_to"]["var"].__setitem__(some_var, text)
+
+    def set_heap(row):
+        return lambda p: p["points_to"].__setitem__("heap", [row])
+
+    bad = {
+        "stale schema": edited(lambda p: p.__setitem__("schema", "some-other-schema")),
+        "null": None,
+        "list": [],
+        "callgraph is a list": edited(lambda p: p.__setitem__("callgraph", [])),
+        "callee list holds a number": edited(
+            lambda p: p.__setitem__("callgraph", {"main": [1]})
+        ),
+        "points_to is a list": edited(lambda p: p.__setitem__("points_to", [])),
+        "negative mask": edited(set_var("-1")),
+        "non-hex mask": edited(set_var("xyz")),
+        "prefixed mask": edited(set_var("0x1")),
+        "empty mask": edited(set_var("")),
+        "numeric mask": edited(set_var(3)),
+        "mask past the site list": edited(set_var(format(1 << width, "x"))),
+        "heap mask past the site list": edited(
+            set_heap([0, format(1 << width, "x")])
+        ),
+        "heap bit past the site list": edited(set_heap([width, "1"])),
+        "negative heap bit": edited(set_heap([-1, "1"])),
+        "heap row too short": edited(set_heap([0])),
+        "site path names an argument": edited(
+            lambda p: p["points_to"]["sites"][1].__setitem__(2, "a:make:0")
+        ),
+        "UNKNOWN not first": edited(
+            lambda p: p["points_to"]["sites"].reverse()
+        ),
+        "duplicate site": edited(
+            lambda p: p["points_to"]["sites"].append(p["points_to"]["sites"][1])
+        ),
+        # The previous format: interned site sets and a registry flag.
+        "v1 entry": {
+            "schema": "repro-analysis-cache-v1",
+            "fingerprint": good["fingerprint"],
+            "callgraph": good["callgraph"],
+            "points_to": {
+                "sites": [
+                    ["instr", "call", "i:make:0:1", "pm", True],
+                    ["key", "unknown", "unknown", False],
+                ],
+                "sets": [[0], [0, 1]],
+                "var": {"i:make:0:1": 0, "i:make:0:3": 1},
+                "heap": [],
+            },
+        },
+    }
+    for what, payload in bad.items():
+        assert loads_with(payload) is None, what
 
     with open(entry_path, "w") as handle:
         handle.write("{ torn mid-wri")
     assert cache.load(module) is None
+
+
+def test_queries_leave_solution_and_entry_unchanged(tmp_path):
+    mb = ModuleBuilder("queries")
+    counter = mb.global_("counter", 8, "pm")
+    buffer = mb.global_("buffer", 8, "vol")
+    b = mb.function("main", [], I64, source_file="q.c")
+    p = b.call("pm_alloc", [64], PTR)
+    b.store(1, counter)  # globals in no pointer constraint
+    b.store(2, buffer)
+    b.store(3, p)
+    b.ret(0)
+    module = mb.module
+    points_to = PointsTo(module)
+    cache = AnalysisDiskCache(str(tmp_path))
+    assert cache.store(module, points_to, CallGraph(module))
+    entry_path = os.path.join(str(tmp_path), f"{module.fingerprint()}.json")
+    with open(entry_path, "rb") as handle:
+        before = handle.read()
+    sites_before = dict(points_to.sites)
+
+    classification = classify_full_aa(module, points_to)
+    assert classification.score(counter) == 1
+    assert classification.score(buffer) == -1
+    for value in [counter, buffer, *module.get_function("main").instructions()]:
+        points_to.sites_of(value)
+        classification.score(value)
+        classification.may_be_pm(value)
+    assert classification.may_be_pm(counter)
+    assert not classification.may_be_pm(buffer)
+
+    assert points_to.sites == sites_before
+    assert cache.store(module, points_to, CallGraph(module))
+    with open(entry_path, "rb") as handle:
+        assert handle.read() == before
 
 
 def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
