@@ -18,11 +18,14 @@ Subpackages
   reproducible durability bugs with developer-fix metadata
 - :mod:`repro.workloads` — YCSB workload generation
 - :mod:`repro.bench` — harness utilities and table/figure renderers
+
+Subpackages load on first use (``repro.core`` or ``import repro.core``),
+so a command imports only the layers it runs.
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import analysis, apps, bench, core, corpus, detect, interp, ir, memory, trace, workloads
+__version__ = "1.0.0"
 
 __all__ = [
     "analysis",
@@ -38,3 +41,9 @@ __all__ = [
     "workloads",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

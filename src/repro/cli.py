@@ -50,7 +50,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import Hippocrates
 from .detect import check_trace
 from .errors import (
     BudgetExceeded,
@@ -88,6 +87,14 @@ def _load_module(path: str):
     return module
 
 
+def _int_arg(text: str) -> int:
+    """An ``--args`` value: an integer literal in any Python base."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+
+
 def _run_entry(module, entry: str, args: List[int], engine: Optional[str] = None):
     """Execute an entry point; returns the finished interpreter."""
     interp = make_interpreter(module, engine=engine)
@@ -105,7 +112,7 @@ def _run_entry(module, entry: str, args: List[int], engine: Optional[str] = None
 
 def cmd_run(ns: argparse.Namespace) -> int:
     module = _load_module(ns.module)
-    _run_entry(module, ns.entry, [int(a, 0) for a in ns.args], engine=ns.engine)
+    _run_entry(module, ns.entry, ns.args, engine=ns.engine)
     return 0
 
 
@@ -117,9 +124,7 @@ def cmd_show(ns: argparse.Namespace) -> int:
 
 def cmd_detect(ns: argparse.Namespace) -> int:
     module = _load_module(ns.module)
-    interp = _run_entry(
-        module, ns.entry, [int(a, 0) for a in ns.args], engine=ns.engine
-    )
+    interp = _run_entry(module, ns.entry, ns.args, engine=ns.engine)
     trace = interp.machine.trace
     if ns.trace_out:
         atomic_write_text(ns.trace_out, dump_trace(trace))
@@ -130,6 +135,8 @@ def cmd_detect(ns: argparse.Namespace) -> int:
 
 
 def cmd_fix(ns: argparse.Namespace) -> int:
+    from .core import Hippocrates
+
     module = _load_module(ns.module)
     with open(ns.trace) as handle:
         trace_text = handle.read()
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an entry point")
     run.add_argument("module")
     run.add_argument("--entry", default="main")
-    run.add_argument("--args", nargs="*", default=[])
+    run.add_argument("--args", nargs="*", type=_int_arg, default=[])
     add_engine_flag(run)
     run.set_defaults(fn=cmd_run)
 
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument("module")
     detect.add_argument("--entry", default="main")
-    detect.add_argument("--args", nargs="*", default=[])
+    detect.add_argument("--args", nargs="*", type=_int_arg, default=[])
     detect.add_argument("--trace-out", help="write the pmemcheck-style log here")
     add_engine_flag(detect)
     detect.set_defaults(fn=cmd_detect)

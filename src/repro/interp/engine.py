@@ -248,9 +248,14 @@ class FlatEngine(Interpreter):
         space = machine.space
         cache = machine.cache
         recorder = machine.recorder
+        # A volatile store records nothing unless one of these is set, so
+        # the loop skips the no-op ``record_store`` call otherwise.
+        record_vol_stores = (
+            recorder.record_volatile_stores or recorder.record_vol_ops
+        )
         read_int = space.read_int
         write_int = space.write_int
-        is_pm = space.is_pm
+        pm_base, pm_end = space.pm_bounds()
         alloc_stack = space.alloc_stack
         stack_mark = space.stack_mark
         stack_release = space.stack_release
@@ -323,7 +328,7 @@ class FlatEngine(Interpreter):
                     addr = regs[inst[3]]
                     size = inst[4]
                     write_int(addr, size, value)
-                    if is_pm(addr):
+                    if pm_base <= addr < pm_end:
                         nontemporal = inst[5]
                         event = recorder.record_store(
                             addr, size, "pm", nontemporal=nontemporal
@@ -334,7 +339,8 @@ class FlatEngine(Interpreter):
                             cache.on_store(addr, size, event.seq)
                         cycles += m_store_pm
                     else:
-                        recorder.record_store(addr, size, "vol")
+                        if record_vol_stores:
+                            recorder.record_store(addr, size, "vol")
                         cycles += m_store
                     dense[_K_STORE] += 1
                     pc += 1
@@ -457,7 +463,7 @@ class FlatEngine(Interpreter):
                 elif op == OP_FLUSH:
                     frame[_F_PC] = pc
                     addr = regs[inst[2]]
-                    if is_pm(addr):
+                    if pm_base <= addr < pm_end:
                         kind = inst[3]
                         status = cache.on_flush(addr, kind)
                         recorder.record_flush(

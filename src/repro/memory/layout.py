@@ -168,6 +168,13 @@ class AddressSpace:
         self.stack = Region("stack", STACK_BASE, stack_size)
         self.pm = Region("pm", PM_BASE, pm_size)
         self._regions = (self.vol, self.stack, self.pm)
+        # Regions never move or resize, so the typed accessors and
+        # ``is_pm`` check against bounds fixed here, in ``region_of``'s
+        # search order.
+        self._bounds = tuple(
+            (region.base, region.end, region) for region in self._regions
+        )
+        self._pm_base, self._pm_end = self.pm.base, self.pm.end
 
     def reset(self) -> None:
         """Reset every region in place (pooled reuse)."""
@@ -184,7 +191,7 @@ class AddressSpace:
 
     def is_pm(self, addr: int) -> bool:
         """True if the address lies in the persistent region."""
-        return self.pm.contains(addr)
+        return self._pm_base <= addr < self._pm_end
 
     def space_of(self, addr: int) -> str:
         """``"pm"`` or ``"vol"`` (stack counts as volatile)."""
@@ -209,13 +216,39 @@ class AddressSpace:
 
     # -- typed access ------------------------------------------------------------------
 
+    # ``read_int``/``write_int`` are the interpreters' per-load/store
+    # path: they inline ``region_of`` and the ``Region`` byte access so
+    # each access checks its bounds once.  Behaviour is the same as
+    # going through ``region_of(addr, size).read_bytes``/``write_bytes``.
+
     def read_int(self, addr: int, size: int) -> int:
-        region = self.region_of(addr, size)
-        return int.from_bytes(region.read_bytes(addr, size), "little")
+        stop = addr + size
+        for base, end, region in self._bounds:
+            if base <= addr and stop <= end:
+                offset = addr - base
+                # Bytes past the written prefix are zero, which is what a
+                # short little-endian slice decodes to.
+                return int.from_bytes(
+                    region.data[offset : offset + size], "little"
+                )
+        raise SegmentationFault(f"access of {size}B at {addr:#x} is unmapped")
 
     def write_int(self, addr: int, size: int, value: int) -> None:
-        region = self.region_of(addr, size)
-        region.write_bytes(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        stop = addr + size
+        for base, end, region in self._bounds:
+            if base <= addr and stop <= end:
+                payload = (value & ((1 << (8 * size)) - 1)).to_bytes(
+                    size, "little"
+                )
+                offset = addr - base
+                data = region.data
+                if offset > len(data):  # grow over the unwritten gap
+                    data.extend(bytes(offset - len(data)))
+                data[offset : offset + size] = payload
+                if offset + size > region._high_water:
+                    region._high_water = offset + size
+                return
+        raise SegmentationFault(f"access of {size}B at {addr:#x} is unmapped")
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         if size == 0:
@@ -231,4 +264,4 @@ class AddressSpace:
         self.write_bytes(dst, self.read_bytes(src, size))
 
     def pm_bounds(self) -> Tuple[int, int]:
-        return self.pm.base, self.pm.end
+        return self._pm_base, self._pm_end

@@ -3,6 +3,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import EXIT_CODES, main
@@ -15,6 +19,8 @@ from repro.errors import (
     ValidationError,
 )
 from repro.ir import I64, ModuleBuilder, PTR, format_module
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -113,3 +119,55 @@ def test_bad_batch_config_exits_2_before_journaling(tmp_path, capsys, flags):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not journal.exists()
+
+
+@pytest.fixture
+def echo_module(tmp_path):
+    """A module whose entry ``echo(x)`` returns its argument."""
+    mb = ModuleBuilder("args")
+    b = mb.function("echo", [("x", I64)], I64, source_file="args.c")
+    b.ret(b.function.args[0])
+    ir = tmp_path / "args.ir"
+    ir.write_text(format_module(mb.module))
+    return ir
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_malformed_args_value_is_a_usage_error(echo_module, capsys, command):
+    """A bad ``--args`` value exits 2 (usage), never 1 (bugs found)."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(echo_module), "--entry", "echo", "--args", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --args: invalid integer 'x'" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_args_value_exits_2_from_the_command_line(echo_module):
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "detect", str(echo_module),
+         "--entry", "echo", "--args", "0x"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr.strip().splitlines()[-1] == (
+        "repro detect: error: argument --args: invalid integer '0x'"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+@pytest.mark.parametrize(
+    "text, shown, result",
+    [("7", 7, 7), ("0x28", 40, 40), ("-1", -1, (1 << 64) - 1)],
+    ids=["decimal", "hex", "negative"],
+)
+def test_args_values_parse_in_any_base(
+    echo_module, capsys, command, text, shown, result
+):
+    assert main(
+        [command, str(echo_module), "--entry", "echo", "--args", text]
+    ) == 0
+    assert f"@echo({shown}) -> {result}\n" in capsys.readouterr().out

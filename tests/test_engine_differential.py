@@ -20,8 +20,10 @@ from hypothesis import given, settings
 
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
-from repro.interp import ENGINES, make_interpreter
+from repro.interp import ENGINES, Machine, make_interpreter
 from repro.ir import I64, ModuleBuilder, PTR
+from repro.revalidate.recording import RecordingTraceRecorder
+from repro.trace.events import StoreEvent
 
 from test_oracle_differential import (
     BATCH_CASES,
@@ -128,6 +130,70 @@ def test_random_programs_byte_identical(actions):
     flat = _detect_fingerprint(module, drive_main, "flat")
     reference = _detect_fingerprint(module, drive_main, "reference")
     assert flat == reference
+
+
+# ---------------------------------------------------------------------------
+# volatile-store recording
+# ---------------------------------------------------------------------------
+# The flat engine skips the volatile ``record_store`` call unless the
+# recorder records volatile stores or keeps the volatile-op side channel.
+# Both ways of turning recording on must see every volatile store.
+
+
+def _volatile_fingerprint(module, drive, engine):
+    """A detect run that traces volatile stores too."""
+    interp = make_interpreter(module, engine=engine, record_volatile_stores=True)
+    drive(interp)
+    trace = interp.finish()
+    stores = [e for e in trace.events if isinstance(e, StoreEvent)]
+    # every executed store, PM or volatile, became an event
+    assert len(stores) == interp.costs.counts["store"]
+    return {
+        "events": list(trace.events),
+        "vol_stores": sum(e.space == "vol" for e in stores),
+        "steps": interp.steps,
+        "cycles": interp.costs.cycles,
+        "counts": dict(interp.costs.counts),
+    }
+
+
+def _vol_ops_fingerprint(module, drive, engine):
+    """A run under the revalidation recorder's volatile-op side channel."""
+    machine = Machine()
+    recorder = RecordingTraceRecorder(lambda: machine._stack_provider())
+    machine.recorder = recorder
+    interp = make_interpreter(module, engine=engine, machine=machine)
+    recorder.current_iid = interp.current_iid
+    drive(interp)
+    trace = interp.finish()
+    return {
+        "events": list(trace.events),
+        "vol_ops": list(recorder.vol_ops),
+        "steps": interp.steps,
+        "cycles": interp.costs.cycles,
+    }
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_corpus_volatile_recording_byte_identical(case_id):
+    case = _case(case_id)
+    module = case.build()
+    for fingerprint in (_volatile_fingerprint, _vol_ops_fingerprint):
+        flat = fingerprint(module, case.drive, "flat")
+        reference = fingerprint(module, case.drive, "reference")
+        assert flat == reference, fingerprint.__name__
+
+
+@settings(max_examples=25, deadline=None)
+@given(actions=st.lists(action, min_size=1, max_size=10))
+def test_random_programs_volatile_recording_byte_identical(actions):
+    module = build_random(actions)
+    flat = _volatile_fingerprint(module, drive_main, "flat")
+    assert flat["vol_stores"] > 0  # the accumulator lives on the stack
+    assert flat == _volatile_fingerprint(module, drive_main, "reference")
+    flat = _vol_ops_fingerprint(module, drive_main, "flat")
+    assert any(op.kind == "store" for op in flat["vol_ops"])
+    assert flat == _vol_ops_fingerprint(module, drive_main, "reference")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for the simulated address space."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.errors import MemoryError_, SegmentationFault
 from repro.memory import (
@@ -128,3 +130,114 @@ class TestSpaceQueries:
         space = AddressSpace(pm_size=1 << 20)
         lo, hi = space.pm_bounds()
         assert hi - lo == 1 << 20
+
+
+# -- typed access against the region byte path --------------------------------
+# ``read_int``/``write_int`` inline the region lookup and byte access; the
+# reference below is the path they replace, built from ``region_of`` and
+# ``Region.read_bytes``/``write_bytes``.  Small regions make every edge
+# reachable: first/last bytes, straddled ends, gaps, the written prefix.
+
+_SIZES = (96, 64, 128)  # vol, stack, pm
+_BASES = (VOL_BASE, STACK_BASE, PM_BASE)
+
+
+def _ref_read_int(space, addr, size):
+    region = space.region_of(addr, size)
+    return int.from_bytes(region.read_bytes(addr, size), "little")
+
+
+def _ref_write_int(space, addr, size, value):
+    region = space.region_of(addr, size)
+    region.write_bytes(
+        addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    )
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+_access_addr = st.one_of(
+    # in and around each region, down to straddling either end
+    st.builds(
+        lambda base, offset: base + offset,
+        st.sampled_from(_BASES),
+        st.integers(-9, max(_SIZES) + 9),
+    ),
+    # unmapped gaps between and below the regions
+    st.sampled_from(
+        [0, VOL_BASE - 8, VOL_BASE + _SIZES[0] + 64, STACK_BASE - 1,
+         STACK_BASE + _SIZES[1] + 1, PM_BASE - 4, PM_BASE + (1 << 20)]
+    ),
+)
+_access_size = st.sampled_from([1, 2, 4, 8])
+_accesses = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            _access_addr,
+            _access_size,
+            st.integers(-(1 << 70), 1 << 70),
+        ),
+        st.tuples(st.just("read"), _access_addr, _access_size),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_accesses)
+# a write past the prefix opens a gap; reads there and past it are zero
+@example(
+    ops=[
+        ("write", PM_BASE + 40, 8, -1),
+        ("read", PM_BASE + 20, 8),
+        ("read", PM_BASE + 44, 8),
+        ("read", PM_BASE + 60, 4),
+    ]
+)
+# last bytes of each region, then one byte over its end
+@example(
+    ops=[
+        ("write", VOL_BASE + _SIZES[0] - 8, 8, 1 << 63),
+        ("write", STACK_BASE + _SIZES[1] - 1, 1, 0x1FF),
+        ("read", PM_BASE + _SIZES[2] - 2, 2),
+        ("write", PM_BASE + _SIZES[2] - 1, 2, 7),
+        ("read", PM_BASE + _SIZES[2], 1),
+        ("read", STACK_BASE + _SIZES[1] - 3, 4),
+    ]
+)
+def test_typed_access_matches_region_byte_path(ops):
+    fast = AddressSpace(*_SIZES)
+    ref = AddressSpace(*_SIZES)
+    for op in ops:
+        if op[0] == "write":
+            _, addr, size, value = op
+            got = _outcome(lambda: fast.write_int(addr, size, value))
+            want = _outcome(lambda: _ref_write_int(ref, addr, size, value))
+        else:
+            _, addr, size = op
+            got = _outcome(lambda: fast.read_int(addr, size))
+            want = _outcome(lambda: _ref_read_int(ref, addr, size))
+        assert got == want, op
+        assert fast.is_pm(addr) == ref.pm.contains(addr)
+        for mine, theirs in zip(
+            (fast.vol, fast.stack, fast.pm), (ref.vol, ref.stack, ref.pm)
+        ):
+            assert mine.data == theirs.data, mine.name
+            assert mine.high_water == theirs.high_water, mine.name
+
+
+def test_typed_access_of_an_undefined_address_is_a_type_error():
+    """The flat engine turns this ``TypeError`` into "undefined value"."""
+    space = AddressSpace()
+    with pytest.raises(TypeError):
+        space.read_int(None, 8)
+    with pytest.raises(TypeError):
+        space.write_int(None, 8, 1)
+    with pytest.raises(TypeError):
+        space.is_pm(None)
