@@ -52,9 +52,12 @@ def atomic_write_text(path: str, text: str) -> None:
     write under ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    try:
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+    except OSError as exc:  # name the file asked for, not the random temp
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -22,7 +22,9 @@ engine (:mod:`repro.interp.engine`) dispatches over:
   module epoch and changes the caller's :func:`function_signature`.
 
 Each instruction becomes a flat tuple ``(opcode, iid, ...)`` whose
-layout is opcode-specific (see the ``_encode_*`` helpers); a parallel
+layout is opcode-specific (see the ``_encode_*`` helpers; loads and
+stores end with their width's :data:`~repro.memory.layout.CODECS`
+entry, stores then with the value mask); a parallel
 ``insts`` tuple keeps the original :class:`Instruction` objects for the
 cold paths that need source locations or stack frames.
 
@@ -82,6 +84,7 @@ from ..ir.opcodes import (
 )
 from ..ir.types import IntType
 from ..ir.values import Argument, Constant, GlobalVariable, Value
+from ..memory.layout import CODECS
 from .intrinsics import is_intrinsic, lookup
 
 _U64 = (1 << 64) - 1
@@ -287,6 +290,8 @@ class _FunctionCompiler:
                 slot(instr.pointer),
                 instr.size,
                 instr.nontemporal,
+                CODECS[instr.size],
+                (1 << (8 * instr.size)) - 1,
             )
         if isinstance(instr, Load):
             return (
@@ -295,6 +300,7 @@ class _FunctionCompiler:
                 self.result_slot(instr),
                 slot(instr.pointer),
                 instr.size,
+                CODECS[instr.size],
             )
         if isinstance(instr, BinOp):
             return (

@@ -255,6 +255,12 @@ class FlatEngine(Interpreter):
         )
         read_int = space.read_int
         write_int = space.write_int
+        # Loads and stores of already-written stack bytes (every IR local
+        # is an alloca) are served here with the instruction's codec.
+        # The bytearray is never rebound: resets clear it and snapshot
+        # restores assign a slice, so this binding stays current.
+        stack_base = space.stack.base
+        stack_data = space.stack.data
         pm_base, pm_end = space.pm_bounds()
         alloc_stack = space.alloc_stack
         stack_mark = space.stack_mark
@@ -313,7 +319,15 @@ class FlatEngine(Interpreter):
                     seg_iids.add(inst[1])
 
                 if op == OP_LOAD:
-                    regs[inst[2]] = read_int(regs[inst[3]], inst[4])
+                    # Any other address (PM, the heap, a stack slot past
+                    # the written prefix, unmapped) goes to ``read_int``;
+                    # ``None`` raises its ``TypeError`` in the subtraction.
+                    addr = regs[inst[3]]
+                    offset = addr - stack_base
+                    if 0 <= offset <= len(stack_data) - inst[4]:
+                        regs[inst[2]] = inst[5].unpack_from(stack_data, offset)[0]
+                    else:
+                        regs[inst[2]] = read_int(addr, inst[4])
                     dense[_K_LOAD] += 1
                     cycles += m_load
                     pc += 1
@@ -324,10 +338,16 @@ class FlatEngine(Interpreter):
                     pc += 1
                 elif op == OP_STORE:
                     frame[_F_PC] = pc
-                    value = regs[inst[2]]
                     addr = regs[inst[3]]
                     size = inst[4]
-                    write_int(addr, size, value)
+                    offset = addr - stack_base
+                    if 0 <= offset <= len(stack_data) - size:
+                        # Never PM: this falls to the volatile branch.
+                        inst[6].pack_into(
+                            stack_data, offset, regs[inst[2]] & inst[7]
+                        )
+                    else:
+                        write_int(addr, size, regs[inst[2]])
                     if pm_base <= addr < pm_end:
                         nontemporal = inst[5]
                         event = recorder.record_store(

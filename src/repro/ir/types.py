@@ -114,6 +114,9 @@ VOID = VoidType()
 
 _BY_NAME = {repr(t): t for t in (I1, I8, I16, I32, I64, PTR, VOID)}
 
+#: The byte widths a load or store can have (every non-void type's size).
+STORE_WIDTHS = frozenset(t.size for t in (I1, I8, I16, I32, I64, PTR))
+
 
 def type_from_name(name: str) -> Type:
     """Look a type up by its textual spelling (``i64``, ``ptr``, ...)."""

@@ -18,6 +18,7 @@ mapped PM file range.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import List, Tuple
 
 from ..errors import MemoryError_, SegmentationFault
@@ -30,6 +31,16 @@ STACK_BASE = 0x7000_0000
 PM_BASE = 0x1_0000_0000
 
 _DEFAULT_REGION_SIZE = 1 << 24  # 16 MiB per region
+
+#: Little-endian unsigned codec per typed-access width.  A typed access
+#: that ends inside its region's written prefix (``offset + size <=
+#: len(region.data)``) is one ``unpack_from``/``pack_into`` on
+#: ``region.data``.  Such a write needs no ``_high_water`` update:
+#: ``len(data) <= high_water`` always holds (every write that grows
+#: ``data`` raises the mark to its new end, and resets and restores set
+#: both together), so the access ends at or below the mark already.
+#: The flat engine's stack path uses the same table.
+CODECS = {1: Struct("<B"), 2: Struct("<H"), 4: Struct("<I"), 8: Struct("<Q")}
 
 
 def line_of(addr: int) -> int:
@@ -168,6 +179,11 @@ class AddressSpace:
         self.stack = Region("stack", STACK_BASE, stack_size)
         self.pm = Region("pm", PM_BASE, pm_size)
         self._regions = (self.vol, self.stack, self.pm)
+        # An address belongs to at most one region: ``region_of``'s
+        # search order never matters, and the flat engine may serve a
+        # stack address without searching.
+        if self.vol.end > self.stack.base or self.stack.end > self.pm.base:
+            raise MemoryError_("region sizes make the regions overlap")
         # Regions never move or resize, so the typed accessors and
         # ``is_pm`` check against bounds fixed here, in ``region_of``'s
         # search order.
@@ -218,7 +234,8 @@ class AddressSpace:
 
     # ``read_int``/``write_int`` are the interpreters' per-load/store
     # path: they inline ``region_of`` and the ``Region`` byte access so
-    # each access checks its bounds once.  Behaviour is the same as
+    # each access checks its bounds once, and an access inside the
+    # written prefix is one ``CODECS`` call.  Behaviour is the same as
     # going through ``region_of(addr, size).read_bytes``/``write_bytes``.
 
     def read_int(self, addr: int, size: int) -> int:
@@ -226,22 +243,25 @@ class AddressSpace:
         for base, end, region in self._bounds:
             if base <= addr and stop <= end:
                 offset = addr - base
+                data = region.data
+                if offset + size <= len(data):
+                    return CODECS[size].unpack_from(data, offset)[0]
                 # Bytes past the written prefix are zero, which is what a
                 # short little-endian slice decodes to.
-                return int.from_bytes(
-                    region.data[offset : offset + size], "little"
-                )
+                return int.from_bytes(data[offset : offset + size], "little")
         raise SegmentationFault(f"access of {size}B at {addr:#x} is unmapped")
 
     def write_int(self, addr: int, size: int, value: int) -> None:
         stop = addr + size
         for base, end, region in self._bounds:
             if base <= addr and stop <= end:
-                payload = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                    size, "little"
-                )
+                value &= (1 << (8 * size)) - 1
                 offset = addr - base
                 data = region.data
+                if offset + size <= len(data):  # no growth, no new high water
+                    CODECS[size].pack_into(data, offset, value)
+                    return
+                payload = value.to_bytes(size, "little")
                 if offset > len(data):  # grow over the unwritten gap
                     data.extend(bytes(offset - len(data)))
                 data[offset : offset + size] = payload

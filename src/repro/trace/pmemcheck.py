@@ -17,6 +17,9 @@ Line format (one event per line)::
 
 where ``<stack>`` is ``fn@file:line#iid`` frames joined by ``|``
 (outermost first; the final frame is the event's own instruction).
+A field outside what :func:`dump_event` writes is malformed: a store
+size that is not a load/store width, a negative address, an unknown
+space, flush or fence kind, or a ``<had_work>`` other than ``0``/``1``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import TraceError
+from ..ir.instructions import FENCE_KINDS, FLUSH_KINDS
+from ..ir.types import STORE_WIDTHS
 from .events import (
     BoundaryEvent,
     CallStack,
@@ -71,6 +76,29 @@ class TraceWarning:
             return f"{where}{self.message}"
         shown = self.text if len(self.text) <= 80 else self.text[:77] + "..."
         return f"{where}line {self.line}: {self.message} ({shown!r})"
+
+
+#: The ``<space>`` field as :func:`dump_event` writes it -> the event's
+#: ``(space, nontemporal)``.
+_SPACES = {
+    "pm": ("pm", False),
+    "vol": ("vol", False),
+    "pm.nt": ("pm", True),
+    "vol.nt": ("vol", True),
+}
+
+
+def _one_of(text: str, allowed, what: str) -> str:
+    if text not in allowed:
+        raise TraceError(f"bad {what} {text!r}")
+    return text
+
+
+def _address(text: str) -> int:
+    addr = int(text, 16)
+    if addr < 0:
+        raise TraceError(f"negative address {text!r}")
+    return addr
 
 
 def _format_stack(stack: CallStack) -> str:
@@ -121,27 +149,31 @@ def parse_event(line: str) -> TraceEvent:
     try:
         if tag == "STORE":
             _, seq, addr, size, space, stack_text = parts
-            nontemporal = space.endswith(".nt")
+            width = int(size)
+            if width not in STORE_WIDTHS:
+                raise TraceError(f"bad store size {size!r}")
+            space, nontemporal = _SPACES[_one_of(space, _SPACES, "space")]
             return StoreEvent(
-                addr=int(addr, 16),
-                size=int(size),
-                space=space.removesuffix(".nt"),
+                addr=_address(addr),
+                size=width,
+                space=space,
                 nontemporal=nontemporal,
                 **_own_fields(seq, _parse_stack(stack_text)),
             )
         if tag == "FLUSH":
             _, seq, addr, line_addr, kind, had_work, stack_text = parts
             return FlushEvent(
-                addr=int(addr, 16),
-                line_addr=int(line_addr, 16),
-                flush_kind=kind,
-                had_work=bool(int(had_work)),
+                addr=_address(addr),
+                line_addr=_address(line_addr),
+                flush_kind=_one_of(kind, FLUSH_KINDS, "flush kind"),
+                had_work=_one_of(had_work, ("0", "1"), "had_work") == "1",
                 **_own_fields(seq, _parse_stack(stack_text)),
             )
         if tag == "FENCE":
             _, seq, kind, stack_text = parts
             return FenceEvent(
-                fence_kind=kind, **_own_fields(seq, _parse_stack(stack_text))
+                fence_kind=_one_of(kind, FENCE_KINDS, "fence kind"),
+                **_own_fields(seq, _parse_stack(stack_text)),
             )
         if tag == "BOUNDARY":
             _, seq, label, stack_text = parts

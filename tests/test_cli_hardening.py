@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -171,3 +172,87 @@ def test_args_values_parse_in_any_base(
         [command, str(echo_module), "--entry", "echo", "--args", text]
     ) == 0
     assert f"@echo({shown}) -> {result}\n" in capsys.readouterr().out
+
+
+def test_trace_with_an_impossible_store_size_exits_3(workspace):
+    """A store size of ~10^11 bytes is a malformed record, refused with
+    one error line before any checker sizes a cache-line set from it."""
+    ir, trace = workspace
+    with trace.open("a") as handle:
+        handle.write("STORE;9;0x100000040;99999999999;pm;main@cli.c:3#2061\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "fix", str(ir), "--trace", str(trace)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: line ")
+    assert "bad store size '99999999999'" in lines[0]
+
+
+def _write_into_missing_dir(kind, ir, trace, target):
+    if kind == "detect":
+        return ["detect", str(ir), "--trace-out", target]
+    if kind == "fix":
+        return ["fix", str(ir), "--trace", str(trace), "-o", target]
+    return ["batch", "--task", f"{ir}:{trace}", "--journal",
+            str(ir.parent / "b.journal"), "--report-out", target]
+
+
+@pytest.mark.parametrize("kind", ["detect", "fix", "batch"])
+def test_output_into_missing_directory_names_the_requested_path(
+    workspace, capsys, kind
+):
+    """The error names the file the user asked for, never the random
+    temp file the atomic write would have renamed over it."""
+    ir, trace = workspace
+    target = str(ir.parent / "missing" / "out.file")
+    capsys.readouterr()
+    assert main(_write_into_missing_dir(kind, ir, trace, target)) == 2
+    err = capsys.readouterr().err
+    assert f"error: [Errno 2] No such file or directory: '{target}'" in err
+    assert ".tmp" not in err
+
+
+def test_every_output_file_is_complete_when_the_process_exits(workspace):
+    """``python -m repro`` freezes the heap before exiting instead of
+    collecting it, so every output must already be closed and whole."""
+    from repro.ir import parse_module
+    from repro.supervisor.journal import CheckpointJournal
+    from repro.trace import load_trace
+
+    ir, trace = workspace
+    out = ir.parent
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def repro(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ).returncode
+
+    assert repro("detect", str(ir), "--trace-out", str(out / "d.trace")) == 1
+    assert load_trace((out / "d.trace").read_text()).stores()
+    assert repro("fix", str(ir), "--trace", str(trace),
+                 "-o", str(out / "fixed.ir")) == 0
+    assert parse_module((out / "fixed.ir").read_text()).get_function("main")
+    assert repro(
+        "batch", "--task", f"{ir}:{trace}:{out / 'batch.ir'}",
+        "--journal", str(out / "b.journal"),
+        "--report-out", str(out / "report.json"),
+        "--spans-out", str(out / "spans.jsonl"),
+        "--metrics-out", str(out / "metrics.json"),
+    ) == 0
+    assert parse_module((out / "batch.ir").read_text()).get_function("main")
+    assert json.loads((out / "report.json").read_text())
+    assert json.loads((out / "metrics.json").read_text())
+    spans = (out / "spans.jsonl").read_text()
+    assert spans.endswith("\n")
+    assert all(json.loads(line) for line in spans.splitlines())
+    journal = CheckpointJournal.read(str(out / "b.journal"))
+    assert not journal.torn
+    assert journal.records[-1]["type"] == "batch-end"

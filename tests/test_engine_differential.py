@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.interp import ENGINES, Machine, make_interpreter
-from repro.ir import I64, ModuleBuilder, PTR
+from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR
 from repro.revalidate.recording import RecordingTraceRecorder
 from repro.trace.events import StoreEvent
 
@@ -194,6 +194,106 @@ def test_random_programs_volatile_recording_byte_identical(actions):
     flat = _vol_ops_fingerprint(module, drive_main, "flat")
     assert any(op.kind == "store" for op in flat["vol_ops"])
     assert flat == _vol_ops_fingerprint(module, drive_main, "reference")
+
+
+# ---------------------------------------------------------------------------
+# stack-heavy programs
+# ---------------------------------------------------------------------------
+# The flat engine serves loads and stores of already-written stack bytes
+# inside its loop and sends every other address to ``AddressSpace``.
+# These programs cross that line in every direction: i8..i64 accesses at
+# unaligned offsets of a recursive helper's frame, narrow stores under
+# wide loads, a slot no frame ever writes (past the written prefix on
+# the first, deepest call) and slots a popped frame left behind.
+
+#: (width, byte offset in a 24-byte frame, store?)
+stack_op = st.tuples(
+    st.sampled_from([I8, I16, I32, I64]),
+    st.integers(min_value=0, max_value=16),
+    st.booleans(),
+)
+
+
+def build_stack_heavy(ops, depth, calls):
+    mb = ModuleBuilder("stk")
+    b = mb.function("churn", [("n", I64), ("salt", I64)], I64, source_file="stk.c")
+    n, salt = b.function.args
+    result = b.alloca(8)
+    fresh = b.alloca(16)  # never stored to by any frame
+    frame = b.alloca(24)
+    total = b.load(b.gep(fresh, 5))
+    # a narrow store under a wide, unaligned load, then the random ops
+    # (a load before the first store to its bytes reads a popped frame's)
+    for width, offset, is_store in [(I8, 3, True), (I64, 1, False), *ops]:
+        slot = b.gep(frame, offset)
+        if is_store:
+            value = b.add(b.mul(salt, offset + 3), width.bits)
+            if width is not I64:
+                value = b.cast("trunc", value, width)
+            b.store(value, slot, width)
+        else:
+            loaded = b.load(slot, width)
+            if width is not I64:
+                loaded = b.cast("zext", loaded, I64)
+            total = b.add(b.mul(total, 31), loaded)
+    b.store(total, result)
+    recurse = b.new_block("recurse")
+    done = b.new_block("done")
+    b.br(b.icmp("ne", n, 0), recurse, done)
+    b.position_at_end(recurse)
+    inner = b.call("churn", [b.sub(n, 1), b.add(salt, 17)], I64)
+    b.store(b.xor(b.load(result), inner), result)
+    b.jmp(done)
+    b.position_at_end(done)
+    b.ret(b.load(result))
+
+    b = mb.function("main", [], I64, source_file="stk.c")
+    acc = b.alloca(8)
+    b.store(0, acc)
+    for call in range(calls):
+        got = b.call("churn", [depth, call * 101 + 7], I64)
+        b.store(b.add(b.load(acc), got), acc)
+    p = b.call("pm_alloc", [64], PTR)
+    b.store(b.load(acc), p)
+    b.flush(p)
+    b.fence()
+    b.call("emit", [b.load(acc)])
+    b.ret(0)
+    return mb.module
+
+
+def _stack_fingerprint(module, engine, **kwargs):
+    interp = make_interpreter(module, engine=engine, **kwargs)
+    interp.call("main")
+    trace = interp.finish()
+    stack = interp.machine.space.stack
+    return {
+        "events": list(trace.events),
+        "steps": interp.steps,
+        "cycles": interp.costs.cycles,
+        "counts": dict(interp.costs.counts),
+        "output": list(interp.output),
+        "stack": bytes(stack.data),
+        "high_water": stack.high_water,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(stack_op, max_size=12),
+    depth=st.integers(min_value=0, max_value=4),
+    calls=st.integers(min_value=1, max_value=3),
+)
+def test_stack_heavy_programs_byte_identical(ops, depth, calls):
+    module = build_stack_heavy(ops, depth, calls)
+    for record_volatile_stores in (False, True):
+        flat = _stack_fingerprint(
+            module, "flat", record_volatile_stores=record_volatile_stores
+        )
+        reference = _stack_fingerprint(
+            module, "reference", record_volatile_stores=record_volatile_stores
+        )
+        assert flat == reference, record_volatile_stores
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,16 @@ from repro.interp.compile import (
     compile_module,
     function_signature,
 )
-from repro.ir import I64, ModuleBuilder, PTR
+from repro.ir import I1, I8, I16, I32, I64, ModuleBuilder, PTR
 from repro.ir.opcodes import (
     NUM_OPCODES,
     OP_FELL_OFF,
+    OP_LOAD,
+    OP_STORE,
     OPCODE_NAMES,
 )
+from repro.ir.types import STORE_WIDTHS
+from repro.memory.layout import CODECS
 
 
 def build_module():
@@ -68,6 +72,36 @@ def test_every_block_ends_in_fell_off_sentinel():
         assert {code[2] for code in sentinels} == {
             block.name for block in fn.blocks
         }
+
+
+def test_loads_and_stores_carry_their_width_codec():
+    """The flat engine's stack path reads the codec (and a store's value
+    mask) off the instruction tuple; it never looks them up."""
+    mb = ModuleBuilder("widths")
+    b = mb.function("main", [], I64, source_file="w.c")
+    slot = b.alloca(8)
+    p = b.call("pm_alloc", [64], PTR)
+    for type_ in (I1, I8, I16, I32, I64, PTR):
+        b.store(1, slot, type_)
+        b.load(slot, type_)
+    b.store(p, p, PTR, nontemporal=True)
+    b.ret(0)
+    cf = compile_function(mb.module.get_function("main"), mb.module)
+    seen = 0
+    for inst, instr in zip(cf.code, cf.insts):
+        if inst[0] == OP_LOAD:
+            assert inst[4] == instr.size
+            assert inst[5:] == (CODECS[instr.size],)
+            seen += 1
+        elif inst[0] == OP_STORE:
+            assert inst[4] == instr.size
+            assert inst[5] is instr.nontemporal
+            assert inst[6:] == (CODECS[instr.size], (1 << (8 * instr.size)) - 1)
+            seen += 1
+    assert seen == 13
+    # one codec per load/store width, decoding exactly that many bytes
+    assert set(CODECS) == STORE_WIDTHS
+    assert all(codec.size == size for size, codec in CODECS.items())
 
 
 def test_constants_are_prefilled_in_template():

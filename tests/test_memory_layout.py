@@ -46,6 +46,15 @@ class TestAllocation:
         assert STACK_BASE <= stack < PM_BASE
         assert pm >= PM_BASE
 
+    def test_overlapping_region_sizes_are_refused(self):
+        """The flat engine serves stack addresses without searching the
+        regions, which is exact only while no region shadows another."""
+        AddressSpace(STACK_BASE - VOL_BASE, PM_BASE - STACK_BASE)  # abutting
+        with pytest.raises(MemoryError_, match="overlap"):
+            AddressSpace(vol_size=STACK_BASE - VOL_BASE + 1)
+        with pytest.raises(MemoryError_, match="overlap"):
+            AddressSpace(stack_size=PM_BASE - STACK_BASE + 1)
+
     def test_alignment(self):
         space = AddressSpace()
         space.alloc_pm(3)
@@ -230,6 +239,8 @@ def test_typed_access_matches_region_byte_path(ops):
         ):
             assert mine.data == theirs.data, mine.name
             assert mine.high_water == theirs.high_water, mine.name
+            # what lets an in-prefix write skip the high-water update
+            assert len(mine.data) <= mine.high_water, mine.name
 
 
 def test_typed_access_of_an_undefined_address_is_a_type_error():
@@ -239,5 +250,12 @@ def test_typed_access_of_an_undefined_address_is_a_type_error():
         space.read_int(None, 8)
     with pytest.raises(TypeError):
         space.write_int(None, 8, 1)
+    # an undefined value, both inside and past the written prefix
+    addr = space.alloc_stack(16)
+    space.write_int(addr, 8, 5)
+    for where in (addr, addr + 8):
+        with pytest.raises(TypeError):
+            space.write_int(where, 8, None)
+    assert space.stack.data == (5).to_bytes(8, "little")
     with pytest.raises(TypeError):
         space.is_pm(None)

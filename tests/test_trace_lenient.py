@@ -82,6 +82,33 @@ def test_warning_text_is_truncated_for_display():
 # ---------------------------------------------------------------------------
 
 
+_GOOD_STORE = "STORE;1;0x100000000;8;pm;main@app.c:1#1"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "STORE;2;0x100000040;99999999999;pm;main@app.c:1#1",
+        "STORE;2;0x100000040;-8;pm;main@app.c:1#1",
+        "STORE;2;0x100000040;0;pm;main@app.c:1#1",
+        "STORE;2;0x100000040;8;xyz;main@app.c:1#1",
+        "STORE;2;-0x100000040;8;pm;main@app.c:1#1",
+        "FLUSH;2;0x100000000;0x100000000;bogus;1;main@app.c:1#1",
+        "FLUSH;2;0x100000000;0x100000000;clwb;7;main@app.c:1#1",
+        "FENCE;2;bogus;main@app.c:1#1",
+    ],
+)
+def test_out_of_domain_fields_are_refused_or_skipped(bad):
+    text = f"{_GOOD_STORE}\n{bad}\n"
+    with pytest.raises(TraceError) as info:
+        load_trace(text)
+    assert info.value.line == 2
+    warnings = []
+    trace = load_trace(text, strict=False, warnings=warnings)
+    assert len(trace) == 1  # the good record survives
+    assert [(w.line, w.text) for w in warnings] == [(2, bad)]
+
+
 def _many_bad_lines(count):
     good = "STORE;1;0x100000000;8;pm;main@app.c:1#1"
     bad = "\n".join(f"GARBAGE line {i}" for i in range(count))

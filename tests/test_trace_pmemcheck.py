@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import TraceError
 from repro.interp import Interpreter
-from repro.ir import DebugLoc, I64, ModuleBuilder, PTR
+from repro.ir import DebugLoc, FENCE_KINDS, FLUSH_KINDS, I64, ModuleBuilder, PTR
+from repro.ir.types import STORE_WIDTHS
 from repro.trace import (
     BoundaryEvent,
     FenceEvent,
@@ -117,11 +118,44 @@ class TestTextFormat:
             "STORE;x;0x10;8;pm;main@a.c:1#1",
             "STORE;1;0x10;8;pm;",  # empty stack
             "FLUSH;1;0x10;0x0;clwb;maybe;main@a.c:1#1",
+            # fields outside what dump_event writes
+            "STORE;1;0x100000040;99999999999;pm;work@work.c:3#2061",
+            "STORE;1;0x100000040;-8;pm;main@a.c:1#1",
+            "STORE;1;0x100000040;0;pm;main@a.c:1#1",
+            "STORE;1;0x100000040;3;pm;main@a.c:1#1",
+            "STORE;1;0x100000040;16;pm;main@a.c:1#1",
+            "STORE;1;0x100000040;8;xyz;main@a.c:1#1",
+            "STORE;1;0x100000040;8;pm.nt.nt;main@a.c:1#1",
+            "STORE;1;0x100000040;8;nt;main@a.c:1#1",
+            "STORE;1;-0x100000040;8;pm;main@a.c:1#1",
+            "FLUSH;1;-0x10;0x0;clwb;1;main@a.c:1#1",
+            "FLUSH;1;0x10;-0x40;clwb;1;main@a.c:1#1",
+            "FLUSH;1;0x10;0x0;bogus;1;main@a.c:1#1",
+            "FLUSH;1;0x10;0x0;clwb;2;main@a.c:1#1",
+            "FLUSH;1;0x10;0x0;clwb;-1;main@a.c:1#1",
+            "FENCE;1;bogus;main@a.c:1#1",
         ],
     )
     def test_malformed_lines(self, line):
         with pytest.raises(TraceError):
             parse_event(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            f"STORE;1;0x100000040;{size};{space};main@a.c:1#1"
+            for size in sorted(STORE_WIDTHS)
+            for space in ("pm", "vol", "pm.nt", "vol.nt")
+        ]
+        + [
+            f"FLUSH;1;0x100000048;0x100000040;{kind};{had_work};main@a.c:1#1"
+            for kind in FLUSH_KINDS
+            for had_work in "01"
+        ]
+        + [f"FENCE;1;{kind};main@a.c:1#1" for kind in FENCE_KINDS],
+    )
+    def test_every_field_value_dump_event_writes_round_trips(self, line):
+        assert dump_event(parse_event(line)) == line
 
     def test_load_skips_comments_and_blanks(self):
         trace = recorded_trace()
