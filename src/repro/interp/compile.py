@@ -23,10 +23,17 @@ engine (:mod:`repro.interp.engine`) dispatches over:
 
 Each instruction becomes a flat tuple ``(opcode, iid, ...)`` whose
 layout is opcode-specific (see the ``_encode_*`` helpers; loads and
-stores end with their width's :data:`~repro.memory.layout.CODECS`
-entry, stores then with the value mask); a parallel
+stores carry their width's :data:`~repro.memory.layout.CODECS` entry,
+stores then the value mask; stores, flushes, fences, calls, binary
+operations and traps end with their own pc); a parallel
 ``insts`` tuple keeps the original :class:`Instruction` objects for the
 cold paths that need source locations or stack frames.
+
+**Runs**: the flat code splits into straight-line runs, each ending at
+a terminator, a call, or a fell-off slot.  The engine charges a run's
+steps, per-kind counts and executed iids when it enters the run, so
+:attr:`CompiledFunction.runs` records each of them once, at compile
+time (see :func:`static_kind`).
 
 **Incremental recompilation**: :func:`compile_module` accepts the
 previous :class:`CompiledProgram` and reuses any function whose
@@ -67,6 +74,7 @@ from ..ir.module import Module
 from ..ir.opcodes import (
     BINOP_OPCODES,
     ICMP_OPCODES,
+    NUM_OPCODES,
     OP_ALLOCA,
     OP_BR,
     OP_CALL,
@@ -85,6 +93,7 @@ from ..ir.opcodes import (
 from ..ir.types import IntType
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..memory.layout import CODECS
+from .costs import KIND_INDEX
 from .intrinsics import is_intrinsic, lookup
 
 _U64 = (1 << 64) - 1
@@ -94,6 +103,52 @@ CALL_MODULE = 0
 CALL_INTRINSIC = 1
 CALL_DECLARATION = 2
 CALL_UNKNOWN = 3
+
+#: Opcode -> the :data:`~repro.interp.costs.KIND_INDEX` slot one
+#: execution counts under; None for a trap or a fell-off slot, which
+#: raise before any charge.  Calls depend on their resolution
+#: (:func:`static_kind`).
+_OPCODE_KINDS: List[Optional[int]] = [None] * NUM_OPCODES
+for _op in BINOP_OPCODES.values():
+    _OPCODE_KINDS[_op] = KIND_INDEX["arith"]
+for _op in ICMP_OPCODES.values():
+    _OPCODE_KINDS[_op] = KIND_INDEX["compare"]
+for _op, _kind in (
+    (OP_LOAD, "load"),
+    (OP_STORE, "store"),
+    (OP_GEP, "gep"),
+    (OP_BR, "branch"),
+    (OP_JMP, "branch"),
+    (OP_RET, "ret"),
+    (OP_FLUSH, "flush"),
+    (OP_FENCE, "fence"),
+    (OP_ALLOCA, "alloca"),
+    (OP_SELECT, "select"),
+    (OP_CAST, "cast"),
+):
+    _OPCODE_KINDS[_op] = KIND_INDEX[_kind]
+_OPCODE_KINDS = tuple(_OPCODE_KINDS)
+
+#: Call resolution kind -> charged kind: a declaration or unknown
+#: callee raises before any charge.
+_CALL_KINDS = (KIND_INDEX["call"], KIND_INDEX["intrinsic"], None, None)
+
+#: Opcodes that end a run (besides the fell-off slot): the terminators,
+#: whose fell-off slot is unreachable, and calls.
+_TERMINATORS = frozenset((OP_BR, OP_JMP, OP_RET, OP_TRAP))
+_RUN_ENDS = _TERMINATORS | {OP_CALL}
+
+
+def static_kind(inst: tuple) -> Optional[int]:
+    """The kind slot one execution of ``inst`` counts under, or None."""
+    if inst[0] == OP_CALL:
+        return _CALL_KINDS[inst[6]]
+    return _OPCODE_KINDS[inst[0]]
+
+
+def _run_entry(counts: Dict[int, int], iids: List[int], body: List[tuple]) -> tuple:
+    """One run-table entry: ``(steps, counts, iids, body)``."""
+    return (len(iids), tuple(counts.items()), tuple(iids), tuple(body))
 
 
 def _mask_of(type_) -> int:
@@ -130,6 +185,11 @@ class CompiledFunction:
     """One function lowered to the flat format.
 
     :ivar code: tuple of per-instruction opcode tuples (pc-indexed).
+    :ivar runs: the run table, pc-indexed: at each run's start pc a
+        ``(steps, counts, iids, body)`` tuple — its step count (the
+        fell-off slot is not a step), ``(kind slot, count)`` pairs, the
+        iids of its steps, and its slice of :attr:`code` — and ``None``
+        at every other pc.
     :ivar insts: parallel tuple of the source :class:`Instruction`
         objects (``None`` at fell-off pseudo-slots); cold paths use it
         for source locations and stack capture.
@@ -149,6 +209,7 @@ class CompiledFunction:
     __slots__ = (
         "name",
         "code",
+        "runs",
         "insts",
         "base_template",
         "global_slots",
@@ -161,6 +222,7 @@ class CompiledFunction:
         self.name = name
         self.signature = signature
         self.code: Tuple[tuple, ...] = ()
+        self.runs: Tuple[Optional[tuple], ...] = ()
         self.insts: Tuple[Optional[Instruction], ...] = ()
         self.base_template: List = []
         self.global_slots: Tuple[Tuple[int, str], ...] = ()
@@ -263,16 +325,42 @@ class _FunctionCompiler:
             block_pc[block] = pc
             pc += len(block.instructions) + 1
 
+        # One pass encodes the instructions and closes a run at each
+        # terminator, call, and fell-off slot, so runs start at pc 0, at
+        # every block start, and after every call or terminator.  The
+        # fell-off slot after a terminator gets no run: nothing reaches it.
         code: List[tuple] = []
         insts: List[Optional[Instruction]] = []
+        runs: List[Optional[tuple]] = [None] * pc
         for block in fn.blocks:
+            run_start = len(code)
+            counts: Dict[int, int] = {}
+            iids: List[int] = []
+            op = None
             for instr in block.instructions:
-                code.append(self._encode(instr, block_pc))
+                inst = self._encode(instr, block_pc, len(code))
+                code.append(inst)
                 insts.append(instr)
+                iids.append(instr.iid)
+                op = inst[0]
+                # static_kind, inlined: this runs once per instruction
+                kind = _CALL_KINDS[inst[6]] if op == OP_CALL else _OPCODE_KINDS[op]
+                if kind in counts:
+                    counts[kind] += 1
+                elif kind is not None:
+                    counts[kind] = 1
+                if op in _RUN_ENDS:
+                    runs[run_start] = _run_entry(counts, iids, code[run_start:])
+                    run_start = len(code)
+                    counts = {}
+                    iids = []
             code.append((OP_FELL_OFF, 0, block.name))
             insts.append(None)
+            if op not in _TERMINATORS:
+                runs[run_start] = _run_entry(counts, iids, code[run_start:])
 
         cf.code = tuple(code)
+        cf.runs = tuple(runs)
         cf.insts = tuple(insts)
         cf.base_template = self.template
         cf.global_slots = tuple(self.global_slots)
@@ -280,7 +368,9 @@ class _FunctionCompiler:
         cf.slots = self.slots
         return cf
 
-    def _encode(self, instr: Instruction, block_pc: Dict[object, int]) -> tuple:
+    def _encode(
+        self, instr: Instruction, block_pc: Dict[object, int], pc: int
+    ) -> tuple:
         slot = self.slot_of
         if isinstance(instr, Store):
             return (
@@ -292,6 +382,7 @@ class _FunctionCompiler:
                 instr.nontemporal,
                 CODECS[instr.size],
                 (1 << (8 * instr.size)) - 1,
+                pc,
             )
         if isinstance(instr, Load):
             return (
@@ -303,6 +394,7 @@ class _FunctionCompiler:
                 CODECS[instr.size],
             )
         if isinstance(instr, BinOp):
+            # the pc locates a division's trap message
             return (
                 BINOP_OPCODES[instr.op],
                 instr.iid,
@@ -310,6 +402,7 @@ class _FunctionCompiler:
                 slot(instr.operands[0]),
                 slot(instr.operands[1]),
                 instr.type.mask,
+                pc,
             )
         if isinstance(instr, ICmp):
             return (
@@ -338,7 +431,7 @@ class _FunctionCompiler:
         if isinstance(instr, Jump):
             return (OP_JMP, instr.iid, block_pc[instr.target])
         if isinstance(instr, Call):
-            return self._encode_call(instr)
+            return self._encode_call(instr, pc)
         if isinstance(instr, Ret):
             value_slot = -1 if instr.value is None else slot(instr.value)
             return (OP_RET, instr.iid, value_slot)
@@ -349,9 +442,10 @@ class _FunctionCompiler:
                 slot(instr.pointer),
                 instr.kind,
                 instr.kind == "clflush",
+                pc,
             )
         if isinstance(instr, Fence):
-            return (OP_FENCE, instr.iid, instr.kind)
+            return (OP_FENCE, instr.iid, instr.kind, pc)
         if isinstance(instr, Alloca):
             return (OP_ALLOCA, instr.iid, self.result_slot(instr), instr.size)
         if isinstance(instr, Select):
@@ -373,11 +467,11 @@ class _FunctionCompiler:
                 _mask_of(instr.type),
             )
         if isinstance(instr, Trap):
-            return (OP_TRAP, instr.iid)
+            return (OP_TRAP, instr.iid, pc)
         raise InterpreterError(f"cannot compile {instr!r}")
 
-    def _encode_call(self, instr: Call) -> tuple:
-        # (op, iid, dst, arg_slots, callee, ret_mask, kind, intrinsic_fn)
+    def _encode_call(self, instr: Call, pc: int) -> tuple:
+        # (op, iid, dst, arg_slots, callee, ret_mask, kind, intrinsic_fn, pc)
         dst = -1
         ret_mask = 0
         if not instr.type.is_void:
@@ -394,7 +488,9 @@ class _FunctionCompiler:
             kind, fn_ref = CALL_INTRINSIC, lookup(callee)
         else:
             kind, fn_ref = CALL_UNKNOWN, None
-        return (OP_CALL, instr.iid, dst, arg_slots, callee, ret_mask, kind, fn_ref)
+        return (
+            OP_CALL, instr.iid, dst, arg_slots, callee, ret_mask, kind, fn_ref, pc
+        )
 
 
 def compile_function(fn: Function, module: Module) -> CompiledFunction:

@@ -105,11 +105,12 @@ KIND_INDEX = {kind: index for index, kind in enumerate(KIND_ORDER)}
 class CostCounter:
     """Accumulates cost and operation counts during a run.
 
-    Counts live in a dense per-kind list during execution — the flat
-    engine bumps ``_dense[i] += 1`` with a local reference, never a dict
-    — and :attr:`counts` folds them into the kind-keyed dict the rest of
-    the system consumes.  The fold is pure (no state change), so reading
-    ``counts`` mid-run is safe and reflects everything charged so far.
+    Counts live in a dense per-kind list — the reference engine bumps
+    a slot per charge, the flat engine adds a whole entry-point call's
+    counts when the call ends (as it writes back ``cycles``) — and
+    :attr:`counts` folds them into the kind-keyed dict the rest of the
+    system consumes.  The fold is pure (no state change), so reading
+    ``counts`` between calls is safe and reflects everything charged.
     """
 
     __slots__ = ("model", "cycles", "_dense", "_extra")

@@ -4,34 +4,44 @@ A drop-in :class:`~repro.interp.interpreter.Interpreter` subclass that
 replaces the tree-walking ``_run`` with a loop over
 :class:`~repro.interp.compile.CompiledFunction` instruction tuples:
 
-- dispatch is one integer compare chain over pre-ordered hot opcodes
-  plus an opcode-indexed handler table for the cold ones — no
-  ``isinstance``;
+- the loop enters a straight-line **run** (see the compiler's run
+  table) and charges its steps, static cycles, per-kind counts and
+  executed iids at once; the inner ``for inst in body`` does no
+  accounting and no pc arithmetic — terminators and calls pick the
+  next run, and only the cycles that depend on machine state (flushes,
+  the PM-store premium, a fence's per-line drain) are charged inline;
+- dispatch is one integer compare chain over the hot opcodes, ordered
+  by measured frequency, plus an opcode-indexed handler table for the
+  cold ones — no ``isinstance``;
 - operands are ``regs[slot]`` list reads — no per-operand dict hash;
-- steps, cycles, and per-kind cost counts accumulate in locals / a
-  dense list and fold back into the interpreter fields in a ``finally``
-  — no attribute traffic on the hot path.
+- steps, cycles and the packed per-kind counts live in locals and
+  fold back into the interpreter fields in a ``finally`` — no
+  attribute traffic on the hot path.
 
 Everything observable is **byte-identical** to the reference engine:
 trace events (including stack captures — caller frames expose the call
 instruction, the active frame the executing instruction), cost cycles
-and counts, execution results, error messages and their timing (the
-fell-off-block check still precedes step accounting; fuel still charges
-the step first), the revalidation recorder's per-segment iid sets, and
-snapshot capture points.  The differential suite
-(``tests/test_engine_differential.py``) enforces this corpus-wide.
+and counts, execution results, error messages and their timing, the
+revalidation recorder's per-segment iid sets, and snapshot capture
+points.  A fault settles the innermost run as the reference's
+per-instruction accounting would have left it (fuel runs out at the
+same instruction; the fell-off check precedes the step; see
+``_abandon_run``).  The differential suite
+(``tests/test_engine_differential.py``) enforces this corpus-wide,
+including fuel sweeps that cut runs at every position.
 
 One documented divergence: the reference engine raises ``undefined
 value`` the moment an instruction *reads* a value that was never
 computed, even if the result is never used in an observable way.  The
-flat engine stores ``None`` in never-written registers, so most
-arithmetic on an undefined value raises ``TypeError`` at the same
-instruction — which the loop translates back into the reference
-engine's ``InterpreterError`` — but an undefined value flowing only
-through comparisons/branches is silently treated as absent.  The
-verifier's definition-before-use check rejects such programs, and every
-in-tree producer runs it; programs that bypass the verifier should use
-``engine="reference"``.
+flat engine stores ``None`` in never-written registers, so arithmetic,
+memory access and ``ret`` on an undefined value raise at the same
+instruction — the loop translates the ``TypeError`` back into the
+reference engine's ``InterpreterError`` — but an undefined value that
+reaches only equality comparisons, branch or select conditions, or
+intrinsic arguments is silently treated as absent.  The verifier does
+not rule this out: it checks that a definition precedes each use in
+block order, not that it dominates the use.  Programs that may read an
+undefined value should use ``engine="reference"``.
 """
 
 from __future__ import annotations
@@ -81,38 +91,62 @@ from .compile import (
     CompiledFunction,
     CompiledProgram,
     cached_program,
+    static_kind,
 )
-from .costs import KIND_INDEX
+from .costs import KIND_INDEX, KIND_ORDER, CostModel
 from .interpreter import Interpreter
 
 _U64 = (1 << 64) - 1
 
-_K_LOAD = KIND_INDEX["load"]
-_K_STORE = KIND_INDEX["store"]
-_K_ARITH = KIND_INDEX["arith"]
-_K_COMPARE = KIND_INDEX["compare"]
-_K_BRANCH = KIND_INDEX["branch"]
-_K_CALL = KIND_INDEX["call"]
-_K_RET = KIND_INDEX["ret"]
-_K_ALLOCA = KIND_INDEX["alloca"]
-_K_GEP = KIND_INDEX["gep"]
-_K_SELECT = KIND_INDEX["select"]
-_K_CAST = KIND_INDEX["cast"]
-_K_INTRINSIC = KIND_INDEX["intrinsic"]
-_K_FLUSH = KIND_INDEX["flush"]
-_K_FENCE = KIND_INDEX["fence"]
+
+#: Per-kind counts travel packed into one int, a _COUNT_BITS-bit field
+#: per kind slot, so entering a run charges all of them with one
+#: addition; ``_run`` unpacks the total into the dense slots on exit.
+#: A field holds at most the steps of one entry-point call.
+_COUNT_BITS = 64
+_COUNT_MASK = (1 << _COUNT_BITS) - 1
+
+
+def _static_costs(model: CostModel) -> Tuple[int, ...]:
+    """Per kind slot, the cycles one execution costs whatever it does.
+
+    A flush's whole cost, a PM store's premium and a fence's per-line
+    drain depend on the machine state, so the loop charges them where
+    they happen."""
+    static = [getattr(model, kind) for kind in KIND_ORDER]
+    static[KIND_INDEX["flush"]] = 0
+    return tuple(static)
 
 
 class _LinkedFunction:
-    """A :class:`CompiledFunction` bound to one machine: the frame
-    template has this machine's global addresses filled in."""
+    """A :class:`CompiledFunction` bound to one machine and cost model:
+    the frame template has this machine's global addresses filled in,
+    and each run's entry its static cycles and packed counts.
 
-    __slots__ = ("cf", "name", "code", "insts", "template", "arg_masks")
+    :ivar runs: pc-indexed; at a run's start pc ``(steps, cycles,
+        packed counts, iids, body)``, else ``None``.
+    """
 
-    def __init__(self, cf: CompiledFunction, global_addrs: Dict[str, int]):
+    __slots__ = ("cf", "name", "runs", "insts", "template", "arg_masks")
+
+    def __init__(
+        self,
+        cf: CompiledFunction,
+        global_addrs: Dict[str, int],
+        static_costs: Tuple[int, ...],
+    ):
         self.cf = cf
         self.name = cf.name
-        self.code = cf.code
+        runs = list(cf.runs)
+        for pc, run in enumerate(runs):
+            if run is not None:
+                steps, counts, iids, body = run
+                cycles = packed = 0
+                for kind, count in counts:
+                    cycles += static_costs[kind] * count
+                    packed += count << (_COUNT_BITS * kind)
+                runs[pc] = (steps, cycles, packed, iids, body)
+        self.runs = tuple(runs)
         self.insts = cf.insts
         template = list(cf.base_template)
         for slot, gname in cf.global_slots:
@@ -181,12 +215,13 @@ class FlatEngine(Interpreter):
         previous = self._linked
         linked: Dict[str, _LinkedFunction] = {}
         global_addrs = self.machine.global_addrs
+        static_costs = _static_costs(self.costs.model)
         for name, cf in program.functions.items():
             old = previous.get(name)
             if old is not None and old.cf is cf:
                 linked[name] = old
             else:
-                linked[name] = _LinkedFunction(cf, global_addrs)
+                linked[name] = _LinkedFunction(cf, global_addrs, static_costs)
         self._program = program
         self._linked = linked
 
@@ -268,203 +303,179 @@ class FlatEngine(Interpreter):
         linked = self._linked
         costs = self.costs
         dense = costs._dense
+        # The dynamic costs; each run's static cycles are charged on entry.
         model = costs.model
-        m_load = model.load
-        m_store = model.store
-        m_store_pm = model.store + model.pm_store_extra
-        m_arith = model.arith
-        m_compare = model.compare
-        m_branch = model.branch
-        m_call = model.call
-        m_ret = model.ret
-        m_alloca = model.alloca
-        m_gep = model.gep
-        m_intrinsic = model.intrinsic
+        m_pm_store_extra = model.pm_store_extra
         m_flush = model.flush
         m_flush_clean = model.flush_clean
         m_clflush_serial = model.clflush_serial
-        m_fence = model.fence
         m_fence_per_line = model.fence_per_line
         fuel = self.fuel
+        # Executed iids reach the segment set a run at a time, when the
+        # next run is entered or the call ends.  Nothing reads the set
+        # mid-call: the run recorder reads it after ``end_call``.
         seg_iids = self._seg_iids
         run_rec = self._run_recorder
         trace_events = recorder.trace.events
         steps = self.steps
         cycles = costs.cycles
+        counts = 0
         cold = self._cold
 
         frame = frames[-1]
         lf = frame[_F_FN]
         regs = frame[_F_REGS]
-        code = lf.code
-        pc = 0
-        return_value = 0
+        runs = lf.runs
+        pc = 0  # the current run's start; only run changes move it
+        iids = ()
+        inst = None  # the executing instruction, for ``_abandon_run``
 
         try:
             while True:
-                inst = code[pc]
-                op = inst[0]
-                if op == OP_FELL_OFF:
-                    # Checked before step accounting, like the
-                    # tree-walker's fell-off-block guard.
-                    raise InterpreterError(
-                        f"fell off block {inst[2]} in @{lf.name}"
-                    )
-                steps += 1
-                if steps > fuel:
-                    raise FuelExhausted(
-                        f"exceeded fuel of {fuel} instructions"
-                    )
                 if seg_iids is not None:
-                    seg_iids.add(inst[1])
+                    seg_iids.update(iids)
+                run_steps, run_cycles, run_counts, iids, body = runs[pc]
+                steps += run_steps
+                if steps > fuel:
+                    # Cut the body before the instruction that crosses
+                    # the limit; the ``else`` below raises there.
+                    body = body[: run_steps - (steps - fuel)]
+                cycles += run_cycles
+                counts += run_counts
 
-                if op == OP_LOAD:
-                    # Any other address (PM, the heap, a stack slot past
-                    # the written prefix, unmapped) goes to ``read_int``;
-                    # ``None`` raises its ``TypeError`` in the subtraction.
-                    addr = regs[inst[3]]
-                    offset = addr - stack_base
-                    if 0 <= offset <= len(stack_data) - inst[4]:
-                        regs[inst[2]] = inst[5].unpack_from(stack_data, offset)[0]
-                    else:
-                        regs[inst[2]] = read_int(addr, inst[4])
-                    dense[_K_LOAD] += 1
-                    cycles += m_load
-                    pc += 1
-                elif op == OP_GEP:
-                    regs[inst[2]] = (regs[inst[3]] + regs[inst[4]]) & _U64
-                    dense[_K_GEP] += 1
-                    cycles += m_gep
-                    pc += 1
-                elif op == OP_STORE:
-                    frame[_F_PC] = pc
-                    addr = regs[inst[3]]
-                    size = inst[4]
-                    offset = addr - stack_base
-                    if 0 <= offset <= len(stack_data) - size:
-                        # Never PM: this falls to the volatile branch.
-                        inst[6].pack_into(
-                            stack_data, offset, regs[inst[2]] & inst[7]
-                        )
-                    else:
-                        write_int(addr, size, regs[inst[2]])
-                    if pm_base <= addr < pm_end:
-                        nontemporal = inst[5]
-                        event = recorder.record_store(
-                            addr, size, "pm", nontemporal=nontemporal
-                        )
-                        if nontemporal:
-                            cache.on_nt_store(addr, size, event.seq)
+                for inst in body:
+                    op = inst[0]
+                    if op == OP_ADD:
+                        regs[inst[2]] = (regs[inst[3]] + regs[inst[4]]) & inst[5]
+                    elif op == OP_LOAD:
+                        # Any other address (PM, the heap, a stack slot
+                        # past the written prefix, unmapped) goes to
+                        # ``read_int``; ``None`` raises its ``TypeError``
+                        # in the subtraction.
+                        addr = regs[inst[3]]
+                        offset = addr - stack_base
+                        if 0 <= offset <= len(stack_data) - inst[4]:
+                            regs[inst[2]] = inst[5].unpack_from(
+                                stack_data, offset
+                            )[0]
                         else:
-                            cache.on_store(addr, size, event.seq)
-                        cycles += m_store_pm
-                    else:
-                        if record_vol_stores:
+                            regs[inst[2]] = read_int(addr, inst[4])
+                    elif op == OP_STORE:
+                        frame[_F_PC] = inst[8]
+                        addr = regs[inst[3]]
+                        size = inst[4]
+                        offset = addr - stack_base
+                        if 0 <= offset <= len(stack_data) - size:
+                            # Never PM: this falls to the volatile branch.
+                            inst[6].pack_into(
+                                stack_data, offset, regs[inst[2]] & inst[7]
+                            )
+                        else:
+                            write_int(addr, size, regs[inst[2]])
+                        if pm_base <= addr < pm_end:
+                            nontemporal = inst[5]
+                            event = recorder.record_store(
+                                addr, size, "pm", nontemporal=nontemporal
+                            )
+                            if nontemporal:
+                                cache.on_nt_store(addr, size, event.seq)
+                            else:
+                                cache.on_store(addr, size, event.seq)
+                            cycles += m_pm_store_extra
+                        elif record_vol_stores:
                             recorder.record_store(addr, size, "vol")
-                        cycles += m_store
-                    dense[_K_STORE] += 1
-                    pc += 1
-                elif op == OP_ADD:
-                    regs[inst[2]] = (regs[inst[3]] + regs[inst[4]]) & inst[5]
-                    dense[_K_ARITH] += 1
-                    cycles += m_arith
-                    pc += 1
-                elif OP_ICMP_EQ <= op <= OP_ICMP_UGE:
-                    lhs = regs[inst[3]]
-                    rhs = regs[inst[4]]
-                    if op == OP_ICMP_EQ:
-                        result = lhs == rhs
-                    elif op == OP_ICMP_NE:
-                        result = lhs != rhs
-                    elif op == OP_ICMP_ULT:
-                        result = lhs < rhs
-                    elif op == OP_ICMP_ULE:
-                        result = lhs <= rhs
-                    elif op == OP_ICMP_UGT:
-                        result = lhs > rhs
-                    else:
-                        result = lhs >= rhs
-                    regs[inst[2]] = 1 if result else 0
-                    dense[_K_COMPARE] += 1
-                    cycles += m_compare
-                    pc += 1
-                elif op == OP_BR:
-                    pc = inst[3] if regs[inst[2]] else inst[4]
-                    dense[_K_BRANCH] += 1
-                    cycles += m_branch
-                elif op == OP_JMP:
-                    pc = inst[2]
-                    dense[_K_BRANCH] += 1
-                    cycles += m_branch
-                elif op == OP_SUB:
-                    regs[inst[2]] = (regs[inst[3]] - regs[inst[4]]) & inst[5]
-                    dense[_K_ARITH] += 1
-                    cycles += m_arith
-                    pc += 1
-                elif op == OP_CALL:
-                    frame[_F_PC] = pc
-                    kind = inst[6]
-                    if kind == CALL_MODULE:
-                        dense[_K_CALL] += 1
-                        cycles += m_call
-                        if len(frames) > 512:
-                            raise InterpreterError(
-                                "call stack overflow (depth > 512)"
-                            )
-                        callee = linked[inst[4]]
-                        callee_regs = callee.template.copy()
-                        arg_slots = inst[3]
-                        for index, mask in enumerate(callee.arg_masks):
-                            if index < len(arg_slots):
-                                callee_regs[index] = (
-                                    regs[arg_slots[index]] & mask
+                    elif OP_ICMP_EQ <= op <= OP_ICMP_UGE:
+                        lhs = regs[inst[3]]
+                        rhs = regs[inst[4]]
+                        if op == OP_ICMP_ULT:
+                            result = lhs < rhs
+                        elif op == OP_ICMP_EQ:
+                            result = lhs == rhs
+                        elif op == OP_ICMP_NE:
+                            result = lhs != rhs
+                        elif op == OP_ICMP_ULE:
+                            result = lhs <= rhs
+                        elif op == OP_ICMP_UGT:
+                            result = lhs > rhs
+                        else:
+                            result = lhs >= rhs
+                        regs[inst[2]] = 1 if result else 0
+                    elif op == OP_BR:
+                        pc = inst[3] if regs[inst[2]] else inst[4]
+                        break
+                    elif op == OP_JMP:
+                        pc = inst[2]
+                        break
+                    elif op == OP_MUL:
+                        regs[inst[2]] = (regs[inst[3]] * regs[inst[4]]) & inst[5]
+                    elif op == OP_GEP:
+                        regs[inst[2]] = (regs[inst[3]] + regs[inst[4]]) & _U64
+                    elif op == OP_SUB:
+                        regs[inst[2]] = (regs[inst[3]] - regs[inst[4]]) & inst[5]
+                    elif op == OP_CALL:
+                        frame[_F_PC] = inst[8]
+                        kind = inst[6]
+                        if kind == CALL_MODULE:
+                            if len(frames) > 512:
+                                raise InterpreterError(
+                                    "call stack overflow (depth > 512)"
                                 )
-                        frame = [
-                            callee,
-                            callee_regs,
-                            0,
-                            inst[2],
-                            inst[5],
-                            stack_mark(),
-                        ]
-                        if run_rec is not None:
-                            run_rec.enter_callee(
-                                inst[1],
-                                len(trace_events),
-                                len(recorder.vol_ops),
-                                len(frames),
+                            callee = linked[inst[4]]
+                            callee_regs = callee.template.copy()
+                            arg_slots = inst[3]
+                            for index, mask in enumerate(callee.arg_masks):
+                                if index < len(arg_slots):
+                                    callee_regs[index] = (
+                                        regs[arg_slots[index]] & mask
+                                    )
+                            frame = [
+                                callee,
+                                callee_regs,
+                                0,
+                                inst[2],
+                                inst[5],
+                                stack_mark(),
+                            ]
+                            if run_rec is not None:
+                                run_rec.enter_callee(
+                                    inst[1],
+                                    len(trace_events),
+                                    len(recorder.vol_ops),
+                                    len(frames),
+                                )
+                            frames.append(frame)
+                            lf = callee
+                            regs = callee_regs
+                            runs = callee.runs
+                            pc = 0
+                        elif kind == CALL_INTRINSIC:
+                            result = inst[7](self, [regs[s] for s in inst[3]])
+                            dst = inst[2]
+                            if dst >= 0:
+                                regs[dst] = result & inst[5]
+                            pc = inst[8] + 1
+                        elif kind == CALL_DECLARATION:
+                            raise InterpreterError(
+                                f"call to declaration @{inst[4]}"
                             )
-                        frames.append(frame)
-                        lf = callee
-                        regs = callee_regs
-                        code = callee.code
-                        pc = 0
-                    elif kind == CALL_INTRINSIC:
-                        dense[_K_INTRINSIC] += 1
-                        cycles += m_intrinsic
-                        result = inst[7](
-                            self, [regs[s] for s in inst[3]]
-                        )
-                        dst = inst[2]
-                        if dst >= 0:
-                            regs[dst] = result & inst[5]
-                        pc += 1
-                    elif kind == CALL_DECLARATION:
-                        raise InterpreterError(
-                            f"call to declaration @{inst[4]}"
-                        )
-                    else:
-                        raise InterpreterError(
-                            f"call to unknown function @{inst[4]}"
-                        )
-                elif op == OP_RET:
-                    value_slot = inst[2]
-                    value = regs[value_slot] if value_slot >= 0 else 0
-                    done = frames.pop()
-                    stack_release(done[_F_MARK])
-                    dense[_K_RET] += 1
-                    cycles += m_ret
-                    if len(frames) > base_depth:
+                        else:
+                            raise InterpreterError(
+                                f"call to unknown function @{inst[4]}"
+                            )
+                        break
+                    elif op == OP_RET:
+                        value_slot = inst[2]
+                        value = regs[value_slot] if value_slot >= 0 else 0
+                        if value is None:
+                            # Mapped to the reference's "undefined value"
+                            # error from this frame, like any None operand.
+                            raise TypeError("undefined return value")
+                        done = frames.pop()
+                        stack_release(done[_F_MARK])
+                        if len(frames) == base_depth:
+                            if seg_iids is not None:
+                                seg_iids.update(iids)
+                            return value
                         if run_rec is not None:
                             run_rec.exit_callee(
                                 len(trace_events), len(recorder.vol_ops)
@@ -472,64 +483,101 @@ class FlatEngine(Interpreter):
                         frame = frames[-1]
                         lf = frame[_F_FN]
                         regs = frame[_F_REGS]
-                        code = lf.code
+                        runs = lf.runs
                         ret_dst = done[_F_RET_DST]
                         if ret_dst >= 0:
                             regs[ret_dst] = value & done[_F_RET_MASK]
                         pc = frame[_F_PC] + 1
-                    else:
-                        return_value = value
                         break
-                elif op == OP_FLUSH:
-                    frame[_F_PC] = pc
-                    addr = regs[inst[2]]
-                    if pm_base <= addr < pm_end:
-                        kind = inst[3]
-                        status = cache.on_flush(addr, kind)
-                        recorder.record_flush(
-                            addr, addr & ~63, kind, status != "redundant"
-                        )
-                        if status == "writeback":
-                            cycles += m_flush
-                            if inst[4]:
-                                cycles += m_clflush_serial
+                    elif op == OP_ALLOCA:
+                        regs[inst[2]] = alloc_stack(inst[3])
+                    elif op == OP_FENCE:
+                        frame[_F_PC] = inst[3]
+                        completed = cache.on_fence(inst[2])
+                        recorder.record_fence(inst[2])
+                        cycles += m_fence_per_line * len(completed)
+                    elif op == OP_FLUSH:
+                        frame[_F_PC] = inst[5]
+                        addr = regs[inst[2]]
+                        if pm_base <= addr < pm_end:
+                            kind = inst[3]
+                            status = cache.on_flush(addr, kind)
+                            recorder.record_flush(
+                                addr, addr & ~63, kind, status != "redundant"
+                            )
+                            if status == "writeback":
+                                cycles += m_flush
+                                if inst[4]:
+                                    cycles += m_clflush_serial
+                            else:
+                                cycles += m_flush_clean
                         else:
-                            cycles += m_flush_clean
+                            machine.volatile_flushes += 1
+                            if recorder.record_vol_ops:
+                                recorder.note_vol_flush()
+                            cycles += m_flush
                     else:
-                        machine.volatile_flushes += 1
-                        if recorder.record_vol_ops:
-                            recorder.note_vol_flush()
-                        cycles += m_flush
-                    dense[_K_FLUSH] += 1
-                    pc += 1
-                elif op == OP_FENCE:
-                    frame[_F_PC] = pc
-                    completed = cache.on_fence(inst[2])
-                    recorder.record_fence(inst[2])
-                    dense[_K_FENCE] += 1
-                    cycles += m_fence + m_fence_per_line * len(completed)
-                    pc += 1
-                elif op == OP_ALLOCA:
-                    regs[inst[2]] = alloc_stack(inst[3])
-                    dense[_K_ALLOCA] += 1
-                    cycles += m_alloca
-                    pc += 1
+                        cold[op](self, inst, regs, lf)
                 else:
-                    kind_index, cost = cold[op](self, inst, regs, lf, pc)
-                    dense[kind_index] += 1
-                    cycles += cost
-                    pc += 1
+                    # Every run ends in a break, a return or a raise, so
+                    # only a body cut at the fuel limit gets here.
+                    inst = runs[pc][4][len(body)]
+                    raise FuelExhausted(f"exceeded fuel of {fuel} instructions")
         except BaseException as exc:
             if len(frames) > base_depth:
-                frames[-1][_F_PC] = pc
-            if isinstance(exc, TypeError):
-                self._translate_undefined(lf, regs, pc)
+                steps, cycles, fault_pc = self._abandon_run(
+                    exc, frames[-1], lf, pc, inst, steps, cycles
+                )
+                if fault_pc >= 0 and isinstance(exc, TypeError):
+                    self._translate_undefined(lf, regs, fault_pc)
             raise
         finally:
             self.steps = steps
             costs.cycles = cycles
+            index = 0
+            while counts:
+                dense[index] += counts & _COUNT_MASK
+                counts >>= _COUNT_BITS
+                index += 1
 
-        return return_value
+    def _abandon_run(self, exc, frame, lf, start, inst, steps, cycles):
+        """Settle the innermost run when ``inst`` raised ``exc`` in it.
+
+        The run was charged in full on entry; refund what did not run:
+        the steps after the faulting instruction (the fell-off slot is
+        no step at all), and the static cycles and counts from it on —
+        except that a module or intrinsic call keeps its charge, which
+        the reference takes before the depth check or the intrinsic
+        runs.  The segment set gets the executed prefix: the faulting
+        iid too, unless fuel ran out or the block fell off.  Returns the
+        settled ``(steps, cycles)`` and the faulting pc, which becomes
+        ``frame``'s pc.
+        """
+        run = lf.runs[start]
+        index = None
+        if run is not None:
+            index = next((i for i, x in enumerate(run[4]) if x is inst), None)
+        if index is None:
+            # An asynchronous exception (e.g. KeyboardInterrupt) landed
+            # between runs: everything charged so far ran.
+            return steps, cycles, -1
+        run_steps, _, _, iids, body = run
+        op = inst[0]
+        cut = isinstance(exc, FuelExhausted)
+        if op != OP_FELL_OFF:
+            steps -= run_steps - index - 1
+        dense = self.costs._dense
+        static_costs = _static_costs(self.costs.model)
+        kept = 0 if cut or op != OP_CALL else 1
+        for x in body[index + kept :]:
+            kind = static_kind(x)
+            if kind is not None:
+                dense[kind] -= 1
+                cycles -= static_costs[kind]
+        if self._seg_iids is not None:
+            self._seg_iids.update(iids[: index if cut else index + 1])
+        frame[_F_PC] = start + index
+        return steps, cycles, start + index
 
     def _translate_undefined(self, lf: _LinkedFunction, regs, pc: int) -> None:
         """Map a ``TypeError`` from a ``None`` register read onto the
@@ -548,76 +596,66 @@ class FlatEngine(Interpreter):
 
 
 # -- cold handlers ----------------------------------------------------------
-# Signature: (engine, inst, regs, linked_fn, pc) -> (kind_index, cost).
-# The loop applies the count/cycle charge and the pc increment.
+# Signature: (engine, inst, regs, linked_fn).  The run charged the step,
+# count and static cycles on entry.
 
 
-def _h_mul(self, inst, regs, lf, pc):
-    regs[inst[2]] = (regs[inst[3]] * regs[inst[4]]) & inst[5]
-    return _K_ARITH, self.costs.model.arith
+def _h_fell_off(self, inst, regs, lf):
+    raise InterpreterError(f"fell off block {inst[2]} in @{lf.name}")
 
 
-def _h_udiv(self, inst, regs, lf, pc):
+def _h_udiv(self, inst, regs, lf):
     rhs = regs[inst[4]]
     if rhs == 0:
-        raise TrapError(f"division by zero at {lf.insts[pc].loc}")
+        raise TrapError(f"division by zero at {lf.insts[inst[6]].loc}")
     regs[inst[2]] = (regs[inst[3]] // rhs) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_urem(self, inst, regs, lf, pc):
+def _h_urem(self, inst, regs, lf):
     rhs = regs[inst[4]]
     if rhs == 0:
-        raise TrapError(f"remainder by zero at {lf.insts[pc].loc}")
+        raise TrapError(f"remainder by zero at {lf.insts[inst[6]].loc}")
     regs[inst[2]] = (regs[inst[3]] % rhs) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_and(self, inst, regs, lf, pc):
+def _h_and(self, inst, regs, lf):
     regs[inst[2]] = (regs[inst[3]] & regs[inst[4]]) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_or(self, inst, regs, lf, pc):
+def _h_or(self, inst, regs, lf):
     regs[inst[2]] = (regs[inst[3]] | regs[inst[4]]) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_xor(self, inst, regs, lf, pc):
+def _h_xor(self, inst, regs, lf):
     regs[inst[2]] = (regs[inst[3]] ^ regs[inst[4]]) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_shl(self, inst, regs, lf, pc):
+def _h_shl(self, inst, regs, lf):
     regs[inst[2]] = (regs[inst[3]] << (regs[inst[4]] & 63)) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_lshr(self, inst, regs, lf, pc):
+def _h_lshr(self, inst, regs, lf):
     regs[inst[2]] = (regs[inst[3]] >> (regs[inst[4]] & 63)) & inst[5]
-    return _K_ARITH, self.costs.model.arith
 
 
-def _h_select(self, inst, regs, lf, pc):
+def _h_select(self, inst, regs, lf):
     regs[inst[2]] = regs[inst[4]] if regs[inst[3]] else regs[inst[5]]
-    return _K_SELECT, self.costs.model.select
 
 
-def _h_cast(self, inst, regs, lf, pc):
+def _h_cast(self, inst, regs, lf):
     regs[inst[2]] = regs[inst[3]] & inst[4]
-    return _K_CAST, self.costs.model.cast
 
 
-def _h_trap(self, inst, regs, lf, pc):
-    raise TrapError(f"trap at {lf.insts[pc].loc} in @{lf.name}")
+def _h_trap(self, inst, regs, lf):
+    raise TrapError(f"trap at {lf.insts[inst[2]].loc} in @{lf.name}")
 
 
-def _h_unreachable(self, inst, regs, lf, pc):  # pragma: no cover
+def _h_unreachable(self, inst, regs, lf):  # pragma: no cover
     raise InterpreterError(f"flat engine cannot execute opcode {inst[0]}")
 
 
 _COLD_HANDLERS = [_h_unreachable] * NUM_OPCODES
-_COLD_HANDLERS[OP_MUL] = _h_mul
+_COLD_HANDLERS[OP_FELL_OFF] = _h_fell_off
 _COLD_HANDLERS[OP_UDIV] = _h_udiv
 _COLD_HANDLERS[OP_UREM] = _h_urem
 _COLD_HANDLERS[OP_AND] = _h_and

@@ -10,13 +10,14 @@ comparisons can rely on the values never moving.
 Layout:
 
 - ``OP_FELL_OFF`` is 0: a pseudo-instruction the compiler appends after
-  every basic block.  Executing it reproduces the reference
-  interpreter's "fell off block" error for blocks without a terminator;
-  for terminated blocks it is simply unreachable.
-- 1..16 are the hot opcodes, inlined in the engine's dispatch chain
-  (memory, the two dominant arithmetic ops, all comparisons, control
+  every basic block.  Executing it (through the handler table)
+  reproduces the reference interpreter's "fell off block" error for
+  blocks without a terminator; for terminated blocks it is simply
+  unreachable.
+- 1..19 are the hot opcodes, inlined in the engine's dispatch chain
+  (memory, the three dominant arithmetic ops, all comparisons, control
   flow, calls, and the persistence primitives).
-- 17..27 are cold opcodes, dispatched through the opcode-indexed
+- 20..29 are cold opcodes, dispatched through the opcode-indexed
   handler table.
 
 Comparisons get one opcode per predicate and binary operations one
@@ -47,9 +48,9 @@ OP_RET = 15
 OP_FLUSH = 16
 OP_FENCE = 17
 OP_ALLOCA = 18
+OP_MUL = 19
 
 # -- cold opcodes (opcode-indexed handler table) ----------------------------
-OP_MUL = 19
 OP_UDIV = 20
 OP_UREM = 21
 OP_AND = 22

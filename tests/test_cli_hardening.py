@@ -21,6 +21,8 @@ from repro.errors import (
 )
 from repro.ir import I64, ModuleBuilder, PTR, format_module
 
+from test_engine_differential import build_undefined_return
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -256,3 +258,19 @@ def test_every_output_file_is_complete_when_the_process_exits(workspace):
     journal = CheckpointJournal.read(str(out / "b.journal"))
     assert not journal.torn
     assert journal.records[-1]["type"] == "batch-end"
+
+
+@pytest.mark.parametrize("engine", ["flat", "reference"])
+@pytest.mark.parametrize(
+    "entry_args", [["--entry", "main"], ["--entry", "callee", "--args", "0"]]
+)
+def test_return_of_undefined_value_exits_2(tmp_path, capsys, engine, entry_args):
+    """``callee(0)`` returns a value defined only on the branch it did
+    not take: a one-line error and exit 2 on both engines, whether the
+    return lands in a caller or ends the run."""
+    ir = tmp_path / "u.ir"
+    ir.write_text(format_module(build_undefined_return()))
+    assert main(["detect", str(ir), *entry_args, "--engine", engine]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: undefined value %t1 in @callee\n"
+    assert "->" not in captured.out

@@ -14,6 +14,8 @@ against the reference-engine oracle.
 
 from __future__ import annotations
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,8 @@ from hypothesis import given, settings
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.interp import ENGINES, Machine, make_interpreter
-from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR
-from repro.revalidate.recording import RecordingTraceRecorder
+from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
+from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 from repro.trace.events import StoreEvent
 
 from test_oracle_differential import (
@@ -301,17 +303,31 @@ def test_stack_heavy_programs_byte_identical(ops, depth, calls):
 # ---------------------------------------------------------------------------
 
 
+def _accounting(interp):
+    """Steps, cycles, per-kind counts, trace events and output so far."""
+    return (
+        interp.steps,
+        interp.costs.cycles,
+        dict(interp.costs.counts),
+        list(interp.trace.events),
+        list(interp.output),
+    )
+
+
 def _run_both(module, entry, args, **kwargs):
     """Call ``entry`` on both engines; returns {engine: outcome} where
-    an outcome is ("ok", result-ish) or ("err", type-name, message)."""
+    an outcome is ("ok", value, *accounting) or ("err", type-name,
+    message, *accounting)."""
     outcomes = {}
     for engine in ENGINES:
         interp = make_interpreter(module, engine=engine, **kwargs)
         try:
             result = interp.call(entry, args)
-            outcomes[engine] = ("ok", result.value, interp.steps)
+            outcomes[engine] = ("ok", result.value, *_accounting(interp))
         except Exception as exc:  # noqa: BLE001 - parity is the point
-            outcomes[engine] = ("err", type(exc).__name__, str(exc), interp.steps)
+            outcomes[engine] = (
+                "err", type(exc).__name__, str(exc), *_accounting(interp)
+            )
     return outcomes
 
 
@@ -379,6 +395,197 @@ def test_top_level_entry_errors_match():
                 interp.call(entry, args)
             errors[engine] = (type(excinfo.value).__name__, str(excinfo.value))
         assert errors["flat"] == errors["reference"], (entry, args)
+
+
+def build_undefined_return():
+    """``callee(c)`` returns ``%t1``, defined only on the ``c != 0``
+    path; the verifier checks textual order, not dominance, so it
+    accepts the module."""
+    mb = ModuleBuilder("undef")
+    b = mb.function("callee", [("c", I64)], I64, source_file="u.c")
+    (c,) = b.function.args
+    then = b.new_block("then")
+    join = b.new_block("join")
+    b.br(b.icmp("ne", c, 0), then, join)
+    b.position_at_end(then)
+    t1 = b.add(c, 1, name="t1")
+    b.jmp(join)
+    b.position_at_end(join)
+    b.ret(t1)
+    b = mb.function("main", [], I64, source_file="u.c")
+    b.ret(b.add(b.call("callee", [0], I64), 1))
+    return mb.module
+
+
+@pytest.mark.parametrize("entry, args", [("main", []), ("callee", [0])])
+def test_return_of_undefined_value_parity(entry, args):
+    """The flat ``ret`` raises the reference's error from the callee's
+    frame, before popping it and without charging the ``ret``."""
+    module = build_undefined_return()
+    verify_module(module)  # raises on a module it rejects
+    outcomes = _run_both(module, entry, args)
+    assert outcomes["flat"] == outcomes["reference"]
+    assert outcomes["flat"][:3] == (
+        "err", "InterpreterError", "undefined value %t1 in @callee"
+    )
+    assert "ret" not in outcomes["flat"][5]
+
+
+# ---------------------------------------------------------------------------
+# fuel sweeps
+# ---------------------------------------------------------------------------
+# The flat engine charges a straight-line run's steps on entry and cuts
+# the run where it would cross the fuel limit; on any fault it refunds
+# the part of the run that did not execute.  Every limit must leave the
+# same outcome and accounting as the reference's per-step check.
+
+
+def _guarded_fingerprint(module, drive, engine, fuel=50_000_000, record=False):
+    """Drive ``module`` under a fuel limit, optionally with the
+    revalidation recorder attached; the outcome plus everything
+    observable, as plain data."""
+    recorder = RunRecorder() if record else None
+    interp = make_interpreter(
+        module, engine=engine, fuel=fuel, run_recorder=recorder
+    )
+    try:
+        drive(interp)
+        outcome = ("ok",)
+    except Exception as exc:  # noqa: BLE001 - parity is the point
+        outcome = ("err", type(exc).__name__, str(exc))
+    fingerprint = {"outcome": outcome, "accounting": _accounting(interp)}
+    if recorder is not None:
+        fingerprint["segments"] = [
+            (seg.fn_name, seg.args, sorted(seg.iids), seg.steps_start,
+             seg.trace_start)
+            for seg in recorder.segments
+        ]
+        fingerprint["spans"] = list(recorder.spans)
+        fingerprint["spans_ok"] = recorder.spans_ok
+    return fingerprint
+
+
+def _sampled_fuels(seed, full_steps):
+    rng = random.Random(seed)
+    fuels = {1, 2, 3, full_steps, full_steps + 1}
+    fuels.update(rng.randint(1, full_steps) for _ in range(25))
+    return sorted(fuels)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_corpus_fuel_sweep_parity(case_id):
+    case = _case(case_id)
+    module = case.build()  # one instance: iids differ between builds
+    full = make_interpreter(module)
+    case.drive(full)
+    for fuel in _sampled_fuels(case_id, full.steps):
+        flat = _guarded_fingerprint(module, case.drive, "flat", fuel)
+        reference = _guarded_fingerprint(module, case.drive, "reference", fuel)
+        assert flat == reference, fuel
+
+
+def build_one_block_loop():
+    """A loop whose body is one block and so one run: a volatile
+    counter, a PM store, its flush and fence, and the loop test."""
+    mb = ModuleBuilder("loop1")
+    b = mb.function("main", [], I64, source_file="l.c")
+    counter = b.alloca(8)
+    b.store(0, counter)
+    pm = b.call("pm_alloc", [64], PTR)
+    loop = b.new_block("loop")
+    done = b.new_block("done")
+    b.jmp(loop)
+    b.position_at_end(loop)
+    value = b.add(b.load(counter), 1)
+    b.store(value, counter)
+    b.store(b.mul(value, 3), b.gep(pm, b.binop("and", value, 7)))
+    b.flush(pm)
+    b.fence()
+    b.br(b.icmp("ult", value, 5), loop, done)
+    b.position_at_end(done)
+    b.ret(value)
+    return mb.module
+
+
+def test_one_block_loop_fuel_sweep_parity():
+    """The limit lands at every position of the loop's run, in each of
+    its first three iterations; the recorder's segment gets exactly the
+    iids that ran."""
+    module = build_one_block_loop()
+    loop = next(b for b in module.get_function("main").blocks if b.name == "loop")
+    prologue = len(module.get_function("main").entry.instructions)
+    for fuel in range(1, prologue + 3 * len(loop.instructions) + 1):
+        flat, reference = (
+            _guarded_fingerprint(module, drive_main, engine, fuel, record=True)
+            for engine in ENGINES
+        )
+        assert flat == reference, fuel
+        assert flat["outcome"][1] == "FuelExhausted"
+
+
+# ---------------------------------------------------------------------------
+# run-recorder parity
+# ---------------------------------------------------------------------------
+# The revalidation recorder reads each segment's executed iids, step and
+# trace offsets, and the callee spans.  The flat engine hands a run's
+# iids over when it leaves the run, and only the executed prefix when a
+# fault cuts the run short.
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_corpus_recorder_parity(case_id):
+    case = _case(case_id)
+    module = case.build()
+    full = make_interpreter(module)
+    case.drive(full)
+    for fuel in (50_000_000, full.steps // 2):
+        flat, reference = (
+            _guarded_fingerprint(module, case.drive, engine, fuel, record=True)
+            for engine in ENGINES
+        )
+        assert flat == reference, fuel
+    assert flat["outcome"][1] == "FuelExhausted"
+
+
+def build_crashing_steps():
+    """``step(k)`` stores ``k`` to PM through ``put``, which crashes
+    the process inside the callee when ``k == 2``."""
+    mb = ModuleBuilder("crashy")
+    b = mb.function("put", [("p", PTR), ("v", I64)], source_file="c.c")
+    p, v = b.function.args
+    crash = b.new_block("crash")
+    store = b.new_block("store")
+    b.br(b.icmp("eq", v, 2), crash, store)
+    b.position_at_end(crash)
+    b.call("crash_now", [])
+    b.ret()
+    b.position_at_end(store)
+    b.store(v, p)
+    b.flush(p)
+    b.ret()
+    b = mb.function("step", [("k", I64)], I64, source_file="c.c")
+    (k,) = b.function.args
+    root = b.call("pm_root", [64], PTR)
+    b.call("put", [b.gep(root, b.mul(k, 8)), k])
+    b.fence()
+    b.ret(b.add(k, 1))
+    return mb.module
+
+
+def drive_steps(interp):
+    for k in range(4):
+        interp.call("step", [k])
+
+
+def test_crash_mid_run_recorder_parity():
+    module = build_crashing_steps()
+    flat, reference = (
+        _guarded_fingerprint(module, drive_steps, engine, record=True)
+        for engine in ENGINES
+    )
+    assert flat == reference
+    assert flat["outcome"][1] == "SimulatedCrash"
+    assert len(flat["segments"]) == 3
 
 
 # ---------------------------------------------------------------------------

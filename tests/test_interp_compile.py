@@ -1,7 +1,8 @@
 """The per-function compiler and its caches.
 
 Covers the register-compiled form itself (flat pc space, the FELL_OFF
-sentinel after every block, stable opcode numbering), the incremental
+sentinel after every block, stable opcode numbering, the run table the
+engine charges a straight-line run at a time from), the incremental
 recompile (equal :func:`function_signature` at a newer epoch reuses
 the compiled object), the module-keyed program cache, and the analysis
 manager's ``COMPILED`` entry — in particular that *any* epoch movement
@@ -13,22 +14,49 @@ program would relink forever.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.manager import COMPILED, AnalysisManager
 from repro.core.transaction import FixTransaction
+from repro.corpus.bugs import all_cases
+from repro.interp import make_interpreter
 from repro.interp.compile import (
     cached_program,
     compile_function,
     compile_module,
     function_signature,
 )
+from repro.interp.costs import KIND_INDEX
+from repro.interp.intrinsics import is_intrinsic
 from repro.ir import I1, I8, I16, I32, I64, ModuleBuilder, PTR
+from repro.ir.instructions import (
+    Alloca,
+    BinOp,
+    Branch,
+    Call,
+    Cast,
+    Fence,
+    Flush,
+    Gep,
+    ICmp,
+    Jump,
+    Load,
+    Ret,
+    Select,
+    Store,
+)
 from repro.ir.opcodes import (
     NUM_OPCODES,
+    OP_BR,
+    OP_CALL,
     OP_FELL_OFF,
+    OP_JMP,
     OP_LOAD,
+    OP_RET,
     OP_STORE,
+    OP_TRAP,
     OPCODE_NAMES,
 )
 from repro.ir.types import STORE_WIDTHS
@@ -76,7 +104,9 @@ def test_every_block_ends_in_fell_off_sentinel():
 
 def test_loads_and_stores_carry_their_width_codec():
     """The flat engine's stack path reads the codec (and a store's value
-    mask) off the instruction tuple; it never looks them up."""
+    mask) off the instruction tuple; it never looks them up.  A store
+    ends with its own pc, which the engine writes to the frame before
+    the store's effects."""
     mb = ModuleBuilder("widths")
     b = mb.function("main", [], I64, source_file="w.c")
     slot = b.alloca(8)
@@ -88,7 +118,7 @@ def test_loads_and_stores_carry_their_width_codec():
     b.ret(0)
     cf = compile_function(mb.module.get_function("main"), mb.module)
     seen = 0
-    for inst, instr in zip(cf.code, cf.insts):
+    for pc, (inst, instr) in enumerate(zip(cf.code, cf.insts)):
         if inst[0] == OP_LOAD:
             assert inst[4] == instr.size
             assert inst[5:] == (CODECS[instr.size],)
@@ -96,12 +126,151 @@ def test_loads_and_stores_carry_their_width_codec():
         elif inst[0] == OP_STORE:
             assert inst[4] == instr.size
             assert inst[5] is instr.nontemporal
-            assert inst[6:] == (CODECS[instr.size], (1 << (8 * instr.size)) - 1)
+            assert inst[6:] == (
+                CODECS[instr.size], (1 << (8 * instr.size)) - 1, pc
+            )
             seen += 1
     assert seen == 13
     # one codec per load/store width, decoding exactly that many bytes
     assert set(CODECS) == STORE_WIDTHS
     assert all(codec.size == size for size, codec in CODECS.items())
+
+
+# ---------------------------------------------------------------------------
+# the run table
+# ---------------------------------------------------------------------------
+
+RUN_ENDS = {OP_BR, OP_JMP, OP_RET, OP_TRAP, OP_CALL}
+
+
+def build_odd_module():
+    """Blocks the verifier would refuse but the compiler must still
+    lower: an empty block, a block falling off after a call, one
+    falling off after straight-line code, and a trap."""
+    mb = ModuleBuilder("odd")
+    helper = mb.function("helper", [], I64, source_file="o.c")
+    helper.ret(1)
+    b = mb.function("main", [("x", I64)], I64, source_file="o.c")
+    empty = b.new_block("empty")
+    after_call = b.new_block("after_call")
+    plain = b.new_block("plain")
+    trapped = b.new_block("trapped")
+    b.br(b.icmp("eq", b.function.args[0], 0), empty, after_call)
+    b.position_at_end(after_call)
+    b.add(b.call("helper", [], I64), 1)
+    b.call("emit", [2])
+    b.position_at_end(plain)
+    b.mul(b.function.args[0], 3)
+    b.position_at_end(trapped)
+    b.trap()
+    return mb.module
+
+
+def _expected_kind(instr, module):
+    """The kind the reference engine charges ``instr`` under, or None."""
+    if isinstance(instr, Call):
+        if module.has_function(instr.callee):
+            if module.get_function(instr.callee).is_declaration:
+                return None
+            return KIND_INDEX["call"]
+        return KIND_INDEX["intrinsic"] if is_intrinsic(instr.callee) else None
+    for cls, kind in (
+        (Load, "load"), (Store, "store"), (BinOp, "arith"),
+        (ICmp, "compare"), (Branch, "branch"), (Jump, "branch"),
+        (Ret, "ret"), (Flush, "flush"), (Fence, "fence"),
+        (Alloca, "alloca"), (Select, "select"), (Cast, "cast"),
+        (Gep, "gep"),
+    ):
+        if isinstance(instr, cls):
+            return KIND_INDEX[kind]
+    return None  # trap
+
+
+def _run_table_functions():
+    modules = [build_module(), build_odd_module()]
+    modules += [case.build() for case in all_cases()]
+    for module in modules:
+        for fn in module.functions.values():
+            if not fn.is_declaration:
+                yield fn, module, compile_function(fn, module)
+
+
+def test_run_table_invariants():
+    for fn, module, cf in _run_table_functions():
+        code, runs = cf.code, cf.runs
+        assert len(runs) == len(code)
+        block_starts, pc = set(), 0
+        for block in fn.blocks:
+            block_starts.add(pc)
+            pc += len(block.instructions) + 1
+        starts = [pc for pc, run in enumerate(runs) if run is not None]
+        summed = Counter()
+        for pc in starts:
+            # a run starts at pc 0, a block start, or after a run end
+            assert (
+                pc == 0 or pc in block_starts or code[pc - 1][0] in RUN_ENDS
+            ), (fn.name, pc)
+            steps, counts, iids, body = runs[pc]
+            assert body == code[pc : pc + len(body)]
+            # it ends at its first run end, or at a fell-off slot
+            assert all(inst[0] not in RUN_ENDS for inst in body[:-1])
+            assert all(inst[0] != OP_FELL_OFF for inst in body[:-1])
+            steps_in_body = [i for i in body if i[0] != OP_FELL_OFF]
+            assert steps == len(steps_in_body)
+            assert iids == tuple(inst[1] for inst in steps_in_body)
+            assert iids == tuple(i.iid for i in cf.insts[pc : pc + steps])
+            summed.update(dict(counts))
+        # every branch target and call continuation is a run start
+        for pc, inst in enumerate(code):
+            if inst[0] == OP_BR:
+                targets = inst[3:5]
+            elif inst[0] == OP_JMP:
+                targets = inst[2:3]
+            elif inst[0] == OP_CALL:
+                targets = (pc + 1,)
+            else:
+                targets = ()
+            for target in targets:
+                assert runs[target] is not None, (fn.name, pc, target)
+        # steps and counts add up over the runs
+        assert sum(runs[pc][0] for pc in starts) == sum(
+            1 for inst in code if inst[0] != OP_FELL_OFF
+        )
+        expected = Counter(
+            kind
+            for kind in (
+                _expected_kind(i, module) for i in cf.insts if i is not None
+            )
+            if kind is not None
+        )
+        assert summed == expected, fn.name
+
+
+def test_only_fell_off_slots_after_a_terminator_have_no_run():
+    module = build_odd_module()
+    cf = compile_function(module.get_function("main"), module)
+    for pc, inst in enumerate(cf.code):
+        if cf.runs[pc] is None and pc and cf.code[pc - 1][0] in RUN_ENDS:
+            assert inst[0] == OP_FELL_OFF
+            assert cf.code[pc - 1][0] != OP_CALL
+
+
+def test_incremental_recompile_reuses_run_tables():
+    module = build_module()
+    interp = make_interpreter(module)
+    first = cached_program(module)
+    linked = dict(interp._linked)
+    call = next(
+        i for i in module.get_function("main").entry if i.opcode == "call"
+    )
+    call.callee = "vol_alloc"
+    module.bump_epoch()
+    interp.call("main")  # relinks against the recompile
+    second = cached_program(module)
+    assert second.functions["set_slot"] is first.functions["set_slot"]
+    assert interp._linked["set_slot"] is linked["set_slot"]
+    assert second.functions["main"].runs is not first.functions["main"].runs
+    assert interp._linked["main"] is not linked["main"]
 
 
 def test_constants_are_prefilled_in_template():
