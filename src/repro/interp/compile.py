@@ -16,6 +16,9 @@ engine (:mod:`repro.interp.engine`) dispatches over:
 - basic blocks are concatenated into one flat instruction stream and
   branch targets resolved to **pc offsets**, killing the
   ``frame.block.instructions[frame.index]`` double-indexing;
+- every function is verified first (:func:`compile_function` raises
+  :class:`~repro.errors.VerificationError`), so each block ends in its
+  one terminator and every register is written before it is read;
 - call instructions pre-resolve their callee: module function, known
   intrinsic, declaration (error when executed), or unknown (ditto) —
   sound because any module change that could alter resolution bumps the
@@ -30,7 +33,7 @@ operations and traps end with their own pc); a parallel
 cold paths that need source locations or stack frames.
 
 **Runs**: the flat code splits into straight-line runs, each ending at
-a terminator, a call, or a fell-off slot.  The engine charges a run's
+a terminator or a call.  The engine charges a run's
 steps, per-kind counts and executed iids when it enters the run, so
 :attr:`CompiledFunction.runs` records each of them once, at compile
 time (see :func:`static_kind`).
@@ -79,7 +82,6 @@ from ..ir.opcodes import (
     OP_BR,
     OP_CALL,
     OP_CAST,
-    OP_FELL_OFF,
     OP_FENCE,
     OP_FLUSH,
     OP_GEP,
@@ -91,7 +93,8 @@ from ..ir.opcodes import (
     OP_TRAP,
 )
 from ..ir.types import IntType
-from ..ir.values import Argument, Constant, GlobalVariable, Value
+from ..ir.values import Constant, GlobalVariable, Value
+from ..ir.verifier import verify_function
 from ..memory.layout import CODECS
 from .costs import KIND_INDEX
 from .intrinsics import is_intrinsic, lookup
@@ -105,9 +108,8 @@ CALL_DECLARATION = 2
 CALL_UNKNOWN = 3
 
 #: Opcode -> the :data:`~repro.interp.costs.KIND_INDEX` slot one
-#: execution counts under; None for a trap or a fell-off slot, which
-#: raise before any charge.  Calls depend on their resolution
-#: (:func:`static_kind`).
+#: execution counts under; None for a trap, which raises before any
+#: charge.  Calls depend on their resolution (:func:`static_kind`).
 _OPCODE_KINDS: List[Optional[int]] = [None] * NUM_OPCODES
 for _op in BINOP_OPCODES.values():
     _OPCODE_KINDS[_op] = KIND_INDEX["arith"]
@@ -133,10 +135,8 @@ _OPCODE_KINDS = tuple(_OPCODE_KINDS)
 #: callee raises before any charge.
 _CALL_KINDS = (KIND_INDEX["call"], KIND_INDEX["intrinsic"], None, None)
 
-#: Opcodes that end a run (besides the fell-off slot): the terminators,
-#: whose fell-off slot is unreachable, and calls.
-_TERMINATORS = frozenset((OP_BR, OP_JMP, OP_RET, OP_TRAP))
-_RUN_ENDS = _TERMINATORS | {OP_CALL}
+#: Opcodes that end a run: the terminators and calls.
+_RUN_ENDS = frozenset((OP_BR, OP_JMP, OP_RET, OP_TRAP, OP_CALL))
 
 
 def static_kind(inst: tuple) -> Optional[int]:
@@ -186,13 +186,12 @@ class CompiledFunction:
 
     :ivar code: tuple of per-instruction opcode tuples (pc-indexed).
     :ivar runs: the run table, pc-indexed: at each run's start pc a
-        ``(steps, counts, iids, body)`` tuple — its step count (the
-        fell-off slot is not a step), ``(kind slot, count)`` pairs, the
-        iids of its steps, and its slice of :attr:`code` — and ``None``
-        at every other pc.
+        ``(steps, counts, iids, body)`` tuple — its step count,
+        ``(kind slot, count)`` pairs, the iids of its steps, and its
+        slice of :attr:`code` — and ``None`` at every other pc.
     :ivar insts: parallel tuple of the source :class:`Instruction`
-        objects (``None`` at fell-off pseudo-slots); cold paths use it
-        for source locations and stack capture.
+        objects; cold paths use it for source locations and stack
+        capture.
     :ivar base_template: machine-independent register file prototype —
         constants pre-stored, everything else ``None``.  Engines link it
         against a machine by filling :attr:`global_slots`.
@@ -200,8 +199,6 @@ class CompiledFunction:
         time.
     :ivar arg_masks: per-formal truncation masks (args occupy register
         slots ``0..len(arg_masks)-1``).
-    :ivar slots: the value -> slot map (debugging / error translation
-        only — never on the execution hot path).
     :ivar signature: the :func:`function_signature` this was compiled
         from, compared on recompiles for reuse.
     """
@@ -214,7 +211,6 @@ class CompiledFunction:
         "base_template",
         "global_slots",
         "arg_masks",
-        "slots",
         "signature",
     )
 
@@ -223,11 +219,10 @@ class CompiledFunction:
         self.signature = signature
         self.code: Tuple[tuple, ...] = ()
         self.runs: Tuple[Optional[tuple], ...] = ()
-        self.insts: Tuple[Optional[Instruction], ...] = ()
+        self.insts: Tuple[Instruction, ...] = ()
         self.base_template: List = []
         self.global_slots: Tuple[Tuple[int, str], ...] = ()
         self.arg_masks: Tuple[int, ...] = ()
-        self.slots: Dict[Value, int] = {}
 
     def __repr__(self) -> str:
         return (
@@ -295,11 +290,9 @@ class _FunctionCompiler:
             slot = self._new_slot()
             self.global_slots.append((slot, value.name))
         else:
-            # Instruction result (possibly referenced before its
-            # definition — the verifier flags that, but the compiler
-            # must still produce something; the slot stays None and
-            # reads of it reproduce the "undefined value" error) or a
-            # foreign value, which likewise reads as undefined.
+            # An instruction result: the verifier has checked that its
+            # definition dominates every use, so the slot is written
+            # before any read.
             slot = self._new_slot()
         self.slots[value] = slot
         return slot
@@ -316,27 +309,23 @@ class _FunctionCompiler:
             self.slots[arg] = self._new_slot()
         arg_masks = tuple(_mask_of(arg.type) for arg in fn.args)
 
-        # Block layout: blocks concatenate in order, each followed by a
-        # fell-off pseudo-slot (reached only when a block lacks a
-        # terminator — same error, same timing as the tree-walker).
+        # Block layout: blocks concatenate in order.
         block_pc: Dict[object, int] = {}
         pc = 0
         for block in fn.blocks:
             block_pc[block] = pc
-            pc += len(block.instructions) + 1
+            pc += len(block.instructions)
 
         # One pass encodes the instructions and closes a run at each
-        # terminator, call, and fell-off slot, so runs start at pc 0, at
-        # every block start, and after every call or terminator.  The
-        # fell-off slot after a terminator gets no run: nothing reaches it.
+        # terminator and call, so runs start at pc 0, at every block
+        # start, and after every call.
         code: List[tuple] = []
-        insts: List[Optional[Instruction]] = []
+        insts: List[Instruction] = []
         runs: List[Optional[tuple]] = [None] * pc
+        run_start = 0
+        counts: Dict[int, int] = {}
+        iids: List[int] = []
         for block in fn.blocks:
-            run_start = len(code)
-            counts: Dict[int, int] = {}
-            iids: List[int] = []
-            op = None
             for instr in block.instructions:
                 inst = self._encode(instr, block_pc, len(code))
                 code.append(inst)
@@ -354,10 +343,6 @@ class _FunctionCompiler:
                     run_start = len(code)
                     counts = {}
                     iids = []
-            code.append((OP_FELL_OFF, 0, block.name))
-            insts.append(None)
-            if op not in _TERMINATORS:
-                runs[run_start] = _run_entry(counts, iids, code[run_start:])
 
         cf.code = tuple(code)
         cf.runs = tuple(runs)
@@ -365,7 +350,6 @@ class _FunctionCompiler:
         cf.base_template = self.template
         cf.global_slots = tuple(self.global_slots)
         cf.arg_masks = arg_masks
-        cf.slots = self.slots
         return cf
 
     def _encode(
@@ -494,7 +478,9 @@ class _FunctionCompiler:
 
 
 def compile_function(fn: Function, module: Module) -> CompiledFunction:
-    """Lower one (defined) function to its flat form."""
+    """Lower one (defined) function to its flat form; raises
+    :class:`~repro.errors.VerificationError` if the verifier rejects it."""
+    verify_function(fn)
     return _FunctionCompiler(fn, module).compile()
 
 

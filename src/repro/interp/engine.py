@@ -25,23 +25,16 @@ and counts, execution results, error messages and their timing, the
 revalidation recorder's per-segment iid sets, and snapshot capture
 points.  A fault settles the innermost run as the reference's
 per-instruction accounting would have left it (fuel runs out at the
-same instruction; the fell-off check precedes the step; see
-``_abandon_run``).  The differential suite
-(``tests/test_engine_differential.py``) enforces this corpus-wide,
-including fuel sweeps that cut runs at every position.
+same instruction; see ``_abandon_run``).  The differential suite
+(``tests/test_engine_differential.py``) enforces this corpus-wide and
+on random branching programs, including fuel sweeps that cut runs at
+every position.
 
-One documented divergence: the reference engine raises ``undefined
-value`` the moment an instruction *reads* a value that was never
-computed, even if the result is never used in an observable way.  The
-flat engine stores ``None`` in never-written registers, so arithmetic,
-memory access and ``ret`` on an undefined value raise at the same
-instruction — the loop translates the ``TypeError`` back into the
-reference engine's ``InterpreterError`` — but an undefined value that
-reaches only equality comparisons, branch or select conditions, or
-intrinsic arguments is silently treated as absent.  The verifier does
-not rule this out: it checks that a definition precedes each use in
-block order, not that it dominates the use.  Programs that may read an
-undefined value should use ``engine="reference"``.
+The engine runs only verified code: the compiler refuses a function
+the verifier rejects, so the engine is never built over a block that
+lacks a terminator or a use its definition does not dominate.  The
+reference engine's ``fell off block`` and ``undefined value`` errors
+are for code nobody verified.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ from ..ir.opcodes import (
     OP_BR,
     OP_CALL,
     OP_CAST,
-    OP_FELL_OFF,
     OP_FENCE,
     OP_FLUSH,
     OP_GEP,
@@ -232,17 +224,13 @@ class FlatEngine(Interpreter):
         for frame in self.frames:
             lf = frame[_F_FN]
             instr = lf.insts[frame[_F_PC]]
-            if instr is None:
-                continue
             frames.append(StackFrame(lf.name, instr.iid, instr.loc))
         return tuple(frames)
 
     def current_iid(self) -> int:
         if self.frames:
             frame = self.frames[-1]
-            instr = frame[_F_FN].insts[frame[_F_PC]]
-            if instr is not None:
-                return instr.iid
+            return frame[_F_FN].insts[frame[_F_PC]].iid
         return 0
 
     # -- frame management -------------------------------------------------------
@@ -350,8 +338,7 @@ class FlatEngine(Interpreter):
                     elif op == OP_LOAD:
                         # Any other address (PM, the heap, a stack slot
                         # past the written prefix, unmapped) goes to
-                        # ``read_int``; ``None`` raises its ``TypeError``
-                        # in the subtraction.
+                        # ``read_int``.
                         addr = regs[inst[3]]
                         offset = addr - stack_base
                         if 0 <= offset <= len(stack_data) - inst[4]:
@@ -466,10 +453,6 @@ class FlatEngine(Interpreter):
                     elif op == OP_RET:
                         value_slot = inst[2]
                         value = regs[value_slot] if value_slot >= 0 else 0
-                        if value is None:
-                            # Mapped to the reference's "undefined value"
-                            # error from this frame, like any None operand.
-                            raise TypeError("undefined return value")
                         done = frames.pop()
                         stack_release(done[_F_MARK])
                         if len(frames) == base_depth:
@@ -525,11 +508,9 @@ class FlatEngine(Interpreter):
                     raise FuelExhausted(f"exceeded fuel of {fuel} instructions")
         except BaseException as exc:
             if len(frames) > base_depth:
-                steps, cycles, fault_pc = self._abandon_run(
+                steps, cycles = self._abandon_run(
                     exc, frames[-1], lf, pc, inst, steps, cycles
                 )
-                if fault_pc >= 0 and isinstance(exc, TypeError):
-                    self._translate_undefined(lf, regs, fault_pc)
             raise
         finally:
             self.steps = steps
@@ -544,14 +525,13 @@ class FlatEngine(Interpreter):
         """Settle the innermost run when ``inst`` raised ``exc`` in it.
 
         The run was charged in full on entry; refund what did not run:
-        the steps after the faulting instruction (the fell-off slot is
-        no step at all), and the static cycles and counts from it on —
-        except that a module or intrinsic call keeps its charge, which
-        the reference takes before the depth check or the intrinsic
-        runs.  The segment set gets the executed prefix: the faulting
-        iid too, unless fuel ran out or the block fell off.  Returns the
-        settled ``(steps, cycles)`` and the faulting pc, which becomes
-        ``frame``'s pc.
+        the steps after the faulting instruction, and the static cycles
+        and counts from it on — except that a module or intrinsic call
+        keeps its charge, which the reference takes before the depth
+        check or the intrinsic runs.  The segment set gets the executed
+        prefix: the faulting iid too, unless fuel ran out.  The faulting
+        pc becomes ``frame``'s pc.  Returns the settled ``(steps,
+        cycles)``.
         """
         run = lf.runs[start]
         index = None
@@ -560,15 +540,13 @@ class FlatEngine(Interpreter):
         if index is None:
             # An asynchronous exception (e.g. KeyboardInterrupt) landed
             # between runs: everything charged so far ran.
-            return steps, cycles, -1
+            return steps, cycles
         run_steps, _, _, iids, body = run
-        op = inst[0]
         cut = isinstance(exc, FuelExhausted)
-        if op != OP_FELL_OFF:
-            steps -= run_steps - index - 1
+        steps -= run_steps - index - 1
         dense = self.costs._dense
         static_costs = _static_costs(self.costs.model)
-        kept = 0 if cut or op != OP_CALL else 1
+        kept = 0 if cut or inst[0] != OP_CALL else 1
         for x in body[index + kept :]:
             kind = static_kind(x)
             if kind is not None:
@@ -577,31 +555,12 @@ class FlatEngine(Interpreter):
         if self._seg_iids is not None:
             self._seg_iids.update(iids[: index if cut else index + 1])
         frame[_F_PC] = start + index
-        return steps, cycles, start + index
-
-    def _translate_undefined(self, lf: _LinkedFunction, regs, pc: int) -> None:
-        """Map a ``TypeError`` from a ``None`` register read onto the
-        reference engine's ``undefined value`` error (best effort — a
-        genuine TypeError from e.g. an intrinsic re-raises unchanged)."""
-        instr = lf.insts[pc]
-        if instr is None:
-            return
-        slots = lf.cf.slots
-        for operand in instr.operands:
-            slot = slots.get(operand)
-            if slot is not None and regs[slot] is None:
-                raise InterpreterError(
-                    f"undefined value {operand.short()} in @{lf.name}"
-                ) from None
+        return steps, cycles
 
 
 # -- cold handlers ----------------------------------------------------------
 # Signature: (engine, inst, regs, linked_fn).  The run charged the step,
 # count and static cycles on entry.
-
-
-def _h_fell_off(self, inst, regs, lf):
-    raise InterpreterError(f"fell off block {inst[2]} in @{lf.name}")
 
 
 def _h_udiv(self, inst, regs, lf):
@@ -655,7 +614,6 @@ def _h_unreachable(self, inst, regs, lf):  # pragma: no cover
 
 
 _COLD_HANDLERS = [_h_unreachable] * NUM_OPCODES
-_COLD_HANDLERS[OP_FELL_OFF] = _h_fell_off
 _COLD_HANDLERS[OP_UDIV] = _h_udiv
 _COLD_HANDLERS[OP_UREM] = _h_urem
 _COLD_HANDLERS[OP_AND] = _h_and

@@ -9,11 +9,7 @@ comparisons can rely on the values never moving.
 
 Layout:
 
-- ``OP_FELL_OFF`` is 0: a pseudo-instruction the compiler appends after
-  every basic block.  Executing it (through the handler table)
-  reproduces the reference interpreter's "fell off block" error for
-  blocks without a terminator; for terminated blocks it is simply
-  unreachable.
+- 0 is unused; numbers are never reassigned.
 - 1..19 are the hot opcodes, inlined in the engine's dispatch chain
   (memory, the three dominant arithmetic ops, all comparisons, control
   flow, calls, and the persistence primitives).
@@ -26,8 +22,6 @@ compile time, instead of on every executed instruction.
 """
 
 from __future__ import annotations
-
-OP_FELL_OFF = 0
 
 # -- hot opcodes (inlined in the engine's dispatch chain) -------------------
 OP_LOAD = 1
@@ -91,7 +85,6 @@ ICMP_OPCODES = {
 
 #: Opcode -> human-readable mnemonic (diagnostics, profiling output).
 OPCODE_NAMES = {
-    OP_FELL_OFF: "fell_off",
     OP_LOAD: "load",
     OP_STORE: "store",
     OP_GEP: "gep",

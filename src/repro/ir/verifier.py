@@ -1,14 +1,15 @@
 """Structural verification of IR modules.
 
 The verifier enforces the invariants that the rest of the system relies
-on; it is run by tests after every Hippocrates transformation to show
-the tool never produces malformed IR ("do no harm" begins with "do not
-break the build").
+on ("do no harm" begins with "do not break the build").  It runs on
+every module the CLI loads and every file task ``run_case`` repairs,
+after every Hippocrates transformation, and on every function the flat
+engine's compiler lowers: no engine runs code it rejects.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set, Tuple
 
 from ..errors import VerificationError
 from .function import Function
@@ -24,10 +25,14 @@ def verify_function(fn: Function) -> None:
     problems: List[str] = []
 
     block_set = set(fn.blocks)
-    defined: Set[int] = {id(a) for a in fn.args}
+    entry = fn.blocks[0]
+    defined: Set[int] = set()  # ids of the instructions so far, in text order
+    # (using block's index, value) per use of a value defined in another
+    # block, for the dominance check; entry-block values dominate all
+    cross_uses: List[Tuple[int, Instruction]] = []
     module = fn.parent
 
-    for block in fn.blocks:
+    for position, block in enumerate(fn.blocks):
         if block.parent is not fn:
             problems.append(f"block {block.name} has wrong parent")
         if block.terminator is None:
@@ -85,28 +90,64 @@ def verify_function(fn: Function) -> None:
                         problems.append(
                             f"#{instr.iid} uses instruction of another function"
                         )
+                    elif op.type.is_void:
+                        problems.append(f"#{instr.iid} uses void #{op.iid}")
+                    elif id(op) not in defined:
+                        # Textual order: the parser resolves a ``%name``
+                        # only after the line defining it.
+                        problems.append(
+                            f"#{instr.iid} uses %{op.name} (#{op.iid}) "
+                            "before definition"
+                        )
+                    elif op.parent is not block and op.parent is not entry:
+                        cross_uses.append((position, op))
                     continue
                 problems.append(f"#{instr.iid} has bad operand {op!r}")
             defined.add(id(instr))
-
-    # Definition-before-use along textual order.  Because the builder
-    # emits in program order and the apps use alloca/load/store for any
-    # value that crosses control flow, a simple linear scan is the right
-    # check (it is stricter than dominance for our IR subset).
-    seen: Set[int] = {id(a) for a in fn.args}
-    for block in fn.blocks:
-        for instr in block:
-            for op in instr.operands:
-                if isinstance(op, Instruction) and id(op) not in seen:
-                    problems.append(
-                        f"#{instr.iid} uses %{op.name} (#{op.iid}) before definition"
-                    )
-            seen.add(id(instr))
 
     if problems:
         raise VerificationError(
             f"function @{fn.name}: " + "; ".join(problems[:10])
         )
+    undefined = _undominated_use(fn.blocks, cross_uses)
+    if undefined is not None:
+        raise VerificationError(
+            f"undefined value {undefined.short()} in @{fn.name}"
+        )
+
+
+def _undominated_use(blocks, uses) -> Optional[Instruction]:
+    """The first of ``uses``, ``(block index, value)`` pairs, whose
+    value's block does not dominate the using block.
+
+    Dominator sets are int masks over block indices, intersected over
+    predecessors until nothing changes.  A block the entry does not
+    reach keeps the full mask, so uses in it pass, as in LLVM.
+    """
+    if not uses:
+        return None
+    position = {block: index for index, block in enumerate(blocks)}
+    preds: List[List[int]] = [[] for _ in blocks]
+    for index, block in enumerate(blocks):
+        for succ in block.successors():
+            preds[position[succ]].append(index)
+    full = (1 << len(blocks)) - 1
+    dom = [1] + [full] * (len(blocks) - 1)
+    changed = True
+    while changed:
+        changed = False
+        for index in range(1, len(blocks)):
+            mask = full
+            for pred in preds[index]:
+                mask &= dom[pred]
+            mask |= 1 << index
+            if mask != dom[index]:
+                dom[index] = mask
+                changed = True
+    return next(
+        (op for index, op in uses if not dom[index] >> position[op.parent] & 1),
+        None,
+    )
 
 
 def verify_module(module: Module) -> None:

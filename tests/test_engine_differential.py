@@ -1,20 +1,22 @@
 """Two-engine differential: flat register-compiled vs tree-walking
 reference.
 
-The flat engine's contract is *byte-identity*: for any program —
-corpus case or seeded random — detection traces, bug records, cost
-cycles, per-opcode counts, observable output, and error messages must
-be exactly the same on both engines.  These tests diff all of it:
-per-case detect runs, property-based random programs, the error paths
-(fuel, traps, undefined values), and — through the oracle harness in
-``test_oracle_differential.py`` — the full repair pipeline per corpus
-case, a batch, and a flat-engine batch killed mid-run and resumed
-against the reference-engine oracle.
+The flat engine's contract is *byte-identity*: for any verified
+program — corpus case or seeded random — detection traces, bug
+records, cost cycles, per-opcode counts, observable output, and error
+messages must be exactly the same on both engines.  These tests diff
+all of it: per-case detect runs, property-based random programs
+(straight-line and branching), the error paths (fuel, traps, and
+undefined values, which the flat engine refuses before it runs), and —
+through the oracle harness in ``test_oracle_differential.py`` — the
+full repair pipeline per corpus case, a batch, and a flat-engine batch
+killed mid-run and resumed against the reference-engine oracle.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
+from repro.errors import InterpreterError, VerificationError
 from repro.interp import ENGINES, Machine, make_interpreter
 from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
@@ -399,8 +402,7 @@ def test_top_level_entry_errors_match():
 
 def build_undefined_return():
     """``callee(c)`` returns ``%t1``, defined only on the ``c != 0``
-    path; the verifier checks textual order, not dominance, so it
-    accepts the module."""
+    path: textually before its use, but not dominating it."""
     mb = ModuleBuilder("undef")
     b = mb.function("callee", [("c", I64)], I64, source_file="u.c")
     (c,) = b.function.args
@@ -419,16 +421,134 @@ def build_undefined_return():
 
 @pytest.mark.parametrize("entry, args", [("main", []), ("callee", [0])])
 def test_return_of_undefined_value_parity(entry, args):
-    """The flat ``ret`` raises the reference's error from the callee's
-    frame, before popping it and without charging the ``ret``."""
+    """The verifier refuses the module with the reference engine's
+    error text; the flat engine refuses it at construction, and the
+    reference, run unverified, raises that same text at the ``ret``."""
     module = build_undefined_return()
-    verify_module(module)  # raises on a module it rejects
-    outcomes = _run_both(module, entry, args)
-    assert outcomes["flat"] == outcomes["reference"]
-    assert outcomes["flat"][:3] == (
-        "err", "InterpreterError", "undefined value %t1 in @callee"
-    )
-    assert "ret" not in outcomes["flat"][5]
+    message = "undefined value %t1 in @callee"
+    with pytest.raises(VerificationError) as excinfo:
+        verify_module(module)
+    assert str(excinfo.value) == message
+    with pytest.raises(VerificationError, match=message):
+        make_interpreter(module, engine="flat")
+    interp = make_interpreter(module, engine="reference")
+    with pytest.raises(InterpreterError) as excinfo:
+        interp.call(entry, args)
+    assert str(excinfo.value) == message
+    assert "ret" not in dict(interp.costs.counts)
+
+
+# ---------------------------------------------------------------------------
+# random branching programs
+# ---------------------------------------------------------------------------
+# Up to six blocks wired by ``br``/``jmp`` (back edges included), whose
+# instructions read any value defined textually earlier — in this block
+# or another — so some uses are not dominated by their definition.  The
+# verifier must refuse exactly those; everything it accepts runs the
+# same on both engines, under a fuel limit that cuts every loop.
+
+#: An operand: counts back from the newest value in its pool, so small
+#: (shrunk) references read nearby values.
+ref = st.integers(min_value=0, max_value=15)
+branch_op = st.one_of(
+    st.tuples(
+        st.just("binop"),
+        st.sampled_from(["add", "sub", "mul", "udiv", "urem", "xor"]),
+        ref,
+        ref,
+    ),
+    st.tuples(st.just("icmp"), st.sampled_from(["eq", "ne", "ult", "uge"]), ref, ref),
+    st.tuples(st.just("select"), ref, ref, ref),
+    st.tuples(st.just("store"), ref, st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("flush"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("fence")),
+)
+target = st.integers(min_value=0, max_value=5)
+terminator = st.one_of(
+    st.tuples(st.just("ret"), ref),
+    st.tuples(st.just("jmp"), target),
+    st.tuples(st.just("br"), ref, target, target),
+)
+cfg_block = st.tuples(st.lists(branch_op, max_size=4), terminator)
+word = st.sampled_from([0, 1, 2, 7, (1 << 64) - 1])
+
+BRANCHING_FUEL = 60
+
+
+def build_branching(blocks):
+    """``main(x, y)`` from a list of ``(ops, terminator)`` block specs.
+
+    Integer operands come from ``x``, ``y``, a few constants and every
+    integer result so far; conditions from every ``icmp`` so far, or a
+    fresh ``x != 0`` when there is none.  Stores and flushes go to one
+    PM line allocated at entry."""
+    mb = ModuleBuilder("cfg")
+    b = mb.function("main", [("x", I64), ("y", I64)], I64, source_file="cfg.c")
+    ints = [*b.function.args, 0, 1, 3]
+    conds = []
+    cfg = [b.block] + [b.new_block(f"b{i}") for i in range(1, len(blocks))]
+    pm = b.call("pm_alloc", [64], PTR)
+
+    def pick(pool, index):
+        return pool[-1 - index % len(pool)]
+
+    def cond(index):
+        return pick(conds, index) if conds else b.icmp("ne", ints[0], 0)
+
+    for block, (ops, (term, *fields)) in zip(cfg, blocks):
+        b.position_at_end(block)
+        for kind, *operands in ops:
+            if kind == "binop":
+                op, lhs, rhs = operands
+                ints.append(b.binop(op, pick(ints, lhs), pick(ints, rhs)))
+            elif kind == "icmp":
+                pred, lhs, rhs = operands
+                conds.append(b.icmp(pred, pick(ints, lhs), pick(ints, rhs)))
+            elif kind == "select":
+                which, lhs, rhs = operands
+                ints.append(b.select(cond(which), pick(ints, lhs), pick(ints, rhs)))
+            elif kind == "store":
+                value, slot = operands
+                b.store(pick(ints, value), b.gep(pm, slot * 8))
+            elif kind == "flush":
+                (slot,) = operands
+                b.flush(b.gep(pm, slot * 8))
+            else:
+                b.fence()
+        if term == "ret":
+            b.ret(pick(ints, fields[0]))
+        elif term == "jmp":
+            b.jmp(cfg[fields[0] % len(cfg)])
+        else:
+            which, then, other = fields
+            b.br(cond(which), cfg[then % len(cfg)], cfg[other % len(cfg)])
+    return mb.module
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(cfg_block, min_size=1, max_size=6),
+    inputs=st.lists(st.tuples(word, word), min_size=1, max_size=3),
+)
+def test_branching_programs_verified_then_identical(blocks, inputs):
+    """A verifier-accepted program never reads an undefined value and
+    runs identically on both engines — value or error, steps, cycles,
+    counts and events; one the dominance rule rejects, the flat engine
+    refuses to build."""
+    module = build_branching(blocks)
+    try:
+        verify_module(module)
+    except VerificationError as exc:
+        # every use is textually after its definition, so only the
+        # dominance rule can refuse the program
+        assert re.fullmatch(r"undefined value %t\d+ in @main", str(exc))
+        with pytest.raises(VerificationError, match=re.escape(str(exc))):
+            make_interpreter(module, engine="flat")
+        return
+    for args in inputs:
+        outcomes = _run_both(module, "main", list(args), fuel=BRANCHING_FUEL)
+        assert "undefined value" not in str(outcomes["reference"][:3])
+        assert outcomes["flat"] == outcomes["reference"], args
 
 
 # ---------------------------------------------------------------------------

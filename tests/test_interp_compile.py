@@ -1,7 +1,7 @@
 """The per-function compiler and its caches.
 
-Covers the register-compiled form itself (flat pc space, the FELL_OFF
-sentinel after every block, stable opcode numbering, the run table the
+Covers the register-compiled form itself (flat pc space, every block
+ending in its terminator, stable opcode numbering, the run table the
 engine charges a straight-line run at a time from), the incremental
 recompile (equal :func:`function_signature` at a newer epoch reuses
 the compiled object), the module-keyed program cache, and the analysis
@@ -21,6 +21,7 @@ import pytest
 from repro.analysis.manager import COMPILED, AnalysisManager
 from repro.core.transaction import FixTransaction
 from repro.corpus.bugs import all_cases
+from repro.errors import VerificationError
 from repro.interp import make_interpreter
 from repro.interp.compile import (
     cached_program,
@@ -30,7 +31,7 @@ from repro.interp.compile import (
 )
 from repro.interp.costs import KIND_INDEX
 from repro.interp.intrinsics import is_intrinsic
-from repro.ir import I1, I8, I16, I32, I64, ModuleBuilder, PTR
+from repro.ir import I1, I8, I16, I32, I64, ModuleBuilder, PTR, opcodes
 from repro.ir.instructions import (
     Alloca,
     BinOp,
@@ -51,7 +52,6 @@ from repro.ir.opcodes import (
     NUM_OPCODES,
     OP_BR,
     OP_CALL,
-    OP_FELL_OFF,
     OP_JMP,
     OP_LOAD,
     OP_RET,
@@ -82,24 +82,46 @@ def build_module():
 # ---------------------------------------------------------------------------
 
 
+#: Every opcode's number; 0 is retired and never reused.
+OPCODE_NUMBERS = {
+    "load": 1, "store": 2, "gep": 3, "add": 4, "sub": 5,
+    "icmp.eq": 6, "icmp.ne": 7, "icmp.ult": 8, "icmp.ule": 9,
+    "icmp.ugt": 10, "icmp.uge": 11, "br": 12, "jmp": 13, "call": 14,
+    "ret": 15, "flush": 16, "fence": 17, "alloca": 18, "mul": 19,
+    "udiv": 20, "urem": 21, "and": 22, "or": 23, "xor": 24, "shl": 25,
+    "lshr": 26, "select": 27, "cast": 28, "trap": 29,
+}
+
+
 def test_opcode_numbering_is_stable():
     """The numbering is part of the engine/compiler contract: handlers
     index by opcode, so renumbering silently breaks dispatch."""
-    assert OP_FELL_OFF == 0
-    assert len(OPCODE_NAMES) == NUM_OPCODES
-    assert len(set(OPCODE_NAMES)) == NUM_OPCODES  # no duplicate names
+    assert {name: op for op, name in OPCODE_NAMES.items()} == OPCODE_NUMBERS
+    assert NUM_OPCODES == max(OPCODE_NAMES) + 1
+    defined = {
+        value for name, value in vars(opcodes).items() if name.startswith("OP_")
+    }
+    assert defined == set(OPCODE_NAMES)
 
 
 def test_every_block_ends_in_fell_off_sentinel():
+    """Named for the sentinel slot the compiler once appended after each
+    block.  Every block now ends in its terminator, so a block's code is
+    exactly its instructions, and a block without one does not compile."""
     module = build_module()
     for fn in module.functions.values():
         cf = compile_function(fn, module)
-        sentinels = [code for code in cf.code if code[0] == OP_FELL_OFF]
-        assert len(sentinels) == len(fn.blocks)
-        # the sentinel carries the block name for the diagnostic
-        assert {code[2] for code in sentinels} == {
-            block.name for block in fn.blocks
-        }
+        assert len(cf.code) == sum(len(block.instructions) for block in fn.blocks)
+        pc = 0
+        for block in fn.blocks:
+            pc += len(block.instructions)
+            assert cf.code[pc - 1][0] in TERMINATORS
+            assert cf.insts[pc - 1] is block.terminator
+    mb = ModuleBuilder("unterminated")
+    b = mb.function("main", [], I64, source_file="u.c")
+    b.add(1, 2)
+    with pytest.raises(VerificationError, match="lacks a terminator"):
+        compile_function(b.function, mb.module)
 
 
 def test_loads_and_stores_carry_their_width_codec():
@@ -140,27 +162,32 @@ def test_loads_and_stores_carry_their_width_codec():
 # the run table
 # ---------------------------------------------------------------------------
 
-RUN_ENDS = {OP_BR, OP_JMP, OP_RET, OP_TRAP, OP_CALL}
+TERMINATORS = {OP_BR, OP_JMP, OP_RET, OP_TRAP}
+RUN_ENDS = TERMINATORS | {OP_CALL}
 
 
 def build_odd_module():
-    """Blocks the verifier would refuse but the compiler must still
-    lower: an empty block, a block falling off after a call, one
-    falling off after straight-line code, and a trap."""
+    """Runs of every shape: a block that is only its terminator, calls
+    back to back (a run that is one call), a call right before the
+    terminator, straight-line code, and a trap."""
     mb = ModuleBuilder("odd")
     helper = mb.function("helper", [], I64, source_file="o.c")
     helper.ret(1)
     b = mb.function("main", [("x", I64)], I64, source_file="o.c")
-    empty = b.new_block("empty")
+    bare = b.new_block("bare")
     after_call = b.new_block("after_call")
     plain = b.new_block("plain")
     trapped = b.new_block("trapped")
-    b.br(b.icmp("eq", b.function.args[0], 0), empty, after_call)
+    b.br(b.icmp("eq", b.function.args[0], 0), bare, after_call)
+    b.position_at_end(bare)
+    b.jmp(trapped)
     b.position_at_end(after_call)
     b.add(b.call("helper", [], I64), 1)
     b.call("emit", [2])
+    b.call("emit", [3])
+    b.jmp(plain)
     b.position_at_end(plain)
-    b.mul(b.function.args[0], 3)
+    b.ret(b.mul(b.function.args[0], 3))
     b.position_at_end(trapped)
     b.trap()
     return mb.module
@@ -202,7 +229,7 @@ def test_run_table_invariants():
         block_starts, pc = set(), 0
         for block in fn.blocks:
             block_starts.add(pc)
-            pc += len(block.instructions) + 1
+            pc += len(block.instructions)
         starts = [pc for pc, run in enumerate(runs) if run is not None]
         summed = Counter()
         for pc in starts:
@@ -212,12 +239,11 @@ def test_run_table_invariants():
             ), (fn.name, pc)
             steps, counts, iids, body = runs[pc]
             assert body == code[pc : pc + len(body)]
-            # it ends at its first run end, or at a fell-off slot
+            # it ends at its first run end
             assert all(inst[0] not in RUN_ENDS for inst in body[:-1])
-            assert all(inst[0] != OP_FELL_OFF for inst in body[:-1])
-            steps_in_body = [i for i in body if i[0] != OP_FELL_OFF]
-            assert steps == len(steps_in_body)
-            assert iids == tuple(inst[1] for inst in steps_in_body)
+            assert body[-1][0] in RUN_ENDS
+            assert steps == len(body)
+            assert iids == tuple(inst[1] for inst in body)
             assert iids == tuple(i.iid for i in cf.insts[pc : pc + steps])
             summed.update(dict(counts))
         # every branch target and call continuation is a run start
@@ -233,26 +259,24 @@ def test_run_table_invariants():
             for target in targets:
                 assert runs[target] is not None, (fn.name, pc, target)
         # steps and counts add up over the runs
-        assert sum(runs[pc][0] for pc in starts) == sum(
-            1 for inst in code if inst[0] != OP_FELL_OFF
-        )
+        assert sum(runs[pc][0] for pc in starts) == len(code)
         expected = Counter(
             kind
-            for kind in (
-                _expected_kind(i, module) for i in cf.insts if i is not None
-            )
+            for kind in (_expected_kind(i, module) for i in cf.insts)
             if kind is not None
         )
         assert summed == expected, fn.name
 
 
 def test_only_fell_off_slots_after_a_terminator_have_no_run():
+    """Named for the unreachable sentinel slot that once followed each
+    terminator.  With no such slots, a slot starts a run exactly when it
+    is pc 0 or follows a terminator or a call."""
     module = build_odd_module()
     cf = compile_function(module.get_function("main"), module)
-    for pc, inst in enumerate(cf.code):
-        if cf.runs[pc] is None and pc and cf.code[pc - 1][0] in RUN_ENDS:
-            assert inst[0] == OP_FELL_OFF
-            assert cf.code[pc - 1][0] != OP_CALL
+    for pc in range(len(cf.code)):
+        starts_run = pc == 0 or cf.code[pc - 1][0] in RUN_ENDS
+        assert (cf.runs[pc] is not None) == starts_run, pc
 
 
 def test_incremental_recompile_reuses_run_tables():

@@ -244,7 +244,9 @@ def test_typed_access_matches_region_byte_path(ops):
 
 
 def test_typed_access_of_an_undefined_address_is_a_type_error():
-    """The flat engine turns this ``TypeError`` into "undefined value"."""
+    """The layer raises ``TypeError`` on a ``None`` address or value.
+    Verified code never passes one: the verifier refuses a use its
+    definition does not dominate, so the engine has nothing to map."""
     space = AddressSpace()
     with pytest.raises(TypeError):
         space.read_int(None, 8)
