@@ -36,7 +36,9 @@ cold paths that need source locations or stack frames.
 a terminator or a call.  The engine charges a run's
 steps, per-kind counts and executed iids when it enters the run, so
 :attr:`CompiledFunction.runs` records each of them once, at compile
-time (see :func:`static_kind`).
+time (see :func:`static_kind`).  A run that gets hot is translated into
+a Python function (:mod:`repro.interp.translate`), and its code object
+is kept in :attr:`CompiledFunction.translations` for every engine.
 
 **Incremental recompilation**: :func:`compile_module` accepts the
 previous :class:`CompiledProgram` and reuses any function whose
@@ -201,6 +203,10 @@ class CompiledFunction:
         slots ``0..len(arg_masks)-1``).
     :ivar signature: the :func:`function_signature` this was compiled
         from, compared on recompiles for reuse.
+    :ivar translations: run start pc -> the run's
+        :class:`~repro.interp.translate.Translation` (None for a run
+        with nothing to translate), filled in by the engines as runs get
+        hot and shared by every engine linked against this compile.
     """
 
     __slots__ = (
@@ -212,6 +218,7 @@ class CompiledFunction:
         "global_slots",
         "arg_masks",
         "signature",
+        "translations",
     )
 
     def __init__(self, name: str, signature: Tuple):
@@ -223,6 +230,7 @@ class CompiledFunction:
         self.base_template: List = []
         self.global_slots: Tuple[Tuple[int, str], ...] = ()
         self.arg_masks: Tuple[int, ...] = ()
+        self.translations: Dict[int, object] = {}
 
     def __repr__(self) -> str:
         return (

@@ -10,9 +10,13 @@ replaces the tree-walking ``_run`` with a loop over
   accounting and no pc arithmetic — terminators and calls pick the
   next run, and only the cycles that depend on machine state (flushes,
   the PM-store premium, a fence's per-line drain) are charged inline;
-- dispatch is one integer compare chain over the hot opcodes, ordered
-  by measured frequency, plus an opcode-indexed handler table for the
-  cold ones — no ``isinstance``;
+- a run that gets hot (its ``_TRANSLATE_AFTER``-th entry) is
+  translated into one Python function (:mod:`repro.interp.translate`),
+  and from then on the loop makes one call per entry of that run;
+- a run that is not yet hot, or that the fuel limit cuts, is
+  dispatched one instruction at a time: an integer compare chain over
+  the hot opcodes, ordered by measured frequency, plus an
+  opcode-indexed handler table for the cold ones — no ``isinstance``;
 - operands are ``regs[slot]`` list reads — no per-operand dict hash;
 - steps, cycles and the packed per-kind counts live in locals and
   fold back into the interpreter fields in a ``finally`` — no
@@ -25,7 +29,8 @@ and counts, execution results, error messages and their timing, the
 revalidation recorder's per-segment iid sets, and snapshot capture
 points.  A fault settles the innermost run as the reference's
 per-instruction accounting would have left it (fuel runs out at the
-same instruction; see ``_abandon_run``).  The differential suite
+same instruction; see ``_abandon_run``, which finds a fault inside a
+translated run from the traceback's line number).  The differential suite
 (``tests/test_engine_differential.py``) enforces this corpus-wide and
 on random branching programs, including fuel sweeps that cut runs at
 every position.
@@ -98,6 +103,17 @@ _U64 = (1 << 64) - 1
 _COUNT_BITS = 64
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
 
+#: A run is translated (:mod:`repro.interp.translate`) on its
+#: ``_TRANSLATE_AFTER``-th untranslated entry.  A translation costs
+#: ~0.4 ms and then saves ~0.1 us per step, so it pays for itself after
+#: ~4,000 steps through the run: ~1,000 entries of a typical 4-step run.
+#: Translating once a run has been entered that often bounds the waste
+#: either way.  The corpus's busiest run is entered 623 times per engine
+#: (at 128, 20 of its runs would translate and never pay back); a loop
+#: that runs for millions of steps translates within its first
+#: iterations.
+_TRANSLATE_AFTER = 1024
+
 
 def _static_costs(model: CostModel) -> Tuple[int, ...]:
     """Per kind slot, the cycles one execution costs whatever it does.
@@ -116,10 +132,13 @@ class _LinkedFunction:
     and each run's entry its static cycles and packed counts.
 
     :ivar runs: pc-indexed; at a run's start pc ``(steps, cycles,
-        packed counts, iids, body)``, else ``None``.
+        packed counts, iids, body, translated)``, else ``None``;
+        ``translated`` is the run's translated function once the run got
+        hot, else ``None``.
+    :ivar entries: pc-indexed count of a run's untranslated entries.
     """
 
-    __slots__ = ("cf", "name", "runs", "insts", "template", "arg_masks")
+    __slots__ = ("cf", "name", "runs", "entries", "insts", "template", "arg_masks")
 
     def __init__(
         self,
@@ -137,8 +156,9 @@ class _LinkedFunction:
                 for kind, count in counts:
                     cycles += static_costs[kind] * count
                     packed += count << (_COUNT_BITS * kind)
-                runs[pc] = (steps, cycles, packed, iids, body)
-        self.runs = tuple(runs)
+                runs[pc] = (steps, cycles, packed, iids, body, None)
+        self.runs = runs
+        self.entries = [0] * len(runs)
         self.insts = cf.insts
         template = list(cf.base_template)
         for slot, gname in cf.global_slots:
@@ -193,6 +213,10 @@ class FlatEngine(Interpreter):
         self._program: Optional[CompiledProgram] = None
         self._linked: Dict[str, _LinkedFunction] = {}
         self._cold = _COLD_HANDLERS
+        #: cycles charged by translated runs, folded in when ``_run`` exits
+        self._dyn = [0]
+        self._bindings: Optional[Dict[str, object]] = None
+        self._runs_translated = 0
         self._relink()
 
     # -- linking ---------------------------------------------------------------
@@ -216,6 +240,39 @@ class FlatEngine(Interpreter):
                 linked[name] = _LinkedFunction(cf, global_addrs, static_costs)
         self._program = program
         self._linked = linked
+
+    # -- translation -------------------------------------------------------------
+
+    def _translate(self, lf: _LinkedFunction, start: int):
+        """Give the run at ``start`` its translated function, bound to
+        this engine; returns it, or None for a run with nothing to
+        translate.  The code object is made once per compiled function
+        and shared by every engine linked against it."""
+        # Imported on the first translation: a process whose runs never
+        # get hot (most repairs) skips compiling the translator.
+        from .translate import bind_run, machine_bindings, translate_run
+
+        translations = lf.cf.translations
+        if start not in translations:
+            translations[start] = translate_run(lf.cf, start)
+        translation = translations[start]
+        if translation is None:
+            return None
+        if self._bindings is None:
+            self._bindings = machine_bindings(
+                self.machine, self.costs.model, self._dyn
+            )
+        fast = bind_run(translation, self._bindings)
+        lf.runs[start] = lf.runs[start][:5] + (fast,)
+        self._runs_translated += 1
+        return fast
+
+    def finish(self):
+        if not self._finished and self.metrics is not None:
+            self.metrics.counter("interp.runs_translated").inc(
+                self._runs_translated
+            )
+        return super().finish()
 
     # -- stack capture ----------------------------------------------------------
 
@@ -308,6 +365,7 @@ class FlatEngine(Interpreter):
         steps = self.steps
         cycles = costs.cycles
         counts = 0
+        dyn = self._dyn
         cold = self._cold
 
         frame = frames[-1]
@@ -322,14 +380,26 @@ class FlatEngine(Interpreter):
             while True:
                 if seg_iids is not None:
                     seg_iids.update(iids)
-                run_steps, run_cycles, run_counts, iids, body = runs[pc]
+                run_steps, run_cycles, run_counts, iids, body, fast = runs[pc]
                 steps += run_steps
+                cycles += run_cycles
+                counts += run_counts
                 if steps > fuel:
                     # Cut the body before the instruction that crosses
                     # the limit; the ``else`` below raises there.
                     body = body[: run_steps - (steps - fuel)]
-                cycles += run_cycles
-                counts += run_counts
+                else:
+                    if fast is None:
+                        entries = lf.entries
+                        entries[pc] += 1
+                        if entries[pc] == _TRANSLATE_AFTER:
+                            fast = self._translate(lf, pc)
+                    if fast is not None:
+                        next_pc = fast(regs, frame)
+                        if next_pc >= 0:
+                            pc = next_pc
+                            continue
+                        body = body[-1:]  # the closing call or return
 
                 for inst in body:
                     op = inst[0]
@@ -514,7 +584,8 @@ class FlatEngine(Interpreter):
             raise
         finally:
             self.steps = steps
-            costs.cycles = cycles
+            costs.cycles = cycles + dyn[0]
+            dyn[0] = 0
             index = 0
             while counts:
                 dense[index] += counts & _COUNT_MASK
@@ -532,16 +603,28 @@ class FlatEngine(Interpreter):
         prefix: the faulting iid too, unless fuel ran out.  The faulting
         pc becomes ``frame``'s pc.  Returns the settled ``(steps,
         cycles)``.
+
+        A fault inside the run's translated function names its
+        instruction through the traceback instead of ``inst``: the line
+        it was raised from maps back to a body index.
         """
         run = lf.runs[start]
         index = None
         if run is not None:
-            index = next((i for i, x in enumerate(run[4]) if x is inst), None)
+            if run[5] is not None:
+                from .translate import fault_index
+
+                translation = lf.cf.translations[start]
+                index = fault_index(exc.__traceback__, translation)
+            if index is None:
+                index = next((i for i, x in enumerate(run[4]) if x is inst), None)
+            else:
+                inst = run[4][index]
         if index is None:
             # An asynchronous exception (e.g. KeyboardInterrupt) landed
             # between runs: everything charged so far ran.
             return steps, cycles
-        run_steps, _, _, iids, body = run
+        run_steps, _, _, iids, body, _ = run
         cut = isinstance(exc, FuelExhausted)
         steps -= run_steps - index - 1
         dense = self.costs._dense

@@ -11,6 +11,12 @@ undefined values, which the flat engine refuses before it runs), and —
 through the oracle harness in ``test_oracle_differential.py`` — the
 full repair pipeline per corpus case, a batch, and a flat-engine batch
 killed mid-run and resumed against the reference-engine oracle.
+
+The flat engine runs a run through its per-instruction loop until the
+run gets hot, and through a translated Python function after that.  The
+``*_every_run_translated`` variants repeat the corpus, random-program
+and fuel-sweep differentials with every run translated on its first
+entry, so the translated code runs wherever a run is entered whole.
 """
 
 from __future__ import annotations
@@ -25,11 +31,12 @@ from hypothesis import given, settings
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.errors import InterpreterError, VerificationError
-from repro.interp import ENGINES, Machine, make_interpreter
+from repro.interp import ENGINES, Machine, cached_program, make_interpreter
 from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 from repro.trace.events import StoreEvent
 
+from test_interp_translate import hot_after
 from test_oracle_differential import (
     BATCH_CASES,
     assert_batch_matches_oracle,
@@ -42,6 +49,15 @@ CASE_IDS = [case.case_id for case in all_cases()]
 
 def _case(case_id):
     return next(c for c in all_cases() if c.case_id == case_id)
+
+
+def _translated_runs(module):
+    """How many runs of ``module``'s current compile have a translation."""
+    return sum(
+        translation is not None
+        for cf in cached_program(module).functions.values()
+        for translation in cf.translations.values()
+    )
 
 
 def _detect_fingerprint(module, drive, engine):
@@ -76,6 +92,21 @@ def test_corpus_detect_byte_identical(case_id):
         assert ours == theirs
     for key in ("bugs", "perf", "steps", "cycles", "counts", "output"):
         assert flat[key] == reference[key], key
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_corpus_byte_identical_every_run_translated(case_id):
+    """The corpus detect differential, plus the revalidation recorder's
+    segments, with every run translated."""
+    case = _case(case_id)
+    module = case.build()
+    with hot_after(1):
+        flat = _detect_fingerprint(module, case.drive, "flat")
+        flat_recorded = _guarded_fingerprint(module, case.drive, "flat", record=True)
+    assert _translated_runs(module) > 0
+    assert flat == _detect_fingerprint(module, case.drive, "reference")
+    reference = _guarded_fingerprint(module, case.drive, "reference", record=True)
+    assert flat_recorded == reference
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +321,23 @@ def _stack_fingerprint(module, engine, **kwargs):
     calls=st.integers(min_value=1, max_value=3),
 )
 def test_stack_heavy_programs_byte_identical(ops, depth, calls):
+    _assert_stack_heavy_identical(build_stack_heavy(ops, depth, calls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(stack_op, max_size=12),
+    depth=st.integers(min_value=0, max_value=4),
+    calls=st.integers(min_value=1, max_value=3),
+)
+def test_stack_heavy_programs_every_run_translated(ops, depth, calls):
     module = build_stack_heavy(ops, depth, calls)
+    with hot_after(1):
+        _assert_stack_heavy_identical(module)
+    assert _translated_runs(module) > 0
+
+
+def _assert_stack_heavy_identical(module):
     for record_volatile_stores in (False, True):
         flat = _stack_fingerprint(
             module, "flat", record_volatile_stores=record_volatile_stores
@@ -535,7 +582,20 @@ def test_branching_programs_verified_then_identical(blocks, inputs):
     runs identically on both engines — value or error, steps, cycles,
     counts and events; one the dominance rule rejects, the flat engine
     refuses to build."""
-    module = build_branching(blocks)
+    _assert_branching_identical(build_branching(blocks), inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(cfg_block, min_size=1, max_size=6),
+    inputs=st.lists(st.tuples(word, word), min_size=1, max_size=3),
+)
+def test_branching_programs_every_run_translated(blocks, inputs):
+    with hot_after(1):
+        _assert_branching_identical(build_branching(blocks), inputs)
+
+
+def _assert_branching_identical(module, inputs):
     try:
         verify_module(module)
     except VerificationError as exc:
@@ -594,13 +654,25 @@ def _sampled_fuels(seed, full_steps):
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_corpus_fuel_sweep_parity(case_id):
+    _assert_corpus_fuel_sweep(case_id)
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_corpus_fuel_sweep_every_run_translated(case_id):
+    with hot_after(1):
+        _assert_corpus_fuel_sweep(case_id, record=True)
+
+
+def _assert_corpus_fuel_sweep(case_id, record=False):
     case = _case(case_id)
     module = case.build()  # one instance: iids differ between builds
     full = make_interpreter(module)
     case.drive(full)
     for fuel in _sampled_fuels(case_id, full.steps):
-        flat = _guarded_fingerprint(module, case.drive, "flat", fuel)
-        reference = _guarded_fingerprint(module, case.drive, "reference", fuel)
+        flat, reference = (
+            _guarded_fingerprint(module, case.drive, engine, fuel, record)
+            for engine in ENGINES
+        )
         assert flat == reference, fuel
 
 
@@ -631,7 +703,19 @@ def test_one_block_loop_fuel_sweep_parity():
     """The limit lands at every position of the loop's run, in each of
     its first three iterations; the recorder's segment gets exactly the
     iids that ran."""
+    _assert_one_block_loop_fuel_sweep(build_one_block_loop())
+
+
+def test_one_block_loop_fuel_sweep_every_run_translated():
+    """As above with every run translated: from the second iteration on,
+    the limit cuts a run that earlier iterations ran translated."""
     module = build_one_block_loop()
+    with hot_after(1):
+        _assert_one_block_loop_fuel_sweep(module)
+    assert _translated_runs(module) >= 2  # the prologue and the loop
+
+
+def _assert_one_block_loop_fuel_sweep(module):
     loop = next(b for b in module.get_function("main").blocks if b.name == "loop")
     prologue = len(module.get_function("main").entry.instructions)
     for fuel in range(1, prologue + 3 * len(loop.instructions) + 1):

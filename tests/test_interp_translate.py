@@ -1,0 +1,317 @@
+"""Translated runs: when a run is translated, which code object it
+shares, and how a fault inside translated code is settled.
+
+The flat engine translates a run into a Python function on the run's
+``_TRANSLATE_AFTER``-th entry (:mod:`repro.interp.translate`).  A fault
+raised inside the translated function is located from the traceback's
+line number; the engine must then settle steps, cycles, counts, the
+recorder's segment iids and the frame's pc exactly as the reference
+engine leaves them.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+
+from repro.interp import Machine, cached_program, make_interpreter
+from repro.interp import engine as flat_engine
+from repro.interp import translate
+from repro.ir import I64, ModuleBuilder, PTR
+from repro.ir.instructions import Flush
+from repro.obs.metrics import MetricsRegistry
+from repro.revalidate.recording import RunRecorder
+
+LOOPS = 6
+
+
+def hot_after(entries):
+    """Translate each run on its ``entries``-th entry."""
+    return mock.patch.object(flat_engine, "_TRANSLATE_AFTER", entries)
+
+
+def _counted_loop(b, n, body):
+    """``for (c = n; ; ) { c -= 1; body(c); if (c == 0) break; }``;
+    leaves ``b`` at the block after the loop."""
+    counter = b.alloca(8)
+    b.store(n, counter)
+    loop = b.new_block("loop")
+    done = b.new_block("done")
+    b.jmp(loop)
+    b.position_at_end(loop)
+    c = b.sub(b.load(counter), 1)
+    b.store(c, counter)
+    body(c)
+    b.br(b.icmp("ne", c, 0), loop, done)
+    b.position_at_end(done)
+
+
+def build_faulting_loop(kind):
+    """``main(n, k)`` loops ``n`` times over a straight-line run that
+    stores, flushes and fences a PM line, then faults by ``kind`` once
+    the countdown ``c`` equals ``k``: mid-run, after the events and
+    dynamic cycles of the store, flush and fence."""
+    mb = ModuleBuilder(f"fault_{kind}")
+    b = mb.function("main", [("n", I64), ("k", I64)], I64, source_file="f.c")
+    n, k = b.function.args
+    pm = b.call("pm_alloc", [64], PTR)
+    hit = b.new_block("hit")
+
+    def body(c):
+        b.store(c, pm)
+        b.flush(pm)
+        b.fence()
+        delta = b.sub(c, k)
+        if kind in ("udiv", "urem"):
+            b.call("emit", [b.binop(kind, 1000, delta)])
+        elif kind in ("load", "store"):
+            # the fault address leaves every region only when c == k
+            is_hit = b.icmp("eq", delta, 0)
+            bad = b.gep(pm, b.select(is_hit, 1 << 40, 0))
+            if kind == "load":
+                b.call("emit", [b.load(bad)])
+            else:
+                b.store(c, bad)
+                b.call("emit", [c])
+        else:  # trap: a separate run, entered when c == k
+            b.store(b.add(c, 7), b.gep(pm, 8))
+            after = b.new_block("after")
+            b.br(b.icmp("eq", delta, 0), hit, after)
+            b.position_at_end(after)
+            b.store(c, b.gep(pm, 16))
+
+    _counted_loop(b, n, body)
+    b.ret(0)
+    b.position_at_end(hit)
+    b.store(k, b.gep(pm, 24))
+    b.fence()
+    b.trap()
+    return mb.module
+
+
+def _outcome(interp, call):
+    try:
+        call()
+        outcome = ("ok",)
+    except Exception as exc:  # noqa: BLE001 - parity is the point
+        outcome = ("err", type(exc).__name__, str(exc))
+    return outcome
+
+
+def _fingerprint(module, engine, args, machine=None):
+    recorder = RunRecorder()
+    interp = make_interpreter(
+        module, engine=engine, machine=machine, run_recorder=recorder
+    )
+    outcome = _outcome(interp, lambda: interp.call("main", args))
+    return interp, {
+        "outcome": outcome,
+        "steps": interp.steps,
+        "cycles": interp.costs.cycles,
+        "counts": interp.costs.counts,
+        "events": list(interp.trace.events),
+        "output": list(interp.output),
+        "segments": [sorted(seg.iids) for seg in recorder.segments],
+        # the frames a fault leaves, down to the faulting instruction
+        "stack": interp._capture_stack(),
+    }
+
+
+def _ran_translated(interp, iid):
+    """Whether the run holding instruction ``iid`` has its translation."""
+    for lf in interp._linked.values():
+        for pc, instr in enumerate(lf.insts):
+            if instr.iid == iid:
+                start = max(p for p in range(pc + 1) if lf.runs[p] is not None)
+                return lf.runs[start][5] is not None
+    raise AssertionError(f"no instruction {iid}")
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["udiv", "urem", "trap", "load", "store"])
+def test_fault_inside_a_translated_run_settles_like_the_reference(kind, threshold):
+    module = build_faulting_loop(kind)
+    args = [LOOPS, 1]  # the fault comes in the fifth of six iterations
+    _, reference = _fingerprint(module, "reference", args)
+    assert reference["outcome"][0] == "err"
+    with hot_after(threshold):
+        interp, flat = _fingerprint(module, "flat", args)
+    assert flat == reference
+    if kind != "trap" or threshold == 1:  # the trap run is entered once
+        assert _ran_translated(interp, interp.current_iid())
+
+
+def test_stack_access_after_a_fence_that_drains_many_lines():
+    """A fence's drained-line count must not stand in for the stack's
+    written length: here it exceeds it, and the load after the fence
+    reads a stack slot past the written prefix (zero)."""
+    mb = ModuleBuilder("drain")
+    b = mb.function("main", [], I64, source_file="d.c")
+    written, unwritten = b.alloca(8), b.alloca(8)
+    b.store(1, written)
+    pm = b.call("pm_alloc", [64 * 24], PTR)
+    b.load(written)  # the run caches the stack's length here
+    for line in range(24):
+        slot = b.gep(pm, 64 * line)
+        b.store(line, slot)
+        b.flush(slot)
+    b.fence()
+    b.call("emit", [b.load(unwritten)])
+    b.ret(0)
+    _, reference = _fingerprint(mb.module, "reference", [])
+    with hot_after(1):
+        interp, flat = _fingerprint(mb.module, "flat", [])
+    assert flat == reference
+    assert flat["output"] == [0]
+
+
+class _FaultOnCall:
+    """Wraps a method; its ``nth`` call about PM raises instead.  (The
+    reference engine hands volatile stores to ``record_store`` too; the
+    flat engine only when it records them.)"""
+
+    def __init__(self, method, nth):
+        self.method = method
+        self.nth = nth
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        if args[2:3] != ("vol",):
+            self.calls += 1
+            if self.calls == self.nth:
+                raise RuntimeError(f"injected fault in {self.method.__name__}")
+        return self.method(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "owner, method",
+    [
+        ("cache", "on_store"),
+        ("cache", "on_flush"),
+        ("cache", "on_fence"),
+        ("recorder", "record_store"),
+        ("recorder", "record_flush"),
+        ("recorder", "record_fence"),
+    ],
+)
+def test_recorder_or_cache_fault_mid_run_settles_like_the_reference(owner, method):
+    """An exception from a recorder or cache call inside a translated
+    run: the instruction making the call counts as executed, the rest
+    of the run does not."""
+    module = build_faulting_loop("udiv")
+    args = [LOOPS, LOOPS + 1]  # the division never faults
+    fingerprints = {}
+    for engine in ("reference", "flat"):
+        machine = Machine()
+        target = getattr(machine, owner)
+        setattr(target, method, _FaultOnCall(getattr(target, method), LOOPS - 1))
+        with hot_after(1):
+            interp, fingerprints[engine] = _fingerprint(module, engine, args, machine)
+    assert fingerprints["flat"] == fingerprints["reference"]
+    assert fingerprints["flat"]["outcome"] == (
+        "err", "RuntimeError", f"injected fault in {method}"
+    )
+    assert _ran_translated(interp, interp.current_iid())
+
+
+# ---------------------------------------------------------------------------
+# when runs translate, and what they share
+# ---------------------------------------------------------------------------
+
+
+def build_two_loops():
+    """``main(n)`` and ``side(n)``: each a one-run loop over a PM store."""
+    mb = ModuleBuilder("loops")
+    for name in ("main", "side"):
+        b = mb.function(name, [("n", I64)], I64, source_file="l.c")
+        pm = b.call("pm_alloc", [64], PTR)
+        _counted_loop(b, b.function.args[0], lambda c: b.store(c, pm))
+        b.ret(0)
+    return mb.module
+
+
+def _loop_run(interp, name):
+    """The linked function ``name`` and the start pc of its loop run."""
+    lf = interp._linked[name]
+    loop = next(b for b in interp.module.get_function(name).blocks if b.name == "loop")
+    first = loop.instructions[0].iid
+    return lf, next(pc for pc, i in enumerate(lf.insts) if i.iid == first)
+
+
+def test_a_run_translates_on_its_nth_entry():
+    module = build_two_loops()
+    with hot_after(4):
+        for entries in (3, 4, 7):
+            interp = make_interpreter(module)
+            interp.call("main", [entries])
+            lf, start = _loop_run(interp, "main")
+            translated = lf.runs[start][5] is not None
+            assert translated == (entries >= 4), entries
+            # a translated run's later entries skip the count
+            assert lf.entries[start] == min(entries, 4)
+
+
+@hot_after(8)
+def test_a_second_engine_reuses_the_code_object():
+    module = build_two_loops()
+    first = make_interpreter(module)
+    first.call("main", [200])
+    lf, start = _loop_run(first, "main")
+    translation = lf.cf.translations[start]
+    assert lf.runs[start][5].__code__ is translation.code
+
+    with mock.patch.object(translate, "compile", create=True) as compile_spy:
+        second = make_interpreter(module)
+        second.call("main", [200])
+    compile_spy.assert_not_called()
+    lf2, _ = _loop_run(second, "main")
+    assert lf2.cf is lf.cf
+    assert lf2.runs[start][5] is not lf.runs[start][5]  # bound per engine
+    assert lf2.runs[start][5].__code__ is translation.code
+    # same results, different machines
+    assert second.steps == first.steps
+    assert second.costs.cycles == first.costs.cycles
+    assert second.trace.events == first.trace.events
+
+
+@hot_after(8)
+def test_incremental_recompile_drops_only_the_touched_functions_translations():
+    module = build_two_loops()
+    interp = make_interpreter(module)
+    interp.call("main", [200])
+    interp.call("side", [200])
+    before = cached_program(module)
+    side = before.functions["side"]
+    assert all(cf.translations for cf in before.functions.values())
+
+    # a repair inserts a flush into main's loop
+    loop = next(b for b in module.get_function("main").blocks if b.name == "loop")
+    store = next(i for i in loop.instructions if i.opcode == "store")
+    loop.insert_after(store, Flush(store.pointer))
+    after = cached_program(module)
+    assert after.functions["side"] is side
+    assert side.translations  # kept
+    assert after.functions["main"] is not before.functions["main"]
+    assert not after.functions["main"].translations  # dropped
+
+    interp.call("main", [200])  # relinks; main translates afresh
+    assert interp._linked["side"].cf is side
+    assert after.functions["main"].translations
+
+
+@hot_after(8)
+def test_runs_translated_counter_is_flat_only():
+    module = build_two_loops()
+    counters = {}
+    for engine in ("flat", "reference"):
+        metrics = MetricsRegistry()
+        interp = make_interpreter(module, engine=engine, metrics=metrics)
+        interp.call("main", [200])
+        interp.finish()
+        counters[engine] = metrics.snapshot()["counters"]
+    # only the loop's run gets hot
+    assert counters["flat"]["interp.runs_translated"] == 1
+    assert "interp.runs_translated" not in counters["reference"]
+    assert counters["flat"]["interp.steps"] == counters["reference"]["interp.steps"]
+

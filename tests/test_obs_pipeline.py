@@ -17,10 +17,12 @@ The contract under test, per layer:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.faultinject.resume import run_kill_resume
+from repro.interp import engine as flat_engine
 from repro.obs import (
     JsonlSink,
     ManualClock,
@@ -94,6 +96,19 @@ class TestTaskInstrumentation:
         assert counters["analysis.misses"] > 0
         assert counters["analysis.misses"] == result.stats["misses"]
 
+    def test_runs_translated_counter_is_volatile_only(self):
+        """The flat engine reports how many runs it translated next to
+        ``interp.steps``; the canonical record never carries it, and
+        translating changes nothing in it."""
+        obs, plain = run_one_task()
+        # PMDK-447 runs ~700 steps: no run gets hot enough to translate
+        assert obs.metrics_snapshot()["counters"]["interp.runs_translated"] == 0
+        with mock.patch.object(flat_engine, "_TRANSLATE_AFTER", 1):
+            obs, translated = run_one_task()
+        assert obs.metrics_snapshot()["counters"]["interp.runs_translated"] > 0
+        assert translated.record == plain.record
+        assert "runs_translated" not in json.dumps(translated.record)
+
     def test_span_output_is_byte_stable(self):
         first, _ = run_one_task()
         second, _ = run_one_task()
@@ -123,6 +138,7 @@ class TestBatchByteIdentity:
         instrumented = run_batch(corpus_tasks(CASES), config=config, obs=obs)
         obs.close()
         assert instrumented.canonical_json() == baseline.canonical_json()
+        assert "runs_translated" not in instrumented.canonical_json()
         assert sink.dropped == 0
         # The sink captured real batch structure while staying off-path.
         assert validate_spans_file(spans_path) > 0
@@ -134,6 +150,7 @@ class TestBatchByteIdentity:
         counters = load_metrics(metrics_path)["counters"]
         for name in ("pipeline.bugs", "pipeline.fixes_applied", "interp.steps"):
             assert counters.get(name), f"metrics missing counter {name!r}"
+        assert counters["interp.runs_translated"] == 0  # no run got hot
 
     def test_kill_resume_with_obs_is_byte_identical(self, tmp_path):
         tasks = corpus_tasks(CASES)
