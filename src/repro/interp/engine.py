@@ -12,7 +12,12 @@ replaces the tree-walking ``_run`` with a loop over
   the PM-store premium, a fence's per-line drain) are charged inline;
 - a run that gets hot (its ``_TRANSLATE_AFTER``-th entry) is
   translated into one Python function (:mod:`repro.interp.translate`),
-  and from then on the loop makes one call per entry of that run;
+  together with the other hot runs it shares a cycle with; from then on
+  the loop makes one call per entry of that run.  A loop translation
+  runs its cycle inside itself, keeps the stack slots it alone touches
+  in Python locals when it can, and returns only when control leaves
+  the cycle, at a fuel cut or on a fault; ``_fold`` then charges the
+  run entries it counted;
 - a run that is not yet hot, or that the fuel limit cuts, is
   dispatched one instruction at a time: an integer compare chain over
   the hot opcodes, ordered by measured frequency, plus an
@@ -29,11 +34,11 @@ and counts, execution results, error messages and their timing, the
 revalidation recorder's per-segment iid sets, and snapshot capture
 points.  A fault settles the innermost run as the reference's
 per-instruction accounting would have left it (fuel runs out at the
-same instruction; see ``_abandon_run``, which finds a fault inside a
-translated run from the traceback's line number).  The differential suite
-(``tests/test_engine_differential.py``) enforces this corpus-wide and
-on random branching programs, including fuel sweeps that cut runs at
-every position.
+same instruction; see ``_abandon_run``, which finds a fault inside
+translated code — its run and instruction — from the traceback's line
+number).  The differential suite (``tests/test_engine_differential.py``)
+enforces this corpus-wide and on random branching and looping programs,
+including fuel sweeps that cut runs at every position.
 
 The engine runs only verified code: the compiler refuses a function
 the verifier rejects, so the engine is never built over a block that
@@ -111,7 +116,8 @@ _COUNT_MASK = (1 << _COUNT_BITS) - 1
 #: either way.  The corpus's busiest run is entered 623 times per engine
 #: (at 128, 20 of its runs would translate and never pay back); a loop
 #: that runs for millions of steps translates within its first
-#: iterations.
+#: iterations.  The runs that have reached the threshold are the graph
+#: whose cycles are translated as loops.
 _TRANSLATE_AFTER = 1024
 
 
@@ -136,9 +142,15 @@ class _LinkedFunction:
         ``translated`` is the run's translated function once the run got
         hot, else ``None``.
     :ivar entries: pc-indexed count of a run's untranslated entries.
+    :ivar translated: run start -> the
+        :class:`~repro.interp.translate.Translation` its function was
+        bound from.
     """
 
-    __slots__ = ("cf", "name", "runs", "entries", "insts", "template", "arg_masks")
+    __slots__ = (
+        "cf", "name", "runs", "entries", "translated", "insts", "template",
+        "arg_masks",
+    )
 
     def __init__(
         self,
@@ -159,6 +171,7 @@ class _LinkedFunction:
                 runs[pc] = (steps, cycles, packed, iids, body, None)
         self.runs = runs
         self.entries = [0] * len(runs)
+        self.translated: Dict[int, object] = {}
         self.insts = cf.insts
         template = list(cf.base_template)
         for slot, gname in cf.global_slots:
@@ -215,8 +228,12 @@ class FlatEngine(Interpreter):
         self._cold = _COLD_HANDLERS
         #: cycles charged by translated runs, folded in when ``_run`` exits
         self._dyn = [0]
+        #: the run entry counts loop translations leave on exit
+        self._tally: List[tuple] = []
         self._bindings: Optional[Dict[str, object]] = None
         self._runs_translated = 0
+        self._loops_translated = 0
+        self._loops_promoted = 0
         self._relink()
 
     # -- linking ---------------------------------------------------------------
@@ -245,33 +262,76 @@ class FlatEngine(Interpreter):
 
     def _translate(self, lf: _LinkedFunction, start: int):
         """Give the run at ``start`` its translated function, bound to
-        this engine; returns it, or None for a run with nothing to
-        translate.  The code object is made once per compiled function
-        and shared by every engine linked against it."""
+        this engine, together with the other hot runs it shares a cycle
+        with (:func:`~repro.interp.translate.loop_of`); returns it, or
+        None for a run with nothing to translate.  The code object is
+        made once per compiled function and set of runs, and shared by
+        every engine linked against it."""
         # Imported on the first translation: a process whose runs never
         # get hot (most repairs) skips compiling the translator.
-        from .translate import bind_run, machine_bindings, translate_run
+        from .translate import bind, loop_of, machine_bindings, translate
 
+        translated = lf.translated
+        hot = {
+            pc
+            for pc, entries in enumerate(lf.entries)
+            if entries >= _TRANSLATE_AFTER
+            and not (pc in translated and translated[pc].looping)
+        }
+        members = loop_of(lf.cf, start, hot)
         translations = lf.cf.translations
-        if start not in translations:
-            translations[start] = translate_run(lf.cf, start)
-        translation = translations[start]
+        if members not in translations:
+            translations[members] = translate(lf.cf, members)
+        translation = translations[members]
         if translation is None:
             return None
         if self._bindings is None:
             self._bindings = machine_bindings(
-                self.machine, self.costs.model, self._dyn
+                self.machine, self.costs.model, self._dyn, self._tally
             )
-        fast = bind_run(translation, self._bindings)
-        lf.runs[start] = lf.runs[start][:5] + (fast,)
-        self._runs_translated += 1
+        fast = bind(translation, self._bindings)
+        runs = lf.runs
+        for pc in members:
+            if runs[pc][5] is None:
+                self._runs_translated += 1
+            runs[pc] = runs[pc][:5] + (fast,)
+            translated[pc] = translation
+        if translation.looping:
+            self._loops_translated += 1
+            if translation.promoted and not self._bindings["_rvs"]:
+                self._loops_promoted += 1
         return fast
+
+    def _fold(self, lf, entry, tally, steps, cycles, counts, faulting=None):
+        """Charge the run entries a loop translation entered at
+        ``entry`` counted in ``tally`` (``(run start, entries)`` pairs):
+        their steps, static cycles and packed counts, returned with the
+        totals, and the iids of every run that completed to the segment
+        set.  The entry run completed if the loop moved on from it; the
+        last entry of the ``faulting`` run did not complete, and
+        ``_abandon_run`` settles it."""
+        seg_iids = self._seg_iids
+        runs = lf.runs
+        moved = False
+        for start, entries in tally:
+            if entries:
+                moved = True
+                run_steps, run_cycles, run_counts, iids = runs[start][:4]
+                steps += entries * run_steps
+                cycles += entries * run_cycles
+                counts += entries * run_counts
+                if seg_iids is not None and (entries > 1 or start != faulting):
+                    seg_iids.update(iids)
+        if moved and seg_iids is not None:
+            seg_iids.update(runs[entry][3])
+        return steps, cycles, counts
 
     def finish(self):
         if not self._finished and self.metrics is not None:
-            self.metrics.counter("interp.runs_translated").inc(
-                self._runs_translated
-            )
+            metrics = self.metrics
+            metrics.counter("interp.runs_translated").inc(self._runs_translated)
+            metrics.counter("interp.loops_translated").inc(self._loops_translated)
+            metrics.counter("interp.loops_promoted").inc(self._loops_promoted)
         return super().finish()
 
     # -- stack capture ----------------------------------------------------------
@@ -366,6 +426,7 @@ class FlatEngine(Interpreter):
         cycles = costs.cycles
         counts = 0
         dyn = self._dyn
+        tally = self._tally
         cold = self._cold
 
         frame = frames[-1]
@@ -395,7 +456,11 @@ class FlatEngine(Interpreter):
                         if entries[pc] == _TRANSLATE_AFTER:
                             fast = self._translate(lf, pc)
                     if fast is not None:
-                        next_pc = fast(regs, frame)
+                        next_pc = fast(regs, frame, pc, fuel - steps)
+                        if tally:
+                            steps, cycles, counts = self._fold(
+                                lf, pc, tally.pop(), steps, cycles, counts
+                            )
                         if next_pc >= 0:
                             pc = next_pc
                             continue
@@ -578,8 +643,8 @@ class FlatEngine(Interpreter):
                     raise FuelExhausted(f"exceeded fuel of {fuel} instructions")
         except BaseException as exc:
             if len(frames) > base_depth:
-                steps, cycles = self._abandon_run(
-                    exc, frames[-1], lf, pc, inst, steps, cycles
+                steps, cycles, counts = self._abandon_run(
+                    exc, frames[-1], lf, pc, inst, steps, cycles, counts
                 )
             raise
         finally:
@@ -592,7 +657,7 @@ class FlatEngine(Interpreter):
                 counts >>= _COUNT_BITS
                 index += 1
 
-    def _abandon_run(self, exc, frame, lf, start, inst, steps, cycles):
+    def _abandon_run(self, exc, frame, lf, start, inst, steps, cycles, counts):
         """Settle the innermost run when ``inst`` raised ``exc`` in it.
 
         The run was charged in full on entry; refund what did not run:
@@ -602,11 +667,13 @@ class FlatEngine(Interpreter):
         check or the intrinsic runs.  The segment set gets the executed
         prefix: the faulting iid too, unless fuel ran out.  The faulting
         pc becomes ``frame``'s pc.  Returns the settled ``(steps,
-        cycles)``.
+        cycles, counts)``.
 
-        A fault inside the run's translated function names its
-        instruction through the traceback instead of ``inst``: the line
-        it was raised from maps back to a body index.
+        A fault inside translated code names its run and instruction
+        through the traceback instead of ``inst``: the line it was
+        raised from maps back to a run start and body index.  A loop
+        translation entered at ``start`` may have faulted in a later
+        run; the entries it counted are charged first (``_fold``).
         """
         run = lf.runs[start]
         index = None
@@ -614,16 +681,22 @@ class FlatEngine(Interpreter):
             if run[5] is not None:
                 from .translate import fault_index
 
-                translation = lf.cf.translations[start]
-                index = fault_index(exc.__traceback__, translation)
+                where = fault_index(exc.__traceback__, lf.translated[start])
+                if self._tally:
+                    steps, cycles, counts = self._fold(
+                        lf, start, self._tally.pop(), steps, cycles, counts,
+                        where[0] if where else None,
+                    )
+                if where is not None:
+                    start, index = where
+                    run = lf.runs[start]
+                    inst = run[4][index]
             if index is None:
                 index = next((i for i, x in enumerate(run[4]) if x is inst), None)
-            else:
-                inst = run[4][index]
         if index is None:
             # An asynchronous exception (e.g. KeyboardInterrupt) landed
             # between runs: everything charged so far ran.
-            return steps, cycles
+            return steps, cycles, counts
         run_steps, _, _, iids, body, _ = run
         cut = isinstance(exc, FuelExhausted)
         steps -= run_steps - index - 1
@@ -638,7 +711,7 @@ class FlatEngine(Interpreter):
         if self._seg_iids is not None:
             self._seg_iids.update(iids[: index if cut else index + 1])
         frame[_F_PC] = start + index
-        return steps, cycles
+        return steps, cycles, counts
 
 
 # -- cold handlers ----------------------------------------------------------

@@ -1,29 +1,55 @@
-"""Hot straight-line runs translated into Python functions.
+"""Hot code translated into Python functions.
 
 The flat engine (:mod:`repro.interp.engine`) interprets a run — a
 straight-line stretch of flat code ending at a branch, return, trap or
 call — one instruction tuple at a time.  Once a run has been entered
-often enough, the engine asks :func:`translate_run` for its Python
-source, compiled once into a code object, and from then on makes one
-call per run entry instead of stepping through the tuples:
+often enough, the engine asks :func:`loop_of` which hot runs share a
+cycle with it and :func:`translate` for their Python source, compiled
+once into a code object.  From then on it makes one call per entry
+instead of stepping through the tuples.  There are two kinds of
+translation, made by one generator with one calling convention:
 
-- the generated function is ``run(regs, frame, <bound names>)``: it
-  executes the run's instructions up to, not including, a closing call
-  or return, and returns the next pc (``-1`` when a closing call or
-  return still has to run through the engine's loop; a closing trap
-  raises);
-- the code object is machine-independent: register slots holding
-  constants are inlined as literals, and every machine object or cost
-  constant it needs is a trailing parameter whose default
-  :func:`bind_run` fills in per engine (:func:`machine_bindings` names
-  them);
-- a value read only inside the run that defines it stays a Python
-  local; only values another run, or the closing call or return, reads
-  are written back to ``regs``;
-- each instruction's code starts on its own source line, and
-  :attr:`Translation.lines` maps every line back to the instruction's
-  index in the run body, so :func:`fault_index` can locate a fault from
-  the traceback alone — the function keeps no per-instruction state.
+- a **one-run translation** executes its run's instructions up to, not
+  including, a closing call or return, and returns the next pc (``-1``
+  when a closing call or return still has to run through the engine's
+  loop; a closing trap raises);
+- a **loop translation** covers a strongly connected set of hot runs
+  that end in a branch or jump.  It runs them in a ``while`` loop,
+  dispatching on ``pc``, and returns only when control leaves the set,
+  when the next run's steps exceed the fuel left (it returns that run's
+  pc, and the engine cuts the run as it cuts any other), or on a fault.
+  The entry run was charged by the engine; the loop counts each later
+  run entry in a local, and on every exit appends those counts to the
+  engine's ``_tally`` list, so the engine charges their steps, cycles,
+  per-kind counts and segment iids (``FlatEngine._fold``).
+
+The generated function is ``name(regs, frame, pc, left, <bound
+names>)``: ``pc`` is the run being entered, ``left`` the steps of fuel
+left after it.  The code object is machine-independent: register slots
+holding constants are inlined as literals, and every machine object or
+cost constant it needs is a trailing parameter whose default
+:func:`bind` fills in per engine (:func:`machine_bindings` names them).
+Every register the translated code reads and does not define first is
+loaded from ``regs`` once, on entry.  A value is written to ``regs``
+where it is defined only when code outside the translation reads it;
+the values a loop's runs pass to each other are written back on exit,
+since control may come back into the loop at any of its runs.
+
+**Promotion.**  A loop whose only memory accesses are loads and stores
+through registers defined outside it, each register always at one
+width, and that has no flush, fence or alloca, keeps those stack slots
+in Python locals.  At each entry a guard checks that the engine records
+no volatile stores and that every slot lies inside the stack's written
+prefix, disjoint from the others — so none of them is PM, no access can
+grow the stack, and no event can fire inside the loop.  A ``finally``
+writes every slot back to the stack bytes on any exit.  When the guard
+fails, the entry runs the unpromoted copy of the loop that follows in
+the same function.
+
+Each instruction's code starts on its own source line, and
+:attr:`Translation.lines` maps every line back to ``(run start, body
+index)``, so :func:`fault_index` can locate a fault from the traceback
+alone — the function keeps no per-instruction state.
 
 The generated code mirrors the engine loop's handling of each opcode:
 the same stack fast path and codecs, ``frame[2]`` (the frame's pc) set
@@ -37,7 +63,7 @@ from __future__ import annotations
 
 import builtins
 from types import CodeType, FunctionType
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..errors import TrapError
 from ..ir.opcodes import (
@@ -96,22 +122,36 @@ _ICMP_SYMBOLS = {
     OP_ICMP_UGE: ">=",
 }
 
+#: Opcodes that define no register.
+_NO_RESULT = frozenset(
+    (OP_STORE, OP_BR, OP_JMP, OP_FLUSH, OP_FENCE, OP_RET, OP_TRAP)
+)
+#: Opcodes that keep a loop's stack slots in memory.
+_UNPROMOTABLE = frozenset((OP_FLUSH, OP_FENCE, OP_ALLOCA))
+
 
 class Translation:
-    """One run's compiled Python function, machine-independent.
+    """One translation's compiled Python function, machine-independent.
 
     :ivar code: the function's code object.
     :ivar params: the :func:`machine_bindings` names it takes, in order.
-    :ivar lines: source line -> index of the body instruction whose
-        code the line belongs to.
+    :ivar lines: source line -> ``(run start, body index)`` of the
+        instruction whose code the line belongs to, or None.
+    :ivar members: the start pcs of the runs it covers.
+    :ivar looping: whether it loops over its runs.
+    :ivar promoted: how many stack slots the loop keeps in locals.
     """
 
-    __slots__ = ("code", "params", "lines")
+    __slots__ = ("code", "params", "lines", "members", "looping", "promoted")
 
-    def __init__(self, code: CodeType, params: Tuple[str, ...], lines: Tuple):
+    def __init__(self, code: CodeType, params: Tuple[str, ...], lines: Tuple,
+                 members: Tuple[int, ...], looping: bool, promoted: int):
         self.code = code
         self.params = params
         self.lines = lines
+        self.members = members
+        self.looping = looping
+        self.promoted = promoted
 
 
 def _reads(inst: tuple) -> Tuple[int, ...]:
@@ -134,32 +174,101 @@ def _reads(inst: tuple) -> Tuple[int, ...]:
     return (inst[3], inst[4])  # binary operations, comparisons, gep
 
 
-def _escaping(code: Tuple[tuple, ...], start: int, stop: int) -> set:
-    """Slots read anywhere outside ``code[start:stop]``."""
-    slots = set()
-    for pc, inst in enumerate(code):
-        if not start <= pc < stop:
-            slots.update(_reads(inst))
-    return slots
+def _writes(inst: tuple) -> Optional[int]:
+    """The register slot ``inst`` defines, if any."""
+    if inst[0] in _NO_RESULT or inst[2] < 0:  # a void call's is -1
+        return None
+    return inst[2]
+
+
+def _successors(closer: tuple) -> Tuple[int, ...]:
+    """The run starts a run ending in ``closer`` can continue at."""
+    if closer[0] == OP_BR:
+        return (closer[3], closer[4])
+    if closer[0] == OP_JMP:
+        return (closer[2],)
+    return ()
+
+
+def loop_of(cf: CompiledFunction, start: int, hot: Collection[int]) -> Tuple[int, ...]:
+    """The start pcs of the runs to translate with the run at ``start``.
+
+    That is its strongly connected component in the graph of the
+    ``hot`` runs that end in a branch or jump, when the component has a
+    cycle; else ``(start,)`` alone."""
+
+    def successors(pc):
+        body = cf.runs[pc][3]
+        if body[-1][0] not in (OP_BR, OP_JMP):
+            return ()
+        return tuple(t for t in _successors(body[-1]) if t in hot)
+
+    if start not in hot:
+        return (start,)
+    reached = set()
+    todo = list(successors(start))
+    while todo:
+        pc = todo.pop()
+        if pc not in reached:
+            reached.add(pc)
+            todo.extend(successors(pc))
+    if start not in reached:
+        return (start,)
+    members = {start}
+    grown = True
+    while grown:
+        grown = False
+        for pc in reached - members:
+            if any(t in members for t in successors(pc)):
+                members.add(pc)
+                grown = True
+    return tuple(sorted(members))
+
+
+def _promotable(cf: CompiledFunction, members: Tuple[int, ...]) -> Dict[int, int]:
+    """Address register -> access width of every stack slot the loop
+    over ``members`` may keep in a local; empty when it may keep none."""
+    bodies = [cf.runs[start][3] for start in members]
+    defined = {_writes(inst) for body in bodies for inst in body}
+    widths: Dict[int, int] = {}
+    for body in bodies:
+        for inst in body:
+            op = inst[0]
+            if op in _UNPROMOTABLE:
+                return {}
+            if op in (OP_LOAD, OP_STORE):
+                ptr, size = inst[3], inst[4]
+                if ptr in defined or widths.setdefault(ptr, size) != size:
+                    return {}
+    return widths
 
 
 class _Writer:
     """Source lines of one generated function, each tagged with the
-    body index it belongs to."""
+    ``(run start, body index)`` it belongs to."""
 
-    def __init__(self, cf: CompiledFunction, escaping: set):
+    def __init__(self, cf: CompiledFunction, spans: Dict[int, range],
+                 looping: bool, escaping: set, carried: Tuple[int, ...]):
+        self.cf = cf
         self.template = cf.base_template
+        self.spans = spans  # run start -> the pcs translated of it
+        self.members = tuple(spans)
+        self.looping = looping
         self.escaping = escaping
+        self.carried = carried
         self.lines: List[str] = []
-        self.owners: List[Optional[int]] = []
-        self.loaded: set = set()
+        self.owners: List[Optional[tuple]] = []
         self.used: set = set()
-        self.index: Optional[int] = None
-        self.stack_len = False  # whether ``_n`` holds ``len(_sd)``
+        self.entry_loads: Dict[int, None] = {}  # an ordered set
+        self.defined: set = set()  # defined earlier in the current run
+        self.owner: Optional[tuple] = None
+        self.indent = 0
+        self.stack = False  # whether the code reads ``_n``
+        self.promoted: Dict[int, int] = {}  # in the promoted copy
 
     def emit(self, text: str, depth: int = 1) -> None:
-        self.lines.append("    " * depth + text)
-        self.owners.append(self.index)
+        self.lines.append("    " * (self.indent + depth) + text)
+        self.owners.append(self.owner)
 
     def use(self, name: str) -> str:
         self.used.add(name)
@@ -167,64 +276,176 @@ class _Writer:
 
     def read(self, slot: int) -> str:
         """An expression for register ``slot``: a literal for a
-        constant, else a local (loaded from ``regs`` on first use)."""
+        constant, else a local (loaded from ``regs`` on entry unless
+        the current run defines it first)."""
         value = self.template[slot]
         if value is not None:
             return repr(value)
-        if slot not in self.loaded:
-            self.loaded.add(slot)
-            self.emit(f"v{slot} = regs[{slot}]")
+        if slot not in self.defined:
+            self.entry_loads[slot] = None
         return f"v{slot}"
 
     def stack_offset(self, ptr: str, size: int) -> None:
         """Open the stack fast path's test for a ``size``-byte access at
-        ``ptr``.  The stack's written prefix only grows while a run
-        executes, and only through ``write_int``, after which ``_n`` is
-        re-read; a stale ``_n`` would only send an access the slow way."""
-        if not self.stack_len:
-            self.emit(f"_n = len({self.use('_sd')})")
-            self.stack_len = True
+        ``ptr``.  ``_n`` is ``len(_sd)``, read on entry: the stack's
+        written prefix only grows while translated code executes, and
+        only through ``write_int``, after which ``_n`` is re-read; a
+        stale ``_n`` would only send an access the slow way."""
+        self.stack = True
         self.emit(f"_o = {ptr} - {self.use('_sb')}")
         self.emit(f"if 0 <= _o <= _n - {size}:")
 
     def write(self, slot: int, expr: str, depth: int = 1) -> None:
         """Define register ``slot``; written back to ``regs`` only when
         read outside the translated code."""
-        self.loaded.add(slot)
+        self.defined.add(slot)
         if slot in self.escaping:
             self.emit(f"regs[{slot}] = v{slot} = {expr}", depth)
         else:
             self.emit(f"v{slot} = {expr}", depth)
 
+    def goto(self, target: int, depth: int) -> None:
+        """Continue at run ``target``: inside the loop if it is a
+        member and its steps fit the fuel left, else return it."""
+        if not (self.looping and target in self.members):
+            self.emit(f"return {target}", depth)
+            return
+        steps = self.cf.runs[target][0]
+        self.emit(f"if left < {steps}:", depth)
+        self.emit(f"return {target}", depth + 1)
+        self.emit(f"left -= {steps}", depth)
+        self.emit(f"n{target} += 1", depth)
+        if len(self.members) > 1:
+            self.emit(f"pc = {target}", depth)
 
-def translate_run(cf: CompiledFunction, start: int) -> Optional[Translation]:
-    """Translate the run starting at ``start``; None when the run is a
-    lone call or return, which leaves nothing to translate."""
-    body = cf.runs[start][3]
-    closer = body[-1][0]
-    count = len(body) - 1 if closer in (OP_CALL, OP_RET) else len(body)
-    if count == 0:
+    def run(self, start: int) -> None:
+        """The code of the run at ``start``."""
+        body = self.cf.runs[start][3]
+        count = len(self.spans[start])
+        self.defined = set()
+        for index in range(count):
+            self.owner = (start, index)
+            _translate_inst(self, body[index], self.cf)
+        if count < len(body):  # a closing call or return
+            self.emit("return -1")
+        self.owner = None
+
+    def loop(self) -> None:
+        """A ``while`` loop over the member runs, dispatching on ``pc``."""
+        self.emit("while True:")
+        self.indent += 1
+        last = len(self.members) - 1
+        for position, start in enumerate(self.members):
+            if last:
+                test = "else" if position == last else f"if pc == {start}"
+                self.emit(f"{'el' if 0 < position < last else ''}{test}:")
+                self.indent += 1
+            self.run(start)
+            if last:
+                self.indent -= 1
+        self.indent -= 1
+
+
+def _slots_read(code: Tuple[tuple, ...], pcs) -> set:
+    slots: set = set()
+    for pc in pcs:
+        slots.update(_reads(code[pc]))
+    return slots
+
+
+def translate(cf: CompiledFunction, members: Tuple[int, ...]) -> Optional[Translation]:
+    """Translate the runs starting at ``members`` (see :func:`loop_of`);
+    None when the only one is a lone call or return, which leaves
+    nothing to translate."""
+    code = cf.code
+    spans = {}
+    for start in members:
+        body = cf.runs[start][3]
+        closer = body[-1][0]
+        count = len(body) - 1 if closer in (OP_CALL, OP_RET) else len(body)
+        spans[start] = range(start, start + count)
+    if not spans[members[0]]:
         return None
-    w = _Writer(cf, _escaping(cf.code, start, start + count))
-    for index in range(count):
-        w.index = index
-        _translate_inst(w, body[index], cf)
-    if count < len(body):
-        w.emit("return -1")
+    looping = any(
+        t in spans for start in members for t in _successors(code[spans[start][-1]])
+    )
+    inside = {pc for span in spans.values() for pc in span}
+    escaping = _slots_read(code, (pc for pc in range(len(code)) if pc not in inside))
+    carried: set = set()
+    for start, span in spans.items():
+        defined = {_writes(code[pc]) for pc in span}
+        others = inside.difference(span)
+        carried.update(defined & _slots_read(code, others))
+    w = _Writer(cf, spans, looping, escaping, tuple(sorted(carried)))
+    promoted = _promotable(cf, members) if looping else {}
+    name = f"{'loop' if looping else 'run'}_{members[0]}"
+    if not looping:
+        w.run(members[0])
+    else:
+        w.indent = 1
+        if promoted:
+            _promoted_loop(w, promoted)
+        w.loop()
+        w.indent = 0
+        w.emit("finally:")
+        for slot in w.carried:
+            w.emit(f"regs[{slot}] = v{slot}", 2)
+        tally = ", ".join(f"({start}, n{start})" for start in members)
+        w.emit(f"{w.use('_tally')}.append(({tally},))", 2)
+    prologue = [f"    v{slot} = regs[{slot}]" for slot in w.entry_loads]
+    if w.stack:
+        prologue.append(f"    _n = len({w.use('_sd')})")
+    if looping:
+        prologue.append("    " + " = ".join(f"n{start}" for start in members) + " = 0")
+        prologue.append("    try:")
     params = tuple(sorted(w.used))
-    header = ", ".join(("regs", "frame") + tuple(f"{p}=None" for p in params))
-    name = f"run_{start}"
-    source = "\n".join([f"def {name}({header}):", *w.lines]) + "\n"
-    unit = compile(source, f"<run @{cf.name}:{start}>", "exec")
-    code = next(c for c in unit.co_consts if isinstance(c, CodeType))
-    # line 1 is the ``def``; line k + 2 is w.lines[k]
-    return Translation(code, params, (None, None, *w.owners))
+    header = ", ".join(
+        ("regs", "frame", "pc", "left") + tuple(f"{p}=None" for p in params)
+    )
+    source = "\n".join([f"def {name}({header}):", *prologue, *w.lines]) + "\n"
+    unit = compile(source, f"<{name} @{cf.name}>", "exec")
+    function = next(c for c in unit.co_consts if isinstance(c, CodeType))
+    # line 1 is the ``def``, then the prologue, then w.lines
+    lines = (None,) * (2 + len(prologue)) + tuple(w.owners)
+    return Translation(function, params, lines, members, looping, len(promoted))
 
 
-def machine_bindings(machine, model, dyn: List[int]) -> Dict[str, object]:
-    """What the parameters of translated runs are bound to in one
+def _promoted_loop(w: _Writer, promoted: Dict[int, int]) -> None:
+    """The loop with the slots at ``promoted``'s address registers in
+    locals ``m<slot>``, behind the entry guard; returns or raises,
+    never falls through to the unpromoted copy after it."""
+    sb = w.use("_sb")
+    tests = [f"not {w.use('_rvs')}"]
+    slots = sorted(promoted)
+    for slot in slots:
+        w.emit(f"o{slot} = {w.read(slot)} - {sb}")
+        tests.append(f"0 <= o{slot} <= _n - {promoted[slot]}")
+    for i, slot in enumerate(slots):
+        for other in slots[i + 1 :]:
+            tests.append(
+                f"(o{slot} + {promoted[slot]} <= o{other}"
+                f" or o{other} + {promoted[other]} <= o{slot})"
+            )
+    w.stack = True
+    w.emit(f"if {' and '.join(tests)}:")
+    for slot in slots:
+        w.emit(f"m{slot} = {w.use(f'_u{promoted[slot]}')}(_sd, o{slot})[0]", 2)
+    w.emit("try:", 2)
+    w.indent += 2
+    w.promoted = promoted
+    w.loop()
+    w.promoted = {}
+    w.indent -= 2
+    w.emit("finally:", 2)
+    for slot in slots:
+        w.emit(f"{w.use(f'_p{promoted[slot]}')}(_sd, o{slot}, m{slot})", 3)
+
+
+def machine_bindings(machine, model, dyn: List[int], tally: list) -> Dict[str, object]:
+    """What the parameters of translated code are bound to in one
     engine: its machine's state, its cost model's machine-dependent
-    costs, and ``dyn``, the cell their cycles go to."""
+    costs, ``dyn``, the cell their cycles go to, and ``tally``, where
+    loops leave their run entry counts."""
     space = machine.space
     recorder = machine.recorder
     pm_base, pm_end = space.pm_bounds()
@@ -242,6 +463,7 @@ def machine_bindings(machine, model, dyn: List[int]) -> Dict[str, object]:
         _m=machine,
         _as=space.alloc_stack,
         _dyn=dyn,
+        _tally=tally,
         _pse=model.pm_store_extra,
         _cfl=model.flush,
         _cflc=model.flush_clean,
@@ -254,16 +476,17 @@ def machine_bindings(machine, model, dyn: List[int]) -> Dict[str, object]:
     return bindings
 
 
-def bind_run(translation: Translation, bindings: Dict[str, object]) -> FunctionType:
+def bind(translation: Translation, bindings: Dict[str, object]) -> FunctionType:
     """The translated function with its parameters bound to one engine."""
     code = translation.code
     defaults = tuple(bindings[name] for name in translation.params)
     return FunctionType(code, _GLOBALS, code.co_name, defaults)
 
 
-def fault_index(tb, translation: Translation) -> Optional[int]:
-    """The body index of the instruction a fault in ``translation``'s
-    code was raised from, or None if its traceback never entered it."""
+def fault_index(tb, translation: Translation) -> Optional[Tuple[int, int]]:
+    """The ``(run start, body index)`` of the instruction a fault in
+    ``translation``'s code was raised from, or None if its traceback
+    never entered that code or left it between instructions."""
     code = translation.code
     while tb is not None:
         if tb.tb_frame.f_code is code:
@@ -280,6 +503,9 @@ def _translate_inst(w: _Writer, inst: tuple, cf: CompiledFunction) -> None:
         w.write(inst[2], f"({a} {symbol} {b}) & {inst[5]}")
     elif op == OP_LOAD:
         ptr, size = w.read(inst[3]), inst[4]
+        if inst[3] in w.promoted:
+            w.write(inst[2], f"m{inst[3]}")
+            return
         w.stack_offset(ptr, size)
         w.write(inst[2], f"{w.use(f'_u{size}')}(_sd, _o)[0]", 2)
         w.emit("else:")
@@ -288,14 +514,24 @@ def _translate_inst(w: _Writer, inst: tuple, cf: CompiledFunction) -> None:
         a, b = w.read(inst[3]), w.read(inst[4])
         w.write(inst[2], f"1 if {a} {_ICMP_SYMBOLS[op]} {b} else 0")
     elif op == OP_BR:
-        w.emit(f"return {inst[3]} if {w.read(inst[2])} else {inst[4]}")
+        cond, then, other = w.read(inst[2]), inst[3], inst[4]
+        if not (w.looping and (then in w.members or other in w.members)):
+            w.emit(f"return {then} if {cond} else {other}")
+            return
+        w.emit(f"if {cond}:")
+        w.goto(then, 2)
+        w.emit("else:")
+        w.goto(other, 2)
     elif op == OP_JMP:
-        w.emit(f"return {inst[2]}")
+        w.goto(inst[2], 1)
     elif op == OP_GEP:
         a, b = w.read(inst[3]), w.read(inst[4])
         w.write(inst[2], f"({a} + {b}) & {_U64}")
     elif op == OP_STORE:
-        _translate_store(w, inst)
+        if inst[3] in w.promoted:
+            w.emit(f"m{inst[3]} = {w.read(inst[2])} & {inst[7]}")
+        else:
+            _translate_store(w, inst)
     elif op == OP_FLUSH:
         _translate_flush(w, inst)
     elif op == OP_FENCE:

@@ -1,11 +1,59 @@
-"""Shared test fixtures: canonical modules from the paper's listings."""
+"""Shared test fixtures: canonical modules from the paper's listings,
+and the flat engine's translation threshold.
+
+``--hot-after N`` makes the flat engine translate every run on its N-th
+entry for the whole session, so any test driving the flat engine runs
+through translated runs and loops; ``--hot-after 1`` turns the tier-1
+suite into a translated-code differential.  Tests that pin the default
+threshold skip under it.
+"""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 
 from repro.detect import pmemcheck_run
+from repro.interp import engine as flat_engine
 from repro.ir import I64, I8, ModuleBuilder, PTR
+
+
+def hot_after(entries):
+    """Translate each run on its ``entries``-th entry."""
+    return mock.patch.object(flat_engine, "_TRANSLATE_AFTER", entries)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--hot-after",
+        type=int,
+        default=None,
+        metavar="N",
+        help="translate every flat-engine run on its N-th entry (tests only)",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_hot_after(request):
+    """The ``--hot-after`` threshold, patched in for the whole session;
+    None (and the engine's own threshold) without the option."""
+    entries = request.config.getoption("--hot-after")
+    if entries is None:
+        yield None
+        return
+    with hot_after(entries):
+        yield entries
+
+
+@pytest.fixture
+def default_threshold(session_hot_after):
+    """For assertions about the engine's own translation threshold."""
+    if session_hot_after is not None:
+        pytest.skip(
+            f"asserts the default threshold; --hot-after {session_hot_after} "
+            "replaces it"
+        )
 
 
 def build_listing5_module():

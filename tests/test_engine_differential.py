@@ -17,6 +17,9 @@ run gets hot, and through a translated Python function after that.  The
 ``*_every_run_translated`` variants repeat the corpus, random-program
 and fuel-sweep differentials with every run translated on its first
 entry, so the translated code runs wherever a run is entered whole.
+``test_translated_loops_identical`` does the same for hot cycles of
+runs translated into one looping function, with and without their stack
+slots kept in Python locals.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 from repro.trace.events import StoreEvent
 
-from test_interp_translate import hot_after
+from conftest import hot_after
 from test_oracle_differential import (
     BATCH_CASES,
     assert_batch_matches_oracle,
@@ -609,6 +612,226 @@ def _assert_branching_identical(module, inputs):
         outcomes = _run_both(module, "main", list(args), fuel=BRANCHING_FUEL)
         assert "undefined value" not in str(outcomes["reference"][:3])
         assert outcomes["flat"] == outcomes["reference"], args
+
+
+# ---------------------------------------------------------------------------
+# translated loops
+# ---------------------------------------------------------------------------
+# A hot cycle of runs is translated into one Python function, which keeps
+# the loop's stack slots in locals when every access goes through a
+# register defined before the loop at one width, nothing flushes, fences
+# or allocates in it, and an entry guard finds the slots written and
+# disjoint.  These programs hit each of those conditions both ways:
+# accessors that share a register at two widths, two registers for one
+# or overlapping addresses, a pointer derived inside the loop, a slot
+# past the stack's written prefix, PM traffic, a division by a
+# loop-varying value, and an outer loop that gets hot too.
+
+#: (slot, byte offset, width, own register?) — a pointer computed before
+#: the loop; offset 0 without its own register is the alloca itself.
+accessor = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0, 0, 0, 1, 4, 8]),
+    st.sampled_from([I8, I16, I32, I64]),
+    st.sampled_from([False, False, True]),
+)
+loop_op = st.one_of(
+    st.tuples(st.just("load"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("store"), ref, st.integers(min_value=0, max_value=7)),
+    st.tuples(
+        st.just("binop"),
+        st.sampled_from(["add", "sub", "mul", "xor", "udiv", "urem"]),
+        ref,
+        ref,
+    ),
+    # a load through a pointer the loop derives: never promoted
+    st.tuples(st.just("derived"), st.integers(min_value=0, max_value=3), ref),
+    st.tuples(st.just("pm"), st.sampled_from(["store", "flush", "fence"]), ref),
+    # an if-then inside the body: the loop spans more runs
+    st.tuples(st.just("diamond"), ref, st.integers(min_value=0, max_value=7)),
+)
+loop_shape = st.fixed_dictionaries(
+    {
+        "slots": st.integers(min_value=1, max_value=4),
+        "accessors": st.lists(accessor, min_size=1, max_size=4),
+        "ops": st.lists(loop_op, max_size=6),
+        "nested": st.booleans(),
+        "one_block": st.booleans(),
+        "written": st.booleans(),
+    }
+)
+
+
+def build_loops(shape):
+    """``main(x, y, n, m)``: a counted loop of ``n`` iterations over
+    ``shape["ops"]``, run ``m`` times by an outer loop when
+    ``shape["nested"]``; returns a hash of every slot's bytes."""
+    mb = ModuleBuilder("loops")
+    b = mb.function(
+        "main", [("x", I64), ("y", I64), ("n", I64), ("m", I64)], I64,
+        source_file="loops.c",
+    )
+    x, y, n, m = b.function.args
+    slots = [b.alloca(16) for _ in range(shape["slots"])]
+    counter, outer = b.alloca(8), b.alloca(8)
+    pm = b.call("pm_alloc", [64], PTR)
+    for index, slot in enumerate(slots):
+        # unless ``written``, the last slot lies past the written prefix
+        if shape["written"] or index < len(slots) - 1:
+            b.store(b.add(x, index), slot)
+            b.store(y, b.gep(slot, 8))
+    pointers = []
+    for slot, offset, width, own in shape["accessors"]:
+        base = slots[slot % len(slots)]
+        pointers.append((b.gep(base, offset) if own or offset else base, width))
+
+    def pick(pool, index):
+        return pool[-1 - index % len(pool)]
+
+    def load(pointer, width):
+        value = b.load(pointer, width)
+        return value if width is I64 else b.cast("zext", value, I64)
+
+    def store(value, pointer, width):
+        if isinstance(value, int):
+            value &= width.mask
+        elif width is not I64:
+            value = b.cast("trunc", value, width)
+        b.store(value, pointer, width)
+
+    b.store(0, outer)
+    outer_head, outer_body = b.new_block("outer"), b.new_block("outer_body")
+    head = None if shape["one_block"] else b.new_block("head")
+    body, after, done = b.new_block("body"), b.new_block("after"), b.new_block("done")
+    b.jmp(outer_head)
+    b.position_at_end(outer_head)
+    o = b.load(outer)
+    b.br(b.icmp("ult", o, m), outer_body, done)
+    b.position_at_end(outer_body)
+    b.store(0, counter)
+    b.jmp(head or body)
+    if head is not None:
+        b.position_at_end(head)
+        b.br(b.icmp("ult", b.load(counter), n), body, after)
+    b.position_at_end(body)
+    c = b.load(counter)
+    ints = [x, y, c, 0, 1, 3]
+    for kind, *fields in shape["ops"]:
+        if kind == "load":
+            ints.append(load(*pick(pointers, fields[0])))
+        elif kind == "store":
+            store(pick(ints, fields[0]), *pick(pointers, fields[1]))
+        elif kind == "binop":
+            op, lhs, rhs = fields
+            ints.append(b.binop(op, pick(ints, lhs), pick(ints, rhs)))
+        elif kind == "derived":
+            slot, offset = fields
+            inside = b.gep(slots[slot % len(slots)], b.binop("and", pick(ints, offset), 15))
+            ints.append(load(inside, I8))
+        elif kind == "pm":
+            what, value = fields
+            if what == "store":
+                b.store(pick(ints, value), pm)
+            elif what == "flush":
+                b.flush(pm)
+            else:
+                b.fence()
+        else:  # values of the ``then`` block stay out of the pool
+            value, pointer = fields
+            then, join = b.new_block("then"), b.new_block("join")
+            odd = b.binop("and", pick(ints, value), 1)
+            b.br(b.icmp("ne", odd, 0), then, join)
+            b.position_at_end(then)
+            store(b.add(pick(ints, value), 5), *pick(pointers, pointer))
+            b.jmp(join)
+            b.position_at_end(join)
+    step = b.add(c, 1)
+    b.store(step, counter)
+    if head is None:  # do-while: the test ends the body
+        b.br(b.icmp("ult", step, n), body, after)
+    else:
+        b.jmp(head)
+    b.position_at_end(after)
+    b.store(b.add(o, 1), outer)
+    b.jmp(outer_head if shape["nested"] else done)
+    b.position_at_end(done)
+    digest = b.load(counter)
+    for slot in slots:
+        digest = b.add(b.mul(digest, 31), b.xor(b.load(slot), b.load(b.gep(slot, 8))))
+    b.call("emit", [digest])
+    b.ret(digest)
+    return mb.module
+
+
+def _observed_machine(record_volatile_stores):
+    """A machine whose trace recorder notes the stack's bytes at every
+    PM store, flush and fence event, as any observer could."""
+    machine = Machine(record_volatile_stores)
+    recorder, stack = machine.recorder, machine.space.stack
+    seen = []
+
+    def observe(method):
+        def observed(*args, **kwargs):
+            if method.__name__ != "record_store" or args[2] == "pm":
+                seen.append(bytes(stack.data))
+            return method(*args, **kwargs)
+
+        return observed
+
+    for name in ("record_store", "record_flush", "record_fence"):
+        setattr(recorder, name, observe(getattr(recorder, name)))
+    return machine, seen
+
+
+def _loop_fingerprint(module, engine, args, fuel, record_volatile_stores):
+    recorder = RunRecorder()
+    machine, seen = _observed_machine(record_volatile_stores)
+    interp = make_interpreter(
+        module, engine=engine, machine=machine, fuel=fuel, run_recorder=recorder
+    )
+    try:
+        outcome = ("ok", interp.call("main", list(args)).value)
+    except Exception as exc:  # noqa: BLE001 - parity is the point
+        outcome = ("err", type(exc).__name__, str(exc))
+    stack = interp.machine.space.stack
+    return {
+        "outcome": outcome,
+        "accounting": _accounting(interp),
+        "frames": interp._capture_stack(),
+        "stack": bytes(stack.data),
+        "high_water": stack.high_water,
+        "segments": [sorted(seg.iids) for seg in recorder.segments],
+        "stack_at_events": seen,
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=loop_shape,
+    args=st.tuples(
+        word,
+        word,
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=3),
+    ),
+    fuel=st.one_of(st.just(50_000), st.integers(min_value=1, max_value=400)),
+)
+def test_translated_loops_identical(shape, args, fuel):
+    """Loops translated after their first or third entry, promoted or
+    not, against the reference: events, steps, cycles, counts, output,
+    the final stack bytes and high water, and the recorder's segment
+    iids — with and without volatile stores recorded."""
+    module = build_loops(shape)
+    for record_volatile_stores in (False, True):
+        reference = _loop_fingerprint(
+            module, "reference", args, fuel, record_volatile_stores
+        )
+        for threshold in (1, 3):
+            with hot_after(threshold):
+                flat = _loop_fingerprint(
+                    module, "flat", args, fuel, record_volatile_stores
+                )
+            assert flat == reference, (threshold, record_volatile_stores)
 
 
 # ---------------------------------------------------------------------------

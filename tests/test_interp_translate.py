@@ -1,12 +1,14 @@
-"""Translated runs: when a run is translated, which code object it
-shares, and how a fault inside translated code is settled.
+"""Translated runs and loops: when a run is translated, which code
+object it shares, and how a fault or fuel cut inside translated code is
+settled.
 
 The flat engine translates a run into a Python function on the run's
-``_TRANSLATE_AFTER``-th entry (:mod:`repro.interp.translate`).  A fault
-raised inside the translated function is located from the traceback's
-line number; the engine must then settle steps, cycles, counts, the
-recorder's segment iids and the frame's pc exactly as the reference
-engine leaves them.
+``_TRANSLATE_AFTER``-th entry (:mod:`repro.interp.translate`), together
+with the hot runs it shares a cycle with.  A fault raised inside the
+translated function is located from the traceback's line number; the
+engine must then settle steps, cycles, counts, the recorder's segment
+iids, the frame's pc and — for a loop keeping stack slots in locals —
+the stack bytes exactly as the reference engine leaves them.
 """
 
 from __future__ import annotations
@@ -16,19 +18,15 @@ from unittest import mock
 import pytest
 
 from repro.interp import Machine, cached_program, make_interpreter
-from repro.interp import engine as flat_engine
 from repro.interp import translate
-from repro.ir import I64, ModuleBuilder, PTR
+from repro.ir import I8, I64, ModuleBuilder, PTR
 from repro.ir.instructions import Flush
 from repro.obs.metrics import MetricsRegistry
 from repro.revalidate.recording import RunRecorder
 
+from conftest import hot_after
+
 LOOPS = 6
-
-
-def hot_after(entries):
-    """Translate each run on its ``entries``-th entry."""
-    return mock.patch.object(flat_engine, "_TRANSLATE_AFTER", entries)
 
 
 def _counted_loop(b, n, body):
@@ -99,10 +97,11 @@ def _outcome(interp, call):
     return outcome
 
 
-def _fingerprint(module, engine, args, machine=None):
+def _fingerprint(module, engine, args, machine=None, fuel=50_000_000, **kwargs):
     recorder = RunRecorder()
     interp = make_interpreter(
-        module, engine=engine, machine=machine, run_recorder=recorder
+        module, engine=engine, machine=machine, run_recorder=recorder, fuel=fuel,
+        **kwargs,
     )
     outcome = _outcome(interp, lambda: interp.call("main", args))
     return interp, {
@@ -115,6 +114,9 @@ def _fingerprint(module, engine, args, machine=None):
         "segments": [sorted(seg.iids) for seg in recorder.segments],
         # the frames a fault leaves, down to the faulting instruction
         "stack": interp._capture_stack(),
+        # a promoted loop's slots are written back on every exit
+        "stack_bytes": bytes(interp.machine.space.stack.data),
+        "high_water": interp.machine.space.stack.high_water,
     }
 
 
@@ -216,6 +218,170 @@ def test_recorder_or_cache_fault_mid_run_settles_like_the_reference(owner, metho
 
 
 # ---------------------------------------------------------------------------
+# faults and fuel inside a promoted loop
+# ---------------------------------------------------------------------------
+# A loop whose stack slots live in Python locals must write them back to
+# the stack bytes on every exit — a normal one, a fuel cut and a fault —
+# and a fault or cut inside it must settle like any other run.
+
+
+def build_promoted_loop(kind):
+    """``main(n, k)``: ``for (c = 0; c < n; c++) acc += f(c)`` over two
+    stack slots, the loop split over two runs (test, body).  The body
+    faults by ``kind`` once ``c == k``; with ``"load"`` it reads through
+    a pointer it derives itself, which keeps the loop unpromoted; with
+    ``"alias"`` a second register for the counter's address makes the
+    entry guard fail; with ``"narrow"`` the body reads a slot at two
+    widths, which keeps the loop unpromoted."""
+    mb = ModuleBuilder(f"promoted_{kind}")
+    b = mb.function("main", [("n", I64), ("k", I64)], I64, source_file="p.c")
+    n, k = b.function.args
+    counter, acc = b.alloca(8), b.alloca(8)
+    alias = b.gep(counter, 0)  # the same address in another register
+    b.store(0, counter)
+    b.store(5, acc)
+    head, body, hit, done = (b.new_block(name) for name in ("head", "body", "hit", "done"))
+    b.jmp(head)
+    b.position_at_end(head)
+    c = b.load(counter)
+    b.br(b.icmp("ult", c, n), body, done)
+    b.position_at_end(body)
+    term = b.add(b.mul(c, 3), b.load(acc))
+    delta = b.sub(c, k)
+    if kind in ("udiv", "urem"):
+        term = b.add(term, b.binop(kind, 1000, delta))
+    elif kind == "load":  # unmapped when c == k
+        bad = b.gep(acc, b.select(b.icmp("eq", delta, 0), 1 << 40, 0))
+        term = b.add(term, b.load(bad))
+    elif kind == "narrow":  # acc's low byte, through acc's own register
+        term = b.add(term, b.cast("zext", b.load(acc, I8), I64))
+    b.store(term, acc)
+    after = b.add(c, 1)
+    if kind == "alias":
+        b.store(after, alias)
+        b.store(b.add(b.load(counter), 0), counter)
+    else:
+        b.store(after, counter)
+    if kind == "trap":
+        b.br(b.icmp("eq", delta, 0), hit, head)
+    else:
+        b.jmp(head)
+    b.position_at_end(hit)
+    b.trap()
+    b.position_at_end(done)
+    b.call("emit", [b.load(acc)])
+    b.ret(0)
+    return mb.module
+
+
+def _loop_counters(interp):
+    return interp._loops_translated, interp._loops_promoted
+
+
+@pytest.mark.parametrize("kind", ["udiv", "urem", "trap", "load"])
+def test_fault_inside_a_translated_loop_settles_like_the_reference(kind):
+    """The fault comes on the fifth iteration; the loop is translated
+    on the second entry of its body."""
+    module = build_promoted_loop(kind)
+    args = [LOOPS, 4]
+    _, reference = _fingerprint(module, "reference", args)
+    assert reference["outcome"][0] == "err"
+    with hot_after(2):
+        interp, flat = _fingerprint(module, "flat", args)
+    assert flat == reference
+    # a derived pointer keeps the loop's slots in memory
+    assert _loop_counters(interp) == (1, 0 if kind == "load" else 1)
+    if kind != "trap":  # the trap's run is outside the loop
+        assert _ran_translated(interp, interp.current_iid())
+
+
+def _two_calls(module, engine):
+    """``main`` runs its loop whole, then faults on the first pass of
+    the next call; the second segment starts empty."""
+    recorder = RunRecorder()
+    interp = make_interpreter(module, engine=engine, run_recorder=recorder)
+    interp.call("main", [LOOPS, LOOPS])
+    outcome = _outcome(interp, lambda: interp.call("main", [LOOPS, 0]))
+    return interp, {
+        "outcome": outcome,
+        "accounting": (interp.steps, interp.costs.cycles, interp.costs.counts),
+        "segments": [sorted(seg.iids) for seg in recorder.segments],
+        "stack": interp._capture_stack(),
+        "stack_bytes": bytes(interp.machine.space.stack.data),
+    }
+
+
+@pytest.mark.parametrize("kind", ["udiv", "urem", "load"])
+def test_fault_on_a_translated_loops_first_pass_settles_like_the_reference(kind):
+    """The loop is translated in the first call.  In the second, the
+    engine enters it at the loop test, and the body faults on its first
+    pass inside the loop function: the segment gets the test's iids and
+    the body's up to the fault, nothing more."""
+    module = build_promoted_loop(kind)
+    _, reference = _two_calls(module, "reference")
+    with hot_after(2):
+        interp, flat = _two_calls(module, "flat")
+    assert flat == reference
+    assert reference["outcome"][0] == "err"
+    assert _loop_counters(interp)[0] == 1
+
+
+@pytest.mark.parametrize("kind", ["plain", "alias"])
+def test_fuel_cut_inside_a_translated_loop_settles_like_the_reference(kind):
+    """The limit lands at every position of the loop's first six
+    iterations — four of them run inside the loop translation, which
+    returns at the run that would cross the limit."""
+    module = build_promoted_loop(kind)
+    full = make_interpreter(module)
+    full.call("main", [LOOPS, LOOPS])
+    assert full.output == [5 + 3 * sum(range(LOOPS))]
+    for fuel in range(1, full.steps + 2):
+        _, reference = _fingerprint(module, "reference", [LOOPS, LOOPS], fuel=fuel)
+        with hot_after(2):
+            interp, flat = _fingerprint(module, "flat", [LOOPS, LOOPS], fuel=fuel)
+        assert flat == reference, fuel
+    assert flat["outcome"] == ("ok",)
+    assert _loop_counters(interp) == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["plain", "narrow"])
+def test_recorded_volatile_stores_keep_a_loops_slots_in_memory(kind):
+    """With volatile stores recorded, every stack store of the loop is
+    an event: the guard sends each entry to the unpromoted copy.  A
+    slot read at two widths keeps the loop unpromoted anyway."""
+    module = build_promoted_loop(kind)
+    for record_volatile_stores in (False, True):
+        _, reference = _fingerprint(
+            module, "reference", [LOOPS, LOOPS],
+            record_volatile_stores=record_volatile_stores,
+        )
+        with hot_after(2):
+            interp, flat = _fingerprint(
+                module, "flat", [LOOPS, LOOPS],
+                record_volatile_stores=record_volatile_stores,
+            )
+        assert flat == reference, record_volatile_stores
+        promoted = kind == "plain" and not record_volatile_stores
+        assert _loop_counters(interp) == (1, int(promoted))
+    assert len(reference["events"]) > 2 * LOOPS  # the loop's stores
+
+
+def test_a_failed_guard_runs_the_unpromoted_loop():
+    """Two registers hold the counter's address: the loop's shape
+    allows promotion, its entry guard refuses the overlapping slots, and
+    the unpromoted copy gives the reference's results."""
+    module = build_promoted_loop("alias")
+    _, reference = _fingerprint(module, "reference", [LOOPS, LOOPS])
+    with hot_after(2):
+        interp, flat = _fingerprint(module, "flat", [LOOPS, LOOPS])
+    assert flat == reference
+    assert flat["output"] == [5 + 3 * sum(range(LOOPS))]
+    lf = interp._linked["main"]
+    (translation,) = {t for t in lf.translated.values() if t.looping}
+    assert translation.promoted == 3  # counter, alias and acc
+
+
+# ---------------------------------------------------------------------------
 # when runs translate, and what they share
 # ---------------------------------------------------------------------------
 
@@ -258,7 +424,7 @@ def test_a_second_engine_reuses_the_code_object():
     first = make_interpreter(module)
     first.call("main", [200])
     lf, start = _loop_run(first, "main")
-    translation = lf.cf.translations[start]
+    translation = lf.cf.translations[(start,)]
     assert lf.runs[start][5].__code__ is translation.code
 
     with mock.patch.object(translate, "compile", create=True) as compile_spy:

@@ -17,12 +17,10 @@ The contract under test, per layer:
 from __future__ import annotations
 
 import json
-from unittest import mock
 
 import pytest
 
 from repro.faultinject.resume import run_kill_resume
-from repro.interp import engine as flat_engine
 from repro.obs import (
     JsonlSink,
     ManualClock,
@@ -34,7 +32,16 @@ from repro.obs import (
 from repro.supervisor import SupervisorConfig, corpus_tasks, run_batch
 from repro.supervisor.tasks import execute_task
 
+from conftest import hot_after
+
 CASES = ["PMDK-447", "PMDK-452"]
+
+#: The flat engine's translation counters: volatile metrics only.
+TRANSLATION_COUNTERS = (
+    "interp.runs_translated",
+    "interp.loops_translated",
+    "interp.loops_promoted",
+)
 
 PHASES = (
     "phase.locate",
@@ -96,18 +103,21 @@ class TestTaskInstrumentation:
         assert counters["analysis.misses"] > 0
         assert counters["analysis.misses"] == result.stats["misses"]
 
-    def test_runs_translated_counter_is_volatile_only(self):
-        """The flat engine reports how many runs it translated next to
-        ``interp.steps``; the canonical record never carries it, and
-        translating changes nothing in it."""
+    def test_runs_translated_counter_is_volatile_only(self, default_threshold):
+        """The flat engine reports how many runs and loops it translated
+        next to ``interp.steps``; the canonical record never carries
+        them, and translating changes nothing in it."""
         obs, plain = run_one_task()
         # PMDK-447 runs ~700 steps: no run gets hot enough to translate
-        assert obs.metrics_snapshot()["counters"]["interp.runs_translated"] == 0
-        with mock.patch.object(flat_engine, "_TRANSLATE_AFTER", 1):
+        counters = obs.metrics_snapshot()["counters"]
+        for name in TRANSLATION_COUNTERS:
+            assert counters[name] == 0, name
+        with hot_after(1):
             obs, translated = run_one_task()
         assert obs.metrics_snapshot()["counters"]["interp.runs_translated"] > 0
         assert translated.record == plain.record
-        assert "runs_translated" not in json.dumps(translated.record)
+        assert "translated" not in json.dumps(translated.record)
+        assert "promoted" not in json.dumps(translated.record)
 
     def test_span_output_is_byte_stable(self):
         first, _ = run_one_task()
@@ -150,7 +160,8 @@ class TestBatchByteIdentity:
         counters = load_metrics(metrics_path)["counters"]
         for name in ("pipeline.bugs", "pipeline.fixes_applied", "interp.steps"):
             assert counters.get(name), f"metrics missing counter {name!r}"
-        assert counters["interp.runs_translated"] == 0  # no run got hot
+        for name in TRANSLATION_COUNTERS:  # their values: TestTranslationCounters
+            assert name in counters, name
 
     def test_kill_resume_with_obs_is_byte_identical(self, tmp_path):
         tasks = corpus_tasks(CASES)
@@ -169,6 +180,31 @@ class TestBatchByteIdentity:
         assert record.obs
         assert record.ok, record.problems
         assert "obs" in record.describe()
+
+
+class TestTranslationCounters:
+    """Over the whole corpus, under the engine's own threshold, no run
+    gets hot; translating every run changes no byte of the report."""
+
+    def _corpus_batch(self):
+        obs = Observability()
+        report = run_batch(corpus_tasks(), config=fast_config(), obs=obs)
+        return report.canonical_json(), obs.metrics_snapshot()["counters"]
+
+    def test_corpus_translates_nothing_at_the_default_threshold(
+        self, default_threshold
+    ):
+        _, counters = self._corpus_batch()
+        for name in TRANSLATION_COUNTERS:
+            assert counters[name] == 0, name
+
+    def test_corpus_report_unchanged_with_every_run_translated(self):
+        plain, _ = self._corpus_batch()
+        with hot_after(1):
+            translated, counters = self._corpus_batch()
+        assert translated == plain
+        assert counters["interp.runs_translated"] > 0
+        assert counters["interp.loops_translated"] > 0
 
 
 # ---------------------------------------------------------------------------
