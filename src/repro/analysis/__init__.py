@@ -11,7 +11,6 @@ from .manager import (
     CALLGRAPH,
     LOCATOR,
     POINTS_TO,
-    VERIFIED,
     classification_key,
 )
 
@@ -31,5 +30,4 @@ __all__ = [
     "POINTS_TO",
     "PointsTo",
     "UNKNOWN_SITE",
-    "VERIFIED",
 ]

@@ -15,10 +15,21 @@ Invalidation matrix (driven by :meth:`mutation_committed`):
 mutation                points_to   callgraph  locator  verified(fn)    compiled
 ======================  ==========  =========  =======  ==============  =========
 flush/fence insertion   preserved   preserved  preserv  touched only    touched
-clone / call retarget   dropped     dropped    preserv  touched only    touched
-rollback (clean)        preserved   preserved  preserv  preserved       touched
+clone / call retarget   dropped     dropped    preserv  dropped         touched
+rollback (clean)        preserved   preserved  preserv  touched only    touched
 rollback (failed)       dropped     dropped    dropped  dropped         dropped
 ======================  ==========  =========  =======  ==============  =========
+
+The verified column is not a manager entry: each function carries its
+own verified state, keyed on the stamps the mutation primitives move
+(:func:`~repro.ir.verifier.is_verified`).  A body edit drops only that
+function's; adding or removing a function (a clone, or a rolled-back
+clone) or retargeting a call drops every function's, because it can
+change whether an untouched caller's ``call`` verifies; a failed
+rollback counts as such a change too (``FixTransaction.rollback``).
+:meth:`AnalysisManager.verify_scope`, Hippocrates's final check and the
+flat engine's compiler all read and set the same state, so each
+function is verified once per change.
 
 The compiled program (the flat engine's input, see
 :mod:`repro.interp.compile`) is *content*-exact, not shape-exact: even a
@@ -57,21 +68,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..budget import Budget
-from ..errors import VerificationError
 from ..ir.module import Module
-from ..ir.verifier import verify_function
+from ..ir.verifier import is_verified, verify_function
 from ..interp.compile import cached_program
 from .andersen import PointsTo
 from .callgraph import CallGraph
 from .diskcache import AnalysisDiskCache
 
 #: Well-known analysis keys.  Classifications use
-#: :func:`classification_key`; per-function verify state uses
-#: ``(VERIFIED, name)``.
+#: :func:`classification_key`.
 POINTS_TO = "points_to"
 CALLGRAPH = "callgraph"
 LOCATOR = "locator"
-VERIFIED = "verified"
 #: The flat engine's register-compiled program (a
 #: :class:`~repro.interp.compile.CompiledProgram`).  Epoch-bound by
 #: construction: dropped on *every* epoch change (commit or rollback)
@@ -254,28 +262,14 @@ class AnalysisManager:
 
     # -- mutation notifications (called by FixTransaction) -------------------
 
-    def mutation_committed(
-        self,
-        touched_functions: Iterable[str] = (),
-        structural: bool = False,
-    ) -> None:
+    def mutation_committed(self, structural: bool = False) -> None:
         """A transaction committed.
 
-        ``touched_functions`` lose their per-function verified state;
         ``structural`` mutations (clone insertion, call retargeting)
-        additionally drop the points-to solution, the call graph, and
-        their dependents.  Everything else is revalidated at the new
-        epoch — the invalidation matrix in the module docs.
+        drop the points-to solution, the call graph, and their
+        dependents.  Everything else is revalidated at the new epoch —
+        the invalidation matrix in the module docs.
         """
-        epoch = self.module.epoch
-        for name in touched_functions:
-            entry = self._entries.get((VERIFIED, name))
-            # Drop verified state computed against the *pre-mutation*
-            # content; a scoped verify that already ran against the
-            # post-mutation content (same epoch) stays valid.
-            if entry is not None and entry.epoch != epoch:
-                del self._entries[(VERIFIED, name)]
-                self._count("invalidations")
         if structural:
             self.invalidate(STRUCTURE_KEYS)
         self._revalidate_surviving()
@@ -298,33 +292,23 @@ class AnalysisManager:
     # -- scoped verification --------------------------------------------------
 
     def verify_scope(self, function_names: Iterable[str]) -> None:
-        """Verify just the named functions, caching per-function passes.
+        """Verify just the named functions that changed since they last
+        verified.
 
         The fast path behind per-fix verification: a committed fix only
-        drops the verified state of the functions it touched, so a batch
-        of fixes to one function re-verifies one function, not the
-        module.  Raises :class:`VerificationError` on the first failure
-        (and caches it — a broken function stays broken at this epoch).
+        changes the functions it touched, so a batch of fixes to one
+        function re-verifies one function, not the module.  Raises
+        :class:`~repro.errors.VerificationError` on the first failure.
         """
         for name in sorted(set(function_names)):
-            if not self.module.has_function(name):
+            fn = self.module.functions.get(name)
+            if fn is None:
                 continue
-            key = (VERIFIED, name)
-            entry = self._entries.get(key)
-            if entry is not None and entry.epoch == self.module.epoch:
-                if entry.failure is not None:
-                    self._count("failures_replayed")
-                    raise entry.failure
+            if is_verified(fn):
                 self._count("hits")
                 continue
             self._count("misses")
-            epoch = self.module.epoch
-            try:
-                verify_function(self.module.get_function(name))
-            except VerificationError as exc:
-                self._entries[key] = _Entry(epoch=epoch, failure=exc)
-                raise
-            self._entries[key] = _Entry(epoch=epoch, value=True)
+            verify_function(fn)
 
     # -- built-in computations -------------------------------------------------
 

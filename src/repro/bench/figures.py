@@ -121,12 +121,18 @@ def fig4_table(result: Fig4Result) -> str:
 
 
 def fig5_table(rows: List[OverheadRow]) -> str:
-    """Fig. 5: offline overhead of running Hippocrates."""
+    """Fig. 5: offline overhead of running Hippocrates.
+
+    The time and peak-memory columns are measured on the machine that
+    runs the table (wall clock, ``tracemalloc``), so they differ from
+    run to run; every other column is deterministic."""
     lines = [
         "Fig. 5 — Offline overhead of Hippocrates",
+        "(* measured on the running machine: wall-clock seconds and",
+        "   tracemalloc peak, which differ from run to run)",
         "-" * 72,
-        f"{'target':20s} {'K-instrs':>9s} {'time (s)':>10s} "
-        f"{'peak MB':>9s} {'bugs':>5s}",
+        f"{'target':20s} {'K-instrs':>9s} {'time (s)*':>10s} "
+        f"{'peak MB*':>9s} {'bugs':>5s}",
     ]
     for row in rows:
         lines.append(

@@ -69,7 +69,7 @@ from ..interp.interpreter import Machine
 from ..ir.instructions import Fence
 from ..obs.observability import NULL_OBS, Observability
 from ..ir.module import Module
-from ..ir.verifier import verify_module
+from ..ir.verifier import verify_changed
 from ..revalidate.witness import spec_for_fix
 from ..trace.pmemcheck import TraceWarning, load_trace
 from ..trace.trace import PMTrace
@@ -626,13 +626,16 @@ class Hippocrates:
 
         Each fix is applied transactionally: its mutations are
         journaled, the functions it touched are re-verified (the scoped
-        fast path — committing a fix only invalidates the verified
-        state of those functions, so untouched ones are never
-        re-checked), and any failure rolls the module back to the state
-        before that fix — then the fix's bugs are quarantined
-        (``keep_going``) or the error propagates with the module still
-        structurally intact.  A final whole-module verification guards
-        the fast path itself.
+        fast path — a body edit only invalidates the verified state of
+        that function, so untouched ones are never re-checked), and any
+        failure rolls the module back to the state before that fix —
+        then the fix's bugs are quarantined (``keep_going``) or the
+        error propagates with the module still structurally intact.
+        The final check verifies every function not verified since its
+        last change (:func:`~repro.ir.verifier.verify_changed`): the
+        whole module when it was never verified, or when a clone, a
+        retarget or a rollback changed its shape, and nothing more
+        after flush/fence-only fixes that the scoped checks covered.
         """
         report = FixReport(plan=plan, heuristic=self.heuristic)
         report.ir_size_before = self.module.instruction_count()
@@ -699,7 +702,7 @@ class Hippocrates:
         obs.count("pipeline.fixes_applied", len(applied))
         obs.count("pipeline.bugs_quarantined", len(self.quarantined))
         with obs.span("phase.verify"):
-            verify_module(self.module)
+            verify_changed(self.module)
         return report
 
     def revalidate(self):

@@ -14,10 +14,11 @@ back cleanly.  Undo actions run in reverse registration order.
 The transaction is also the analysis manager's mutation witness: it
 knows whether a fix only inserted flushes/fences (``track_fix``) or
 changed program structure (``track_attr`` retargeting, clones via
-``track_transformer``), and which functions it touched.  ``commit`` and
-``rollback`` forward that to the attached
-:class:`~repro.analysis.manager.AnalysisManager` so exactly the right
-cached analyses are invalidated — see the invalidation matrix there.
+``track_transformer``).  ``commit`` and ``rollback`` forward that to the
+attached :class:`~repro.analysis.manager.AnalysisManager` so exactly the
+right cached analyses are invalidated — see the invalidation matrix
+there.  It also records which functions the fix touched, the scope of
+the per-fix verification.
 """
 
 from __future__ import annotations
@@ -160,10 +161,7 @@ class FixTransaction:
         self._undo.clear()
         self._done = True
         if self.manager is not None:
-            self.manager.mutation_committed(
-                touched_functions=self.touched_functions,
-                structural=self.structural,
-            )
+            self.manager.mutation_committed(structural=self.structural)
 
     def rollback(self) -> None:
         """Undo every recorded mutation, most recent first.
@@ -185,6 +183,10 @@ class FixTransaction:
             except Exception as exc:
                 failures.append(exc)
         self._done = True
+        if failures:
+            # The module's content is unknown: count it as a change to
+            # every function, so each one verifies again.
+            self.module.bump_epoch()
         if self.manager is not None:
             # A clean rollback restored the exact prior content, so all
             # cached analyses are still valid; a failed one leaves the

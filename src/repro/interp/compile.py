@@ -96,7 +96,7 @@ from ..ir.opcodes import (
 )
 from ..ir.types import IntType
 from ..ir.values import Constant, GlobalVariable, Value
-from ..ir.verifier import verify_function
+from ..ir.verifier import is_verified, verify_function
 from ..memory.layout import CODECS
 from .costs import KIND_INDEX
 from .intrinsics import is_intrinsic, lookup
@@ -487,8 +487,10 @@ class _FunctionCompiler:
 
 def compile_function(fn: Function, module: Module) -> CompiledFunction:
     """Lower one (defined) function to its flat form; raises
-    :class:`~repro.errors.VerificationError` if the verifier rejects it."""
-    verify_function(fn)
+    :class:`~repro.errors.VerificationError` if the verifier rejects it.
+    A function verified since its last change is not verified again."""
+    if not is_verified(fn):
+        verify_function(fn)
     return _FunctionCompiler(fn, module).compile()
 
 

@@ -39,19 +39,21 @@ class BasicBlock:
     # -- mutation ------------------------------------------------------------
 
     def _bump_module_epoch(self) -> None:
-        """Propagate a structural change to the owning module's epoch."""
+        """Propagate a change of this block to the owning module's epoch
+        and to its function's stamp (see :meth:`Module.bump_epoch`)."""
         fn = self.parent
         if fn is not None and fn.parent is not None:
-            fn.parent.bump_epoch()
+            fn.parent.bump_epoch(fn)
 
     def append(self, instr: Instruction) -> Instruction:
         """Append an instruction to the end of the block."""
-        if self.terminator is not None:
+        instructions = self.instructions
+        if instructions and instructions[-1].is_terminator:
             raise IRError(
                 f"block {self.name!r} already has a terminator; cannot append"
             )
         instr.parent = self
-        self.instructions.append(instr)
+        instructions.append(instr)
         self._bump_module_epoch()
         return instr
 

@@ -11,12 +11,16 @@ one-to-one), unless the app sets explicit locations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class DebugLoc:
-    """A source position: ``file:line``."""
+class DebugLoc(NamedTuple):
+    """A source position: ``file:line``.
+
+    Immutable, hashable and ordered by ``(file, line)``.  A named tuple
+    rather than a frozen dataclass: the parser builds one per line, and
+    a frozen dataclass pays an ``object.__setattr__`` per field.
+    """
 
     file: str
     line: int

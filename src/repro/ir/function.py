@@ -40,6 +40,12 @@ class Function:
             self.args.append(arg)
         self.blocks: List[BasicBlock] = []
         self.parent: Optional["Module"] = None
+        #: module epoch of this body's last change (moved by
+        #: :meth:`Module.bump_epoch`)
+        self.stamp = 0
+        #: module epoch at which :func:`~repro.ir.verifier.verify_function`
+        #: last accepted this function; -1 when never
+        self.verified_at = -1
         #: Set by the persistent-subprogram transformation on clones:
         #: the name of the function this one was cloned from.
         self.cloned_from: Optional[str] = None
@@ -67,7 +73,7 @@ class Function:
         block = BasicBlock(candidate, self)
         self.blocks.append(block)
         if self.parent is not None:
-            self.parent.bump_epoch()
+            self.parent.bump_epoch(self)
         return block
 
     def get_block(self, name: str) -> BasicBlock:

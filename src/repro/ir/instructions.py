@@ -28,11 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .basicblock import BasicBlock
     from .function import Function
 
+#: Hands out instruction ids in construction order (the parser builds
+#: instructions in textual order, so a module's iids follow its text).
 _iid_counter = itertools.count(1)
-
-
-def _fresh_iid() -> int:
-    return next(_iid_counter)
 
 
 #: Flush instruction flavors (x86 names; ARM's DC CVAP behaves like CLWB).
@@ -58,10 +56,13 @@ class Instruction(Value):
     #: True for instructions that end a basic block.
     is_terminator: bool = False
 
-    def __init__(self, type_: Type, operands: Sequence[Value], name: str = ""):
-        super().__init__(type_, name)
-        self.operands: List[Value] = list(operands)
-        self.iid = _fresh_iid()
+    def __init__(self, type_: Type, operands: List[Value], name: str = ""):
+        # Value.__init__ inlined: one frame per instruction, not two.  The
+        # instruction owns ``operands``: subclasses pass a fresh list.
+        self.type = type_
+        self.name = name
+        self.operands = operands
+        self.iid = next(_iid_counter)
         self.loc: DebugLoc = SYNTHETIC
         self.parent: Optional["BasicBlock"] = None
 
@@ -103,7 +104,7 @@ class Alloca(Instruction):
     def __init__(self, size: int, name: str = ""):
         if size <= 0:
             raise IRError("alloca size must be positive")
-        super().__init__(PTR, [], name)
+        Instruction.__init__(self, PTR, [], name)
         self.size = size
 
     def operand_repr(self) -> str:
@@ -120,7 +121,7 @@ class Load(Instruction):
             raise IRError("load requires a pointer operand")
         if type_.is_void:
             raise IRError("cannot load void")
-        super().__init__(type_, [ptr], name)
+        Instruction.__init__(self, type_, [ptr], name)
 
     @property
     def pointer(self) -> Value:
@@ -151,7 +152,7 @@ class Store(Instruction):
             raise IRError("store requires a pointer target")
         if value.type.is_void:
             raise IRError("cannot store void")
-        super().__init__(VOID, [value, ptr])
+        Instruction.__init__(self, VOID, [value, ptr])
         self.nontemporal = nontemporal
 
     @property
@@ -177,7 +178,7 @@ class Gep(Instruction):
             raise IRError("gep base must be a pointer")
         if not offset.type.is_integer:
             raise IRError("gep offset must be an integer")
-        super().__init__(PTR, [base, offset], name)
+        Instruction.__init__(self, PTR, [base, offset], name)
 
     @property
     def base(self) -> Value:
@@ -203,7 +204,7 @@ class BinOp(Instruction):
             raise IRError(f"{op} requires integer operands")
         if lhs.type != rhs.type:
             raise IRError(f"{op} operand types differ: {lhs.type} vs {rhs.type}")
-        super().__init__(lhs.type, [lhs, rhs], name)
+        Instruction.__init__(self, lhs.type, [lhs, rhs], name)
         self.op = op
 
     @property
@@ -221,7 +222,7 @@ class ICmp(Instruction):
             raise IRError(f"unknown icmp predicate: {pred!r}")
         if lhs.type != rhs.type:
             raise IRError("icmp operand types differ")
-        super().__init__(I1, [lhs, rhs], name)
+        Instruction.__init__(self, I1, [lhs, rhs], name)
         self.pred = pred
 
     def operand_repr(self) -> str:
@@ -236,7 +237,7 @@ class Select(Instruction):
     def __init__(self, cond: Value, a: Value, b: Value, name: str = ""):
         if a.type != b.type:
             raise IRError("select arm types differ")
-        super().__init__(a.type, [cond, a, b], name)
+        Instruction.__init__(self, a.type, [cond, a, b], name)
 
 
 class Cast(Instruction):
@@ -255,7 +256,7 @@ class Cast(Instruction):
             raise IRError("inttoptr must produce a pointer")
         if kind == "ptrtoint" and not value.type.is_pointer:
             raise IRError("ptrtoint requires a pointer operand")
-        super().__init__(to_type, [value], name)
+        Instruction.__init__(self, to_type, [value], name)
         self.kind = kind
 
     def operand_repr(self) -> str:
@@ -274,7 +275,7 @@ class Branch(Instruction):
     is_terminator = True
 
     def __init__(self, cond: Value, then_block: "BasicBlock", else_block: "BasicBlock"):
-        super().__init__(VOID, [cond])
+        Instruction.__init__(self, VOID, [cond])
         self.then_block = then_block
         self.else_block = else_block
 
@@ -298,7 +299,7 @@ class Jump(Instruction):
     is_terminator = True
 
     def __init__(self, target: "BasicBlock"):
-        super().__init__(VOID, [])
+        Instruction.__init__(self, VOID, [])
         self.target = target
 
     def successors(self) -> List["BasicBlock"]:
@@ -315,7 +316,7 @@ class Ret(Instruction):
     is_terminator = True
 
     def __init__(self, value: Optional[Value] = None):
-        super().__init__(VOID, [] if value is None else [value])
+        Instruction.__init__(self, VOID, [] if value is None else [value])
 
     @property
     def value(self) -> Optional[Value]:
@@ -332,7 +333,7 @@ class Trap(Instruction):
     is_terminator = True
 
     def __init__(self):
-        super().__init__(VOID, [])
+        Instruction.__init__(self, VOID, [])
 
     def successors(self) -> List["BasicBlock"]:
         return []
@@ -351,7 +352,7 @@ class Call(Instruction):
     opcode = "call"
 
     def __init__(self, callee: str, args: Sequence[Value], type_: Type, name: str = ""):
-        super().__init__(type_, list(args), name)
+        Instruction.__init__(self, type_, list(args), name)
         self.callee = callee
 
     @property
@@ -387,7 +388,7 @@ class Flush(Instruction):
             raise IRError(f"unknown flush kind: {kind!r}")
         if not ptr.type.is_pointer:
             raise IRError("flush requires a pointer operand")
-        super().__init__(VOID, [ptr])
+        Instruction.__init__(self, VOID, [ptr])
         self.kind = kind
 
     @property
@@ -410,7 +411,7 @@ class Fence(Instruction):
     def __init__(self, kind: str = "sfence"):
         if kind not in FENCE_KINDS:
             raise IRError(f"unknown fence kind: {kind!r}")
-        super().__init__(VOID, [])
+        Instruction.__init__(self, VOID, [])
         self.kind = kind
 
     def operand_repr(self) -> str:

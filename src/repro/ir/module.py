@@ -27,6 +27,15 @@ class Module:
     deterministic *content* hash — equal across processes, builders, and
     parser→printer round trips — used to key the content-addressed
     on-disk analysis cache.
+
+    The same primitives also say *where* the change was.  A change
+    confined to one function's body (instruction insert/remove, block
+    creation) moves that function's :attr:`~Function.stamp`; any other
+    change (a function added, inserted or removed, a global added, a
+    call retargeted, a bare :meth:`bump_epoch`) moves the module's
+    :attr:`shape_epoch`, which counts as a change to every function.
+    The verifier keys each function's verified state on these (see
+    :func:`~repro.ir.verifier.is_verified`).
     """
 
     def __init__(self, name: str = "module"):
@@ -34,6 +43,8 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
         self._epoch = 0
+        #: epoch of the last change not confined to one function body
+        self.shape_epoch = 0
         self._fingerprint: Optional[Tuple[int, str]] = None
 
     # -- mutation tracking ------------------------------------------------------
@@ -43,15 +54,22 @@ class Module:
         """Monotonic mutation counter; bumped by every structural change."""
         return self._epoch
 
-    def bump_epoch(self) -> None:
+    def bump_epoch(self, fn: Optional[Function] = None) -> None:
         """Record a structural mutation (invalidates cached analyses).
 
         Called by every mutation primitive (module-level construction,
         block insertion/removal, builder emission, call retargeting);
         manual passes mutating IR through other means must call it
-        themselves.
+        themselves.  ``fn`` names the one function whose body changed;
+        without it the change counts against every function, which is
+        what a pass that cannot say more must use (retargeting a call
+        can change whether an untouched caller verifies).
         """
         self._epoch += 1
+        if fn is None:
+            self.shape_epoch = self._epoch
+        else:
+            fn.stamp = self._epoch
 
     def fingerprint(self) -> str:
         """Deterministic SHA-256 of the module's textual content.
@@ -93,6 +111,8 @@ class Module:
         if fn.name in self.functions:
             raise IRError(f"duplicate function {fn.name!r}")
         fn.parent = self
+        # A stamp from another module's epoch count means nothing here.
+        fn.verified_at = -1
         self.functions[fn.name] = fn
         self.bump_epoch()
         return fn

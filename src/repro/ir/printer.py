@@ -21,7 +21,7 @@ LLVM dialect::
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List
 
 from ..errors import IRError
 from .debuginfo import SYNTHETIC
@@ -50,85 +50,89 @@ from .values import Argument, Constant, GlobalVariable, Value
 
 def format_value(value: Value) -> str:
     """Render an operand reference (``%x``, ``@g``, or a literal)."""
+    if isinstance(value, (Instruction, Argument)):
+        return "%" + value.name
     if isinstance(value, Constant):
         return str(value.value)
     if isinstance(value, GlobalVariable):
-        return f"@{value.name}"
-    if isinstance(value, (Argument, Instruction)):
-        return f"%{value.name}"
+        return "@" + value.name
     raise IRError(f"cannot format value {value!r}")
 
 
 def _typed(value: Value) -> str:
-    return f"{value.type} {format_value(value)}"
+    """``<type> <operand>``; the common operand kinds skip a frame."""
+    if isinstance(value, (Instruction, Argument)):
+        return f"{value.type.name} %{value.name}"
+    if isinstance(value, Constant):
+        return f"{value.type.name} {value.value}"
+    return f"{value.type.name} {format_value(value)}"
+
+
+#: One formatter per instruction class, rendering the instruction body
+#: (without result name or debug location), keyed by exact class.
+_FORMATTERS: Dict[type, Callable[..., str]] = {
+    Alloca: lambda i: f"alloca {i.size}",
+    Load: lambda i: f"load {i.type.name}, {format_value(i.operands[0])}",
+    Store: lambda i: (
+        f"{'store.nt' if i.nontemporal else 'store'} {_typed(i.operands[0])}, "
+        f"{format_value(i.operands[1])}"
+    ),
+    Gep: lambda i: f"gep {format_value(i.operands[0])}, {_typed(i.operands[1])}",
+    BinOp: lambda i: (
+        f"{i.op} {i.type.name} {format_value(i.operands[0])}, "
+        f"{format_value(i.operands[1])}"
+    ),
+    ICmp: lambda i: (
+        f"icmp {i.pred} {i.operands[0].type.name} "
+        f"{format_value(i.operands[0])}, {format_value(i.operands[1])}"
+    ),
+    Select: lambda i: (
+        f"select {format_value(i.operands[0])}, {i.operands[1].type.name} "
+        f"{format_value(i.operands[1])}, {format_value(i.operands[2])}"
+    ),
+    Cast: lambda i: f"cast {i.kind} {_typed(i.operands[0])} to {i.type.name}",
+    Branch: lambda i: (
+        f"br {format_value(i.operands[0])}, "
+        f"%{i.then_block.name}, %{i.else_block.name}"
+    ),
+    Jump: lambda i: f"jmp %{i.target.name}",
+    Ret: lambda i: f"ret {_typed(i.operands[0])}" if i.operands else "ret",
+    Trap: lambda i: "trap",
+    Call: lambda i: (
+        f"call {i.type.name} @{i.callee}"
+        f"({', '.join([_typed(a) for a in i.operands])})"
+    ),
+    Flush: lambda i: f"flush {i.kind}, {format_value(i.operands[0])}",
+    Fence: lambda i: f"fence {i.kind}",
+}
 
 
 def format_instruction(instr: Instruction) -> str:
-    """Render one instruction (without its debug-location suffix)."""
-    if isinstance(instr, Alloca):
-        body = f"alloca {instr.size}"
-    elif isinstance(instr, Load):
-        body = f"load {instr.type}, {format_value(instr.pointer)}"
-    elif isinstance(instr, Store):
-        mnemonic = "store.nt" if instr.nontemporal else "store"
-        body = f"{mnemonic} {_typed(instr.value)}, {format_value(instr.pointer)}"
-    elif isinstance(instr, Gep):
-        body = f"gep {format_value(instr.base)}, {_typed(instr.offset)}"
-    elif isinstance(instr, BinOp):
-        lhs, rhs = instr.operands
-        body = f"{instr.op} {instr.type} {format_value(lhs)}, {format_value(rhs)}"
-    elif isinstance(instr, ICmp):
-        lhs, rhs = instr.operands
-        body = (
-            f"icmp {instr.pred} {lhs.type} {format_value(lhs)}, {format_value(rhs)}"
-        )
-    elif isinstance(instr, Select):
-        cond, a, b = instr.operands
-        body = (
-            f"select {format_value(cond)}, {a.type} "
-            f"{format_value(a)}, {format_value(b)}"
-        )
-    elif isinstance(instr, Cast):
-        body = f"cast {instr.kind} {_typed(instr.operands[0])} to {instr.type}"
-    elif isinstance(instr, Branch):
-        body = (
-            f"br {format_value(instr.cond)}, "
-            f"%{instr.then_block.name}, %{instr.else_block.name}"
-        )
-    elif isinstance(instr, Jump):
-        body = f"jmp %{instr.target.name}"
-    elif isinstance(instr, Ret):
-        body = "ret" if instr.value is None else f"ret {_typed(instr.value)}"
-    elif isinstance(instr, Trap):
-        body = "trap"
-    elif isinstance(instr, Call):
-        args = ", ".join(_typed(a) for a in instr.args)
-        body = f"call {instr.type} @{instr.callee}({args})"
-    elif isinstance(instr, Flush):
-        body = f"flush {instr.kind}, {format_value(instr.pointer)}"
-    elif isinstance(instr, Fence):
-        body = f"fence {instr.kind}"
-    else:
+    """Render one instruction line: result, body and debug location."""
+    formatter = _FORMATTERS.get(instr.__class__)
+    if formatter is None:
         raise IRError(f"cannot print instruction {instr!r}")
-
+    body = formatter(instr)
     if not instr.type.is_void:
         body = f"%{instr.name} = {body}"
-    if instr.loc is not SYNTHETIC and instr.loc.line:
-        body = f"{body}  !{instr.loc}"
+    loc = instr.loc
+    if loc is not SYNTHETIC and loc.line:
+        body = f"{body}  !{loc.file}:{loc.line}"
     return body
 
 
 def format_function(fn: Function) -> str:
-    params = ", ".join(f"%{a.name}: {a.type}" for a in fn.args)
-    header = f"func @{fn.name}({params}) -> {fn.return_type}"
+    params = ", ".join(f"%{a.name}: {a.type.name}" for a in fn.args)
+    header = f"func @{fn.name}({params}) -> {fn.return_type.name}"
     if fn.is_declaration:
         return header
     lines: List[str] = [header + " {"]
+    append = lines.append
     for block in fn.blocks:
-        lines.append(f"{block.name}:")
-        for instr in block:
-            lines.append(f"  {format_instruction(instr)}")
-    lines.append("}")
+        append(f"{block.name}:")
+        for instr in block.instructions:
+            append("  " + format_instruction(instr))
+    append("}")
     return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .types import I64, PTR, IntType, Type
+from .types import I64, PTR, Type
 
 
 class Value:
@@ -32,12 +32,10 @@ class Constant(Value):
     """An integer (or pointer-valued) literal."""
 
     def __init__(self, value: int, type_: Type = I64):
-        super().__init__(type_)
-        if isinstance(type_, IntType):
-            value &= type_.mask
-        else:
-            value &= (1 << 64) - 1
-        self.value = value
+        # Value.__init__ inlined: the parser builds one per literal.
+        self.type = type_
+        self.name = ""
+        self.value = value & type_.mask
 
     def short(self) -> str:
         return str(self.value)
@@ -61,7 +59,8 @@ class Argument(Value):
     """A formal parameter of a function."""
 
     def __init__(self, name: str, type_: Type, index: int):
-        super().__init__(type_, name)
+        self.type = type_
+        self.name = name
         self.index = index
         self.parent: Optional[object] = None  # set by Function
 

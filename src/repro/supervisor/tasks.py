@@ -252,10 +252,6 @@ class TaskResult:
     stats: Optional[Dict[str, int]] = None
 
 
-def _module_digest(module) -> str:
-    return hashlib.sha256(format_module(module).encode("utf-8")).hexdigest()
-
-
 def _corpus_record(task: RepairTask, outcome: CaseOutcome, digest: str) -> Dict[str, Any]:
     report = outcome.fix_report
     record = report.as_record()
@@ -296,9 +292,8 @@ def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskR
                 obs=obs,
                 engine=task.engine,
             )
-            digest = _module_digest(outcome.module)
             return TaskResult(
-                record=_corpus_record(task, outcome, digest),
+                record=_corpus_record(task, outcome, outcome.module.fingerprint()),
                 outcome=outcome,
                 stats=outcome.analysis_stats,
             )

@@ -23,6 +23,7 @@ store (the three Redis variants).
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -196,7 +197,9 @@ def execute(store: KVStore, operations: List[Operation]) -> RunResult:
             value = store.get(op.key)
             store.put(op.key, op.value if value is None else op.value)
         else:  # SCAN
-            store.scan(hash(op.key) & 0xFFFFFFFF, op.scan_length)
+            # The same start in every process: ``hash(bytes)`` is salted
+            # per process, and the start decides workload E's cycles.
+            store.scan(zlib.crc32(op.key), op.scan_length)
     return RunResult(
         operations=len(operations),
         cycles=interp.costs.cycles - start_cycles,

@@ -23,7 +23,6 @@ from repro.analysis.diskcache import AnalysisDiskCache
 from repro.analysis.manager import (
     CALLGRAPH,
     POINTS_TO,
-    VERIFIED,
     AnalysisManager,
     classification_key,
 )
@@ -39,6 +38,8 @@ from repro.ir import (
     format_module,
     parse_module,
 )
+from repro.ir.instructions import Fence
+from repro.ir.verifier import is_verified
 
 from conftest import build_listing5_module, drive_main
 from test_oracle_differential import (
@@ -148,11 +149,13 @@ def test_commit_drops_only_touched_verified_state():
 
     txn = FixTransaction(module, manager=manager)
     txn.touch("update")
-    module.bump_epoch()
+    update = module.get_function("update")
+    first = update.entry.instructions[0]
+    update.entry.insert_after(first, Fence())
     txn.commit()
 
     manager.verify_scope(["update", "modify"])
-    # "update" re-verified (one more miss); "modify" was revalidated.
+    # "update" re-verified (one more miss); "modify" stayed verified.
     assert manager.stats.misses == baseline_misses + 1
 
 
@@ -524,8 +527,8 @@ def test_verify_scope_caches_per_function():
 def test_verify_scope_skips_unknown_functions():
     manager = AnalysisManager(build_module())
     manager.verify_scope(["main", "not-a-function"])
-    assert manager.cached((VERIFIED, "main"))
-    assert manager.cached((VERIFIED, "not-a-function")) is None
+    assert is_verified(manager.module.get_function("main"))
+    assert manager.stats.misses == 1
 
 
 # ---------------------------------------------------------------------------

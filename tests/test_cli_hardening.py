@@ -274,3 +274,51 @@ def test_return_of_undefined_value_exits_2(tmp_path, capsys, engine, entry_args)
     captured = capsys.readouterr()
     assert captured.err == "error: undefined value %t1 in @callee\n"
     assert "->" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("  %a = load i65, %p", 3),
+        ("  %a = alloca x", 3),
+        ("  %a = alloca 0", 3),
+        ("  flush bogus, %p", 3),
+        ("  fence nope", 3),
+        ("  %c = icmp zz i64 1, 2", 3),
+        ("  ret i64 0", 4),  # after the block's terminator
+    ],
+    ids=["bad-type", "bad-size", "zero-size", "flush-kind", "fence-kind",
+         "predicate", "after-terminator"],
+)
+@pytest.mark.parametrize("command", ["detect", "show", "fix"])
+def test_malformed_module_exits_2_with_its_line(
+    tmp_path, workspace, capsys, command, body, line
+):
+    """Malformed IR is a bad module (exit 2, one stderr line naming the
+    line), never a traceback or exit 1 ("bugs found")."""
+    ir = tmp_path / "bad.ir"
+    ir.write_text(
+        f"func @main(%p: ptr) -> i64 {{\nentry:\n{body}\n  ret i64 0\n}}\n"
+        if line == 3
+        else f"func @main(%p: ptr) -> i64 {{\nentry:\n  ret i64 0\n{body}\n}}\n"
+    )
+    _, trace = workspace
+    args = {"detect": ["--entry", "main"], "show": [], "fix": ["--trace", str(trace)]}
+    assert main([command, str(ir), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert err.count("\n") == 1
+
+
+def test_malformed_module_exits_2_from_the_command_line(tmp_path):
+    ir = tmp_path / "bad.ir"
+    ir.write_text("func @main(%p: ptr) -> i64 {\nentry:\n  %a = load i65, %p\n}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "detect", str(ir), "--entry", "main"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: line 3: unknown type name: 'i65'\n"

@@ -19,7 +19,9 @@ and fuel-sweep differentials with every run translated on its first
 entry, so the translated code runs wherever a run is entered whole.
 ``test_translated_loops_identical`` does the same for hot cycles of
 runs translated into one looping function, with and without their stack
-slots kept in Python locals.
+slots kept in Python locals.  ``test_ycsb_on_redis_variants_identical``
+runs Fig. 4's YCSB phases on the three Redis variants at the default
+threshold, where real application loops get translated.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.apps import KVStore
+from repro.bench import REDIS_FULL, REDIS_INTRA, REDIS_PM, build_redis_variant
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.errors import InterpreterError, VerificationError
@@ -38,6 +42,13 @@ from repro.interp import ENGINES, Machine, cached_program, make_interpreter
 from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 from repro.trace.events import StoreEvent
+from repro.workloads import (
+    CORE_WORKLOADS,
+    FIG4_ORDER,
+    execute,
+    generate_load,
+    generate_run,
+)
 
 from conftest import hot_after
 from test_oracle_differential import (
@@ -1036,3 +1047,48 @@ def test_kill_mid_flat_batch_resumes_to_reference_baseline(tmp_path):
     assert_killed_fast_batch_resumes_to_oracle(
         str(tmp_path / "kill-flat.journal"), boundary=6
     )
+
+
+# ---------------------------------------------------------------------------
+# Fig. 4's Redis workloads at the default translation threshold
+# ---------------------------------------------------------------------------
+
+#: A little above the smallest YCSB size (8 records, 8 operations) at
+#: which every Redis variant's flat run translates a loop (``memcpy``'s).
+YCSB_RECORDS = 10
+YCSB_OPERATIONS = 10
+
+
+def _ycsb_session(module, engine):
+    """Load, then A-F in Fig. 4's order, on one store; returns every
+    observable and the finished interpreter."""
+    interp = make_interpreter(module, engine=engine, fuel=500_000_000)
+    store = KVStore(module, interp=interp)
+    store.init(64, 1 << 21)
+    phases = [execute(store, generate_load(YCSB_RECORDS, 96))]
+    for name in FIG4_ORDER[1:]:
+        ops = generate_run(CORE_WORKLOADS[name], YCSB_RECORDS, YCSB_OPERATIONS, 96)
+        phases.append(execute(store, ops))
+    interp.finish()
+    return {
+        "phases": phases,
+        "steps": interp.steps,
+        "cycles": interp.costs.cycles,
+        "counts": dict(interp.costs.counts),
+        "output": list(interp.output),
+        "pm_image": interp.machine.image.snapshot_durable(),
+    }, interp
+
+
+@pytest.mark.parametrize("variant", [REDIS_PM, REDIS_FULL, REDIS_INTRA])
+def test_ycsb_on_redis_variants_identical(variant, default_threshold):
+    """The one real application whose loops the flat engine translates
+    at its default threshold: per-phase cycles, steps and read hits,
+    dense counts, output and the final PM image equal the reference's."""
+    module, _ = build_redis_variant(
+        {REDIS_PM: None, REDIS_FULL: "full", REDIS_INTRA: "off"}[variant]
+    )
+    flat, interp = _ycsb_session(module, "flat")
+    assert interp._loops_translated > 0
+    reference, _ = _ycsb_session(module, "reference")
+    assert flat == reference

@@ -11,20 +11,31 @@ Two properties underpin every cached analysis:
   function of the printed text, so parser→printer→parser round trips
   agree, it is stable between mutations, and it changes when content
   changes.
+- **Verified state follows the epoch**: every primitive that moves the
+  epoch also drops the verified state of what it changed — the edited
+  function for a body edit, every function for a change of the
+  module's shape (a function added, inserted or removed, a global
+  added, a call retargeted or restored, a failed rollback).
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.transaction import FixTransaction
+from repro.errors import RollbackError
 from repro.ir import (
     I64,
     ModuleBuilder,
     PTR,
     format_module,
     parse_module,
+    verify_function,
+    verify_module,
 )
 from repro.ir.instructions import Fence, Flush
+from repro.ir import verifier
+from repro.ir.verifier import is_verified, verify_changed
 
 
 def build_base():
@@ -205,3 +216,161 @@ def test_roundtrip_fingerprints_agree(ops):
     # And once more: the fingerprint is a fixed point of the round trip.
     again = parse_module(format_module(reparsed))
     assert again.fingerprint() == reparsed.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# Per-function verified state: the primitives that move the epoch also
+# say which function changed
+# ---------------------------------------------------------------------------
+
+
+def _verified(module):
+    return {name for name, fn in module.functions.items() if is_verified(fn)}
+
+
+def build_two_functions():
+    mb, b = build_base()
+    h = mb.function("helper", [("x", I64)], I64, source_file="e.c")
+    h.ret(h.function.args[0])
+    return mb, b
+
+
+def _body_edits():
+    """(name, mutation of main's body) for each function-local primitive."""
+
+    def emit(module, builder):
+        builder.at_new_block("tail")
+        builder.ret(0)
+
+    def insert_after(module, builder):
+        store = next(i for i in module.get_function("main").entry if i.opcode == "store")
+        store.parent.insert_after(store, Fence())
+
+    def insert_before(module, builder):
+        store = next(i for i in module.get_function("main").entry if i.opcode == "store")
+        store.parent.insert_before(store, Fence())
+
+    def remove(module, builder):
+        fence = next(i for i in module.get_function("main").entry if i.opcode == "fence")
+        fence.parent.remove(fence)
+
+    def add_block(module, builder):
+        module.get_function("main").add_block("extra")
+
+    return [emit, insert_after, insert_before, remove, add_block]
+
+
+@pytest.mark.parametrize("edit", _body_edits(), ids=lambda f: f.__name__)
+def test_body_edits_drop_only_that_functions_verified_state(edit):
+    mb, b = build_two_functions()
+    module = mb.module
+    verify_module(module)
+    assert _verified(module) == {"main", "helper"}
+    before = module.epoch
+    edit(module, b)
+    assert module.epoch > before
+    assert _verified(module) == {"helper"}
+
+
+def test_verify_changed_verifies_only_the_edited_function(monkeypatch):
+    mb, b = build_two_functions()
+    module = mb.module
+    verify_module(module)
+    store = next(i for i in module.get_function("main").entry if i.opcode == "store")
+    store.parent.insert_after(store, Fence())
+    checked = []
+    original = verifier.verify_function
+    monkeypatch.setattr(
+        verifier, "verify_function", lambda fn: (checked.append(fn.name), original(fn))
+    )
+    verify_changed(module)
+    assert checked == ["main"]
+    verify_changed(module)
+    assert checked == ["main"]
+    assert _verified(module) == {"main", "helper"}
+
+
+def _shape_edits():
+    """Mutations that can change whether an untouched function verifies."""
+
+    def add_function(module):
+        module.add_function("fresh", [("p", PTR)], I64)
+
+    def remove_function(module):
+        module.remove_function("helper")
+
+    def insert_function(module):
+        fn = module.remove_function("helper")
+        verify_module(module)
+        module.insert_function(fn)
+
+    def add_global(module):
+        module.add_global("g", 64, "pm")
+
+    def retarget(module):
+        call = next(i for i in module.get_function("main").entry if i.opcode == "call")
+        call.callee = "pm_alloc_PM"
+        module.bump_epoch()
+
+    def rolled_back_retarget(module):
+        call = next(i for i in module.get_function("main").entry if i.opcode == "call")
+        txn = FixTransaction(module)
+        txn.track_attr(call, "callee")
+        call.callee = "pm_alloc_PM"
+        module.bump_epoch()
+        verify_module(module)
+        txn.rollback()
+
+    return [add_function, remove_function, insert_function, add_global,
+            retarget, rolled_back_retarget]
+
+
+@pytest.mark.parametrize("edit", _shape_edits(), ids=lambda f: f.__name__)
+def test_shape_edits_drop_every_functions_verified_state(edit):
+    mb, b = build_two_functions()
+    module = mb.module
+    verify_module(module)
+    before = module.epoch
+    edit(module)
+    assert module.epoch > before
+    assert _verified(module) == set()
+
+
+def test_a_failed_rollback_drops_every_functions_verified_state():
+    class Fragile:
+        @property
+        def x(self):
+            return 1
+
+        @x.setter
+        def x(self, value):
+            raise RuntimeError("undo exploded")
+
+    mb, b = build_two_functions()
+    module = mb.module
+    verify_module(module)
+    txn = FixTransaction(module)
+    txn.track_attr(Fragile(), "x")
+    with pytest.raises(RollbackError):
+        txn.rollback()
+    assert _verified(module) == set()
+
+
+def test_a_function_outside_any_module_never_counts_as_verified():
+    mb, b = build_two_functions()
+    module = mb.module
+    fn = module.get_function("helper")
+    verify_function(fn)
+    assert is_verified(fn)
+    module.remove_function("helper")
+    assert not is_verified(fn)
+    verify_function(fn)
+    assert not is_verified(fn)
+
+
+def test_parsing_leaves_every_function_unverified():
+    mb, b = build_two_functions()
+    module = parse_module(format_module(mb.module))
+    assert _verified(module) == set()
+    verify_module(module)
+    assert _verified(module) == {"main", "helper"}

@@ -113,19 +113,35 @@ no:
     verify_module(module)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "func @f() -> i64 {\nentry:\n  ret i64 %missing\n}",
-        "func @f() -> i64 {\nentry:\n  %x = bogus 1\n  ret i64 %x\n}",
-        "func @f() -> i64 {\nentry:\n  ret i64 0\n",  # missing }
-        "wibble",
-        "func @f() -> i64 {\n  ret i64 0\n}",  # instr outside block
-    ],
-)
+#: malformed module text -> the line its IRParseError names (0: none)
+PARSE_ERRORS = {
+    "func @f() -> i64 {\nentry:\n  ret i64 %missing\n}": 3,
+    "func @f() -> i64 {\nentry:\n  %x = bogus 1\n  ret i64 %x\n}": 3,
+    "func @f() -> i64 {\nentry:\n  ret i64 0\n": 0,  # missing }
+    "wibble": 1,
+    "func @f() -> i64 {\n  ret i64 0\n}": 2,  # instr outside block
+    # Rejected by a constructor or a literal's conversion, or naming
+    # a type that does not exist: still a parse error with its line.
+    "func @f(%p: ptr) -> i64 {\nentry:\n  %a = load i65, %p\n  ret i64 0\n}": 3,
+    "func @f() -> i64 {\nentry:\n  %a = alloca x\n  ret i64 0\n}": 3,
+    "func @f(%p: i65) -> i64 {\nentry:\n  ret i64 0\n}": 1,
+    "func @f() -> i65 {\nentry:\n  ret i64 0\n}": 1,
+    "func @f() -> i64 {\nentry:\n  %a = alloca 0\n  ret i64 0\n}": 3,
+    "func @f(%p: ptr) -> i64 {\nentry:\n  flush bogus, %p\n  ret i64 0\n}": 3,
+    "func @f() -> i64 {\nentry:\n  fence nope\n  ret i64 0\n}": 3,
+    "func @f() -> i64 {\nentry:\n  %c = icmp zz i64 1, 2\n  ret i64 0\n}": 3,
+    "func @f() -> i64 {\nentry:\n  ret i64 0\n  ret i64 1\n}": 4,
+    "func @f(%p: i64) -> i64 {\nentry:\n  %g = gep %p, i64 8\n  ret i64 0\n}": 3,
+    "global @g 0 pm\n": 1,
+    'module "m"\n\nglobal @g 8 pm init 0\n': 3,
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(IRParseError):
+    with pytest.raises(IRParseError) as exc:
         parse_module(text)
+    assert exc.value.line == PARSE_ERRORS[text]
 
 
 def test_parse_redefinition_rejected():

@@ -1,5 +1,8 @@
 """Unit tests for YCSB workload generation and execution."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 from repro.apps import KVStore, build_kvstore
@@ -94,3 +97,32 @@ class TestExecution:
         ops = generate_run(CORE_WORKLOADS["F"], 10, 40, 24, seed=2)
         execute(store, ops)
         assert store.count() >= 10
+
+
+#: workload E's cycles at a small size, printed by a fresh interpreter
+_E_CYCLES = """
+from repro.apps import KVStore, build_kvstore
+from repro.workloads import CORE_WORKLOADS, execute, generate_load, generate_run
+store = KVStore(build_kvstore("manual"))
+store.init(32, 1 << 21)
+execute(store, generate_load(20, value_size=32))
+print(execute(store, generate_run(CORE_WORKLOADS["E"], 20, 30, 32, seed=4)).cycles)
+"""
+
+
+def test_workload_e_cycles_do_not_depend_on_the_hash_seed():
+    """Scans start at a stable hash of the key, so Fig. 4's E row is the
+    same in every process (Python salts ``hash(bytes)`` per process)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    printed = set()
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _E_CYCLES],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=True,
+        )
+        printed.add(done.stdout)
+    assert len(printed) == 1
