@@ -25,7 +25,6 @@ and orderings stay byte-identical with a from-scratch check.  Plain
 
 from __future__ import annotations
 
-import bisect
 import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -73,28 +72,68 @@ def _pmtest_policy(boundary: BoundaryEvent) -> Optional[object]:
 class CheckerState:
     """The checker's complete mutable state after some event prefix.
 
-    Forking deep-copies every mutable layer (the per-line event lists,
-    the report objects whose ``occurrences`` mutate on re-attribution),
-    so feeding events into a fork never disturbs the original — the
-    invariant the incremental engine's memoized forks rely on.
+    ``dirty`` and ``flushing`` map each line in that state to its
+    insertion stamp.  The pending (store, flush) entries live in
+    ``fresh_dirty``/``fresh_flushing`` only until a boundary attributes
+    their store: a boundary then visits each fresh entry once, by line
+    stamp and then arrival, which is the order a walk of every pending
+    store would meet them in, so report ids stay the same.
+
+    Forking copies every mutable layer (the stamp dicts, the fresh
+    entry lists, the report objects whose ``occurrences`` mutate on
+    re-attribution), so feeding events into a fork never disturbs the
+    original — the invariant the incremental engine's memoized forks
+    rely on.
     """
 
-    dirty: Dict[int, List[StoreEvent]] = field(default_factory=dict)
-    flushing: Dict[int, List[_Pending]] = field(default_factory=dict)
-    fence_seqs: List[int] = field(default_factory=list)
+    dirty: Dict[int, int] = field(default_factory=dict)
+    flushing: Dict[int, int] = field(default_factory=dict)
+    fresh_dirty: Dict[int, List[_Pending]] = field(default_factory=dict)
+    fresh_flushing: Dict[int, List[_Pending]] = field(default_factory=dict)
+    #: the next line insertion stamp
+    stamp: int = 0
+    #: seq of the latest fence (-1 before the first)
+    last_fence: int = -1
     reports: Dict[BugKey, BugReport] = field(default_factory=dict)
-    attributed_seqs: Set[int] = field(default_factory=set)
     perf: Dict[int, PerfReport] = field(default_factory=dict)
 
     def fork(self) -> "CheckerState":
         return CheckerState(
-            dirty={line: list(stores) for line, stores in self.dirty.items()},
-            flushing={line: list(pairs) for line, pairs in self.flushing.items()},
-            fence_seqs=list(self.fence_seqs),
+            dirty=dict(self.dirty),
+            flushing=dict(self.flushing),
+            fresh_dirty={
+                line: list(pairs) for line, pairs in self.fresh_dirty.items()
+            },
+            fresh_flushing={
+                line: list(pairs) for line, pairs in self.fresh_flushing.items()
+            },
+            stamp=self.stamp,
+            last_fence=self.last_fence,
             reports={key: copy.copy(bug) for key, bug in self.reports.items()},
-            attributed_seqs=set(self.attributed_seqs),
             perf={iid: copy.copy(note) for iid, note in self.perf.items()},
         )
+
+
+def _in_scope(store: StoreEvent, scope: object) -> bool:
+    if scope == "all":
+        return True
+    lo, hi = scope  # type: ignore[misc]
+    return store.addr < hi and store.addr + store.size > lo
+
+
+def _take(
+    fresh: Dict[int, List[_Pending]], stamps: Dict[int, int], scope: object
+) -> List[_Pending]:
+    """Remove and return the fresh entries whose store lies in
+    ``scope``, ordered by line stamp, then arrival."""
+    taken: List[_Pending] = []
+    for line in sorted(fresh, key=stamps.__getitem__):
+        kept = []
+        for pair in fresh.pop(line):
+            (taken if _in_scope(pair[0], scope) else kept).append(pair)
+        if kept:
+            fresh[line] = kept
+    return taken
 
 
 class DurabilityChecker:
@@ -110,17 +149,21 @@ class DurabilityChecker:
 
     def feed(self, state: CheckerState, event: TraceEvent) -> None:
         """Advance ``state`` by one trace event."""
-        dirty, flushing = state.dirty, state.flushing
         if isinstance(event, StoreEvent):
             if event.space != "pm":
                 return
+            if event.nontemporal:
+                # MOVNT: already write-combining-queued; it needs no
+                # flush, only an ordering fence.
+                stamps, fresh = state.flushing, state.fresh_flushing
+            else:
+                stamps, fresh = state.dirty, state.fresh_dirty
+            pair = (event, None)
             for line_addr in lines_covering(event.addr, event.size):
-                if event.nontemporal:
-                    # MOVNT: already write-combining-queued; it
-                    # needs no flush, only an ordering fence.
-                    flushing.setdefault(line_addr, []).append((event, None))
-                else:
-                    dirty.setdefault(line_addr, []).append(event)
+                if line_addr not in stamps:
+                    stamps[line_addr] = state.stamp
+                    state.stamp += 1
+                fresh.setdefault(line_addr, []).append(pair)
         elif isinstance(event, FlushEvent):
             line_addr = event.line_addr
             if not event.had_work:
@@ -129,61 +172,53 @@ class DurabilityChecker:
                     state.perf[event.iid] = PerfReport(event)
                 else:
                     note.occurrences += 1
-            pending = dirty.pop(line_addr, [])
+            was_dirty = state.dirty.pop(line_addr, None) is not None
+            pending = state.fresh_dirty.pop(line_addr, ())
             if event.flush_kind == "clflush":
                 # Strongly ordered: line durable immediately.
-                flushing.pop(line_addr, None)
-            else:
+                state.flushing.pop(line_addr, None)
+                state.fresh_flushing.pop(line_addr, None)
+            elif was_dirty:
+                if line_addr not in state.flushing:
+                    state.flushing[line_addr] = state.stamp
+                    state.stamp += 1
                 if pending:
-                    flushing.setdefault(line_addr, []).extend(
-                        (store, event) for store in pending
+                    state.fresh_flushing.setdefault(line_addr, []).extend(
+                        (store, event) for store, _ in pending
                     )
         elif isinstance(event, FenceEvent):
-            state.fence_seqs.append(event.seq)
-            flushing.clear()
+            state.last_fence = event.seq
+            state.flushing.clear()
+            state.fresh_flushing.clear()
         elif isinstance(event, BoundaryEvent):
             scope = self.boundary_policy(event)
             if scope is None:
                 return
-
-            def in_scope(store: StoreEvent) -> bool:
-                if scope == "all":
-                    return True
-                lo, hi = scope  # type: ignore[misc]
-                return store.addr < hi and store.addr + store.size > lo
-
-            for stores in dirty.values():
-                for store in stores:
-                    if not in_scope(store):
-                        continue
-                    fence_after = (
-                        bisect.bisect_right(state.fence_seqs, store.seq)
-                        < len(state.fence_seqs)
-                    )
-                    kind = (
-                        BugKind.MISSING_FLUSH
-                        if fence_after
-                        else BugKind.MISSING_FLUSH_FENCE
-                    )
-                    self._report(state, kind, store, event, None)
-            for pairs in flushing.values():
-                for store, flush in pairs:
-                    if in_scope(store):
-                        self._report(
-                            state, BugKind.MISSING_FENCE, store, event, flush
-                        )
+            # A store covering several lines is reported once, through
+            # the first of its entries the boundary visits.
+            seen: Set[int] = set()
+            for store, _ in _take(state.fresh_dirty, state.dirty, scope):
+                kind = (
+                    BugKind.MISSING_FLUSH
+                    if state.last_fence > store.seq
+                    else BugKind.MISSING_FLUSH_FENCE
+                )
+                self._report(state, seen, kind, store, event, None)
+            for store, flush in _take(state.fresh_flushing, state.flushing, scope):
+                self._report(state, seen, BugKind.MISSING_FENCE, store, event, flush)
 
     def _report(
         self,
         state: CheckerState,
+        seen: Set[int],
         kind: BugKind,
         store: StoreEvent,
         boundary: BoundaryEvent,
         flush: Optional[FlushEvent],
     ) -> None:
-        if store.seq in state.attributed_seqs:
+        if store.seq in seen:
             return
-        state.attributed_seqs.add(store.seq)
+        seen.add(store.seq)
         # One report per (store instruction, bug kind, *call path*).
         # The call path matters: the same store inside a shared helper
         # like memcpy reached through different call sites is a

@@ -496,13 +496,13 @@ class FlatEngine(Interpreter):
                             write_int(addr, size, regs[inst[2]])
                         if pm_base <= addr < pm_end:
                             nontemporal = inst[5]
-                            event = recorder.record_store(
+                            recorder.record_store(
                                 addr, size, "pm", nontemporal=nontemporal
                             )
                             if nontemporal:
-                                cache.on_nt_store(addr, size, event.seq)
+                                cache.on_nt_store(addr, size)
                             else:
-                                cache.on_store(addr, size, event.seq)
+                                cache.on_store(addr, size)
                             cycles += m_pm_store_extra
                         elif record_vol_stores:
                             recorder.record_store(addr, size, "vol")

@@ -457,13 +457,13 @@ class Interpreter:
         machine = self.machine
         machine.space.write_int(addr, instr.size, value)
         if machine.space.is_pm(addr):
-            event = machine.recorder.record_store(
+            machine.recorder.record_store(
                 addr, instr.size, "pm", nontemporal=instr.nontemporal
             )
             if instr.nontemporal:
-                machine.cache.on_nt_store(addr, instr.size, event.seq)
+                machine.cache.on_nt_store(addr, instr.size)
             else:
-                machine.cache.on_store(addr, instr.size, event.seq)
+                machine.cache.on_store(addr, instr.size)
             self.costs.charge("store", model.store + model.pm_store_extra)
         else:
             machine.recorder.record_store(addr, instr.size, "vol")

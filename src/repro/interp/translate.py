@@ -579,13 +579,9 @@ def _translate_store(w: _Writer, inst: tuple) -> None:
     w.emit("_n = len(_sd)", 2)
     w.emit(f"if {w.use('_pmb')} <= {ptr} < {w.use('_pme')}:", 2)
     w.emit(f"frame[2] = {pc}", 3)
-    w.emit(
-        f"_seq = {rec}.record_store({ptr}, {size}, 'pm', "
-        f"nontemporal={nontemporal!r}).seq",
-        3,
-    )
+    w.emit(f"{rec}.record_store({ptr}, {size}, 'pm', nontemporal={nontemporal!r})", 3)
     on_store = "on_nt_store" if nontemporal else "on_store"
-    w.emit(f"{w.use('_cache')}.{on_store}({ptr}, {size}, _seq)", 3)
+    w.emit(f"{w.use('_cache')}.{on_store}({ptr}, {size})", 3)
     w.emit(f"{w.use('_dyn')}[0] += {w.use('_pse')}", 3)
     w.emit(f"elif {rvs}:", 2)
     w.emit(f"frame[2] = {pc}", 3)

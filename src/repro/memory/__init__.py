@@ -5,7 +5,7 @@ the CPU cache durability model (dirty lines, weakly ordered flushes,
 fences), the durable PM image, and crash-state enumeration.
 """
 
-from .cache import CacheModel, LineState
+from .cache import CacheModel
 from .crash import CrashExplorer, CrashState
 from .layout import (
     AddressSpace,
@@ -26,7 +26,6 @@ __all__ = [
     "CacheModel",
     "CrashExplorer",
     "CrashState",
-    "LineState",
     "line_of",
     "lines_covering",
     "MachinePool",

@@ -11,75 +11,94 @@ Implements the durability semantics from the paper's §2.1/§4.2:
 - ``sfence``/``mfence`` drain the pending queue, completing durability
   for every line flushed since the last fence.
 
-The model also remembers *which store events* made each line dirty, so
-the durability checker can attribute a bug to the precise store (and,
-through the trace, to the precise IR instruction) that is not durable.
+:class:`LineStates` is that per-line state machine on its own: two
+insertion-ordered sets of line addresses, ``dirty`` and ``queued``,
+which a line leaves once it is durable.  The cache model adds the
+durable-image write-backs and the flush/fence counters; trace synthesis
+(:mod:`repro.revalidate.synthesize`) runs the bare machine to recompute
+each flush's ``had_work`` bit.  Neither keeps which store made a line
+dirty: the durability checker re-derives that from the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List
 
-from .layout import AddressSpace, lines_covering
+from .layout import AddressSpace, line_of, lines_covering
 from .persistence import PersistentImage
 
 
-@dataclass
-class LineState:
-    """Pending durability bookkeeping for one PM cache line."""
+class LineStates:
+    """Per-line durability state: which PM lines are dirty or queued.
 
-    #: store event sequence numbers that dirtied the line and are not
-    #: yet covered by a completed flush+fence
-    dirty_stores: Set[int] = field(default_factory=set)
-    #: store event sequence numbers covered by an issued (weakly
-    #: ordered) flush that has not yet been fenced
-    flushing_stores: Set[int] = field(default_factory=set)
+    A line may be in both sets (re-dirtied after a weakly ordered
+    flush).  Sets are dicts with ``None`` values, kept in insertion
+    order.
+    """
 
-    @property
-    def is_dirty(self) -> bool:
-        return bool(self.dirty_stores)
+    def __init__(self) -> None:
+        #: lines holding a store no flush has covered yet
+        self.dirty: Dict[int, None] = {}
+        #: lines whose write-back a flush (or a non-temporal store) has
+        #: queued and no fence has completed yet
+        self.queued: Dict[int, None] = {}
 
-    @property
-    def is_flushing(self) -> bool:
-        return bool(self.flushing_stores)
+    def on_store(self, addr: int, size: int) -> None:
+        """A store of ``size`` bytes at ``addr`` (PM only)."""
+        for line_addr in lines_covering(addr, size):
+            self.dirty[line_addr] = None
 
-    @property
-    def is_pending(self) -> bool:
-        return self.is_dirty or self.is_flushing
+    def on_nt_store(self, addr: int, size: int) -> None:
+        """A non-temporal store: bypasses the cache into the write-
+        combining buffer.  No flush is needed, but the write-back only
+        completes at the next fence (weakly ordered) — so the bytes go
+        straight to the *queued* state."""
+        for line_addr in lines_covering(addr, size):
+            self.queued[line_addr] = None
+
+    def flush_line(self, line_addr: int, kind: str) -> str:
+        """Move one line through a flush of ``kind``; see
+        :meth:`CacheModel.on_flush` for the returned statuses.  A
+        ``clflush`` of a dirty line leaves both sets: the caller writes
+        it back."""
+        if line_addr in self.dirty:
+            del self.dirty[line_addr]
+            if kind == "clflush":
+                # Strongly ordered, and completes anything queued too.
+                self.queued.pop(line_addr, None)
+                return "writeback"
+            if line_addr in self.queued:
+                return "coalesced"
+            self.queued[line_addr] = None
+            return "writeback"
+        # A clean line stays as it is: coalesced into a queued write-back,
+        # or redundant.
+        return "coalesced" if line_addr in self.queued else "redundant"
+
+    def drain(self) -> List[int]:
+        """A fence: empty the queue, returning the lines it completes."""
+        completed = list(self.queued)
+        self.queued.clear()
+        return completed
+
+    def pending_lines(self) -> List[int]:
+        """Lines with un-durable data (dirty or queued), sorted."""
+        return sorted(self.dirty.keys() | self.queued.keys())
 
 
-class CacheModel:
+class CacheModel(LineStates):
     """Tracks per-line durability state for the PM region."""
 
     def __init__(self, space: AddressSpace, image: PersistentImage):
+        super().__init__()
         self.space = space
         self.image = image
-        self.lines: Dict[int, LineState] = {}
         #: statistics used by benchmarks and the redundant-flush report
         self.flush_count = 0
         self.clean_flush_count = 0
         self.fence_count = 0
 
-    def _line(self, line_addr: int) -> LineState:
-        if line_addr not in self.lines:
-            self.lines[line_addr] = LineState()
-        return self.lines[line_addr]
-
     # -- events ----------------------------------------------------------------
-
-    def on_store(self, addr: int, size: int, seq: int) -> None:
-        """A store of ``size`` bytes at ``addr`` (PM only), event id ``seq``."""
-        for line_addr in lines_covering(addr, size):
-            self._line(line_addr).dirty_stores.add(seq)
-
-    def on_nt_store(self, addr: int, size: int, seq: int) -> None:
-        """A non-temporal store: bypasses the cache into the write-
-        combining buffer.  No flush is needed, but the write-back only
-        completes at the next fence (weakly ordered) — so the bytes go
-        straight to the *flushing* (queued) state."""
-        for line_addr in lines_covering(addr, size):
-            self._line(line_addr).flushing_stores.add(seq)
 
     def on_flush(self, addr: int, kind: str) -> str:
         """A flush of the line containing ``addr``.
@@ -98,24 +117,13 @@ class CacheModel:
           but Hippocrates deliberately never "fixes" (§7).
         """
         self.flush_count += 1
-        line_addr = lines_covering(addr, 1)[0]
-        state = self.lines.get(line_addr)
-        if state is None or not state.is_dirty:
-            if state is None or not state.is_flushing:
-                self.clean_flush_count += 1
-                return "redundant"
-            return "coalesced"
-        already_queued = state.is_flushing
-        if kind == "clflush":
-            # Strongly ordered: write-back completes immediately.
+        line_addr = line_of(addr)
+        status = self.flush_line(line_addr, kind)
+        if status == "redundant":
+            self.clean_flush_count += 1
+        elif kind == "clflush" and status == "writeback":
             self.image.write_back_line(line_addr)
-            state.dirty_stores.clear()
-            # clflush also completes anything previously queued.
-            state.flushing_stores.clear()
-            return "writeback"
-        state.flushing_stores |= state.dirty_stores
-        state.dirty_stores.clear()
-        return "coalesced" if already_queued else "writeback"
+        return status
 
     def on_fence(self, kind: str) -> List[int]:
         """A fence: complete all queued write-backs.
@@ -123,40 +131,7 @@ class CacheModel:
         Returns the line addresses whose durability completed.
         """
         self.fence_count += 1
-        completed = []
-        for line_addr, state in self.lines.items():
-            if state.is_flushing:
-                self.image.write_back_line(line_addr)
-                state.flushing_stores.clear()
-                completed.append(line_addr)
+        completed = self.drain()
+        for line_addr in completed:
+            self.image.write_back_line(line_addr)
         return completed
-
-    # -- queries -----------------------------------------------------------------
-
-    def pending_lines(self) -> List[int]:
-        """Lines with un-durable data (dirty or queued)."""
-        return sorted(
-            line_addr for line_addr, state in self.lines.items() if state.is_pending
-        )
-
-    def pending_store_seqs(self) -> Set[int]:
-        """Store event ids whose durability has not completed."""
-        seqs: Set[int] = set()
-        for state in self.lines.values():
-            seqs |= state.dirty_stores
-            seqs |= state.flushing_stores
-        return seqs
-
-    def dirty_store_seqs(self) -> Set[int]:
-        """Store event ids not yet covered by any flush."""
-        seqs: Set[int] = set()
-        for state in self.lines.values():
-            seqs |= state.dirty_stores
-        return seqs
-
-    def flushing_store_seqs(self) -> Set[int]:
-        """Store event ids flushed but not yet fenced."""
-        seqs: Set[int] = set()
-        for state in self.lines.values():
-            seqs |= state.flushing_stores
-        return seqs

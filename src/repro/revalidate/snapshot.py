@@ -13,21 +13,21 @@ Two properties make snapshots cheap and safe:
   lazy), so a snapshot costs kilobytes, not 3×16 MiB.
 - **Deep copies both ways.** Capture copies every mutable layer out of
   the live machine, and :meth:`materialize` builds fresh containers
-  from the snapshot — in particular the cache's per-line
-  ``dirty_stores``/``flushing_stores`` sets, which the fence handler
-  mutates in place.  A second replay from the same snapshot is
-  therefore unaffected by the first (the latent aliasing hazard this
-  module exists to prevent; see ``tests/test_revalidate_snapshot.py``).
+  from the snapshot — in particular the cache's ``dirty`` and
+  ``queued`` line sets, which every store, flush and fence mutates.  A
+  second replay from the same snapshot is therefore unaffected by the
+  first (the latent aliasing hazard this module exists to prevent; see
+  ``tests/test_revalidate_snapshot.py``).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..interp.interpreter import Allocation, Interpreter, Machine
-from ..memory.cache import CacheModel, LineState
+from ..memory.cache import CacheModel
 from ..memory.layout import AddressSpace, Region
 from ..memory.persistence import PersistentImage
 from ..memory.pool import MachinePool
@@ -35,9 +35,6 @@ from ..trace.trace import TraceRecorder
 
 #: (brk, high_water, written prefix) for one region
 _RegionState = Tuple[int, int, bytes]
-
-#: (line address, dirty store seqs, flushing store seqs)
-_LineSnapshot = Tuple[int, frozenset, frozenset]
 
 
 def _capture_region(region: Region) -> _RegionState:
@@ -64,9 +61,9 @@ class MachineSnapshot:
     #: durable image bytes up to the PM high-water mark
     durable: bytes
     writebacks: int
-    #: per-line durability state, in cache-dict insertion order (the
-    #: fence handler iterates the dict, so order is semantics)
-    lines: Tuple[_LineSnapshot, ...]
+    #: the cache's dirty and queued line sets, in insertion order
+    dirty: Tuple[int, ...]
+    queued: Tuple[int, ...]
     flush_count: int
     clean_flush_count: int
     fence_count: int
@@ -101,14 +98,8 @@ class MachineSnapshot:
             stack_size=space.stack.size,
             durable=machine.image.snapshot_durable(),
             writebacks=machine.image.writebacks,
-            lines=tuple(
-                (
-                    line_addr,
-                    frozenset(state.dirty_stores),
-                    frozenset(state.flushing_stores),
-                )
-                for line_addr, state in machine.cache.lines.items()
-            ),
+            dirty=tuple(machine.cache.dirty),
+            queued=tuple(machine.cache.queued),
             flush_count=machine.cache.flush_count,
             clean_flush_count=machine.cache.clean_flush_count,
             fence_count=machine.cache.fence_count,
@@ -152,10 +143,8 @@ class MachineSnapshot:
         image.restore_prefix(self.durable)
         image.writebacks = self.writebacks
         cache = CacheModel(space, image)
-        for line_addr, dirty, flushing in self.lines:
-            cache.lines[line_addr] = LineState(
-                dirty_stores=set(dirty), flushing_stores=set(flushing)
-            )
+        cache.dirty = dict.fromkeys(self.dirty)
+        cache.queued = dict.fromkeys(self.queued)
         cache.flush_count = self.flush_count
         cache.clean_flush_count = self.clean_flush_count
         cache.fence_count = self.fence_count
@@ -181,9 +170,10 @@ class MachineSnapshot:
     def byte_size(self) -> int:
         """Approximate retained payload (observability/thinning).
 
-        Counts the region/durable prefixes plus the per-line durability
-        sets and the allocation registry — the two containers that can
-        dominate a snapshot on store-heavy, allocation-heavy workloads.
+        Counts the region/durable prefixes plus the dirty and queued
+        line tuples and the allocation registry — the containers that
+        can dominate a snapshot on store-heavy, allocation-heavy
+        workloads.
         """
         payload = (
             len(self.vol[2])
@@ -191,8 +181,7 @@ class MachineSnapshot:
             + len(self.pm[2])
             + len(self.durable)
         )
-        for _line_addr, dirty, flushing in self.lines:
-            payload += sys.getsizeof(dirty) + sys.getsizeof(flushing)
+        payload += sys.getsizeof(self.dirty) + sys.getsizeof(self.queued)
         for alloc in self.allocations:
             payload += sys.getsizeof(alloc)
         return payload

@@ -18,7 +18,9 @@ function of the baseline trace:
 4. renumber sequence ids densely (every recorded event consumes one
    ``seq``, exactly as a live recorder would);
 5. recompute every flush event's ``had_work`` bit by replaying the
-   cache-line durability state machine over the synthesized stream —
+   cache model's line state machine
+   (:class:`~repro.memory.cache.LineStates`) over the synthesized
+   stream —
    an inserted flush can turn a later baseline flush redundant, and the
    redundant-flush *performance* reports key on that bit.
 
@@ -68,6 +70,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..memory.cache import LineStates
 from ..memory.layout import line_of, lines_covering
 from ..trace.events import (
     FenceEvent,
@@ -182,9 +185,7 @@ def _synthesize_stream(
     affected: Set[int] = set()
     changed_from: Optional[int] = None
     inserted_events = 0
-    #: line address -> [dirty, flushing] (mirrors CacheModel semantics;
-    #: the checker only needs the booleans, never the store-seq sets)
-    lines: Dict[int, List[bool]] = {}
+    lines = LineStates()
     seq = 0
 
     def mark_changed() -> None:
@@ -192,42 +193,26 @@ def _synthesize_stream(
         if changed_from is None:
             changed_from = len(out)
 
-    def sim_flush(line_addr: int, kind: str) -> bool:
-        """Apply one flush to the simulation; return its had_work bit."""
-        state = lines.get(line_addr)
-        if state is None:
-            return False
-        dirty, flushing = state
-        if dirty:
-            if kind == "clflush":
-                state[0] = state[1] = False
-            else:
-                state[0] = False
-                state[1] = True
-        # A clean line is redundant (no work) unless already queued
-        # (coalesced); either way the state does not change.
-        return dirty or flushing
-
-    def pending_lines() -> List[int]:
-        return [addr for addr, st in lines.items() if st[0] or st[1]]
-
     def emit_base(event: TraceEvent) -> None:
         nonlocal seq
         seq += 1
         if isinstance(event, StoreEvent):
             if event.space == "pm":
-                which = 1 if event.nontemporal else 0
-                for line_addr in lines_covering(event.addr, event.size):
-                    lines.setdefault(line_addr, [False, False])[which] = True
+                if event.nontemporal:
+                    lines.on_nt_store(event.addr, event.size)
+                else:
+                    lines.on_store(event.addr, event.size)
         elif isinstance(event, FlushEvent):
-            had_work = sim_flush(event.line_addr, event.flush_kind)
+            had_work = (
+                lines.flush_line(event.line_addr, event.flush_kind)
+                != "redundant"
+            )
             if event.seq != seq or event.had_work != had_work:
                 event = replace(event, seq=seq, had_work=had_work)
             out.append(event)
             return
         elif isinstance(event, FenceEvent):
-            for state in lines.values():
-                state[1] = False
+            lines.drain()
         if event.seq != seq:
             event = replace(event, seq=seq)
         out.append(event)
@@ -248,7 +233,7 @@ def _synthesize_stream(
                 addr = anchor_event.addr + op.offset
                 line_addr = line_of(addr)
                 affected.add(line_addr)
-                had_work = sim_flush(line_addr, op.flush_kind)
+                had_work = lines.flush_line(line_addr, op.flush_kind) != "redundant"
                 seq += 1
                 inserted_events += 1
                 out.append(
@@ -268,9 +253,8 @@ def _synthesize_stream(
             else:
                 assert isinstance(op, SynthFence)
                 mark_changed()
-                affected.update(pending_lines())
-                for state in lines.values():
-                    state[1] = False
+                affected.update(lines.pending_lines())
+                lines.drain()
                 seq += 1
                 inserted_events += 1
                 if anchor_event is not None:
@@ -316,9 +300,8 @@ def _synthesize_stream(
         fence = site.fence
         if fence is not None:
             mark_changed()
-            affected.update(pending_lines())
-            for state in lines.values():
-                state[1] = False
+            affected.update(lines.pending_lines())
+            lines.drain()
             seq += 1
             inserted_events += 1
             stack = (outer_stack or ()) + (

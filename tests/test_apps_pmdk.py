@@ -37,7 +37,7 @@ class TestLibpmem:
         addr = interp.call("pmalloc", [128]).value
         interp.machine.space.write_bytes(addr, b"A" * 100)
         # write via host; simulate the stores through the cache model
-        interp.machine.cache.on_store(addr, 100, seq=999)
+        interp.machine.cache.on_store(addr, 100)
         interp.call("pmem_persist", [addr, 100])
         assert interp.machine.image.is_line_durable(addr)
         assert interp.machine.image.is_line_durable(addr + 64)
@@ -46,7 +46,7 @@ class TestLibpmem:
         module, interp = fresh()
         create_pool(interp)
         addr = interp.call("pmalloc", [192]).value
-        interp.machine.cache.on_store(addr + 60, 8, seq=1)  # straddles
+        interp.machine.cache.on_store(addr + 60, 8)  # straddles
         interp.call("pmem_flush", [addr + 60, 8])
         interp.call("pmem_drain", [])
         assert not interp.machine.cache.pending_lines()

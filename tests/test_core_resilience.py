@@ -332,7 +332,7 @@ def test_crash_explorer_budget_partial_results():
     base = space.alloc_pm(64 * 4, align=64)
     for i in range(4):
         space.write_int(base + 64 * i, 8, i + 1)
-        cache.on_store(base + 64 * i, 8, seq=i + 1)
+        cache.on_store(base + 64 * i, 8)
 
     explorer = CrashExplorer(cache, image, budget=Budget(max_items=5))
     states = list(explorer.states())

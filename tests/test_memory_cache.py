@@ -17,19 +17,22 @@ def machine_parts():
 class TestStoreFlushFenceLifecycle:
     def test_store_dirties_line(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         assert cache.pending_lines() == [addr]
-        assert cache.dirty_store_seqs() == {1}
+        assert list(cache.dirty) == [addr]
+        assert not cache.queued
 
     def test_clwb_queues_until_fence(self, machine_parts):
         space, image, cache, addr = machine_parts
         space.write_int(addr, 8, 42)
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         status = cache.on_flush(addr, "clwb")
         assert status == "writeback"
         # still not durable: weakly ordered
         assert image.durable_bytes(addr, 8) != space.read_bytes(addr, 8)
-        assert cache.flushing_store_seqs() == {1}
+        assert not cache.dirty
+        assert list(cache.queued) == [addr]
+        assert cache.pending_lines() == [addr]
         completed = cache.on_fence("sfence")
         assert completed == [addr]
         assert image.durable_bytes(addr, 8) == space.read_bytes(addr, 8)
@@ -38,7 +41,7 @@ class TestStoreFlushFenceLifecycle:
     def test_clflush_is_immediately_durable(self, machine_parts):
         space, image, cache, addr = machine_parts
         space.write_int(addr, 8, 7)
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         status = cache.on_flush(addr, "clflush")
         assert status == "writeback"
         assert image.durable_bytes(addr, 8) == space.read_bytes(addr, 8)
@@ -51,9 +54,9 @@ class TestStoreFlushFenceLifecycle:
 
     def test_coalesced_flush(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         assert cache.on_flush(addr, "clwb") == "writeback"
-        cache.on_store(addr + 8, 8, seq=2)
+        cache.on_store(addr + 8, 8)
         # Same line, already queued: the WPQ entry absorbs it.
         assert cache.on_flush(addr, "clwb") == "coalesced"
         cache.on_fence("sfence")
@@ -61,13 +64,13 @@ class TestStoreFlushFenceLifecycle:
 
     def test_flush_of_queued_line_without_new_store(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         cache.on_flush(addr, "clwb")
         assert cache.on_flush(addr, "clwb") == "coalesced"
 
     def test_store_spanning_lines(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr + 60, 8, seq=5)
+        cache.on_store(addr + 60, 8)
         assert cache.pending_lines() == [addr, addr + 64]
 
     def test_fence_with_nothing_queued(self, machine_parts):
@@ -78,16 +81,16 @@ class TestStoreFlushFenceLifecycle:
         """A fence only completes *flushed* lines; dirty-but-unflushed
         lines stay pending — that is the missing-flush bug."""
         _, image, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         cache.on_fence("sfence")
         assert cache.pending_lines() == [addr]
-        assert cache.dirty_store_seqs() == {1}
+        assert list(cache.dirty) == [addr]
 
     def test_clflush_completes_queued_stores_too(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         cache.on_flush(addr, "clwb")  # queued
-        cache.on_store(addr, 8, seq=2)
+        cache.on_store(addr, 8)
         cache.on_flush(addr, "clflush")
         assert not cache.pending_lines()
 
@@ -95,7 +98,7 @@ class TestStoreFlushFenceLifecycle:
 class TestStatistics:
     def test_counts(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         cache.on_flush(addr, "clwb")
         cache.on_flush(addr, "clwb")
         cache.on_fence("sfence")
@@ -104,7 +107,10 @@ class TestStatistics:
 
     def test_pending_store_seqs_union(self, machine_parts):
         _, _, cache, addr = machine_parts
-        cache.on_store(addr, 8, seq=1)
+        cache.on_store(addr, 8)
         cache.on_flush(addr, "clwb")
-        cache.on_store(addr + 64, 8, seq=2)
-        assert cache.pending_store_seqs() == {1, 2}
+        cache.on_store(addr + 64, 8)
+        # one line queued, the other dirty: pending is their union
+        assert list(cache.queued) == [addr]
+        assert list(cache.dirty) == [addr + 64]
+        assert cache.pending_lines() == [addr, addr + 64]

@@ -17,7 +17,7 @@ def build(n_pending_lines: int):
     for i in range(n_pending_lines):
         addr = base + 64 * i
         space.write_int(addr, 8, i + 1)
-        cache.on_store(addr, 8, seq=i + 1)
+        cache.on_store(addr, 8)
     return space, image, cache, base
 
 

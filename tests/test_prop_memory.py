@@ -31,13 +31,11 @@ def replay(ops):
     base = space.alloc_pm(64 * N_SLOTS, align=64)
     slots = [base + 64 * i for i in range(N_SLOTS)]
     latest = {}
-    seq = 0
     for kind, index, value in ops:
         addr = slots[index]
         if kind == "store":
-            seq += 1
             space.write_int(addr, 8, value)
-            cache.on_store(addr, 8, seq)
+            cache.on_store(addr, 8)
             latest[addr] = value & ((1 << 64) - 1)
         elif kind in ("clwb", "clflush"):
             cache.on_flush(addr, kind)

@@ -2,12 +2,12 @@
 mutate it — and pooled machine reuse must never leak state between runs.
 
 The latent hazard: :class:`MachineSnapshot` memoizes the machine's
-cache-durability state, whose per-line ``dirty_stores`` /
-``flushing_stores`` sets the fence handler mutates **in place**.  If
-capture or :meth:`materialize` shared those containers, the first
-replay's fences would drain the snapshot's sets and a second replay
-from the same snapshot would see already-fenced lines — silently
-changing detection results.  These are the regression tests for the
+cache-durability state, whose ``dirty`` and ``queued`` line sets every
+store, flush and fence mutates **in place**.  If capture or
+:meth:`materialize` shared those containers, the first replay's fences
+would drain the snapshot's sets and a second replay from the same
+snapshot would see already-fenced lines — silently changing detection
+results.  These are the regression tests for the
 deep-copy-both-ways contract (see ``src/repro/revalidate/snapshot.py``).
 
 The pooled variants add a second hazard: a reused
@@ -85,25 +85,21 @@ def test_snapshot_lines_survive_mutation_of_materialized_machine():
     module = build_two_phase_module()
     engine, _, _, _ = _record(module)
     snapshot = _boundary_snapshot(engine)
-    # the recording left pending durability state at the boundary
-    assert any(dirty or flushing for _, dirty, flushing in snapshot.lines)
+    # the recording left a dirty and a queued line at the boundary
+    assert snapshot.dirty and snapshot.queued
+    before = (snapshot.dirty, snapshot.queued)
 
     first = snapshot.materialize()
-    before = [
-        (addr, frozenset(dirty), frozenset(flushing))
-        for addr, dirty, flushing in snapshot.lines
-    ]
-    # simulate what a replayed fence does: drain every line in place
-    for state in first.cache.lines.values():
-        state.dirty_stores.clear()
-        state.flushing_stores.clear()
-    assert list(snapshot.lines) == before
+    # simulate what replayed flushes and fences do: drain both sets
+    for line_addr in list(first.cache.dirty):
+        first.cache.on_flush(line_addr, "clwb")
+    first.cache.on_fence("sfence")
+    assert not first.cache.pending_lines()
+    assert (snapshot.dirty, snapshot.queued) == before
 
     second = snapshot.materialize()
-    for (addr, dirty, flushing) in snapshot.lines:
-        state = second.cache.lines[addr]
-        assert state.dirty_stores == set(dirty)
-        assert state.flushing_stores == set(flushing)
+    assert tuple(second.cache.dirty) == snapshot.dirty
+    assert tuple(second.cache.queued) == snapshot.queued
 
 
 def test_materialized_machines_share_no_mutable_state():
@@ -112,11 +108,9 @@ def test_materialized_machines_share_no_mutable_state():
     snapshot = _boundary_snapshot(engine)
     a = snapshot.materialize()
     b = snapshot.materialize()
-    for addr, state in a.cache.lines.items():
-        other = b.cache.lines[addr]
-        assert state is not other
-        assert state.dirty_stores is not other.dirty_stores
-        assert state.flushing_stores is not other.flushing_stores
+    assert a.cache.dirty == b.cache.dirty and a.cache.dirty
+    assert a.cache.dirty is not b.cache.dirty
+    assert a.cache.queued is not b.cache.queued
     # region bytes and the durable image are independent copies too
     a.space.pm.data[0] ^= 0xFF
     assert a.space.pm.data[0] != b.space.pm.data[0]
@@ -300,8 +294,8 @@ def test_snapshot_bytes_gauge_matches_byte_size():
     """The ``revalidate.snapshot_bytes`` gauge must equal the summed
     ``byte_size`` of every retained snapshot, and ``byte_size`` itself
     must dominate a ``sys.getsizeof``-based floor over the payload it
-    claims to count (region prefixes, durable prefix, per-line
-    durability sets, allocation registry)."""
+    claims to count (region prefixes, durable prefix, dirty and queued
+    line tuples, allocation registry)."""
     module = build_two_phase_module()
     metrics = MetricsRegistry()
     engine = IncrementalRevalidator(drive, metrics=metrics)
@@ -322,10 +316,8 @@ def test_snapshot_bytes_gauge_matches_byte_size():
             + len(snap.stack[2])
             + len(snap.pm[2])
             + len(snap.durable)
-            + sum(
-                sys.getsizeof(dirty) + sys.getsizeof(flushing)
-                for _addr, dirty, flushing in snap.lines
-            )
+            + sys.getsizeof(snap.dirty)
+            + sys.getsizeof(snap.queued)
             + sum(sys.getsizeof(alloc) for alloc in snap.allocations)
         )
         assert snap.byte_size >= floor
