@@ -2,7 +2,7 @@
 PM pointer classifiers feeding the hoisting heuristic."""
 
 from .aliasing import PMClassification, classify_full_aa, classify_trace_aa
-from .andersen import AllocSite, PointsTo, UNKNOWN_SITE, analyze
+from .andersen import AllocSite, PointsTo, UNKNOWN_SITE
 from .callgraph import CallGraph
 from .diskcache import AnalysisDiskCache
 from .manager import (
@@ -16,7 +16,6 @@ from .manager import (
 
 __all__ = [
     "AllocSite",
-    "analyze",
     "AnalysisDiskCache",
     "AnalysisManager",
     "AnalysisStats",

@@ -306,7 +306,3 @@ class PointsTo:
             # Unknown intrinsic returning a pointer: untrackable.
             self._add(call, _UNKNOWN_BIT)
 
-
-def analyze(module: Module, budget: Optional[Budget] = None) -> PointsTo:
-    """Run Andersen's analysis over a module."""
-    return PointsTo(module, budget=budget)

@@ -11,14 +11,14 @@ mutation happened so exactly the right entries are dropped.
 
 Invalidation matrix (driven by :meth:`mutation_committed`):
 
-======================  ==========  =========  =======  ==============  =========
-mutation                points_to   callgraph  locator  verified(fn)    compiled
-======================  ==========  =========  =======  ==============  =========
-flush/fence insertion   preserved   preserved  preserv  touched only    touched
-clone / call retarget   dropped     dropped    preserv  dropped         touched
-rollback (clean)        preserved   preserved  preserv  touched only    touched
-rollback (failed)       dropped     dropped    dropped  dropped         dropped
-======================  ==========  =========  =======  ==============  =========
+======================  ==========  =========  =======  ==============
+mutation                points_to   callgraph  locator  verified(fn)
+======================  ==========  =========  =======  ==============
+flush/fence insertion   preserved   preserved  preserv  touched only
+clone / call retarget   dropped     dropped    preserv  dropped
+rollback (clean)        preserved   preserved  preserv  touched only
+rollback (failed)       dropped     dropped    dropped  dropped
+======================  ==========  =========  =======  ==============
 
 The verified column is not a manager entry: each function carries its
 own verified state, keyed on the stamps the mutation primitives move
@@ -29,17 +29,10 @@ change whether an untouched caller's ``call`` verifies; a failed
 rollback counts as such a change too (``FixTransaction.rollback``).
 :meth:`AnalysisManager.verify_scope`, Hippocrates's final check and the
 flat engine's compiler all read and set the same state, so each
-function is verified once per change.
-
-The compiled program (the flat engine's input, see
-:mod:`repro.interp.compile`) is *content*-exact, not shape-exact: even a
-flush insertion changes the code stream, so unlike points-to it can
-never be re-stamped across an epoch boundary.  Its entry is dropped on
-every epoch change and recomputed through
-:func:`~repro.interp.compile.cached_program`, which recompiles only
-functions whose :func:`~repro.interp.compile.function_signature` moved
-— so "touched" above costs one signature sweep plus recompiling the
-actually-edited function(s).
+function is verified once per change.  The flat engine's compile cache
+(:func:`~repro.interp.compile.cached_program`) is not a manager entry
+either: it reuses a function's compiled form on the same stamps, so it
+recompiles exactly what the verified column drops.
 
 Flush and fence instructions create no pointers, no allocation sites,
 and no calls to defined functions, so the Andersen solution and the call
@@ -64,13 +57,12 @@ persists fresh solutions for other worker processes to reuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..budget import Budget
 from ..ir.module import Module
 from ..ir.verifier import is_verified, verify_function
-from ..interp.compile import cached_program
 from .andersen import PointsTo
 from .callgraph import CallGraph
 from .diskcache import AnalysisDiskCache
@@ -80,11 +72,6 @@ from .diskcache import AnalysisDiskCache
 POINTS_TO = "points_to"
 CALLGRAPH = "callgraph"
 LOCATOR = "locator"
-#: The flat engine's register-compiled program (a
-#: :class:`~repro.interp.compile.CompiledProgram`).  Epoch-bound by
-#: construction: dropped on *every* epoch change (commit or rollback)
-#: and recomputed incrementally.
-COMPILED = "compiled_program"
 
 #: Analyses a structural mutation (clone insertion, call retarget)
 #: invalidates; flush/fence insertion preserves them.
@@ -158,7 +145,6 @@ class AnalysisManager:
         self._entries: Dict[Hashable, _Entry] = {}
         self.register(POINTS_TO, self._compute_points_to)
         self.register(CALLGRAPH, self._compute_callgraph)
-        self.register(COMPILED, cached_program)
 
     def _count(self, name: str, amount: int = 1) -> None:
         """Bump one stats counter (and its metrics mirror)."""
@@ -249,14 +235,6 @@ class AnalysisManager:
         epoch = self.module.epoch
         for key in [k for k, e in self._entries.items() if e.failure is not None]:
             del self._entries[key]
-        # The compiled program embeds the epoch it was built from and
-        # tracks content exactly (a flush insertion changes it, a clean
-        # rollback's epoch bump orphans it): never re-stamp it —
-        # recompute (incrementally) on next use.
-        compiled = self._entries.get(COMPILED)
-        if compiled is not None and compiled.epoch != epoch:
-            del self._entries[COMPILED]
-            self._count("invalidations")
         for entry in self._entries.values():
             entry.epoch = epoch
 

@@ -4,8 +4,8 @@ The paper's whole point is that a write is not durable until it is
 flushed and fenced; the Linux-kernel PM-issues study (arXiv:2307.04095)
 found most real-world persistence failures are exactly this kind of
 operational omission.  This module applies the same discipline to our
-own outputs: every file the pipeline writes — fixed modules, trace
-logs, checkpoint journals, batch reports — goes through
+own outputs: every file the pipeline writes whole — fixed modules,
+trace logs, batch reports, metrics — goes through
 :func:`atomic_write_text`, so a crash at any instant leaves either the
 old file or the new file, never a torn hybrid.
 

@@ -21,7 +21,6 @@ from .compile import (
     cached_program,
     compile_function,
     compile_module,
-    function_signature,
 )
 from .costs import CostCounter, CostModel, KIND_ORDER
 from .engine import FlatEngine
@@ -48,14 +47,10 @@ def make_interpreter(module, engine: str = None, **kwargs) -> Interpreter:
     """Construct an interpreter for ``module`` on the chosen engine.
 
     ``kwargs`` are forwarded to the engine constructor (``machine``,
-    ``cost_model``, ``fuel``, ``metrics``, ``run_recorder``, ...); the
-    flat-only ``program_provider`` kwarg is dropped for the reference
-    engine so callers can pass it unconditionally.
+    ``cost_model``, ``fuel``, ``metrics``, ``run_recorder``, ...); both
+    engines take the same arguments.
     """
-    cls = engine_class(engine)
-    if cls is Interpreter:
-        kwargs.pop("program_provider", None)
-    return cls(module, **kwargs)
+    return engine_class(engine)(module, **kwargs)
 
 
 __all__ = [
@@ -72,7 +67,6 @@ __all__ = [
     "ExecutionResult",
     "FlatEngine",
     "Frame",
-    "function_signature",
     "Interpreter",
     "intrinsic_names",
     "is_intrinsic",

@@ -21,8 +21,9 @@ engine (:mod:`repro.interp.engine`) dispatches over:
   one terminator and every register is written before it is read;
 - call instructions pre-resolve their callee: module function, known
   intrinsic, declaration (error when executed), or unknown (ditto) —
-  sound because any module change that could alter resolution bumps the
-  module epoch and changes the caller's :func:`function_signature`.
+  sound because any module change that could alter resolution (a
+  function added or removed, a call retargeted) moves the module's
+  shape epoch, which recompiles every function.
 
 Each instruction becomes a flat tuple ``(opcode, iid, ...)`` whose
 layout is opcode-specific (see the ``_encode_*`` helpers; loads and
@@ -41,13 +42,15 @@ a Python function (:mod:`repro.interp.translate`), and its code object
 is kept in :attr:`CompiledFunction.translations` for every engine.
 
 **Incremental recompilation**: :func:`compile_module` accepts the
-previous :class:`CompiledProgram` and reuses any function whose
-:func:`function_signature` is unchanged, so the repair loop's
-flush/fence insertions recompile only the touched function(s).
-:func:`cached_program` is the module-level entry point — a weak
-per-module cache validated against the mutation epoch, shared by every
-engine (and by the analysis manager's ``compiled_program`` key) so
-detection, replay, and revalidation all link against one compile.
+previous :class:`CompiledProgram` and reuses a function exactly when
+the verifier would still count it as verified: it is
+:func:`~repro.ir.verifier.unchanged_since` the epoch it was compiled
+at.  The repair loop's flush/fence insertions recompile only the
+touched function(s); a change to the module's shape recompiles every
+function, as it re-verifies every function.  :func:`cached_program` is
+the module-level entry point — a weak per-module cache validated
+against the mutation epoch, shared by every engine so detection,
+replay, and revalidation all link against one compile.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ from ..ir.opcodes import (
 )
 from ..ir.types import IntType
 from ..ir.values import Constant, GlobalVariable, Value
-from ..ir.verifier import is_verified, verify_function
+from ..ir.verifier import is_verified, unchanged_since, verify_function
 from ..memory.layout import CODECS
 from .costs import KIND_INDEX
 from .intrinsics import is_intrinsic, lookup
@@ -161,28 +164,6 @@ def _mask_of(type_) -> int:
     return _U64
 
 
-def function_signature(fn: Function, module: Module) -> Tuple:
-    """A cheap per-function change detector for incremental recompiles.
-
-    Captures, in block order: every instruction's globally unique iid
-    (insertions/removals/clones always mint fresh iids) and, for calls,
-    the callee name plus whether it currently resolves to a module
-    function (a call retarget changes the name; adding/removing the
-    callee function flips the resolution bit).  Equal signatures at
-    different epochs mean the compiled form is still exact.
-    """
-    sig: List = []
-    for block in fn.blocks:
-        for instr in block:
-            if isinstance(instr, Call):
-                sig.append(
-                    (instr.iid, instr.callee, module.has_function(instr.callee))
-                )
-            else:
-                sig.append(instr.iid)
-    return tuple(sig)
-
-
 class CompiledFunction:
     """One function lowered to the flat format.
 
@@ -201,8 +182,9 @@ class CompiledFunction:
         time.
     :ivar arg_masks: per-formal truncation masks (args occupy register
         slots ``0..len(arg_masks)-1``).
-    :ivar signature: the :func:`function_signature` this was compiled
-        from, compared on recompiles for reuse.
+    :ivar epoch: the module epoch this was compiled at; a recompile
+        reuses it while the function is
+        :func:`~repro.ir.verifier.unchanged_since` then.
     :ivar translations: run start pc -> the run's
         :class:`~repro.interp.translate.Translation` (None for a run
         with nothing to translate), filled in by the engines as runs get
@@ -217,13 +199,13 @@ class CompiledFunction:
         "base_template",
         "global_slots",
         "arg_masks",
-        "signature",
+        "epoch",
         "translations",
     )
 
-    def __init__(self, name: str, signature: Tuple):
+    def __init__(self, name: str, epoch: int):
         self.name = name
-        self.signature = signature
+        self.epoch = epoch
         self.code: Tuple[tuple, ...] = ()
         self.runs: Tuple[Optional[tuple], ...] = ()
         self.insts: Tuple[Instruction, ...] = ()
@@ -250,17 +232,6 @@ class CompiledProgram:
         self.module_name = module_name
         self.epoch = epoch
         self.functions = functions
-
-    def reused_from(self, previous: Optional["CompiledProgram"]) -> int:
-        """How many functions were carried over from ``previous``
-        (identity comparison; diagnostics for tests and benchmarks)."""
-        if previous is None:
-            return 0
-        return sum(
-            1
-            for name, cf in self.functions.items()
-            if previous.functions.get(name) is cf
-        )
 
     def __repr__(self) -> str:
         return (
@@ -310,7 +281,7 @@ class _FunctionCompiler:
 
     def compile(self) -> CompiledFunction:
         fn, module = self.fn, self.module
-        cf = CompiledFunction(fn.name, function_signature(fn, module))
+        cf = CompiledFunction(fn.name, module.epoch)
 
         # Formals first: slots 0..n-1, filled (masked) at frame push.
         for arg in fn.args:
@@ -500,9 +471,10 @@ def compile_module(
     """Compile every defined function, reusing unchanged ones.
 
     ``previous`` (a compile of an earlier epoch of the *same* module) is
-    consulted per function: equal :func:`function_signature` means the
-    lowered form is still exact and the object is shared, so a
-    flush-insertion into one function recompiles one function.
+    consulted per function: a function
+    :func:`~repro.ir.verifier.unchanged_since` its compile keeps its
+    compiled object, so a flush insertion into one function recompiles
+    one function.
     """
     prev_fns = previous.functions if previous is not None else {}
     functions: Dict[str, CompiledFunction] = {}
@@ -510,7 +482,7 @@ def compile_module(
         if fn.is_declaration:
             continue
         prev = prev_fns.get(name)
-        if prev is not None and prev.signature == function_signature(fn, module):
+        if prev is not None and unchanged_since(fn, prev.epoch):
             functions[name] = prev
         else:
             functions[name] = compile_function(fn, module)

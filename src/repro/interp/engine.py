@@ -49,7 +49,7 @@ are for code nobody verified.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import FuelExhausted, InterpreterError, TrapError
 from ..ir.function import Function
@@ -193,11 +193,8 @@ _F_MARK = 5
 class FlatEngine(Interpreter):
     """Register-compiled interpreter (the default engine).
 
-    Accepts every :class:`Interpreter` constructor argument, plus
-    ``program_provider``: a zero-argument callable returning the
-    :class:`CompiledProgram` to execute (defaults to the shared
-    :func:`~repro.interp.compile.cached_program` cache; the analysis
-    manager's ``compiled_program`` key plugs in here).
+    Accepts every :class:`Interpreter` constructor argument and executes
+    the module's shared :func:`~repro.interp.compile.cached_program`.
     """
 
     def __init__(
@@ -209,7 +206,6 @@ class FlatEngine(Interpreter):
         record_volatile_stores: bool = False,
         metrics=None,
         run_recorder=None,
-        program_provider: Optional[Callable[[], CompiledProgram]] = None,
     ):
         super().__init__(
             module,
@@ -219,9 +215,6 @@ class FlatEngine(Interpreter):
             record_volatile_stores=record_volatile_stores,
             metrics=metrics,
             run_recorder=run_recorder,
-        )
-        self._program_provider = program_provider or (
-            lambda: cached_program(self.module)
         )
         self._program: Optional[CompiledProgram] = None
         self._linked: Dict[str, _LinkedFunction] = {}
@@ -244,7 +237,7 @@ class FlatEngine(Interpreter):
         Links lazily reuse: a function whose CompiledFunction object
         survived the incremental recompile keeps its linked form.
         """
-        program = self._program_provider()
+        program = cached_program(self.module)
         previous = self._linked
         linked: Dict[str, _LinkedFunction] = {}
         global_addrs = self.machine.global_addrs

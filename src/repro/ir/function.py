@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..errors import IRError
 from .basicblock import BasicBlock
@@ -97,24 +97,8 @@ class Function:
         """All call instructions."""
         return [i for i in self.instructions() if isinstance(i, Call)]
 
-    def find_instruction(self, iid: int) -> Optional[Instruction]:
-        for instr in self.instructions():
-            if instr.iid == iid:
-                return instr
-        return None
-
     def instruction_count(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-    def value_names(self) -> Dict[str, int]:
-        """How many times each local value name is used (for uniquing)."""
-        counts: Dict[str, int] = {}
-        for arg in self.args:
-            counts[arg.name] = counts.get(arg.name, 0) + 1
-        for instr in self.instructions():
-            if instr.name:
-                counts[instr.name] = counts.get(instr.name, 0) + 1
-        return counts
 
     def __repr__(self) -> str:
         kind = "decl" if self.is_declaration else f"{len(self.blocks)} blocks"

@@ -159,13 +159,6 @@ class Module:
         except KeyError:
             raise IRError(f"no global {name!r} in module {self.name!r}") from None
 
-    def find_instruction(self, iid: int) -> Optional[Instruction]:
-        for fn in self.functions.values():
-            instr = fn.find_instruction(iid)
-            if instr is not None:
-                return instr
-        return None
-
     # -- metrics --------------------------------------------------------------------
 
     def instructions(self) -> Iterator[Instruction]:

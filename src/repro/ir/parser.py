@@ -2,9 +2,11 @@
 
 The parser is line-oriented: every instruction occupies one line, block
 labels end with ``:``, and functions are delimited by ``func ... {`` /
-``}``.  Forward references to blocks create the block at first mention;
-forward references to values are an error (the IR requires definition
-before use in textual order, which the builder guarantees).
+``}``.  Forward references to blocks create the block at first mention,
+but a block takes its place in the function at its label, so blocks
+keep their textual order; a label referenced but never defined is an
+error.  Forward references to values are an error (the IR requires
+definition before use in textual order, which the builder guarantees).
 
 Each instruction line is split once: the debug location is cut off at
 the last ``!``, the result name at the first ``=``, and the opcode at
@@ -110,13 +112,25 @@ class _FunctionParser:
         #: constants
         self.literals = literals
         self.blocks: Dict[str, BasicBlock] = {}
+        #: labels referenced but not yet defined -> line of first mention
+        self.unplaced: Dict[str, int] = {}
 
-    def block(self, label: str) -> BasicBlock:
-        """The block named ``label``, created at its first mention."""
+    def block(self, label: str, lineno: int) -> BasicBlock:
+        """The block a branch names, created at its first mention."""
         block = self.blocks.get(label)
         if block is None:
-            block = BasicBlock(label, self.fn)
-            self.blocks[label] = block
+            block = self.blocks[label] = BasicBlock(label, self.fn)
+            self.unplaced[label] = lineno
+        return block
+
+    def open_block(self, label: str) -> BasicBlock:
+        """The block a ``label:`` line opens, appended to the function
+        at its first label."""
+        block = self.blocks.get(label)
+        if block is None:
+            block = self.blocks[label] = BasicBlock(label, self.fn)
+            self.fn.blocks.append(block)
+        elif self.unplaced.pop(label, None) is not None:
             self.fn.blocks.append(block)
         return block
 
@@ -183,6 +197,9 @@ class _FunctionParser:
                 if not line or line[0] == ";":
                     continue
                 if line == "}":
+                    if self.unplaced:
+                        label, first = next(iter(self.unplaced.items()))
+                        raise IRParseError(f"undefined block label %{label}", first)
                     module = self.fn.parent
                     if module is not None:
                         module.bump_epoch(self.fn)
@@ -200,7 +217,7 @@ class _FunctionParser:
                 if line[-1] == ":":
                     label = _LABEL_RE.match(line)
                     if label:
-                        block = self.block(label.group(1))
+                        block = self.open_block(label.group(1))
                         instructions = block.instructions
                         append = instructions.append
                         terminated = bool(
@@ -323,12 +340,12 @@ class _FunctionParser:
         then_text, _, else_text = targets.partition(",")
         return Branch(
             self.value(cond_text, I1, lineno),
-            self.block(then_text.strip().lstrip("%")),
-            self.block(else_text.strip().lstrip("%")),
+            self.block(then_text.strip().lstrip("%"), lineno),
+            self.block(else_text.strip().lstrip("%"), lineno),
         )
 
     def _jmp(self, op: str, rest: str, line: str, lineno: int) -> Instruction:
-        return Jump(self.block(rest.lstrip("%")))
+        return Jump(self.block(rest.lstrip("%"), lineno))
 
     def _ret(self, op: str, rest: str, line: str, lineno: int) -> Instruction:
         if not rest:

@@ -8,11 +8,14 @@ engine's compiler lowers: no engine runs code it rejects.
 
 Each function remembers the module epoch at which it last verified
 (:attr:`~repro.ir.function.Function.verified_at`).  :func:`is_verified`
-compares it with the function's own stamp and the module's shape epoch
-(see :class:`~repro.ir.module.Module`), so callers that only need the
-code to be verified -- Hippocrates's final check, the flat engine's
-compiler -- skip a function nothing has changed since.  A function that
-was never verified, or that belongs to no module, never counts as
+asks :func:`unchanged_since` whether the function's own stamp or the
+module's shape epoch (see :class:`~repro.ir.module.Module`) moved after
+it, so callers that only need the code to be verified -- Hippocrates's
+final check, the flat engine's compiler -- skip a function nothing has
+changed since.  A function that was never verified, or that belongs to
+no module, never counts as verified.  The flat engine's compile cache
+asks :func:`unchanged_since` the same question about the epoch it
+compiled a function at, so a reused compiled function is still
 verified.
 """
 
@@ -22,20 +25,23 @@ from typing import List, Optional, Set, Tuple
 
 from ..errors import VerificationError
 from .function import Function
-from .instructions import Branch, Call, Instruction, Jump, Ret, Trap
+from .instructions import Branch, Call, Instruction, Jump, Ret
 from .module import Module
 from .values import Argument, Constant, GlobalVariable
 
 
-def is_verified(fn: Function) -> bool:
-    """Whether ``fn`` passed :func:`verify_function` and neither its body
-    nor the module's shape has changed since."""
+def unchanged_since(fn: Function, epoch: int) -> bool:
+    """Whether neither ``fn``'s body nor its module's shape has changed
+    after module epoch ``epoch``.  A function in no module never counts
+    as unchanged."""
     module = fn.parent
-    return (
-        module is not None
-        and fn.verified_at >= fn.stamp
-        and fn.verified_at >= module.shape_epoch
-    )
+    return module is not None and fn.stamp <= epoch and module.shape_epoch <= epoch
+
+
+def is_verified(fn: Function) -> bool:
+    """Whether ``fn`` passed :func:`verify_function` and is
+    :func:`unchanged_since` then."""
+    return unchanged_since(fn, fn.verified_at)
 
 
 def verify_function(fn: Function) -> None:

@@ -59,21 +59,26 @@ class LineStates:
     def flush_line(self, line_addr: int, kind: str) -> str:
         """Move one line through a flush of ``kind``; see
         :meth:`CacheModel.on_flush` for the returned statuses.  A
-        ``clflush`` of a dirty line leaves both sets: the caller writes
-        it back."""
+        ``clflush`` is strongly ordered: the line leaves both sets, and
+        the caller writes back every line it does not call
+        ``"redundant"``."""
         if line_addr in self.dirty:
             del self.dirty[line_addr]
             if kind == "clflush":
-                # Strongly ordered, and completes anything queued too.
+                # Completes anything queued too.
                 self.queued.pop(line_addr, None)
                 return "writeback"
             if line_addr in self.queued:
                 return "coalesced"
             self.queued[line_addr] = None
             return "writeback"
-        # A clean line stays as it is: coalesced into a queued write-back,
-        # or redundant.
-        return "coalesced" if line_addr in self.queued else "redundant"
+        if line_addr not in self.queued:
+            return "redundant"
+        # A clean queued line: coalesced into its queued write-back,
+        # which a clflush completes.
+        if kind == "clflush":
+            del self.queued[line_addr]
+        return "coalesced"
 
     def drain(self) -> List[int]:
         """A fence: empty the queue, returning the lines it completes."""
@@ -107,21 +112,24 @@ class CacheModel(LineStates):
 
         - ``"writeback"`` — the line was dirty and not yet queued: this
           flush schedules a real media write-back (full cost).
-        - ``"coalesced"`` — the line was dirty but already sits in the
-          write-pending queue from an earlier flush: the WPQ entry
-          absorbs the new bytes (cheap).  This is why flush-per-store
-          code (Hippocrates's clones) is not much slower than
-          flush-per-line code (``pmem_flush``).
+        - ``"coalesced"`` — the line already sits in the write-pending
+          queue from an earlier flush or non-temporal store: the WPQ
+          entry absorbs the new bytes, if any (cheap).  This is why
+          flush-per-store code (Hippocrates's clones) is not much
+          slower than flush-per-line code (``pmem_flush``).
         - ``"redundant"`` — the line was completely clean: the raw
           material of PM *performance* bugs, which the detector reports
           but Hippocrates deliberately never "fixes" (§7).
+
+        A ``clflush`` that is not redundant completes the line's
+        write-back at once, queued part included.
         """
         self.flush_count += 1
         line_addr = line_of(addr)
         status = self.flush_line(line_addr, kind)
         if status == "redundant":
             self.clean_flush_count += 1
-        elif kind == "clflush" and status == "writeback":
+        elif kind == "clflush":
             self.image.write_back_line(line_addr)
         return status
 

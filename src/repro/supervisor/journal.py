@@ -13,10 +13,7 @@ the paper's flush/fence discipline on ordinary files:
   the externally visible action);
 - recovery (:meth:`CheckpointJournal.recover`) truncates at the first
   bad record — exactly how PM systems discard a torn log tail — and
-  re-opens for append at the good prefix;
-- compaction rewrites the journal through a temp file + ``os.replace``
-  (:func:`~repro.fsutil.atomic_write_text`), so rotation can never
-  destroy the only copy of the log.
+  re-opens for append at the good prefix.
 
 Record types (the ``type`` field):
 
@@ -40,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
-from ..fsutil import atomic_write_text, fsync_dir
 
 #: record types that end a task's lifecycle (resume skips these tasks)
 TERMINAL_TYPES = ("task-done", "task-quarantined")
@@ -206,26 +202,3 @@ class CheckpointJournal:
                 handle.flush()
                 os.fsync(handle.fileno())
         return recovered
-
-    # -- rotation -----------------------------------------------------------
-
-    def compact(self) -> int:
-        """Atomically rewrite the journal keeping only batch metadata
-        and terminal task records; returns the number of records kept.
-
-        Uses temp-file + fsync + ``os.replace`` (and a directory fsync),
-        so a crash mid-rotation leaves either the old journal or the
-        compacted one — never neither.
-        """
-        self.close()
-        recovered = self.read(self.path)
-        kept = [
-            record
-            for record in recovered.records
-            if record.get("type") in TERMINAL_TYPES
-            or record.get("type") in ("batch-start", "batch-end", "batch-interrupted")
-        ]
-        text = "".join(encode_record(record) + "\n" for record in kept)
-        atomic_write_text(self.path, text)
-        fsync_dir(os.path.dirname(os.path.abspath(self.path)))
-        return len(kept)

@@ -43,6 +43,7 @@ Fault injection (for the resilience harness) passes ``fault``:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -150,13 +151,18 @@ def fork_worker(task, heartbeat_interval: float, fault: str = "",
             stream.flush()
         except (AttributeError, OSError, ValueError):
             pass
+    # The supervisor's heap goes to the permanent generation across the
+    # fork, so the worker's collections scan only what its task makes.
+    gc.freeze()
     try:
         pid = os.fork()
     except OSError:
+        gc.unfreeze()
         os.close(read_fd)
         os.close(write_fd)
         raise
     if pid:
+        gc.unfreeze()
         os.close(write_fd)
         return pid, read_fd
     code = 1  # the worker itself broke: no verdict line

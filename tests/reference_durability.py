@@ -118,6 +118,10 @@ class ReferenceCacheModel:
             if state is None or not state.is_flushing:
                 self.clean_flush_count += 1
                 return "redundant"
+            if kind == "clflush":
+                # Strongly ordered: completes the queued write-back.
+                self.image.write_back_line(line_addr)
+                state.flushing_stores.clear()
             return "coalesced"
         already_queued = state.is_flushing
         if kind == "clflush":

@@ -1,8 +1,10 @@
 """Unit tests for the pmemcheck-style durability checker."""
 
+import pytest
+
 from repro.corpus import all_cases
 from repro.detect import BugKind, check_trace, durability, pmemcheck_run
-from repro.interp import Interpreter
+from repro.interp import ENGINES, Interpreter
 from repro.ir import I64, ModuleBuilder, PTR
 from repro.memory import lines_covering
 from repro.supervisor.tasks import run_case
@@ -73,6 +75,24 @@ class TestBugKinds:
             b.ret(0)
 
         assert detect(build).bug_count == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_clflush_after_clwb_leaves_nothing_pending(self, engine):
+        """store; clwb; clflush: the clflush completes the write-back
+        the clwb queued, so the checker and the cache model agree that
+        nothing is pending at exit."""
+        mb = ModuleBuilder("t")
+        b = mb.function("main", [], I64)
+        p = b.call("pm_alloc", [64], PTR)
+        b.store(1, p)
+        b.flush(p, "clwb")
+        b.flush(p, "clflush")
+        b.ret(0)
+        result, _, interp = pmemcheck_run(
+            mb.module, lambda i: i.call("main"), engine=engine
+        )
+        assert result.bug_count == 0
+        assert interp.machine.cache.pending_lines() == []
 
     def test_volatile_stores_never_flagged(self):
         def build(mb):

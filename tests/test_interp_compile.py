@@ -3,13 +3,13 @@
 Covers the register-compiled form itself (flat pc space, every block
 ending in its terminator, stable opcode numbering, the run table the
 engine charges a straight-line run at a time from), the incremental
-recompile (equal :func:`function_signature` at a newer epoch reuses
-the compiled object), the module-keyed program cache, and the analysis
-manager's ``COMPILED`` entry — in particular that *any* epoch movement
-(flush/fence commit, structural commit, even a clean rollback) leaves
-the cached program stamped at the module's current epoch, because the
-flat engine relinks whenever the two disagree and a stale re-stamped
-program would relink forever.
+recompile (a function :func:`~repro.ir.verifier.unchanged_since` its
+compile keeps the compiled object; a body edit recompiles that
+function, a shape change every function), and the module-keyed program
+cache — in particular that *any* epoch movement (flush/fence commit,
+structural commit, even a clean rollback) leaves the cached program
+stamped at the module's current epoch, because the flat engine relinks
+whenever the two disagree and a stale program would relink forever.
 """
 
 from __future__ import annotations
@@ -18,17 +18,12 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.manager import COMPILED, AnalysisManager
+from repro.analysis.manager import AnalysisManager
 from repro.core.transaction import FixTransaction
 from repro.corpus.bugs import all_cases
 from repro.errors import VerificationError
 from repro.interp import make_interpreter
-from repro.interp.compile import (
-    cached_program,
-    compile_function,
-    compile_module,
-    function_signature,
-)
+from repro.interp.compile import cached_program, compile_function, compile_module
 from repro.interp.costs import KIND_INDEX
 from repro.interp.intrinsics import is_intrinsic
 from repro.ir import I1, I8, I16, I32, I64, ModuleBuilder, PTR, opcodes
@@ -52,6 +47,7 @@ from repro.ir.opcodes import (
     NUM_OPCODES,
     OP_BR,
     OP_CALL,
+    OP_FLUSH,
     OP_JMP,
     OP_LOAD,
     OP_RET,
@@ -279,16 +275,31 @@ def test_only_fell_off_slots_after_a_terminator_have_no_run():
         assert (cf.runs[pc] is not None) == starts_run, pc
 
 
+def main_call(module):
+    """main's ``pm_alloc`` call."""
+    return next(i for i in module.get_function("main").entry if i.opcode == "call")
+
+
+def add_flush_to_main(module):
+    """A repair-style body edit: a flush of main's ``pm_alloc`` result,
+    inserted through the block primitive that moves main's stamp."""
+    call = main_call(module)
+    call.parent.insert_after(call, Flush(call))
+
+
+def retarget_main_call(module):
+    """A shape change: main's ``pm_alloc`` call retargeted, as the
+    subprogram transformation does, with the bare epoch bump it uses."""
+    main_call(module).callee = "vol_alloc"
+    module.bump_epoch()
+
+
 def test_incremental_recompile_reuses_run_tables():
     module = build_module()
     interp = make_interpreter(module)
     first = cached_program(module)
     linked = dict(interp._linked)
-    call = next(
-        i for i in module.get_function("main").entry if i.opcode == "call"
-    )
-    call.callee = "vol_alloc"
-    module.bump_epoch()
+    add_flush_to_main(module)
     interp.call("main")  # relinks against the recompile
     second = cached_program(module)
     assert second.functions["set_slot"] is first.functions["set_slot"]
@@ -310,38 +321,36 @@ def test_constants_are_prefilled_in_template():
 
 
 def test_unchanged_functions_are_reused_across_epochs():
+    """A body edit recompiles only the edited function."""
     module = build_module()
     first = compile_module(module)
-    module.bump_epoch()
+    add_flush_to_main(module)
     second = compile_module(module, previous=first)
     assert second.epoch == module.epoch
-    assert second.reused_from(first) == len(first.functions)
-    for name, cf in first.functions.items():
-        assert second.functions[name] is cf
-
-
-def test_signature_change_recompiles_only_that_function():
-    module = build_module()
-    first = compile_module(module)
-    call = next(
-        i for i in module.get_function("main").entry if i.opcode == "call"
-    )
-    call.callee = "vol_alloc"  # retarget: changes main's signature only
-    module.bump_epoch()
-    second = compile_module(module, previous=first)
     assert second.functions["set_slot"] is first.functions["set_slot"]
     assert second.functions["main"] is not first.functions["main"]
-    assert second.reused_from(first) == 1
+    assert second.functions["main"].epoch == module.epoch
+    assert [op[0] for op in second.functions["main"].code].count(OP_FLUSH) == 2
 
 
-def test_function_signature_tracks_callee_resolution():
+def add_function(module):
+    module.add_function("extra", [], I64)
+
+
+@pytest.mark.parametrize(
+    "change", [retarget_main_call, add_function, lambda m: m.bump_epoch()],
+    ids=["retarget", "add-function", "bare-bump"],
+)
+def test_shape_change_recompiles_every_function(change):
+    """Like re-verification, a change to the module's shape recompiles
+    every function, edited or not."""
     module = build_module()
-    before = function_signature(module.get_function("main"), module)
-    call = next(
-        i for i in module.get_function("main").entry if i.opcode == "call"
-    )
-    call.callee = "vol_alloc"
-    assert function_signature(module.get_function("main"), module) != before
+    first = compile_module(module)
+    change(module)
+    second = compile_module(module, previous=first)
+    for name, cf in first.functions.items():
+        assert second.functions[name] is not cf
+        assert second.functions[name].epoch == module.epoch
 
 
 def test_cached_program_is_shared_until_epoch_moves():
@@ -352,64 +361,81 @@ def test_cached_program_is_shared_until_epoch_moves():
     second = cached_program(module)
     assert second is not first
     assert second.epoch == module.epoch
-    assert second.reused_from(first) == len(first.functions)
+    assert all(
+        second.functions[name] is not cf for name, cf in first.functions.items()
+    )
 
 
 # ---------------------------------------------------------------------------
-# the analysis manager's COMPILED entry
+# the program cache across fix transactions
 # ---------------------------------------------------------------------------
+
+
+def count_relinks(interp, monkeypatch):
+    calls = []
+    relink = interp._relink
+
+    def counting():
+        calls.append(1)
+        relink()
+
+    monkeypatch.setattr(interp, "_relink", counting)
+    return calls
 
 
 @pytest.mark.parametrize("structural", [False, True])
-def test_commit_leaves_compiled_program_at_current_epoch(structural):
+def test_commit_leaves_compiled_program_at_current_epoch(structural, monkeypatch):
     module = build_module()
     manager = AnalysisManager(module)
-    before = manager.get(COMPILED)
-    assert before is cached_program(module)
+    interp = make_interpreter(module)
+    before = cached_program(module)
+    relinks = count_relinks(interp, monkeypatch)
 
     txn = FixTransaction(module, manager=manager)
     if structural:
-        call = next(
-            i for i in module.get_function("main").entry if i.opcode == "call"
-        )
-        txn.track_attr(call, "callee")
-        call.callee = "vol_alloc"
+        txn.track_attr(main_call(module), "callee")
+        retarget_main_call(module)
     else:
         txn.touch("main")
-    module.bump_epoch()
+        add_flush_to_main(module)
     txn.commit()
 
-    after = manager.get(COMPILED)
+    after = cached_program(module)
     assert after is not before
     assert after.epoch == module.epoch
+    reused = after.functions["set_slot"] is before.functions["set_slot"]
+    assert reused is not structural
+    interp.call("main")
+    interp.call("main")
+    assert len(relinks) == 1
+    assert interp._program is after
 
 
-def test_clean_rollback_still_resyncs_compiled_epoch():
+def test_clean_rollback_still_resyncs_compiled_epoch(monkeypatch):
     """A rolled-back transaction restores the IR but the epoch has
-    moved; re-stamping the old program (as the manager does for other
-    surviving analyses) would make the flat engine relink on every
-    run, so COMPILED must be dropped and recomputed at the new epoch."""
+    moved; the program cache recompiles at the new epoch (a rolled-back
+    retarget is a shape change, so every function), and the flat engine
+    relinks once, not on every run."""
     module = build_module()
     manager = AnalysisManager(module)
-    before = manager.get(COMPILED)
+    interp = make_interpreter(module)
+    before = cached_program(module)
+    relinks = count_relinks(interp, monkeypatch)
 
     txn = FixTransaction(module, manager=manager)
-    call = next(
-        i for i in module.get_function("main").entry if i.opcode == "call"
-    )
+    call = main_call(module)
     txn.track_attr(call, "callee")
-    call.callee = "vol_alloc"
-    module.bump_epoch()
+    retarget_main_call(module)
     txn.rollback()
 
     assert call.callee == "pm_alloc"  # IR restored
-    after = manager.get(COMPILED)
+    after = cached_program(module)
     assert after.epoch == module.epoch
-    # the recompile reuses every function object: signatures are equal
-    assert after.reused_from(before) == len(before.functions)
-
-
-def test_manager_lookup_hits_cache_at_same_epoch():
-    module = build_module()
-    manager = AnalysisManager(module)
-    assert manager.get(COMPILED) is manager.get(COMPILED)
+    assert all(
+        after.functions[name] is not cf for name, cf in before.functions.items()
+    )
+    for _ in range(3):
+        interp.call("main")
+    assert len(relinks) == 1
+    assert interp._program is after
+    assert cached_program(module) is after

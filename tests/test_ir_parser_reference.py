@@ -83,7 +83,6 @@ class _ReferenceFunctionParser:
         if label not in self.blocks:
             block = BasicBlock(label, self.fn)
             self.blocks[label] = block
-            self.fn.blocks.append(block)
         return self.blocks[label]
 
     def value(self, text: str, type_: Type, lineno: int) -> Value:
@@ -125,6 +124,8 @@ class _ReferenceFunctionParser:
         label = _LABEL_RE.match(line)
         if label:
             self.current = self.block(label.group(1))
+            if self.current not in self.fn.blocks:  # placed at its label
+                self.fn.blocks.append(self.current)
             return
         if self.current is None:
             raise IRParseError("instruction outside any block", lineno)

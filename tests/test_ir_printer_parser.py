@@ -134,6 +134,8 @@ PARSE_ERRORS = {
     "func @f(%p: i64) -> i64 {\nentry:\n  %g = gep %p, i64 8\n  ret i64 0\n}": 3,
     "global @g 0 pm\n": 1,
     'module "m"\n\nglobal @g 8 pm init 0\n': 3,
+    # A label referenced but never defined: the line of its first mention.
+    "func @f() -> i64 {\nentry:\n  jmp %gone\nnext:\n  jmp %gone\n}": 3,
 }
 
 

@@ -94,6 +94,23 @@ class TestStoreFlushFenceLifecycle:
         cache.on_flush(addr, "clflush")
         assert not cache.pending_lines()
 
+    @pytest.mark.parametrize("queue", ["clwb", "clflushopt", "nt"])
+    def test_clflush_completes_a_queued_clean_line(self, machine_parts, queue):
+        """A clflush of a line that is clean but still queued (by a
+        weakly ordered flush or a non-temporal store) completes the
+        queued write-back; it stays priced as coalesced."""
+        space, image, cache, addr = machine_parts
+        space.write_int(addr, 8, 42)
+        if queue == "nt":
+            cache.on_nt_store(addr, 8)
+        else:
+            cache.on_store(addr, 8)
+            cache.on_flush(addr, queue)
+        assert cache.on_flush(addr, "clflush") == "coalesced"
+        assert not cache.pending_lines()
+        assert image.durable_bytes(addr, 8) == space.read_bytes(addr, 8)
+        assert cache.on_fence("sfence") == []
+
 
 class TestStatistics:
     def test_counts(self, machine_parts):

@@ -1,8 +1,8 @@
 """Property-based round-trip tests for the textual IR.
 
 Random modules — arithmetic chains, memory traffic, calls, persistence
-ops — must survive print -> parse -> print at a fixed point, and the
-re-parsed module must execute identically.
+ops, forward branches — must print back to the same text after one
+parse, and the re-parsed module must execute identically.
 """
 
 import hypothesis.strategies as st
@@ -21,7 +21,10 @@ from repro.ir import (
 #: program steps for the generator
 gen_step = st.tuples(
     st.sampled_from(
-        ["add", "mul", "xor", "store", "load", "flush", "fence", "call", "emit"]
+        [
+            "add", "mul", "xor", "store", "load", "flush", "fence", "call",
+            "emit", "skip",
+        ]
     ),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=9999),
@@ -50,6 +53,14 @@ def build(steps):
             b.fence()
         elif op == "call":
             acc = b.call("twice", [acc], I64)
+        elif op == "skip":
+            # a branch that names its later target first
+            body, join = b.new_block(), b.new_block()
+            b.br(b.icmp("ult", acc, value), join, body)
+            b.position_at_end(body)
+            b.call("emit", [value])
+            b.jmp(join)
+            b.position_at_end(join)
         else:
             b.call("emit", [acc])
     b.call("emit", [acc])
@@ -67,12 +78,13 @@ def run(module):
 @given(steps=st.lists(gen_step, max_size=20))
 def test_print_parse_fixpoint(steps):
     module = build(steps)
-    text1 = format_module(module)
-    reparsed = parse_module(text1)
+    text = format_module(module)
+    reparsed = parse_module(text)
     verify_module(reparsed)
-    assert format_module(parse_module(format_module(reparsed))) == format_module(
-        reparsed
-    )
+    assert format_module(reparsed) == text
+    assert [b.name for b in reparsed.get_function("main").blocks] == [
+        b.name for b in module.get_function("main").blocks
+    ]
 
 
 @settings(max_examples=60, deadline=None)

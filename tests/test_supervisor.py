@@ -179,24 +179,6 @@ def test_recover_after_append_is_misuse(tmp_path):
     journal.close()
 
 
-def test_compact_keeps_terminal_records_only(tmp_path):
-    path = str(tmp_path / "j.journal")
-    journal = CheckpointJournal(path)
-    journal.append({"type": "batch-start", "tasks": ["a", "b"]})
-    journal.append({"type": "task-start", "task": "a", "attempt": 1})
-    journal.append({"type": "task-failed", "task": "a", "attempt": 1})
-    journal.append({"type": "task-start", "task": "a", "attempt": 2})
-    journal.append({"type": "task-done", "task": "a", "result": {}})
-    journal.append({"type": "task-quarantined", "task": "b", "attempts": 2})
-    journal.append({"type": "batch-end", "totals": {}})
-    kept = journal.compact()
-    assert kept == 4
-    recovered = CheckpointJournal.read(path)
-    assert [r["type"] for r in recovered.records] == [
-        "batch-start", "task-done", "task-quarantined", "batch-end",
-    ]
-
-
 # ---------------------------------------------------------------------------
 # backoff
 # ---------------------------------------------------------------------------
