@@ -25,9 +25,8 @@ benchmark E7 reproduces that.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import TYPE_CHECKING, FrozenSet, Optional, Set
 
-from ..interp.interpreter import Machine
 from ..ir.function import Function
 from ..ir.instructions import Store
 from ..ir.module import Module
@@ -35,6 +34,9 @@ from ..ir.values import Value
 from ..trace.trace import PMTrace
 from .andersen import PointsTo, UNKNOWN_SITE
 from .callgraph import CallGraph
+
+if TYPE_CHECKING:
+    from ..interp.interpreter import Machine
 
 
 class PMClassification:

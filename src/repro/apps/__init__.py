@@ -7,21 +7,15 @@
 - :mod:`repro.apps.pmemcached` — memcached-pm analog (10 seeded bugs)
 """
 
-from .kvstore import KVStore, build_kvstore
-from .pclht import PCLHT, PCLHT_SEEDS, build_pclht
-from .pmdk_mini import build_pmdk_module
-from .pmemcached import MC_SEEDS, Memcached, build_pmemcached
-from .stdlib import add_stdlib
+from .. import lazy_exports
 
-__all__ = [
-    "add_stdlib",
-    "build_kvstore",
-    "build_pclht",
-    "build_pmdk_module",
-    "build_pmemcached",
-    "KVStore",
-    "MC_SEEDS",
-    "Memcached",
-    "PCLHT",
-    "PCLHT_SEEDS",
-]
+_EXPORTS = {
+    ".kvstore": ("KVStore", "build_kvstore"),
+    ".pclht": ("PCLHT", "PCLHT_SEEDS", "build_pclht"),
+    ".pmdk_mini": ("build_pmdk_module",),
+    ".pmemcached": ("MC_SEEDS", "Memcached", "build_pmemcached"),
+    ".stdlib": ("add_stdlib",),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -7,7 +7,7 @@ log in, fixed bitcode out), but over this package's textual formats::
     python -m repro detect app.ir --entry main --trace-out app.trace
     python -m repro fix    app.ir --trace app.trace -o app.fixed.ir
     python -m repro batch  --corpus --journal batch.journal
-    python -m repro batch  --resume --journal batch.journal
+    python -m repro batch  --corpus --journal batch.journal --resume
     python -m repro show   app.ir
 
 ``detect`` + ``fix`` compose exactly like the paper's Fig. 2: the trace
@@ -18,9 +18,10 @@ localization falls back to function + source line).
 ``batch`` runs many repairs under the crash-safe supervisor
 (:mod:`repro.supervisor`): corpus cases and/or module+trace pairs go
 through watchdogged worker subprocesses, every state transition is
-journaled write-ahead, and after a hard kill ``--resume`` replays
-completed tasks from the journal and finishes the rest — the final
-aggregate report is byte-identical to an uninterrupted run.
+journaled write-ahead, and after a hard kill the same command with
+``--resume`` replays completed tasks from the journal and finishes the
+rest — the final aggregate report is byte-identical to an
+uninterrupted run.
 
 Every file this CLI writes (fixed modules, traces, journals, reports)
 is written atomically — temp file in the destination directory, fsync,
@@ -47,6 +48,7 @@ code  meaning
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from typing import List, Optional
 
@@ -60,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .fsutil import atomic_write_text
-from .interp import ENGINES, SimulatedCrash, make_interpreter
+from .interp import ENGINES, make_interpreter
 from .ir import format_module, parse_module, verify_module
 from .trace import dump_trace
 
@@ -97,6 +99,8 @@ def _int_arg(text: str) -> int:
 
 def _run_entry(module, entry: str, args: List[int], engine: Optional[str] = None):
     """Execute an entry point; returns the finished interpreter."""
+    from .interp.intrinsics import SimulatedCrash
+
     interp = make_interpreter(module, engine=engine)
     try:
         result = interp.call(entry, args)
@@ -250,12 +254,14 @@ def cmd_batch(ns: argparse.Namespace) -> int:
     # these flags the batch report's bytes are identical.  --profile
     # enables metrics too: the per-opcode execution histogram rides on
     # the interpreters' `interp.ops.*` counters.
-    from .obs import JsonlSink, NULL_OBS, Observability, format_hotspots, profile_call
+    from .obs.observability import NULL_OBS, Observability
 
     obs = NULL_OBS
     sink = None
     if ns.metrics_out or ns.spans_out or ns.profile:
         if ns.spans_out:
+            from .obs.sink import JsonlSink
+
             sink = JsonlSink(ns.spans_out)
         obs = Observability(sink=sink)
 
@@ -271,6 +277,8 @@ def cmd_batch(ns: argparse.Namespace) -> int:
 
     try:
         if ns.profile:
+            from .obs.profile import format_hotspots, profile_call
+
             report, hotspots = profile_call(run, top_n=ns.profile)
             print(format_hotspots(hotspots), file=sys.stderr)
             print(_format_op_histogram(obs), file=sys.stderr)
@@ -297,9 +305,10 @@ def cmd_batch(ns: argparse.Namespace) -> int:
         atomic_write_text(ns.report_out, report.canonical_json())
         print(f"canonical report written to {ns.report_out}")
     if report.interrupted:
+        # The same command again: a resume needs the batch's own tasks.
+        again = ns.argv if ns.resume else [*ns.argv, "--resume"]
         print(
-            f"interrupted; resume with: repro batch --resume "
-            f"--journal {ns.journal}",
+            f"interrupted; resume with: repro {shlex.join(again)}",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -506,7 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = build_parser().parse_args(argv)
+    ns.argv = argv
     try:
         return ns.fn(ns)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:

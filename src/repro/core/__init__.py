@@ -11,62 +11,31 @@ Typical use::
     # module now has every reported bug repaired
 """
 
-from .fixes import (
-    Fix,
-    FixPlan,
-    HoistedFix,
-    InsertFenceAfterFlush,
-    InsertFenceAfterStore,
-    InsertFlush,
-    InsertFlushAndFence,
-    insert_covering_flushes,
-)
-from .heuristic import Candidate, HoistDecision, choose_fix_location, evaluate_candidates
-from .hippocrates import (
-    DOWNGRADE_CHAIN,
-    HEURISTICS,
-    FixReport,
-    HeuristicDowngrade,
-    Hippocrates,
-    QuarantinedBug,
-    fix_module,
-)
-from .intraprocedural import generate_intraprocedural_fixes
-from .locate import Locator
-from .reduction import reduce_fixes
-from .subprogram import PM_SUFFIX, SubprogramTransformer, clone_function
-from .transaction import FixTransaction
-from .validate import assert_fixed, do_no_harm, observable_behavior, revalidate
+from .. import lazy_exports
 
-__all__ = [
-    "assert_fixed",
-    "Candidate",
-    "choose_fix_location",
-    "clone_function",
-    "do_no_harm",
-    "DOWNGRADE_CHAIN",
-    "evaluate_candidates",
-    "Fix",
-    "fix_module",
-    "FixPlan",
-    "FixReport",
-    "FixTransaction",
-    "generate_intraprocedural_fixes",
-    "HeuristicDowngrade",
-    "HEURISTICS",
-    "Hippocrates",
-    "HoistDecision",
-    "HoistedFix",
-    "QuarantinedBug",
-    "InsertFenceAfterFlush",
-    "InsertFenceAfterStore",
-    "insert_covering_flushes",
-    "InsertFlush",
-    "InsertFlushAndFence",
-    "Locator",
-    "observable_behavior",
-    "PM_SUFFIX",
-    "reduce_fixes",
-    "revalidate",
-    "SubprogramTransformer",
-]
+_EXPORTS = {
+    ".fixes": (
+        "Fix", "FixPlan", "HoistedFix", "InsertFenceAfterFlush",
+        "InsertFenceAfterStore", "InsertFlush", "InsertFlushAndFence",
+        "insert_covering_flushes",
+    ),
+    ".heuristic": (
+        "Candidate", "HoistDecision", "choose_fix_location",
+        "evaluate_candidates",
+    ),
+    ".hippocrates": (
+        "DOWNGRADE_CHAIN", "HEURISTICS", "FixReport", "HeuristicDowngrade",
+        "Hippocrates", "QuarantinedBug", "fix_module",
+    ),
+    ".intraprocedural": ("generate_intraprocedural_fixes",),
+    ".locate": ("Locator",),
+    ".reduction": ("reduce_fixes",),
+    ".subprogram": ("PM_SUFFIX", "SubprogramTransformer", "clone_function"),
+    ".transaction": ("FixTransaction",),
+    ".validate": (
+        "assert_fixed", "do_no_harm", "observable_behavior", "revalidate",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

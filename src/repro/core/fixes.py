@@ -181,3 +181,45 @@ class FixPlan:
         lines = [f"{len(self.fixes)} fix(es):"]
         lines.extend("  " + fix.describe() for fix in self.fixes)
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# fix kinds (the Fig. 3 vocabulary)
+# ---------------------------------------------------------------------------
+
+#: fix-kind vocabulary shared by developer-fix metadata and the
+#: classification of Hippocrates's plans
+INTRAPROC_FLUSH = "intraproc-flush"
+INTRAPROC_FENCE = "intraproc-fence"
+INTRAPROC_FLUSH_FENCE = "intraproc-flush+fence"
+INTERPROC_FLUSH = "interproc-flush"
+INTERPROC_FLUSH_FENCE = "interproc-flush+fence"
+
+#: Fig. 3 equivalence classes
+IDENTICAL = "functionally identical"
+EQUIVALENT_PORTABLE = "functionally equivalent; developer fix more portable"
+
+
+def classify_fix(fix: Fix) -> str:
+    """Map an applied fix object to the fix-kind vocabulary."""
+    if isinstance(fix, HoistedFix):
+        return INTERPROC_FLUSH_FENCE
+    if isinstance(fix, InsertFlush):
+        return INTRAPROC_FLUSH
+    if isinstance(fix, InsertFlushAndFence):
+        return INTRAPROC_FLUSH_FENCE
+    if isinstance(fix, (InsertFenceAfterFlush, InsertFenceAfterStore)):
+        return INTRAPROC_FENCE
+    raise ValueError(f"unknown fix {fix!r}")
+
+
+def compare_fix_kinds(hippocrates: str, developer: str) -> str:
+    """The Fig. 3 qualitative comparison for one bug."""
+    if hippocrates == developer:
+        return IDENTICAL
+    if hippocrates == INTRAPROC_FLUSH and developer == INTERPROC_FLUSH:
+        # The single-cache-line case: the in-line clwb is functionally
+        # correct; libpmem's pmem_flush additionally dispatches on the
+        # CPU's available flush instruction at run time.
+        return EQUIVALENT_PORTABLE
+    return f"different ({hippocrates} vs {developer})"

@@ -46,7 +46,7 @@ import time
 import traceback
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..analysis.aliasing import (
     PMClassification,
@@ -65,7 +65,6 @@ from ..budget import Budget
 from ..detect.durability import check_trace
 from ..detect.reports import BugReport, DetectionResult
 from ..errors import FixError
-from ..interp.interpreter import Machine
 from ..ir.instructions import Fence
 from ..obs.observability import NULL_OBS, Observability
 from ..ir.module import Module
@@ -87,8 +86,11 @@ from .heuristic import choose_fix_location
 from .intraprocedural import generate_intraprocedural_fixes
 from .locate import Locator
 from .reduction import reduce_fixes
-from .subprogram import SubprogramTransformer
 from .transaction import FixTransaction
+
+if TYPE_CHECKING:
+    from ..interp.interpreter import Machine
+    from .subprogram import SubprogramTransformer
 
 #: heuristic modes: Full-AA, Trace-AA, or disabled (intraprocedural only
 #: — the paper's RedisH-intra configuration)
@@ -528,6 +530,8 @@ class Hippocrates:
     def _make_transformer(self) -> SubprogramTransformer:
         """Seam for the subprogram transformer (also a fault-injection
         point for the resilience harness)."""
+        from .subprogram import SubprogramTransformer
+
         classifier = self.classifier()
         if classifier is None:
             raise FixError(

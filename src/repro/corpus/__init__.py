@@ -1,58 +1,25 @@
 """The bug corpus: the Fig. 1 study dataset and the 23 reproduced,
 executable durability bugs with developer-fix metadata."""
 
-from .bugs import (
-    BugCase,
-    EQUIVALENT_PORTABLE,
-    IDENTICAL,
-    INTERPROC_FLUSH,
-    INTERPROC_FLUSH_FENCE,
-    INTRAPROC_FENCE,
-    INTRAPROC_FLUSH,
-    INTRAPROC_FLUSH_FENCE,
-    all_cases,
-    classify_fix,
-    compare_fix_kinds,
-    memcached_case,
-    pclht_case,
-    pmdk_cases,
-    total_expected_bugs,
-)
-from .study import (
-    API_MISUSE,
-    CORE_LIBRARY,
-    REPRODUCED_ISSUES,
-    STUDY,
-    StudyRecord,
-    fig1_table,
-    group_stats,
-    overall_stats,
-    records_with_stats,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "all_cases",
-    "API_MISUSE",
-    "BugCase",
-    "classify_fix",
-    "compare_fix_kinds",
-    "CORE_LIBRARY",
-    "EQUIVALENT_PORTABLE",
-    "fig1_table",
-    "group_stats",
-    "IDENTICAL",
-    "INTERPROC_FLUSH",
-    "INTERPROC_FLUSH_FENCE",
-    "INTRAPROC_FENCE",
-    "INTRAPROC_FLUSH",
-    "INTRAPROC_FLUSH_FENCE",
-    "memcached_case",
-    "overall_stats",
-    "pclht_case",
-    "pmdk_cases",
-    "records_with_stats",
-    "REPRODUCED_ISSUES",
-    "STUDY",
-    "StudyRecord",
-    "total_expected_bugs",
-]
+_EXPORTS = {
+    ".bugs": (
+        "BugCase", "all_cases", "memcached_case", "pclht_case", "pmdk_cases",
+        "total_expected_bugs",
+    ),
+    # The fix-kind vocabulary lives with the fix classes it describes.
+    "..core.fixes": (
+        "EQUIVALENT_PORTABLE", "IDENTICAL", "INTERPROC_FLUSH",
+        "INTERPROC_FLUSH_FENCE", "INTRAPROC_FENCE", "INTRAPROC_FLUSH",
+        "INTRAPROC_FLUSH_FENCE", "classify_fix", "compare_fix_kinds",
+    ),
+    ".study": (
+        "API_MISUSE", "CORE_LIBRARY", "REPRODUCED_ISSUES", "STUDY",
+        "StudyRecord", "fig1_table", "group_stats", "overall_stats",
+        "records_with_stats",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

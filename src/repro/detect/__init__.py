@@ -12,20 +12,30 @@ workload under tracing and checks the result — the equivalent of
 ``valgrind --tool=pmemcheck ./app``.
 """
 
-from typing import Callable, Optional, Tuple
+from __future__ import annotations
 
-from ..interp import make_interpreter
-from ..interp.costs import CostModel
-from ..interp.interpreter import Interpreter
-from ..ir.module import Module
-from ..trace.trace import PMTrace
-from .durability import DurabilityChecker, check_trace, check_trace_pmtest
-from .pmtest import assertion_labels, check_assertions
-from .reports import BugKind, BugReport, DetectionResult, PerfReport
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
+
+from .. import lazy_exports
+
+if TYPE_CHECKING:
+    from ..interp.costs import CostModel
+    from ..interp.interpreter import Interpreter
+    from ..ir.module import Module
+    from ..trace.trace import PMTrace
+    from .reports import DetectionResult
+
+_EXPORTS = {
+    ".durability": ("DurabilityChecker", "check_trace", "check_trace_pmtest"),
+    ".pmtest": ("assertion_labels", "check_assertions"),
+    ".reports": ("BugKind", "BugReport", "DetectionResult", "PerfReport"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 #: A workload driver: receives a live interpreter and exercises the
 #: module (host-side setup, entry-point calls, ...).
-Driver = Callable[[Interpreter], None]
+Driver = Callable[["Interpreter"], None]
 
 
 def pmemcheck_run(
@@ -46,6 +56,9 @@ def pmemcheck_run(
     execution engine (default ``"flat"``); both engines produce
     byte-identical traces.
     """
+    from ..interp import make_interpreter
+    from .durability import check_trace
+
     interp = make_interpreter(
         module,
         engine=engine,
@@ -59,15 +72,7 @@ def pmemcheck_run(
 
 
 __all__ = [
-    "assertion_labels",
-    "BugKind",
-    "BugReport",
-    "check_assertions",
-    "check_trace",
-    "check_trace_pmtest",
-    "DetectionResult",
+    *(name for names in _EXPORTS.values() for name in names),
     "Driver",
-    "DurabilityChecker",
-    "PerfReport",
     "pmemcheck_run",
 ]

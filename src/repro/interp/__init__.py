@@ -15,18 +15,28 @@ through; the engine differential suite holds the two engines
 byte-identical, the oracle differential suite the two batch pipelines.
 """
 
-from .compile import (
-    CompiledFunction,
-    CompiledProgram,
-    cached_program,
-    compile_function,
-    compile_module,
-)
-from .costs import CostCounter, CostModel, KIND_ORDER
-from .engine import FlatEngine
-from .frame import Frame
-from .interpreter import Allocation, ExecutionResult, Interpreter, Machine, run_module
-from .intrinsics import SimulatedCrash, intrinsic_names, is_intrinsic
+from typing import TYPE_CHECKING
+
+from .. import lazy_exports
+
+if TYPE_CHECKING:
+    from .interpreter import Interpreter
+
+_EXPORTS = {
+    ".compile": (
+        "CompiledFunction", "CompiledProgram", "cached_program",
+        "compile_function", "compile_module",
+    ),
+    ".costs": ("CostCounter", "CostModel", "KIND_ORDER"),
+    ".engine": ("FlatEngine",),
+    ".frame": ("Frame",),
+    ".interpreter": (
+        "Allocation", "ExecutionResult", "Interpreter", "Machine", "run_module",
+    ),
+    ".intrinsics": ("SimulatedCrash", "intrinsic_names", "is_intrinsic"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 #: Valid engine kinds, in preference order.
 ENGINES = ("flat", "reference")
@@ -37,13 +47,17 @@ def engine_class(engine: str = None):
     ``None``)."""
     kind = engine or "flat"
     if kind == "flat":
+        from .engine import FlatEngine
+
         return FlatEngine
     if kind == "reference":
+        from .interpreter import Interpreter
+
         return Interpreter
     raise ValueError(f"unknown engine {kind!r} (choose from {ENGINES})")
 
 
-def make_interpreter(module, engine: str = None, **kwargs) -> Interpreter:
+def make_interpreter(module, engine: str = None, **kwargs) -> "Interpreter":
     """Construct an interpreter for ``module`` on the chosen engine.
 
     ``kwargs`` are forwarded to the engine constructor (``machine``,
@@ -54,25 +68,8 @@ def make_interpreter(module, engine: str = None, **kwargs) -> Interpreter:
 
 
 __all__ = [
-    "Allocation",
-    "cached_program",
-    "compile_function",
-    "compile_module",
-    "CompiledFunction",
-    "CompiledProgram",
-    "CostCounter",
-    "CostModel",
+    *(name for names in _EXPORTS.values() for name in names),
     "engine_class",
     "ENGINES",
-    "ExecutionResult",
-    "FlatEngine",
-    "Frame",
-    "Interpreter",
-    "intrinsic_names",
-    "is_intrinsic",
-    "KIND_ORDER",
-    "Machine",
     "make_interpreter",
-    "run_module",
-    "SimulatedCrash",
 ]

@@ -16,104 +16,31 @@ Public API re-exported here:
 - checking: :func:`verify_module`, :func:`verify_function`
 """
 
-from .basicblock import BasicBlock
-from .builder import IRBuilder, ModuleBuilder
-from .debuginfo import DebugLoc, LineAllocator, SYNTHETIC
-from .function import Function
-from .instructions import (
-    Alloca,
-    BINARY_OPS,
-    BinOp,
-    Branch,
-    Call,
-    Cast,
-    FENCE_KINDS,
-    FLUSH_KINDS,
-    Fence,
-    Flush,
-    Gep,
-    ICMP_PREDS,
-    ICmp,
-    Instruction,
-    Jump,
-    Load,
-    Ret,
-    Select,
-    Store,
-    Trap,
-    const,
-)
-from .module import Module
-from .parser import parse_module
-from .printer import format_function, format_instruction, format_module
-from .types import (
-    I1,
-    I8,
-    I16,
-    I32,
-    I64,
-    IntType,
-    PTR,
-    PointerType,
-    Type,
-    VOID,
-    VoidType,
-    type_from_name,
-)
-from .values import Argument, Constant, GlobalVariable, NULL, Value
-from .verifier import verify_function, verify_module
+from .. import lazy_exports
 
-__all__ = [
-    "Alloca",
-    "Argument",
-    "BasicBlock",
-    "BinOp",
-    "BINARY_OPS",
-    "Branch",
-    "Call",
-    "Cast",
-    "Constant",
-    "DebugLoc",
-    "Fence",
-    "FENCE_KINDS",
-    "Flush",
-    "FLUSH_KINDS",
-    "Function",
-    "Gep",
-    "GlobalVariable",
-    "I1",
-    "I8",
-    "I16",
-    "I32",
-    "I64",
-    "ICmp",
-    "ICMP_PREDS",
-    "Instruction",
-    "IntType",
-    "IRBuilder",
-    "Jump",
-    "LineAllocator",
-    "Load",
-    "Module",
-    "ModuleBuilder",
-    "NULL",
-    "PointerType",
-    "PTR",
-    "Ret",
-    "Select",
-    "Store",
-    "SYNTHETIC",
-    "Trap",
-    "Type",
-    "type_from_name",
-    "Value",
-    "VoidType",
-    "VOID",
-    "const",
-    "format_function",
-    "format_instruction",
-    "format_module",
-    "parse_module",
-    "verify_function",
-    "verify_module",
-]
+#: submodule -> the names it defines that this package re-exports; each
+#: name loads its submodule on first use
+_EXPORTS = {
+    ".basicblock": ("BasicBlock",),
+    ".builder": ("IRBuilder", "ModuleBuilder"),
+    ".debuginfo": ("DebugLoc", "LineAllocator", "SYNTHETIC"),
+    ".function": ("Function",),
+    ".instructions": (
+        "Alloca", "BINARY_OPS", "BinOp", "Branch", "Call", "Cast",
+        "FENCE_KINDS", "FLUSH_KINDS", "Fence", "Flush", "Gep", "ICMP_PREDS",
+        "ICmp", "Instruction", "Jump", "Load", "Ret", "Select", "Store",
+        "Trap", "const",
+    ),
+    ".module": ("Module",),
+    ".parser": ("parse_module",),
+    ".printer": ("format_function", "format_instruction", "format_module"),
+    ".types": (
+        "I1", "I8", "I16", "I32", "I64", "IntType", "PTR", "PointerType",
+        "Type", "VOID", "VoidType", "type_from_name",
+    ),
+    ".values": ("Argument", "Constant", "GlobalVariable", "NULL", "Value"),
+    ".verifier": ("verify_function", "verify_module"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

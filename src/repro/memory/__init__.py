@@ -5,33 +5,18 @@ the CPU cache durability model (dirty lines, weakly ordered flushes,
 fences), the durable PM image, and crash-state enumeration.
 """
 
-from .cache import CacheModel
-from .crash import CrashExplorer, CrashState
-from .layout import (
-    AddressSpace,
-    CACHE_LINE,
-    PM_BASE,
-    Region,
-    STACK_BASE,
-    VOL_BASE,
-    line_of,
-    lines_covering,
-)
-from .persistence import PersistentImage
-from .pool import MachinePool
+from .. import lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "CACHE_LINE",
-    "CacheModel",
-    "CrashExplorer",
-    "CrashState",
-    "line_of",
-    "lines_covering",
-    "MachinePool",
-    "PersistentImage",
-    "PM_BASE",
-    "Region",
-    "STACK_BASE",
-    "VOL_BASE",
-]
+_EXPORTS = {
+    ".cache": ("CacheModel",),
+    ".crash": ("CrashExplorer", "CrashState"),
+    ".layout": (
+        "AddressSpace", "CACHE_LINE", "PM_BASE", "Region", "STACK_BASE",
+        "VOL_BASE", "line_of", "lines_covering",
+    ),
+    ".persistence": ("PersistentImage",),
+    ".pool": ("MachinePool",),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

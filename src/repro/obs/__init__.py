@@ -17,40 +17,19 @@ Instrumented code holds an :class:`Observability` facade; pass
 :data:`NULL_OBS` (or nothing) to run dark.
 """
 
-from .metrics import METRICS_SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
-from .observability import NULL_OBS, Observability
-from .profile import Hotspot, format_hotspots, profile_call
-from .sink import (
-    JsonlSink,
-    ObsSchemaError,
-    load_metrics,
-    read_spans,
-    validate_metrics_snapshot,
-    validate_record,
-    validate_spans_file,
-    write_metrics,
-)
-from .spans import ManualClock, Tracer
+from .. import lazy_exports
 
-__all__ = [
-    "METRICS_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_OBS",
-    "Observability",
-    "Hotspot",
-    "format_hotspots",
-    "profile_call",
-    "JsonlSink",
-    "ObsSchemaError",
-    "load_metrics",
-    "read_spans",
-    "validate_metrics_snapshot",
-    "validate_record",
-    "validate_spans_file",
-    "write_metrics",
-    "ManualClock",
-    "Tracer",
-]
+_EXPORTS = {
+    ".metrics": ("METRICS_SCHEMA", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".observability": ("NULL_OBS", "Observability"),
+    ".profile": ("Hotspot", "format_hotspots", "profile_call"),
+    ".sink": (
+        "JsonlSink", "ObsSchemaError", "load_metrics", "read_spans",
+        "validate_metrics_snapshot", "validate_record",
+        "validate_spans_file", "write_metrics",
+    ),
+    ".spans": ("ManualClock", "Tracer"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -42,46 +42,22 @@ tree-walking engine plus a full re-run, which is what ``repro batch
 ``tests/test_revalidate_differential.py``, and the property suite).
 """
 
-from .engine import IncrementalRevalidator, RevalidationOutcome
-from .recording import CalleeSpan, RecordedRun, RunRecorder, VolAnchorOp
-from .replay import (
-    FlatReplayInterpreter,
-    ReplayDivergence,
-    ReplayInterpreter,
-)
-from .snapshot import MachineSnapshot
-from .synthesize import (
-    SynthesisResult,
-    synthesize_fixed_trace,
-    synthesize_structural_trace,
-)
-from .witness import (
-    CloneSpec,
-    InsertionSpec,
-    StructuralSpec,
-    SynthFence,
-    SynthFlush,
-    spec_for_fix,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "CalleeSpan",
-    "CloneSpec",
-    "FlatReplayInterpreter",
-    "IncrementalRevalidator",
-    "InsertionSpec",
-    "MachineSnapshot",
-    "RecordedRun",
-    "ReplayDivergence",
-    "ReplayInterpreter",
-    "RevalidationOutcome",
-    "RunRecorder",
-    "StructuralSpec",
-    "SynthFence",
-    "SynthFlush",
-    "SynthesisResult",
-    "VolAnchorOp",
-    "spec_for_fix",
-    "synthesize_fixed_trace",
-    "synthesize_structural_trace",
-]
+_EXPORTS = {
+    ".engine": ("IncrementalRevalidator", "RevalidationOutcome"),
+    ".recording": ("CalleeSpan", "RecordedRun", "RunRecorder", "VolAnchorOp"),
+    ".replay": ("FlatReplayInterpreter", "ReplayDivergence", "ReplayInterpreter"),
+    ".snapshot": ("MachineSnapshot",),
+    ".synthesize": (
+        "SynthesisResult", "synthesize_fixed_trace",
+        "synthesize_structural_trace",
+    ),
+    ".witness": (
+        "CloneSpec", "InsertionSpec", "StructuralSpec", "SynthFence",
+        "SynthFlush", "spec_for_fix",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -7,51 +7,23 @@ transition in a CRC-guarded, fsync'd :class:`CheckpointJournal`, and
 can resume after a hard kill to a byte-identical aggregate report.
 """
 
-from .journal import (
-    CheckpointJournal,
-    JournalError,
-    RecoveredJournal,
-    decode_record,
-    encode_record,
-)
-from .report import BatchReport, TaskOutcome
-from .supervisor import (
-    BatchSupervisor,
-    SupervisorConfig,
-    SupervisorError,
-    SupervisorKilled,
-    backoff_delay,
-    run_batch,
-)
-from .tasks import (
-    CaseOutcome,
-    RepairTask,
-    TaskError,
-    TaskResult,
-    corpus_tasks,
-    execute_task,
-    run_case,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "backoff_delay",
-    "BatchReport",
-    "BatchSupervisor",
-    "CaseOutcome",
-    "CheckpointJournal",
-    "corpus_tasks",
-    "decode_record",
-    "encode_record",
-    "execute_task",
-    "JournalError",
-    "RecoveredJournal",
-    "RepairTask",
-    "run_batch",
-    "run_case",
-    "SupervisorConfig",
-    "SupervisorError",
-    "SupervisorKilled",
-    "TaskError",
-    "TaskOutcome",
-    "TaskResult",
-]
+_EXPORTS = {
+    ".journal": (
+        "CheckpointJournal", "JournalError", "RecoveredJournal",
+        "decode_record", "encode_record",
+    ),
+    ".report": ("BatchReport", "TaskOutcome"),
+    ".supervisor": (
+        "BatchSupervisor", "SupervisorConfig", "SupervisorError",
+        "SupervisorKilled", "backoff_delay", "run_batch",
+    ),
+    ".tasks": (
+        "CaseOutcome", "RepairTask", "TaskError", "TaskResult",
+        "corpus_tasks", "execute_task", "run_case",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -50,7 +50,7 @@ from ..errors import ReproError
 from ..obs.observability import NULL_OBS, Observability
 from .journal import CheckpointJournal, RecoveredJournal
 from .report import DONE, QUARANTINED, BatchReport, TaskOutcome
-from .tasks import RepairTask, TaskResult, execute_task
+from .tasks import RepairTask, TaskResult, execute_task, load_task_kinds
 from .worker import fork_worker
 
 #: the analysis-stats keys a batch report aggregates, and the metrics
@@ -605,6 +605,9 @@ class BatchSupervisor:
                 pending = list(self.tasks)
                 self._append(self._batch_start_record())
 
+            # Before the first task and the first fork: workers inherit
+            # what the pending tasks run instead of compiling it.
+            load_task_kinds(task.kind for task in pending)
             interrupted = self._dispatch(pending, outcomes_by_id, report)
 
             report.outcomes = [

@@ -25,21 +25,52 @@ the oracle every fast path must match byte for byte (``repro batch
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+import importlib
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
+from ..core.fixes import classify_fix, compare_fix_kinds
 from ..core.hippocrates import FixReport, Hippocrates
-from ..corpus.bugs import BugCase, all_cases, classify_fix, compare_fix_kinds
-from ..detect import pmemcheck_run
 from ..errors import ReproError
+from ..fsutil import atomic_write_text
 from ..interp import ENGINES
+from ..ir.parser import parse_module
 from ..ir.printer import format_module
-from ..memory.pool import MachinePool
+from ..ir.verifier import verify_module
 from ..obs.observability import NULL_OBS, Observability
-from ..revalidate import IncrementalRevalidator
+
+if TYPE_CHECKING:
+    from ..corpus.bugs import BugCase
 
 #: task kinds
 KINDS = ("corpus", "file")
+
+#: What executing a task of each kind imports beyond this module's own
+#: imports: the case builders, apps and interpreters behind a corpus
+#: repair, and the clone transformer any repair can need.  See
+#: :func:`load_task_kinds`.
+KIND_MODULES = {
+    "corpus": (
+        "..corpus.bugs",
+        "..core.subprogram",
+        "..memory.pool",
+        "..revalidate.engine",
+    ),
+    "file": ("..core.subprogram",),
+}
+
+
+def load_task_kinds(kinds: Iterable[str]) -> None:
+    """Import everything executing tasks of ``kinds`` runs.
+
+    The supervisor calls this once before a batch's first task, so a
+    forked worker inherits these modules instead of compiling them, and
+    no task compiles one mid-run near its heap peak.  A batch of file
+    tasks never loads the corpus, the apps or the interpreters.
+    """
+    for kind in sorted(set(kinds)):
+        for module in KIND_MODULES[kind]:
+            importlib.import_module(module, __package__)
 
 
 class TaskError(ReproError):
@@ -94,6 +125,10 @@ def run_case(
     of the workload to revalidate.  Both produce byte-identical
     canonical records (``tests/test_oracle_differential.py``).
     """
+    from ..detect import pmemcheck_run
+    from ..memory.pool import MachinePool
+    from ..revalidate.engine import IncrementalRevalidator
+
     obs = obs if obs is not None else NULL_OBS
     metrics = obs.metrics if obs.enabled else None
     module = case.build()
@@ -212,6 +247,8 @@ def corpus_tasks(
     engine: str = "flat",
 ) -> List[RepairTask]:
     """Build the corpus batch (default: every case, corpus order)."""
+    from ..corpus.bugs import all_cases
+
     known = {case.case_id: case for case in all_cases()}
     if case_ids is None:
         case_ids = list(known)
@@ -301,6 +338,8 @@ def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskR
 
 
 def _find_case(case_id: str) -> BugCase:
+    from ..corpus.bugs import all_cases
+
     for case in all_cases():
         if case.case_id == case_id:
             return case
@@ -308,10 +347,6 @@ def _find_case(case_id: str) -> BugCase:
 
 
 def _execute_file_task(task: RepairTask, obs: Observability = NULL_OBS) -> TaskResult:
-    from ..fsutil import atomic_write_text
-    from ..ir.parser import parse_module
-    from ..ir.verifier import verify_module
-
     with open(task.module_path) as handle:
         module = parse_module(handle.read())
     verify_module(module)

@@ -1,40 +1,18 @@
 """PM operation traces: events, containers, and pmemcheck-style text I/O."""
 
-from .events import (
-    BoundaryEvent,
-    CallStack,
-    FenceEvent,
-    FlushEvent,
-    StackFrame,
-    StoreEvent,
-    TraceEvent,
-    innermost,
-)
-from .pmemcheck import (
-    MAX_TRACE_WARNINGS,
-    TraceWarning,
-    dump_event,
-    dump_trace,
-    load_trace,
-    parse_event,
-)
-from .trace import PMTrace, TraceRecorder
+from .. import lazy_exports
 
-__all__ = [
-    "BoundaryEvent",
-    "CallStack",
-    "dump_event",
-    "dump_trace",
-    "FenceEvent",
-    "FlushEvent",
-    "innermost",
-    "load_trace",
-    "MAX_TRACE_WARNINGS",
-    "parse_event",
-    "PMTrace",
-    "StackFrame",
-    "StoreEvent",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceWarning",
-]
+_EXPORTS = {
+    ".events": (
+        "BoundaryEvent", "CallStack", "FenceEvent", "FlushEvent",
+        "StackFrame", "StoreEvent", "TraceEvent", "innermost",
+    ),
+    ".pmemcheck": (
+        "MAX_TRACE_WARNINGS", "TraceWarning", "dump_event", "dump_trace",
+        "load_trace", "parse_event",
+    ),
+    ".trace": ("PMTrace", "TraceRecorder"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -19,6 +19,8 @@ Covers the batch layer's resilience invariants at every level:
 from __future__ import annotations
 
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -532,7 +534,7 @@ def test_sigterm_mid_batch_drains_and_resumes_byte_identical(tmp_path):
     report_path = str(tmp_path / "resumed.json")
     baseline = _baseline_bytes(corpus_tasks(), tmp_path)
 
-    proc = _spawn_batch(journal_path)
+    proc = _spawn_batch(journal_path, "--report-out", report_path)
     # wait until at least one task completed, then interrupt mid-batch
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
@@ -550,8 +552,15 @@ def test_sigterm_mid_batch_drains_and_resumes_byte_identical(tmp_path):
     assert records[-1]["type"] == "batch-interrupted"
     assert records[-1]["signal"] in ("SIGTERM", signal.SIGTERM, 15)
 
-    resume = _spawn_batch(
-        journal_path, "--resume", "--report-out", report_path,
+    # Run the resume command exactly as the interrupted batch printed it.
+    hint = re.search(r"resume with: repro (.*)", out)
+    assert hint, out
+    resume = subprocess.Popen(
+        [sys.executable, "-m", "repro", *shlex.split(hint.group(1))],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        text=True,
     )
     out, _ = resume.communicate(timeout=300)
     assert resume.returncode == 0, out
