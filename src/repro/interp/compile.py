@@ -37,9 +37,10 @@ cold paths that need source locations or stack frames.
 a terminator or a call.  The engine charges a run's
 steps, per-kind counts and executed iids when it enters the run, so
 :attr:`CompiledFunction.runs` records each of them once, at compile
-time (see :func:`static_kind`).  A run that gets hot is translated into
-a Python function (:mod:`repro.interp.translate`), and its code object
-is kept in :attr:`CompiledFunction.translations` for every engine.
+time (see :func:`static_kind`).  A hot loop — a cycle of runs that
+each got hot — is translated into a Python function
+(:mod:`repro.interp.translate`), and its code object is kept in
+:attr:`CompiledFunction.translations` for every engine.
 
 **Incremental recompilation**: :func:`compile_module` accepts the
 previous :class:`CompiledProgram` and reuses a function exactly when
@@ -185,10 +186,10 @@ class CompiledFunction:
     :ivar epoch: the module epoch this was compiled at; a recompile
         reuses it while the function is
         :func:`~repro.ir.verifier.unchanged_since` then.
-    :ivar translations: run start pc -> the run's
-        :class:`~repro.interp.translate.Translation` (None for a run
-        with nothing to translate), filled in by the engines as runs get
-        hot and shared by every engine linked against this compile.
+    :ivar translations: the start pcs of a hot loop's runs -> the
+        loop's :class:`~repro.interp.translate.Translation`, filled in
+        by the engines as loops get hot and shared by every engine
+        linked against this compile.
     """
 
     __slots__ = (
@@ -212,7 +213,7 @@ class CompiledFunction:
         self.base_template: List = []
         self.global_slots: Tuple[Tuple[int, str], ...] = ()
         self.arg_masks: Tuple[int, ...] = ()
-        self.translations: Dict[int, object] = {}
+        self.translations: Dict[Tuple[int, ...], object] = {}
 
     def __repr__(self) -> str:
         return (

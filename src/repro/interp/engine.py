@@ -10,17 +10,17 @@ replaces the tree-walking ``_run`` with a loop over
   accounting and no pc arithmetic — terminators and calls pick the
   next run, and only the cycles that depend on machine state (flushes,
   the PM-store premium, a fence's per-line drain) are charged inline;
-- a run that gets hot (its ``_TRANSLATE_AFTER``-th entry) is
-  translated into one Python function (:mod:`repro.interp.translate`),
-  together with the other hot runs it shares a cycle with; from then on
-  the loop makes one call per entry of that run.  A loop translation
-  runs its cycle inside itself, keeps the stack slots it alone touches
-  in Python locals when it can, and returns only when control leaves
-  the cycle, at a fuel cut or on a fault; ``_fold`` then charges the
-  run entries it counted;
-- a run that is not yet hot, or that the fuel limit cuts, is
-  dispatched one instruction at a time: an integer compare chain over
-  the hot opcodes, ordered by measured frequency, plus an
+- a hot loop — a cycle of runs ending in a branch or jump, each
+  entered ``_TRANSLATE_AFTER`` times — is translated into one Python
+  function (:mod:`repro.interp.translate`) when its last run gets hot;
+  from then on the engine makes one call per entry into the cycle.
+  The translation runs the cycle inside itself, keeps the stack slots
+  it alone touches in Python locals when it can, and returns only when
+  control leaves the cycle, at a fuel cut or on a fault; ``_fold`` then
+  charges the run entries it counted;
+- every other run — not yet hot, on no hot cycle, or cut by the fuel
+  limit — is dispatched one instruction at a time: an integer compare
+  chain over the hot opcodes, ordered by measured frequency, plus an
   opcode-indexed handler table for the cold ones — no ``isinstance``;
 - operands are ``regs[slot]`` list reads — no per-operand dict hash;
 - steps, cycles and the packed per-kind counts live in locals and
@@ -108,16 +108,18 @@ _U64 = (1 << 64) - 1
 _COUNT_BITS = 64
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
 
-#: A run is translated (:mod:`repro.interp.translate`) on its
-#: ``_TRANSLATE_AFTER``-th untranslated entry.  A translation costs
-#: ~0.4 ms and then saves ~0.1 us per step, so it pays for itself after
-#: ~4,000 steps through the run: ~1,000 entries of a typical 4-step run.
-#: Translating once a run has been entered that often bounds the waste
+#: A run is hot from its ``_TRANSLATE_AFTER``-th untranslated entry on,
+#: and a cycle of hot runs is translated (:mod:`repro.interp.translate`)
+#: when its last run gets hot.  A translation costs ~0.4 ms per run and
+#: then saves ~0.1 us per step, so it pays for itself after ~4,000 steps
+#: through the run: ~1,000 entries of a typical 4-step run.  Translating
+#: once every run of a loop has been entered that often bounds the waste
 #: either way.  The corpus's busiest run is entered 623 times per engine
-#: (at 128, 20 of its runs would translate and never pay back); a loop
+#: (at 128, 20 of its runs would get hot and never pay back); a loop
 #: that runs for millions of steps translates within its first
-#: iterations.  The runs that have reached the threshold are the graph
-#: whose cycles are translated as loops.
+#: iterations.  A hot run on no hot cycle is never translated: it leaves
+#: the dispatch chain only by joining a cycle whose last run gets hot
+#: later.
 _TRANSLATE_AFTER = 1024
 
 
@@ -139,12 +141,12 @@ class _LinkedFunction:
 
     :ivar runs: pc-indexed; at a run's start pc ``(steps, cycles,
         packed counts, iids, body, translated)``, else ``None``;
-        ``translated`` is the run's translated function once the run got
-        hot, else ``None``.
+        ``translated`` is the function of the loop translation the run
+        belongs to, else ``None``.
     :ivar entries: pc-indexed count of a run's untranslated entries.
     :ivar translated: run start -> the
-        :class:`~repro.interp.translate.Translation` its function was
-        bound from.
+        :class:`~repro.interp.translate.Translation` its loop's function
+        was bound from.
     """
 
     __slots__ = (
@@ -219,7 +221,7 @@ class FlatEngine(Interpreter):
         self._program: Optional[CompiledProgram] = None
         self._linked: Dict[str, _LinkedFunction] = {}
         self._cold = _COLD_HANDLERS
-        #: cycles charged by translated runs, folded in when ``_run`` exits
+        #: cycles charged by translated loops, folded in when ``_run`` exits
         self._dyn = [0]
         #: the run entry counts loop translations leave on exit
         self._tally: List[tuple] = []
@@ -254,30 +256,29 @@ class FlatEngine(Interpreter):
     # -- translation -------------------------------------------------------------
 
     def _translate(self, lf: _LinkedFunction, start: int):
-        """Give the run at ``start`` its translated function, bound to
-        this engine, together with the other hot runs it shares a cycle
-        with (:func:`~repro.interp.translate.loop_of`); returns it, or
-        None for a run with nothing to translate.  The code object is
-        made once per compiled function and set of runs, and shared by
-        every engine linked against it."""
-        # Imported on the first translation: a process whose runs never
-        # get hot (most repairs) skips compiling the translator.
+        """Give the hot run at ``start`` and the other untranslated hot
+        runs it shares a cycle with
+        (:func:`~repro.interp.translate.loop_of`) their loop's translated
+        function, bound to this engine; returns it, or None for a run on
+        no hot cycle.  The code object is made once per compiled function
+        and loop, and shared by every engine linked against it."""
+        # Imported on the first hot run: a process whose runs never get
+        # hot (most repairs) skips compiling the translator.
         from .translate import bind, loop_of, machine_bindings, translate
 
         translated = lf.translated
         hot = {
             pc
             for pc, entries in enumerate(lf.entries)
-            if entries >= _TRANSLATE_AFTER
-            and not (pc in translated and translated[pc].looping)
+            if entries >= _TRANSLATE_AFTER and pc not in translated
         }
         members = loop_of(lf.cf, start, hot)
-        translations = lf.cf.translations
-        if members not in translations:
-            translations[members] = translate(lf.cf, members)
-        translation = translations[members]
-        if translation is None:
+        if not members:
             return None
+        translations = lf.cf.translations
+        translation = translations.get(members)
+        if translation is None:
+            translation = translations[members] = translate(lf.cf, members)
         if self._bindings is None:
             self._bindings = machine_bindings(
                 self.machine, self.costs.model, self._dyn, self._tally
@@ -285,18 +286,16 @@ class FlatEngine(Interpreter):
         fast = bind(translation, self._bindings)
         runs = lf.runs
         for pc in members:
-            if runs[pc][5] is None:
-                self._runs_translated += 1
             runs[pc] = runs[pc][:5] + (fast,)
             translated[pc] = translation
-        if translation.looping:
-            self._loops_translated += 1
-            if translation.promoted and not self._bindings["_rvs"]:
-                self._loops_promoted += 1
+        self._runs_translated += len(members)
+        self._loops_translated += 1
+        if translation.promoted and not self._bindings["_rvs"]:
+            self._loops_promoted += 1
         return fast
 
     def _fold(self, lf, entry, tally, steps, cycles, counts, faulting=None):
-        """Charge the run entries a loop translation entered at
+        """Charge the run entries a translated loop entered at
         ``entry`` counted in ``tally`` (``(run start, entries)`` pairs):
         their steps, static cycles and packed counts, returned with the
         totals, and the iids of every run that completed to the segment
@@ -450,14 +449,11 @@ class FlatEngine(Interpreter):
                             fast = self._translate(lf, pc)
                     if fast is not None:
                         next_pc = fast(regs, frame, pc, fuel - steps)
-                        if tally:
-                            steps, cycles, counts = self._fold(
-                                lf, pc, tally.pop(), steps, cycles, counts
-                            )
-                        if next_pc >= 0:
-                            pc = next_pc
-                            continue
-                        body = body[-1:]  # the closing call or return
+                        steps, cycles, counts = self._fold(
+                            lf, pc, tally.pop(), steps, cycles, counts
+                        )
+                        pc = next_pc
+                        continue
 
                 for inst in body:
                     op = inst[0]
@@ -662,11 +658,11 @@ class FlatEngine(Interpreter):
         pc becomes ``frame``'s pc.  Returns the settled ``(steps,
         cycles, counts)``.
 
-        A fault inside translated code names its run and instruction
+        A fault inside a translated loop names its run and instruction
         through the traceback instead of ``inst``: the line it was
-        raised from maps back to a run start and body index.  A loop
-        translation entered at ``start`` may have faulted in a later
-        run; the entries it counted are charged first (``_fold``).
+        raised from maps back to a run start and body index.  The loop,
+        entered at ``start``, may have faulted in a later run; the
+        entries it counted are charged first (``_fold``).
         """
         run = lf.runs[start]
         index = None

@@ -1,27 +1,22 @@
-"""Hot code translated into Python functions.
+"""Hot loops translated into Python functions.
 
 The flat engine (:mod:`repro.interp.engine`) interprets a run — a
 straight-line stretch of flat code ending at a branch, return, trap or
 call — one instruction tuple at a time.  Once a run has been entered
-often enough, the engine asks :func:`loop_of` which hot runs share a
-cycle with it and :func:`translate` for their Python source, compiled
-once into a code object.  From then on it makes one call per entry
-instead of stepping through the tuples.  There are two kinds of
-translation, made by one generator with one calling convention:
+often enough, the engine asks :func:`loop_of` whether it lies on a
+cycle of hot runs that end in a branch or jump, and :func:`translate`
+for the Python source of that cycle, compiled once into a code object.
+A run on no such cycle stays on the engine's dispatch chain.
 
-- a **one-run translation** executes its run's instructions up to, not
-  including, a closing call or return, and returns the next pc (``-1``
-  when a closing call or return still has to run through the engine's
-  loop; a closing trap raises);
-- a **loop translation** covers a strongly connected set of hot runs
-  that end in a branch or jump.  It runs them in a ``while`` loop,
-  dispatching on ``pc``, and returns only when control leaves the set,
-  when the next run's steps exceed the fuel left (it returns that run's
-  pc, and the engine cuts the run as it cuts any other), or on a fault.
-  The entry run was charged by the engine; the loop counts each later
-  run entry in a local, and on every exit appends those counts to the
-  engine's ``_tally`` list, so the engine charges their steps, cycles,
-  per-kind counts and segment iids (``FlatEngine._fold``).
+A translation covers a strongly connected set of hot runs.  It runs
+them in a ``while`` loop, dispatching on ``pc``, and returns the next
+pc only when control leaves the set, when the next run's steps exceed
+the fuel left (it returns that run's pc, and the engine cuts the run
+as it cuts any other), or raises on a fault.  The entry run was
+charged by the engine; the loop counts each later run entry in a
+local, and on every exit appends those counts to the engine's
+``_tally`` list, so the engine charges their steps, cycles, per-kind
+counts and segment iids (``FlatEngine._fold``).
 
 The generated function is ``name(regs, frame, pc, left, <bound
 names>)``: ``pc`` is the run being entered, ``left`` the steps of fuel
@@ -32,7 +27,7 @@ cost constant it needs is a trailing parameter whose default
 Every register the translated code reads and does not define first is
 loaded from ``regs`` once, on entry.  A value is written to ``regs``
 where it is defined only when code outside the translation reads it;
-the values a loop's runs pass to each other are written back on exit,
+the values the runs pass to each other are written back on exit,
 since control may come back into the loop at any of its runs.
 
 **Promotion.**  A loop whose only memory accesses are loads and stores
@@ -122,35 +117,30 @@ _ICMP_SYMBOLS = {
     OP_ICMP_UGE: ">=",
 }
 
-#: Opcodes that define no register.
-_NO_RESULT = frozenset(
-    (OP_STORE, OP_BR, OP_JMP, OP_FLUSH, OP_FENCE, OP_RET, OP_TRAP)
-)
+#: Opcodes of a loop's runs that define no register.  (A call, return
+#: or trap closes a run that is never a loop member.)
+_NO_RESULT = frozenset((OP_STORE, OP_BR, OP_JMP, OP_FLUSH, OP_FENCE))
 #: Opcodes that keep a loop's stack slots in memory.
 _UNPROMOTABLE = frozenset((OP_FLUSH, OP_FENCE, OP_ALLOCA))
 
 
 class Translation:
-    """One translation's compiled Python function, machine-independent.
+    """One loop's compiled Python function, machine-independent.
 
     :ivar code: the function's code object.
     :ivar params: the :func:`machine_bindings` names it takes, in order.
     :ivar lines: source line -> ``(run start, body index)`` of the
         instruction whose code the line belongs to, or None.
-    :ivar members: the start pcs of the runs it covers.
-    :ivar looping: whether it loops over its runs.
     :ivar promoted: how many stack slots the loop keeps in locals.
     """
 
-    __slots__ = ("code", "params", "lines", "members", "looping", "promoted")
+    __slots__ = ("code", "params", "lines", "promoted")
 
     def __init__(self, code: CodeType, params: Tuple[str, ...], lines: Tuple,
-                 members: Tuple[int, ...], looping: bool, promoted: int):
+                 promoted: int):
         self.code = code
         self.params = params
         self.lines = lines
-        self.members = members
-        self.looping = looping
         self.promoted = promoted
 
 
@@ -175,10 +165,8 @@ def _reads(inst: tuple) -> Tuple[int, ...]:
 
 
 def _writes(inst: tuple) -> Optional[int]:
-    """The register slot ``inst`` defines, if any."""
-    if inst[0] in _NO_RESULT or inst[2] < 0:  # a void call's is -1
-        return None
-    return inst[2]
+    """The register slot a loop's instruction ``inst`` defines, if any."""
+    return None if inst[0] in _NO_RESULT else inst[2]
 
 
 def _successors(closer: tuple) -> Tuple[int, ...]:
@@ -191,20 +179,14 @@ def _successors(closer: tuple) -> Tuple[int, ...]:
 
 
 def loop_of(cf: CompiledFunction, start: int, hot: Collection[int]) -> Tuple[int, ...]:
-    """The start pcs of the runs to translate with the run at ``start``.
-
-    That is its strongly connected component in the graph of the
-    ``hot`` runs that end in a branch or jump, when the component has a
-    cycle; else ``(start,)`` alone."""
+    """The start pcs of the loop to translate with the run at ``start``:
+    its strongly connected component in the graph of the ``hot`` runs
+    that end in a branch or jump, when the component has a cycle; else
+    ``()``, since a run on no hot cycle is not translated."""
 
     def successors(pc):
-        body = cf.runs[pc][3]
-        if body[-1][0] not in (OP_BR, OP_JMP):
-            return ()
-        return tuple(t for t in _successors(body[-1]) if t in hot)
+        return tuple(t for t in _successors(cf.runs[pc][3][-1]) if t in hot)
 
-    if start not in hot:
-        return (start,)
     reached = set()
     todo = list(successors(start))
     while todo:
@@ -213,7 +195,7 @@ def loop_of(cf: CompiledFunction, start: int, hot: Collection[int]) -> Tuple[int
             reached.add(pc)
             todo.extend(successors(pc))
     if start not in reached:
-        return (start,)
+        return ()
     members = {start}
     grown = True
     while grown:
@@ -247,13 +229,11 @@ class _Writer:
     """Source lines of one generated function, each tagged with the
     ``(run start, body index)`` it belongs to."""
 
-    def __init__(self, cf: CompiledFunction, spans: Dict[int, range],
-                 looping: bool, escaping: set, carried: Tuple[int, ...]):
+    def __init__(self, cf: CompiledFunction, members: Tuple[int, ...],
+                 escaping: set, carried: Tuple[int, ...]):
         self.cf = cf
         self.template = cf.base_template
-        self.spans = spans  # run start -> the pcs translated of it
-        self.members = tuple(spans)
-        self.looping = looping
+        self.members = members
         self.escaping = escaping
         self.carried = carried
         self.lines: List[str] = []
@@ -307,7 +287,7 @@ class _Writer:
     def goto(self, target: int, depth: int) -> None:
         """Continue at run ``target``: inside the loop if it is a
         member and its steps fit the fuel left, else return it."""
-        if not (self.looping and target in self.members):
+        if target not in self.members:
             self.emit(f"return {target}", depth)
             return
         steps = self.cf.runs[target][0]
@@ -320,14 +300,10 @@ class _Writer:
 
     def run(self, start: int) -> None:
         """The code of the run at ``start``."""
-        body = self.cf.runs[start][3]
-        count = len(self.spans[start])
         self.defined = set()
-        for index in range(count):
+        for index, inst in enumerate(self.cf.runs[start][3]):
             self.owner = (start, index)
-            _translate_inst(self, body[index], self.cf)
-        if count < len(body):  # a closing call or return
-            self.emit("return -1")
+            _translate_inst(self, inst, self.cf)
         self.owner = None
 
     def loop(self) -> None:
@@ -353,22 +329,11 @@ def _slots_read(code: Tuple[tuple, ...], pcs) -> set:
     return slots
 
 
-def translate(cf: CompiledFunction, members: Tuple[int, ...]) -> Optional[Translation]:
-    """Translate the runs starting at ``members`` (see :func:`loop_of`);
-    None when the only one is a lone call or return, which leaves
-    nothing to translate."""
+def translate(cf: CompiledFunction, members: Tuple[int, ...]) -> Translation:
+    """Translate the loop over the runs starting at ``members`` (see
+    :func:`loop_of`)."""
     code = cf.code
-    spans = {}
-    for start in members:
-        body = cf.runs[start][3]
-        closer = body[-1][0]
-        count = len(body) - 1 if closer in (OP_CALL, OP_RET) else len(body)
-        spans[start] = range(start, start + count)
-    if not spans[members[0]]:
-        return None
-    looping = any(
-        t in spans for start in members for t in _successors(code[spans[start][-1]])
-    )
+    spans = {start: range(start, start + cf.runs[start][0]) for start in members}
     inside = {pc for span in spans.values() for pc in span}
     escaping = _slots_read(code, (pc for pc in range(len(code)) if pc not in inside))
     carried: set = set()
@@ -376,28 +341,24 @@ def translate(cf: CompiledFunction, members: Tuple[int, ...]) -> Optional[Transl
         defined = {_writes(code[pc]) for pc in span}
         others = inside.difference(span)
         carried.update(defined & _slots_read(code, others))
-    w = _Writer(cf, spans, looping, escaping, tuple(sorted(carried)))
-    promoted = _promotable(cf, members) if looping else {}
-    name = f"{'loop' if looping else 'run'}_{members[0]}"
-    if not looping:
-        w.run(members[0])
-    else:
-        w.indent = 1
-        if promoted:
-            _promoted_loop(w, promoted)
-        w.loop()
-        w.indent = 0
-        w.emit("finally:")
-        for slot in w.carried:
-            w.emit(f"regs[{slot}] = v{slot}", 2)
-        tally = ", ".join(f"({start}, n{start})" for start in members)
-        w.emit(f"{w.use('_tally')}.append(({tally},))", 2)
+    w = _Writer(cf, members, escaping, tuple(sorted(carried)))
+    promoted = _promotable(cf, members)
+    name = f"loop_{members[0]}"
+    w.indent = 1
+    if promoted:
+        _promoted_loop(w, promoted)
+    w.loop()
+    w.indent = 0
+    w.emit("finally:")
+    for slot in w.carried:
+        w.emit(f"regs[{slot}] = v{slot}", 2)
+    tally = ", ".join(f"({start}, n{start})" for start in members)
+    w.emit(f"{w.use('_tally')}.append(({tally},))", 2)
     prologue = [f"    v{slot} = regs[{slot}]" for slot in w.entry_loads]
     if w.stack:
         prologue.append(f"    _n = len({w.use('_sd')})")
-    if looping:
-        prologue.append("    " + " = ".join(f"n{start}" for start in members) + " = 0")
-        prologue.append("    try:")
+    prologue.append("    " + " = ".join(f"n{start}" for start in members) + " = 0")
+    prologue.append("    try:")
     params = tuple(sorted(w.used))
     header = ", ".join(
         ("regs", "frame", "pc", "left") + tuple(f"{p}=None" for p in params)
@@ -407,7 +368,7 @@ def translate(cf: CompiledFunction, members: Tuple[int, ...]) -> Optional[Transl
     function = next(c for c in unit.co_consts if isinstance(c, CodeType))
     # line 1 is the ``def``, then the prologue, then w.lines
     lines = (None,) * (2 + len(prologue)) + tuple(w.owners)
-    return Translation(function, params, lines, members, looping, len(promoted))
+    return Translation(function, params, lines, len(promoted))
 
 
 def _promoted_loop(w: _Writer, promoted: Dict[int, int]) -> None:
@@ -514,14 +475,10 @@ def _translate_inst(w: _Writer, inst: tuple, cf: CompiledFunction) -> None:
         a, b = w.read(inst[3]), w.read(inst[4])
         w.write(inst[2], f"1 if {a} {_ICMP_SYMBOLS[op]} {b} else 0")
     elif op == OP_BR:
-        cond, then, other = w.read(inst[2]), inst[3], inst[4]
-        if not (w.looping and (then in w.members or other in w.members)):
-            w.emit(f"return {then} if {cond} else {other}")
-            return
-        w.emit(f"if {cond}:")
-        w.goto(then, 2)
+        w.emit(f"if {w.read(inst[2])}:")
+        w.goto(inst[3], 2)
         w.emit("else:")
-        w.goto(other, 2)
+        w.goto(inst[4], 2)
     elif op == OP_JMP:
         w.goto(inst[2], 1)
     elif op == OP_GEP:
@@ -557,10 +514,7 @@ def _translate_inst(w: _Writer, inst: tuple, cf: CompiledFunction) -> None:
         w.write(inst[2], f"{a} if {cond} else {b}")
     elif op == OP_CAST:
         w.write(inst[2], f"{w.read(inst[3])} & {inst[4]}")
-    elif op == OP_TRAP:
-        message = f"trap at {cf.insts[inst[2]].loc} in @{cf.name}"
-        w.emit(f"raise TrapError({message!r})")
-    else:  # pragma: no cover - calls and returns close a run untranslated
+    else:  # pragma: no cover - a call, return or trap closes no loop's run
         raise AssertionError(f"cannot translate opcode {op}")
 
 

@@ -1,11 +1,12 @@
 """Shared test fixtures: canonical modules from the paper's listings,
 and the flat engine's translation threshold.
 
-``--hot-after N`` makes the flat engine translate every run on its N-th
-entry for the whole session, so any test driving the flat engine runs
-through translated runs and loops; ``--hot-after 1`` turns the tier-1
-suite into a translated-code differential.  Tests that pin the default
-threshold skip under it.
+``--hot-after N`` makes every flat-engine run hot on its N-th entry for
+the whole session, so each loop is translated once all its runs have
+been entered N times, and any test driving the flat engine runs its
+loops translated; ``--hot-after 1`` turns the tier-1 suite into a
+translated-code differential.  Tests that pin the default threshold
+skip under it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.ir import I64, I8, ModuleBuilder, PTR
 
 
 def hot_after(entries):
-    """Translate each run on its ``entries``-th entry."""
+    """Make each run hot on its ``entries``-th entry: a loop is
+    translated once every run on it is hot."""
     return mock.patch.object(flat_engine, "_TRANSLATE_AFTER", entries)
 
 
@@ -30,7 +32,8 @@ def pytest_addoption(parser):
         type=int,
         default=None,
         metavar="N",
-        help="translate every flat-engine run on its N-th entry (tests only)",
+        help="make every flat-engine run hot on its N-th entry, so each loop "
+        "translates once its runs have been entered N times (tests only)",
     )
 
 

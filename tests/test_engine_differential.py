@@ -13,15 +13,16 @@ full repair pipeline per corpus case, a batch, and a flat-engine batch
 killed mid-run and resumed against the reference-engine oracle.
 
 The flat engine runs a run through its per-instruction loop until the
-run gets hot, and through a translated Python function after that.  The
-``*_every_run_translated`` variants repeat the corpus, random-program
-and fuel-sweep differentials with every run translated on its first
-entry, so the translated code runs wherever a run is entered whole.
-``test_translated_loops_identical`` does the same for hot cycles of
-runs translated into one looping function, with and without their stack
-slots kept in Python locals.  ``test_ycsb_on_redis_variants_identical``
-runs Fig. 4's YCSB phases on the three Redis variants at the default
-threshold, where real application loops get translated.
+run gets hot, and a cycle of hot runs through one translated Python
+function after that.  The ``*_every_run_translated`` variants repeat
+the corpus, random-program and fuel-sweep differentials with every run
+hot on its first entry, so each loop is translated once its runs have
+been entered and runs translated from then on.
+``test_translated_loops_identical`` drives loops of every shape the
+translator distinguishes, with and without their stack slots kept in
+Python locals.  ``test_ycsb_on_redis_variants_identical`` runs Fig. 4's
+YCSB phases on the three Redis variants at the default threshold, where
+real application loops get translated.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.errors import InterpreterError, VerificationError
 from repro.interp import ENGINES, Machine, cached_program, make_interpreter
+from repro.interp.translate import loop_of
 from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 from repro.trace.events import StoreEvent
@@ -65,13 +67,9 @@ def _case(case_id):
     return next(c for c in all_cases() if c.case_id == case_id)
 
 
-def _translated_runs(module):
-    """How many runs of ``module``'s current compile have a translation."""
-    return sum(
-        translation is not None
-        for cf in cached_program(module).functions.values()
-        for translation in cf.translations.values()
-    )
+def _translated_loops(module):
+    """How many loops of ``module``'s current compile have a translation."""
+    return sum(len(cf.translations) for cf in cached_program(module).functions.values())
 
 
 def _detect_fingerprint(module, drive, engine):
@@ -117,7 +115,7 @@ def test_corpus_byte_identical_every_run_translated(case_id):
     with hot_after(1):
         flat = _detect_fingerprint(module, case.drive, "flat")
         flat_recorded = _guarded_fingerprint(module, case.drive, "flat", record=True)
-    assert _translated_runs(module) > 0
+    assert _translated_loops(module) > 0
     assert flat == _detect_fingerprint(module, case.drive, "reference")
     reference = _guarded_fingerprint(module, case.drive, "reference", record=True)
     assert flat_recorded == reference
@@ -254,7 +252,9 @@ def test_random_programs_volatile_recording_byte_identical(actions):
 # These programs cross that line in every direction: i8..i64 accesses at
 # unaligned offsets of a recursive helper's frame, narrow stores under
 # wide loads, a slot no frame ever writes (past the written prefix on
-# the first, deepest call) and slots a popped frame left behind.
+# the first, deepest call) and slots a popped frame left behind.  The
+# accesses repeat in a two-iteration loop, which gets translated when
+# every run is hot on its first entry.
 
 #: (width, byte offset in a 24-byte frame, store?)
 stack_op = st.tuples(
@@ -271,11 +271,18 @@ def build_stack_heavy(ops, depth, calls):
     result = b.alloca(8)
     fresh = b.alloca(16)  # never stored to by any frame
     frame = b.alloca(24)
-    total = b.load(b.gep(fresh, 5))
+    counter = b.alloca(8)
+    b.store(0, counter)
     # a narrow store under a wide, unaligned load, then the random ops
     # (a load before the first store to its bytes reads a popped frame's)
-    for width, offset, is_store in [(I8, 3, True), (I64, 1, False), *ops]:
-        slot = b.gep(frame, offset)
+    accesses = [(I8, 3, True), (I64, 1, False), *ops]
+    slots = [b.gep(frame, offset) for _, offset, _ in accesses]
+    fresh_slot = b.gep(fresh, 5)
+    repeat, after = b.new_block("repeat"), b.new_block("after")
+    b.jmp(repeat)
+    b.position_at_end(repeat)
+    total = b.load(fresh_slot)
+    for (width, offset, is_store), slot in zip(accesses, slots):
         if is_store:
             value = b.add(b.mul(salt, offset + 3), width.bits)
             if width is not I64:
@@ -287,6 +294,10 @@ def build_stack_heavy(ops, depth, calls):
                 loaded = b.cast("zext", loaded, I64)
             total = b.add(b.mul(total, 31), loaded)
     b.store(total, result)
+    again = b.add(b.load(counter), 1)
+    b.store(again, counter)
+    b.br(b.icmp("ult", again, 2), repeat, after)
+    b.position_at_end(after)
     recurse = b.new_block("recurse")
     done = b.new_block("done")
     b.br(b.icmp("ne", n, 0), recurse, done)
@@ -348,7 +359,7 @@ def test_stack_heavy_programs_every_run_translated(ops, depth, calls):
     module = build_stack_heavy(ops, depth, calls)
     with hot_after(1):
         _assert_stack_heavy_identical(module)
-    assert _translated_runs(module) > 0
+    assert _translated_loops(module) == 1
 
 
 def _assert_stack_heavy_identical(module):
@@ -941,12 +952,13 @@ def test_one_block_loop_fuel_sweep_parity():
 
 
 def test_one_block_loop_fuel_sweep_every_run_translated():
-    """As above with every run translated: from the second iteration on,
-    the limit cuts a run that earlier iterations ran translated."""
+    """As above with every run hot on its first entry: from the second
+    iteration on, the limit cuts a run that earlier iterations ran
+    translated."""
     module = build_one_block_loop()
     with hot_after(1):
         _assert_one_block_loop_fuel_sweep(module)
-    assert _translated_runs(module) >= 2  # the prologue and the loop
+    assert _translated_loops(module) == 1  # the prologue is on no cycle
 
 
 def _assert_one_block_loop_fuel_sweep(module):
@@ -1084,11 +1096,17 @@ def _ycsb_session(module, engine):
 def test_ycsb_on_redis_variants_identical(variant, default_threshold):
     """The one real application whose loops the flat engine translates
     at its default threshold: per-phase cycles, steps and read hits,
-    dense counts, output and the final PM image equal the reference's."""
+    dense counts, output and the final PM image equal the reference's.
+    Every translation covers a cycle of runs, ``memcpy``'s loop among
+    them."""
     module, _ = build_redis_variant(
         {REDIS_PM: None, REDIS_FULL: "full", REDIS_INTRA: "off"}[variant]
     )
     flat, interp = _ycsb_session(module, "flat")
-    assert interp._loops_translated > 0
+    functions = cached_program(module).functions
+    assert functions["memcpy"].translations
+    for cf in functions.values():
+        for members in cf.translations:
+            assert loop_of(cf, members[0], members) == members
     reference, _ = _ycsb_session(module, "reference")
     assert flat == reference

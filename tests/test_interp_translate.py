@@ -1,14 +1,14 @@
-"""Translated runs and loops: when a run is translated, which code
-object it shares, and how a fault or fuel cut inside translated code is
-settled.
+"""Translated loops: when a loop is translated, which code object it
+shares, and how a fault or fuel cut inside translated code is settled.
 
-The flat engine translates a run into a Python function on the run's
-``_TRANSLATE_AFTER``-th entry (:mod:`repro.interp.translate`), together
-with the hot runs it shares a cycle with.  A fault raised inside the
-translated function is located from the traceback's line number; the
-engine must then settle steps, cycles, counts, the recorder's segment
-iids, the frame's pc and — for a loop keeping stack slots in locals —
-the stack bytes exactly as the reference engine leaves them.
+The flat engine translates a cycle of hot runs into one Python function
+(:mod:`repro.interp.translate`) once every run on it has been entered
+``_TRANSLATE_AFTER`` times; a run on no hot cycle is never translated.
+A fault raised inside the translated function is located from the
+traceback's line number; the engine must then settle steps, cycles,
+counts, the recorder's segment iids, the frame's pc and — for a loop
+keeping stack slots in locals — the stack bytes exactly as the
+reference engine leaves them.
 """
 
 from __future__ import annotations
@@ -49,11 +49,15 @@ def build_faulting_loop(kind):
     """``main(n, k)`` loops ``n`` times over a straight-line run that
     stores, flushes and fences a PM line, then faults by ``kind`` once
     the countdown ``c`` equals ``k``: mid-run, after the events and
-    dynamic cycles of the store, flush and fence."""
+    dynamic cycles of the store, flush and fence.  The loop body makes
+    no call, so it is a hot loop the engine translates; a trap closes a
+    run of its own outside the loop."""
     mb = ModuleBuilder(f"fault_{kind}")
     b = mb.function("main", [("n", I64), ("k", I64)], I64, source_file="f.c")
     n, k = b.function.args
     pm = b.call("pm_alloc", [64], PTR)
+    sink = b.alloca(8)
+    b.store(0, sink)
     hit = b.new_block("hit")
 
     def body(c):
@@ -62,16 +66,15 @@ def build_faulting_loop(kind):
         b.fence()
         delta = b.sub(c, k)
         if kind in ("udiv", "urem"):
-            b.call("emit", [b.binop(kind, 1000, delta)])
+            b.store(b.binop(kind, 1000, delta), sink)
         elif kind in ("load", "store"):
             # the fault address leaves every region only when c == k
             is_hit = b.icmp("eq", delta, 0)
             bad = b.gep(pm, b.select(is_hit, 1 << 40, 0))
             if kind == "load":
-                b.call("emit", [b.load(bad)])
+                b.store(b.load(bad), sink)
             else:
                 b.store(c, bad)
-                b.call("emit", [c])
         else:  # trap: a separate run, entered when c == k
             b.store(b.add(c, 7), b.gep(pm, 8))
             after = b.new_block("after")
@@ -80,6 +83,7 @@ def build_faulting_loop(kind):
             b.store(c, b.gep(pm, 16))
 
     _counted_loop(b, n, body)
+    b.call("emit", [b.load(sink)])
     b.ret(0)
     b.position_at_end(hit)
     b.store(k, b.gep(pm, 24))
@@ -133,15 +137,19 @@ def _ran_translated(interp, iid):
 @pytest.mark.parametrize("threshold", [1, 2, 5])
 @pytest.mark.parametrize("kind", ["udiv", "urem", "trap", "load", "store"])
 def test_fault_inside_a_translated_run_settles_like_the_reference(kind, threshold):
+    """The fault comes in the fifth of six iterations, on the loop's
+    ``threshold``-th entry or later, so inside the translated loop; a
+    trap's run is on no cycle and settles through the dispatch chain."""
     module = build_faulting_loop(kind)
-    args = [LOOPS, 1]  # the fault comes in the fifth of six iterations
+    args = [LOOPS, 1]
     _, reference = _fingerprint(module, "reference", args)
     assert reference["outcome"][0] == "err"
     with hot_after(threshold):
         interp, flat = _fingerprint(module, "flat", args)
     assert flat == reference
-    if kind != "trap" or threshold == 1:  # the trap run is entered once
-        assert _ran_translated(interp, interp.current_iid())
+    assert _ran_translated(interp, interp.current_iid()) == (kind != "trap")
+    if kind == "trap" and threshold < 5:  # the two-run loop got hot
+        assert interp._loops_translated == 1
 
 
 def test_stack_access_after_a_fence_that_drains_many_lines():
@@ -199,7 +207,7 @@ class _FaultOnCall:
 )
 def test_recorder_or_cache_fault_mid_run_settles_like_the_reference(owner, method):
     """An exception from a recorder or cache call inside a translated
-    run: the instruction making the call counts as executed, the rest
+    loop: the instruction making the call counts as executed, the rest
     of the run does not."""
     module = build_faulting_loop("udiv")
     args = [LOOPS, LOOPS + 1]  # the division never faults
@@ -377,7 +385,7 @@ def test_a_failed_guard_runs_the_unpromoted_loop():
     assert flat == reference
     assert flat["output"] == [5 + 3 * sum(range(LOOPS))]
     lf = interp._linked["main"]
-    (translation,) = {t for t in lf.translated.values() if t.looping}
+    (translation,) = set(lf.translated.values())
     assert translation.promoted == 3  # counter, alias and acc
 
 
@@ -416,6 +424,58 @@ def test_a_run_translates_on_its_nth_entry():
             assert translated == (entries >= 4), entries
             # a translated run's later entries skip the count
             assert lf.entries[start] == min(entries, 4)
+
+
+def build_nested_loops(inner):
+    """``main(rounds)``: an outer loop around an ``inner``-iteration
+    loop split over two runs, a header (the test, block ``loop``) and a
+    body — the shape of the e2ebench ``detect-hot`` workload."""
+    mb = ModuleBuilder("nested")
+    b = mb.function("main", [("rounds", I64)], I64, source_file="n.c")
+    (rounds,) = b.function.args
+    iv, jv, acc = b.alloca(8), b.alloca(8), b.alloca(8)
+    b.store(0, iv)
+    b.store(0, acc)
+    blocks = ("outer", "outer_body", "loop", "inner_body", "after", "done")
+    outer, outer_body, header, body, after, done = map(b.new_block, blocks)
+    b.jmp(outer)
+    b.position_at_end(outer)
+    i = b.load(iv)
+    b.br(b.icmp("ult", i, rounds), outer_body, done)
+    b.position_at_end(outer_body)
+    b.store(0, jv)
+    b.jmp(header)
+    b.position_at_end(header)
+    j = b.load(jv)
+    b.br(b.icmp("ult", j, inner), body, after)
+    b.position_at_end(body)
+    b.store(b.add(b.load(acc), b.mul(j, 3)), acc)
+    b.store(b.add(j, 1), jv)
+    b.jmp(header)
+    b.position_at_end(after)
+    b.store(b.add(i, 1), iv)
+    b.jmp(outer)
+    b.position_at_end(done)
+    b.call("emit", [b.load(acc)])
+    b.ret(0)
+    return mb.module
+
+
+def test_a_loop_is_translated_once_when_its_last_run_gets_hot(default_threshold):
+    """The inner loop's header is entered once more per outer iteration
+    than its body, so it gets hot first, on no hot cycle yet: it stays
+    untranslated, and the loop is compiled once, when the body gets hot
+    too.  No code object is made for the header alone."""
+    module = build_nested_loops(400)
+    with mock.patch.object(translate, "translate", wraps=translate.translate) as spy:
+        interp, flat = _fingerprint(module, "flat", [4])
+    _, reference = _fingerprint(module, "reference", [4])
+    assert flat == reference
+    lf, start = _loop_run(interp, "main")
+    body = lf.runs[start][4][-1][3]  # the header's branch into the body
+    assert list(lf.cf.translations) == [(start, body)]
+    assert spy.call_count == 1
+    assert interp._loops_translated == 1
 
 
 @hot_after(8)
