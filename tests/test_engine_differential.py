@@ -269,9 +269,11 @@ def build_stack_heavy(ops, depth, calls):
     b = mb.function("churn", [("n", I64), ("salt", I64)], I64, source_file="stk.c")
     n, salt = b.function.args
     result = b.alloca(8)
+    # below ``fresh`` and ``frame``: storing to it leaves them past the
+    # written prefix on the first call's first pass
+    counter = b.alloca(8)
     fresh = b.alloca(16)  # never stored to by any frame
     frame = b.alloca(24)
-    counter = b.alloca(8)
     b.store(0, counter)
     # a narrow store under a wide, unaligned load, then the random ops
     # (a load before the first store to its bytes reads a popped frame's)

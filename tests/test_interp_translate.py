@@ -155,25 +155,37 @@ def test_fault_inside_a_translated_run_settles_like_the_reference(kind, threshol
 def test_stack_access_after_a_fence_that_drains_many_lines():
     """A fence's drained-line count must not stand in for the stack's
     written length: here it exceeds it, and the load after the fence
-    reads a stack slot past the written prefix (zero)."""
+    reads a stack slot past the written prefix (zero).  The sequence is
+    a call-free loop's body, so it runs translated; the loop's counter
+    sits below the unwritten slot, keeping that slot unwritten."""
     mb = ModuleBuilder("drain")
     b = mb.function("main", [], I64, source_file="d.c")
-    written, unwritten = b.alloca(8), b.alloca(8)
+    written, counter, unwritten = b.alloca(8), b.alloca(8), b.alloca(8)
     b.store(1, written)
+    b.store(3, counter)
     pm = b.call("pm_alloc", [64 * 24], PTR)
-    b.load(written)  # the run caches the stack's length here
+    loop, done = b.new_block("loop"), b.new_block("done")
+    b.jmp(loop)
+    b.position_at_end(loop)
+    b.load(written)  # the translated loop reads the stack's length
     for line in range(24):
         slot = b.gep(pm, 64 * line)
         b.store(line, slot)
         b.flush(slot)
     b.fence()
-    b.call("emit", [b.load(unwritten)])
+    b.store(b.load(unwritten), written)
+    c = b.sub(b.load(counter), 1)
+    b.store(c, counter)
+    b.br(b.icmp("ne", c, 0), loop, done)
+    b.position_at_end(done)
+    b.call("emit", [b.load(written)])
     b.ret(0)
     _, reference = _fingerprint(mb.module, "reference", [])
     with hot_after(1):
         interp, flat = _fingerprint(mb.module, "flat", [])
     assert flat == reference
     assert flat["output"] == [0]
+    assert interp._loops_translated == 1
 
 
 class _FaultOnCall:
