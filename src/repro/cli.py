@@ -423,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "subprocess", "inprocess"),
         default="auto",
         help="worker execution mode: subprocess forks one worker process "
-        "per task; auto degrades to in-process serial execution where "
-        "the platform cannot fork (default: %(default)s)",
+        "per --jobs slot and reuses it until a task fails; auto degrades "
+        "to in-process serial execution where the platform cannot fork "
+        "(default: %(default)s)",
     )
     batch.add_argument(
         "--task-timeout",

@@ -49,15 +49,15 @@ the verifier would still count it as verified: it is
 at.  The repair loop's flush/fence insertions recompile only the
 touched function(s); a change to the module's shape recompiles every
 function, as it re-verifies every function.  :func:`cached_program` is
-the module-level entry point — a weak per-module cache validated
-against the mutation epoch, shared by every engine so detection,
-replay, and revalidation all link against one compile.
+the module-level entry point — a per-module cache held by the module
+itself (so it dies with the module) and validated against the mutation
+epoch, shared by every engine so detection, replay, and revalidation
+all link against one compile.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 from ..errors import InterpreterError
 from ..ir.function import Function
@@ -490,11 +490,6 @@ def compile_module(
     return CompiledProgram(module.name, module.epoch, functions)
 
 
-#: module -> its latest CompiledProgram (weak: dropping the module
-#: drops the compile).
-_PROGRAMS: "WeakKeyDictionary[Module, CompiledProgram]" = WeakKeyDictionary()
-
-
 def cached_program(module: Module) -> CompiledProgram:
     """The module's compiled program at its current epoch.
 
@@ -504,9 +499,9 @@ def cached_program(module: Module) -> CompiledProgram:
     snapshot replay, and a revalidation re-record never repeat a
     compile.
     """
-    program = _PROGRAMS.get(module)
+    program = module.compiled_program
     if program is not None and program.epoch == module.epoch:
         return program
     program = compile_module(module, previous=program)
-    _PROGRAMS[module] = program
+    module.compiled_program = program
     return program

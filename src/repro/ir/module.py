@@ -46,6 +46,12 @@ class Module:
         #: epoch of the last change not confined to one function body
         self.shape_epoch = 0
         self._fingerprint: Optional[Tuple[int, str]] = None
+        #: the flat engine's latest compile of this module
+        #: (:func:`~repro.interp.compile.cached_program`).  Held here, not
+        #: in a table keyed by the module: the compile references the
+        #: module's instructions, so a table entry would keep the module
+        #: alive for the rest of the process.
+        self.compiled_program = None
 
     # -- mutation tracking ------------------------------------------------------
 

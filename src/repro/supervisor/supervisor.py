@@ -5,13 +5,17 @@ transactions, budgets).  This layer assumes the process itself is the
 failure domain — a worker can hang in the Andersen fixpoint, die
 silently, or be OOM-killed — and keeps the *batch* correct anyway:
 
-- **process-per-task workers**, forked from the already-imported
-  supervisor (:func:`~repro.supervisor.worker.fork_worker`), with
-  heartbeat lines, so silent death is detected by silence, not only by
-  ``waitpid``;
+- **one worker process per batch slot**, forked from the
+  already-imported supervisor (:func:`~repro.supervisor.worker.fork_worker`)
+  when the slot gets its first task, and handed each later task as one
+  line on its task pipe; only a clean ``RESULT`` keeps a worker for the
+  next task — after any failure it is killed, reaped and replaced, so
+  no task runs in a process that has seen one.  Workers heartbeat, so
+  silent death is detected by silence as well as by end of file;
 - an **event-driven loop**: the supervisor blocks on its workers' pipes
-  (:mod:`selectors`) until a line arrives, a worker exits, or the next
-  watchdog, backoff or drain deadline falls due — it never polls;
+  (:mod:`selectors`) until a line arrives, a pipe reaches end of file,
+  or the next watchdog, backoff or drain deadline falls due — it never
+  polls;
 - a **watchdog** that SIGKILLs a worker whose heartbeats stop or whose
   task exceeds its wall-time budget, and requeues the task;
 - **bounded retries** with exponential backoff and deterministic
@@ -128,7 +132,7 @@ def backoff_delay(config: SupervisorConfig, task_id: str, attempt: int) -> float
 
 
 # ---------------------------------------------------------------------------
-# worker handles (one in-flight task attempt)
+# worker handles (the in-flight task attempts)
 # ---------------------------------------------------------------------------
 
 
@@ -143,10 +147,11 @@ class _WorkerHandle:
     #: False for workers that cannot emit heartbeats (in-process mode);
     #: the watchdog then relies on the task timeout alone
     heartbeats = True
+    _fd = -1  # the read end of the worker's pipe
 
-    def __init__(self, task: RepairTask, index: int, attempt: int):
+    def _begin(self, task: RepairTask, attempt: int) -> None:
+        """Reset the per-attempt state for a new attempt."""
         self.task = task
-        self.index = index  # 1-based submission index (fault targeting)
         self.attempt = attempt
         self.started = time.monotonic()
         self.last_heartbeat = self.started
@@ -155,8 +160,6 @@ class _WorkerHandle:
         self.stats_record: Optional[Dict[str, Any]] = None  # volatile analysis stats
         self.metrics_record: Optional[Dict[str, Any]] = None  # METRICS snapshot
         self.fail_info: Optional[Dict[str, Any]] = None
-        self.silent_death = False
-        self._fd = -1  # the read end of the worker's pipe
 
     def fileno(self) -> int:
         return self._fd
@@ -177,25 +180,36 @@ class _WorkerHandle:
         raise NotImplementedError
 
     def kill(self) -> None:
+        """End the attempt now and release the pipe."""
         raise NotImplementedError
 
 
 class _ForkedWorker(_WorkerHandle):
-    """A worker process forked from the supervisor, read through its
-    protocol pipe (see :mod:`repro.supervisor.worker`)."""
+    """A worker process forked from the supervisor, serving one attempt
+    at a time (:meth:`start`) over its pipes (see
+    :mod:`repro.supervisor.worker`).  An attempt ends at its ``RESULT``
+    or ``FAIL`` line or at end of file, never waiting for an exit."""
 
-    def __init__(self, task, index, attempt, config, fault: str,
+    def __init__(self, tasks: List[RepairTask], config, inherited: List[int],
                  obs: Observability = NULL_OBS):
-        super().__init__(task, index, attempt)
         self._obs = obs
-        self.pid, self._fd = fork_worker(
-            task, config.heartbeat_interval, fault, forward_spans=obs.enabled
+        self.pid, self._fd, self._task_fd = fork_worker(
+            tasks, config.heartbeat_interval, forward_spans=obs.enabled,
+            inherited=inherited,
         )
         self.returncode: Optional[int] = None
+        self._partial = b""
+
+    def start(self, task: RepairTask, index: int, attempt: int, fault: str) -> None:
+        """Hand the worker its next attempt."""
+        self._begin(task, attempt)
         #: the last non-protocol lines (stderr chatter: tracebacks)
         self.output_tail: List[str] = []
-        self._partial = b""
         self._eof = False
+        try:
+            os.write(self._task_fd, f"{index} {fault}\n".encode("ascii"))
+        except OSError:
+            self._eof = True  # gone while idle: a silent death
 
     def pump(self) -> None:
         data = os.read(self._fd, 1 << 16)
@@ -272,18 +286,16 @@ class _ForkedWorker(_WorkerHandle):
         self._obs.emit(record)
 
     def finished(self) -> bool:
-        """Exited and reaped.  Every line it wrote has been consumed by
-        then: the pipe reached end-of-file first."""
-        if self.returncode is None and self._eof:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid:
-                self.returncode = os.waitstatus_to_exitcode(status)
-        return self.returncode is not None
+        """The attempt has its verdict line, or the pipe reached end of
+        file without one."""
+        return (
+            self.result_record is not None or self.fail_info is not None or self._eof
+        )
 
     def settle(self) -> None:
-        """After exit: classify a worker that died without a verdict."""
+        """After the kill and reap: classify an attempt that ended
+        without a verdict."""
         if self.result_record is None and self.fail_info is None:
-            self.silent_death = True
             tail = "; ".join(self.output_tail[-3:])
             self.fail_info = {
                 "error_type": "WorkerDied",
@@ -294,11 +306,27 @@ class _ForkedWorker(_WorkerHandle):
                 ),
             }
 
+    def pipes(self) -> Tuple[int, int]:
+        return self._fd, self._task_fd
+
+    def close(self) -> None:
+        """Close both pipes; an idle worker then reads end of file on
+        its task pipe and exits."""
+        super().close()
+        if self._task_fd >= 0:
+            os.close(self._task_fd)
+            self._task_fd = -1
+
+    def reap(self) -> None:
+        if self.returncode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.returncode = os.waitstatus_to_exitcode(status)
+
     def kill(self) -> None:
         if self.returncode is None:
             os.kill(self.pid, signal.SIGKILL)
-            _, status = os.waitpid(self.pid, 0)
-            self.returncode = os.waitstatus_to_exitcode(status)
+        self.reap()
+        self.close()
 
 
 class _InprocessWorker(_WorkerHandle):
@@ -314,9 +342,9 @@ class _InprocessWorker(_WorkerHandle):
 
     heartbeats = False  # a thread cannot heartbeat mid-task
 
-    def __init__(self, task, index, attempt, config, fault: str,
+    def __init__(self, task: RepairTask, attempt: int, fault: str,
                  obs: Observability = NULL_OBS):
-        super().__init__(task, index, attempt)
+        self._begin(task, attempt)
         self._obs = obs
         self._fault = fault
         self._done = threading.Event()
@@ -331,7 +359,6 @@ class _InprocessWorker(_WorkerHandle):
                 self._abandoned.wait()
                 return
             if self._fault == "kill":
-                self.silent_death = True
                 return
             # In-process workers share the supervisor's facade directly:
             # spans stream straight into the batch sink and metrics land
@@ -365,7 +392,6 @@ class _InprocessWorker(_WorkerHandle):
 
     def settle(self) -> None:
         if self.result_record is None and self.fail_info is None:
-            self.silent_death = True
             self.fail_info = {
                 "error_type": "WorkerDied",
                 "error": "in-process worker finished without a result",
@@ -375,6 +401,7 @@ class _InprocessWorker(_WorkerHandle):
         # Threads cannot be killed; the watchdog abandons this one.
         self._abandoned.set()
         self._done.set()
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +501,11 @@ class BatchSupervisor:
 
     # -- mode resolution ----------------------------------------------------
 
-    def _spawn(self, task: RepairTask, index: int, attempt: int) -> _WorkerHandle:
+    def _spawn(self, task: RepairTask, index: int, attempt: int,
+               running: List[_WorkerHandle],
+               idle: List[_ForkedWorker]) -> _WorkerHandle:
+        """Start an attempt: in subprocess mode on an idle worker of the
+        slot pool, or on a newly forked one when none is idle."""
         fault = self._worker_fault(index, attempt)
         self.obs.event(
             "supervisor.spawn", task=task.task_id, attempt=attempt,
@@ -483,17 +514,21 @@ class BatchSupervisor:
         self.obs.count("supervisor.spawns")
         started = time.monotonic()
         if self._mode == "subprocess":
-            try:
-                worker: _WorkerHandle = _ForkedWorker(
-                    task, index, attempt, self.config, fault, obs=self.obs
-                )
-            except OSError as exc:
-                raise SupervisorError(f"cannot spawn worker: {exc}") from exc
+            worker = idle.pop() if idle else self._fork(running)
+            worker.start(task, index, attempt, fault)
         else:
-            worker = _InprocessWorker(
-                task, index, attempt, self.config, fault, obs=self.obs
-            )
+            worker = _InprocessWorker(task, attempt, fault, obs=self.obs)
         self.obs.observe("supervisor.spawn_seconds", time.monotonic() - started)
+        return worker
+
+    def _fork(self, running: List[_WorkerHandle]) -> _ForkedWorker:
+        # The new worker closes its copies of the running workers' pipes.
+        inherited = [fd for other in running for fd in other.pipes()]
+        try:
+            worker = _ForkedWorker(self.tasks, self.config, inherited, obs=self.obs)
+        except OSError as exc:
+            raise SupervisorError(f"cannot spawn worker: {exc}") from exc
+        self.obs.count("supervisor.forks")
         return worker
 
     def _resolve_mode(self) -> None:
@@ -667,8 +702,10 @@ class BatchSupervisor:
         Between events the loop blocks on its workers' pipes and a
         wake-up pipe that an arriving signal writes to, never longer than
         the next deadline (a retry's backoff, a watchdog budget, the
-        drain grace).  Workers still running when the loop unwinds
-        (a simulated supervisor kill, an error) are killed and reaped.
+        drain grace).  However the loop ends, idle workers get end of
+        file on their task pipes and are reaped; workers still running
+        when it unwinds (a simulated supervisor kill, an error) are
+        killed and reaped.
         """
         config = self.config
         index_of = {task.task_id: i + 1 for i, task in enumerate(self.tasks)}
@@ -677,6 +714,8 @@ class BatchSupervisor:
         for task in pending:
             heapq.heappush(queue, (0.0, index_of[task.task_id], 1, task))
         running: List[_WorkerHandle] = []
+        # forked workers between tasks, each after a clean RESULT
+        idle: List[_ForkedWorker] = []
         jobs = config.jobs if self._mode == "subprocess" else 1
         drain_deadline: Optional[float] = None
         selector = selectors.DefaultSelector()
@@ -689,9 +728,12 @@ class BatchSupervisor:
         if threading.current_thread() is threading.main_thread():
             previous_wakeup = signal.set_wakeup_fd(wake_write)
 
-        def retire(worker: _WorkerHandle) -> None:
+        def retire(worker: _WorkerHandle, reusable: bool = False) -> None:
             selector.unregister(worker)
-            worker.close()
+            if reusable and isinstance(worker, _ForkedWorker):
+                idle.append(worker)
+            else:
+                worker.kill()
 
         try:
             while queue or running:
@@ -711,7 +753,7 @@ class BatchSupervisor:
                         {"type": "task-start", "task": task.task_id, "attempt": attempt}
                     )
                     self._notify("start", task.task_id, f"attempt {attempt}")
-                    worker = self._spawn(task, index, attempt)
+                    worker = self._spawn(task, index, attempt, running, idle)
                     selector.register(worker, selectors.EVENT_READ, worker)
                     running.append(worker)
 
@@ -731,7 +773,9 @@ class BatchSupervisor:
                 for worker in running:
                     now = time.monotonic()
                     if worker.finished():
-                        retire(worker)
+                        # Fail closed: only a clean RESULT keeps the
+                        # process for the slot's next task.
+                        retire(worker, reusable=worker.result_record is not None)
                         worker.settle()
                         if worker.result_record is not None:
                             self._record_done(worker, outcomes_by_id, report)
@@ -746,7 +790,6 @@ class BatchSupervisor:
                     )
                     overtime = now - worker.started > config.task_timeout
                     if hung or overtime:
-                        worker.kill()
                         retire(worker)
                         reason = (
                             f"watchdog: no heartbeat for {config.heartbeat_timeout}s"
@@ -773,7 +816,6 @@ class BatchSupervisor:
                         return True
                     if drain_deadline is not None and time.monotonic() > drain_deadline:
                         for worker in running:
-                            worker.kill()
                             retire(worker)
                             worker.fail_info = {
                                 "error_type": "Drained",
@@ -793,7 +835,11 @@ class BatchSupervisor:
             selector.close()
             for worker in leftover:
                 worker.kill()
+            # End of file on their task pipes: idle workers exit together.
+            for worker in idle:
                 worker.close()
+            for worker in idle:
+                worker.reap()
             os.close(wake_read)
             os.close(wake_write)
 

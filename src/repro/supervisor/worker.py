@@ -1,20 +1,24 @@
-"""Worker processes: forked from the supervisor, one per task attempt.
+"""Worker processes: forked from the supervisor, one per batch slot.
 
-One worker runs one task and exits — process-per-task keeps the blast
-radius of a crash, hang, or leak to a single task, and lets the
-supervisor's watchdog use plain SIGKILL with no cleanup protocol.
-:func:`fork_worker` forks the supervisor itself, which has already
-imported the whole pipeline, so a worker starts in about a millisecond
-instead of paying interpreter start-up and a full ``repro`` import.
-The task travels in the forked memory; nothing is serialized on the
-way in.
+A worker is forked the first time its slot gets a task and then serves
+that slot's tasks one at a time until its task pipe reaches end of
+file.  :func:`fork_worker` forks the supervisor itself, which has
+already imported the whole pipeline, so a worker starts without paying
+interpreter start-up or a ``repro`` import; reusing it spares each
+later task the fork, the copy-on-write faults on the inherited heap
+and the exit.  The batch's task list travels in the forked memory: the
+supervisor names a task by its 1-based submission index, one line per
+task on the worker's task pipe (``<index> <fault>``), and nothing else
+is serialized on the way in.  The blast radius stays one task: the
+supervisor returns a worker to its slot only after a clean ``RESULT``,
+and kills and replaces it after anything else.
 
 Protocol (line-oriented, over one pipe that is the worker's stdout
-and stderr):
+and stderr), per task:
 
 - ``HB <n>`` heartbeat lines every ``heartbeat_interval`` seconds from
-  a daemon thread (so a worker stuck in a long Andersen fixpoint still
-  heartbeats, while a *dead* one goes silent);
+  a daemon thread while a task runs (so a worker stuck in a long
+  Andersen fixpoint still heartbeats, while a *dead* one goes silent);
 - with ``forward_spans``, interleaved ``OBS <json>`` lines — span/event
   records forwarded live to the supervisor's sink;
 - one ``METRICS <json>`` line — the full volatile metrics snapshot
@@ -26,19 +30,22 @@ and stderr):
   - ``RESULT <json>`` — the deterministic task result record, or
   - ``FAIL <json>`` — ``{"error_type", "error", "traceback"}``.
 
-Any other line (a traceback, a warning) is stderr chatter the
-supervisor keeps a tail of for its error messages.
+Each task runs with a fresh :class:`~repro.obs.observability.Observability`,
+so its lines, span ids and snapshot are what that task alone produced.
+Nothing is written between a terminal line and the next task.  Any
+other line (a traceback, a warning) is stderr chatter the supervisor
+keeps a tail of for its error messages.
 
-Exit codes: 0 after ``RESULT``, 3 after ``FAIL``, 1 if the worker
-itself broke.  The supervisor trusts the *lines*, not the exit code — a
-worker that dies after ``RESULT`` already delivered its work.
+Exit codes: 0 at end of file on the task pipe, 3 after ``FAIL``, 1 if
+the worker itself broke.  The supervisor trusts the *lines*, not the
+exit code.
 
-Fault injection (for the resilience harness) passes ``fault``:
+Fault injection (for the resilience harness) rides on the task line:
 
-- ``"hang"`` — heartbeat normally but never finish (a stuck fixpoint;
+- ``hang`` — heartbeat normally but never finish (a stuck fixpoint;
   the watchdog must kill us);
-- ``"kill"`` — SIGKILL ourselves mid-task (silent death; heartbeat
-  tracking must notice, not just waitpid).
+- ``kill`` — SIGKILL ourselves mid-task (silent death; the supervisor
+  sees end of file with no verdict).
 """
 
 from __future__ import annotations
@@ -51,21 +58,38 @@ import sys
 import threading
 import time
 import traceback
-from typing import Tuple
+from typing import Iterable, List, Tuple
+
+from ..obs.observability import Observability
+from .tasks import execute_task
 
 
 class _Channel:
     """The worker's end of the pipe: whole lines, one writer at a time
-    (the heartbeat thread and the task share it)."""
+    (the heartbeat thread and the task share it).
+
+    ``busy`` is set while a task runs; heartbeats are written only then,
+    and the terminal line clears it under the same lock, so no line
+    follows a verdict.
+    """
 
     def __init__(self, stream) -> None:
         self._stream = stream
         self._lock = threading.Lock()
+        self.busy = threading.Event()
 
-    def send(self, line: str) -> None:
+    def send(self, line: str, last: bool = False) -> None:
         with self._lock:
             self._stream.write(line + "\n")
             self._stream.flush()
+            if last:
+                self.busy.clear()
+
+    def heartbeat(self, line: str) -> None:
+        with self._lock:
+            if self.busy.is_set():
+                self._stream.write(line + "\n")
+                self._stream.flush()
 
 
 class _ChannelSink:
@@ -93,22 +117,19 @@ def _start_heartbeats(channel: _Channel, interval: float) -> None:
     def beat() -> None:
         n = 0
         while True:
+            channel.busy.wait()
             n += 1
-            channel.send(f"HB {n}")
+            channel.heartbeat(f"HB {n}")
             time.sleep(interval)
 
     thread = threading.Thread(target=beat, name="heartbeat", daemon=True)
     thread.start()
 
 
-def run_worker(task, channel: _Channel, heartbeat_interval: float,
-               fault: str = "", forward_spans: bool = False) -> int:
-    """Run one task, speaking the protocol on ``channel``; returns the
-    worker's exit code."""
-    from ..obs.observability import Observability
-    from .tasks import execute_task
-
-    _start_heartbeats(channel, heartbeat_interval)
+def run_task(task, channel: _Channel, fault: str, forward_spans: bool) -> bool:
+    """Run one task, speaking the protocol on ``channel``; returns
+    whether it ended in ``RESULT``."""
+    channel.busy.set()
     if fault == "hang":
         while True:  # pragma: no cover - killed by the watchdog
             time.sleep(0.5)
@@ -126,24 +147,49 @@ def run_worker(task, channel: _Channel, heartbeat_interval: float,
             "error": str(exc),
             "traceback": traceback.format_exc(),
         }
-        channel.send(f"FAIL {json.dumps(payload)}")
-        return 3
+        channel.send(f"FAIL {json.dumps(payload)}", last=True)
+        return False
     channel.send(f"METRICS {json.dumps(obs.metrics_snapshot(), sort_keys=True)}")
-    channel.send(f"RESULT {json.dumps(result.record, sort_keys=True)}")
+    channel.send(f"RESULT {json.dumps(result.record, sort_keys=True)}", last=True)
+    return True
+
+
+def serve(tasks: List, requests, channel: _Channel, heartbeat_interval: float,
+          forward_spans: bool) -> int:
+    """Run the tasks named on ``requests`` until it reaches end of file
+    or a task fails; returns the worker's exit code."""
+    _start_heartbeats(channel, heartbeat_interval)
+    for line in iter(requests.readline, b""):
+        index, _, fault = line.decode("ascii").strip().partition(" ")
+        if not run_task(tasks[int(index) - 1], channel, fault, forward_spans):
+            return 3
     return 0
 
 
-def fork_worker(task, heartbeat_interval: float, fault: str = "",
-                forward_spans: bool = False) -> Tuple[int, int]:
-    """Fork a worker process for ``task``; returns ``(pid, fd)``.
+def fork_worker(tasks: List, heartbeat_interval: float,
+                forward_spans: bool = False,
+                inherited: Iterable[int] = ()) -> Tuple[int, int, int]:
+    """Fork a worker process serving ``tasks``; returns
+    ``(pid, read_fd, task_fd)``.
 
-    ``fd`` is the read end of the worker's protocol pipe: it reaches
-    end-of-file when the worker exits.  The caller owns both — it must
-    close ``fd`` and reap ``pid``.  The child never returns from this
-    call: it runs the task and leaves through ``os._exit``, so none of
-    the supervisor's cleanup (journal, sinks, ``atexit``) runs twice.
+    ``read_fd`` is the read end of the worker's protocol pipe: it
+    reaches end-of-file when the worker exits.  ``task_fd`` is the write
+    end of its task pipe: closing it tells the worker to exit.
+    ``inherited`` are the supervisor's ends of its other workers'
+    pipes; the child closes them, so each worker sees end of file on
+    its task pipe as soon as the supervisor closes it, or dies.  The
+    caller owns the pid and both fds — it must close the fds and reap
+    the pid.  The child never returns from this call: it leaves through
+    ``os._exit``, so none of the supervisor's cleanup (journal, sinks,
+    ``atexit``) runs twice.
     """
     read_fd, write_fd = os.pipe()
+    try:
+        task_read, task_fd = os.pipe()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     # Whatever the supervisor buffered must not be written a second
     # time by the child's copy of the buffer.
     for stream in (sys.stdout, sys.stderr):
@@ -152,25 +198,26 @@ def fork_worker(task, heartbeat_interval: float, fault: str = "",
         except (AttributeError, OSError, ValueError):
             pass
     # The supervisor's heap goes to the permanent generation across the
-    # fork, so the worker's collections scan only what its task makes.
+    # fork, so the worker's collections scan only what its tasks make.
     gc.freeze()
     try:
         pid = os.fork()
     except OSError:
         gc.unfreeze()
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in (read_fd, write_fd, task_read, task_fd):
+            os.close(fd)
         raise
     if pid:
         gc.unfreeze()
         os.close(write_fd)
-        return pid, read_fd
+        os.close(task_read)
+        return pid, read_fd, task_fd
     code = 1  # the worker itself broke: no verdict line
     try:
-        os.close(read_fd)
-        devnull = os.open(os.devnull, os.O_RDONLY)
-        os.dup2(devnull, 0)
-        os.close(devnull)
+        for fd in (read_fd, task_fd, *inherited):
+            os.close(fd)
+        os.dup2(task_read, 0)
+        os.close(task_read)
         os.dup2(write_fd, 1)
         os.dup2(write_fd, 2)
         os.close(write_fd)
@@ -185,8 +232,9 @@ def fork_worker(task, heartbeat_interval: float, fault: str = "",
         stream = open(1, "w", encoding="utf-8", errors="backslashreplace",
                       closefd=False)
         sys.stdout = sys.stderr = stream
-        code = run_worker(task, _Channel(stream), heartbeat_interval,
-                          fault, forward_spans)
+        requests = open(0, "rb", closefd=False)
+        code = serve(tasks, requests, _Channel(stream), heartbeat_interval,
+                     forward_spans)
     except BaseException:
         # Not re-raised: unwinding would run the supervisor's frames in
         # the child.  The traceback reaches the supervisor's error tail.

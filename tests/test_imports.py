@@ -154,7 +154,9 @@ def _worker_and_main_imports(selection, directory, tmp_path):
 def test_supervisor_import_loads_the_pipeline_before_forking(listing5_files, tmp_path):
     """No ``repro`` module is first imported in a forked worker: the
     supervisor loads what each pending task kind runs before it forks,
-    and the workers inherit it."""
+    and the workers inherit it.  Three tasks on two slots: one worker
+    serves two of them, and imports nothing for its later task
+    either."""
     worker, main = _worker_and_main_imports(
         ["--cases", "PMDK-447", "P-CLHT"], listing5_files, tmp_path
     )

@@ -5,7 +5,7 @@ ending in its terminator, stable opcode numbering, the run table the
 engine charges a straight-line run at a time from), the incremental
 recompile (a function :func:`~repro.ir.verifier.unchanged_since` its
 compile keeps the compiled object; a body edit recompiles that
-function, a shape change every function), and the module-keyed program
+function, a shape change every function), and the per-module program
 cache — in particular that *any* epoch movement (flush/fence commit,
 structural commit, even a clean rollback) leaves the cached program
 stamped at the module's current epoch, because the flat engine relinks
@@ -14,6 +14,8 @@ whenever the two disagree and a stale program would relink forever.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -364,6 +366,18 @@ def test_cached_program_is_shared_until_epoch_moves():
     assert all(
         second.functions[name] is not cf for name, cf in first.functions.items()
     )
+
+
+def test_cached_program_dies_with_its_module():
+    """The compile references the module's instructions, so a cache
+    keyed by the module would keep every module compiled in a process
+    alive — in a batch worker serving many tasks, every task's."""
+    module = build_module()
+    cached_program(module)
+    dropped = weakref.ref(module)
+    del module
+    gc.collect()
+    assert dropped() is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ Covers the batch layer's resilience invariants at every level:
   stall);
 - the dispatch loop (it wakes on worker events and signals, not on a
   timer; forked workers are reaped and keep their output to their pipe);
+- the worker pool (one fork per slot, report bytes equal to an
+  in-process run's, a fresh process after any failed attempt, no
+  worker left running or unreaped however the batch ends);
 - resume (kill at checkpoint boundaries, byte-identical aggregate
   reports, no task executed twice, stale-journal refusal);
 - the end-to-end signal path (SIGTERM mid-batch drains to exit code 8
@@ -32,6 +35,7 @@ import pytest
 from repro.errors import ReproError
 from repro.faultinject import FaultPlan
 from repro.faultinject.resume import run_kill_resume, tear_journal_tail
+from repro.obs import Observability
 from repro.supervisor import (
     BatchSupervisor,
     CheckpointJournal,
@@ -348,8 +352,6 @@ def test_watchdog_kills_hung_worker_within_budget(tmp_path, mode):
 def test_loop_wakes_once_per_event_not_on_a_timer():
     """An in-process worker wakes the loop exactly when it finishes; a
     polling loop would wake every few milliseconds instead."""
-    from repro.obs import Observability
-
     tasks = small_tasks()
     obs = Observability()
     report = run_batch(tasks, config=fast_config(), obs=obs)
@@ -379,30 +381,196 @@ def test_auto_mode_forks_without_probing_an_interpreter(monkeypatch):
     assert supervisor._mode == ("subprocess" if hasattr(os, "fork") else "inprocess")
 
 
-def test_supervisor_kill_reaps_its_running_workers(tmp_path, monkeypatch):
-    """A simulated supervisor kill unwinds the loop with a worker in
-    flight; that worker is killed and reaped, not left as a zombie or
-    an orphan still writing into a dead pipe."""
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """Every pid ``fork_worker`` returns to the supervisor, in fork order."""
     import repro.supervisor.supervisor as supervisor_module
 
     pids = []
     real_fork = supervisor_module.fork_worker
 
     def recording_fork(*args, **kwargs):
-        pid, fd = real_fork(*args, **kwargs)
-        pids.append(pid)
-        return pid, fd
+        forked = real_fork(*args, **kwargs)
+        pids.append(forked[0])
+        return forked
 
     monkeypatch.setattr(supervisor_module, "fork_worker", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_supervisor_kill_reaps_its_running_workers(tmp_path, forked_pids):
+    """A simulated supervisor kill unwinds the loop with a worker in
+    flight; that worker is killed and reaped, not left as a zombie or
+    an orphan still writing into a dead pipe."""
     # appends: batch-start (1), task-start A (2), task-start B (3): the
     # kill lands while A runs and before B is forked
     plan = FaultPlan("supervisor", mode="kill-supervisor-at-nth", nth=3)
     with pytest.raises(SupervisorKilled):
         run_batch(small_tasks(), journal_path=str(tmp_path / "j.journal"),
                   config=fast_config(mode="subprocess", jobs=2), fault=plan)
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
+    assert len(forked_pids) == 1
+    _assert_reaped(forked_pids)
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: one forked worker per slot
+# ---------------------------------------------------------------------------
+
+#: five quick corpus repairs: on two slots, two workers serve all five
+POOL_CASES = ["PMDK-452", "PMDK-458", "PMDK-459", "PMDK-460", "PMDK-461"]
+
+
+@pytest.mark.parametrize("fault", [
+    None,
+    # the third task's first attempt: a reused worker dies mid-batch
+    FaultPlan("worker", mode="kill-worker-at-nth", nth=3, attempts=1),
+])
+def test_pooled_workers_fork_once_per_slot_and_keep_the_report_bytes(fault):
+    tasks = corpus_tasks(POOL_CASES)
+    inprocess = run_batch(tasks, config=fast_config(), fault=fault)
+    obs = Observability()
+    forked = run_batch(tasks, config=fast_config(mode="subprocess", jobs=2),
+                       fault=fault, obs=obs)
+    assert forked.canonical_json() == inprocess.canonical_json()
+    assert forked.ok and forked.total_retries == (fault is not None)
+    counters = obs.metrics_snapshot()["counters"]
+    # one dispatch per attempt; one fork per slot, plus one to replace
+    # the worker the fault killed
+    assert counters["supervisor.spawns"] == len(tasks) + forked.total_retries
+    assert counters["supervisor.forks"] == 2 + forked.total_retries
+
+
+def test_slot_runs_its_next_task_in_a_new_process_after_a_failure(
+    tmp_path, monkeypatch, forked_pids
+):
+    """A worker whose task ended in FAIL is killed, not reused."""
+    import repro.supervisor.worker as worker_module
+
+    tasks = corpus_tasks(POOL_CASES[:4])
+    log = tmp_path / "ran.log"
+    real_execute = worker_module.execute_task
+
+    def logged_execute(task, obs=None):
+        with open(log, "a") as handle:
+            handle.write(f"{task.task_id} {os.getpid()}\n")
+        if task is tasks[1]:
+            raise RuntimeError("injected failure")
+        return real_execute(task, obs=obs)
+
+    monkeypatch.setattr(worker_module, "execute_task", logged_execute)
+    report = run_batch(
+        tasks, config=fast_config(mode="subprocess", jobs=1, max_retries=0)
+    )
+    assert report.outcome(tasks[1].task_id).error == "RuntimeError: injected failure"
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert [task_id for task_id, _ in ran] == [task.task_id for task in tasks]
+    first, second = forked_pids
+    assert [int(pid) for _, pid in ran] == [first, first, second, second]
+    _assert_reaped(forked_pids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+def test_a_worker_holds_no_pipe_of_another(monkeypatch):
+    """Each worker closes the supervisor's ends of the workers forked
+    before it, so a worker reads end of file on its task pipe as soon as
+    the supervisor closes it or dies, whatever a later worker does."""
+    import repro.supervisor.supervisor as supervisor_module
+
+    forks = []
+    real_fork = supervisor_module.fork_worker
+
+    def recording_fork(*args, **kwargs):
+        forks.append(real_fork(*args, **kwargs))
+        return forks[-1]
+
+    monkeypatch.setattr(supervisor_module, "fork_worker", recording_fork)
+    shared = []
+
+    def check(event, task_id, detail):
+        # the first task is done; the second worker hangs in its task
+        if event == "done" and not shared:
+            (_, *first_ends), (second, _, _) = forks
+            pipes = {f"pipe:[{os.fstat(fd).st_ino}]" for fd in first_ends}
+            fd_dir = f"/proc/{second}/fd"
+            shared.append(pipes & {os.readlink(f"{fd_dir}/{fd}") for fd in os.listdir(fd_dir)})
+
+    plan = FaultPlan("worker", mode="hang-worker", nth=2, attempts=1)
+    report = run_batch(
+        corpus_tasks(POOL_CASES[:2]),
+        config=fast_config(mode="subprocess", jobs=2, task_timeout=1.0),
+        fault=plan, progress=check,
+    )
+    assert report.ok
+    assert shared == [set()]
+
+
+def test_a_worker_dead_while_idle_costs_its_next_task_one_attempt(forked_pids):
+    tasks = corpus_tasks(POOL_CASES[:2])
+
+    def kill_idle_worker(event, task_id, detail):
+        if event == "done" and task_id == tasks[0].task_id:
+            pid = forked_pids[0]
+            os.kill(pid, signal.SIGKILL)
+            # wait for the death without reaping: the supervisor reaps
+            deadline = time.monotonic() + 10.0
+            while not os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+    report = run_batch(tasks, config=fast_config(mode="subprocess", jobs=1),
+                       progress=kill_idle_worker)
+    assert report.ok and report.total_retries == 1
+    assert len(forked_pids) == 2
+    _assert_reaped(forked_pids)
+
+
+@pytest.mark.parametrize(
+    "ending", ["complete", "drain", "watchdog", "supervisor-kill-while-idle"]
+)
+def test_no_forked_worker_outlives_its_batch(tmp_path, forked_pids, ending):
+    tasks = corpus_tasks(POOL_CASES[:3])
+    journal = str(tmp_path / "j.journal")
+    if ending == "complete":
+        report = run_batch(tasks, journal_path=journal,
+                           config=fast_config(mode="subprocess", jobs=2))
+        assert report.ok
+    elif ending == "drain":
+        # the first task hangs for good; SIGTERM drains the batch, whose
+        # grace runs out on the hung worker while the other sits idle
+        plan = FaultPlan("worker", mode="hang-worker", nth=1, attempts=0)
+        config = fast_config(mode="subprocess", jobs=2, task_timeout=60.0,
+                             drain_grace=0.2)
+        timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGTERM))
+        timer.start()
+        try:
+            report = run_batch(tasks, journal_path=journal, config=config,
+                               fault=plan)
+        finally:
+            timer.cancel()
+        assert report.interrupted
+    elif ending == "watchdog":
+        plan = FaultPlan("worker", mode="hang-worker", nth=1, attempts=1)
+        config = fast_config(mode="subprocess", jobs=2, task_timeout=1.0,
+                             heartbeat_interval=0.05)
+        report = run_batch(tasks, journal_path=journal, config=config,
+                           fault=plan)
+        assert report.ok and report.total_retries == 1
+    else:
+        # appends: batch-start (1), task-start A (2), task-done A (3):
+        # the kill lands with A's worker back in the pool, idle
+        plan = FaultPlan("supervisor", mode="kill-supervisor-at-nth", nth=3)
+        with pytest.raises(SupervisorKilled):
+            run_batch(tasks, journal_path=journal,
+                      config=fast_config(mode="subprocess", jobs=1), fault=plan)
+        assert len(forked_pids) == 1
+    assert forked_pids
+    _assert_reaped(forked_pids)
 
 
 def test_signal_wakes_a_blocked_loop_and_starts_the_drain(tmp_path):
