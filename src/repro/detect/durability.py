@@ -19,8 +19,9 @@ can be :meth:`forked <CheckerState.fork>` at any event boundary.  The
 incremental revalidation engine (:mod:`repro.revalidate`) exploits this
 to resume checking from a mid-trace point — the forked state continues
 exactly where a full pass would be, so report ids, occurrence counts,
-and orderings stay byte-identical with a from-scratch check.  Plain
-:meth:`DurabilityChecker.check` is a feed loop over one state.
+and orderings stay byte-identical with a from-scratch check.
+:meth:`DurabilityChecker.check` is a feed loop over one state that can
+keep forks of it at the positions the engine asks for.
 """
 
 from __future__ import annotations
@@ -248,9 +249,23 @@ class DurabilityChecker:
 
     # -- one-shot API ---------------------------------------------------------
 
-    def check(self, trace: PMTrace) -> DetectionResult:
+    def check(
+        self,
+        trace: PMTrace,
+        forks: Optional[Dict[int, Optional[CheckerState]]] = None,
+    ) -> DetectionResult:
+        """Check a whole trace.  For every trace position in ``forks``,
+        the state just before the event at that position is forked into
+        it."""
         state = self.new_state()
-        for event in trace:
+        events = trace.events
+        position = 0
+        for stop in sorted(forks or ()):
+            for event in events[position:stop]:
+                self.feed(state, event)
+            position = stop
+            forks[stop] = state.fork()
+        for event in events[position:]:
             self.feed(state, event)
         return self.finalize(state)
 

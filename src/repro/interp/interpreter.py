@@ -94,10 +94,7 @@ class Machine:
         self.space = space
         self.image = image if image is not None else PersistentImage(space)
         self.cache = CacheModel(self.space, self.image)
-        self._stack_provider = lambda: ()
-        self.recorder = TraceRecorder(
-            lambda: self._stack_provider(), record_volatile_stores
-        )
+        self.recorder = TraceRecorder(record_volatile_stores)
         self.allocations: List[Allocation] = []
         self.global_addrs: Dict[str, int] = {}
         self.pm_root_addr: Optional[int] = None
@@ -225,7 +222,7 @@ class Interpreter:
         self.module = module
         self.machine = machine or Machine(record_volatile_stores)
         self.machine.bind_globals(module)
-        self.machine._stack_provider = self._capture_stack
+        self.machine.recorder.stack_provider = self._capture_stack
         self.costs = CostCounter(cost_model or CostModel())
         self.fuel = fuel
         self.steps = 0
@@ -336,12 +333,13 @@ class Interpreter:
         exit_frame = (
             StackFrame("<exit>", 0, DebugLoc("<exit>", 1)),
         )
-        provider = self.machine._stack_provider
-        self.machine._stack_provider = lambda: exit_frame
+        recorder = self.machine.recorder
+        provider = recorder.stack_provider
+        recorder.stack_provider = lambda: exit_frame
         try:
-            self.machine.recorder.record_boundary("exit")
+            recorder.record_boundary("exit")
         finally:
-            self.machine._stack_provider = provider
+            recorder.stack_provider = provider
 
     # -- main loop -------------------------------------------------------------------------------
 

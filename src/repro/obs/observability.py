@@ -16,6 +16,8 @@ never branch on a flag, and a disabled run allocates nothing per span.
 
 from __future__ import annotations
 
+import gc
+import time
 from typing import Any, Callable, Dict, Optional
 
 from .metrics import MetricsRegistry
@@ -39,6 +41,34 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+class _GcWatch:
+    """Counts collections per generation (``gc.collections.gen<N>``)
+    and times each pause (the ``gc.pause_seconds`` histogram) while it
+    sits in :data:`gc.callbacks`."""
+
+    def __init__(self, metrics: MetricsRegistry):
+        self._collections = [
+            metrics.counter(f"gc.collections.gen{generation}")
+            for generation in range(3)
+        ]
+        self._pauses = metrics.histogram("gc.pause_seconds")
+        self._started = 0.0
+
+    def _callback(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self._pauses.observe(time.perf_counter() - self._started)
+            self._collections[info["generation"]].inc()
+
+    def __enter__(self) -> "_GcWatch":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
 
 
 class Observability:
@@ -97,6 +127,13 @@ class Observability:
     def observe(self, name: str, value: float) -> None:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
+
+    def watch_gc(self):
+        """A context manager that records the garbage collections run
+        inside it into the metrics; installs nothing when disabled."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return _GcWatch(self.metrics)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         return self.metrics.snapshot()

@@ -215,9 +215,7 @@ class IncrementalRevalidator:
         # trace synthesis); its trace stays byte-identical to a plain
         # machine's.
         machine = self._new_machine()
-        trace_recorder = RecordingTraceRecorder(
-            lambda: machine._stack_provider()
-        )
+        trace_recorder = RecordingTraceRecorder()
         machine.recorder = trace_recorder
         interp = make_interpreter(
             module,
@@ -233,22 +231,12 @@ class IncrementalRevalidator:
 
         # One checker pass over the full trace, forking the state at
         # every snapshot-bearing segment boundary.
-        checker = DurabilityChecker()
-        state = checker.new_state()
-        forks = {}
-        position = 0
-        events = trace.events
-        for segment in recorder.segments:
-            if segment.snapshot is None:
-                continue
-            while position < segment.trace_start:
-                checker.feed(state, events[position])
-                position += 1
-            forks[segment.index] = state.fork()
-        while position < len(events):
-            checker.feed(state, events[position])
-            position += 1
-        detection = checker.finalize(state)
+        snapshotted = [s for s in recorder.segments if s.snapshot is not None]
+        fork_at = {segment.trace_start: None for segment in snapshotted}
+        detection = DurabilityChecker().check(trace, fork_at)
+        forks = {
+            segment.index: fork_at[segment.trace_start] for segment in snapshotted
+        }
 
         self.baseline = RecordedRun(
             module_fingerprint=module.fingerprint(),

@@ -25,18 +25,17 @@ is always possible).  Per-segment metadata is never dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..detect.durability import CheckerState
 from ..detect.reports import DetectionResult
 from ..interp.interpreter import ExecutionResult, Interpreter
-from ..trace.events import CallStack, StoreEvent
+from ..trace.events import StoreEvent
 from ..trace.trace import PMTrace, TraceRecorder
 from .snapshot import MachineSnapshot
 
 
-@dataclass(frozen=True)
-class VolAnchorOp:
+class VolAnchorOp(NamedTuple):
     """A volatile-target store or flush execution, by trace position.
 
     Volatile operations record no trace event, but a fence *inserted
@@ -65,8 +64,8 @@ class RecordingTraceRecorder(TraceRecorder):
 
     record_vol_ops = True
 
-    def __init__(self, stack_provider: Callable[[], CallStack]):
-        super().__init__(stack_provider)
+    def __init__(self) -> None:
+        super().__init__()
         self.vol_ops: List[VolAnchorOp] = []
         self.current_iid: Optional[Callable[[], int]] = None
 

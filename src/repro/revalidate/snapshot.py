@@ -154,10 +154,7 @@ class MachineSnapshot:
         machine.space = space
         machine.image = image
         machine.cache = cache
-        machine._stack_provider = lambda: ()
-        machine.recorder = TraceRecorder(
-            lambda: machine._stack_provider(), self.record_volatile_stores
-        )
+        machine.recorder = TraceRecorder(self.record_volatile_stores)
         machine.recorder._seq = self.seq
         machine.allocations = list(self.allocations)
         machine.global_addrs = dict(self.global_addrs)

@@ -158,8 +158,7 @@ def _rewrite_event(event: TraceEvent, site: _Site, depth: int) -> TraceEvent:
                 )
             )
         stack = tuple(frames)
-    return replace(
-        event,
+    return event._replace(
         iid=iid_map.get(event.iid, event.iid),
         function=fn_map.get(event.function, event.function),
         stack=stack,
@@ -208,13 +207,13 @@ def _synthesize_stream(
                 != "redundant"
             )
             if event.seq != seq or event.had_work != had_work:
-                event = replace(event, seq=seq, had_work=had_work)
+                event = event._replace(seq=seq, had_work=had_work)
             out.append(event)
             return
         elif isinstance(event, FenceEvent):
             lines.drain()
         if event.seq != seq:
-            event = replace(event, seq=seq)
+            event = event._replace(seq=seq)
         out.append(event)
 
     def emit_synth(spec: InsertionSpec, anchor_event: Optional[TraceEvent]) -> None:
@@ -353,7 +352,7 @@ def _synthesize_stream(
                 if active_site is not None:
                     mapped = active_site.iid_map.get(op.iid)
                     if mapped is not None:
-                        op = replace(op, iid=mapped)
+                        op = op._replace(iid=mapped)
                 emit_vol_anchor(op)
                 vol_index += 1
                 continue

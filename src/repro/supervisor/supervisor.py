@@ -38,6 +38,7 @@ silently, or be OOM-killed — and keeps the *batch* correct anyway:
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import os
@@ -610,6 +611,7 @@ class BatchSupervisor:
             else None
         )
         previous_handlers = self._install_signals()
+        thaw = False
         try:
             if resume and self._journal is not None:
                 replayed, recovered = self._load_resume_state()
@@ -643,7 +645,15 @@ class BatchSupervisor:
             # Before the first task and the first fork: workers inherit
             # what the pending tasks run instead of compiling it.
             load_task_kinds(task.kind for task in pending)
-            interrupted = self._dispatch(pending, outcomes_by_id, report)
+            # What is loaded by now outlives the batch: in the permanent
+            # generation, no collection in the batch, or in a worker
+            # forked from it, scans it again.  A host that froze its own
+            # heap keeps it as it is.
+            if not gc.get_freeze_count():
+                gc.freeze()
+                thaw = True
+            with self.obs.watch_gc():
+                interrupted = self._dispatch(pending, outcomes_by_id, report)
 
             report.outcomes = [
                 outcomes_by_id[task.task_id]
@@ -675,6 +685,8 @@ class BatchSupervisor:
             )
             return report
         finally:
+            if thaw:
+                gc.unfreeze()
             self._restore_signals(previous_handlers)
             if self._journal is not None:
                 self._journal.close()

@@ -148,6 +148,7 @@ def run_case(
         trace,
         interp.machine,
         heuristic=heuristic,
+        detection=detection,
         analysis_cache_dir=analysis_cache_dir,
         obs=obs,
         revalidator=revalidator,

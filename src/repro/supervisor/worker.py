@@ -6,7 +6,9 @@ file.  :func:`fork_worker` forks the supervisor itself, which has
 already imported the whole pipeline, so a worker starts without paying
 interpreter start-up or a ``repro`` import; reusing it spares each
 later task the fork, the copy-on-write faults on the inherited heap
-and the exit.  The batch's task list travels in the forked memory: the
+and the exit.  The worker inherits the heap the supervisor froze for
+the batch (:meth:`~repro.supervisor.supervisor.BatchSupervisor.run`),
+so its collections scan only what its tasks make.  The batch's task list travels in the forked memory: the
 supervisor names a task by its 1-based submission index, one line per
 task on the worker's task pipe (``<index> <fault>``), and nothing else
 is serialized on the way in.  The blast radius stays one task: the
@@ -22,7 +24,8 @@ and stderr), per task:
 - with ``forward_spans``, interleaved ``OBS <json>`` lines — span/event
   records forwarded live to the supervisor's sink;
 - one ``METRICS <json>`` line — the full volatile metrics snapshot
-  (analysis-cache counters, interpreter totals, pipeline counts),
+  (analysis-cache counters, interpreter totals, pipeline counts, the
+  task's garbage collections),
   reported separately from the result precisely so it never enters the
   deterministic record or the journal;
 - then exactly one terminal line:
@@ -50,7 +53,6 @@ Fault injection (for the resilience harness) rides on the task line:
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import signal
@@ -140,7 +142,8 @@ def run_task(task, channel: _Channel, fault: str, forward_spans: bool) -> bool:
     # *forwarding* costs a line per record, so it stays opt-in.
     obs = Observability(sink=_ChannelSink(channel) if forward_spans else None)
     try:
-        result = execute_task(task, obs=obs)
+        with obs.watch_gc():
+            result = execute_task(task, obs=obs)
     except Exception as exc:
         payload = {
             "error_type": type(exc).__name__,
@@ -197,18 +200,13 @@ def fork_worker(tasks: List, heartbeat_interval: float,
             stream.flush()
         except (AttributeError, OSError, ValueError):
             pass
-    # The supervisor's heap goes to the permanent generation across the
-    # fork, so the worker's collections scan only what its tasks make.
-    gc.freeze()
     try:
         pid = os.fork()
     except OSError:
-        gc.unfreeze()
         for fd in (read_fd, write_fd, task_read, task_fd):
             os.close(fd)
         raise
     if pid:
-        gc.unfreeze()
         os.close(write_fd)
         os.close(task_read)
         return pid, read_fd, task_fd

@@ -3,21 +3,28 @@
 Hippocrates "expects a PM-specific execution trace where each event in
 the trace includes the source line where the event occurred, the stack
 trace at the time of the event, and PM-specific information" (§4.1).
-These dataclasses are exactly that: every event carries its sequence
+These event types are exactly that: every event carries its sequence
 number, the IR instruction id, the source location, and the full call
 stack at the time of the event.
+
+Events and stack frames are named tuples, as :class:`DebugLoc` is: a
+traced run builds one event and a frame per stack level for every PM
+operation, and a frozen dataclass pays an ``object.__setattr__`` per
+field where a tuple is built in one step.  They are immutable, compare
+and hash by value, and a new event with some fields changed comes from
+``event._replace(...)``.  Each event ends with its ``kind``, so events
+of different kinds are never equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from collections import namedtuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..ir.debuginfo import DebugLoc
 
 
-@dataclass(frozen=True)
-class StackFrame:
+class StackFrame(NamedTuple):
     """One frame of a call stack.
 
     For caller frames, ``iid``/``loc`` identify the *call site*.  For
@@ -42,17 +49,22 @@ class StackFrame:
 CallStack = Tuple[StackFrame, ...]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """Base class for all PM trace events."""
+    """Base class for all PM trace events.
+
+    Every event type is a named tuple whose fields start with these
+    five, in this order, and end with ``kind``; this class adds what
+    they share.
+    """
+
+    __slots__ = ()
 
     seq: int
     iid: int
     loc: DebugLoc
     function: str
     stack: CallStack
-
-    kind: str = "event"
+    kind: str
 
     @property
     def caller_frames(self) -> CallStack:
@@ -60,8 +72,18 @@ class TraceEvent:
         return self.stack[:-1]
 
 
-@dataclass(frozen=True)
-class StoreEvent(TraceEvent):
+#: the fields every event starts with
+_HEAD = ("seq", "iid", "loc", "function", "stack")
+
+
+class StoreEvent(
+    namedtuple(
+        "StoreEvent",
+        _HEAD + ("addr", "size", "space", "nontemporal", "kind"),
+        defaults=(0, 0, "pm", False, "store"),
+    ),
+    TraceEvent,
+):
     """A store; ``space`` distinguishes PM from volatile targets.
 
     pmemcheck only logs PM stores; the recorder follows suit unless
@@ -70,38 +92,43 @@ class StoreEvent(TraceEvent):
     need a fence.
     """
 
-    addr: int = 0
-    size: int = 0
-    space: str = "pm"
-    nontemporal: bool = False
-    kind: str = "store"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FlushEvent(TraceEvent):
+class FlushEvent(
+    namedtuple(
+        "FlushEvent",
+        _HEAD + ("addr", "line_addr", "flush_kind", "had_work", "kind"),
+        defaults=(0, 0, "clwb", True, "flush"),
+    ),
+    TraceEvent,
+):
     """A cache-line flush (clwb / clflushopt / clflush).
 
     ``had_work`` is False for a redundant flush of a clean line — the
     detector reports those as performance diagnostics.
     """
 
-    addr: int = 0
-    line_addr: int = 0
-    flush_kind: str = "clwb"
-    had_work: bool = True
-    kind: str = "flush"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FenceEvent(TraceEvent):
+class FenceEvent(
+    namedtuple(
+        "FenceEvent", _HEAD + ("fence_kind", "kind"), defaults=("sfence", "fence")
+    ),
+    TraceEvent,
+):
     """A memory fence (sfence / mfence)."""
 
-    fence_kind: str = "sfence"
-    kind: str = "fence"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundaryEvent(TraceEvent):
+class BoundaryEvent(
+    namedtuple(
+        "BoundaryEvent", _HEAD + ("label", "kind"), defaults=("exit", "boundary")
+    ),
+    TraceEvent,
+):
     """A durability boundary: the instruction *I* of the paper's
     X -> F(X) -> M -> I obligation.
 
@@ -111,8 +138,7 @@ class BoundaryEvent(TraceEvent):
     program exit.
     """
 
-    label: str = "exit"
-    kind: str = "boundary"
+    __slots__ = ()
 
 
 def innermost(event: TraceEvent) -> Optional[StackFrame]:

@@ -59,11 +59,16 @@ class PMTrace:
         return sorted({s.iid for s in self.stores()})
 
 
+def _no_stack() -> CallStack:
+    return ()
+
+
 class TraceRecorder:
     """Builds a :class:`PMTrace` during interpretation.
 
-    The interpreter calls the ``record_*`` methods; ``stack_provider``
-    supplies the live call stack (outermost first, innermost last).
+    The interpreter calls the ``record_*`` methods and installs its
+    stack capture as ``stack_provider``, which each event calls once
+    for the live call stack (outermost first, innermost last).
 
     :param record_volatile_stores: pmemcheck only traces PM operations;
         set this for tests that want volatile stores too.
@@ -82,65 +87,42 @@ class TraceRecorder:
     def note_vol_flush(self) -> None:  # pragma: no cover - subclass hook
         """Called for a volatile-target flush when ``record_vol_ops``."""
 
-    def __init__(
-        self,
-        stack_provider: Callable[[], CallStack],
-        record_volatile_stores: bool = False,
-    ):
+    def __init__(self, record_volatile_stores: bool = False):
         self.trace = PMTrace()
-        self._stack_provider = stack_provider
+        self.stack_provider: Callable[[], CallStack] = _no_stack
         self.record_volatile_stores = record_volatile_stores
         self._seq = 0
 
-    def _next_seq(self) -> int:
+    def _head(self) -> tuple:
+        """The fields every event starts with: seq, iid, loc, function
+        and stack, the last three from the innermost frame."""
+        stack = self.stack_provider()
+        function, iid, loc = stack[-1]
         self._seq += 1
-        return self._seq
-
-    def _base_fields(self) -> dict:
-        stack = self._stack_provider()
-        own = stack[-1]
-        return {
-            "seq": self._next_seq(),
-            "iid": own.iid,
-            "loc": own.loc,
-            "function": own.function,
-            "stack": stack,
-        }
+        return self._seq, iid, loc, function, stack
 
     def record_store(
         self, addr: int, size: int, space: str, nontemporal: bool = False
     ) -> Optional[StoreEvent]:
         if space != "pm" and not self.record_volatile_stores:
             return None
-        event = StoreEvent(
-            addr=addr,
-            size=size,
-            space=space,
-            nontemporal=nontemporal,
-            **self._base_fields(),
-        )
+        event = StoreEvent(*self._head(), addr, size, space, nontemporal)
         self.trace.append(event)
         return event
 
     def record_flush(
         self, addr: int, line_addr: int, kind: str, had_work: bool
     ) -> FlushEvent:
-        event = FlushEvent(
-            addr=addr,
-            line_addr=line_addr,
-            flush_kind=kind,
-            had_work=had_work,
-            **self._base_fields(),
-        )
+        event = FlushEvent(*self._head(), addr, line_addr, kind, had_work)
         self.trace.append(event)
         return event
 
     def record_fence(self, kind: str) -> FenceEvent:
-        event = FenceEvent(fence_kind=kind, **self._base_fields())
+        event = FenceEvent(*self._head(), kind)
         self.trace.append(event)
         return event
 
     def record_boundary(self, label: str) -> BoundaryEvent:
-        event = BoundaryEvent(label=label, **self._base_fields())
+        event = BoundaryEvent(*self._head(), label)
         self.trace.append(event)
         return event

@@ -208,7 +208,7 @@ def _volatile_fingerprint(module, drive, engine):
 def _vol_ops_fingerprint(module, drive, engine):
     """A run under the revalidation recorder's volatile-op side channel."""
     machine = Machine()
-    recorder = RecordingTraceRecorder(lambda: machine._stack_provider())
+    recorder = RecordingTraceRecorder()
     machine.recorder = recorder
     interp = make_interpreter(module, engine=engine, machine=machine)
     recorder.current_iid = interp.current_iid

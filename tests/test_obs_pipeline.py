@@ -12,10 +12,13 @@ The contract under test, per layer:
 - subprocess workers forward spans (``OBS`` lines) and ship a metrics
   snapshot (``METRICS`` line) that the supervisor merges, and the
   analysis stats the batch report aggregates are derived from it.
+- a batch counts its garbage collections per generation and times
+  their pauses, its workers' included.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -205,6 +208,38 @@ class TestTranslationCounters:
         assert translated == plain
         assert counters["interp.runs_translated"] > 0
         assert counters["interp.loops_translated"] > 0
+
+
+class TestGcMetrics:
+    @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+    def test_batch_reports_its_collections_and_pauses(self, monkeypatch, mode):
+        """Each task ends with one full collection of its own, so every
+        task's collections reach the batch snapshot, forked or not."""
+        import repro.supervisor.supervisor as supervisor_module
+        import repro.supervisor.worker as worker_module
+
+        def collecting_execute(task, obs=None):
+            result = execute_task(task, obs=obs)
+            gc.collect()
+            return result
+
+        for module in (supervisor_module, worker_module):
+            monkeypatch.setattr(module, "execute_task", collecting_execute)
+        callbacks = list(gc.callbacks)
+        obs = Observability()
+        report = run_batch(corpus_tasks(CASES), config=fast_config(mode=mode),
+                           obs=obs)
+        assert report.ok
+        assert gc.callbacks == callbacks
+        snapshot = obs.metrics_snapshot()
+        collections = [
+            snapshot["counters"][f"gc.collections.gen{generation}"]
+            for generation in range(3)
+        ]
+        assert collections[2] >= len(CASES)
+        pauses = snapshot["histograms"]["gc.pause_seconds"]
+        assert pauses["count"] == sum(collections)
+        assert 0 <= pauses["min"] <= pauses["max"] <= pauses["total"]
 
 
 # ---------------------------------------------------------------------------

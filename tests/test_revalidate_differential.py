@@ -17,6 +17,7 @@ from repro.core.hippocrates import Hippocrates
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.revalidate import IncrementalRevalidator
+from repro.trace import dump_trace
 
 from test_oracle_differential import (
     CASE_IDS,
@@ -48,10 +49,13 @@ def test_synthesized_trace_and_detection_are_byte_exact(case_id):
     module = case.build()
     engine = IncrementalRevalidator(case.drive)
     _, trace, interp = engine.record(module)
+    recorded = dump_trace(trace)
     fixer = Hippocrates(module, trace, interp.machine, revalidator=engine)
     fixer.apply(fixer.compute_fixes())
     outcome = fixer.revalidate()
     assert outcome.mode == "synthesized"
+    # synthesis builds new events and never edits a baseline one
+    assert dump_trace(engine.baseline.trace) == recorded
 
     scratch, scratch_trace, _ = pmemcheck_run(module, case.drive)
     assert len(outcome.trace.events) == len(scratch_trace.events)

@@ -15,12 +15,16 @@ Covers the batch layer's resilience invariants at every level:
   worker left running or unreaped however the batch ends);
 - resume (kill at checkpoint boundaries, byte-identical aggregate
   reports, no task executed twice, stale-journal refusal);
+- the batch's frozen heap (tasks, in process or in a forked worker,
+  run with the loaded modules frozen; the freeze count is restored
+  however the batch ends);
 - the end-to-end signal path (SIGTERM mid-batch drains to exit code 8
   and the journal resumes to the uninterrupted bytes).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import shlex
@@ -32,6 +36,7 @@ import time
 
 import pytest
 
+from repro.core.hippocrates import Hippocrates
 from repro.errors import ReproError
 from repro.faultinject import FaultPlan
 from repro.faultinject.resume import run_kill_resume, tear_journal_tail
@@ -594,6 +599,93 @@ def test_signal_wakes_a_blocked_loop_and_starts_the_drain(tmp_path):
     records = CheckpointJournal.read(str(tmp_path / "j.journal")).records
     assert records[-1]["type"] == "batch-interrupted"
     assert records[-1]["signal"] == "SIGTERM"
+
+
+# ---------------------------------------------------------------------------
+# the batch's frozen heap
+# ---------------------------------------------------------------------------
+
+
+def _frozen(obj) -> bool:
+    """Whether the collector skips ``obj``: frozen objects sit in the
+    permanent generation, which ``gc.get_objects()`` leaves out."""
+    return not any(tracked is obj for tracked in gc.get_objects())
+
+
+#: a function object every task's imports load before the batch starts
+LOADED = Hippocrates.compute_fixes
+
+
+@pytest.mark.parametrize(
+    "ending", ["complete", "drain", "supervisor-kill", "host-frozen"]
+)
+def test_batch_leaves_the_freeze_count_as_it_found_it(tmp_path, ending):
+    tasks = small_tasks()
+    journal = str(tmp_path / "j.journal")
+    if ending == "host-frozen":
+        gc.freeze()
+    before = gc.get_freeze_count()
+    try:
+        if ending == "drain":
+            plan = FaultPlan("worker", mode="hang-worker", nth=1, attempts=0)
+            timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGTERM))
+            timer.start()
+            try:
+                report = run_batch(
+                    tasks, journal_path=journal, fault=plan,
+                    config=fast_config(task_timeout=60.0, drain_grace=0.2),
+                )
+            finally:
+                timer.cancel()
+            assert report.interrupted
+        elif ending == "supervisor-kill":
+            plan = FaultPlan("supervisor", mode="kill-supervisor-at-nth", nth=3)
+            with pytest.raises(SupervisorKilled):
+                run_batch(tasks, journal_path=journal, config=fast_config(),
+                          fault=plan)
+        else:
+            assert run_batch(tasks, journal_path=journal,
+                             config=fast_config()).ok
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
+    assert not _frozen(LOADED)
+
+
+def test_inprocess_tasks_run_with_the_loaded_modules_frozen(monkeypatch):
+    import repro.supervisor.supervisor as supervisor_module
+
+    seen = []
+    real_execute = supervisor_module.execute_task
+
+    def observed_execute(task, obs=None):
+        seen.append((_frozen(LOADED), list(gc.callbacks)))
+        return real_execute(task, obs=obs)
+
+    monkeypatch.setattr(supervisor_module, "execute_task", observed_execute)
+    callbacks = list(gc.callbacks)
+    assert run_batch(small_tasks(), config=fast_config()).ok
+    # frozen in every task, and no collection watch without observability
+    assert seen == [(True, callbacks)] * len(CASES)
+    assert not _frozen(LOADED)
+
+
+def test_forked_workers_inherit_the_frozen_heap(tmp_path, monkeypatch):
+    import repro.supervisor.worker as worker_module
+
+    log = tmp_path / "frozen.log"
+    real_execute = worker_module.execute_task
+
+    def observed_execute(task, obs=None):
+        with open(log, "a") as handle:
+            handle.write(f"{_frozen(LOADED)}\n")
+        return real_execute(task, obs=obs)
+
+    monkeypatch.setattr(worker_module, "execute_task", observed_execute)
+    report = run_batch(small_tasks(), config=fast_config(mode="subprocess"))
+    assert report.ok
+    assert log.read_text().split() == ["True"] * len(CASES)
+    assert not _frozen(LOADED)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from repro.trace import (
     PMTrace,
     StackFrame,
     StoreEvent,
+    TraceEvent,
     dump_event,
+    innermost,
     dump_trace,
     load_trace,
     parse_event,
@@ -80,6 +82,55 @@ class TestEventStructure:
         interp.call("main")
         stores = interp.finish().stores(pm_only=False)
         assert len(stores) == 1 and stores[0].space == "vol"
+
+
+class TestEventValues:
+    """What callers rely on, whatever class the events are built from."""
+
+    LOC = DebugLoc("f.c", 3)
+    STACK = (StackFrame("main", 1, DebugLoc("f.c", 1)), StackFrame("fn", 2, LOC))
+
+    def test_equal_fields_make_equal_events_with_equal_hashes(self):
+        store = StoreEvent(1, 2, self.LOC, "fn", self.STACK, addr=64, size=8)
+        again = StoreEvent(1, 2, self.LOC, "fn", self.STACK, addr=64, size=8)
+        assert store == again and hash(store) == hash(again)
+        assert len({store, again}) == 1
+        assert store != StoreEvent(1, 2, self.LOC, "fn", self.STACK, addr=72, size=8)
+        frame = StackFrame("fn", 2, self.LOC)
+        assert frame == StackFrame("fn", 2, self.LOC)
+        assert hash(frame) == hash(StackFrame("fn", 2, self.LOC))
+
+    def test_events_of_different_kinds_are_never_equal(self):
+        fence = FenceEvent(1, 2, self.LOC, "fn", self.STACK, fence_kind="sfence")
+        boundary = BoundaryEvent(1, 2, self.LOC, "fn", self.STACK, label="sfence")
+        assert fence != boundary
+        flush = FlushEvent(1, 2, self.LOC, "fn", self.STACK)
+        assert flush != StoreEvent(1, 2, self.LOC, "fn", self.STACK)
+
+    def test_kind_and_caller_frames(self):
+        events = [
+            StoreEvent(1, 2, self.LOC, "fn", self.STACK),
+            FlushEvent(1, 2, self.LOC, "fn", self.STACK),
+            FenceEvent(1, 2, self.LOC, "fn", self.STACK),
+            BoundaryEvent(1, 2, self.LOC, "fn", self.STACK),
+        ]
+        assert [e.kind for e in events] == ["store", "flush", "fence", "boundary"]
+        for event in events:
+            assert isinstance(event, TraceEvent)
+            assert event.caller_frames == self.STACK[:1]
+            assert innermost(event) == self.STACK[-1]
+
+    def test_events_are_immutable(self):
+        event = recorded_trace()[0]
+        with pytest.raises(AttributeError):
+            event.seq = 99
+        with pytest.raises(AttributeError):
+            event.stack[-1].iid = 99
+
+    def test_dump_parse_round_trip_returns_an_equal_event(self):
+        for event in recorded_trace():
+            parsed = parse_event(dump_event(event))
+            assert parsed == event and type(parsed) is type(event)
 
 
 class TestTextFormat:
