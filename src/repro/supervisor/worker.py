@@ -8,10 +8,10 @@ interpreter start-up or a ``repro`` import; reusing it spares each
 later task the fork, the copy-on-write faults on the inherited heap
 and the exit.  The worker inherits the heap the supervisor froze for
 the batch (:meth:`~repro.supervisor.supervisor.BatchSupervisor.run`),
-so its collections scan only what its tasks make.  The batch's task list travels in the forked memory: the
-supervisor names a task by its 1-based submission index, one line per
-task on the worker's task pipe (``<index> <fault>``), and nothing else
-is serialized on the way in.  The blast radius stays one task: the
+so its collections scan only what its tasks make.  The batch's task
+list travels in the forked memory: the supervisor names a task by its
+1-based submission index, one line per task on the worker's task pipe
+(``<index> <fault>``), and nothing else is serialized on the way in.  The blast radius stays one task: the
 supervisor returns a worker to its slot only after a clean ``RESULT``,
 and kills and replaces it after anything else.
 
