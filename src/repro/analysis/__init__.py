@@ -8,10 +8,7 @@ _EXPORTS = {
     ".andersen": ("AllocSite", "PointsTo", "UNKNOWN_SITE"),
     ".callgraph": ("CallGraph",),
     ".diskcache": ("AnalysisDiskCache",),
-    ".manager": (
-        "AnalysisManager", "AnalysisStats", "CALLGRAPH", "LOCATOR",
-        "POINTS_TO", "classification_key",
-    ),
+    ".manager": ("AnalysisManager", "AnalysisStats", "CALLGRAPH", "POINTS_TO"),
 }
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,53 +1,40 @@
-"""An LLVM-style analysis manager: cached, invalidation-aware analyses.
+"""The repair's two whole-program analyses, cached against the module's shape.
 
-Prior to this layer every consumer built its own analyses: the
-orchestrator constructed a fresh :class:`PointsTo` per classification,
-the subprogram transformer built its own call graph, and each applied
-fix re-verified the whole module.  The manager centralizes this:
-analyses are *keyed computations* registered once and cached against the
-module's mutation epoch (see :class:`repro.ir.module.Module`), and the
-code that mutates the module (``FixTransaction``) reports what kind of
-mutation happened so exactly the right entries are dropped.
+Fig. 5's offline cost is the Andersen points-to solution; the call
+graph rides along with it.  :class:`AnalysisManager` builds each once
+and answers every later lookup from its cache for as long as the
+module's :attr:`~repro.ir.module.Module.shape_epoch` stays where it was
+when the value was computed:
 
-Invalidation matrix (driven by :meth:`mutation_committed`):
+==============================  =========  =========  ============
+mutation                        points_to  callgraph  verified(fn)
+==============================  =========  =========  ============
+flush/fence/gep insert or undo  kept       kept       touched only
+clone or retarget, or its undo  dropped    dropped    all dropped
+failed rollback                 dropped    dropped    all dropped
+==============================  =========  =========  ============
 
-======================  ==========  =========  =======  ==============
-mutation                points_to   callgraph  locator  verified(fn)
-======================  ==========  =========  =======  ==============
-flush/fence insertion   preserved   preserved  preserv  touched only
-clone / call retarget   dropped     dropped    preserv  dropped
-rollback (clean)        preserved   preserved  preserv  touched only
-rollback (failed)       dropped     dropped    dropped  dropped
-======================  ==========  =========  =======  ==============
-
-The verified column is not a manager entry: each function carries its
-own verified state, keyed on the stamps the mutation primitives move
-(:func:`~repro.ir.verifier.is_verified`).  A body edit drops only that
-function's; adding or removing a function (a clone, or a rolled-back
-clone) or retargeting a call drops every function's, because it can
-change whether an untouched caller's ``call`` verifies; a failed
-rollback counts as such a change too (``FixTransaction.rollback``).
-:meth:`AnalysisManager.verify_scope`, Hippocrates's final check and the
-flat engine's compiler all read and set the same state, so each
-function is verified once per change.  The flat engine's compile cache
-(:func:`~repro.interp.compile.cached_program`) is not a manager entry
-either: it reuses a function's compiled form on the same stamps, so it
-recompiles exactly what the verified column drops.
-
-Flush and fence instructions create no pointers, no allocation sites,
-and no calls to defined functions, so the Andersen solution and the call
-graph stay exact across them — they are only *revalidated* (their epoch
-stamp advanced).  Inserting a ``_PM`` clone or retargeting a call site
-changes both, so those are dropped along with everything registered as
-depending on them (the PM classifications).  The locator indexes
-original-program locations, which no fix rewrites, so it always
-survives.  A clean rollback restores content exactly, hence everything
-revalidates; a *failed* rollback leaves integrity unknown, so every
-entry is dropped and recomputes on next use.
+A fix's flush, fence or gep insertion moves only its function's stamp,
+so both analyses stay.  A clone, a retarget, the undo of either and a
+failed rollback move the shape epoch, so both are rebuilt on their next
+lookup.  This rests on one condition, stated on
+:meth:`~repro.ir.module.Module.bump_epoch` too: **a body-only change
+adds no call and no store.**  Without one there is no new allocation
+site, heap edge or call edge, so the Andersen solution and the call
+graph stay exact for every value they knew (a fix's gep feeds only its
+flush).  Every body edit after a module is built is a fix's flush,
+fence or gep insertion, or its undo.
 
 Failures cache too: if computing an analysis raised (e.g. the Andersen
-fixpoint exhausted its budget), the same exception is re-raised on every
-lookup at the same epoch instead of re-running the doomed computation.
+fixpoint exhausted its budget), the same exception is re-raised on
+every lookup at the same shape instead of re-running the doomed
+computation; a shape change drops it with the values.
+
+The verified column is not a manager entry: each function carries its
+own verified state, keyed on the same stamps
+(:func:`~repro.ir.verifier.is_verified`).  :meth:`verify_scope`,
+Hippocrates's final check and the flat engine's compiler all read and
+set it, so each function is verified once per change.
 
 When a :class:`~repro.analysis.diskcache.AnalysisDiskCache` is attached,
 the ``points_to`` computation first consults the content-addressed store
@@ -58,7 +45,7 @@ persists fresh solutions for other worker processes to reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..budget import Budget
 from ..ir.module import Module
@@ -67,20 +54,9 @@ from .andersen import PointsTo
 from .callgraph import CallGraph
 from .diskcache import AnalysisDiskCache
 
-#: Well-known analysis keys.  Classifications use
-#: :func:`classification_key`.
+#: The two analysis keys :meth:`AnalysisManager.get` answers.
 POINTS_TO = "points_to"
 CALLGRAPH = "callgraph"
-LOCATOR = "locator"
-
-#: Analyses a structural mutation (clone insertion, call retarget)
-#: invalidates; flush/fence insertion preserves them.
-STRUCTURE_KEYS = (POINTS_TO, CALLGRAPH)
-
-
-def classification_key(mode: str) -> Tuple[str, str]:
-    """The cache key for a PM classification in the given mode."""
-    return ("classification", mode)
 
 
 @dataclass
@@ -107,21 +83,17 @@ class AnalysisStats:
 
 @dataclass
 class _Entry:
-    """One cached result (or cached failure), stamped with its epoch."""
+    """One cached result (or cached failure), stamped with the shape
+    epoch it was computed at."""
 
-    epoch: int
+    shape_epoch: int
     value: object = None
     failure: Optional[BaseException] = None
 
 
-@dataclass
-class _Registration:
-    compute: Callable[[Module], object]
-    depends: Tuple[Hashable, ...] = ()
-
-
 class AnalysisManager:
-    """Caches keyed analyses against a module's mutation epoch."""
+    """Caches the points-to solution and the call graph against a
+    module's shape epoch."""
 
     def __init__(
         self,
@@ -141,10 +113,11 @@ class AnalysisManager:
         #: batch observability sees cache behaviour without a separate
         #: reporting channel.
         self.metrics = metrics
-        self._registry: Dict[Hashable, _Registration] = {}
-        self._entries: Dict[Hashable, _Entry] = {}
-        self.register(POINTS_TO, self._compute_points_to)
-        self.register(CALLGRAPH, self._compute_callgraph)
+        self._compute = {
+            POINTS_TO: self._compute_points_to,
+            CALLGRAPH: lambda: CallGraph(self.module),
+        }
+        self._entries: Dict[str, _Entry] = {}
 
     def _count(self, name: str, amount: int = 1) -> None:
         """Bump one stats counter (and its metrics mirror)."""
@@ -152,120 +125,31 @@ class AnalysisManager:
         if self.metrics is not None and amount:
             self.metrics.counter(f"analysis.{name}").inc(amount)
 
-    # -- registration ---------------------------------------------------------
-
-    def register(
-        self,
-        key: Hashable,
-        compute: Callable[[Module], object],
-        depends: Iterable[Hashable] = (),
-    ) -> None:
-        """Register (or replace) the computation behind ``key``.
-
-        ``depends`` names keys whose invalidation cascades to this one.
-        Replacing a registration drops any cached entry.
-        """
-        self._registry[key] = _Registration(compute, tuple(depends))
-        self._entries.pop(key, None)
-
-    # -- lookup ---------------------------------------------------------------
-
-    def get(self, key: Hashable):
-        """The analysis result for ``key``, computing it if the cached
-        entry is missing or stale.  A cached *failure* re-raises."""
-        entry = self._entries.get(key)
-        if entry is not None and entry.epoch == self.module.epoch:
-            if entry.failure is not None:
-                self._count("failures_replayed")
-                raise entry.failure
-            self._count("hits")
-            return entry.value
-        registration = self._registry.get(key)
-        if registration is None:
+    def get(self, key: str):
+        """The analysis result for ``key``, computing it if there is no
+        entry at the module's current shape.  A cached *failure*
+        re-raises; an unknown key raises :class:`KeyError`."""
+        compute = self._compute.get(key)
+        if compute is None:
             raise KeyError(f"no analysis registered for key {key!r}")
-        self._count("misses")
-        epoch = self.module.epoch
-        try:
-            value = registration.compute(self.module)
-        except Exception as exc:
-            self._entries[key] = _Entry(epoch=epoch, failure=exc)
-            raise
-        self._entries[key] = _Entry(epoch=epoch, value=value)
-        return value
-
-    def cached(self, key: Hashable):
-        """The cached value if present and current, else None (never
-        computes, never replays failures)."""
+        shape = self.module.shape_epoch
         entry = self._entries.get(key)
-        if (
-            entry is not None
-            and entry.epoch == self.module.epoch
-            and entry.failure is None
-        ):
-            return entry.value
-        return None
-
-    # -- invalidation ---------------------------------------------------------
-
-    def _dependents(self, seeds: Iterable[Hashable]) -> set:
-        """Transitive closure of ``seeds`` over declared dependencies."""
-        closed = set(seeds)
-        changed = True
-        while changed:
-            changed = False
-            for key, registration in self._registry.items():
-                if key in closed:
-                    continue
-                if closed.intersection(registration.depends):
-                    closed.add(key)
-                    changed = True
-        return closed
-
-    def invalidate(self, keys: Iterable[Hashable]) -> None:
-        """Drop the given entries and everything depending on them."""
-        for key in self._dependents(keys):
-            if self._entries.pop(key, None) is not None:
-                self._count("invalidations")
-
-    def _revalidate_surviving(self) -> None:
-        # Cached *failures* describe a computation attempted against one
-        # exact content state; carrying them across an epoch boundary
-        # would e.g. keep replaying a verify failure of a rolled-back
-        # mutation.  Values revalidate; failures drop.
-        epoch = self.module.epoch
-        for key in [k for k, e in self._entries.items() if e.failure is not None]:
-            del self._entries[key]
-        for entry in self._entries.values():
-            entry.epoch = epoch
-
-    # -- mutation notifications (called by FixTransaction) -------------------
-
-    def mutation_committed(self, structural: bool = False) -> None:
-        """A transaction committed.
-
-        ``structural`` mutations (clone insertion, call retargeting)
-        drop the points-to solution, the call graph, and their
-        dependents.  Everything else is revalidated at the new epoch —
-        the invalidation matrix in the module docs.
-        """
-        if structural:
-            self.invalidate(STRUCTURE_KEYS)
-        self._revalidate_surviving()
-
-    def mutation_rolled_back(self, clean: bool = True) -> None:
-        """A transaction rolled back.
-
-        A clean rollback restored the exact prior content, so every
-        cached entry is still correct and revalidates.  A failed
-        rollback (partial undo) leaves the module in an unknown state:
-        every entry is dropped, so none can be re-stamped by a later
-        commit, and each recomputes on next use.
-        """
-        if clean:
-            self._revalidate_surviving()
-        else:
-            self._count("invalidations", len(self._entries))
-            self._entries.clear()
+        if entry is not None:
+            if entry.shape_epoch == shape:
+                if entry.failure is not None:
+                    self._count("failures_replayed")
+                    raise entry.failure
+                self._count("hits")
+                return entry.value
+            self._count("invalidations")
+        self._count("misses")
+        try:
+            value = compute()
+        except Exception as exc:
+            self._entries[key] = _Entry(shape, failure=exc)
+            raise
+        self._entries[key] = _Entry(shape, value)
+        return value
 
     # -- scoped verification --------------------------------------------------
 
@@ -288,32 +172,27 @@ class AnalysisManager:
             self._count("misses")
             verify_function(fn)
 
-    # -- built-in computations -------------------------------------------------
+    # -- the points-to computation -------------------------------------------
 
-    def _compute_points_to(self, module: Module) -> PointsTo:
+    def _compute_points_to(self) -> PointsTo:
+        module = self.module
         if self.disk_cache is not None:
             restored = self.disk_cache.load(module)
             if restored is not None:
                 points_to, callgraph = restored
                 self._count("disk_hits")
-                self._seed(CALLGRAPH, callgraph)
+                # The call graph came with the entry: install it unless
+                # a current one is already cached.
+                entry = self._entries.get(CALLGRAPH)
+                if (
+                    entry is None
+                    or entry.shape_epoch != module.shape_epoch
+                    or entry.failure is not None
+                ):
+                    self._entries[CALLGRAPH] = _Entry(module.shape_epoch, callgraph)
                 return points_to
             self._count("disk_misses")
         points_to = PointsTo(module, budget=self.budget)
         if self.disk_cache is not None:
             self.disk_cache.store(module, points_to, self.get(CALLGRAPH))
         return points_to
-
-    def _compute_callgraph(self, module: Module) -> CallGraph:
-        return CallGraph(module)
-
-    def _seed(self, key: Hashable, value: object) -> None:
-        """Install a value obtained as a by-product (disk-cache load)
-        unless a current entry already exists."""
-        entry = self._entries.get(key)
-        if (
-            entry is None
-            or entry.epoch != self.module.epoch
-            or entry.failure is not None
-        ):
-            self._entries[key] = _Entry(epoch=self.module.epoch, value=value)

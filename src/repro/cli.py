@@ -438,8 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=2,
-        help="retries (with backoff) before a task is quarantined "
-        "(default: %(default)s)",
+        help="retries (with backoff) of an attempt that ended without a "
+        "verdict (dead or hung worker) or in MemoryError, before the task "
+        "is quarantined; a task that raised anything else is quarantined "
+        "at once (default: %(default)s)",
     )
     batch.add_argument(
         "--heuristic",

@@ -30,14 +30,13 @@ The pipeline is *resilient* by construction:
   records of a crash-truncated pmemcheck log, surfacing per-line
   :class:`~repro.trace.pmemcheck.TraceWarning`\\ s in the report.
 
-All analyses flow through a per-repair
-:class:`~repro.analysis.manager.AnalysisManager`: the Andersen
-solution, the call graph, the bug locator, and the PM classifications
-are cached against the module's mutation epoch, invalidated precisely
-by each fix's :class:`FixTransaction` (flush/fence fixes preserve the
-whole-program analyses; clones and retargets drop them), and — when an
-analysis cache directory is configured — shared across worker processes
-through the content-addressed on-disk store.
+The whole-program analyses (the Andersen solution and the call graph)
+come from a per-repair :class:`~repro.analysis.manager.AnalysisManager`,
+which keeps them while the module's shape stays put (flush/fence fixes
+keep them; clones and retargets drop them) and — when an analysis cache
+directory is configured — shares them across worker processes through
+the content-addressed on-disk store.  The bug locator is built once, on
+first use, and the PM classifier once per heuristic mode that is tried.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import time
 import traceback
 import tracemalloc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..analysis.aliasing import (
@@ -54,13 +54,7 @@ from ..analysis.aliasing import (
     classify_trace_aa,
 )
 from ..analysis.diskcache import AnalysisDiskCache
-from ..analysis.manager import (
-    AnalysisManager,
-    CALLGRAPH,
-    LOCATOR,
-    POINTS_TO,
-    classification_key,
-)
+from ..analysis.manager import AnalysisManager, CALLGRAPH, POINTS_TO
 from ..budget import Budget
 from ..detect.durability import check_trace
 from ..detect.reports import BugReport, DetectionResult
@@ -99,6 +93,14 @@ HEURISTICS = ("full", "trace", "off")
 #: degraded-mode fallback chain: each mode's next-cheaper alternative
 #: ("off" is the paper's always-safe intraprocedural baseline).
 DOWNGRADE_CHAIN = {"full": "trace", "trace": "off"}
+
+#: the fix kinds applied in place, anchored at one store or flush
+_INTRAPROCEDURAL = (
+    InsertFlush,
+    InsertFlushAndFence,
+    InsertFenceAfterFlush,
+    InsertFenceAfterStore,
+)
 
 
 @dataclass
@@ -302,22 +304,12 @@ class Hippocrates:
             ),
             metrics=self.obs.metrics if self.obs.enabled else None,
         )
-        self.manager.register(LOCATOR, Locator)
         #: optional :class:`~repro.revalidate.engine.IncrementalRevalidator`
         #: — when present, committed fixes feed it their mutation
         #: witness and :meth:`revalidate` re-checks incrementally.
         self.revalidator = revalidator
         #: the last :class:`~repro.revalidate.engine.RevalidationOutcome`
         self.last_revalidation = None
-        for mode in ("full", "trace"):
-            self.manager.register(
-                classification_key(mode),
-                # Late-bound through the method so fault injectors that
-                # wrap ``_classify`` stay on the path.
-                lambda m, mode=mode: self._classify(mode),
-                depends=(POINTS_TO,),
-            )
-        self._locator_override: Optional[Locator] = None
         self._classifier: Optional[PMClassification] = None
         #: classifier failures memoized per heuristic mode: a
         #: budget-exhausted Full-AA downgrades once and is never
@@ -326,16 +318,11 @@ class Hippocrates:
 
     # -- analysis plumbing --------------------------------------------------------
 
-    @property
+    @cached_property
     def locator(self) -> Locator:
-        """The bug locator (a cached analysis; tests may override it)."""
-        if self._locator_override is not None:
-            return self._locator_override
-        return self.manager.get(LOCATOR)
-
-    @locator.setter
-    def locator(self, value: Locator) -> None:
-        self._locator_override = value
+        """The bug locator, built on first use (tests and the fault
+        injector may assign their own)."""
+        return Locator(self.module)
 
     @property
     def analysis_budget(self) -> Optional[Budget]:
@@ -410,10 +397,11 @@ class Hippocrates:
         classifier is attempted; None means degraded all the way to
         ``"off"`` (no hoisting — the always-safe baseline).
 
-        Lookups go through the analysis manager, so repeated calls (one
-        per hoisted fix) hit the cache, and a mode whose analysis
-        already failed is never re-attempted: the memoized failure
-        replays straight into the downgrade chain.
+        The classifier is built once (repeated calls, one per hoisted
+        fix, return it), and a mode whose analysis already failed is
+        never re-attempted: the memoized failure replays straight into
+        the downgrade chain.  It is built through :meth:`_classify`, the
+        fault injector's seam.
         """
         while self._classifier is None and self._effective_heuristic != "off":
             mode = self._effective_heuristic
@@ -422,7 +410,7 @@ class Hippocrates:
                 self._downgrade(memoized)
                 continue
             try:
-                self._classifier = self.manager.get(classification_key(mode))
+                self._classifier = self._classify(mode)
             except Exception as exc:
                 self._mode_failures[mode] = exc
                 self._downgrade(exc)
@@ -439,10 +427,7 @@ class Hippocrates:
         """
         obs = self.obs
         obs.count("pipeline.bugs", len(self.detection.bugs))
-        # One locator fetch, under its own span, on the instrumented
-        # and plain paths alike — observability must not change how
-        # often the analysis manager is consulted (its hit counters
-        # would otherwise differ obs-on vs obs-off).  A failure is
+        # The locator is built under its own span.  A failure is
         # deferred into the per-bug loop so every bug still lands in
         # its own quarantine entry.
         locator = None
@@ -580,47 +565,27 @@ class Hippocrates:
                 # A re-hit of an already-transformed, already-fenced
                 # site mutates nothing (transform_call_site is
                 # idempotent): the commit is structural in name only,
-                # so keep the cached analyses and the batch witness.
+                # so keep the revalidator's batch witness.
                 txn.structural = False
-        elif isinstance(fix, InsertFlush):
-            assert fix.store is not None
+        elif isinstance(fix, _INTRAPROCEDURAL):
+            # Flushes covering the store, then a fence after the last
+            # instruction inserted (or the anchor itself), in that order.
+            anchor = fix.flush if isinstance(fix, InsertFenceAfterFlush) else fix.store
+            assert anchor is not None
             txn.track_fix(fix)
-            if fix.store.function is not None:
-                txn.touch(fix.store.function.name)
-            insert_covering_flushes(fix.store, fix.flush_kind, into=fix.inserted)
-            txn.anchor(fix.store.iid, spec_for_fix(fix.store, fix.inserted))
-        elif isinstance(fix, InsertFlushAndFence):
-            assert fix.store is not None
-            txn.track_fix(fix)
-            if fix.store.function is not None:
-                txn.touch(fix.store.function.name)
-            insert_covering_flushes(fix.store, fix.flush_kind, into=fix.inserted)
-            fence = Fence(fix.fence_kind)
-            fence.loc = fix.store.loc
-            last_flush = fix.inserted[-1]
-            last_flush.parent.insert_after(last_flush, fence)
-            fix.inserted.append(fence)
-            txn.anchor(fix.store.iid, spec_for_fix(fix.store, fix.inserted))
-        elif isinstance(fix, InsertFenceAfterFlush):
-            assert fix.flush is not None
-            txn.track_fix(fix)
-            if fix.flush.function is not None:
-                txn.touch(fix.flush.function.name)
-            fence = Fence(fix.fence_kind)
-            fence.loc = fix.flush.loc
-            fix.flush.parent.insert_after(fix.flush, fence)
-            fix.inserted.append(fence)
-            txn.anchor(fix.flush.iid, spec_for_fix(fix.flush, fix.inserted))
-        elif isinstance(fix, InsertFenceAfterStore):
-            assert fix.store is not None
-            txn.track_fix(fix)
-            if fix.store.function is not None:
-                txn.touch(fix.store.function.name)
-            fence = Fence(fix.fence_kind)
-            fence.loc = fix.store.loc
-            fix.store.parent.insert_after(fix.store, fence)
-            fix.inserted.append(fence)
-            txn.anchor(fix.store.iid, spec_for_fix(fix.store, fix.inserted))
+            if anchor.function is not None:
+                txn.touch(anchor.function.name)
+            last = anchor
+            if isinstance(fix, (InsertFlush, InsertFlushAndFence)):
+                last = insert_covering_flushes(
+                    anchor, fix.flush_kind, into=fix.inserted
+                )[-1]
+            if not isinstance(fix, InsertFlush):
+                fence = Fence(fix.fence_kind)
+                fence.loc = anchor.loc
+                last.parent.insert_after(last, fence)
+                fix.inserted.append(fence)
+            txn.anchor(anchor.iid, spec_for_fix(anchor, fix.inserted))
         else:
             raise FixError(f"cannot apply fix {fix!r}")
         return transformer
@@ -649,7 +614,7 @@ class Hippocrates:
         applied: List[Fix] = []
         with obs.span("phase.apply", fixes=len(plan.fixes)):
             for fix in plan.fixes:
-                txn = FixTransaction(self.module, manager=self.manager)
+                txn = FixTransaction(self.module)
                 try:
                     transformer = self._apply_one(fix, transformer, txn)
                     self.manager.verify_scope(txn.touched_functions)

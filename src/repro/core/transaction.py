@@ -11,14 +11,14 @@ register undo actions *before* mutating (or register trackers whose
 undo diffs state observed later), so a fault at any point mid-fix rolls
 back cleanly.  Undo actions run in reverse registration order.
 
-The transaction is also the analysis manager's mutation witness: it
-knows whether a fix only inserted flushes/fences (``track_fix``) or
-changed program structure (``track_attr`` retargeting, clones via
-``track_transformer``).  ``commit`` and ``rollback`` forward that to the
-attached :class:`~repro.analysis.manager.AnalysisManager` so exactly the
-right cached analyses are invalidated — see the invalidation matrix
-there.  It also records which functions the fix touched, the scope of
-the per-fix verification.
+The transaction also witnesses what a fix did: whether it only
+inserted flushes/fences (``track_fix``) or changed program structure
+(``track_attr`` retargeting, clones via ``track_transformer``), which
+functions it touched (the scope of the per-fix verification), and where
+it anchored its insertions (the incremental-revalidation witness).  It
+notifies no analysis cache: the mutation primitives move the module's
+stamps themselves, and the analysis manager keys on those (see
+:mod:`repro.analysis.manager`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..ir.instructions import Instruction
 from ..ir.module import Module
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..analysis.manager import AnalysisManager
     from ..revalidate.witness import InsertionSpec, StructuralSpec
     from .fixes import Fix
     from .subprogram import SubprogramTransformer
@@ -39,11 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class FixTransaction:
     """An undo journal covering the application of a single fix."""
 
-    def __init__(
-        self, module: Module, manager: Optional["AnalysisManager"] = None
-    ):
+    def __init__(self, module: Module):
         self.module = module
-        self.manager = manager
         #: Functions whose bodies this fix changed (callers add to it).
         self.touched_functions: Set[str] = set()
         #: True once the fix did more than insert flushes/fences.
@@ -153,15 +149,9 @@ class FixTransaction:
     # -- outcome ------------------------------------------------------------
 
     def commit(self) -> None:
-        """Discard the journal; the fix is permanent.
-
-        Notifies the attached analysis manager: flush/fence-only fixes
-        preserve the whole-program analyses, structural fixes drop the
-        points-to solution and call graph."""
+        """Discard the journal; the fix is permanent."""
         self._undo.clear()
         self._done = True
-        if self.manager is not None:
-            self.manager.mutation_committed(structural=self.structural)
 
     def rollback(self) -> None:
         """Undo every recorded mutation, most recent first.
@@ -185,14 +175,9 @@ class FixTransaction:
         self._done = True
         if failures:
             # The module's content is unknown: count it as a change to
-            # every function, so each one verifies again.
+            # its shape, so every function verifies again and every
+            # cached analysis recomputes.
             self.module.bump_epoch()
-        if self.manager is not None:
-            # A clean rollback restored the exact prior content, so all
-            # cached analyses are still valid; a failed one leaves the
-            # module in an unknown state and everything must recompute.
-            self.manager.mutation_rolled_back(clean=not failures)
-        if failures:
             detail = "; ".join(f"{type(e).__name__}: {e}" for e in failures)
             error = RollbackError(
                 f"rollback failed ({len(failures)} undo action(s) raised): {detail}"

@@ -205,7 +205,6 @@ class FlatEngine(Interpreter):
         machine=None,
         cost_model=None,
         fuel: int = 50_000_000,
-        record_volatile_stores: bool = False,
         metrics=None,
         run_recorder=None,
     ):
@@ -214,7 +213,6 @@ class FlatEngine(Interpreter):
             machine=machine,
             cost_model=cost_model,
             fuel=fuel,
-            record_volatile_stores=record_volatile_stores,
             metrics=metrics,
             run_recorder=run_recorder,
         )
@@ -290,7 +288,7 @@ class FlatEngine(Interpreter):
             translated[pc] = translation
         self._runs_translated += len(members)
         self._loops_translated += 1
-        if translation.promoted and not self._bindings["_rvs"]:
+        if translation.promoted and not self._bindings["_rvo"]:
             self._loops_promoted += 1
         return fast
 
@@ -380,11 +378,10 @@ class FlatEngine(Interpreter):
         space = machine.space
         cache = machine.cache
         recorder = machine.recorder
-        # A volatile store records nothing unless one of these is set, so
-        # the loop skips the no-op ``record_store`` call otherwise.
-        record_vol_stores = (
-            recorder.record_volatile_stores or recorder.record_vol_ops
-        )
+        # A volatile store records nothing unless the recorder keeps the
+        # volatile-op side channel, so the loop skips the no-op
+        # ``record_store`` call otherwise.
+        record_vol_ops = recorder.record_vol_ops
         read_int = space.read_int
         write_int = space.write_int
         # Loads and stores of already-written stack bytes (every IR local
@@ -493,7 +490,7 @@ class FlatEngine(Interpreter):
                             else:
                                 cache.on_store(addr, size)
                             cycles += m_pm_store_extra
-                        elif record_vol_stores:
+                        elif record_vol_ops:
                             recorder.record_store(addr, size, "vol")
                     elif OP_ICMP_EQ <= op <= OP_ICMP_UGE:
                         lhs = regs[inst[3]]
@@ -620,7 +617,7 @@ class FlatEngine(Interpreter):
                                 cycles += m_flush_clean
                         else:
                             machine.volatile_flushes += 1
-                            if recorder.record_vol_ops:
+                            if record_vol_ops:
                                 recorder.note_vol_flush()
                             cycles += m_flush
                     else:

@@ -83,7 +83,6 @@ class Machine:
 
     def __init__(
         self,
-        record_volatile_stores: bool = False,
         pm_size: int = 1 << 24,
         space: Optional[AddressSpace] = None,
         image: Optional[PersistentImage] = None,
@@ -94,7 +93,7 @@ class Machine:
         self.space = space
         self.image = image if image is not None else PersistentImage(space)
         self.cache = CacheModel(self.space, self.image)
-        self.recorder = TraceRecorder(record_volatile_stores)
+        self.recorder = TraceRecorder()
         self.allocations: List[Allocation] = []
         self.global_addrs: Dict[str, int] = {}
         self.pm_root_addr: Optional[int] = None
@@ -215,12 +214,11 @@ class Interpreter:
         machine: Optional[Machine] = None,
         cost_model: Optional[CostModel] = None,
         fuel: int = 50_000_000,
-        record_volatile_stores: bool = False,
         metrics=None,
         run_recorder=None,
     ):
         self.module = module
-        self.machine = machine or Machine(record_volatile_stores)
+        self.machine = machine or Machine()
         self.machine.bind_globals(module)
         self.machine.recorder.stack_provider = self._capture_stack
         self.costs = CostCounter(cost_model or CostModel())

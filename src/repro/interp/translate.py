@@ -376,7 +376,7 @@ def _promoted_loop(w: _Writer, promoted: Dict[int, int]) -> None:
     locals ``m<slot>``, behind the entry guard; returns or raises,
     never falls through to the unpromoted copy after it."""
     sb = w.use("_sb")
-    tests = [f"not {w.use('_rvs')}"]
+    tests = [f"not {w.use('_rvo')}"]
     slots = sorted(promoted)
     for slot in slots:
         w.emit(f"o{slot} = {w.read(slot)} - {sb}")
@@ -419,7 +419,7 @@ def machine_bindings(machine, model, dyn: List[int], tally: list) -> Dict[str, o
         _pme=pm_end,
         _rec=recorder,
         # a volatile store reaches the recorder only if this is set
-        _rvs=recorder.record_volatile_stores or recorder.record_vol_ops,
+        _rvo=recorder.record_vol_ops,
         _cache=machine.cache,
         _m=machine,
         _as=space.alloc_stack,
@@ -521,11 +521,11 @@ def _translate_inst(w: _Writer, inst: tuple, cf: CompiledFunction) -> None:
 def _translate_store(w: _Writer, inst: tuple) -> None:
     _, _, value_slot, ptr_slot, size, nontemporal, _, mask, pc = inst
     value, ptr = w.read(value_slot), w.read(ptr_slot)
-    rec, rvs = w.use("_rec"), w.use("_rvs")
+    rec, rvo = w.use("_rec"), w.use("_rvo")
     w.stack_offset(ptr, size)
     # an already-written stack byte range: never PM
     w.emit(f"{w.use(f'_p{size}')}(_sd, _o, {value} & {mask})", 2)
-    w.emit(f"if {rvs}:", 2)
+    w.emit(f"if {rvo}:", 2)
     w.emit(f"frame[2] = {pc}", 3)
     w.emit(f"{rec}.record_store({ptr}, {size}, 'vol')", 3)
     w.emit("else:")
@@ -537,7 +537,7 @@ def _translate_store(w: _Writer, inst: tuple) -> None:
     on_store = "on_nt_store" if nontemporal else "on_store"
     w.emit(f"{w.use('_cache')}.{on_store}({ptr}, {size})", 3)
     w.emit(f"{w.use('_dyn')}[0] += {w.use('_pse')}", 3)
-    w.emit(f"elif {rvs}:", 2)
+    w.emit(f"elif {rvo}:", 2)
     w.emit(f"frame[2] = {pc}", 3)
     w.emit(f"{rec}.record_store({ptr}, {size}, 'vol')", 3)
 

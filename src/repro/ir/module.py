@@ -20,13 +20,11 @@ class Module:
 
     Every structural mutation — function add/remove, global add, block
     creation, instruction insert/remove anywhere in the module — bumps a
-    monotonic **mutation epoch** (:attr:`epoch`).  Cached analyses (see
-    :class:`~repro.analysis.manager.AnalysisManager`) are validated
-    against it: equal epoch means the module provably has not changed
-    since the analysis ran.  The complementary :meth:`fingerprint` is a
-    deterministic *content* hash — equal across processes, builders, and
-    parser→printer round trips — used to key the content-addressed
-    on-disk analysis cache.
+    monotonic **mutation epoch** (:attr:`epoch`): equal epoch means the
+    module provably has not changed.  The complementary
+    :meth:`fingerprint` is a deterministic *content* hash — equal across
+    processes, builders, and parser→printer round trips — used to key
+    the content-addressed on-disk analysis cache.
 
     The same primitives also say *where* the change was.  A change
     confined to one function's body (instruction insert/remove, block
@@ -35,7 +33,9 @@ class Module:
     call retargeted, a bare :meth:`bump_epoch`) moves the module's
     :attr:`shape_epoch`, which counts as a change to every function.
     The verifier keys each function's verified state on these (see
-    :func:`~repro.ir.verifier.is_verified`).
+    :func:`~repro.ir.verifier.is_verified`), and the whole-program
+    analyses (:class:`~repro.analysis.manager.AnalysisManager`) on the
+    shape epoch alone.
     """
 
     def __init__(self, name: str = "module"):
@@ -61,7 +61,7 @@ class Module:
         return self._epoch
 
     def bump_epoch(self, fn: Optional[Function] = None) -> None:
-        """Record a structural mutation (invalidates cached analyses).
+        """Record a structural mutation.
 
         Called by every mutation primitive (module-level construction,
         block insertion/removal, builder emission, call retargeting);
@@ -70,6 +70,12 @@ class Module:
         without it the change counts against every function, which is
         what a pass that cannot say more must use (retargeting a call
         can change whether an untouched caller verifies).
+
+        A body-only change (``fn`` given) keeps the cached whole-program
+        analyses, so it must add **no call and no store**: every body
+        edit after construction is a fix's flush, fence or gep (or its
+        undo).  A pass that adds either to a built module must also
+        call ``bump_epoch()`` without ``fn``.
         """
         self._epoch += 1
         if fn is None:

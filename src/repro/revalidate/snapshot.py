@@ -72,7 +72,6 @@ class MachineSnapshot:
     pm_root_addr: Optional[int]
     pm_root_size: int
     volatile_flushes: int
-    record_volatile_stores: bool
     #: the trace recorder's sequence counter (replay events continue it)
     seq: int
     #: interpreter steps consumed so far (replay fuel accounting)
@@ -108,7 +107,6 @@ class MachineSnapshot:
             pm_root_addr=machine.pm_root_addr,
             pm_root_size=machine.pm_root_size,
             volatile_flushes=machine.volatile_flushes,
-            record_volatile_stores=machine.recorder.record_volatile_stores,
             seq=machine.recorder._seq,
             steps=interp.steps,
             output=tuple(interp.output),
@@ -154,7 +152,7 @@ class MachineSnapshot:
         machine.space = space
         machine.image = image
         machine.cache = cache
-        machine.recorder = TraceRecorder(self.record_volatile_stores)
+        machine.recorder = TraceRecorder()
         machine.recorder._seq = self.seq
         machine.allocations = list(self.allocations)
         machine.global_addrs = dict(self.global_addrs)

@@ -20,8 +20,11 @@ silently, or be OOM-killed — and keeps the *batch* correct anyway:
   task exceeds its wall-time budget, and requeues the task;
 - **bounded retries** with exponential backoff and deterministic
   jitter (seeded from the task id + attempt, so schedules are
-  reproducible), then **task quarantine** — one pathological task
-  never stalls or starves the rest of the batch;
+  reproducible) for attempts that ended without a verdict (a dead or
+  hung worker, a garbled line) or in a ``MemoryError``, then **task
+  quarantine** — one pathological task never stalls or starves the
+  rest of the batch.  A task that raised anything else is quarantined
+  at once: running it again would raise again;
 - **write-ahead journaling** of every transition through
   :class:`~repro.supervisor.journal.CheckpointJournal` — a hard kill of
   the *supervisor* at any checkpoint boundary is recoverable with
@@ -161,6 +164,9 @@ class _WorkerHandle:
         self.stats_record: Optional[Dict[str, Any]] = None  # volatile analysis stats
         self.metrics_record: Optional[Dict[str, Any]] = None  # METRICS snapshot
         self.fail_info: Optional[Dict[str, Any]] = None
+        #: the task itself raised (its FAIL verdict), as opposed to an
+        #: attempt that ended without a verdict
+        self.raised = False
 
     def fileno(self) -> int:
         return self._fd
@@ -253,6 +259,7 @@ class _ForkedWorker(_WorkerHandle):
         elif line.startswith("FAIL "):
             try:
                 self.fail_info = json.loads(line[len("FAIL "):])
+                self.raised = True
             except ValueError:
                 self.fail_info = {
                     "error_type": "ProtocolError",
@@ -374,6 +381,7 @@ class _InprocessWorker(_WorkerHandle):
                 "error": str(exc),
                 "traceback": traceback.format_exc(),
             }
+            self.raised = True
         finally:
             self.last_heartbeat = time.monotonic()
             self._done.set()
@@ -913,11 +921,19 @@ class BatchSupervisor:
         report: BatchReport,
         requeue: bool = True,
     ) -> None:
+        """Requeue a failed attempt with backoff, or quarantine its task.
+
+        Only an attempt that may go otherwise next time is retried: one
+        that ended without a verdict (the worker died or hung, or its
+        line was garbled) or that raised ``MemoryError``.  A task that
+        raised anything else is quarantined at once.
+        """
         config = self.config
         info = worker.fail_info or {"error_type": "Unknown", "error": "no verdict"}
         error = f"{info.get('error_type', 'Error')}: {info.get('error', '')}"
         task_id = worker.task.task_id
-        if requeue and worker.attempt <= config.max_retries:
+        transient = not worker.raised or info.get("error_type") == "MemoryError"
+        if requeue and transient and worker.attempt <= config.max_retries:
             delay = backoff_delay(config, task_id, worker.attempt)
             self._append(
                 {

@@ -69,9 +69,8 @@ class TraceRecorder:
     The interpreter calls the ``record_*`` methods and installs its
     stack capture as ``stack_provider``, which each event calls once
     for the live call stack (outermost first, innermost last).
-
-    :param record_volatile_stores: pmemcheck only traces PM operations;
-        set this for tests that want volatile stores too.
+    Like pmemcheck it traces PM operations only: a volatile store
+    records no event.
     """
 
     #: Recording subclasses that keep a volatile-operation side channel
@@ -87,10 +86,9 @@ class TraceRecorder:
     def note_vol_flush(self) -> None:  # pragma: no cover - subclass hook
         """Called for a volatile-target flush when ``record_vol_ops``."""
 
-    def __init__(self, record_volatile_stores: bool = False):
+    def __init__(self):
         self.trace = PMTrace()
         self.stack_provider: Callable[[], CallStack] = _no_stack
-        self.record_volatile_stores = record_volatile_stores
         self._seq = 0
 
     def _head(self) -> tuple:
@@ -104,7 +102,7 @@ class TraceRecorder:
     def record_store(
         self, addr: int, size: int, space: str, nontemporal: bool = False
     ) -> Optional[StoreEvent]:
-        if space != "pm" and not self.record_volatile_stores:
+        if space != "pm":
             return None
         event = StoreEvent(*self._head(), addr, size, space, nontemporal)
         self.trace.append(event)

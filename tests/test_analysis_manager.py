@@ -1,12 +1,12 @@
-"""The analysis manager: caching, invalidation, disk sharing, and the
+"""The analysis manager: caching, the shape rule, disk sharing, and the
 cache-on/cache-off differential.
 
-Covers the invalidation matrix (flush/fence insertion preserves the
-whole-program analyses; clones/retargets drop them; clean rollbacks
-preserve everything; failed rollbacks drop everything), failure
-memoization (a budget-exhausted Andersen solves once, not once per
-mode per fix), the content-addressed on-disk
-round trip (including the UNKNOWN site's identity), scoped
+Covers the shape rule (a fix's flush/fence insertion, or its clean
+undo, keeps the whole-program analyses; a clone, a retarget, the undo
+of either and a failed rollback drop them), failure memoization (a
+budget-exhausted Andersen solves once, not once per mode per fix), that
+each corpus repair builds its analyses once, the content-addressed
+on-disk round trip (including the UNKNOWN site's identity), scoped
 verification, and the contract that matters most: enabling the cache
 never changes repair output — cold or warm, and across a mid-run
 kill/resume, the batch report is byte-identical to the oracle's, which
@@ -20,17 +20,14 @@ import pytest
 
 from repro.analysis import CallGraph, PointsTo, UNKNOWN_SITE, classify_full_aa
 from repro.analysis.diskcache import AnalysisDiskCache
-from repro.analysis.manager import (
-    CALLGRAPH,
-    POINTS_TO,
-    AnalysisManager,
-    classification_key,
-)
+from repro.analysis.manager import CALLGRAPH, POINTS_TO, AnalysisManager
 from repro.budget import Budget
 from repro.core import Hippocrates
+from repro.core.fixes import InsertFenceAfterStore
 from repro.core.transaction import FixTransaction
+from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
-from repro.errors import BudgetExceeded
+from repro.errors import BudgetExceeded, RollbackError
 from repro.ir import (
     I64,
     ModuleBuilder,
@@ -40,6 +37,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import Fence
 from repro.ir.verifier import is_verified
+from repro.supervisor.tasks import run_case
 
 from conftest import build_listing5_module, drive_main
 from test_oracle_differential import (
@@ -87,8 +85,31 @@ def test_unknown_key_raises():
 
 
 # ---------------------------------------------------------------------------
-# the invalidation matrix
+# the shape rule: kept across body edits, dropped when the shape moves
 # ---------------------------------------------------------------------------
+
+
+def main_call(module):
+    return next(i for i in module.get_function("main").entry if i.opcode == "call")
+
+
+def insert_fence(module, txn):
+    """A real fix's insertion, journaled: a fence after ``main``'s store."""
+    main = module.get_function("main")
+    fix = InsertFenceAfterStore(
+        store=next(i for i in main.entry if i.opcode == "store")
+    )
+    txn.track_fix(fix)
+    txn.touch("main")
+    fence = Fence()
+    main.entry.insert_after(fix.store, fence)
+    fix.inserted.append(fence)
+
+
+def retarget(txn, call):
+    txn.track_attr(call, "callee")  # marks the mutation structural
+    call.callee = "pm_alloc_PM"
+    call.function.parent.bump_epoch()
 
 
 def test_flush_fence_commit_preserves_whole_program_analyses():
@@ -97,13 +118,17 @@ def test_flush_fence_commit_preserves_whole_program_analyses():
     points_to = manager.get(POINTS_TO)
     callgraph = manager.get(CALLGRAPH)
 
-    txn = FixTransaction(module, manager=manager)
-    txn.touch("main")
-    module.bump_epoch()  # the inserted flush/fence
+    txn = FixTransaction(module)
+    epoch = module.epoch
+    insert_fence(module, txn)
     txn.commit()
+    assert module.epoch > epoch  # the body changed...
 
+    # ...but not the shape, so both analyses are still answered.
     assert manager.get(POINTS_TO) is points_to
     assert manager.get(CALLGRAPH) is callgraph
+    assert manager.stats.misses == 2
+    assert manager.stats.invalidations == 0
 
 
 def test_structural_commit_drops_points_to_and_callgraph():
@@ -112,33 +137,34 @@ def test_structural_commit_drops_points_to_and_callgraph():
     points_to = manager.get(POINTS_TO)
     callgraph = manager.get(CALLGRAPH)
 
-    txn = FixTransaction(module, manager=manager)
-    call = next(i for i in module.get_function("main").entry if i.opcode == "call")
-    txn.track_attr(call, "callee")  # marks the mutation structural
-    call.callee = "pm_alloc_PM"
-    module.bump_epoch()
+    txn = FixTransaction(module)
+    retarget(txn, main_call(module))
     txn.commit()
 
     assert manager.get(POINTS_TO) is not points_to
     assert manager.get(CALLGRAPH) is not callgraph
 
 
-def test_structural_commit_cascades_to_dependents():
+def test_structural_commit_cascades_to_dependents(tmp_path):
+    """The call graph a disk hit brought along with the points-to
+    solution goes with it when the shape moves."""
     module = build_module()
-    manager = AnalysisManager(module)
-    manager.register(
-        classification_key("full"),
-        lambda m: object(),
-        depends=(POINTS_TO,),
+    AnalysisManager(module, disk_cache=AnalysisDiskCache(str(tmp_path))).get(
+        POINTS_TO
     )
-    first = manager.get(classification_key("full"))
+    manager = AnalysisManager(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
+    manager.get(POINTS_TO)
+    seeded = manager.get(CALLGRAPH)
+    assert manager.stats.disk_hits == 1
+    assert manager.stats.misses == 1  # the call graph came with the entry
 
-    txn = FixTransaction(module, manager=manager)
-    txn.track_attr(module.get_function("main"), "name")  # any structural witness
-    module.bump_epoch()
+    txn = FixTransaction(module)
+    retarget(txn, main_call(module))
     txn.commit()
 
-    assert manager.get(classification_key("full")) is not first
+    assert manager.get(CALLGRAPH) is not seeded
+    assert manager.stats.invalidations == 1
+    assert manager.stats.misses == 2
 
 
 def test_commit_drops_only_touched_verified_state():
@@ -147,7 +173,7 @@ def test_commit_drops_only_touched_verified_state():
     manager.verify_scope(["update", "modify"])
     baseline_misses = manager.stats.misses
 
-    txn = FixTransaction(module, manager=manager)
+    txn = FixTransaction(module)
     txn.touch("update")
     update = module.get_function("update")
     first = update.entry.instructions[0]
@@ -163,35 +189,68 @@ def test_clean_rollback_preserves_everything():
     module = build_module()
     manager = AnalysisManager(module)
     points_to = manager.get(POINTS_TO)
+    callgraph = manager.get(CALLGRAPH)
+    text = format_module(module)
 
-    txn = FixTransaction(module, manager=manager)
-    call = next(i for i in module.get_function("main").entry if i.opcode == "call")
-    txn.track_attr(call, "callee")
-    call.callee = "pm_alloc_PM"
-    module.bump_epoch()
+    txn = FixTransaction(module)
+    insert_fence(module, txn)
+    txn.rollback()
+
+    assert format_module(module) == text
+    assert manager.get(POINTS_TO) is points_to
+    assert manager.get(CALLGRAPH) is callgraph
+    assert manager.stats.misses == 2
+
+
+def test_clean_rollback_of_a_retarget_recomputes():
+    """Undoing a retarget moves the shape again, so the analyses are
+    rebuilt on content the rollback restored."""
+    module = build_module()
+    manager = AnalysisManager(module)
+    points_to = manager.get(POINTS_TO)
+
+    txn = FixTransaction(module)
+    call = main_call(module)
+    retarget(txn, call)
     txn.rollback()
 
     assert call.callee == "pm_alloc"
-    assert manager.get(POINTS_TO) is points_to
-    assert manager.stats.misses == 1
+    assert manager.get(POINTS_TO) is not points_to
+    assert manager.stats.misses == 2
+
+
+class Fragile:
+    """An attribute whose restore raises: a rollback that fails."""
+
+    @property
+    def x(self):
+        return 1
+
+    @x.setter
+    def x(self, value):
+        raise RuntimeError("undo exploded")
 
 
 def test_failed_rollback_entries_are_never_restamped():
     """A failed rollback leaves integrity unknown: no entry may survive
-    it, not even by being re-stamped at a later commit's epoch."""
+    it, and a later body-only commit cannot bring one back."""
     module = build_module()
     manager = AnalysisManager(module)
-    manager.get(POINTS_TO)
-    manager.get(CALLGRAPH)
+    points_to = manager.get(POINTS_TO)
+    callgraph = manager.get(CALLGRAPH)
 
-    module.bump_epoch()  # the mutation whose undo failed
-    manager.mutation_rolled_back(clean=False)
+    txn = FixTransaction(module)
+    txn.track_attr(Fragile(), "x")
+    insert_fence(module, txn)
+    with pytest.raises(RollbackError):
+        txn.rollback()
+    later = FixTransaction(module)
+    insert_fence(module, later)
+    later.commit()
+
+    assert manager.get(POINTS_TO) is not points_to
+    assert manager.get(CALLGRAPH) is not callgraph
     assert manager.stats.invalidations == 2
-    module.bump_epoch()  # a later fix commits
-    manager.mutation_committed()
-
-    assert manager.cached(POINTS_TO) is None
-    assert manager.cached(CALLGRAPH) is None
 
 
 # ---------------------------------------------------------------------------
@@ -199,67 +258,62 @@ def test_failed_rollback_entries_are_never_restamped():
 # ---------------------------------------------------------------------------
 
 
-def test_failures_replay_without_recomputing():
+@pytest.fixture
+def constructions(monkeypatch):
+    """How many ``PointsTo`` and ``CallGraph`` objects the analysis
+    manager builds, counted by name."""
+    import repro.analysis.manager as manager_module
+
+    built = {"PointsTo": 0, "CallGraph": 0}
+    for name in built:
+        real = getattr(manager_module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(manager_module, name, counting)
+    return built
+
+
+def test_failures_replay_without_recomputing(constructions):
     module = build_module()
-    manager = AnalysisManager(module)
-    calls = []
-
-    def doomed(_module):
-        calls.append(1)
-        raise BudgetExceeded("analysis budget exhausted")
-
-    manager.register("doomed", doomed)
+    manager = AnalysisManager(module, budget=Budget(max_items=0))
     with pytest.raises(BudgetExceeded):
-        manager.get("doomed")
+        manager.get(POINTS_TO)
+    # A fix's fence moves no shape: the same failure replays.
+    insert_fence(module, FixTransaction(module))
     with pytest.raises(BudgetExceeded):
-        manager.get("doomed")
-    assert len(calls) == 1
+        manager.get(POINTS_TO)
+    assert constructions["PointsTo"] == 1
     assert manager.stats.failures_replayed == 1
 
 
-def test_failures_do_not_survive_revalidation():
+def test_failures_do_not_survive_revalidation(constructions):
     module = build_module()
-    manager = AnalysisManager(module)
-    attempts = []
-
-    def flaky(_module):
-        attempts.append(1)
-        if len(attempts) == 1:
-            raise BudgetExceeded("first attempt dies")
-        return "ok"
-
-    manager.register("flaky", flaky)
+    manager = AnalysisManager(module, budget=Budget(max_items=0))
     with pytest.raises(BudgetExceeded):
-        manager.get("flaky")
+        manager.get(POINTS_TO)
+    manager.budget = None
+    with pytest.raises(BudgetExceeded):
+        manager.get(POINTS_TO)  # same shape: still the cached failure
 
-    # A clean rollback revalidates cached *values* but must drop the
-    # cached failure: the failed attempt described a different content
-    # state and replaying it here would wedge the analysis forever.
-    txn = FixTransaction(module, manager=manager)
-    txn.track_attr(module.get_function("main"), "name")
-    module.bump_epoch()
+    # A cleanly rolled-back retarget restores the content at a new
+    # shape: the failure described the old one and is dropped.
+    txn = FixTransaction(module)
+    retarget(txn, main_call(module))
     txn.rollback()
 
-    assert manager.get("flaky") == "ok"
+    assert isinstance(manager.get(POINTS_TO), PointsTo)
+    assert constructions["PointsTo"] == 2
 
 
-def test_exhausted_budget_solves_andersen_exactly_once(monkeypatch):
+def test_exhausted_budget_solves_andersen_exactly_once(constructions):
     """The satellite bugfix: a budget-exhausted Full-AA downgrades
     through trace to off with exactly one fixpoint attempt — the cached
     failure replays for the trace mode instead of re-solving."""
     module = build_listing5_module()
     detection, trace, interp = pmemcheck_run(module, drive_main)
-
-    import repro.analysis.manager as manager_module
-
-    constructions = []
-    real_points_to = manager_module.PointsTo
-
-    def counting_points_to(*args, **kwargs):
-        constructions.append(1)
-        return real_points_to(*args, **kwargs)
-
-    monkeypatch.setattr(manager_module, "PointsTo", counting_points_to)
 
     fixer = Hippocrates(
         module,
@@ -269,11 +323,25 @@ def test_exhausted_budget_solves_andersen_exactly_once(monkeypatch):
     )
     report = fixer.fix()
 
-    assert len(constructions) == 1
+    assert constructions["PointsTo"] == 1
     assert fixer.effective_heuristic == "off"
     assert [d.to_mode for d in report.downgrades] == ["trace", "off"]
     # Degraded all the way down, the always-safe baseline still repairs.
     assert report.bugs_fixed == detection.bug_count
+
+
+@pytest.mark.parametrize("case_id", [case.case_id for case in all_cases()])
+def test_each_corpus_repair_builds_its_analyses_once(case_id, constructions):
+    """Every corpus repair solves Andersen exactly once and builds at
+    most one call graph (only a hoisted fix needs one)."""
+    case = next(c for c in all_cases() if c.case_id == case_id)
+    outcome = run_case(case)
+    assert outcome.reports_after_fix == 0
+    assert constructions["PointsTo"] == 1
+    assert constructions["CallGraph"] <= 1
+    assert constructions["CallGraph"] == (
+        outcome.fix_report.interprocedural_count > 0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ repair never touched still fails the repair.
 import pytest
 
 from repro.analysis import manager
-from repro.analysis.manager import AnalysisManager
 from repro.core import Hippocrates
 from repro.core.transaction import FixTransaction
 from repro.detect import pmemcheck_run
@@ -84,7 +83,7 @@ def test_a_retarget_makes_the_final_check_verify_the_whole_module(checked):
     module = build_module()
     verify_module(module)
     del checked[:]
-    txn = FixTransaction(module, manager=AnalysisManager(module))
+    txn = FixTransaction(module)
     call = next(i for i in module.get_function("main").entry if i.opcode == "call")
     txn.track_attr(call, "callee")
     call.callee = "pm_alloc_PM"
@@ -107,7 +106,7 @@ def test_a_failed_rollback_makes_the_final_check_verify_the_whole_module(checked
     module = build_module()
     verify_module(module)
     del checked[:]
-    txn = FixTransaction(module, manager=AnalysisManager(module))
+    txn = FixTransaction(module)
     txn.track_attr(Fragile(), "x")
     with pytest.raises(RollbackError):
         txn.rollback()

@@ -43,7 +43,6 @@ from repro.interp import ENGINES, Machine, cached_program, make_interpreter
 from repro.interp.translate import loop_of
 from repro.ir import I8, I16, I32, I64, ModuleBuilder, PTR, verify_module
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
-from repro.trace.events import StoreEvent
 from repro.workloads import (
     CORE_WORKLOADS,
     FIG4_ORDER,
@@ -184,34 +183,32 @@ def test_random_programs_byte_identical(actions):
 # volatile-store recording
 # ---------------------------------------------------------------------------
 # The flat engine skips the volatile ``record_store`` call unless the
-# recorder records volatile stores or keeps the volatile-op side channel.
-# Both ways of turning recording on must see every volatile store.
+# recorder keeps the volatile-op side channel (``record_vol_ops``).  With
+# it on, both engines must note every volatile store at the same place.
 
 
-def _volatile_fingerprint(module, drive, engine):
-    """A detect run that traces volatile stores too."""
-    interp = make_interpreter(module, engine=engine, record_volatile_stores=True)
-    drive(interp)
-    trace = interp.finish()
-    stores = [e for e in trace.events if isinstance(e, StoreEvent)]
-    # every executed store, PM or volatile, became an event
-    assert len(stores) == interp.costs.counts["store"]
-    return {
-        "events": list(trace.events),
-        "vol_stores": sum(e.space == "vol" for e in stores),
-        "steps": interp.steps,
-        "cycles": interp.costs.cycles,
-        "counts": dict(interp.costs.counts),
-    }
+def recording_machine(vol_ops):
+    """A fresh machine; with ``vol_ops`` its recorder is the revalidation
+    recorder, which keeps the volatile-op side channel."""
+    machine = Machine()
+    if vol_ops:
+        machine.recorder = RecordingTraceRecorder()
+    return machine
+
+
+def interpreter_on(machine, module, engine, **kwargs):
+    """An interpreter on ``machine``, its side channel (if any) told
+    which instruction runs."""
+    interp = make_interpreter(module, engine=engine, machine=machine, **kwargs)
+    if machine.recorder.record_vol_ops:
+        machine.recorder.current_iid = interp.current_iid
+    return interp
 
 
 def _vol_ops_fingerprint(module, drive, engine):
     """A run under the revalidation recorder's volatile-op side channel."""
-    machine = Machine()
-    recorder = RecordingTraceRecorder()
-    machine.recorder = recorder
-    interp = make_interpreter(module, engine=engine, machine=machine)
-    recorder.current_iid = interp.current_iid
+    interp = interpreter_on(recording_machine(True), module, engine)
+    recorder = interp.machine.recorder
     drive(interp)
     trace = interp.finish()
     return {
@@ -226,19 +223,14 @@ def _vol_ops_fingerprint(module, drive, engine):
 def test_corpus_volatile_recording_byte_identical(case_id):
     case = _case(case_id)
     module = case.build()
-    for fingerprint in (_volatile_fingerprint, _vol_ops_fingerprint):
-        flat = fingerprint(module, case.drive, "flat")
-        reference = fingerprint(module, case.drive, "reference")
-        assert flat == reference, fingerprint.__name__
+    flat = _vol_ops_fingerprint(module, case.drive, "flat")
+    assert flat == _vol_ops_fingerprint(module, case.drive, "reference")
 
 
 @settings(max_examples=25, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=10))
 def test_random_programs_volatile_recording_byte_identical(actions):
     module = build_random(actions)
-    flat = _volatile_fingerprint(module, drive_main, "flat")
-    assert flat["vol_stores"] > 0  # the accumulator lives on the stack
-    assert flat == _volatile_fingerprint(module, drive_main, "reference")
     flat = _vol_ops_fingerprint(module, drive_main, "flat")
     assert any(op.kind == "store" for op in flat["vol_ops"])
     assert flat == _vol_ops_fingerprint(module, drive_main, "reference")
@@ -325,13 +317,14 @@ def build_stack_heavy(ops, depth, calls):
     return mb.module
 
 
-def _stack_fingerprint(module, engine, **kwargs):
-    interp = make_interpreter(module, engine=engine, **kwargs)
+def _stack_fingerprint(module, engine, vol_ops):
+    interp = interpreter_on(recording_machine(vol_ops), module, engine)
     interp.call("main")
     trace = interp.finish()
     stack = interp.machine.space.stack
     return {
         "events": list(trace.events),
+        "vol_ops": list(interp.machine.recorder.vol_ops),
         "steps": interp.steps,
         "cycles": interp.costs.cycles,
         "counts": dict(interp.costs.counts),
@@ -365,14 +358,10 @@ def test_stack_heavy_programs_every_run_translated(ops, depth, calls):
 
 
 def _assert_stack_heavy_identical(module):
-    for record_volatile_stores in (False, True):
-        flat = _stack_fingerprint(
-            module, "flat", record_volatile_stores=record_volatile_stores
-        )
-        reference = _stack_fingerprint(
-            module, "reference", record_volatile_stores=record_volatile_stores
-        )
-        assert flat == reference, record_volatile_stores
+    for vol_ops in (False, True):
+        flat = _stack_fingerprint(module, "flat", vol_ops)
+        reference = _stack_fingerprint(module, "reference", vol_ops)
+        assert flat == reference, vol_ops
 
 
 # ---------------------------------------------------------------------------
@@ -787,10 +776,10 @@ def build_loops(shape):
     return mb.module
 
 
-def _observed_machine(record_volatile_stores):
+def _observed_machine(vol_ops):
     """A machine whose trace recorder notes the stack's bytes at every
     PM store, flush and fence event, as any observer could."""
-    machine = Machine(record_volatile_stores)
+    machine = recording_machine(vol_ops)
     recorder, stack = machine.recorder, machine.space.stack
     seen = []
 
@@ -807,11 +796,11 @@ def _observed_machine(record_volatile_stores):
     return machine, seen
 
 
-def _loop_fingerprint(module, engine, args, fuel, record_volatile_stores):
+def _loop_fingerprint(module, engine, args, fuel, vol_ops):
     recorder = RunRecorder()
-    machine, seen = _observed_machine(record_volatile_stores)
-    interp = make_interpreter(
-        module, engine=engine, machine=machine, fuel=fuel, run_recorder=recorder
+    machine, seen = _observed_machine(vol_ops)
+    interp = interpreter_on(
+        machine, module, engine, fuel=fuel, run_recorder=recorder
     )
     try:
         outcome = ("ok", interp.call("main", list(args)).value)
@@ -826,6 +815,7 @@ def _loop_fingerprint(module, engine, args, fuel, record_volatile_stores):
         "high_water": stack.high_water,
         "segments": [sorted(seg.iids) for seg in recorder.segments],
         "stack_at_events": seen,
+        "vol_ops": list(machine.recorder.vol_ops),
     }
 
 
@@ -844,18 +834,14 @@ def test_translated_loops_identical(shape, args, fuel):
     """Loops translated after their first or third entry, promoted or
     not, against the reference: events, steps, cycles, counts, output,
     the final stack bytes and high water, and the recorder's segment
-    iids — with and without volatile stores recorded."""
+    iids — with and without the volatile-op side channel."""
     module = build_loops(shape)
-    for record_volatile_stores in (False, True):
-        reference = _loop_fingerprint(
-            module, "reference", args, fuel, record_volatile_stores
-        )
+    for vol_ops in (False, True):
+        reference = _loop_fingerprint(module, "reference", args, fuel, vol_ops)
         for threshold in (1, 3):
             with hot_after(threshold):
-                flat = _loop_fingerprint(
-                    module, "flat", args, fuel, record_volatile_stores
-                )
-            assert flat == reference, (threshold, record_volatile_stores)
+                flat = _loop_fingerprint(module, "flat", args, fuel, vol_ops)
+            assert flat == reference, (threshold, vol_ops)
 
 
 # ---------------------------------------------------------------------------

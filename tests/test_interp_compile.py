@@ -20,7 +20,6 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.manager import AnalysisManager
 from repro.core.transaction import FixTransaction
 from repro.corpus.bugs import all_cases
 from repro.errors import VerificationError
@@ -400,12 +399,11 @@ def count_relinks(interp, monkeypatch):
 @pytest.mark.parametrize("structural", [False, True])
 def test_commit_leaves_compiled_program_at_current_epoch(structural, monkeypatch):
     module = build_module()
-    manager = AnalysisManager(module)
     interp = make_interpreter(module)
     before = cached_program(module)
     relinks = count_relinks(interp, monkeypatch)
 
-    txn = FixTransaction(module, manager=manager)
+    txn = FixTransaction(module)
     if structural:
         txn.track_attr(main_call(module), "callee")
         retarget_main_call(module)
@@ -431,12 +429,11 @@ def test_clean_rollback_still_resyncs_compiled_epoch(monkeypatch):
     retarget is a shape change, so every function), and the flat engine
     relinks once, not on every run."""
     module = build_module()
-    manager = AnalysisManager(module)
     interp = make_interpreter(module)
     before = cached_program(module)
     relinks = count_relinks(interp, monkeypatch)
 
-    txn = FixTransaction(module, manager=manager)
+    txn = FixTransaction(module)
     call = main_call(module)
     txn.track_attr(call, "callee")
     retarget_main_call(module)

@@ -22,7 +22,7 @@ from repro.interp import translate
 from repro.ir import I8, I64, ModuleBuilder, PTR
 from repro.ir.instructions import Flush
 from repro.obs.metrics import MetricsRegistry
-from repro.revalidate.recording import RunRecorder
+from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 
 from conftest import hot_after
 
@@ -101,12 +101,18 @@ def _outcome(interp, call):
     return outcome
 
 
-def _fingerprint(module, engine, args, machine=None, fuel=50_000_000, **kwargs):
+def _fingerprint(module, engine, args, machine=None, fuel=50_000_000, vol_ops=False):
+    """One run's observable results; ``vol_ops`` records under the
+    revalidation recorder's volatile-op side channel."""
     recorder = RunRecorder()
+    machine = machine or Machine()
+    if vol_ops:
+        machine.recorder = RecordingTraceRecorder()
     interp = make_interpreter(
-        module, engine=engine, machine=machine, run_recorder=recorder, fuel=fuel,
-        **kwargs,
+        module, engine=engine, machine=machine, run_recorder=recorder, fuel=fuel
     )
+    if vol_ops:
+        machine.recorder.current_iid = interp.current_iid
     outcome = _outcome(interp, lambda: interp.call("main", args))
     return interp, {
         "outcome": outcome,
@@ -114,6 +120,7 @@ def _fingerprint(module, engine, args, machine=None, fuel=50_000_000, **kwargs):
         "cycles": interp.costs.cycles,
         "counts": interp.costs.counts,
         "events": list(interp.trace.events),
+        "vol_ops": list(interp.machine.recorder.vol_ops),
         "output": list(interp.output),
         "segments": [sorted(seg.iids) for seg in recorder.segments],
         # the frames a fault leaves, down to the faulting instruction
@@ -366,24 +373,20 @@ def test_fuel_cut_inside_a_translated_loop_settles_like_the_reference(kind):
 
 @pytest.mark.parametrize("kind", ["plain", "narrow"])
 def test_recorded_volatile_stores_keep_a_loops_slots_in_memory(kind):
-    """With volatile stores recorded, every stack store of the loop is
-    an event: the guard sends each entry to the unpromoted copy.  A
-    slot read at two widths keeps the loop unpromoted anyway."""
+    """With volatile stores recorded on the revalidation recorder's side
+    channel, every stack store of the loop is noted: the guard sends
+    each entry to the unpromoted copy.  A slot read at two widths keeps
+    the loop unpromoted anyway."""
     module = build_promoted_loop(kind)
-    for record_volatile_stores in (False, True):
-        _, reference = _fingerprint(
-            module, "reference", [LOOPS, LOOPS],
-            record_volatile_stores=record_volatile_stores,
-        )
+    for vol_ops in (False, True):
+        args = [LOOPS, LOOPS]
+        _, reference = _fingerprint(module, "reference", args, vol_ops=vol_ops)
         with hot_after(2):
-            interp, flat = _fingerprint(
-                module, "flat", [LOOPS, LOOPS],
-                record_volatile_stores=record_volatile_stores,
-            )
-        assert flat == reference, record_volatile_stores
-        promoted = kind == "plain" and not record_volatile_stores
+            interp, flat = _fingerprint(module, "flat", args, vol_ops=vol_ops)
+        assert flat == reference, vol_ops
+        promoted = kind == "plain" and not vol_ops
         assert _loop_counters(interp) == (1, int(promoted))
-    assert len(reference["events"]) > 2 * LOOPS  # the loop's stores
+    assert len(reference["vol_ops"]) > 2 * LOOPS  # the loop's stores
 
 
 def test_a_failed_guard_runs_the_unpromoted_loop():

@@ -237,7 +237,9 @@ def test_batch_runs_without_a_journal():
     assert report.ok
 
 
-def test_file_task_repairs_module_atomically(tmp_path, monkeypatch):
+def file_task(tmp_path, output_path):
+    """A file task repairing PMDK-447's printed module from its
+    pmemcheck-format trace, both written under ``tmp_path``."""
     from repro.corpus.bugs import all_cases
     from repro.interp import Interpreter
     from repro.ir import format_module
@@ -252,22 +254,29 @@ def test_file_task_repairs_module_atomically(tmp_path, monkeypatch):
     interp.finish()
     trace_path = tmp_path / "app.trace"
     trace_path.write_text(dump_trace(interp.machine.trace))
-
-    out_path = tmp_path / "app.fixed.ir"
-    task = RepairTask(
+    return RepairTask(
         task_id="app",
         kind="file",
         module_path=str(module_path),
         trace_path=str(trace_path),
-        output_path=str(out_path),
+        output_path=str(output_path),
     )
+
+
+def test_file_task_repairs_module_atomically(tmp_path, monkeypatch):
+    from repro.corpus.bugs import all_cases
+    from repro.ir import format_module
+
+    out_path = tmp_path / "app.fixed.ir"
+    task = file_task(tmp_path, out_path)
     report = run_batch([task], journal_path=str(tmp_path / "j.journal"),
                        config=fast_config())
     assert report.ok
     assert out_path.exists()
     assert "flush" in out_path.read_text()
     # input untouched (output went elsewhere)
-    assert module_path.read_text() == format_module(case.build())
+    case = next(c for c in all_cases() if c.case_id == "PMDK-447")
+    assert (tmp_path / "app.ir").read_text() == format_module(case.build())
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +333,28 @@ def test_persistent_fault_quarantines_after_bounded_retries(tmp_path):
     # the fault never stalls the rest of the batch
     other = report.outcome(tasks[1].task_id)
     assert other is not None and other.status == "done"
+
+
+@pytest.mark.parametrize("mode", ["inprocess", "subprocess"])
+def test_a_task_that_raises_is_quarantined_without_retry(tmp_path, mode):
+    """A task's own exception would recur on every attempt: a file task
+    whose output directory is missing is quarantined after its first
+    attempt, and the next task still completes."""
+    task = file_task(tmp_path, tmp_path / "out" / "app.ir")  # no out/
+    other = small_tasks()[1]
+    journal_path = str(tmp_path / "j.journal")
+    report = run_batch(
+        [task, other], journal_path=journal_path,
+        config=fast_config(mode=mode, max_retries=2),
+    )
+    target = report.outcome("app")
+    assert target.status == "quarantined" and target.attempts == 1
+    assert target.error.startswith("FileNotFoundError")
+    assert report.total_retries == 0
+    assert _journal_types_for(journal_path, "app") == [
+        ("task-start", 1), ("task-quarantined", None),
+    ]
+    assert report.outcome(other.task_id).status == "done"
 
 
 @pytest.mark.parametrize("mode", ["inprocess", "subprocess"])

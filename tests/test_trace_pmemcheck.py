@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import TraceError
-from repro.interp import Interpreter
+from repro.interp import Interpreter, Machine
 from repro.ir import DebugLoc, FENCE_KINDS, FLUSH_KINDS, I64, ModuleBuilder, PTR
 from repro.ir.types import STORE_WIDTHS
+from repro.revalidate.recording import RecordingTraceRecorder, VolAnchorOp
 from repro.trace import (
     BoundaryEvent,
     FenceEvent,
@@ -73,15 +74,20 @@ class TestEventStructure:
         assert len(interp.finish().stores(pm_only=False)) == 0
 
     def test_volatile_stores_optional(self):
+        """Only the revalidation recorder notes volatile stores, on its
+        side channel; the trace still holds PM operations only."""
         mb = ModuleBuilder("t")
         b = mb.function("main", [], I64)
         v = b.call("vol_alloc", [8], PTR)
-        b.store(1, v)
+        store = b.store(1, v)
         b.ret(0)
-        interp = Interpreter(mb.module, record_volatile_stores=True)
+        machine = Machine()
+        machine.recorder = recorder = RecordingTraceRecorder()
+        interp = Interpreter(mb.module, machine=machine)
+        recorder.current_iid = interp.current_iid
         interp.call("main")
-        stores = interp.finish().stores(pm_only=False)
-        assert len(stores) == 1 and stores[0].space == "vol"
+        assert len(interp.finish().stores(pm_only=False)) == 0
+        assert recorder.vol_ops == [VolAnchorOp(0, store.iid, "store")]
 
 
 class TestEventValues:
