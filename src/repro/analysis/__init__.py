@@ -8,7 +8,7 @@ _EXPORTS = {
     ".andersen": ("AllocSite", "PointsTo", "UNKNOWN_SITE"),
     ".callgraph": ("CallGraph",),
     ".diskcache": ("AnalysisDiskCache",),
-    ".manager": ("AnalysisManager", "AnalysisStats", "CALLGRAPH", "POINTS_TO"),
+    ".manager": ("AnalysisManager", "CALLGRAPH", "POINTS_TO"),
 }
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

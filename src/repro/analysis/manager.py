@@ -50,6 +50,7 @@ from typing import Dict, Iterable, Optional
 from ..budget import Budget
 from ..ir.module import Module
 from ..ir.verifier import is_verified, verify_function
+from ..obs.observability import NULL_OBS, Observability
 from .andersen import PointsTo
 from .callgraph import CallGraph
 from .diskcache import AnalysisDiskCache
@@ -57,28 +58,6 @@ from .diskcache import AnalysisDiskCache
 #: The two analysis keys :meth:`AnalysisManager.get` answers.
 POINTS_TO = "points_to"
 CALLGRAPH = "callgraph"
-
-
-@dataclass
-class AnalysisStats:
-    """Hit/miss counters, reported into the batch report."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    failures_replayed: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "failures_replayed": self.failures_replayed,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-        }
 
 
 @dataclass
@@ -100,30 +79,20 @@ class AnalysisManager:
         module: Module,
         budget: Optional[Budget] = None,
         disk_cache: Optional[AnalysisDiskCache] = None,
-        metrics=None,
+        obs: Observability = NULL_OBS,
     ):
         self.module = module
         #: Budget charged by the points-to fixpoint; assignable after
         #: construction (fault injection does) — read at compute time.
         self.budget = budget
         self.disk_cache = disk_cache
-        self.stats = AnalysisStats()
-        #: optional :class:`~repro.obs.metrics.MetricsRegistry`; every
-        #: stats increment is mirrored into an ``analysis.*`` counter so
-        #: batch observability sees cache behaviour without a separate
-        #: reporting channel.
-        self.metrics = metrics
+        #: receives the ``analysis.*`` counters (see the module docs)
+        self.obs = obs
         self._compute = {
             POINTS_TO: self._compute_points_to,
             CALLGRAPH: lambda: CallGraph(self.module),
         }
         self._entries: Dict[str, _Entry] = {}
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Bump one stats counter (and its metrics mirror)."""
-        setattr(self.stats, name, getattr(self.stats, name) + amount)
-        if self.metrics is not None and amount:
-            self.metrics.counter(f"analysis.{name}").inc(amount)
 
     def get(self, key: str):
         """The analysis result for ``key``, computing it if there is no
@@ -137,12 +106,12 @@ class AnalysisManager:
         if entry is not None:
             if entry.shape_epoch == shape:
                 if entry.failure is not None:
-                    self._count("failures_replayed")
+                    self.obs.count("analysis.failures_replayed")
                     raise entry.failure
-                self._count("hits")
+                self.obs.count("analysis.hits")
                 return entry.value
-            self._count("invalidations")
-        self._count("misses")
+            self.obs.count("analysis.invalidations")
+        self.obs.count("analysis.misses")
         try:
             value = compute()
         except Exception as exc:
@@ -167,9 +136,9 @@ class AnalysisManager:
             if fn is None:
                 continue
             if is_verified(fn):
-                self._count("hits")
+                self.obs.count("analysis.hits")
                 continue
-            self._count("misses")
+            self.obs.count("analysis.misses")
             verify_function(fn)
 
     # -- the points-to computation -------------------------------------------
@@ -180,7 +149,7 @@ class AnalysisManager:
             restored = self.disk_cache.load(module)
             if restored is not None:
                 points_to, callgraph = restored
-                self._count("disk_hits")
+                self.obs.count("analysis.disk_hits")
                 # The call graph came with the entry: install it unless
                 # a current one is already cached.
                 entry = self._entries.get(CALLGRAPH)
@@ -191,7 +160,7 @@ class AnalysisManager:
                 ):
                     self._entries[CALLGRAPH] = _Entry(module.shape_epoch, callgraph)
                 return points_to
-            self._count("disk_misses")
+            self.obs.count("analysis.disk_misses")
         points_to = PointsTo(module, budget=self.budget)
         if self.disk_cache is not None:
             self.disk_cache.store(module, points_to, self.get(CALLGRAPH))

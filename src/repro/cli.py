@@ -168,28 +168,6 @@ def cmd_fix(ns: argparse.Namespace) -> int:
     return 1 if report.quarantined else 0
 
 
-def _format_op_histogram(obs) -> str:
-    """Per-opcode execution histogram from the ``interp.ops.*`` counters
-    (identical on both engines — the counts come from the cost layer)."""
-    prefix = "interp.ops."
-    counters = obs.metrics_snapshot().get("counters", {})
-    ops = {
-        name[len(prefix):]: count
-        for name, count in counters.items()
-        if name.startswith(prefix) and count
-    }
-    if not ops:
-        return "op histogram: no executed instructions recorded"
-    total = sum(ops.values())
-    width = max(len(kind) for kind in ops)
-    lines = [f"op histogram ({total} instructions):"]
-    for kind, count in sorted(ops.items(), key=lambda item: -item[1]):
-        share = 100.0 * count / total
-        bar = "#" * max(1, round(share / 2))
-        lines.append(f"  {kind:<{width}} {count:>12} {share:5.1f}% {bar}")
-    return "\n".join(lines)
-
-
 def cmd_batch(ns: argparse.Namespace) -> int:
     """Run (or resume) a batch of repairs under the supervisor."""
     from .supervisor import (
@@ -251,22 +229,24 @@ def cmd_batch(ns: argparse.Namespace) -> int:
         print(f"[{event}] {task_id}{suffix}", file=sys.stderr)
 
     # Observability is strictly off the canonical path: with or without
-    # these flags the batch report's bytes are identical.  --profile
-    # enables metrics too: the per-opcode execution histogram rides on
-    # the interpreters' `interp.ops.*` counters.
+    # these flags the batch report's bytes are identical.  A metrics-only
+    # batch discards its span/event records instead of buffering them.
     from .obs.observability import NULL_OBS, Observability
 
     obs = NULL_OBS
-    sink = None
-    if ns.metrics_out or ns.spans_out or ns.profile:
-        if ns.spans_out:
-            from .obs.sink import JsonlSink
+    spans = None
+    if ns.spans_out:
+        from .obs.sink import JsonlSink
 
-            sink = JsonlSink(ns.spans_out)
-        obs = Observability(sink=sink)
+        spans = JsonlSink(ns.spans_out)
+        obs = Observability(sink=spans)
+    elif ns.metrics_out:
+        from .obs.sink import DiscardSink
 
-    def run() -> "object":
-        return run_batch(
+        obs = Observability(sink=DiscardSink())
+
+    try:
+        report = run_batch(
             tasks,
             journal_path=ns.journal,
             resume=ns.resume,
@@ -274,24 +254,14 @@ def cmd_batch(ns: argparse.Namespace) -> int:
             progress=progress,
             obs=obs,
         )
-
-    try:
-        if ns.profile:
-            from .obs.profile import format_hotspots, profile_call
-
-            report, hotspots = profile_call(run, top_n=ns.profile)
-            print(format_hotspots(hotspots), file=sys.stderr)
-            print(_format_op_histogram(obs), file=sys.stderr)
-        else:
-            report = run()
         if ns.metrics_out:
             obs.write_metrics(ns.metrics_out)
             print(f"metrics written to {ns.metrics_out}", file=sys.stderr)
     finally:
         obs.close()
-        if sink is not None and sink.dropped:
+        if spans is not None and spans.dropped:
             print(
-                f"warning: spans sink dropped {sink.dropped} record(s)",
+                f"warning: spans sink dropped {spans.dropped} record(s)",
                 file=sys.stderr,
             )
     print(report.summary())
@@ -316,8 +286,11 @@ def cmd_batch(ns: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No option parses by an abbreviation: a renamed or deleted option
+    # must not keep parsing as the prefix of one that survives.
     parser = argparse.ArgumentParser(
         prog="repro",
+        allow_abbrev=False,
         description="Hippocrates (ASPLOS 2021 reproduction): detect and "
         "repair persistent-memory durability bugs in textual IR modules.",
     )
@@ -333,19 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
             "behaviour is byte-identical",
         )
 
-    run = sub.add_parser("run", help="execute an entry point")
+    run = sub.add_parser(
+        "run", allow_abbrev=False, help="execute an entry point"
+    )
     run.add_argument("module")
     run.add_argument("--entry", default="main")
     run.add_argument("--args", nargs="*", type=_int_arg, default=[])
     add_engine_flag(run)
     run.set_defaults(fn=cmd_run)
 
-    show = sub.add_parser("show", help="print a module's textual IR")
+    show = sub.add_parser(
+        "show", allow_abbrev=False, help="print a module's textual IR"
+    )
     show.add_argument("module")
     show.set_defaults(fn=cmd_show)
 
     detect = sub.add_parser(
-        "detect", help="run under the PM bug finder (exit 1 if bugs found)"
+        "detect",
+        allow_abbrev=False,
+        help="run under the PM bug finder (exit 1 if bugs found)",
     )
     detect.add_argument("module")
     detect.add_argument("--entry", default="main")
@@ -354,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_flag(detect)
     detect.set_defaults(fn=cmd_detect)
 
-    fix = sub.add_parser("fix", help="repair a module from a trace file")
+    fix = sub.add_parser(
+        "fix", allow_abbrev=False, help="repair a module from a trace file"
+    )
     fix.add_argument("module")
     fix.add_argument("--trace", required=True, help="pmemcheck-style log file")
     fix.add_argument("-o", "--output", help="output path (default: in place)")
@@ -381,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
+        allow_abbrev=False,
         help="run many repairs under the crash-safe supervisor "
         "(journaled; resumable after a hard kill)",
     )
@@ -483,17 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="append span/event records (JSONL, fsync'd) here as the "
         "batch runs; never affects the canonical report",
-    )
-    batch.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=25,
-        default=None,
-        metavar="N",
-        help="run the batch under cProfile and print the top N "
-        "functions by cumulative time plus a per-opcode execution "
-        "histogram to stderr (default N: 25)",
     )
     batch.add_argument(
         "--engine",

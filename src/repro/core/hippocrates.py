@@ -302,7 +302,7 @@ class Hippocrates:
                 if analysis_cache_dir
                 else None
             ),
-            metrics=self.obs.metrics if self.obs.enabled else None,
+            obs=self.obs,
         )
         #: optional :class:`~repro.revalidate.engine.IncrementalRevalidator`
         #: — when present, committed fixes feed it their mutation

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .. import lazy_exports
+from ..obs.observability import NULL_OBS, Observability
 
 if TYPE_CHECKING:
     from ..interp.costs import CostModel
@@ -43,16 +44,15 @@ def pmemcheck_run(
     driver: Driver,
     cost_model: Optional[CostModel] = None,
     fuel: int = 50_000_000,
-    metrics=None,
+    obs: Observability = NULL_OBS,
     engine: Optional[str] = None,
 ) -> Tuple[DetectionResult, PMTrace, Interpreter]:
     """Execute ``driver`` against ``module`` under pmemcheck-style tracing.
 
     Returns the detection result, the trace (which Hippocrates
     consumes), and the finished interpreter (for inspecting machine
-    state or observable output).  ``metrics`` (an optional
-    :class:`~repro.obs.metrics.MetricsRegistry`) receives the
-    interpreter's step/flush/fence/store totals.  ``engine`` picks the
+    state or observable output).  ``obs`` receives the interpreter's
+    step/flush/fence/store totals.  ``engine`` picks the
     execution engine (default ``"flat"``); both engines produce
     byte-identical traces.
     """
@@ -64,7 +64,7 @@ def pmemcheck_run(
         engine=engine,
         cost_model=cost_model,
         fuel=fuel,
-        metrics=metrics,
+        obs=obs,
     )
     driver(interp)
     trace = interp.finish()

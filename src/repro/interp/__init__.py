@@ -61,7 +61,7 @@ def make_interpreter(module, engine: str = None, **kwargs) -> "Interpreter":
     """Construct an interpreter for ``module`` on the chosen engine.
 
     ``kwargs`` are forwarded to the engine constructor (``machine``,
-    ``cost_model``, ``fuel``, ``metrics``, ``run_recorder``, ...); both
+    ``cost_model``, ``fuel``, ``obs``, ``run_recorder``, ...); both
     engines take the same arguments.
     """
     return engine_class(engine)(module, **kwargs)

@@ -85,6 +85,7 @@ from ..ir.opcodes import (
     OP_UREM,
     OP_XOR,
 )
+from ..obs.observability import NULL_OBS
 from ..trace.events import StackFrame
 from .compile import (
     CALL_DECLARATION,
@@ -205,7 +206,7 @@ class FlatEngine(Interpreter):
         machine=None,
         cost_model=None,
         fuel: int = 50_000_000,
-        metrics=None,
+        obs=NULL_OBS,
         run_recorder=None,
     ):
         super().__init__(
@@ -213,7 +214,7 @@ class FlatEngine(Interpreter):
             machine=machine,
             cost_model=cost_model,
             fuel=fuel,
-            metrics=metrics,
+            obs=obs,
             run_recorder=run_recorder,
         )
         self._program: Optional[CompiledProgram] = None
@@ -317,11 +318,11 @@ class FlatEngine(Interpreter):
         return steps, cycles, counts
 
     def finish(self):
-        if not self._finished and self.metrics is not None:
-            metrics = self.metrics
-            metrics.counter("interp.runs_translated").inc(self._runs_translated)
-            metrics.counter("interp.loops_translated").inc(self._loops_translated)
-            metrics.counter("interp.loops_promoted").inc(self._loops_promoted)
+        if not self._finished:
+            obs = self.obs
+            obs.count("interp.runs_translated", self._runs_translated)
+            obs.count("interp.loops_translated", self._loops_translated)
+            obs.count("interp.loops_promoted", self._loops_promoted)
         return super().finish()
 
     # -- stack capture ----------------------------------------------------------

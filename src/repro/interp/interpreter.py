@@ -40,6 +40,7 @@ from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..memory.cache import CacheModel
 from ..memory.layout import AddressSpace, line_of
 from ..memory.persistence import PersistentImage
+from ..obs.observability import NULL_OBS, Observability
 from ..trace.events import StackFrame
 from ..trace.trace import PMTrace, TraceRecorder
 from .costs import CostCounter, CostModel
@@ -214,7 +215,7 @@ class Interpreter:
         machine: Optional[Machine] = None,
         cost_model: Optional[CostModel] = None,
         fuel: int = 50_000_000,
-        metrics=None,
+        obs: Observability = NULL_OBS,
         run_recorder=None,
     ):
         self.module = module
@@ -227,10 +228,10 @@ class Interpreter:
         self.frames: List[Frame] = []
         self.output: List[int] = []
         self._finished = False
-        #: optional :class:`~repro.obs.metrics.MetricsRegistry`; step and
-        #: flush/fence/store totals are folded in once, at :meth:`finish`
-        #: — nothing touches the registry on the hot execution path.
-        self.metrics = metrics
+        #: step and flush/fence/store totals are counted into ``obs``
+        #: once, at :meth:`finish` — nothing touches it on the hot
+        #: execution path.
+        self.obs = obs
         #: optional :class:`~repro.revalidate.recording.RunRecorder`:
         #: notified at top-level call boundaries so incremental
         #: revalidation can memoize machine snapshots and per-segment
@@ -307,20 +308,19 @@ class Interpreter:
         if not self._finished:
             self._finished = True
             self._record_exit_boundary()
-            if self.metrics is not None:
-                counts = self.costs.counts
-                self.metrics.counter("interp.steps").inc(self.steps)
-                self.metrics.counter("interp.cycles").inc(self.costs.cycles)
-                for kind, name in (
-                    ("store", "interp.stores"),
-                    ("flush", "interp.flushes"),
-                    ("fence", "interp.fences"),
-                ):
-                    self.metrics.counter(name).inc(counts.get(kind, 0))
-                # Per-kind execution histogram (identical on both
-                # engines; `repro batch --profile` renders it).
-                for kind, count in counts.items():
-                    self.metrics.counter(f"interp.ops.{kind}").inc(count)
+            obs = self.obs
+            counts = self.costs.counts
+            obs.count("interp.steps", self.steps)
+            obs.count("interp.cycles", self.costs.cycles)
+            for kind, name in (
+                ("store", "interp.stores"),
+                ("flush", "interp.flushes"),
+                ("fence", "interp.fences"),
+            ):
+                obs.count(name, counts.get(kind, 0))
+            # Per-kind execution histogram (identical on both engines).
+            for kind, count in counts.items():
+                obs.count(f"interp.ops.{kind}", count)
         return self.machine.trace
 
     @property

@@ -1,4 +1,4 @@
-"""Observability for the repair pipeline: spans, metrics, profiling.
+"""Observability for the repair pipeline: spans and metrics.
 
 Three layers, strictly off the canonical path (a batch report's bytes
 are identical with observability on or off, in both worker modes —
@@ -9,11 +9,10 @@ see ``tests/test_obs_pipeline.py``):
 - :mod:`repro.obs.metrics` — typed counters / gauges / histograms in a
   mergeable registry;
 - :mod:`repro.obs.sink` — fsync'd JSONL appends for spans/events, one
-  atomic snapshot file for metrics, plus the schema validators;
-- :mod:`repro.obs.profile` — cProfile wrapping with top-N hotspots
-  (``repro batch --profile``).
+  atomic snapshot file for metrics, plus the schema validators.
 
-Instrumented code holds an :class:`Observability` facade; pass
+Every layer reports its volatile numbers through one
+:class:`Observability` facade (an ``obs`` argument); pass
 :data:`NULL_OBS` (or nothing) to run dark.
 """
 
@@ -22,7 +21,6 @@ from .. import lazy_exports
 _EXPORTS = {
     ".metrics": ("METRICS_SCHEMA", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
     ".observability": ("NULL_OBS", "Observability"),
-    ".profile": ("Hotspot", "format_hotspots", "profile_call"),
     ".sink": (
         "JsonlSink", "ObsSchemaError", "load_metrics", "read_spans",
         "validate_metrics_snapshot", "validate_record",

@@ -3,9 +3,10 @@
 The repair pipeline, the analysis manager, the interpreter, and the
 batch supervisor all want to report *numbers* — cache hits, executed
 flushes, retries, per-phase fix counts.  Before this layer each of them
-invented an ad-hoc channel (the worker's ``STATS`` stdout line, the
-``AnalysisStats`` dataclass, ``CostCounter.counts``); the registry
-gives them one typed vocabulary:
+invented an ad-hoc channel (the worker's ``STATS`` stdout line, an
+analysis-stats dataclass, ``CostCounter.counts``); the registry gives
+them one typed vocabulary, reached through the
+:class:`~repro.obs.observability.Observability` facade:
 
 - :class:`Counter` — a monotonically increasing count (``inc``);
 - :class:`Gauge` — a last-write-wins level (``set``);

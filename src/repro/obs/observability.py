@@ -21,7 +21,6 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from .metrics import MetricsRegistry
-from .sink import write_metrics
 from .spans import Tracer
 
 
@@ -143,6 +142,10 @@ class Observability:
             self.metrics.merge(snapshot)
 
     def write_metrics(self, path: str) -> None:
+        # Imported here: every interpreter imports this module, and a
+        # run that writes no file never needs the sink's.
+        from .sink import write_metrics
+
         write_metrics(path, self.metrics_snapshot())
 
     # -- lifecycle ------------------------------------------------------------

@@ -6,7 +6,9 @@ flushed and fsync'd, so a crash mid-batch loses at most the record
 being written — and the validator treats a torn final line as exactly
 that, not as corruption.
 
-Two write paths, matching the two shapes of observability output:
+Two write paths, matching the two shapes of observability output
+(:class:`DiscardSink` takes the place of the first when only metrics
+are wanted):
 
 - :class:`JsonlSink` — streaming appends for spans and events (arrival
   order matters, the file grows for the life of the run);
@@ -80,6 +82,18 @@ class JsonlSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class DiscardSink:
+    """A span/event sink that keeps nothing.
+
+    A batch that writes only metrics attaches one, so its tracer does
+    not buffer every span, event and forwarded worker record in
+    :attr:`~repro.obs.spans.Tracer.records` for the life of the run.
+    """
+
+    def emit(self, record: Dict[str, Any]) -> None:
+        return None
 
 
 def write_metrics(path: str, snapshot: Dict[str, Any]) -> None:

@@ -71,6 +71,7 @@ from ..interp.interpreter import Interpreter, Machine
 from ..ir.module import Module
 from ..memory.layout import lines_covering
 from ..memory.pool import MachinePool
+from ..obs.observability import NULL_OBS, Observability
 from ..trace.events import FlushEvent, StoreEvent
 from ..trace.trace import PMTrace
 from .recording import RecordedRun, RecordingTraceRecorder, RunRecorder
@@ -140,9 +141,8 @@ class IncrementalRevalidator:
         identically to recording, replay, and fallback runs.
     :param max_snapshots: snapshot memory bound (see
         :class:`~repro.revalidate.recording.RunRecorder`).
-    :param metrics: optional
-        :class:`~repro.obs.metrics.MetricsRegistry`; receives the
-        ``revalidate.*`` counters and the interpreters' totals.
+    :param obs: receives the ``revalidate.*`` counters and the
+        interpreters' totals.
     :param pool: optional :class:`~repro.memory.pool.MachinePool`;
         recording, replay, and fallback machines then reuse pooled
         memory objects instead of building new ones (replay and
@@ -157,14 +157,14 @@ class IncrementalRevalidator:
         cost_model: Optional[CostModel] = None,
         fuel: int = 50_000_000,
         max_snapshots: int = 32,
-        metrics=None,
+        obs: Observability = NULL_OBS,
         pool: Optional[MachinePool] = None,
     ):
         self.driver = driver
         self.cost_model = cost_model
         self.fuel = fuel
         self.max_snapshots = max_snapshots
-        self.metrics = metrics
+        self.obs = obs
         self.pool = pool
         self.baseline: Optional[RecordedRun] = None
         self.last_outcome: Optional[RevalidationOutcome] = None
@@ -179,10 +179,6 @@ class IncrementalRevalidator:
         #: commit order; None once any structural commit lacked one
         #: (structural synthesis then ineligible — full re-record)
         self._pending_struct_specs: Optional[list] = []
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter(name).inc(amount)
 
     def _new_machine(self) -> Machine:
         if self.pool is None:
@@ -208,8 +204,8 @@ class IncrementalRevalidator:
         """
         if self.baseline is not None:
             # Re-recording *is* the full-revalidation fallback path.
-            self._count("revalidate.fallbacks")
-        self._count("revalidate.records")
+            self.obs.count("revalidate.fallbacks")
+        self.obs.count("revalidate.records")
         recorder = RunRecorder(max_snapshots=self.max_snapshots)
         # A recording machine keeps the volatile-op side channel (for
         # trace synthesis); its trace stays byte-identical to a plain
@@ -222,7 +218,7 @@ class IncrementalRevalidator:
             machine=machine,
             cost_model=self.cost_model,
             fuel=self.fuel,
-            metrics=self.metrics,
+            obs=self.obs,
             run_recorder=recorder,
         )
         trace_recorder.current_iid = interp.current_iid
@@ -256,14 +252,14 @@ class IncrementalRevalidator:
         self._pending_structural = False
         self._pending_specs = []
         self._pending_struct_specs = []
-        if self.metrics is not None:
-            self.metrics.gauge("revalidate.snapshot_bytes").set(
-                sum(
-                    segment.snapshot.byte_size
-                    for segment in recorder.segments
-                    if segment.snapshot is not None
-                )
-            )
+        self.obs.gauge(
+            "revalidate.snapshot_bytes",
+            sum(
+                segment.snapshot.byte_size
+                for segment in recorder.segments
+                if segment.snapshot is not None
+            ),
+        )
         return detection, trace, interp
 
     # -- the mutation witness -------------------------------------------------
@@ -308,7 +304,7 @@ class IncrementalRevalidator:
         elif self._pending_structural:
             outcome = self._structural(module, base)
         elif module.fingerprint() == base.module_fingerprint:
-            self._count("revalidate.noop_hits")
+            self.obs.count("revalidate.noop_hits")
             outcome = RevalidationOutcome(
                 mode="baseline",
                 detection=base.detection,
@@ -329,7 +325,7 @@ class IncrementalRevalidator:
                 # Every anchor sits in code the recording never
                 # executed, so the inserted instructions never execute
                 # either: the trace — and the verdict — are unchanged.
-                self._count("revalidate.noop_hits")
+                self.obs.count("revalidate.noop_hits")
                 outcome = RevalidationOutcome(
                     mode="baseline",
                     detection=base.detection,
@@ -383,9 +379,9 @@ class IncrementalRevalidator:
             checker.feed(state, event)
         detection = checker.finalize(state)
 
-        self._count("revalidate.incremental_hits")
-        self._count("revalidate.synth_hits")
-        self._count(
+        self.obs.count("revalidate.incremental_hits")
+        self.obs.count("revalidate.synth_hits")
+        self.obs.count(
             "revalidate.chains_rechecked", len(synthesis.affected_lines)
         )
         return RevalidationOutcome(
@@ -461,7 +457,7 @@ class IncrementalRevalidator:
                 module,
                 f"structural synthesis failed: {type(exc).__name__}: {exc}",
             )
-        self._count("revalidate.synth_structural_hits")
+        self.obs.count("revalidate.synth_structural_hits")
         return outcome
 
     def _incremental(
@@ -479,7 +475,7 @@ class IncrementalRevalidator:
                 skip=base.segments[: start.index],
                 cost_model=self.cost_model,
                 fuel=base.fuel,
-                metrics=self.metrics,
+                obs=self.obs,
             )
             self.driver(replay)
             suffix = replay.finish()
@@ -508,9 +504,9 @@ class IncrementalRevalidator:
                 chains.add(event.line_addr)
         detection = checker.finalize(state)
 
-        self._count("revalidate.incremental_hits")
-        self._count("revalidate.chains_rechecked", len(chains))
-        self._count(
+        self.obs.count("revalidate.incremental_hits")
+        self.obs.count("revalidate.chains_rechecked", len(chains))
+        self.obs.count(
             "revalidate.segments_replayed", len(base.segments) - start.index
         )
         return RevalidationOutcome(

@@ -29,6 +29,7 @@ from ..interp.costs import CostModel
 from ..interp.engine import FlatEngine
 from ..interp.interpreter import ExecutionResult, Interpreter, Machine
 from ..ir.module import Module
+from ..obs.observability import NULL_OBS, Observability
 from .recording import CallRecord
 from .snapshot import MachineSnapshot
 
@@ -55,14 +56,14 @@ class ReplayInterpreter(Interpreter):
         skip: Iterable[CallRecord],
         cost_model: Optional[CostModel] = None,
         fuel: int = 50_000_000,
-        metrics=None,
+        obs: Observability = NULL_OBS,
     ):
         super().__init__(
             module,
             machine=machine,
             cost_model=cost_model,
             fuel=max(0, fuel - snapshot.steps),
-            metrics=metrics,
+            obs=obs,
         )
         self._skip = deque(skip)
         # Observable output accumulated before the replay point, so

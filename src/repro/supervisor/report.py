@@ -41,9 +41,6 @@ class TaskOutcome:
     #: rich in-memory CaseOutcome (in-process executions only; never
     #: journaled, never canonical)
     outcome_obj: Any = None
-    #: analysis-manager hit/miss counters (volatile: a warm cache and a
-    #: cold cache must still produce identical canonical bytes)
-    stats: Optional[Dict[str, int]] = None
 
     def canonical(self) -> Dict[str, Any]:
         if self.status == DONE:
@@ -66,16 +63,6 @@ class BatchReport:
     mode: str = "inprocess"
     total_retries: int = 0
     elapsed_seconds: float = 0.0
-    #: aggregated analysis-manager counters across executed tasks
-    #: (volatile — replayed tasks ran no analyses and contribute none)
-    analysis_stats: Dict[str, int] = field(default_factory=dict)
-
-    def add_analysis_stats(self, stats: Optional[Dict[str, int]]) -> None:
-        """Fold one task's analysis counters into the volatile total."""
-        if not stats:
-            return
-        for key, value in stats.items():
-            self.analysis_stats[key] = self.analysis_stats.get(key, 0) + int(value)
 
     # -- aggregate views ----------------------------------------------------
 
@@ -160,10 +147,6 @@ class BatchReport:
         replayed = sum(1 for o in self.outcomes if o.replayed)
         if replayed:
             text += f"; {replayed} task(s) replayed from journal"
-        disk_hits = self.analysis_stats.get("disk_hits", 0)
-        disk_misses = self.analysis_stats.get("disk_misses", 0)
-        if disk_hits or disk_misses:
-            text += f"; analysis cache: {disk_hits} hit(s), {disk_misses} miss(es)"
         if self.interrupted:
             text += f"; INTERRUPTED with {len(self.pending)} task(s) pending"
         return text

@@ -61,18 +61,6 @@ from .report import DONE, QUARANTINED, BatchReport, TaskOutcome
 from .tasks import RepairTask, TaskResult, execute_task, load_task_kinds
 from .worker import fork_worker
 
-#: the analysis-stats keys a batch report aggregates, and the metrics
-#: counters (``analysis.<key>``) a worker's METRICS snapshot carries
-#: them under
-ANALYSIS_STAT_KEYS = (
-    "hits",
-    "misses",
-    "invalidations",
-    "failures_replayed",
-    "disk_hits",
-    "disk_misses",
-)
-
 #: execution modes
 MODES = ("auto", "subprocess", "inprocess")
 
@@ -161,7 +149,6 @@ class _WorkerHandle:
         self.last_heartbeat = self.started
         self.result_record: Optional[Dict[str, Any]] = None
         self.outcome_obj = None  # rich CaseOutcome (in-process only)
-        self.stats_record: Optional[Dict[str, Any]] = None  # volatile analysis stats
         self.metrics_record: Optional[Dict[str, Any]] = None  # METRICS snapshot
         self.fail_info: Optional[Dict[str, Any]] = None
         #: the task itself raised (its FAIL verdict), as opposed to an
@@ -201,7 +188,7 @@ class _ForkedWorker(_WorkerHandle):
                  obs: Observability = NULL_OBS):
         self._obs = obs
         self.pid, self._fd, self._task_fd = fork_worker(
-            tasks, config.heartbeat_interval, forward_spans=obs.enabled,
+            tasks, config.heartbeat_interval, instrumented=obs.enabled,
             inherited=inherited,
         )
         self.returncode: Optional[int] = None
@@ -240,7 +227,9 @@ class _ForkedWorker(_WorkerHandle):
             )
         elif line.startswith("METRICS "):
             try:
-                self._ingest_metrics(json.loads(line[len("METRICS "):]))
+                snapshot = json.loads(line[len("METRICS "):])
+                if isinstance(snapshot, dict):
+                    self.metrics_record = snapshot
             except ValueError:
                 pass  # observability only; never fails the task
         elif line.startswith("OBS "):
@@ -268,19 +257,6 @@ class _ForkedWorker(_WorkerHandle):
         else:
             self.output_tail.append(line)
             del self.output_tail[:-50]
-
-    def _ingest_metrics(self, snapshot: Any) -> None:
-        """Keep the worker's METRICS snapshot and derive from it the
-        analysis-stats dict the batch report aggregates."""
-        if not isinstance(snapshot, dict):
-            return
-        self.metrics_record = snapshot
-        counters = snapshot.get("counters") or {}
-        if isinstance(counters, dict):
-            self.stats_record = {
-                key: int(counters.get(f"analysis.{key}", 0) or 0)
-                for key in ANALYSIS_STAT_KEYS
-            }
 
     def _forward_obs(self, record: Any) -> None:
         """Re-emit a worker's span/event record into the batch sink,
@@ -374,7 +350,6 @@ class _InprocessWorker(_WorkerHandle):
             result: TaskResult = execute_task(self.task, obs=self._obs)
             self.result_record = result.record
             self.outcome_obj = result.outcome
-            self.stats_record = result.stats
         except Exception as exc:
             self.fail_info = {
                 "error_type": type(exc).__name__,
@@ -907,9 +882,7 @@ class BatchSupervisor:
             record=worker.result_record,
             attempts=worker.attempt,
             outcome_obj=worker.outcome_obj,
-            stats=worker.stats_record,
         )
-        report.add_analysis_stats(worker.stats_record)
         self._notify("done", worker.task.task_id)
 
     def _record_failure(

@@ -95,8 +95,6 @@ class CaseOutcome:
     comparison: Optional[str] = None
     #: the repaired module (for digesting / further inspection)
     module: Any = None
-    #: analysis-manager hit/miss counters (volatile — never journaled)
-    analysis_stats: Optional[Dict[str, int]] = None
     #: how revalidation ran (mode, segments replayed, chains rechecked)
     #: — volatile diagnostics, never journaled
     revalidation: Optional[Dict[str, Any]] = None
@@ -130,18 +128,17 @@ def run_case(
     from ..revalidate.engine import IncrementalRevalidator
 
     obs = obs if obs is not None else NULL_OBS
-    metrics = obs.metrics if obs.enabled else None
     module = case.build()
     revalidator: Optional[IncrementalRevalidator] = None
     with obs.span("detect", case=case.case_id):
         if engine == "flat":
             revalidator = IncrementalRevalidator(
-                case.drive, metrics=metrics, pool=MachinePool()
+                case.drive, obs=obs, pool=MachinePool()
             )
             detection, trace, interp = revalidator.record(module)
         else:
             detection, trace, interp = pmemcheck_run(
-                module, case.drive, metrics=metrics, engine=engine
+                module, case.drive, obs=obs, engine=engine
             )
     fixer = Hippocrates(
         module,
@@ -163,7 +160,7 @@ def run_case(
             revalidation = outcome.as_stats()
         else:
             after, _, _ = pmemcheck_run(
-                module, case.drive, metrics=metrics, engine=engine
+                module, case.drive, obs=obs, engine=engine
             )
     kinds = sorted({classify_fix(f) for f in plan.fixes})
     comparison = None
@@ -178,7 +175,6 @@ def run_case(
         fix_kinds=kinds,
         comparison=comparison,
         module=module,
-        analysis_stats=fixer.manager.stats.as_dict(),
         revalidation=revalidation,
     )
 
@@ -279,15 +275,13 @@ class TaskResult:
 
     ``record`` is the deterministic, journal-able form; ``outcome`` is
     the rich in-memory object (available only when the task ran
-    in-process — it never crosses a subprocess boundary).  ``stats``
-    carries the analysis-manager counters: volatile observability data
-    that must never leak into ``record`` (cache hits vary run to run,
-    and the journal replay must stay byte-identical).
+    in-process — it never crosses a subprocess boundary).  Volatile
+    facts (cache hits, interpreter totals) go to the task's ``obs``,
+    never into ``record``: the journal replay must stay byte-identical.
     """
 
     record: Dict[str, Any]
     outcome: Optional[CaseOutcome] = None
-    stats: Optional[Dict[str, int]] = None
 
 
 def _corpus_record(task: RepairTask, outcome: CaseOutcome, digest: str) -> Dict[str, Any]:
@@ -333,7 +327,6 @@ def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskR
             return TaskResult(
                 record=_corpus_record(task, outcome, outcome.module.fingerprint()),
                 outcome=outcome,
-                stats=outcome.analysis_stats,
             )
         return _execute_file_task(task, obs)
 
@@ -380,4 +373,4 @@ def _execute_file_task(task: RepairTask, obs: Observability = NULL_OBS) -> TaskR
         comparison=None,
         module_sha256=hashlib.sha256(fixed_text.encode("utf-8")).hexdigest(),
     )
-    return TaskResult(record=record, stats=fixer.manager.stats.as_dict())
+    return TaskResult(record=record)

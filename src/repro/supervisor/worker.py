@@ -21,20 +21,23 @@ and stderr), per task:
 - ``HB <n>`` heartbeat lines every ``heartbeat_interval`` seconds from
   a daemon thread while a task runs (so a worker stuck in a long
   Andersen fixpoint still heartbeats, while a *dead* one goes silent);
-- with ``forward_spans``, interleaved ``OBS <json>`` lines — span/event
-  records forwarded live to the supervisor's sink;
-- one ``METRICS <json>`` line — the full volatile metrics snapshot
-  (analysis-cache counters, interpreter totals, pipeline counts, the
-  task's garbage collections),
-  reported separately from the result precisely so it never enters the
-  deterministic record or the journal;
+- in an instrumented batch only, interleaved ``OBS <json>`` lines —
+  span/event records forwarded live to the supervisor's sink — and one
+  ``METRICS <json>`` line before a ``RESULT``: the task's metrics
+  snapshot (analysis-cache counters, interpreter totals, pipeline
+  counts, the task's garbage collections), reported separately from
+  the result precisely so it never enters the deterministic record or
+  the journal;
 - then exactly one terminal line:
 
   - ``RESULT <json>`` — the deterministic task result record, or
   - ``FAIL <json>`` — ``{"error_type", "error", "traceback"}``.
 
-Each task runs with a fresh :class:`~repro.obs.observability.Observability`,
-so its lines, span ids and snapshot are what that task alone produced.
+In an instrumented batch each task runs with a fresh
+:class:`~repro.obs.observability.Observability`, so its lines, span ids
+and snapshot are what that task alone produced; otherwise it runs with
+:data:`~repro.obs.observability.NULL_OBS`, watches no garbage
+collections and sends neither line.
 Nothing is written between a terminal line and the next task.  Any
 other line (a traceback, a warning) is stderr chatter the supervisor
 keeps a tail of for its error messages.
@@ -62,7 +65,7 @@ import time
 import traceback
 from typing import Iterable, List, Tuple
 
-from ..obs.observability import Observability
+from ..obs.observability import NULL_OBS, Observability
 from .tasks import execute_task
 
 
@@ -128,7 +131,7 @@ def _start_heartbeats(channel: _Channel, interval: float) -> None:
     thread.start()
 
 
-def run_task(task, channel: _Channel, fault: str, forward_spans: bool) -> bool:
+def run_task(task, channel: _Channel, fault: str, instrumented: bool) -> bool:
     """Run one task, speaking the protocol on ``channel``; returns
     whether it ended in ``RESULT``."""
     channel.busy.set()
@@ -137,10 +140,7 @@ def run_task(task, channel: _Channel, fault: str, forward_spans: bool) -> bool:
             time.sleep(0.5)
     if fault == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    # The worker always runs instrumented: the supervisor derives the
-    # batch's analysis stats from the metrics snapshot.  Span
-    # *forwarding* costs a line per record, so it stays opt-in.
-    obs = Observability(sink=_ChannelSink(channel) if forward_spans else None)
+    obs = Observability(sink=_ChannelSink(channel)) if instrumented else NULL_OBS
     try:
         with obs.watch_gc():
             result = execute_task(task, obs=obs)
@@ -152,30 +152,33 @@ def run_task(task, channel: _Channel, fault: str, forward_spans: bool) -> bool:
         }
         channel.send(f"FAIL {json.dumps(payload)}", last=True)
         return False
-    channel.send(f"METRICS {json.dumps(obs.metrics_snapshot(), sort_keys=True)}")
+    if instrumented:
+        channel.send(f"METRICS {json.dumps(obs.metrics_snapshot(), sort_keys=True)}")
     channel.send(f"RESULT {json.dumps(result.record, sort_keys=True)}", last=True)
     return True
 
 
 def serve(tasks: List, requests, channel: _Channel, heartbeat_interval: float,
-          forward_spans: bool) -> int:
+          instrumented: bool) -> int:
     """Run the tasks named on ``requests`` until it reaches end of file
     or a task fails; returns the worker's exit code."""
     _start_heartbeats(channel, heartbeat_interval)
     for line in iter(requests.readline, b""):
         index, _, fault = line.decode("ascii").strip().partition(" ")
-        if not run_task(tasks[int(index) - 1], channel, fault, forward_spans):
+        if not run_task(tasks[int(index) - 1], channel, fault, instrumented):
             return 3
     return 0
 
 
 def fork_worker(tasks: List, heartbeat_interval: float,
-                forward_spans: bool = False,
+                instrumented: bool = False,
                 inherited: Iterable[int] = ()) -> Tuple[int, int, int]:
     """Fork a worker process serving ``tasks``; returns
     ``(pid, read_fd, task_fd)``.
 
-    ``read_fd`` is the read end of the worker's protocol pipe: it
+    ``instrumented`` runs each task under its own
+    :class:`~repro.obs.observability.Observability` and forwards its
+    records and metrics (see the module docs).  ``read_fd`` is the read end of the worker's protocol pipe: it
     reaches end-of-file when the worker exits.  ``task_fd`` is the write
     end of its task pipe: closing it tells the worker to exit.
     ``inherited`` are the supervisor's ends of its other workers'
@@ -232,7 +235,7 @@ def fork_worker(tasks: List, heartbeat_interval: float,
         sys.stdout = sys.stderr = stream
         requests = open(0, "rb", closefd=False)
         code = serve(tasks, requests, _Channel(stream), heartbeat_interval,
-                     forward_spans)
+                     instrumented)
     except BaseException:
         # Not re-raised: unwinding would run the supervisor's frames in
         # the child.  The traceback reaches the supervisor's error tail.

@@ -15,6 +15,7 @@ runs with no cache (``test_oracle_differential.py``).
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import Fence
 from repro.ir.verifier import is_verified
+from repro.obs import Observability
 from repro.supervisor.tasks import run_case
 
 from conftest import build_listing5_module, drive_main
@@ -44,6 +46,21 @@ from test_oracle_differential import (
     assert_batch_matches_oracle,
     assert_killed_fast_batch_resumes_to_oracle,
 )
+
+
+def counted(module, **kwargs):
+    """An analysis manager counting into its own enabled Observability."""
+    return AnalysisManager(module, obs=Observability(), **kwargs)
+
+
+def stats(manager):
+    """The manager's ``analysis.*`` counters by key (0 when never counted)."""
+    counters = manager.obs.metrics_snapshot()["counters"]
+    return Counter({
+        name[len("analysis."):]: count
+        for name, count in counters.items()
+        if name.startswith("analysis.")
+    })
 
 
 def build_module():
@@ -62,24 +79,24 @@ def build_module():
 
 def test_repeated_lookup_hits_the_cache():
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     first = manager.get(POINTS_TO)
     assert manager.get(POINTS_TO) is first
-    assert manager.stats.misses == 1
-    assert manager.stats.hits == 1
+    assert stats(manager)["misses"] == 1
+    assert stats(manager)["hits"] == 1
 
 
 def test_mutation_without_notification_recomputes():
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     first = manager.get(POINTS_TO)
     module.bump_epoch()  # a mutation nobody revalidated
     assert manager.get(POINTS_TO) is not first
-    assert manager.stats.misses == 2
+    assert stats(manager)["misses"] == 2
 
 
 def test_unknown_key_raises():
-    manager = AnalysisManager(build_module())
+    manager = counted(build_module())
     with pytest.raises(KeyError):
         manager.get("no-such-analysis")
 
@@ -114,7 +131,7 @@ def retarget(txn, call):
 
 def test_flush_fence_commit_preserves_whole_program_analyses():
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     points_to = manager.get(POINTS_TO)
     callgraph = manager.get(CALLGRAPH)
 
@@ -127,13 +144,13 @@ def test_flush_fence_commit_preserves_whole_program_analyses():
     # ...but not the shape, so both analyses are still answered.
     assert manager.get(POINTS_TO) is points_to
     assert manager.get(CALLGRAPH) is callgraph
-    assert manager.stats.misses == 2
-    assert manager.stats.invalidations == 0
+    assert stats(manager)["misses"] == 2
+    assert stats(manager)["invalidations"] == 0
 
 
 def test_structural_commit_drops_points_to_and_callgraph():
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     points_to = manager.get(POINTS_TO)
     callgraph = manager.get(CALLGRAPH)
 
@@ -149,29 +166,29 @@ def test_structural_commit_cascades_to_dependents(tmp_path):
     """The call graph a disk hit brought along with the points-to
     solution goes with it when the shape moves."""
     module = build_module()
-    AnalysisManager(module, disk_cache=AnalysisDiskCache(str(tmp_path))).get(
+    counted(module, disk_cache=AnalysisDiskCache(str(tmp_path))).get(
         POINTS_TO
     )
-    manager = AnalysisManager(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
+    manager = counted(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
     manager.get(POINTS_TO)
     seeded = manager.get(CALLGRAPH)
-    assert manager.stats.disk_hits == 1
-    assert manager.stats.misses == 1  # the call graph came with the entry
+    assert stats(manager)["disk_hits"] == 1
+    assert stats(manager)["misses"] == 1  # the call graph came with the entry
 
     txn = FixTransaction(module)
     retarget(txn, main_call(module))
     txn.commit()
 
     assert manager.get(CALLGRAPH) is not seeded
-    assert manager.stats.invalidations == 1
-    assert manager.stats.misses == 2
+    assert stats(manager)["invalidations"] == 1
+    assert stats(manager)["misses"] == 2
 
 
 def test_commit_drops_only_touched_verified_state():
     module = build_listing5_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     manager.verify_scope(["update", "modify"])
-    baseline_misses = manager.stats.misses
+    baseline_misses = stats(manager)["misses"]
 
     txn = FixTransaction(module)
     txn.touch("update")
@@ -182,12 +199,12 @@ def test_commit_drops_only_touched_verified_state():
 
     manager.verify_scope(["update", "modify"])
     # "update" re-verified (one more miss); "modify" stayed verified.
-    assert manager.stats.misses == baseline_misses + 1
+    assert stats(manager)["misses"] == baseline_misses + 1
 
 
 def test_clean_rollback_preserves_everything():
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     points_to = manager.get(POINTS_TO)
     callgraph = manager.get(CALLGRAPH)
     text = format_module(module)
@@ -199,14 +216,14 @@ def test_clean_rollback_preserves_everything():
     assert format_module(module) == text
     assert manager.get(POINTS_TO) is points_to
     assert manager.get(CALLGRAPH) is callgraph
-    assert manager.stats.misses == 2
+    assert stats(manager)["misses"] == 2
 
 
 def test_clean_rollback_of_a_retarget_recomputes():
     """Undoing a retarget moves the shape again, so the analyses are
     rebuilt on content the rollback restored."""
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     points_to = manager.get(POINTS_TO)
 
     txn = FixTransaction(module)
@@ -216,7 +233,7 @@ def test_clean_rollback_of_a_retarget_recomputes():
 
     assert call.callee == "pm_alloc"
     assert manager.get(POINTS_TO) is not points_to
-    assert manager.stats.misses == 2
+    assert stats(manager)["misses"] == 2
 
 
 class Fragile:
@@ -235,7 +252,7 @@ def test_failed_rollback_entries_are_never_restamped():
     """A failed rollback leaves integrity unknown: no entry may survive
     it, and a later body-only commit cannot bring one back."""
     module = build_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     points_to = manager.get(POINTS_TO)
     callgraph = manager.get(CALLGRAPH)
 
@@ -250,7 +267,7 @@ def test_failed_rollback_entries_are_never_restamped():
 
     assert manager.get(POINTS_TO) is not points_to
     assert manager.get(CALLGRAPH) is not callgraph
-    assert manager.stats.invalidations == 2
+    assert stats(manager)["invalidations"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +295,7 @@ def constructions(monkeypatch):
 
 def test_failures_replay_without_recomputing(constructions):
     module = build_module()
-    manager = AnalysisManager(module, budget=Budget(max_items=0))
+    manager = counted(module, budget=Budget(max_items=0))
     with pytest.raises(BudgetExceeded):
         manager.get(POINTS_TO)
     # A fix's fence moves no shape: the same failure replays.
@@ -286,12 +303,12 @@ def test_failures_replay_without_recomputing(constructions):
     with pytest.raises(BudgetExceeded):
         manager.get(POINTS_TO)
     assert constructions["PointsTo"] == 1
-    assert manager.stats.failures_replayed == 1
+    assert stats(manager)["failures_replayed"] == 1
 
 
 def test_failures_do_not_survive_revalidation(constructions):
     module = build_module()
-    manager = AnalysisManager(module, budget=Budget(max_items=0))
+    manager = counted(module, budget=Budget(max_items=0))
     with pytest.raises(BudgetExceeded):
         manager.get(POINTS_TO)
     manager.budget = None
@@ -561,20 +578,20 @@ def test_queries_leave_solution_and_entry_unchanged(tmp_path):
 
 def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
     module = build_disk_module()
-    warmer = AnalysisManager(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
+    warmer = counted(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
     warmer.get(POINTS_TO)
-    assert warmer.stats.disk_misses == 1
+    assert stats(warmer)["disk_misses"] == 1
 
     reparsed = parse_module(format_module(module))
-    manager = AnalysisManager(
+    manager = counted(
         reparsed, disk_cache=AnalysisDiskCache(str(tmp_path))
     )
     manager.get(POINTS_TO)
-    assert manager.stats.disk_hits == 1
+    assert stats(manager)["disk_hits"] == 1
     # The call graph came along with the entry: no extra miss for it.
-    misses_before = manager.stats.misses
+    misses_before = stats(manager)["misses"]
     manager.get(CALLGRAPH)
-    assert manager.stats.misses == misses_before
+    assert stats(manager)["misses"] == misses_before
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +601,19 @@ def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
 
 def test_verify_scope_caches_per_function():
     module = build_listing5_module()
-    manager = AnalysisManager(module)
+    manager = counted(module)
     manager.verify_scope(["update", "modify"])
-    assert manager.stats.misses == 2
+    assert stats(manager)["misses"] == 2
     manager.verify_scope(["update", "modify"])
-    assert manager.stats.misses == 2
-    assert manager.stats.hits == 2
+    assert stats(manager)["misses"] == 2
+    assert stats(manager)["hits"] == 2
 
 
 def test_verify_scope_skips_unknown_functions():
-    manager = AnalysisManager(build_module())
+    manager = counted(build_module())
     manager.verify_scope(["main", "not-a-function"])
     assert is_verified(manager.module.get_function("main"))
-    assert manager.stats.misses == 1
+    assert stats(manager)["misses"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +624,11 @@ def test_verify_scope_skips_unknown_functions():
 def test_corpus_cache_on_vs_off_is_byte_identical(tmp_path):
     cache_dir = str(tmp_path / "acache")
     assert_batch_matches_oracle(analysis_cache_dir=cache_dir)  # cold
-    warm = assert_batch_matches_oracle(analysis_cache_dir=cache_dir)
-    assert warm.analysis_stats["disk_hits"] == len(warm.outcomes)
-    assert "analysis cache" in warm.summary()
+    obs = Observability()
+    warm = assert_batch_matches_oracle(analysis_cache_dir=cache_dir, obs=obs)
+    counters = obs.metrics_snapshot()["counters"]
+    assert counters["analysis.disk_hits"] == len(warm.outcomes)
+    assert "analysis.disk_misses" not in counters
 
 
 def test_resume_after_kill_with_cache_is_byte_identical(tmp_path):

@@ -124,6 +124,37 @@ def test_bad_batch_config_exits_2_before_journaling(tmp_path, capsys, flags):
     assert not journal.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--no-incr"], ["--metrics", "m.json"], ["--profile"], ["--profile", "10"]],
+    ids=["abbreviated-alias", "abbreviated-option", "profile", "profile-n"],
+)
+def test_abbreviated_or_deleted_batch_option_is_a_usage_error(
+    tmp_path, capsys, flags
+):
+    """No option parses by a prefix of its name, so a renamed or deleted
+    option cannot keep parsing as the prefix of one that survives;
+    ``--profile`` is gone."""
+    journal = tmp_path / "b.journal"
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--corpus", "--journal", str(journal), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not journal.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["detect", "app.ir", "--trace", "t.log"], ["fix", "app.ir", "--tr", "t.log"],
+     ["--he"]],
+    ids=["detect", "fix", "top-level"],
+)
+def test_no_command_parses_an_abbreviation(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 @pytest.fixture
 def echo_module(tmp_path):
     """A module whose entry ``echo(x)`` returns its argument."""

@@ -21,7 +21,7 @@ from repro.interp import Machine, cached_program, make_interpreter
 from repro.interp import translate
 from repro.ir import I8, I64, ModuleBuilder, PTR
 from repro.ir.instructions import Flush
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observability
 from repro.revalidate.recording import RecordingTraceRecorder, RunRecorder
 
 from conftest import hot_after
@@ -546,11 +546,11 @@ def test_runs_translated_counter_is_flat_only():
     module = build_two_loops()
     counters = {}
     for engine in ("flat", "reference"):
-        metrics = MetricsRegistry()
-        interp = make_interpreter(module, engine=engine, metrics=metrics)
+        obs = Observability()
+        interp = make_interpreter(module, engine=engine, obs=obs)
         interp.call("main", [200])
         interp.finish()
-        counters[engine] = metrics.snapshot()["counters"]
+        counters[engine] = obs.metrics_snapshot()["counters"]
     # only the loop's run gets hot
     assert counters["flat"]["interp.runs_translated"] == 1
     assert "interp.runs_translated" not in counters["reference"]

@@ -24,9 +24,7 @@ from repro.obs import (
     Observability,
     ObsSchemaError,
     Tracer,
-    format_hotspots,
     load_metrics,
-    profile_call,
     read_spans,
     validate_metrics_snapshot,
     validate_record,
@@ -262,16 +260,8 @@ class TestSink:
 
 
 # ---------------------------------------------------------------------------
-# profiling + the disabled facade
+# the disabled facade
 # ---------------------------------------------------------------------------
-
-
-def test_profile_call_returns_result_and_hotspots():
-    result, hotspots = profile_call(sum, range(100), top_n=5)
-    assert result == 4950
-    assert 0 < len(hotspots) <= 5
-    table = format_hotspots(hotspots)
-    assert "cumulative" in table and "calls" in table
 
 
 def test_null_obs_is_inert():

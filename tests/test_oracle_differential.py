@@ -128,13 +128,16 @@ def oracle_batch_bytes(cases: Optional[Tuple[str, ...]] = None) -> str:
 def assert_batch_matches_oracle(
     cases: Optional[Sequence[str]] = None,
     analysis_cache_dir: Optional[str] = None,
+    obs=None,
 ):
-    """Run a fast batch and compare its canonical bytes to the oracle's.
-    Returns the fast report for further checks."""
+    """Run a fast batch (instrumented by ``obs``, if given) and compare
+    its canonical bytes to the oracle's.  Returns the fast report for
+    further checks."""
     report = run_batch(
         corpus_tasks(list(cases) if cases else None,
                      analysis_cache_dir=analysis_cache_dir),
         config=config(),
+        obs=obs,
     )
     expected = oracle_batch_bytes(tuple(cases) if cases else None)
     assert report.canonical_json() == expected

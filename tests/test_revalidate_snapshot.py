@@ -26,7 +26,7 @@ from repro.detect import check_trace, pmemcheck_run
 from repro.interp import Machine, make_interpreter
 from repro.ir import I64, ModuleBuilder, PTR
 from repro.memory.pool import MachinePool
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observability
 from repro.revalidate import IncrementalRevalidator
 from repro.revalidate.snapshot import MachineSnapshot
 
@@ -297,8 +297,8 @@ def test_snapshot_bytes_gauge_matches_byte_size():
     claims to count (region prefixes, durable prefix, dirty and queued
     line tuples, allocation registry)."""
     module = build_two_phase_module()
-    metrics = MetricsRegistry()
-    engine = IncrementalRevalidator(drive, metrics=metrics)
+    obs = Observability()
+    engine = IncrementalRevalidator(drive, obs=obs)
     engine.record(module)
 
     snapshots = [
@@ -308,7 +308,7 @@ def test_snapshot_bytes_gauge_matches_byte_size():
     ]
     assert snapshots
     total = sum(snap.byte_size for snap in snapshots)
-    assert metrics.gauge("revalidate.snapshot_bytes").value == total
+    assert obs.metrics.gauge("revalidate.snapshot_bytes").value == total
 
     for snap in snapshots:
         floor = (
