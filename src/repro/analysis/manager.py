@@ -6,13 +6,13 @@ and answers every later lookup from its cache for as long as the
 module's :attr:`~repro.ir.module.Module.shape_epoch` stays where it was
 when the value was computed:
 
-==============================  =========  =========  ============
-mutation                        points_to  callgraph  verified(fn)
-==============================  =========  =========  ============
-flush/fence/gep insert or undo  kept       kept       touched only
-clone or retarget, or its undo  dropped    dropped    all dropped
-failed rollback                 dropped    dropped    all dropped
-==============================  =========  =========  ============
+==============================  =========  =========
+mutation                        points_to  callgraph
+==============================  =========  =========
+flush/fence/gep insert or undo  kept       kept
+clone or retarget, or its undo  dropped    dropped
+failed rollback                 dropped    dropped
+==============================  =========  =========
 
 A fix's flush, fence or gep insertion moves only its function's stamp,
 so both analyses stay.  A clone, a retarget, the undo of either and a
@@ -30,11 +30,10 @@ fixpoint exhausted its budget), the same exception is re-raised on
 every lookup at the same shape instead of re-running the doomed
 computation; a shape change drops it with the values.
 
-The verified column is not a manager entry: each function carries its
-own verified state, keyed on the same stamps
-(:func:`~repro.ir.verifier.is_verified`).  :meth:`verify_scope`,
-Hippocrates's final check and the flat engine's compiler all read and
-set it, so each function is verified once per change.
+Verification is not the manager's: each function carries its own
+verified state, keyed on the same stamps
+(:func:`~repro.ir.verifier.verify_changed`), so the ``analysis.hits``
+and ``analysis.misses`` counters count analysis lookups only.
 
 When a :class:`~repro.analysis.diskcache.AnalysisDiskCache` is attached,
 the ``points_to`` computation first consults the content-addressed store
@@ -45,11 +44,10 @@ persists fresh solutions for other worker processes to reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from ..budget import Budget
 from ..ir.module import Module
-from ..ir.verifier import is_verified, verify_function
 from ..obs.observability import NULL_OBS, Observability
 from .andersen import PointsTo
 from .callgraph import CallGraph
@@ -119,27 +117,6 @@ class AnalysisManager:
             raise
         self._entries[key] = _Entry(shape, value)
         return value
-
-    # -- scoped verification --------------------------------------------------
-
-    def verify_scope(self, function_names: Iterable[str]) -> None:
-        """Verify just the named functions that changed since they last
-        verified.
-
-        The fast path behind per-fix verification: a committed fix only
-        changes the functions it touched, so a batch of fixes to one
-        function re-verifies one function, not the module.  Raises
-        :class:`~repro.errors.VerificationError` on the first failure.
-        """
-        for name in sorted(set(function_names)):
-            fn = self.module.functions.get(name)
-            if fn is None:
-                continue
-            if is_verified(fn):
-                self.obs.count("analysis.hits")
-                continue
-            self.obs.count("analysis.misses")
-            verify_function(fn)
 
     # -- the points-to computation -------------------------------------------
 

@@ -23,13 +23,7 @@ from ..corpus.bugs import BugCase, all_cases, pmdk_cases
 from ..detect import pmemcheck_run
 from ..ir.module import Module
 from ..ir.printer import format_module
-from ..supervisor import (
-    BatchSupervisor,
-    CaseOutcome,
-    SupervisorConfig,
-    corpus_tasks,
-    run_case,
-)
+from ..supervisor import CaseOutcome, run_case
 from ..workloads.ycsb import (
     CORE_WORKLOADS,
     FIG4_ORDER,
@@ -162,25 +156,8 @@ def run_fig4(
 
 
 def run_effectiveness(heuristic: str = "full") -> List[CaseOutcome]:
-    """Fix and revalidate the full 23-bug corpus (§6.1).
-
-    Routed through the :class:`BatchSupervisor` (in-process serial
-    mode, no journal) so corpus runs exercise the exact scheduling path
-    production batches use; the rich per-case outcomes are recovered
-    from the supervisor's in-process results.
-    """
-    supervisor = BatchSupervisor(
-        corpus_tasks(heuristic=heuristic),
-        config=SupervisorConfig(
-            mode="inprocess", heuristic=heuristic, max_retries=0,
-            task_timeout=600.0,
-        ),
-    )
-    report = supervisor.run()
-    if report.quarantined or report.interrupted:
-        bad = ", ".join(o.task_id for o in report.quarantined) or "interrupted"
-        raise RuntimeError(f"corpus batch did not complete cleanly: {bad}")
-    return [outcome.outcome_obj for outcome in report.outcomes]
+    """Fix and revalidate the full 23-bug corpus (§6.1)."""
+    return [run_case(case, heuristic=heuristic) for case in all_cases()]
 
 
 def run_fig3() -> List[CaseOutcome]:

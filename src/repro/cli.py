@@ -221,7 +221,6 @@ def cmd_batch(ns: argparse.Namespace) -> int:
         jobs=ns.jobs,
         task_timeout=ns.task_timeout,
         max_retries=ns.retries,
-        heuristic=ns.heuristic,
     )
 
     def progress(event: str, task_id: str, detail: str = "") -> None:

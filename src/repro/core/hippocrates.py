@@ -308,8 +308,6 @@ class Hippocrates:
         #: — when present, committed fixes feed it their mutation
         #: witness and :meth:`revalidate` re-checks incrementally.
         self.revalidator = revalidator
-        #: the last :class:`~repro.revalidate.engine.RevalidationOutcome`
-        self.last_revalidation = None
         self._classifier: Optional[PMClassification] = None
         #: classifier failures memoized per heuristic mode: a
         #: budget-exhausted Full-AA downgrades once and is never
@@ -594,17 +592,17 @@ class Hippocrates:
         """Mutate the module according to the plan and verify it.
 
         Each fix is applied transactionally: its mutations are
-        journaled, the functions it touched are re-verified (the scoped
-        fast path — a body edit only invalidates the verified state of
-        that function, so untouched ones are never re-checked), and any
+        journaled, the functions it touched are re-verified, and any
         failure rolls the module back to the state before that fix —
         then the fix's bugs are quarantined (``keep_going``) or the
         error propagates with the module still structurally intact.
-        The final check verifies every function not verified since its
-        last change (:func:`~repro.ir.verifier.verify_changed`): the
-        whole module when it was never verified, or when a clone, a
-        retarget or a rollback changed its shape, and nothing more
-        after flush/fence-only fixes that the scoped checks covered.
+        Both this check and the final one are
+        :func:`~repro.ir.verifier.verify_changed`, which skips every
+        function verified since its last change: per fix it re-checks
+        the touched functions, and at the end the whole module when it
+        was never verified, or when a clone, a retarget or a rollback
+        changed its shape, and nothing more after flush/fence-only
+        fixes.
         """
         report = FixReport(plan=plan, heuristic=self.heuristic)
         report.ir_size_before = self.module.instruction_count()
@@ -617,7 +615,7 @@ class Hippocrates:
                 txn = FixTransaction(self.module)
                 try:
                     transformer = self._apply_one(fix, transformer, txn)
-                    self.manager.verify_scope(txn.touched_functions)
+                    verify_changed(self.module, txn.touched_functions)
                 except Exception as exc:
                     try:
                         txn.rollback()
@@ -682,14 +680,20 @@ class Hippocrates:
         structural commits, snapshot replay, or a full re-record (also
         taken when no baseline exists, e.g. after a failed rollback
         dropped it).  Returns the
-        :class:`~repro.revalidate.engine.RevalidationOutcome`, also
-        stored as :attr:`last_revalidation`.
+        :class:`~repro.revalidate.engine.RevalidationOutcome`.
+
+        The ``phase.revalidate`` span says how it ran: ``mode`` is
+        ``baseline``, ``synthesized``, ``incremental`` or ``full``, and
+        a full re-record taken as a fallback adds its ``fallback``
+        reason.
         """
         if self.revalidator is None:
             raise FixError("no revalidator attached to this pipeline")
-        with self.obs.span("phase.revalidate"):
+        with self.obs.span("phase.revalidate") as span:
             outcome = self.revalidator.revalidate(self.module)
-        self.last_revalidation = outcome
+            span.annotate(mode=outcome.mode)
+            if outcome.fallback_reason:
+                span.annotate(fallback=outcome.fallback_reason)
         return outcome
 
     # -- one-shot ------------------------------------------------------------------------

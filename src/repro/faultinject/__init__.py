@@ -5,7 +5,7 @@ debug-info drift, analyses that blow their budgets.  This package
 proves the pipeline's resilience invariants *by construction*, at two
 levels:
 
-**In-process** (PR 1): it wraps the locator, classifier, subprogram
+**In-process**: it wraps the locator, classifier, subprogram
 transformer, and trace parser with deterministic, seeded fault plans
 (raise-at-Nth-call, corrupt-trace-line, budget-exhaustion) and drives a
 campaign over the 23-bug corpus asserting that
@@ -17,12 +17,15 @@ campaign over the 23-bug corpus asserting that
   the non-quarantined bugs), and ``do_no_harm`` — i.e. the module is
   never left half-mutated.
 
-**Process-level** (PR 2): plans targeting the batch supervisor
-(``hang-worker``, ``kill-worker-at-nth``, ``kill-supervisor-at-nth``,
-``torn-journal-write``) drive the kill/resume campaign in
-:mod:`~repro.faultinject.resume`, which SIGKILLs the supervisor at
-every checkpoint boundary of a corpus batch and asserts the resumed
-aggregate report is byte-identical to an uninterrupted run.
+**Process-level**: the kill/resume campaign in
+:mod:`~repro.faultinject.resume` SIGKILLs the supervisor at every
+checkpoint boundary of a corpus batch (a ``kill-supervisor-at-nth``
+plan), also with the journal's tail record torn as a crash during
+``write(2)`` would leave it (:func:`~repro.faultinject.resume.tear_journal_tail`),
+and asserts the resumed aggregate report is byte-identical to an
+uninterrupted run.  Its worker matrix hangs and kills the worker of one
+task (``hang-worker``, ``kill-worker-at-nth`` plans) and asserts the
+task is retried or quarantined while the rest of the batch completes.
 
 Run the campaigns from the command line::
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from ..errors import ReproError
 
 #: components a plan may target.  The first five are in-process seams
-#: of one repair pipeline; the last three are process-level seams of
-#: the batch supervisor (PR 2).
+#: of one repair pipeline; the last two are process-level seams of the
+#: batch supervisor.
 TARGETS = (
     "parser",
     "locator",
@@ -23,7 +23,6 @@ TARGETS = (
     "budget",
     "worker",
     "supervisor",
-    "journal",
 )
 
 #: failure shapes.  Process-level modes: ``hang-worker`` wedges a
@@ -31,8 +30,8 @@ TARGETS = (
 #: it); ``kill-worker-at-nth`` makes the worker on the Nth batch task
 #: die silently (no exit status ceremony, no result); ``kill-
 #: supervisor-at-nth`` SIGKILLs the supervisor itself right after its
-#: Nth journal checkpoint; ``torn-journal-write`` tears the journal's
-#: tail record mid-CRC, as a crash during ``write(2)`` would.
+#: Nth journal checkpoint.  (The kill/resume campaign tears journal
+#: tails itself, with :func:`~repro.faultinject.resume.tear_journal_tail`.)
 MODES = (
     "raise-at-nth",
     "corrupt-trace-line",
@@ -40,7 +39,6 @@ MODES = (
     "hang-worker",
     "kill-worker-at-nth",
     "kill-supervisor-at-nth",
-    "torn-journal-write",
 )
 
 #: which modes make sense for which targets (None = the legacy
@@ -48,7 +46,6 @@ MODES = (
 _PROCESS_MODES = {
     "worker": ("hang-worker", "kill-worker-at-nth"),
     "supervisor": ("kill-supervisor-at-nth",),
-    "journal": ("torn-journal-write",),
 }
 
 
@@ -120,8 +117,6 @@ class FaultPlan:
             return f"worker:kill@task{self.nth} {scope}"
         if self.mode == "kill-supervisor-at-nth":
             return f"supervisor:kill@checkpoint{self.nth}"
-        if self.mode == "torn-journal-write":
-            return f"journal:torn-tail seed={self.seed}"
         return f"budget:items={self.budget_items}"
 
     def exception(self) -> InjectedFault:

@@ -137,10 +137,9 @@ class ResumeCampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _config(mode: str, heuristic: str) -> SupervisorConfig:
+def _config(mode: str) -> SupervisorConfig:
     return SupervisorConfig(
         mode=mode,
-        heuristic=heuristic,
         max_retries=1,
         backoff_base=0.0,
         task_timeout=600.0,
@@ -188,7 +187,6 @@ def run_kill_resume(
     baseline_bytes: str,
     torn: bool,
     mode: str = "inprocess",
-    heuristic: str = "full",
     obs_factory=None,
 ) -> ResumeRecord:
     """Kill a fresh batch at one checkpoint boundary, resume, compare.
@@ -201,7 +199,7 @@ def run_kill_resume(
     """
     record = ResumeRecord(boundary=boundary, torn=torn,
                           obs=obs_factory is not None)
-    config = _config(mode, heuristic)
+    config = _config(mode)
     plan = FaultPlan("supervisor", mode="kill-supervisor-at-nth", nth=boundary)
     try:
         run_batch(tasks, journal_path=journal_path, config=config, fault=plan,
@@ -245,7 +243,6 @@ def run_worker_fault_checks(
     tasks: List[RepairTask],
     journal_dir: str,
     mode: str = "inprocess",
-    heuristic: str = "full",
     progress=None,
 ) -> List[str]:
     """The hang/kill worker matrix; returns invariant violations.
@@ -264,7 +261,6 @@ def run_worker_fault_checks(
     ]
     config = SupervisorConfig(
         mode=mode,
-        heuristic=heuristic,
         max_retries=1,
         backoff_base=0.0,
         task_timeout=2.0,
@@ -346,7 +342,7 @@ def run_resume_campaign(
     baseline_path = os.path.join(journal_dir, "baseline.journal")
     if os.path.exists(baseline_path):
         os.unlink(baseline_path)
-    config = _config(mode, heuristic)
+    config = _config(mode)
     baseline = run_batch(tasks, journal_path=baseline_path, config=config)
     baseline_bytes = baseline.canonical_json()
     result.checkpoints = len(_journal_records(baseline_path))
@@ -371,7 +367,6 @@ def run_resume_campaign(
                 baseline_bytes,
                 torn,
                 mode=mode,
-                heuristic=heuristic,
             )
             result.records.append(record)
             if progress is not None:
@@ -396,7 +391,6 @@ def run_resume_campaign(
             baseline_bytes,
             torn=False,
             mode=mode,
-            heuristic=heuristic,
             obs_factory=Observability,
         )
         result.records.append(record)
@@ -409,6 +403,6 @@ def run_resume_campaign(
     if worker_checks:
         result.worker_checks = 4
         result.worker_problems = run_worker_fault_checks(
-            tasks, journal_dir, mode=mode, heuristic=heuristic, progress=progress
+            tasks, journal_dir, mode=mode, progress=progress
         )
     return result

@@ -10,18 +10,18 @@ Each function remembers the module epoch at which it last verified
 (:attr:`~repro.ir.function.Function.verified_at`).  :func:`is_verified`
 asks :func:`unchanged_since` whether the function's own stamp or the
 module's shape epoch (see :class:`~repro.ir.module.Module`) moved after
-it, so callers that only need the code to be verified -- Hippocrates's
-final check, the flat engine's compiler -- skip a function nothing has
-changed since.  A function that was never verified, or that belongs to
-no module, never counts as verified.  The flat engine's compile cache
-asks :func:`unchanged_since` the same question about the epoch it
-compiled a function at, so a reused compiled function is still
-verified.
+it, so callers that only need the code to be verified skip a function
+nothing has changed since: :func:`verify_changed` (Hippocrates's check
+after each fix and at the end) and the flat engine's compiler.  A
+function that was never verified, or that belongs to no module, never
+counts as verified.  The flat engine's compile cache asks
+:func:`unchanged_since` the same question about the epoch it compiled a
+function at, so a reused compiled function is still verified.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..errors import VerificationError
 from .function import Function
@@ -196,10 +196,18 @@ def verify_module(module: Module) -> None:
         verify_function(fn)
 
 
-def verify_changed(module: Module) -> None:
+def verify_changed(module: Module, names: Optional[Iterable[str]] = None) -> None:
     """Verify every function of the module that is not
     :func:`is_verified`: the whole module the first time, and after a
-    change to its shape; only the changed bodies otherwise."""
-    for fn in module.functions.values():
-        if not is_verified(fn):
+    change to its shape; only the changed bodies otherwise.
+
+    ``names`` narrows the check to those functions (names the module
+    does not define are skipped): a committed fix changed only the
+    functions it touched, so verifying them re-checks one function, not
+    the module.  Raises :class:`VerificationError` on the first failure.
+    """
+    functions = module.functions
+    for name in functions if names is None else sorted(set(names)):
+        fn = functions.get(name)
+        if fn is not None and not is_verified(fn):
             verify_function(fn)

@@ -88,8 +88,9 @@ from .witness import InsertionSpec, StructuralSpec
 class RevalidationOutcome:
     """One revalidation's result plus how it was obtained.
 
-    ``mode`` is volatile diagnostics (tests assert on it; reports must
-    not journal it):
+    ``mode`` and ``fallback_reason`` are volatile diagnostics, never
+    journaled: :meth:`~repro.core.hippocrates.Hippocrates.revalidate`
+    puts them on its ``phase.revalidate`` span.
 
     - ``"baseline"`` — module unchanged (or only dead code changed);
       the recorded detection was returned without any execution.
@@ -103,29 +104,13 @@ class RevalidationOutcome:
     mode: str
     detection: DetectionResult
     trace: PMTrace
-    #: segment index replay started from (incremental mode)
+    #: segment index the re-check resumed from (synthesized and
+    #: incremental modes)
     replayed_from: Optional[int] = None
-    segments_total: int = 0
-    segments_replayed: int = 0
     #: chain (cache line) addresses the incremental pass re-checked
     rechecked_chains: Set[int] = field(default_factory=set)
-    #: why a fallback was taken (diagnostics)
+    #: why a fallback was taken (full mode)
     fallback_reason: str = ""
-
-    @property
-    def chains_rechecked(self) -> int:
-        return len(self.rechecked_chains)
-
-    def as_stats(self) -> dict:
-        """Volatile summary (never part of canonical records)."""
-        return {
-            "mode": self.mode,
-            "replayed_from": self.replayed_from,
-            "segments_total": self.segments_total,
-            "segments_replayed": self.segments_replayed,
-            "chains_rechecked": self.chains_rechecked,
-            "fallback_reason": self.fallback_reason,
-        }
 
 
 class IncrementalRevalidator:
@@ -167,7 +152,6 @@ class IncrementalRevalidator:
         self.obs = obs
         self.pool = pool
         self.baseline: Optional[RecordedRun] = None
-        self.last_outcome: Optional[RevalidationOutcome] = None
         #: anchor iids committed since the current recording
         self._pending_anchors: Set[int] = set()
         self._pending_structural = False
@@ -300,62 +284,44 @@ class IncrementalRevalidator:
         """Detect against the (fixed) module, incrementally if possible."""
         base = self.baseline
         if base is None:
-            outcome = self._full(module, "no recording to revalidate against")
-        elif self._pending_structural:
-            outcome = self._structural(module, base)
-        elif module.fingerprint() == base.module_fingerprint:
-            self.obs.count("revalidate.noop_hits")
-            outcome = RevalidationOutcome(
-                mode="baseline",
-                detection=base.detection,
-                trace=base.trace,
-                segments_total=len(base.segments),
-            )
-        elif not self._pending_anchors:
-            outcome = self._full(
-                module, "module changed without a mutation witness"
-            )
-        elif not self._pending_anchors <= base.module_iids:
-            outcome = self._full(
+            return self._full(module, "no recording to revalidate against")
+        if self._pending_structural:
+            return self._structural(module, base)
+        if module.fingerprint() == base.module_fingerprint:
+            return self._unchanged(base)
+        if not self._pending_anchors:
+            return self._full(module, "module changed without a mutation witness")
+        if not self._pending_anchors <= base.module_iids:
+            return self._full(
                 module, "fix anchored at an instruction inserted after recording"
             )
-        else:
-            first = base.first_affected_segment(self._pending_anchors)
-            if first is None:
-                # Every anchor sits in code the recording never
-                # executed, so the inserted instructions never execute
-                # either: the trace — and the verdict — are unchanged.
-                self.obs.count("revalidate.noop_hits")
-                outcome = RevalidationOutcome(
-                    mode="baseline",
-                    detection=base.detection,
-                    trace=base.trace,
-                    segments_total=len(base.segments),
-                )
-            else:
-                try:
-                    if self._pending_specs is not None:
-                        outcome = self._synthesize(module, base)
-                    else:
-                        outcome = self._incremental(module, base, first)
-                except Exception as exc:
-                    outcome = self._full(
-                        module,
-                        f"incremental revalidation failed: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
-        self.last_outcome = outcome
-        return outcome
+        first = base.first_affected_segment(self._pending_anchors)
+        if first is None:
+            # Every anchor sits in code the recording never executed, so
+            # the inserted instructions never execute either: the trace
+            # — and the verdict — are unchanged.
+            return self._unchanged(base)
+        try:
+            if self._pending_specs is not None:
+                return self._synthesize(module, base)
+            return self._incremental(module, base, first)
+        except Exception as exc:
+            return self._full(
+                module,
+                f"incremental revalidation failed: {type(exc).__name__}: {exc}",
+            )
+
+    def _unchanged(self, base: RecordedRun) -> RevalidationOutcome:
+        self.obs.count("revalidate.noop_hits")
+        return RevalidationOutcome(
+            mode="baseline", detection=base.detection, trace=base.trace
+        )
 
     def _full(self, module: Module, reason: str) -> RevalidationOutcome:
         detection, trace, interp = self.record(module)
         self._release_machine(interp.machine)
         return RevalidationOutcome(
-            mode="full",
-            detection=detection,
-            trace=trace,
-            segments_total=len(self.baseline.segments) if self.baseline else 0,
-            fallback_reason=reason,
+            mode="full", detection=detection, trace=trace, fallback_reason=reason
         )
 
     def _recheck_synthesis(
@@ -389,8 +355,6 @@ class IncrementalRevalidator:
             detection=detection,
             trace=trace,
             replayed_from=start.index,
-            segments_total=len(base.segments),
-            segments_replayed=0,
             rechecked_chains=synthesis.affected_lines,
         )
 
@@ -514,7 +478,5 @@ class IncrementalRevalidator:
             detection=detection,
             trace=combined,
             replayed_from=start.index,
-            segments_total=len(base.segments),
-            segments_replayed=len(base.segments) - start.index,
             rechecked_chains=chains,
         )

@@ -20,8 +20,8 @@ _EXPORTS = {
         "SupervisorKilled", "backoff_delay", "run_batch",
     ),
     ".tasks": (
-        "CaseOutcome", "RepairTask", "TaskError", "TaskResult",
-        "corpus_tasks", "execute_task", "run_case",
+        "CaseOutcome", "RepairTask", "TaskError", "corpus_tasks",
+        "execute_task", "run_case",
     ),
 }
 

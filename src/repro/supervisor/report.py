@@ -38,9 +38,6 @@ class TaskOutcome:
     attempts: int = 1
     #: True when replayed from the journal instead of executed
     replayed: bool = False
-    #: rich in-memory CaseOutcome (in-process executions only; never
-    #: journaled, never canonical)
-    outcome_obj: Any = None
 
     def canonical(self) -> Dict[str, Any]:
         if self.status == DONE:

@@ -49,7 +49,6 @@ import selectors
 import signal
 import threading
 import time
-import traceback
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -58,7 +57,7 @@ from ..errors import ReproError
 from ..obs.observability import NULL_OBS, Observability
 from .journal import CheckpointJournal, RecoveredJournal
 from .report import DONE, QUARANTINED, BatchReport, TaskOutcome
-from .tasks import RepairTask, TaskResult, execute_task, load_task_kinds
+from .tasks import RepairTask, load_task_kinds, run_attempt
 from .worker import fork_worker
 
 #: execution modes
@@ -97,7 +96,6 @@ class SupervisorConfig:
     backoff_cap: float = 2.0
     #: SIGINT/SIGTERM drain: how long in-flight tasks may finish
     drain_grace: float = 30.0
-    heuristic: str = "full"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -148,7 +146,6 @@ class _WorkerHandle:
         self.started = time.monotonic()
         self.last_heartbeat = self.started
         self.result_record: Optional[Dict[str, Any]] = None
-        self.outcome_obj = None  # rich CaseOutcome (in-process only)
         self.metrics_record: Optional[Dict[str, Any]] = None  # METRICS snapshot
         self.fail_info: Optional[Dict[str, Any]] = None
         #: the task itself raised (its FAIL verdict), as opposed to an
@@ -347,16 +344,12 @@ class _InprocessWorker(_WorkerHandle):
             # In-process workers share the supervisor's facade directly:
             # spans stream straight into the batch sink and metrics land
             # in the batch registry with no merge step.
-            result: TaskResult = execute_task(self.task, obs=self._obs)
-            self.result_record = result.record
-            self.outcome_obj = result.outcome
-        except Exception as exc:
-            self.fail_info = {
-                "error_type": type(exc).__name__,
-                "error": str(exc),
-                "traceback": traceback.format_exc(),
-            }
-            self.raised = True
+            ok, payload = run_attempt(self.task, self._obs)
+            if ok:
+                self.result_record = payload
+            else:
+                self.fail_info = payload
+                self.raised = True
         finally:
             self.last_heartbeat = time.monotonic()
             self._done.set()
@@ -397,7 +390,9 @@ class BatchSupervisor:
     """Run a batch of repair tasks under supervision (see module docs).
 
     :param tasks: the batch, in submission order (order is part of the
-        canonical report).
+        canonical report).  They share one heuristic, which the report
+        and the journal's ``batch-start`` record name; a batch whose
+        tasks disagree is refused.
     :param journal_path: the write-ahead journal file; None disables
         journaling (library use — ``resume`` then requires a path).
     :param config: supervision policy.
@@ -424,6 +419,13 @@ class BatchSupervisor:
             if task.task_id in seen:
                 raise SupervisorError(f"duplicate task id {task.task_id!r}")
             seen.add(task.task_id)
+        heuristics = sorted({task.heuristic for task in tasks})
+        if len(heuristics) > 1:
+            raise SupervisorError(
+                f"a batch runs one heuristic; its tasks ask for {heuristics}"
+            )
+        #: the batch's heuristic, as its tasks name it
+        self.heuristic = heuristics[0] if heuristics else "full"
         self.tasks = list(tasks)
         self.journal_path = journal_path
         self.config = config or SupervisorConfig()
@@ -585,7 +587,7 @@ class BatchSupervisor:
             mode=self._mode,
             resume=resume,
         )
-        report = BatchReport(heuristic=self.config.heuristic, mode=self._mode)
+        report = BatchReport(heuristic=self.heuristic, mode=self._mode)
         outcomes_by_id: Dict[str, TaskOutcome] = {}
 
         self._journal = (
@@ -678,7 +680,7 @@ class BatchSupervisor:
         return {
             "type": "batch-start",
             "tasks": [task.task_id for task in self.tasks],
-            "heuristic": self.config.heuristic,
+            "heuristic": self.heuristic,
             "max_retries": self.config.max_retries,
         }
 
@@ -881,7 +883,6 @@ class BatchSupervisor:
             status=DONE,
             record=worker.result_record,
             attempts=worker.attempt,
-            outcome_obj=worker.outcome_obj,
         )
         self._notify("done", worker.task.task_id)
 

@@ -9,12 +9,14 @@ task in its memory) rebuilds everything it needs from the task alone:
 - ``file`` tasks name a module file + pmemcheck trace file (+ optional
   output path): the ``repro fix`` workflow, batchable.
 
-Execution is **deterministic**: :func:`execute_task` returns a
-:class:`TaskResult` whose ``record`` contains only reproducible facts
-(counts, fix kinds, a SHA-256 of the fixed module's IR) — no wall-clock
-time, no memory numbers, no attempt counters.  That determinism is what
-lets a resumed batch replay completed tasks from the journal and still
-produce a byte-identical aggregate report.
+Execution is **deterministic**: :func:`execute_task` returns the
+task's record, which contains only reproducible facts (counts, fix
+kinds, a SHA-256 of the fixed module's IR) — no wall-clock time, no
+memory numbers, no attempt counters.  That determinism is what lets a
+resumed batch replay completed tasks from the journal and still produce
+a byte-identical aggregate report.  The record is all a task returns,
+in either worker mode: how it ran (its phases, how revalidation ran,
+its counters) goes to the task's ``obs``.
 
 A task's ``engine`` is the batch's one fast-path switch, decided in
 :func:`run_case`: ``"flat"`` runs the fast pipeline, ``"reference"``
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.fixes import classify_fix, compare_fix_kinds
 from ..core.hippocrates import FixReport, Hippocrates
@@ -95,9 +98,6 @@ class CaseOutcome:
     comparison: Optional[str] = None
     #: the repaired module (for digesting / further inspection)
     module: Any = None
-    #: how revalidation ran (mode, segments replayed, chains rechecked)
-    #: — volatile diagnostics, never journaled
-    revalidation: Optional[Dict[str, Any]] = None
 
     @property
     def fixed(self) -> bool:
@@ -121,7 +121,9 @@ def run_case(
     :class:`~repro.memory.pool.MachinePool`.  ``"reference"`` runs the
     oracle: the tree-walking engine, fresh machines, and a full re-run
     of the workload to revalidate.  Both produce byte-identical
-    canonical records (``tests/test_oracle_differential.py``).
+    canonical records (``tests/test_oracle_differential.py``).  How the
+    fast pipeline revalidated is on its ``phase.revalidate`` span
+    (:meth:`~repro.core.hippocrates.Hippocrates.revalidate`).
     """
     from ..detect import pmemcheck_run
     from ..memory.pool import MachinePool
@@ -152,12 +154,9 @@ def run_case(
     )
     plan = fixer.compute_fixes()
     fix_report = fixer.apply(plan)
-    revalidation: Optional[Dict[str, Any]] = None
     with obs.span("revalidate", case=case.case_id):
         if revalidator is not None:
-            outcome = fixer.revalidate()
-            after = outcome.detection
-            revalidation = outcome.as_stats()
+            after = fixer.revalidate().detection
         else:
             after, _, _ = pmemcheck_run(
                 module, case.drive, obs=obs, engine=engine
@@ -175,7 +174,6 @@ def run_case(
         fix_kinds=kinds,
         comparison=comparison,
         module=module,
-        revalidation=revalidation,
     )
 
 
@@ -269,24 +267,8 @@ def corpus_tasks(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TaskResult:
-    """What one task execution produced.
-
-    ``record`` is the deterministic, journal-able form; ``outcome`` is
-    the rich in-memory object (available only when the task ran
-    in-process — it never crosses a subprocess boundary).  Volatile
-    facts (cache hits, interpreter totals) go to the task's ``obs``,
-    never into ``record``: the journal replay must stay byte-identical.
-    """
-
-    record: Dict[str, Any]
-    outcome: Optional[CaseOutcome] = None
-
-
-def _corpus_record(task: RepairTask, outcome: CaseOutcome, digest: str) -> Dict[str, Any]:
-    report = outcome.fix_report
-    record = report.as_record()
+def _corpus_record(task: RepairTask, outcome: CaseOutcome) -> Dict[str, Any]:
+    record = outcome.fix_report.as_record()
     record.update(
         task=task.task_id,
         kind=task.kind,
@@ -295,13 +277,15 @@ def _corpus_record(task: RepairTask, outcome: CaseOutcome, digest: str) -> Dict[
         fixed=outcome.fixed,
         fix_kinds=outcome.fix_kinds,
         comparison=outcome.comparison,
-        module_sha256=digest,
+        module_sha256=outcome.module.fingerprint(),
     )
     return record
 
 
-def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskResult:
-    """Run one task to completion and return its deterministic result.
+def execute_task(
+    task: RepairTask, obs: Optional[Observability] = None
+) -> Dict[str, Any]:
+    """Run one task to completion and return its deterministic record.
 
     Corpus tasks rebuild everything from the case id, so re-executing a
     task (after a worker death, say) starts from pristine state — the
@@ -311,24 +295,39 @@ def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskR
     tears the output module on disk.
 
     ``obs`` instruments the execution (a ``task`` span around the whole
-    run, phase spans inside); it never changes ``record``.
+    run, phase spans inside); it never changes the record.
     """
     obs = obs if obs is not None else NULL_OBS
     with obs.span("task", task=task.task_id, kind=task.kind):
         if task.kind == "corpus":
-            case = _find_case(task.case_id)
             outcome = run_case(
-                case,
+                _find_case(task.case_id),
                 heuristic=task.heuristic,
                 analysis_cache_dir=task.analysis_cache_dir,
                 obs=obs,
                 engine=task.engine,
             )
-            return TaskResult(
-                record=_corpus_record(task, outcome, outcome.module.fingerprint()),
-                outcome=outcome,
-            )
+            return _corpus_record(task, outcome)
         return _execute_file_task(task, obs)
+
+
+def run_attempt(
+    task: RepairTask, obs: Observability = NULL_OBS
+) -> Tuple[bool, Dict[str, Any]]:
+    """One attempt at ``task``, as both worker modes run it.
+
+    Returns ``(True, record)``, or ``(False, failure)`` when the task
+    raised: ``failure`` is ``{"error_type", "error", "traceback"}``,
+    the payload of a worker's ``FAIL`` verdict.
+    """
+    try:
+        return True, execute_task(task, obs=obs)
+    except Exception as exc:
+        return False, {
+            "error_type": type(exc).__name__,
+            "error": str(exc),
+            "traceback": traceback.format_exc(),
+        }
 
 
 def _find_case(case_id: str) -> BugCase:
@@ -340,7 +339,7 @@ def _find_case(case_id: str) -> BugCase:
     raise TaskError(f"unknown corpus case {case_id!r}")
 
 
-def _execute_file_task(task: RepairTask, obs: Observability = NULL_OBS) -> TaskResult:
+def _execute_file_task(task: RepairTask, obs: Observability = NULL_OBS) -> Dict[str, Any]:
     with open(task.module_path) as handle:
         module = parse_module(handle.read())
     verify_module(module)
@@ -373,4 +372,4 @@ def _execute_file_task(task: RepairTask, obs: Observability = NULL_OBS) -> TaskR
         comparison=None,
         module_sha256=hashlib.sha256(fixed_text.encode("utf-8")).hexdigest(),
     )
-    return TaskResult(record=record)
+    return record

@@ -66,7 +66,7 @@ import traceback
 from typing import Iterable, List, Tuple
 
 from ..obs.observability import NULL_OBS, Observability
-from .tasks import execute_task
+from .tasks import run_attempt
 
 
 class _Channel:
@@ -141,20 +141,14 @@ def run_task(task, channel: _Channel, fault: str, instrumented: bool) -> bool:
     if fault == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     obs = Observability(sink=_ChannelSink(channel)) if instrumented else NULL_OBS
-    try:
-        with obs.watch_gc():
-            result = execute_task(task, obs=obs)
-    except Exception as exc:
-        payload = {
-            "error_type": type(exc).__name__,
-            "error": str(exc),
-            "traceback": traceback.format_exc(),
-        }
+    with obs.watch_gc():
+        ok, payload = run_attempt(task, obs)
+    if not ok:
         channel.send(f"FAIL {json.dumps(payload)}", last=True)
         return False
     if instrumented:
         channel.send(f"METRICS {json.dumps(obs.metrics_snapshot(), sort_keys=True)}")
-    channel.send(f"RESULT {json.dumps(result.record, sort_keys=True)}", last=True)
+    channel.send(f"RESULT {json.dumps(payload, sort_keys=True)}", last=True)
     return True
 
 

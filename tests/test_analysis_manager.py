@@ -37,7 +37,7 @@ from repro.ir import (
     parse_module,
 )
 from repro.ir.instructions import Fence
-from repro.ir.verifier import is_verified
+from repro.ir.verifier import is_verified, verify_changed
 from repro.obs import Observability
 from repro.supervisor.tasks import run_case
 
@@ -184,11 +184,10 @@ def test_structural_commit_cascades_to_dependents(tmp_path):
     assert stats(manager)["misses"] == 2
 
 
-def test_commit_drops_only_touched_verified_state():
+def test_commit_drops_only_touched_verified_state(verifications):
     module = build_listing5_module()
-    manager = counted(module)
-    manager.verify_scope(["update", "modify"])
-    baseline_misses = stats(manager)["misses"]
+    verify_changed(module, ["update", "modify"])
+    assert verifications == ["modify", "update"]
 
     txn = FixTransaction(module)
     txn.touch("update")
@@ -197,9 +196,9 @@ def test_commit_drops_only_touched_verified_state():
     update.entry.insert_after(first, Fence())
     txn.commit()
 
-    manager.verify_scope(["update", "modify"])
-    # "update" re-verified (one more miss); "modify" stayed verified.
-    assert stats(manager)["misses"] == baseline_misses + 1
+    verify_changed(module, ["update", "modify"])
+    # "update" re-verified; "modify" stayed verified.
+    assert verifications == ["modify", "update", "update"]
 
 
 def test_clean_rollback_preserves_everything():
@@ -273,6 +272,22 @@ def test_failed_rollback_entries_are_never_restamped():
 # ---------------------------------------------------------------------------
 # failure memoization
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def verifications(monkeypatch):
+    """The names of the functions ``verify_function`` checks, in order."""
+    import repro.ir.verifier as verifier_module
+
+    checked = []
+    real = verifier_module.verify_function
+
+    def counting(fn):
+        checked.append(fn.name)
+        real(fn)
+
+    monkeypatch.setattr(verifier_module, "verify_function", counting)
+    return checked
 
 
 @pytest.fixture
@@ -359,6 +374,19 @@ def test_each_corpus_repair_builds_its_analyses_once(case_id, constructions):
     assert constructions["CallGraph"] == (
         outcome.fix_report.interprocedural_count > 0
     )
+
+
+def test_corpus_pass_counts_analysis_lookups_only(constructions):
+    """``analysis.misses`` counts analysis builds and nothing else: an
+    uncached pass over the 13 corpus repairs builds 13 points-to
+    solutions and 9 call graphs, and misses exactly that often (function
+    verifications are the verifier's, not the manager's)."""
+    obs = Observability()
+    for case in all_cases():
+        assert run_case(case, obs=obs).reports_after_fix == 0
+    counters = obs.metrics_snapshot()["counters"]
+    assert constructions == {"PointsTo": 13, "CallGraph": 9}
+    assert counters["analysis.misses"] == 22
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +627,24 @@ def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_scope_caches_per_function():
+def test_verify_scope_caches_per_function(verifications):
+    """Verifying a fix's touched functions (``verify_changed`` with
+    names) checks each once per change; the analysis counters never
+    see it."""
     module = build_listing5_module()
     manager = counted(module)
-    manager.verify_scope(["update", "modify"])
-    assert stats(manager)["misses"] == 2
-    manager.verify_scope(["update", "modify"])
-    assert stats(manager)["misses"] == 2
-    assert stats(manager)["hits"] == 2
+    verify_changed(module, ["update", "modify"])
+    assert verifications == ["modify", "update"]
+    verify_changed(module, ["update", "modify"])
+    assert verifications == ["modify", "update"]
+    assert stats(manager) == Counter()
 
 
-def test_verify_scope_skips_unknown_functions():
-    manager = counted(build_module())
-    manager.verify_scope(["main", "not-a-function"])
-    assert is_verified(manager.module.get_function("main"))
-    assert stats(manager)["misses"] == 1
+def test_verify_scope_skips_unknown_functions(verifications):
+    module = build_module()
+    verify_changed(module, ["main", "not-a-function"])
+    assert is_verified(module.get_function("main"))
+    assert verifications == ["main"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ repair never touched still fails the repair.
 
 import pytest
 
-from repro.analysis import manager
 from repro.core import Hippocrates
 from repro.core.transaction import FixTransaction
 from repro.detect import pmemcheck_run
@@ -27,8 +26,8 @@ from conftest import drive_main
 @pytest.fixture
 def checked(monkeypatch):
     """Names of the functions verified by the repair's checks, in call
-    order: the per-fix scoped checks and the final ``verify_changed``
-    (the flat engine's compiler is not counted)."""
+    order: ``verify_changed`` per fix and at the end (the flat engine's
+    compiler is not counted)."""
     names = []
     original = verifier.verify_function
 
@@ -37,7 +36,6 @@ def checked(monkeypatch):
         original(fn)
 
     monkeypatch.setattr(verifier, "verify_function", recording)
-    monkeypatch.setattr(manager, "verify_function", recording)
     return names
 
 

@@ -13,7 +13,9 @@ The contract under test, per layer:
   lines) and ship a metrics snapshot (``METRICS`` line) that the
   supervisor merges, so both worker modes count the same totals; the
   workers of an uninstrumented batch send neither line;
-- a metrics-only CLI batch keeps no span records in memory.
+- a metrics-only CLI batch keeps no span records in memory;
+- each task's ``phase.revalidate`` span names how it revalidated
+  (``mode``, and a fallback's reason), in both worker modes;
 - a batch counts its garbage collections per generation and times
   their pauses, its workers' included.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import Counter
 
 import pytest
 
@@ -73,8 +76,7 @@ def fast_config(**overrides):
 def run_one_task(case_id=CASES[0]):
     obs = Observability(clock=ManualClock())
     (task,) = corpus_tasks([case_id])
-    result = execute_task(task, obs=obs)
-    return obs, result
+    return obs, execute_task(task, obs=obs)
 
 
 def serialize(records):
@@ -91,8 +93,8 @@ def serialize(records):
 
 class TestTaskInstrumentation:
     def test_all_phases_become_spans(self):
-        obs, result = run_one_task()
-        assert result.record["fixed"]
+        obs, record = run_one_task()
+        assert record["fixed"]
         names = [r["name"] for r in obs.tracer.records if r["type"] == "span"]
         for phase in PHASES:
             assert phase in names, f"missing span {phase}"
@@ -102,7 +104,7 @@ class TestTaskInstrumentation:
         assert names[-1] == "task"
 
     def test_typed_counters_populated(self):
-        obs, result = run_one_task()
+        obs, _ = run_one_task()
         counters = obs.metrics_snapshot()["counters"]
         assert counters["pipeline.bugs"] > 0
         assert counters["pipeline.fixes_applied"] > 0
@@ -123,9 +125,9 @@ class TestTaskInstrumentation:
         with hot_after(1):
             obs, translated = run_one_task()
         assert obs.metrics_snapshot()["counters"]["interp.runs_translated"] > 0
-        assert translated.record == plain.record
-        assert "translated" not in json.dumps(translated.record)
-        assert "promoted" not in json.dumps(translated.record)
+        assert translated == plain
+        assert "translated" not in json.dumps(translated)
+        assert "promoted" not in json.dumps(translated)
 
     def test_span_output_is_byte_stable(self):
         first, _ = run_one_task()
@@ -136,7 +138,7 @@ class TestTaskInstrumentation:
         (task,) = corpus_tasks([CASES[0]])
         plain = execute_task(task)
         obs, instrumented = run_one_task()
-        assert plain.record == instrumented.record
+        assert plain == instrumented
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +221,14 @@ class TestGcMetrics:
     def test_batch_reports_its_collections_and_pauses(self, monkeypatch, mode):
         """Each task ends with one full collection of its own, so every
         task's collections reach the batch snapshot, forked or not."""
-        import repro.supervisor.supervisor as supervisor_module
-        import repro.supervisor.worker as worker_module
+        import repro.supervisor.tasks as tasks_module
 
         def collecting_execute(task, obs=None):
-            result = execute_task(task, obs=obs)
+            record = execute_task(task, obs=obs)
             gc.collect()
-            return result
+            return record
 
-        for module in (supervisor_module, worker_module):
-            monkeypatch.setattr(module, "execute_task", collecting_execute)
+        monkeypatch.setattr(tasks_module, "execute_task", collecting_execute)
         callbacks = list(gc.callbacks)
         obs = Observability()
         report = run_batch(corpus_tasks(CASES), config=fast_config(mode=mode),
@@ -367,3 +367,60 @@ class TestOneChannel:
         counters = load_metrics(metrics_path)["counters"]
         assert counters["supervisor.tasks_done"] == len(CASES)
         assert counters["analysis.misses"] > 0
+
+
+# ---------------------------------------------------------------------------
+# how each task revalidated: the phase.revalidate span
+# ---------------------------------------------------------------------------
+
+
+def revalidate_spans(records):
+    return [
+        record
+        for record in records
+        if record["type"] == "span" and record["name"] == "phase.revalidate"
+    ]
+
+
+class TestRevalidationTier:
+    def test_corpus_tiers_are_equal_in_both_modes(self):
+        """Every task's ``phase.revalidate`` span names its tier, in a
+        forked worker as in process: all 13 corpus repairs synthesize."""
+        tiers = {}
+        for mode in ("inprocess", "subprocess"):
+            obs = Observability()
+            report = run_batch(
+                corpus_tasks(), config=fast_config(mode=mode, task_timeout=120.0),
+                obs=obs,
+            )
+            assert report.ok
+            spans = revalidate_spans(obs.tracer.records)
+            tiers[mode] = Counter(span["attrs"]["mode"] for span in spans)
+            assert all("fallback" not in span["attrs"] for span in spans)
+        assert tiers["inprocess"] == tiers["subprocess"]
+        assert tiers["inprocess"] == Counter({"synthesized": 13})
+
+    def test_forced_fallback_names_full_mode_and_reason(self):
+        """A revalidation without a baseline re-records in full, and its
+        span says so and why."""
+        from repro.core import Hippocrates
+        from repro.revalidate.engine import IncrementalRevalidator
+
+        from conftest import build_listing5_module, drive_main
+
+        obs = Observability()
+        module = build_listing5_module()
+        revalidator = IncrementalRevalidator(drive_main, obs=obs)
+        detection, trace, interp = revalidator.record(module)
+        fixer = Hippocrates(module, trace, interp.machine, detection=detection,
+                            obs=obs, revalidator=revalidator)
+        fixer.apply(fixer.compute_fixes())
+        revalidator.baseline = None
+        outcome = fixer.revalidate()
+        assert outcome.mode == "full"
+        assert outcome.detection.bug_count == 0
+        (span,) = revalidate_spans(obs.tracer.records)
+        assert span["attrs"] == {
+            "mode": "full",
+            "fallback": "no recording to revalidate against",
+        }

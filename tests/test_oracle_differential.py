@@ -38,8 +38,9 @@ import repro.supervisor
 from repro.cli import main
 from repro.corpus.bugs import all_cases
 from repro.faultinject.resume import run_kill_resume
+from repro.obs import Observability
 from repro.supervisor import RepairTask, SupervisorConfig, run_batch
-from repro.supervisor.tasks import TaskResult, corpus_tasks, execute_task
+from repro.supervisor.tasks import _corpus_record, corpus_tasks, run_case
 
 CASE_IDS = [case.case_id for case in all_cases()]
 
@@ -62,15 +63,32 @@ def config() -> SupervisorConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def case_pair(case_id: str) -> Tuple[TaskResult, TaskResult]:
-    """One corpus case through the fast pipeline and through the oracle."""
+def case_pair(case_id: str) -> Tuple[SimpleNamespace, SimpleNamespace]:
+    """One corpus case through the fast pipeline and through the oracle:
+    each side's ``outcome`` (:func:`run_case`), its journaled
+    ``record``, and the ``obs`` it ran under."""
+    case = next(case for case in all_cases() if case.case_id == case_id)
 
     def run(engine):
-        return execute_task(RepairTask(
+        task = RepairTask(
             task_id=case_id, kind="corpus", case_id=case_id, engine=engine
-        ))
+        )
+        obs = Observability()
+        outcome = run_case(case, obs=obs, engine=engine)
+        return SimpleNamespace(
+            outcome=outcome, record=_corpus_record(task, outcome), obs=obs
+        )
 
     return run("flat"), run("reference")
+
+
+def revalidation_tiers(obs) -> list:
+    """The ``attrs`` of every ``phase.revalidate`` span ``obs`` recorded."""
+    return [
+        record.get("attrs", {})
+        for record in obs.tracer.records
+        if record["type"] == "span" and record["name"] == "phase.revalidate"
+    ]
 
 
 def assert_records_match(case_id: str) -> None:
@@ -86,11 +104,12 @@ def assert_revalidation_on_vs_off(case_id: str) -> None:
     """The fast side revalidated by synthesis, without re-executing the
     workload; the oracle built no revalidator at all."""
     fast, oracle = case_pair(case_id)
-    assert oracle.outcome.revalidation is None
-    revalidation = fast.outcome.revalidation
-    assert revalidation["mode"] == "synthesized"
-    assert revalidation["chains_rechecked"] >= 1
-    assert revalidation["segments_replayed"] == 0
+    assert revalidation_tiers(oracle.obs) == []
+    assert revalidation_tiers(fast.obs) == [{"mode": "synthesized"}]
+    counters = fast.obs.metrics_snapshot()["counters"]
+    assert counters["revalidate.chains_rechecked"] >= 1
+    assert counters.get("revalidate.segments_replayed", 0) == 0
+    assert counters.get("revalidate.fallbacks", 0) == 0
 
 
 def _scrubbed_fixes(outcome):

@@ -237,6 +237,37 @@ def test_batch_runs_without_a_journal():
     assert report.ok
 
 
+def test_batch_heuristic_is_the_tasks_heuristic(tmp_path):
+    """The report header and the ``batch-start`` record name the
+    heuristic the tasks ran, not a default of their own."""
+    journal = str(tmp_path / "off.journal")
+    report = run_batch(corpus_tasks(["PMDK-447"], heuristic="off"),
+                       journal_path=journal,
+                       config=SupervisorConfig(mode="inprocess"))
+    assert report.ok
+    assert report.canonical_dict()["heuristic"] == "off"
+    assert report.done[0].record["heuristic"] == "off"
+    start = CheckpointJournal.read(journal).records[0]
+    assert start["type"] == "batch-start"
+    assert start["heuristic"] == "off"
+
+
+def test_batch_of_mixed_heuristics_is_refused():
+    tasks = [*corpus_tasks(["PMDK-447"], heuristic="off"),
+             *corpus_tasks(["PMDK-452"], heuristic="full")]
+    with pytest.raises(SupervisorError, match="one heuristic"):
+        BatchSupervisor(tasks)
+
+
+def test_batch_outcomes_are_equal_in_both_modes():
+    """A task hands back its record and nothing beside it, whichever
+    worker ran it."""
+    inprocess = run_batch(small_tasks(), config=fast_config())
+    forked = run_batch(small_tasks(), config=fast_config(mode="subprocess"))
+    assert inprocess.ok and forked.ok
+    assert inprocess.outcomes == forked.outcomes
+
+
 def file_task(tmp_path, output_path):
     """A file task repairing PMDK-447's printed module from its
     pmemcheck-format trace, both written under ``tmp_path``."""
@@ -486,11 +517,11 @@ def test_slot_runs_its_next_task_in_a_new_process_after_a_failure(
     tmp_path, monkeypatch, forked_pids
 ):
     """A worker whose task ended in FAIL is killed, not reused."""
-    import repro.supervisor.worker as worker_module
+    import repro.supervisor.tasks as tasks_module
 
     tasks = corpus_tasks(POOL_CASES[:4])
     log = tmp_path / "ran.log"
-    real_execute = worker_module.execute_task
+    real_execute = tasks_module.execute_task
 
     def logged_execute(task, obs=None):
         with open(log, "a") as handle:
@@ -499,7 +530,7 @@ def test_slot_runs_its_next_task_in_a_new_process_after_a_failure(
             raise RuntimeError("injected failure")
         return real_execute(task, obs=obs)
 
-    monkeypatch.setattr(worker_module, "execute_task", logged_execute)
+    monkeypatch.setattr(tasks_module, "execute_task", logged_execute)
     report = run_batch(
         tasks, config=fast_config(mode="subprocess", jobs=1, max_retries=0)
     )
@@ -684,16 +715,16 @@ def test_batch_leaves_the_freeze_count_as_it_found_it(tmp_path, ending):
 
 
 def test_inprocess_tasks_run_with_the_loaded_modules_frozen(monkeypatch):
-    import repro.supervisor.supervisor as supervisor_module
+    import repro.supervisor.tasks as tasks_module
 
     seen = []
-    real_execute = supervisor_module.execute_task
+    real_execute = tasks_module.execute_task
 
     def observed_execute(task, obs=None):
         seen.append((_frozen(LOADED), list(gc.callbacks)))
         return real_execute(task, obs=obs)
 
-    monkeypatch.setattr(supervisor_module, "execute_task", observed_execute)
+    monkeypatch.setattr(tasks_module, "execute_task", observed_execute)
     callbacks = list(gc.callbacks)
     assert run_batch(small_tasks(), config=fast_config()).ok
     # frozen in every task, and no collection watch without observability
@@ -702,17 +733,17 @@ def test_inprocess_tasks_run_with_the_loaded_modules_frozen(monkeypatch):
 
 
 def test_forked_workers_inherit_the_frozen_heap(tmp_path, monkeypatch):
-    import repro.supervisor.worker as worker_module
+    import repro.supervisor.tasks as tasks_module
 
     log = tmp_path / "frozen.log"
-    real_execute = worker_module.execute_task
+    real_execute = tasks_module.execute_task
 
     def observed_execute(task, obs=None):
         with open(log, "a") as handle:
             handle.write(f"{_frozen(LOADED)}\n")
         return real_execute(task, obs=obs)
 
-    monkeypatch.setattr(worker_module, "execute_task", observed_execute)
+    monkeypatch.setattr(tasks_module, "execute_task", observed_execute)
     report = run_batch(small_tasks(), config=fast_config(mode="subprocess"))
     assert report.ok
     assert log.read_text().split() == ["True"] * len(CASES)
