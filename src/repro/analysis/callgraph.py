@@ -6,7 +6,7 @@ Intrinsics are represented as leaf nodes with no body.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..ir.instructions import Call
 from ..ir.module import Module
@@ -15,47 +15,19 @@ from ..ir.module import Module
 class CallGraph:
     """Direct call graph of a module."""
 
-    def __init__(
-        self,
-        module: Module,
-        _edges: Optional[Dict[str, Set[str]]] = None,
-    ):
+    def __init__(self, module: Module):
         self.module = module
         #: caller name -> set of callee names (defined functions only)
         self._callees: Dict[str, Set[str]] = {}
         #: callee name -> list of call instructions targeting it
         self._call_sites: Dict[str, List[Call]] = {}
-        self._build(edges=_edges)
-
-    def _build(self, edges: Optional[Dict[str, Set[str]]] = None) -> None:
-        for fn in self.module.functions.values():
+        for fn in module.functions.values():
             callees: Set[str] = set()
             for call in fn.calls():
                 self._call_sites.setdefault(call.callee, []).append(call)
-                if edges is None and self.module.has_function(call.callee):
+                if module.has_function(call.callee):
                     callees.add(call.callee)
-            self._callees[fn.name] = (
-                set(edges.get(fn.name, set())) if edges is not None else callees
-            )
-
-    # -- serialization ---------------------------------------------------------
-
-    def summary(self) -> Dict[str, List[str]]:
-        """The JSON-serializable edge summary (caller -> sorted callees).
-
-        Call *instructions* are module-local objects and are not part of
-        the summary; :meth:`from_summary` re-collects them with a single
-        linear scan while taking the edge set from the summary.
-        """
-        return {name: sorted(callees) for name, callees in self._callees.items()}
-
-    @classmethod
-    def from_summary(
-        cls, module: Module, summary: Dict[str, List[str]]
-    ) -> "CallGraph":
-        """Rebuild a call graph from a stored edge summary."""
-        edges = {name: set(callees) for name, callees in summary.items()}
-        return cls(module, _edges=edges)
+            self._callees[fn.name] = callees
 
     # -- queries -------------------------------------------------------------
 

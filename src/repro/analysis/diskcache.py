@@ -6,8 +6,9 @@ corpus batch rebuilds each case's module in a fresh worker process, and
 the same Andersen fixpoint per task.  The fixpoint is a pure function of
 module *content*, so its solution can be shared across processes through
 a content-addressed store: ``<dir>/<module fingerprint>.json`` holds the
-serialized points-to solution plus the call-graph edge summary, and any
-worker whose module prints to the same bytes can reuse it.
+serialized points-to solution, and any worker whose module prints to
+the same bytes can reuse it.  The call graph is not stored: building
+it is one linear scan.
 
 Two representation problems make this more than ``json.dumps``:
 
@@ -41,16 +42,15 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..fsutil import atomic_write_text
 from ..ir.module import Module
 from ..ir.values import GlobalVariable, Value
 from .andersen import AllocSite, PointsTo, UNKNOWN_SITE
-from .callgraph import CallGraph
 
 #: on-disk schema tag (bump on any format change; old entries become misses)
-SCHEMA = "repro-analysis-cache-v2"
+SCHEMA = "repro-analysis-cache-v3"
 
 #: allocation-site keys that embed a process-local instruction id
 _IID_SITE = re.compile(r"^(alloca|call):(\d+)$")
@@ -182,17 +182,6 @@ def restore_points_to(module: Module, data: Dict) -> PointsTo:
     return points_to
 
 
-def _restore_summary(summary) -> Dict[str, List[str]]:
-    _expect(isinstance(summary, dict), "callgraph is not an object")
-    for callees in summary.values():
-        _expect(
-            isinstance(callees, list)
-            and all(isinstance(name, str) for name in callees),
-            "callgraph callees",
-        )
-    return summary
-
-
 class AnalysisDiskCache:
     """A directory of ``<fingerprint>.json`` analysis entries."""
 
@@ -202,9 +191,9 @@ class AnalysisDiskCache:
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f"{fingerprint}.json")
 
-    def load(self, module: Module) -> Optional[Tuple[PointsTo, CallGraph]]:
-        """The cached ``(points_to, callgraph)`` for this module's
-        content, or None (missing, corrupt, or stale schema)."""
+    def load(self, module: Module) -> Optional[PointsTo]:
+        """The cached points-to solution for this module's content, or
+        None (missing, corrupt, or stale schema)."""
         try:
             with open(self._path(module.fingerprint())) as handle:
                 data = json.load(handle)
@@ -213,15 +202,11 @@ class AnalysisDiskCache:
         if not isinstance(data, dict) or data.get("schema") != SCHEMA:
             return None
         try:
-            points_to = restore_points_to(module, data["points_to"])
-            summary = _restore_summary(data["callgraph"])
+            return restore_points_to(module, data["points_to"])
         except (KeyError, IndexError, TypeError, ValueError):
             return None
-        return points_to, CallGraph.from_summary(module, summary)
 
-    def store(
-        self, module: Module, points_to: PointsTo, callgraph: CallGraph
-    ) -> bool:
+    def store(self, module: Module, points_to: PointsTo) -> bool:
         """Persist one solved entry; returns False if uncacheable."""
         fingerprint = module.fingerprint()
         try:
@@ -229,7 +214,6 @@ class AnalysisDiskCache:
                 "schema": SCHEMA,
                 "fingerprint": fingerprint,
                 "points_to": serialize_points_to(points_to),
-                "callgraph": callgraph.summary(),
             }
         except _Unserializable:
             return False

@@ -37,8 +37,8 @@ and ``analysis.misses`` counters count analysis lookups only.
 
 When a :class:`~repro.analysis.diskcache.AnalysisDiskCache` is attached,
 the ``points_to`` computation first consults the content-addressed store
-(and seeds the call graph from the same entry) before solving, and
-persists fresh solutions for other worker processes to reuse.
+before solving, and persists fresh solutions for other worker processes
+to reuse.  The call graph is always built here: it is one linear scan.
 """
 
 from __future__ import annotations
@@ -125,20 +125,10 @@ class AnalysisManager:
         if self.disk_cache is not None:
             restored = self.disk_cache.load(module)
             if restored is not None:
-                points_to, callgraph = restored
                 self.obs.count("analysis.disk_hits")
-                # The call graph came with the entry: install it unless
-                # a current one is already cached.
-                entry = self._entries.get(CALLGRAPH)
-                if (
-                    entry is None
-                    or entry.shape_epoch != module.shape_epoch
-                    or entry.failure is not None
-                ):
-                    self._entries[CALLGRAPH] = _Entry(module.shape_epoch, callgraph)
-                return points_to
+                return restored
             self.obs.count("analysis.disk_misses")
         points_to = PointsTo(module, budget=self.budget)
         if self.disk_cache is not None:
-            self.disk_cache.store(module, points_to, self.get(CALLGRAPH))
+            self.disk_cache.store(module, points_to)
         return points_to

@@ -470,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         default="flat",
         help="'flat' (the default) runs the fast pipeline: flat engine, "
-        "incremental revalidation, pooled machines; 'reference' runs "
-        "the oracle: tree-walking engine, full re-run revalidation, "
-        "fresh machines.  Reports are byte-identical either way",
+        "incremental revalidation; 'reference' runs the oracle: "
+        "tree-walking engine, full re-run revalidation.  Reports are "
+        "byte-identical either way",
     )
     # Older spellings of `--engine reference`, still accepted.
     for alias in ("--no-incremental-revalidate", "--no-machine-pool"):

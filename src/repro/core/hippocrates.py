@@ -583,7 +583,7 @@ class Hippocrates:
                 fence.loc = anchor.loc
                 last.parent.insert_after(last, fence)
                 fix.inserted.append(fence)
-            txn.anchor(anchor.iid, spec_for_fix(anchor, fix.inserted))
+            txn.anchor(spec_for_fix(anchor, fix.inserted))
         else:
             raise FixError(f"cannot apply fix {fix!r}")
         return transformer
@@ -639,7 +639,6 @@ class Hippocrates:
                 txn.commit()
                 if self.revalidator is not None:
                     self.revalidator.note_commit(
-                        txn.anchor_iids,
                         txn.structural,
                         txn.insertions,
                         txn.structural_specs,
@@ -675,16 +674,16 @@ class Hippocrates:
     def revalidate(self):
         """Re-check the repaired module through the incremental engine.
 
-        The engine picks the cheapest sound tier against its recorded
-        baseline — trace synthesis for witnessed flush/fence *and*
-        structural commits, snapshot replay, or a full re-record (also
-        taken when no baseline exists, e.g. after a failed rollback
-        dropped it).  Returns the
+        The engine revalidates against its recorded baseline by trace
+        synthesis when every committed flush/fence *and* structural fix
+        left a complete witness, and by a full re-record otherwise
+        (also taken when no baseline exists, e.g. after a failed
+        rollback dropped it).  Returns the
         :class:`~repro.revalidate.engine.RevalidationOutcome`.
 
         The ``phase.revalidate`` span says how it ran: ``mode`` is
-        ``baseline``, ``synthesized``, ``incremental`` or ``full``, and
-        a full re-record taken as a fallback adds its ``fallback``
+        ``baseline`` (module unchanged), ``synthesized`` or ``full``,
+        and a full re-record taken as a fallback adds its ``fallback``
         reason.
         """
         if self.revalidator is None:

@@ -14,8 +14,8 @@ back cleanly.  Undo actions run in reverse registration order.
 The transaction also witnesses what a fix did: whether it only
 inserted flushes/fences (``track_fix``) or changed program structure
 (``track_attr`` retargeting, clones via ``track_transformer``), which
-functions it touched (the scope of the per-fix verification), and where
-it anchored its insertions (the incremental-revalidation witness).  It
+functions it touched (the scope of the per-fix verification), and what
+it inserted where (the revalidation witness).  It
 notifies no analysis cache: the mutation primitives move the module's
 stamps themselves, and the analysis manager keys on those (see
 :mod:`repro.analysis.manager`).
@@ -44,12 +44,9 @@ class FixTransaction:
         self.touched_functions: Set[str] = set()
         #: True once the fix did more than insert flushes/fences.
         self.structural = False
-        #: iids of the existing instructions this fix inserted
-        #: flushes/fences after — the incremental-revalidation witness.
-        self.anchor_iids: Set[int] = set()
-        #: full insertion descriptions (one per anchored fix), or None
-        #: once an insertion could not be described — incremental
-        #: revalidation then degrades from synthesis to replay.
+        #: insertion descriptions (one per anchored fix, each naming its
+        #: anchor), or None once an insertion could not be described —
+        #: revalidation then degrades from synthesis to a full re-record.
         self.insertions: Optional[List["InsertionSpec"]] = []
         #: structural (hoisted-fix) witnesses, or None once a structural
         #: mutation could not be described — incremental revalidation
@@ -63,12 +60,12 @@ class FixTransaction:
         if function_name:
             self.touched_functions.add(function_name)
 
-    def anchor(self, anchor_iid: int, spec: Optional["InsertionSpec"]) -> None:
-        """Witness a flush/fence insertion anchored at ``anchor_iid``.
+    def anchor(self, spec: Optional["InsertionSpec"]) -> None:
+        """Witness a flush/fence insertion.
 
-        ``spec`` describes exactly what was inserted; None marks the
-        insertion as present but indescribable (unknown shape)."""
-        self.anchor_iids.add(anchor_iid)
+        ``spec`` describes exactly what was inserted after which
+        anchor; None marks the insertion as present but indescribable
+        (unknown shape)."""
         if spec is None:
             self.insertions = None
         elif self.insertions is not None:

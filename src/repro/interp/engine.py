@@ -5,10 +5,9 @@ replaces the tree-walking ``_run`` with a loop over
 :class:`~repro.interp.compile.CompiledFunction` instruction tuples:
 
 - the loop enters a straight-line **run** (see the compiler's run
-  table) and charges its steps, static cycles, per-kind counts and
-  executed iids at once; the inner ``for inst in body`` does no
-  accounting and no pc arithmetic — terminators and calls pick the
-  next run, and only the cycles that depend on machine state (flushes,
+  table) and charges its steps, static cycles and per-kind counts at
+  once; the inner ``for inst in body`` does no accounting and no pc
+  arithmetic — terminators and calls pick the next run, and only the cycles that depend on machine state (flushes,
   the PM-store premium, a fence's per-line drain) are charged inline;
 - a hot loop — a cycle of runs ending in a branch or jump, each
   entered ``_TRANSLATE_AFTER`` times — is translated into one Python
@@ -30,11 +29,11 @@ replaces the tree-walking ``_run`` with a loop over
 Everything observable is **byte-identical** to the reference engine:
 trace events (including stack captures — caller frames expose the call
 instruction, the active frame the executing instruction), cost cycles
-and counts, execution results, error messages and their timing, the
-revalidation recorder's per-segment iid sets, and snapshot capture
-points.  A fault settles the innermost run as the reference's
-per-instruction accounting would have left it (fuel runs out at the
-same instruction; see ``_abandon_run``, which finds a fault inside
+and counts, execution results, error messages and their timing, and
+the revalidation recorder's call boundaries and callee spans.  A fault
+settles the innermost run as the reference's per-instruction
+accounting would have left it (fuel runs out at the same instruction;
+see ``_abandon_run``, which finds a fault inside
 translated code — its run and instruction — from the traceback's line
 number).  The differential suite (``tests/test_engine_differential.py``)
 enforces this corpus-wide and on random branching and looping programs,
@@ -293,28 +292,18 @@ class FlatEngine(Interpreter):
             self._loops_promoted += 1
         return fast
 
-    def _fold(self, lf, entry, tally, steps, cycles, counts, faulting=None):
-        """Charge the run entries a translated loop entered at
-        ``entry`` counted in ``tally`` (``(run start, entries)`` pairs):
-        their steps, static cycles and packed counts, returned with the
-        totals, and the iids of every run that completed to the segment
-        set.  The entry run completed if the loop moved on from it; the
-        last entry of the ``faulting`` run did not complete, and
-        ``_abandon_run`` settles it."""
-        seg_iids = self._seg_iids
+    def _fold(self, lf, tally, steps, cycles, counts):
+        """Charge the run entries a translated loop counted in ``tally``
+        (``(run start, entries)`` pairs): their steps, static cycles and
+        packed counts, returned with the totals.  The last entry of a
+        run that faulted is charged too; ``_abandon_run`` settles it."""
         runs = lf.runs
-        moved = False
         for start, entries in tally:
             if entries:
-                moved = True
-                run_steps, run_cycles, run_counts, iids = runs[start][:4]
+                run_steps, run_cycles, run_counts = runs[start][:3]
                 steps += entries * run_steps
                 cycles += entries * run_cycles
                 counts += entries * run_counts
-                if seg_iids is not None and (entries > 1 or start != faulting):
-                    seg_iids.update(iids)
-        if moved and seg_iids is not None:
-            seg_iids.update(runs[entry][3])
         return steps, cycles, counts
 
     def finish(self):
@@ -387,8 +376,7 @@ class FlatEngine(Interpreter):
         write_int = space.write_int
         # Loads and stores of already-written stack bytes (every IR local
         # is an alloca) are served here with the instruction's codec.
-        # The bytearray is never rebound: resets clear it and snapshot
-        # restores assign a slice, so this binding stays current.
+        # The bytearray is never rebound, so this binding stays current.
         stack_base = space.stack.base
         stack_data = space.stack.data
         pm_base, pm_end = space.pm_bounds()
@@ -406,10 +394,6 @@ class FlatEngine(Interpreter):
         m_clflush_serial = model.clflush_serial
         m_fence_per_line = model.fence_per_line
         fuel = self.fuel
-        # Executed iids reach the segment set a run at a time, when the
-        # next run is entered or the call ends.  Nothing reads the set
-        # mid-call: the run recorder reads it after ``end_call``.
-        seg_iids = self._seg_iids
         run_rec = self._run_recorder
         trace_events = recorder.trace.events
         steps = self.steps
@@ -424,14 +408,11 @@ class FlatEngine(Interpreter):
         regs = frame[_F_REGS]
         runs = lf.runs
         pc = 0  # the current run's start; only run changes move it
-        iids = ()
         inst = None  # the executing instruction, for ``_abandon_run``
 
         try:
             while True:
-                if seg_iids is not None:
-                    seg_iids.update(iids)
-                run_steps, run_cycles, run_counts, iids, body, fast = runs[pc]
+                run_steps, run_cycles, run_counts, _, body, fast = runs[pc]
                 steps += run_steps
                 cycles += run_cycles
                 counts += run_counts
@@ -448,7 +429,7 @@ class FlatEngine(Interpreter):
                     if fast is not None:
                         next_pc = fast(regs, frame, pc, fuel - steps)
                         steps, cycles, counts = self._fold(
-                            lf, pc, tally.pop(), steps, cycles, counts
+                            lf, tally.pop(), steps, cycles, counts
                         )
                         pc = next_pc
                         continue
@@ -578,8 +559,6 @@ class FlatEngine(Interpreter):
                         done = frames.pop()
                         stack_release(done[_F_MARK])
                         if len(frames) == base_depth:
-                            if seg_iids is not None:
-                                seg_iids.update(iids)
                             return value
                         if run_rec is not None:
                             run_rec.exit_callee(
@@ -651,10 +630,9 @@ class FlatEngine(Interpreter):
         the steps after the faulting instruction, and the static cycles
         and counts from it on — except that a module or intrinsic call
         keeps its charge, which the reference takes before the depth
-        check or the intrinsic runs.  The segment set gets the executed
-        prefix: the faulting iid too, unless fuel ran out.  The faulting
-        pc becomes ``frame``'s pc.  Returns the settled ``(steps,
-        cycles, counts)``.
+        check or the intrinsic runs.  The faulting pc becomes
+        ``frame``'s pc.  Returns the settled ``(steps, cycles,
+        counts)``.
 
         A fault inside a translated loop names its run and instruction
         through the traceback instead of ``inst``: the line it was
@@ -671,8 +649,7 @@ class FlatEngine(Interpreter):
                 where = fault_index(exc.__traceback__, lf.translated[start])
                 if self._tally:
                     steps, cycles, counts = self._fold(
-                        lf, start, self._tally.pop(), steps, cycles, counts,
-                        where[0] if where else None,
+                        lf, self._tally.pop(), steps, cycles, counts
                     )
                 if where is not None:
                     start, index = where
@@ -684,7 +661,7 @@ class FlatEngine(Interpreter):
             # An asynchronous exception (e.g. KeyboardInterrupt) landed
             # between runs: everything charged so far ran.
             return steps, cycles, counts
-        run_steps, _, _, iids, body, _ = run
+        run_steps, _, _, _, body, _ = run
         cut = isinstance(exc, FuelExhausted)
         steps -= run_steps - index - 1
         dense = self.costs._dense
@@ -695,8 +672,6 @@ class FlatEngine(Interpreter):
             if kind is not None:
                 dense[kind] -= 1
                 cycles -= static_costs[kind]
-        if self._seg_iids is not None:
-            self._seg_iids.update(iids[: index if cut else index + 1])
         frame[_F_PC] = start + index
         return steps, cycles, counts
 

@@ -74,9 +74,8 @@ class Allocation:
 class Machine:
     """Hardware state: address space, cache model, durable image, trace."""
 
-    # Allocation-site index state.  Class-level defaults (not set in
-    # ``__init__``) because snapshot restore materializes machines via
-    # ``Machine.__new__`` — those instances must also start unindexed.
+    # Allocation-site index state, built on first use by
+    # :meth:`site_of_addr`; every machine starts unindexed.
     _site_source: Optional[List[Allocation]] = None
     _site_count = -1
     _site_starts: List[int] = []
@@ -233,15 +232,12 @@ class Interpreter:
         #: execution path.
         self.obs = obs
         #: optional :class:`~repro.revalidate.recording.RunRecorder`:
-        #: notified at top-level call boundaries so incremental
-        #: revalidation can memoize machine snapshots and per-segment
-        #: executed-iid sets.  None (the default) keeps plain runs on
-        #: the unrecorded path — one pointer compare per call plus one
-        #: ``is None`` test per step.
+        #: notified at top-level call boundaries and module-callee
+        #: entries and returns, so the revalidator can place its checker
+        #: forks and rewrite callee spans.  None (the default) keeps
+        #: plain runs on the unrecorded path — one pointer compare per
+        #: call.
         self._run_recorder = run_recorder
-        #: the current segment's executed-iid set (owned by the run
-        #: recorder; None when not recording)
-        self._seg_iids = None
 
     # -- stack capture -----------------------------------------------------------------
 
@@ -286,22 +282,18 @@ class Interpreter:
                 f"@{fn_name} expects {len(fn.args)} args, got {len(args)}"
             )
         recorder = self._run_recorder
-        top_level = not self.frames
-        if recorder is not None and top_level:
-            recorder.begin_call(self, fn_name, args)
+        if recorder is not None and not self.frames:
+            recorder.begin_call(len(self.trace.events))
         start_steps = self.steps
         start_cycles = self.costs.cycles
         start_output = len(self.output)
         value = self._run(fn, args)
-        result = ExecutionResult(
+        return ExecutionResult(
             value=value,
             steps=self.steps - start_steps,
             cycles=self.costs.cycles - start_cycles,
             output=self.output[start_output:],
         )
-        if recorder is not None and top_level:
-            recorder.end_call(self, result)
-        return result
 
     def finish(self) -> PMTrace:
         """Mark process exit; records the final durability boundary."""
@@ -345,7 +337,6 @@ class Interpreter:
         base_depth = len(self.frames)
         self._push_frame(fn, args)
         model = self.costs.model
-        seg_iids = self._seg_iids
         return_value = 0
 
         while len(self.frames) > base_depth:
@@ -360,8 +351,6 @@ class Interpreter:
             self.steps += 1
             if self.steps > self.fuel:
                 raise FuelExhausted(f"exceeded fuel of {self.fuel} instructions")
-            if seg_iids is not None:
-                seg_iids.add(instr.iid)
 
             if isinstance(instr, Store):
                 self._exec_store(instr, frame, model)

@@ -15,7 +15,6 @@ _EXPORTS = {
         "VOL_BASE", "line_of", "lines_covering",
     ),
     ".persistence": ("PersistentImage",),
-    ".pool": ("MachinePool",),
 }
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -37,8 +37,8 @@ _DEFAULT_REGION_SIZE = 1 << 24  # 16 MiB per region
 #: len(region.data)``) is one ``unpack_from``/``pack_into`` on
 #: ``region.data``.  Such a write needs no ``_high_water`` update:
 #: ``len(data) <= high_water`` always holds (every write that grows
-#: ``data`` raises the mark to its new end, and resets and restores set
-#: both together), so the access ends at or below the mark already.
+#: ``data`` raises the mark to its new end), so the access ends at or
+#: below the mark already.
 #: The flat engine's stack path uses the same table.
 CODECS = {1: Struct("<B"), 2: Struct("<H"), 4: Struct("<I"), 8: Struct("<Q")}
 
@@ -108,7 +108,7 @@ class Region:
         """Highest offset ever allocated or written.
 
         Every byte at or beyond this offset is zero, so it bounds the
-        live prefix a snapshot or crash image has to copy.
+        live prefix a crash image has to copy.
         """
         return self._high_water
 
@@ -116,24 +116,6 @@ class Region:
         """Raise the high-water mark (a durable image was loaded)."""
         if offset > self._high_water:
             self._high_water = offset
-
-    def reset_high_water(self, offset: int) -> None:
-        """Set the high-water mark exactly (snapshot restore).
-
-        Unlike :meth:`note_high_water` this may *lower* the mark, so the
-        caller must have made every byte at or beyond ``offset`` zero.
-        """
-        if offset < 0 or offset > self.size:
-            raise MemoryError_(
-                f"bad high-water {offset} for region {self.name!r}"
-            )
-        self._high_water = offset
-
-    def reset(self) -> None:
-        """Return the region to its freshly constructed state."""
-        self.data.clear()
-        self._brk = 0
-        self._high_water = 0
 
     # -- raw byte access --------------------------------------------------------
 
@@ -191,11 +173,6 @@ class AddressSpace:
             (region.base, region.end, region) for region in self._regions
         )
         self._pm_base, self._pm_end = self.pm.base, self.pm.end
-
-    def reset(self) -> None:
-        """Reset every region in place (pooled reuse)."""
-        for region in self._regions:
-            region.reset()
 
     # -- region queries ----------------------------------------------------------
 

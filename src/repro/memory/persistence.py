@@ -130,18 +130,3 @@ class PersistentImage:
         self._durable[: len(image)] = image
         # keep the image inside the live prefix that crash images cover
         self.space.pm.note_high_water(len(image))
-
-    def restore_prefix(self, durable: bytes) -> None:
-        """Make the durable view exactly ``durable`` padded with zeroes."""
-        if len(durable) > self.space.pm.size:
-            raise IndexError("restore image larger than the PM region")
-        self._durable[:] = durable
-
-    def reset(self) -> None:
-        """Return the image to its freshly constructed, all-zero state.
-
-        Valid only when the owning :class:`AddressSpace` has been (or is
-        about to be) reset too: both views become all zeroes, in sync.
-        """
-        self._durable.clear()
-        self.writebacks = 0

@@ -1,19 +1,15 @@
 """Incremental revalidation: re-check repaired modules without
-re-executing the whole workload.
+re-executing the workload.
 
 Post-fix revalidation used to re-run the entire workload through the
 interpreter — measured at ~90% of per-task time together with the
 initial detection (EXPERIMENTS E11).  This package removes that cost
-for the common case:
+for every fix Hippocrates commits:
 
-- :mod:`snapshot` — deep-copied machine state memoized at top-level
-  call boundaries of the recording run.
 - :mod:`recording` — the :class:`~repro.revalidate.recording.RunRecorder`
-  the interpreter notifies at call boundaries; owns the segments, their
-  executed-iid sets, and snapshot thinning.
-- :mod:`replay` — a :class:`~repro.revalidate.replay.ReplayInterpreter`
-  that resumes a driver from a materialized snapshot, skipping the
-  already-executed calls.
+  the interpreter notifies at top-level calls and module calls; owns
+  the segments (each one's trace offset), which of them the checker
+  forks at, and the callee spans.
 - :mod:`witness` — the mutation witness: plain-data
   :class:`~repro.revalidate.witness.InsertionSpec` /
   :class:`~repro.revalidate.witness.StructuralSpec` descriptions of
@@ -28,11 +24,11 @@ for the common case:
   names, and stack frames differ.
 - :mod:`engine` — the
   :class:`~repro.revalidate.engine.IncrementalRevalidator` tying it to
-  the fix pipeline.  Tiering per revalidation: unchanged module →
-  baseline verdict; complete witness (flush/fence and/or structural) →
-  trace synthesis (no execution); witness without insertion specs →
-  snapshot replay from the last unaffected point; degraded witness or
-  any failure → full re-record.
+  the fix pipeline.  Two tiers: a complete witness (flush/fence
+  and/or structural) is revalidated by trace synthesis (no execution)
+  and a re-check from the last checker fork before the first changed
+  event; a degraded witness or any failure takes the full re-record.
+  An unchanged module returns the baseline verdict without either.
 
 The engine's contract is *byte-identity*: detection results, canonical
 reports, and do-no-harm verdicts are identical to the oracle's — the
@@ -46,9 +42,9 @@ from .. import lazy_exports
 
 _EXPORTS = {
     ".engine": ("IncrementalRevalidator", "RevalidationOutcome"),
-    ".recording": ("CalleeSpan", "RecordedRun", "RunRecorder", "VolAnchorOp"),
-    ".replay": ("FlatReplayInterpreter", "ReplayDivergence", "ReplayInterpreter"),
-    ".snapshot": ("MachineSnapshot",),
+    ".recording": (
+        "CalleeSpan", "MAX_FORKS", "RecordedRun", "RunRecorder", "VolAnchorOp",
+    ),
     ".synthesize": (
         "SynthesisResult", "synthesize_fixed_trace",
         "synthesize_structural_trace",

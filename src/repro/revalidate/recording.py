@@ -1,38 +1,32 @@
-"""Recording a detection run for later incremental revalidation.
+"""Recording a detection run for later revalidation.
 
 The interpreter notifies a :class:`RunRecorder` at every *top-level*
 driver call (``interp.call(...)`` with an empty frame stack).  Each call
-becomes a :class:`CallRecord` — a segment of the run — carrying:
+becomes a :class:`CallRecord` — a segment of the run — carrying the
+trace offset at call entry.  The checker pass over the recorded trace
+forks its state at the entry of every ``stride``-th segment
+(:meth:`RunRecorder.forked_segments`), so a re-check of a synthesized
+trace resumes from the last fork before its first changed event instead
+of from the start.  At most :data:`MAX_FORKS` segments are forked: the
+stride is the smallest power of two that keeps the count under it, and
+segment 0 is always forked.
 
-- the call spec (function name + arguments) and its recorded
-  :class:`~repro.interp.interpreter.ExecutionResult`, so replay can
-  skip the call and hand the driver the original result;
-- the trace offset and recorder sequence value at call entry, so a
-  replayed suffix splices seamlessly onto the baseline trace prefix;
-- the set of instruction iids executed during the call — the
-  *dependency index*: the segments' executed-iid sets are what decide
-  whether a committed fix (whose anchor iid is known from the
-  ``FixTransaction`` witness) can affect a segment;
-- optionally a :class:`~repro.revalidate.snapshot.MachineSnapshot`
-  taken at call entry.
-
-Snapshot thinning bounds memory: when more than ``max_snapshots``
-segments hold one, the stride doubles and off-stride snapshots are
-dropped (segment 0 always keeps its snapshot, so a full-prefix replay
-is always possible).  Per-segment metadata is never dropped.
+The recorder also keeps one :class:`CalleeSpan` per module-function
+call, the structural-synthesis witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..detect.durability import CheckerState
 from ..detect.reports import DetectionResult
-from ..interp.interpreter import ExecutionResult, Interpreter
 from ..trace.events import StoreEvent
 from ..trace.trace import PMTrace, TraceRecorder
-from .snapshot import MachineSnapshot
+
+#: The most segment entries a recording forks the checker state at.
+MAX_FORKS = 32
 
 
 class VolAnchorOp(NamedTuple):
@@ -115,40 +109,25 @@ class CalleeSpan:
     depth: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallRecord:
     """One top-level driver call of the recording run."""
 
     index: int
-    fn_name: str
-    args: List[int]
     #: ``len(trace.events)`` at call entry
     trace_start: int
-    #: the trace recorder's sequence counter at call entry
-    seq_start: int
-    #: interpreter steps consumed before this call
-    steps_start: int
-    #: iids of every instruction executed during this call
-    iids: Set[int] = field(default_factory=set)
-    snapshot: Optional[MachineSnapshot] = None
-    result: Optional[ExecutionResult] = None
 
 
 class RunRecorder:
-    """Collects segments (and thinned snapshots) during a recorded run.
+    """Collects segments and callee spans during a recorded run.
 
     Attach via ``Interpreter(..., run_recorder=recorder)``; the
-    interpreter calls :meth:`begin_call`/:meth:`end_call` around each
-    top-level call.
+    interpreter calls :meth:`begin_call` at each top-level call and
+    :meth:`enter_callee`/:meth:`exit_callee` around each module call.
     """
 
-    def __init__(self, max_snapshots: int = 32):
-        if max_snapshots < 1:
-            raise ValueError("max_snapshots must be >= 1")
-        self.max_snapshots = max_snapshots
+    def __init__(self) -> None:
         self.segments: List[CallRecord] = []
-        self._stride = 1
-        self._snapshot_count = 0
         #: completed callee spans, in execution (return) order
         self.spans: List[CalleeSpan] = []
         self._open: List[Tuple[int, int, int, int]] = []
@@ -179,63 +158,36 @@ class RunRecorder:
             )
         )
 
-    def _check_balanced(self) -> None:
-        # An exception that unwound out of a top-level call leaves open
-        # callee entries behind; the span record is unusable from here.
+    # -- segments ---------------------------------------------------------------
+
+    def begin_call(self, trace_pos: int) -> None:
+        """A top-level call starts at trace position ``trace_pos``."""
+        # An exception that unwound out of the previous top-level call
+        # left open callee entries behind; the span record is unusable
+        # from here.
         if self._open:
             self.spans_ok = False
             self._open.clear()
+        self.segments.append(CallRecord(len(self.segments), trace_pos))
 
-    def begin_call(self, interp: Interpreter, fn_name: str, args: List[int]) -> None:
-        self._check_balanced()
-        segment = CallRecord(
-            index=len(self.segments),
-            fn_name=fn_name,
-            args=list(args or []),
-            trace_start=len(interp.trace.events),
-            seq_start=interp.machine.recorder._seq,
-            steps_start=interp.steps,
-        )
-        if segment.index % self._stride == 0:
-            segment.snapshot = MachineSnapshot.capture(interp)
-            self._snapshot_count += 1
-        self.segments.append(segment)
-        if self._snapshot_count > self.max_snapshots:
-            self._thin()
-        interp._seg_iids = segment.iids
-
-    def end_call(self, interp: Interpreter, result: ExecutionResult) -> None:
-        self._check_balanced()
-        self.segments[-1].result = result
-        interp._seg_iids = None
-
-    def _thin(self) -> None:
-        """Double the snapshot stride until back under budget.
-
-        One doubling halves (roughly) the snapshot count, which is not
-        necessarily enough — e.g. budget 32 exceeded at 33 thins to 17,
-        but a budget lowered between runs, or accounting drift, can
-        leave a single doubling still over.  Loop until under budget;
-        termination is guaranteed because segment 0 is on-stride for
-        every stride, so the count converges to 1 <= max_snapshots.
-        """
-        while self._snapshot_count > self.max_snapshots:
-            self._stride *= 2
-            for segment in self.segments:
-                if segment.snapshot is not None and segment.index % self._stride:
-                    segment.snapshot = None
-                    self._snapshot_count -= 1
+    def forked_segments(self) -> List[CallRecord]:
+        """The segments whose entry the checker pass forks at: every
+        ``stride``-th, for the smallest power-of-two stride that keeps
+        at most :data:`MAX_FORKS` of them."""
+        stride = 1
+        while -(-len(self.segments) // stride) > MAX_FORKS:
+            stride *= 2
+        return self.segments[::stride]
 
 
 @dataclass
 class RecordedRun:
-    """A completed recording: the incremental-revalidation baseline.
+    """A completed recording: the revalidation baseline.
 
-    Everything needed to revalidate a flush/fence-fixed module without
-    a full re-execution: the segments (with snapshots and executed-iid
-    sets), the full baseline trace, the detection result, and
-    checker-state forks memoized at each snapshot-bearing segment's
-    trace offset.
+    Everything needed to revalidate a fixed module without executing
+    it: the segments, the full baseline trace, the detection result,
+    and the checker-state forks memoized at the forked segments' trace
+    offsets.
 
     ``module_iids`` is the id set of the module *as recorded* — a fix
     anchored at an instruction outside it post-dates the recording, so
@@ -249,7 +201,6 @@ class RecordedRun:
     detection: DetectionResult
     #: segment index -> checker state forked at that segment's trace_start
     forks: Dict[int, CheckerState]
-    fuel: int
     #: volatile-target anchor executions (the synthesis side channel)
     vol_ops: Tuple[VolAnchorOp, ...] = ()
     #: completed callee spans, in execution (return) order
@@ -257,21 +208,3 @@ class RecordedRun:
     #: True when the span record is complete (no exception ever unwound
     #: past an open callee during recording)
     spans_ok: bool = True
-
-    def first_affected_segment(self, anchor_iids: Set[int]) -> Optional[int]:
-        """Index of the earliest segment executing any anchor iid."""
-        for segment in self.segments:
-            if segment.iids & anchor_iids:
-                return segment.index
-        return None
-
-    def replay_base(self, first_affected: int) -> CallRecord:
-        """The last snapshot-bearing segment at or before ``first_affected``."""
-        base = None
-        for segment in self.segments[: first_affected + 1]:
-            if segment.snapshot is not None:
-                base = segment
-        if base is None:  # pragma: no cover - segment 0 always snapshots
-            raise ValueError("no snapshot at or before segment "
-                             f"{first_affected}")
-        return base

@@ -17,8 +17,8 @@ observable effect is the extra flush/fence events (and the ``had_work``
 bits a cache simulation recomputes).
 
 :func:`spec_for_fix` returns None when the inserted instructions do not
-match the expected shape — the engine then falls back to snapshot
-replay, never to guessing.
+match the expected shape — the engine then falls back to a full
+re-record, never to guessing.
 
 This module sits below :mod:`repro.core` in the import graph (it only
 needs the IR), so both the transaction layer and the engine can import

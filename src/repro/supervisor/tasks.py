@@ -56,7 +56,7 @@ KIND_MODULES = {
     "corpus": (
         "..corpus.bugs",
         "..core.subprogram",
-        "..memory.pool",
+        "..interp.engine",
         "..revalidate.engine",
     ),
     "file": ("..core.subprogram",),
@@ -115,18 +115,17 @@ def run_case(
 
     ``engine`` is the one fast-path switch.  ``"flat"`` (the default)
     runs the fast pipeline: the flat engine records the detection run,
-    the post-fix check goes through the
-    :class:`~repro.revalidate.engine.IncrementalRevalidator`, and the
-    case's machines come from a private
-    :class:`~repro.memory.pool.MachinePool`.  ``"reference"`` runs the
-    oracle: the tree-walking engine, fresh machines, and a full re-run
-    of the workload to revalidate.  Both produce byte-identical
+    and the post-fix check goes through the
+    :class:`~repro.revalidate.engine.IncrementalRevalidator` (trace
+    synthesis, or a full re-record when a fix left no complete
+    witness).  ``"reference"`` runs the oracle: the tree-walking engine
+    and a full re-run of the workload to revalidate.  Every run builds
+    a fresh machine either way.  Both produce byte-identical
     canonical records (``tests/test_oracle_differential.py``).  How the
     fast pipeline revalidated is on its ``phase.revalidate`` span
     (:meth:`~repro.core.hippocrates.Hippocrates.revalidate`).
     """
     from ..detect import pmemcheck_run
-    from ..memory.pool import MachinePool
     from ..revalidate.engine import IncrementalRevalidator
 
     obs = obs if obs is not None else NULL_OBS
@@ -134,9 +133,7 @@ def run_case(
     revalidator: Optional[IncrementalRevalidator] = None
     with obs.span("detect", case=case.case_id):
         if engine == "flat":
-            revalidator = IncrementalRevalidator(
-                case.drive, obs=obs, pool=MachinePool()
-            )
+            revalidator = IncrementalRevalidator(case.drive, obs=obs)
             detection, trace, interp = revalidator.record(module)
         else:
             detection, trace, interp = pmemcheck_run(
@@ -202,9 +199,9 @@ class RepairTask:
         only whether the Andersen fixpoint is re-solved — and is
         deliberately excluded from the journaled result record.
     :param engine: ``"flat"`` runs a corpus task's fast pipeline (flat
-        engine, incremental revalidation, pooled machines);
-        ``"reference"`` runs the oracle (tree-walking engine, a full
-        re-run to revalidate, fresh machines).  See :func:`run_case`.
+        engine, incremental revalidation); ``"reference"`` runs the
+        oracle (tree-walking engine, a full re-run to revalidate).  See
+        :func:`run_case`.
         Results are byte-identical either way (the oracle differential
         suite enforces it), so — like the analysis cache — the field
         is excluded from the journaled record: a resumed batch may

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import CallGraph, PointsTo, UNKNOWN_SITE, classify_full_aa
+from repro.analysis import PointsTo, UNKNOWN_SITE, classify_full_aa
 from repro.analysis.diskcache import AnalysisDiskCache
 from repro.analysis.manager import CALLGRAPH, POINTS_TO, AnalysisManager
 from repro.budget import Budget
@@ -163,25 +163,25 @@ def test_structural_commit_drops_points_to_and_callgraph():
 
 
 def test_structural_commit_cascades_to_dependents(tmp_path):
-    """The call graph a disk hit brought along with the points-to
-    solution goes with it when the shape moves."""
+    """The call graph built beside a points-to solution restored from
+    disk goes with it when the shape moves."""
     module = build_module()
     counted(module, disk_cache=AnalysisDiskCache(str(tmp_path))).get(
         POINTS_TO
     )
     manager = counted(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
     manager.get(POINTS_TO)
-    seeded = manager.get(CALLGRAPH)
+    built = manager.get(CALLGRAPH)
     assert stats(manager)["disk_hits"] == 1
-    assert stats(manager)["misses"] == 1  # the call graph came with the entry
+    assert stats(manager)["misses"] == 2  # the entry holds no call graph
 
     txn = FixTransaction(module)
     retarget(txn, main_call(module))
     txn.commit()
 
-    assert manager.get(CALLGRAPH) is not seeded
+    assert manager.get(CALLGRAPH) is not built
     assert stats(manager)["invalidations"] == 1
-    assert stats(manager)["misses"] == 2
+    assert stats(manager)["misses"] == 3
 
 
 def test_commit_drops_only_touched_verified_state(verifications):
@@ -443,13 +443,11 @@ def test_disk_round_trip_preserves_solution(tmp_path):
     cache = AnalysisDiskCache(str(tmp_path))
     assert cache.load(module) is None  # empty cache -> miss
     solved = PointsTo(module)
-    assert cache.store(module, solved, CallGraph(module))
+    assert cache.store(module, solved)
 
     reparsed = parse_module(format_module(module))
-    restored = cache.load(reparsed)
-    assert restored is not None
-    points_to, callgraph = restored
-    assert callgraph.summary() == CallGraph(module).summary()
+    points_to = cache.load(reparsed)
+    assert points_to is not None
 
     for fn_name in module.function_names():
         original_fn = module.get_function(fn_name)
@@ -471,9 +469,9 @@ def test_disk_round_trip_preserves_solution(tmp_path):
 def test_disk_round_trip_keeps_unknown_site_identity(tmp_path):
     module = build_disk_module()
     cache = AnalysisDiskCache(str(tmp_path))
-    cache.store(module, PointsTo(module), CallGraph(module))
+    cache.store(module, PointsTo(module))
     reparsed = parse_module(format_module(module))
-    points_to, _ = cache.load(reparsed)
+    points_to = cache.load(reparsed)
 
     unknowns = [
         site
@@ -489,11 +487,12 @@ def test_disk_round_trip_keeps_unknown_site_identity(tmp_path):
 def test_corrupt_or_stale_entries_load_as_misses(tmp_path):
     module = build_disk_module()
     cache = AnalysisDiskCache(str(tmp_path))
-    cache.store(module, PointsTo(module), CallGraph(module))
+    cache.store(module, PointsTo(module))
     entry_path = os.path.join(str(tmp_path), f"{module.fingerprint()}.json")
 
     with open(entry_path) as handle:
         good = json.load(handle)
+    assert sorted(good) == ["fingerprint", "points_to", "schema"]
 
     def loads_with(payload):
         with open(entry_path, "w") as handle:
@@ -519,9 +518,12 @@ def test_corrupt_or_stale_entries_load_as_misses(tmp_path):
         "stale schema": edited(lambda p: p.__setitem__("schema", "some-other-schema")),
         "null": None,
         "list": [],
-        "callgraph is a list": edited(lambda p: p.__setitem__("callgraph", [])),
-        "callee list holds a number": edited(
-            lambda p: p.__setitem__("callgraph", {"main": [1]})
+        # The previous format also stored the call graph's edges.
+        "v2 entry": edited(
+            lambda p: p.update(
+                schema="repro-analysis-cache-v2",
+                callgraph={"main": ["make"], "make": []},
+            )
         ),
         "points_to is a list": edited(lambda p: p.__setitem__("points_to", [])),
         "negative mask": edited(set_var("-1")),
@@ -549,7 +551,7 @@ def test_corrupt_or_stale_entries_load_as_misses(tmp_path):
         "v1 entry": {
             "schema": "repro-analysis-cache-v1",
             "fingerprint": good["fingerprint"],
-            "callgraph": good["callgraph"],
+            "callgraph": {"main": ["make"], "make": []},
             "points_to": {
                 "sites": [
                     ["instr", "call", "i:make:0:1", "pm", True],
@@ -582,7 +584,7 @@ def test_queries_leave_solution_and_entry_unchanged(tmp_path):
     module = mb.module
     points_to = PointsTo(module)
     cache = AnalysisDiskCache(str(tmp_path))
-    assert cache.store(module, points_to, CallGraph(module))
+    assert cache.store(module, points_to)
     entry_path = os.path.join(str(tmp_path), f"{module.fingerprint()}.json")
     with open(entry_path, "rb") as handle:
         before = handle.read()
@@ -599,7 +601,7 @@ def test_queries_leave_solution_and_entry_unchanged(tmp_path):
     assert not classification.may_be_pm(buffer)
 
     assert points_to.sites == sites_before
-    assert cache.store(module, points_to, CallGraph(module))
+    assert cache.store(module, points_to)
     with open(entry_path, "rb") as handle:
         assert handle.read() == before
 
@@ -616,10 +618,13 @@ def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
     )
     manager.get(POINTS_TO)
     assert stats(manager)["disk_hits"] == 1
-    # The call graph came along with the entry: no extra miss for it.
+    # An entry holds the points-to solution alone: the call graph is
+    # built here, on its first lookup, and cached like any analysis.
     misses_before = stats(manager)["misses"]
-    manager.get(CALLGRAPH)
-    assert stats(manager)["misses"] == misses_before
+    callgraph = manager.get(CALLGRAPH)
+    assert stats(manager)["misses"] == misses_before + 1
+    assert callgraph.callees("main") == {"make"}
+    assert manager.get(CALLGRAPH) is callgraph
 
 
 # ---------------------------------------------------------------------------

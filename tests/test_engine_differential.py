@@ -813,7 +813,7 @@ def _loop_fingerprint(module, engine, args, fuel, vol_ops):
         "frames": interp._capture_stack(),
         "stack": bytes(stack.data),
         "high_water": stack.high_water,
-        "segments": [sorted(seg.iids) for seg in recorder.segments],
+        "segments": list(recorder.segments),
         "stack_at_events": seen,
         "vol_ops": list(machine.recorder.vol_ops),
     }
@@ -833,8 +833,8 @@ def _loop_fingerprint(module, engine, args, fuel, vol_ops):
 def test_translated_loops_identical(shape, args, fuel):
     """Loops translated after their first or third entry, promoted or
     not, against the reference: events, steps, cycles, counts, output,
-    the final stack bytes and high water, and the recorder's segment
-    iids — with and without the volatile-op side channel."""
+    the final stack bytes and high water, and the recorder's segments
+    — with and without the volatile-op side channel."""
     module = build_loops(shape)
     for vol_ops in (False, True):
         reference = _loop_fingerprint(module, "reference", args, fuel, vol_ops)
@@ -868,11 +868,7 @@ def _guarded_fingerprint(module, drive, engine, fuel=50_000_000, record=False):
         outcome = ("err", type(exc).__name__, str(exc))
     fingerprint = {"outcome": outcome, "accounting": _accounting(interp)}
     if recorder is not None:
-        fingerprint["segments"] = [
-            (seg.fn_name, seg.args, sorted(seg.iids), seg.steps_start,
-             seg.trace_start)
-            for seg in recorder.segments
-        ]
+        fingerprint["segments"] = list(recorder.segments)
         fingerprint["spans"] = list(recorder.spans)
         fingerprint["spans_ok"] = recorder.spans_ok
     return fingerprint
@@ -934,8 +930,8 @@ def build_one_block_loop():
 
 def test_one_block_loop_fuel_sweep_parity():
     """The limit lands at every position of the loop's run, in each of
-    its first three iterations; the recorder's segment gets exactly the
-    iids that ran."""
+    its first three iterations; the recorder's segments and callee
+    spans match the reference's."""
     _assert_one_block_loop_fuel_sweep(build_one_block_loop())
 
 
@@ -964,10 +960,8 @@ def _assert_one_block_loop_fuel_sweep(module):
 # ---------------------------------------------------------------------------
 # run-recorder parity
 # ---------------------------------------------------------------------------
-# The revalidation recorder reads each segment's executed iids, step and
-# trace offsets, and the callee spans.  The flat engine hands a run's
-# iids over when it leaves the run, and only the executed prefix when a
-# fault cuts the run short.
+# The revalidation recorder reads each segment's trace offset and the
+# callee spans, also when a fault cuts a run short.
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)

@@ -43,7 +43,6 @@ FILE_BATCH_NEVER = (
     "repro.revalidate.engine",
     "repro.revalidate.recording",
     "repro.revalidate.replay",
-    "repro.revalidate.snapshot",
     "repro.revalidate.synthesize",
 )
 

@@ -6,7 +6,7 @@ The flat engine translates a cycle of hot runs into one Python function
 ``_TRANSLATE_AFTER`` times; a run on no hot cycle is never translated.
 A fault raised inside the translated function is located from the
 traceback's line number; the engine must then settle steps, cycles,
-counts, the recorder's segment iids, the frame's pc and — for a loop
+counts, the recorder's segments, the frame's pc and — for a loop
 keeping stack slots in locals — the stack bytes exactly as the
 reference engine leaves them.
 """
@@ -122,7 +122,7 @@ def _fingerprint(module, engine, args, machine=None, fuel=50_000_000, vol_ops=Fa
         "events": list(interp.trace.events),
         "vol_ops": list(interp.machine.recorder.vol_ops),
         "output": list(interp.output),
-        "segments": [sorted(seg.iids) for seg in recorder.segments],
+        "segments": list(recorder.segments),
         # the frames a fault leaves, down to the faulting instruction
         "stack": interp._capture_stack(),
         # a promoted loop's slots are written back on every exit
@@ -332,7 +332,7 @@ def _two_calls(module, engine):
     return interp, {
         "outcome": outcome,
         "accounting": (interp.steps, interp.costs.cycles, interp.costs.counts),
-        "segments": [sorted(seg.iids) for seg in recorder.segments],
+        "segments": list(recorder.segments),
         "stack": interp._capture_stack(),
         "stack_bytes": bytes(interp.machine.space.stack.data),
     }
@@ -342,8 +342,8 @@ def _two_calls(module, engine):
 def test_fault_on_a_translated_loops_first_pass_settles_like_the_reference(kind):
     """The loop is translated in the first call.  In the second, the
     engine enters it at the loop test, and the body faults on its first
-    pass inside the loop function: the segment gets the test's iids and
-    the body's up to the fault, nothing more."""
+    pass inside the loop function: steps, cycles and counts cover the
+    test and the body up to the fault, nothing more."""
     module = build_promoted_loop(kind)
     _, reference = _two_calls(module, "reference")
     with hot_after(2):

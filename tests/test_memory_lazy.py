@@ -2,8 +2,8 @@
 
 Regions and the durable image grow on write and read zeros past their
 written prefix.  The property test below drives random allocate /
-write / read / ``set_brk`` / reset / snapshot capture and restore /
-write-back / crash sequences through a real ``AddressSpace`` +
+write / read / ``set_brk`` / write-back / crash / crash-image restore
+sequences through a real ``AddressSpace`` +
 ``PersistentImage`` and through a full-size ``bytearray`` model that
 lives only here; every observable answer (bytes, allocator results,
 high-water marks and out-of-range errors) must agree.
@@ -11,18 +11,14 @@ high-water marks and out-of-range errors) must agree.
 
 from __future__ import annotations
 
-import copy
 import tracemalloc
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro.errors import MemoryError_, SegmentationFault
-from repro.interp import Interpreter, Machine
-from repro.ir import Module
+from repro.interp import Machine
 from repro.memory import CACHE_LINE, AddressSpace, CrashState, PersistentImage
-from repro.memory.pool import MachinePool
-from repro.revalidate.snapshot import MachineSnapshot
 
 SIZES = {"vol": 512, "stack": 256, "pm": 1024}
 REGIONS = tuple(SIZES)
@@ -130,39 +126,28 @@ ops = st.lists(
         st.tuples(st.just("durable_read"), offset, st.integers(1, 96)),
         st.tuples(st.just("write_back"), lines),
         st.tuples(st.just("crash"), lines),
-        st.tuples(st.just("snapshot")),
-        st.tuples(st.just("restore"), st.booleans()),
-        st.tuples(st.just("reset")),
+        st.tuples(st.just("restore"), lines),
     ),
     max_size=40,
 )
 
 
-def _fresh():
-    space = AddressSpace(SIZES["vol"], SIZES["stack"], SIZES["pm"])
-    return Interpreter(Module("lazy"), machine=Machine(space=space))
-
-
 @settings(max_examples=200, deadline=None)
 @given(ops=ops)
-# restoring an older snapshot into buffers that have since grown
+# loading a crash image whose surviving line lies past the durable prefix
 @example(
     ops=[
-        ("snapshot",),
         ("write", "pm", 100, b"\x01"),
-        ("write", "vol", 300, b"\x02"),
         ("write_back", [1]),
-        ("restore", True),
+        ("write", "pm", 300, b"\x02"),
+        ("restore", [4]),
     ]
 )
 def test_lazy_memory_matches_eager_model(ops):
-    interp = _fresh()
-    pool = MachinePool()
-    model = EagerMachine(interp.machine.space)
-    saved = None
+    space = AddressSpace(SIZES["vol"], SIZES["stack"], SIZES["pm"])
+    image = PersistentImage(space)
+    model = EagerMachine(space)
     for op in ops:
-        machine = interp.machine
-        space, image = machine.space, machine.image
         kind = op[0]
         if kind == "alloc":
             _, name, size, align = op
@@ -212,25 +197,12 @@ def test_lazy_memory_matches_eager_model(ops):
             state = CrashState(tuple(line_addrs), crash_image, space.pm.base)
             assert state.read(space.pm.base, SIZES["pm"]) == want
             assert image.crash() == image.snapshot_durable()
-        elif kind == "snapshot":
-            saved = (MachineSnapshot.capture(interp), copy.deepcopy(model))
-        elif kind == "restore":
-            if saved is None:
-                continue
-            snapshot, model = saved[0], copy.deepcopy(saved[1])
-            if op[1]:  # restore into the current, dirty, buffers
-                pool.release(machine)
-                restored = snapshot.materialize(pool)
-                assert restored.space is space
-            else:
-                restored = snapshot.materialize()
-            interp = Interpreter(Module("lazy"), machine=restored)
-        else:  # reset
-            space.reset()
-            image.reset()
-            model = EagerMachine(space)
+        else:  # restore: load a crash image as the durable view
+            line_addrs = [space.pm.base + i * CACHE_LINE for i in op[1]]
+            crash_image = image.crash(line_addrs)
+            image.restore(crash_image)
+            model.durable[: len(crash_image)] = crash_image
 
-        space, image = interp.machine.space, interp.machine.image
         for name, ref in model.regions.items():
             lazy = getattr(space, name)
             assert lazy.high_water == ref.high

@@ -1,9 +1,9 @@
 """Fast pipeline vs oracle: the one differential harness.
 
 A batch task's ``engine`` is its only fast-path switch.  ``"flat"``
-runs the fast pipeline (flat engine, incremental revalidation, pooled
-machines); ``"reference"`` runs the oracle (tree-walking engine, a full
-re-run of the workload to revalidate, fresh machines).  The contract is
+runs the fast pipeline (flat engine, incremental revalidation);
+``"reference"`` runs the oracle (tree-walking engine, a full re-run of
+the workload to revalidate).  The contract is
 *byte-identity*: the journaled record of every corpus case, the
 canonical batch report with or without an analysis cache, and a fast
 batch killed mid-run and resumed must all match the oracle's bytes.
@@ -108,7 +108,7 @@ def assert_revalidation_on_vs_off(case_id: str) -> None:
     assert revalidation_tiers(fast.obs) == [{"mode": "synthesized"}]
     counters = fast.obs.metrics_snapshot()["counters"]
     assert counters["revalidate.chains_rechecked"] >= 1
-    assert counters.get("revalidate.segments_replayed", 0) == 0
+    assert "revalidate.segments_replayed" not in counters
     assert counters.get("revalidate.fallbacks", 0) == 0
 
 

@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.hippocrates
+from repro.core.fixes import FixPlan, InsertFlushAndFence
 from repro.core.hippocrates import Hippocrates
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
+from repro.ir import I64, ModuleBuilder, PTR
+from repro.ir.instructions import Store
+from repro.obs import Observability
 from repro.revalidate import IncrementalRevalidator
 from repro.trace import dump_trace
 
@@ -26,6 +31,7 @@ from test_oracle_differential import (
     assert_outcomes_match,
     assert_records_match,
     assert_revalidation_on_vs_off,
+    revalidation_tiers,
 )
 
 #: Cases whose repairs are flush/fence-only; every other corpus case
@@ -90,6 +96,77 @@ def test_revalidate_is_idempotent():
     ]
 
 
+@pytest.mark.parametrize("case_id", sorted(SYNTH_CASES))
+def test_degraded_witness_rerecords_to_the_oracle_verdict(monkeypatch, case_id):
+    """A fix whose insertions cannot be described leaves no witness to
+    synthesize from: revalidation re-records the workload in full, says
+    why on its ``phase.revalidate`` span, and reaches the oracle's
+    verdict."""
+    monkeypatch.setattr(
+        repro.core.hippocrates, "spec_for_fix", lambda anchor, inserted: None
+    )
+    case = next(c for c in all_cases() if c.case_id == case_id)
+    module = case.build()
+    obs = Observability()
+    engine = IncrementalRevalidator(case.drive, obs=obs)
+    _, trace, interp = engine.record(module)
+    fixer = Hippocrates(
+        module, trace, interp.machine, revalidator=engine, obs=obs
+    )
+    fixer.apply(fixer.compute_fixes())
+    outcome = fixer.revalidate()
+
+    reason = "fix committed without an insertion witness"
+    assert outcome.mode == "full"
+    assert outcome.fallback_reason == reason
+    assert revalidation_tiers(obs) == [{"mode": "full", "fallback": reason}]
+    assert obs.metrics_snapshot()["counters"]["revalidate.fallbacks"] == 1
+    oracle, _, _ = pmemcheck_run(module, case.drive, engine="reference")
+    assert [b.describe() for b in outcome.detection.bugs] == [
+        b.describe() for b in oracle.bugs
+    ]
+    assert outcome.detection.bug_count == 0
+
+
+def build_cold_store_module():
+    """``main`` leaves one PM store unpersisted; ``cold`` stores to PM
+    too, but nothing ever calls it."""
+    mb = ModuleBuilder("cold")
+    b = mb.function("cold", [("p", PTR)], source_file="cold.c")
+    b.store(9, b.function.args[0])
+    b.ret()
+    b = mb.function("main", [], I64, source_file="cold.c")
+    root = b.call("pm_root", [64], PTR)
+    b.store(1, root)
+    b.call("checkpoint", [])
+    b.ret(0)
+    return mb.module
+
+
+def test_fix_anchored_in_code_never_run_is_synthesized_to_the_baseline():
+    """A fix anchored only in code the recording never ran inserts no
+    event: synthesis reproduces the baseline trace, and the re-check
+    the baseline's detection."""
+    module = build_cold_store_module()
+    engine = IncrementalRevalidator(lambda interp: interp.call("main"))
+    detection, trace, interp = engine.record(module)
+    assert detection.bug_count == 1
+    cold = next(
+        i for i in module.get_function("cold").instructions() if isinstance(i, Store)
+    )
+    fixer = Hippocrates(module, trace, interp.machine, revalidator=engine)
+    report = fixer.apply(FixPlan(fixes=[InsertFlushAndFence(store=cold)]))
+    assert report.fixes_applied == 1
+
+    outcome = fixer.revalidate()
+    assert outcome.mode == "synthesized"
+    assert outcome.rechecked_chains == set()
+    assert outcome.trace.events == trace.events
+    assert [b.describe() for b in outcome.detection.bugs] == [
+        b.describe() for b in detection.bugs
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the pipeline with revalidation on (fast) vs off (oracle)
 # ---------------------------------------------------------------------------
@@ -147,9 +224,9 @@ def test_kill_resume_matches_non_incremental_baseline(tmp_path):
 
 
 def test_kill_resume_pooled_matches_unpooled_baseline(tmp_path):
-    """A fast (pooled) batch killed at boundary 7, after the last
-    task-done but before batch-end, resumes to the oracle's unpooled
-    bytes: the resume replays every record and executes nothing."""
+    """A fast batch killed at boundary 7, after the last task-done but
+    before batch-end, resumes to the oracle's bytes: the resume replays
+    every record and executes nothing."""
     assert_killed_fast_batch_resumes_to_oracle(
         str(tmp_path / "kill-7.journal"), boundary=7
     )

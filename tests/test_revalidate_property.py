@@ -3,8 +3,8 @@
 Over seeded random small PM programs and random flush/fence fix
 sequences:
 
-1. after each committed fix round, incremental revalidation (every
-   tier: synthesis, snapshot replay, full fallback) reaches exactly the
+1. after each committed fix round, incremental revalidation (both
+   tiers: synthesis and the full fallback) reaches exactly the
    detection a from-scratch run on the same module reaches;
 2. the rechecked-chain set is *complete*: any cache line whose per-line
    bug population changed between the recorded baseline and the
@@ -21,7 +21,7 @@ from repro.core.hippocrates import Hippocrates
 from repro.detect import pmemcheck_run
 from repro.memory.layout import lines_covering
 from repro.revalidate import IncrementalRevalidator
-from repro.revalidate.recording import CallRecord, RunRecorder
+from repro.revalidate.recording import MAX_FORKS, CallRecord, RunRecorder
 from repro.ir import I64, ModuleBuilder, PTR
 
 #: Each element: (persist?, slot, value, via_helper?) — the same shape
@@ -152,24 +152,22 @@ def test_rechecked_chains_cover_every_state_change(actions):
 @settings(max_examples=20, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=8))
 def test_replay_tier_matches_synthesis_tier(actions):
-    """Degrading the witness (anchors without insertion specs) must
-    route through snapshot replay and still reach the same verdict."""
+    """Degrading the witness (a commit without insertion specs) must
+    route straight to a full re-record and still reach the verdict
+    synthesis reached."""
     module = build(actions)
     engine, fixer, synth = _repair_incrementally(module)
     if synth.mode == "baseline":
         return
     assert synth.mode == "synthesized"
-    # Drop the insertion specs: the anchors survive, so the engine can
-    # still bound the damage, but it must now replay the interpreter.
-    engine.note_commit(set(), structural=False, insertions=None)
-    replayed = fixer.revalidate()
-    assert replayed.mode == "incremental"
-    assert _bug_records(replayed.detection) == _bug_records(synth.detection)
-    # Completeness holds for the replay tier too.
-    assert (
-        _changed_lines(engine.baseline.detection, replayed.detection)
-        <= replayed.rechecked_chains
-    )
+    engine.note_commit(structural=False, insertions=None)
+    full = fixer.revalidate()
+    assert full.mode == "full"
+    assert full.fallback_reason == "fix committed without an insertion witness"
+    assert _bug_records(full.detection) == _bug_records(synth.detection)
+    assert [(type(e), e.seq, e.iid) for e in full.trace.events] == [
+        (type(e), e.seq, e.iid) for e in synth.trace.events
+    ]
 
 
 @settings(max_examples=10, deadline=None)
@@ -177,66 +175,44 @@ def test_replay_tier_matches_synthesis_tier(actions):
 def test_structural_commit_forces_full_rerecord(actions):
     module = build(actions)
     engine, fixer, first = _repair_incrementally(module)
-    engine.note_commit(set(), structural=True)
+    engine.note_commit(structural=True)
     outcome = fixer.revalidate()
     assert outcome.mode == "full"
     assert _bug_records(outcome.detection) == _bug_records(first.detection)
 
 
 # ---------------------------------------------------------------------------
-# snapshot thinning
+# checker-fork thinning
 # ---------------------------------------------------------------------------
 
 
-def _recorder_with_segments(n_segments, max_snapshots):
-    """A recorder as it stands right after a recording made every
-    segment on-stride: one (sentinel) snapshot per segment."""
-    recorder = RunRecorder(max_snapshots=max_snapshots)
+def _recorder_with_segments(n_segments):
+    """A recorder as it stands after a recording of ``n_segments``
+    top-level calls."""
+    recorder = RunRecorder()
     for index in range(n_segments):
-        recorder.segments.append(
-            CallRecord(
-                index=index,
-                fn_name="f",
-                args=[],
-                trace_start=0,
-                seq_start=0,
-                steps_start=0,
-                snapshot=object(),
-            )
-        )
-    recorder._snapshot_count = n_segments
+        recorder.begin_call(trace_pos=3 * index)
     return recorder
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    n_segments=st.integers(min_value=1, max_value=200),
-    max_snapshots=st.integers(min_value=1, max_value=64),
-    lowered=st.integers(min_value=1, max_value=64),
-)
-def test_thin_always_reaches_budget(n_segments, max_snapshots, lowered):
-    """One doubling halves the count at best, which is not always
-    enough — ``_thin`` must *loop* until under budget, for any segment
-    count and any budget, including a budget lowered after the fact."""
-    recorder = _recorder_with_segments(n_segments, max_snapshots)
-    recorder._thin()
-
-    def check(rec):
-        retained = [s.index for s in rec.segments if s.snapshot is not None]
-        assert rec._snapshot_count == len(retained)
-        assert len(retained) <= rec.max_snapshots
-        # segment 0 is on-stride for every stride: replay can always
-        # resume from the very beginning
-        assert retained[0] == 0
-        # exactly the on-stride segments survive (the replay tier's
-        # nearest-snapshot search assumes this regularity)
-        assert retained == [
-            i for i in range(len(rec.segments)) if i % rec._stride == 0
-        ]
-
-    check(recorder)
-    # the budget can shrink between runs (engine reconfiguration); the
-    # next _thin call must converge from the already-thinned state too
-    recorder.max_snapshots = lowered
-    recorder._thin()
-    check(recorder)
+@given(n_segments=st.integers(min_value=1, max_value=300))
+def test_thin_always_reaches_budget(n_segments):
+    """For any segment count, the forked segments stay within
+    ``MAX_FORKS``, start at segment 0 (a re-check can always resume
+    from the very beginning), and are exactly the multiples of the
+    smallest power-of-two stride that fits — so every segment has a
+    fork at most one stride before it."""
+    recorder = _recorder_with_segments(n_segments)
+    assert recorder.segments == [
+        CallRecord(index=i, trace_start=3 * i) for i in range(n_segments)
+    ]
+    forked = [segment.index for segment in recorder.forked_segments()]
+    assert len(forked) <= MAX_FORKS
+    assert forked[0] == 0
+    stride = forked[1] - forked[0] if len(forked) > 1 else 1
+    assert stride & (stride - 1) == 0
+    assert forked == list(range(0, n_segments, stride))
+    # a stride half as long would have exceeded the budget
+    if stride > 1:
+        assert len(range(0, n_segments, stride // 2)) > MAX_FORKS
