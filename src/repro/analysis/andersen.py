@@ -35,27 +35,46 @@ created (UNKNOWN is bit 0, then every global, then the sites met during
 constraint generation), and a points-to set is a Python ``int`` mask
 over those bits: ``_var`` maps a value to its mask and ``_heap`` a site's
 bit to the mask of what its object may hold.  Union is ``|``, the
-change test is ``!=``, and the queries answer with ANDs against a
-per-space mask built as sites are interned; only :meth:`PointsTo.
-sites_of` decodes a mask back into :class:`AllocSite` objects.  Every
+change test is ``!=``, and the classifier answers with ANDs against
+masks built from site keys (:meth:`PointsTo.mask_of_keys`).  Every
 site, globals included, is interned by the end of constraint
 generation, so queries are read-only: they never add to
 :attr:`PointsTo.sites`.
 
-Pass order.  The fixpoint re-evaluates every constraint in the same
-round-robin order each pass — copies, then loads, then stores — and
-charges the budget once per pass for all of them.  The pass count, and
-so the budget's item count, is therefore the same as for a set-based
-solver, which keeps the ``full → trace → off`` downgrade points where
-they were.  A worklist with difference propagation was measured about
-2.6× slower on the pointer-web modules of the end-to-end benchmark's
-``fix-analysis`` workload, so the passes stay round-robin.
+Copy classes.  In SSA a ``gep`` or a (non-``inttoptr``) pointer cast
+has exactly one incoming constraint, the copy from its base, so at the
+fixpoint its set *is* its base's set (offline variable substitution,
+Rountev & Chandra, PLDI 2000).  Such a value emits no copy: it joins
+its base's class, whose root is looked up when the value is generated
+(a base printed later is resolved, with path compression, once
+generation ends), and every constraint endpoint is rewritten to its
+root.  After the fixpoint each collapsed value gets its root's mask
+when that mask is nonzero, so ``_var`` holds exactly the pairs the
+uncollapsed solver would.  A copy cycle cannot come out of verified
+SSA; if one appears anyway its members stay plain copies.
+
+Store deltas.  Each store remembers the ``(src, targets)`` masks it
+last propagated: with ``src`` unchanged it visits only the new target
+bits, and with neither changed it is skipped.  A skipped evaluation
+could not have changed anything.
+
+Pass order and budget.  The fixpoint re-evaluates the remaining
+constraints in the same round-robin order each pass — copies, then
+loads, then stores — and charges the budget once per pass for the
+module's *full* constraint count, collapsed constraints included, so a
+budget item stays a property of the program rather than of the solver.
+Collapsed values read fresher masks, so the pass count (and with it
+the charge) is at most a set-based solver's; :attr:`PointsTo.passes`
+and :attr:`PointsTo.evaluations` record the work actually done.  A
+worklist with difference propagation was measured about 2.6× slower on
+the pointer-web modules of the end-to-end benchmark's ``fix-analysis``
+workload, so the passes stay round-robin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..budget import Budget
 from ..ir.instructions import (
@@ -98,8 +117,8 @@ class PointsTo:
     def __init__(self, module: Module, budget: Optional[Budget] = None):
         """Solve the module's constraints to a fixpoint.
 
-        ``budget`` (items = constraint evaluations, optionally seconds)
-        bounds the fixpoint: when it runs out, :class:`~repro.errors.
+        ``budget`` (items = the module's constraint count per pass,
+        optionally seconds) bounds the fixpoint: when it runs out, :class:`~repro.errors.
         BudgetExceeded` propagates from here.  A partial Andersen result
         would be an *under*-approximation — unsafe to act on — so the
         orchestrator must catch the signal and downgrade to a cheaper
@@ -125,9 +144,12 @@ class PointsTo:
         self.sites: Dict[str, AllocSite] = {}
         self._site_list: List[AllocSite] = []  # bit position -> site
         self._bits: Dict[str, int] = {}  # site key -> its one-bit mask
-        self._space_masks: Dict[str, int] = {}
         self._var: Dict[Value, int] = {}
         self._heap: Dict[int, int] = {}  # site bit position -> mask
+        #: fixpoint passes, and the constraint evaluations they made
+        #: (0 for a solution restored from the disk cache)
+        self.passes = 0
+        self.evaluations = 0
         if sites is None:
             sites = [UNKNOWN_SITE] + [
                 AllocSite(f"global:{gv.name}", gv.space)
@@ -139,10 +161,6 @@ class PointsTo:
             self._var[gv] = self._bits[f"global:{gv.name}"]
 
     # -- public queries -----------------------------------------------------------
-
-    def sites_of(self, value: Value) -> FrozenSet[AllocSite]:
-        """The abstract objects ``value`` may point to."""
-        return frozenset(self._decode(self.mask_of(value)))
 
     def mask_of(self, value: Value) -> int:
         """``value``'s points-to set as a mask (see :meth:`mask_of_keys`)."""
@@ -156,25 +174,6 @@ class PointsTo:
             mask |= bits.get(key, 0)
         return mask
 
-    def may_alias(self, a: Value, b: Value) -> bool:
-        """True if the two pointers may reference the same object."""
-        ma, mb = self.mask_of(a), self.mask_of(b)
-        if not ma or not mb:
-            return True  # untracked: be conservative
-        if (ma | mb) & _UNKNOWN_BIT:
-            return True
-        return bool(ma & mb)
-
-    def may_point_to_space(self, value: Value, space: str) -> bool:
-        """True if ``value`` may point into the given space ("pm"/"vol").
-
-        Empty or unknown points-to sets answer True (conservative).
-        """
-        mask = self.mask_of(value)
-        if not mask:
-            return True
-        return bool(mask & (self._space_masks.get(space, 0) | _UNKNOWN_BIT))
-
     # -- solving ---------------------------------------------------------------------
 
     def _intern(self, site: AllocSite) -> int:
@@ -182,7 +181,6 @@ class PointsTo:
         bit = 1 << len(self._site_list)
         self._site_list.append(site)
         self._bits[site.key] = bit
-        self._space_masks[site.space] = self._space_masks.get(site.space, 0) | bit
         if site is not UNKNOWN_SITE:
             self.sites[site.key] = site
         return bit
@@ -190,13 +188,6 @@ class PointsTo:
     def _site(self, key: str, space: str) -> int:
         bit = self._bits.get(key)
         return self._intern(AllocSite(key, space)) if bit is None else bit
-
-    def _decode(self, mask: int) -> Iterator[AllocSite]:
-        sites = self._site_list
-        while mask:
-            low = mask & -mask
-            yield sites[low.bit_length() - 1]
-            mask ^= low
 
     def _add(self, value: Value, bit: int) -> None:
         self._var[value] = self._var.get(value, 0) | bit
@@ -206,6 +197,8 @@ class PointsTo:
         loads: List[Tuple[Value, Value]] = []  # pts(dst) ⊇ heap(pts(src))
         stores: List[Tuple[Value, Value]] = []  # heap(pts(ptr)) ⊇ pts(src)
         returns: Dict[str, List[Value]] = {}
+        #: a collapsed gep or cast -> the root of its copy class
+        same: Dict[Value, Value] = {}
 
         # -- constraint generation --------------------------------------------
         for fn in self.module.functions.values():
@@ -213,7 +206,8 @@ class PointsTo:
                 if isinstance(instr, Alloca):
                     self._add(instr, self._site(f"alloca:{instr.iid}", "stack"))
                 elif isinstance(instr, Gep):
-                    copies.append((instr.base, instr))
+                    base = instr.base
+                    same[instr] = same.get(base, base)
                 elif isinstance(instr, Select) and instr.type.is_pointer:
                     copies.append((instr.operands[1], instr))
                     copies.append((instr.operands[2], instr))
@@ -223,7 +217,8 @@ class PointsTo:
                         # field-insensitively; give up to UNKNOWN.
                         self._add(instr, _UNKNOWN_BIT)
                     else:
-                        copies.append((instr.operands[0], instr))
+                        base = instr.operands[0]
+                        same[instr] = same.get(base, base)
                 elif isinstance(instr, Load) and instr.type.is_pointer:
                     loads.append((instr.pointer, instr))
                 elif isinstance(instr, Store) and instr.value.type.is_pointer:
@@ -243,15 +238,25 @@ class PointsTo:
                     for ret_value in returns.get(call.callee, []):
                         copies.append((ret_value, call))
 
+        # -- copy classes ---------------------------------------------------------
+        _resolve_late_roots(same, copies)
+        root = same.get
+        copies = [(root(src, src), dst) for src, dst in copies]
+        loads = [(root(ptr, ptr), dst) for ptr, dst in loads]
+        # [src, ptr, src mask and targets mask last propagated]
+        live_stores = [[root(src, src), root(ptr, ptr), 0, 0] for src, ptr in stores]
+
         # -- fixpoint ------------------------------------------------------------
         # A constant (null) pointer has no entry, so it reads as mask 0.
-        per_pass = len(copies) + len(loads) + len(stores)
+        per_pass = len(copies) + len(loads) + len(live_stores) + len(same)
         pts, heap = self._var, self._heap
         get, heap_get = pts.get, heap.get
+        passes = skipped = 0
         changed = True
         while changed:
             if self.budget is not None:
                 self.budget.charge(per_pass)
+            passes += 1
             changed = False
             for src, dst in copies:
                 old = get(dst, 0)
@@ -270,11 +275,21 @@ class PointsTo:
                 if new != old:
                     pts[dst] = new
                     changed = True
-            for src, ptr in stores:
+            for store in live_stores:
+                src, ptr, seen_src, seen_targets = store
                 src_mask = get(src, 0)
+                all_targets = get(ptr, 0)
+                if src_mask != seen_src:
+                    targets = all_targets
+                elif all_targets != seen_targets:
+                    targets = all_targets ^ seen_targets  # masks only grow
+                else:
+                    skipped += 1
+                    continue
+                store[2] = src_mask
+                store[3] = all_targets
                 if not src_mask:
                     continue
-                targets = get(ptr, 0)
                 while targets:
                     low = targets & -targets
                     site = low.bit_length() - 1
@@ -283,6 +298,14 @@ class PointsTo:
                         heap[site] = old | src_mask
                         changed = True
                     targets ^= low
+        self.passes = passes
+        self.evaluations = (
+            passes * (len(copies) + len(loads) + len(live_stores)) - skipped
+        )
+        for value, class_root in same.items():
+            mask = get(class_root, 0)
+            if mask:
+                pts[value] = mask
 
     def _call_constraints(
         self, call: Call, copies: List[Tuple[Value, Value]]
@@ -306,3 +329,31 @@ class PointsTo:
             # Unknown intrinsic returning a pointer: untrackable.
             self._add(call, _UNKNOWN_BIT)
 
+
+
+def _resolve_late_roots(same: Dict[Value, Value], copies: List[Tuple[Value, Value]]) -> None:
+    """Point every collapsed value in ``same`` straight at its class root.
+
+    A value's root was looked up when it was generated, so only a value
+    whose base is printed later (reached through a branch) can point at
+    another collapsed value; those chains are walked once, compressing
+    the path.  A cycle cannot come out of verified SSA; if one appears
+    anyway, its members leave ``same`` and stay plain copies.
+    """
+    for value in [value for value, base in same.items() if base in same]:
+        if value not in same:
+            continue  # a cycle member, already a plain copy
+        path = [value]
+        on_path = {value}
+        base = same[value]
+        while base in same:
+            if base in on_path:
+                for member in path[path.index(base):]:
+                    copies.append((same.pop(member), member))
+                break
+            path.append(base)
+            on_path.add(base)
+            base = same[base]
+        for member in path:
+            if member in same:
+                same[member] = base

@@ -39,6 +39,8 @@ When a :class:`~repro.analysis.diskcache.AnalysisDiskCache` is attached,
 the ``points_to`` computation first consults the content-addressed store
 before solving, and persists fresh solutions for other worker processes
 to reuse.  The call graph is always built here: it is one linear scan.
+A fresh solve (never a disk hit) counts its fixpoint's work as
+``analysis.andersen_passes`` and ``analysis.andersen_evaluations``.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ class AnalysisManager:
                 return restored
             self.obs.count("analysis.disk_misses")
         points_to = PointsTo(module, budget=self.budget)
+        self.obs.count("analysis.andersen_passes", points_to.passes)
+        self.obs.count("analysis.andersen_evaluations", points_to.evaluations)
         if self.disk_cache is not None:
             self.disk_cache.store(module, points_to)
         return points_to

@@ -35,7 +35,7 @@ cold paths that need source locations or stack frames.
 
 **Runs**: the flat code splits into straight-line runs, each ending at
 a terminator or a call.  The engine charges a run's
-steps, per-kind counts and executed iids when it enters the run, so
+steps and per-kind counts when it enters the run, so
 :attr:`CompiledFunction.runs` records each of them once, at compile
 time (see :func:`static_kind`).  A hot loop — a cycle of runs that
 each got hot — is translated into a Python function
@@ -152,9 +152,9 @@ def static_kind(inst: tuple) -> Optional[int]:
     return _OPCODE_KINDS[inst[0]]
 
 
-def _run_entry(counts: Dict[int, int], iids: List[int], body: List[tuple]) -> tuple:
-    """One run-table entry: ``(steps, counts, iids, body)``."""
-    return (len(iids), tuple(counts.items()), tuple(iids), tuple(body))
+def _run_entry(counts: Dict[int, int], body: List[tuple]) -> tuple:
+    """One run-table entry: ``(steps, counts, body)``."""
+    return (len(body), tuple(counts.items()), tuple(body))
 
 
 def _mask_of(type_) -> int:
@@ -170,9 +170,9 @@ class CompiledFunction:
 
     :ivar code: tuple of per-instruction opcode tuples (pc-indexed).
     :ivar runs: the run table, pc-indexed: at each run's start pc a
-        ``(steps, counts, iids, body)`` tuple — its step count,
-        ``(kind slot, count)`` pairs, the iids of its steps, and its
-        slice of :attr:`code` — and ``None`` at every other pc.
+        ``(steps, counts, body)`` tuple — its step count,
+        ``(kind slot, count)`` pairs and its slice of :attr:`code` —
+        and ``None`` at every other pc.
     :ivar insts: parallel tuple of the source :class:`Instruction`
         objects; cold paths use it for source locations and stack
         capture.
@@ -304,13 +304,11 @@ class _FunctionCompiler:
         runs: List[Optional[tuple]] = [None] * pc
         run_start = 0
         counts: Dict[int, int] = {}
-        iids: List[int] = []
         for block in fn.blocks:
             for instr in block.instructions:
                 inst = self._encode(instr, block_pc, len(code))
                 code.append(inst)
                 insts.append(instr)
-                iids.append(instr.iid)
                 op = inst[0]
                 # static_kind, inlined: this runs once per instruction
                 kind = _CALL_KINDS[inst[6]] if op == OP_CALL else _OPCODE_KINDS[op]
@@ -319,10 +317,9 @@ class _FunctionCompiler:
                 elif kind is not None:
                     counts[kind] = 1
                 if op in _RUN_ENDS:
-                    runs[run_start] = _run_entry(counts, iids, code[run_start:])
+                    runs[run_start] = _run_entry(counts, code[run_start:])
                     run_start = len(code)
                     counts = {}
-                    iids = []
 
         cf.code = tuple(code)
         cf.runs = tuple(runs)

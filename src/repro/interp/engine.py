@@ -140,7 +140,7 @@ class _LinkedFunction:
     and each run's entry its static cycles and packed counts.
 
     :ivar runs: pc-indexed; at a run's start pc ``(steps, cycles,
-        packed counts, iids, body, translated)``, else ``None``;
+        packed counts, body, translated)``, else ``None``;
         ``translated`` is the function of the loop translation the run
         belongs to, else ``None``.
     :ivar entries: pc-indexed count of a run's untranslated entries.
@@ -165,12 +165,12 @@ class _LinkedFunction:
         runs = list(cf.runs)
         for pc, run in enumerate(runs):
             if run is not None:
-                steps, counts, iids, body = run
+                steps, counts, body = run
                 cycles = packed = 0
                 for kind, count in counts:
                     cycles += static_costs[kind] * count
                     packed += count << (_COUNT_BITS * kind)
-                runs[pc] = (steps, cycles, packed, iids, body, None)
+                runs[pc] = (steps, cycles, packed, body, None)
         self.runs = runs
         self.entries = [0] * len(runs)
         self.translated: Dict[int, object] = {}
@@ -284,7 +284,7 @@ class FlatEngine(Interpreter):
         fast = bind(translation, self._bindings)
         runs = lf.runs
         for pc in members:
-            runs[pc] = runs[pc][:5] + (fast,)
+            runs[pc] = runs[pc][:4] + (fast,)
             translated[pc] = translation
         self._runs_translated += len(members)
         self._loops_translated += 1
@@ -412,7 +412,7 @@ class FlatEngine(Interpreter):
 
         try:
             while True:
-                run_steps, run_cycles, run_counts, _, body, fast = runs[pc]
+                run_steps, run_cycles, run_counts, body, fast = runs[pc]
                 steps += run_steps
                 cycles += run_cycles
                 counts += run_counts
@@ -605,7 +605,7 @@ class FlatEngine(Interpreter):
                 else:
                     # Every run ends in a break, a return or a raise, so
                     # only a body cut at the fuel limit gets here.
-                    inst = runs[pc][4][len(body)]
+                    inst = runs[pc][3][len(body)]
                     raise FuelExhausted(f"exceeded fuel of {fuel} instructions")
         except BaseException as exc:
             if len(frames) > base_depth:
@@ -643,7 +643,7 @@ class FlatEngine(Interpreter):
         run = lf.runs[start]
         index = None
         if run is not None:
-            if run[5] is not None:
+            if run[4] is not None:
                 from .translate import fault_index
 
                 where = fault_index(exc.__traceback__, lf.translated[start])
@@ -654,14 +654,14 @@ class FlatEngine(Interpreter):
                 if where is not None:
                     start, index = where
                     run = lf.runs[start]
-                    inst = run[4][index]
+                    inst = run[3][index]
             if index is None:
-                index = next((i for i, x in enumerate(run[4]) if x is inst), None)
+                index = next((i for i, x in enumerate(run[3]) if x is inst), None)
         if index is None:
             # An asynchronous exception (e.g. KeyboardInterrupt) landed
             # between runs: everything charged so far ran.
             return steps, cycles, counts
-        run_steps, _, _, _, body, _ = run
+        run_steps, _, _, body, _ = run
         cut = isinstance(exc, FuelExhausted)
         steps -= run_steps - index - 1
         dense = self.costs._dense

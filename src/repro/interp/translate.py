@@ -15,8 +15,8 @@ the fuel left (it returns that run's pc, and the engine cuts the run
 as it cuts any other), or raises on a fault.  The entry run was
 charged by the engine; the loop counts each later run entry in a
 local, and on every exit appends those counts to the engine's
-``_tally`` list, so the engine charges their steps, cycles, per-kind
-counts and segment iids (``FlatEngine._fold``).
+``_tally`` list, so the engine charges their steps, cycles and
+per-kind counts (``FlatEngine._fold``).
 
 The generated function is ``name(regs, frame, pc, left, <bound
 names>)``: ``pc`` is the run being entered, ``left`` the steps of fuel
@@ -185,7 +185,7 @@ def loop_of(cf: CompiledFunction, start: int, hot: Collection[int]) -> Tuple[int
     ``()``, since a run on no hot cycle is not translated."""
 
     def successors(pc):
-        return tuple(t for t in _successors(cf.runs[pc][3][-1]) if t in hot)
+        return tuple(t for t in _successors(cf.runs[pc][2][-1]) if t in hot)
 
     reached = set()
     todo = list(successors(start))
@@ -210,7 +210,7 @@ def loop_of(cf: CompiledFunction, start: int, hot: Collection[int]) -> Tuple[int
 def _promotable(cf: CompiledFunction, members: Tuple[int, ...]) -> Dict[int, int]:
     """Address register -> access width of every stack slot the loop
     over ``members`` may keep in a local; empty when it may keep none."""
-    bodies = [cf.runs[start][3] for start in members]
+    bodies = [cf.runs[start][2] for start in members]
     defined = {_writes(inst) for body in bodies for inst in body}
     widths: Dict[int, int] = {}
     for body in bodies:
@@ -301,7 +301,7 @@ class _Writer:
     def run(self, start: int) -> None:
         """The code of the run at ``start``."""
         self.defined = set()
-        for index, inst in enumerate(self.cf.runs[start][3]):
+        for index, inst in enumerate(self.cf.runs[start][2]):
             self.owner = (start, index)
             _translate_inst(self, inst, self.cf)
         self.owner = None

@@ -7,12 +7,40 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis import AllocSite, PointsTo, UNKNOWN_SITE
+from repro.analysis import AllocSite, PointsTo, UNKNOWN_SITE, classify_full_aa
 from repro.budget import Budget
 from repro.corpus.bugs import all_cases
+from repro.errors import BudgetExceeded
 from repro.ir import I64, ModuleBuilder, PTR
 from repro.ir.instructions import Alloca, Call, Cast, Gep, Load, Ret, Select, Store
 from repro.ir.values import NULL, Constant, GlobalVariable, Value
+
+
+# ---------------------------------------------------------------------------
+# decoders: the solver answers in masks; the tests compare site sets
+# ---------------------------------------------------------------------------
+
+
+def decode(points_to, mask):
+    """The :class:`AllocSite` objects of ``mask``'s bits."""
+    sites = points_to._site_list
+    while mask:
+        low = mask & -mask
+        yield sites[low.bit_length() - 1]
+        mask ^= low
+
+
+def sites_of(points_to, value):
+    """The abstract objects ``value`` may point to."""
+    return frozenset(decode(points_to, points_to.mask_of(value)))
+
+
+def decoded_heap(points_to):
+    """``PointsTo``'s heap solution as site -> frozenset of sites."""
+    return {
+        points_to._site_list[bit]: frozenset(decode(points_to, mask))
+        for bit, mask in points_to._heap.items()
+    }
 
 
 def test_alloc_sites_distinct():
@@ -22,11 +50,11 @@ def test_alloc_sites_distinct():
     q = b.call("vol_alloc", [64], PTR)
     b.ret(0)
     pts = PointsTo(mb.module)
-    sp, sq = pts.sites_of(p), pts.sites_of(q)
+    sp, sq = sites_of(pts, p), sites_of(pts, q)
     assert len(sp) == 1 and len(sq) == 1
     assert next(iter(sp)).space == "pm"
     assert next(iter(sq)).space == "vol"
-    assert not pts.may_alias(p, q)
+    assert not sp & sq
 
 
 def test_gep_preserves_target():
@@ -36,8 +64,8 @@ def test_gep_preserves_target():
     g = b.gep(p, 8)
     b.ret(0)
     pts = PointsTo(mb.module)
-    assert pts.sites_of(g) == pts.sites_of(p)
-    assert pts.may_alias(g, p)
+    assert sites_of(pts, g) == sites_of(pts, p)
+    assert pts.mask_of(g) == pts.mask_of(p) != 0
 
 
 def test_argument_flow_through_calls():
@@ -53,7 +81,7 @@ def test_argument_flow_through_calls():
     b.ret(0)
     pts = PointsTo(mb.module)
     callee_arg = mb.module.get_function("callee").args[0]
-    spaces = {s.space for s in pts.sites_of(callee_arg)}
+    spaces = {s.space for s in sites_of(pts, callee_arg)}
     assert spaces == {"pm", "vol"}
 
 
@@ -65,7 +93,7 @@ def test_return_value_flow():
     p = b.call("make", [], PTR)
     b.ret(0)
     pts = PointsTo(mb.module)
-    assert {s.space for s in pts.sites_of(p)} == {"pm"}
+    assert {s.space for s in sites_of(pts, p)} == {"pm"}
 
 
 def test_pointers_through_memory():
@@ -78,7 +106,7 @@ def test_pointers_through_memory():
     loaded = b.load(slot, PTR)
     b.ret(0)
     pts = PointsTo(mb.module)
-    assert pts.sites_of(loaded) == pts.sites_of(p)
+    assert sites_of(pts, loaded) == sites_of(pts, p)
 
 
 def test_pointer_chains_through_pm():
@@ -92,8 +120,8 @@ def test_pointer_chains_through_pm():
     b.store(7, walked)
     b.ret(0)
     pts = PointsTo(mb.module)
-    assert pts.may_alias(walked, entry)
-    assert {s.space for s in pts.sites_of(walked)} == {"pm"}
+    assert sites_of(pts, entry) <= sites_of(pts, walked)
+    assert {s.space for s in sites_of(pts, walked)} == {"pm"}
 
 
 def test_select_union():
@@ -105,7 +133,7 @@ def test_select_union():
     chosen = b.select(cond, p, v)
     b.ret(0)
     pts = PointsTo(mb.module)
-    assert pts.sites_of(chosen) == pts.sites_of(p) | pts.sites_of(v)
+    assert sites_of(pts, chosen) == sites_of(pts, p) | sites_of(pts, v)
 
 
 def test_inttoptr_is_unknown():
@@ -116,9 +144,8 @@ def test_inttoptr_is_unknown():
     back = b.cast("inttoptr", as_int, PTR)
     b.ret(0)
     pts = PointsTo(mb.module)
-    assert UNKNOWN_SITE in pts.sites_of(back)
-    # unknown aliases everything
-    assert pts.may_alias(back, p)
+    assert sites_of(pts, back) == {UNKNOWN_SITE}
+    assert UNKNOWN_SITE not in sites_of(pts, p)
 
 
 def test_globals_are_singleton_sites():
@@ -128,7 +155,7 @@ def test_globals_are_singleton_sites():
     g = b.gep(table, 8)
     b.ret(0)
     pts = PointsTo(mb.module)
-    sites = pts.sites_of(g)
+    sites = sites_of(pts, g)
     assert len(sites) == 1 and next(iter(sites)).key == "global:table"
 
 
@@ -141,7 +168,7 @@ def test_pm_root_shared_site():
     pts = PointsTo(mb.module)
     f_root = mb.module.get_function("f").calls()[0]
     g_root = mb.module.get_function("g").calls()[0]
-    assert pts.sites_of(f_root) == pts.sites_of(g_root)
+    assert sites_of(pts, f_root) == sites_of(pts, g_root)
 
 
 def test_may_point_to_space_conservative_on_empty():
@@ -151,8 +178,8 @@ def test_may_point_to_space_conservative_on_empty():
     pts = PointsTo(mb.module)
     arg = mb.module.get_function("f").args[0]
     # No callers: empty points-to set, conservatively maybe-anything.
-    assert pts.may_point_to_space(arg, "pm")
-    assert pts.may_point_to_space(arg, "vol")
+    assert pts.mask_of(arg) == 0
+    assert classify_full_aa(mb.module, pts).may_be_pm(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +191,10 @@ class ReferencePointsTo:
     """The set-based solver, kept here only as a test oracle.
 
     One ``Set[AllocSite]`` per value and per heap object, the same
-    constraints, and the same round-robin passes (copies, then loads,
-    then stores) charged to the budget once per pass.
+    constraints with every ``gep`` and pointer cast a plain copy, and
+    the same round-robin passes (copies, then loads, then stores)
+    charged to the budget once per pass; :attr:`per_pass` is the
+    module's constraint count.
     """
 
     def __init__(self, module, budget=None):
@@ -244,7 +273,7 @@ class ReferencePointsTo:
                     for ret_value in returns.get(call.callee, []):
                         copies.append((ret_value, call))
 
-        per_pass = len(copies) + len(loads) + len(stores)
+        self.per_pass = per_pass = len(copies) + len(loads) + len(stores)
         changed = True
         while changed:
             if self.budget is not None:
@@ -287,29 +316,32 @@ class ReferencePointsTo:
             self._pts(call).add(UNKNOWN_SITE)
 
 
-def decoded_heap(points_to):
-    """``PointsTo``'s heap solution as site -> frozenset of sites."""
-    return {
-        points_to._site_list[bit]: frozenset(points_to._decode(mask))
-        for bit, mask in points_to._heap.items()
-    }
-
-
 def assert_matches_reference(module):
     budget, reference_budget = Budget(), Budget()
     solved = PointsTo(module, budget=budget)
     reference = ReferencePointsTo(module, budget=reference_budget)
     for fn in module.functions.values():
         for value in [*fn.args, *fn.instructions()]:
-            assert solved.sites_of(value) == reference.sites_of(value), value
+            assert sites_of(solved, value) == reference.sites_of(value), value
     for gv in module.globals.values():
-        assert solved.sites_of(gv) == reference.sites_of(gv)
+        assert sites_of(solved, gv) == reference.sites_of(gv)
     assert decoded_heap(solved) == {
         site: frozenset(sites)
         for site, sites in reference.heap_pts.items()
         if sites
     }
-    assert budget.spent_items == reference_budget.spent_items
+    # Every pass charges the module's full constraint count, collapsed
+    # copies included, and collapsing can only save passes.
+    per_pass, spent = reference.per_pass, budget.spent_items
+    assert spent == solved.passes * per_pass
+    assert spent <= reference_budget.spent_items
+    # The charge is exact: a budget that admits the last pass's charge
+    # completes, one that runs out just before it raises.  (A charge is
+    # refused only once the budget is already spent, so the boundary
+    # lies one pass's charge below ``spent``.)
+    PointsTo(module, budget=Budget(max_items=spent - per_pass + 1))
+    with pytest.raises(BudgetExceeded):
+        PointsTo(module, budget=Budget(max_items=spent - per_pass))
     return solved
 
 
@@ -349,7 +381,106 @@ def test_pointer_web_matches_reference_solver():
     solved = assert_matches_reference(build_pointer_web())
     # the web really does merge: the last helper sees earlier helpers' sites
     last = solved.module.get_function("web3").args[0]
-    assert len(solved.sites_of(last)) > 6
+    assert len(sites_of(solved, last)) > 6
+
+
+def build_late_bases():
+    """Geps and casts whose base is defined in a block printed later:
+    ``entry`` branches to ``late`` (printed last), which jumps back to
+    ``use`` (printed second), whose chains start at ``late``'s gep.
+
+    Every def dominates its uses, but the verifier also wants each def
+    printed before its uses (the parser resolves names in text order),
+    so only a builder makes this module; the solver must not care."""
+    mb = ModuleBuilder("late")
+    b = mb.function("main", [("n", I64)], I64, source_file="late.c")
+    slot = b.alloca(8)
+    use, done, late = b.new_block("use"), b.new_block("done"), b.new_block("late")
+    b.br(b.icmp("eq", b.function.args[0], 0), late, done)
+    b.position_at_end(late)
+    p = b.call("pm_alloc", [64], PTR)
+    field = b.gep(p, 8)
+    b.jmp(use)
+    b.position_at_end(use)
+    chained = b.gep(b.cast("zext", b.gep(field, 8), PTR), 8)
+    b.store(chained, slot, PTR)  # a store through a late-collapsed chain
+    b.store(b.call("vol_alloc", [8], PTR), field, PTR)  # endpoint used early
+    b.store(5, b.load(b.cast("trunc", field, PTR), PTR))
+    b.jmp(done)
+    b.position_at_end(done)
+    b.ret(0)
+    return mb.module
+
+
+def test_late_bases_match_reference_solver():
+    module = build_late_bases()
+    solved = assert_matches_reference(module)
+    main = module.get_function("main")
+    field = next(i for i in main.instructions() if isinstance(i, Gep))
+    assert {s.space for s in sites_of(solved, field)} == {"pm"}
+    last = [i for i in main.instructions() if isinstance(i, Load)][-1]
+    assert {s.space for s in sites_of(solved, last)} == {"vol"}
+
+
+def test_geps_of_global_and_null_match_reference_solver():
+    mb = ModuleBuilder("roots")
+    table = mb.global_("table", 64, "pm")
+    b = mb.function("main", [], I64, source_file="r.c")
+    of_global = b.gep(b.gep(table, 8), 8)
+    of_null = b.gep(b.cast("zext", NULL, PTR), 8)
+    b.store(of_null, of_global, PTR)
+    b.ret(0)
+    solved = assert_matches_reference(mb.module)
+    assert sites_of(solved, of_global) == {solved.sites["global:table"]}
+    # an empty class root leaves its members without an entry
+    assert of_null not in solved._var
+
+
+def test_cast_gep_chains_match_reference_solver():
+    mb = ModuleBuilder("chains")
+    b = mb.function("main", [], I64, source_file="c.c")
+    p = b.call("pm_alloc", [64], PTR)
+    slot = b.alloca(8)
+    cursor = p
+    for _ in range(5):
+        cursor = b.cast("zext", b.gep(b.cast("trunc", cursor, PTR), 8), PTR)
+    b.store(cursor, slot, PTR)
+    b.store(slot, b.gep(cursor, 8), PTR)
+    b.store(7, b.load(b.load(slot, PTR), PTR))
+    b.ret(0)
+    solved = assert_matches_reference(mb.module)
+    assert sites_of(solved, cursor) == sites_of(solved, p)
+
+
+def test_gep_only_module_still_trips_an_empty_budget():
+    mb = ModuleBuilder("geps")
+    table = mb.global_("table", 64, "pm")
+    b = mb.function("main", [], I64, source_file="g.c")
+    b.store(1, b.gep(b.gep(table, 8), 8))
+    b.ret(0)
+    # both constraints collapse, yet each pass charges them
+    assert ReferencePointsTo(mb.module).per_pass == 2
+    assert_matches_reference(mb.module)
+    with pytest.raises(BudgetExceeded):
+        PointsTo(mb.module, budget=Budget(max_items=0))
+
+
+def test_copy_cycle_terminates_and_matches_reference_solver():
+    """Unverifiable input: geps that reach themselves stay plain copies."""
+    mb = ModuleBuilder("cycle")
+    b = mb.function("main", [], I64, source_file="y.c")
+    p = b.call("pm_alloc", [64], PTR)
+    first = b.gep(p, 8)
+    second = b.gep(first, 8)
+    hanging = b.gep(second, 8)
+    selfish = b.gep(p, 8)
+    b.store(p, hanging, PTR)
+    b.store(p, selfish, PTR)
+    b.ret(0)
+    first.replace_operand(p, second)  # first <-> second
+    selfish.replace_operand(p, selfish)  # selfish <- selfish
+    solved = assert_matches_reference(mb.module)
+    assert not solved.mask_of(hanging) and not solved.mask_of(selfish)
 
 
 HELPERS = 3
@@ -358,6 +489,7 @@ pointer_op = st.one_of(
     st.tuples(st.just("alloca")),
     st.tuples(st.just("alloc"), st.sampled_from(["pm_alloc", "vol_alloc", "pm_root"])),
     st.tuples(st.just("gep"), pick),
+    st.tuples(st.just("gep_gep"), pick),
     st.tuples(st.just("select"), pick, pick),
     st.tuples(st.just("select_null"), pick),
     st.tuples(st.just("load"), pick),
@@ -402,6 +534,8 @@ def build_pointer_program(bodies):
                 pool.append(b.call(args[0], [64], PTR))
             elif op == "gep":
                 pool.append(b.gep(at(args[0]), 8))
+            elif op == "gep_gep":
+                pool.append(b.gep(b.gep(at(args[0]), 8), 16))
             elif op == "select":
                 pool.append(b.select(cond, at(args[0]), at(args[1])))
             elif op == "select_null":

@@ -42,6 +42,7 @@ from repro.obs import Observability
 from repro.supervisor.tasks import run_case
 
 from conftest import build_listing5_module, drive_main
+from test_analysis_andersen import decode, sites_of
 from test_oracle_differential import (
     assert_batch_matches_oracle,
     assert_killed_fast_batch_resumes_to_oracle,
@@ -432,7 +433,7 @@ def portable_heap(points_to):
     module = points_to.module
     return {
         portable_key(module, points_to._site_list[bit]): portable_sites(
-            module, points_to._decode(mask)
+            module, decode(points_to, mask)
         )
         for bit, mask in points_to._heap.items()
     }
@@ -456,8 +457,8 @@ def test_disk_round_trip_preserves_solution(tmp_path):
         restoreds = [*restored_fn.args, *restored_fn.instructions()]
         assert len(originals) == len(restoreds)
         for a, b in zip(originals, restoreds):
-            assert portable_sites(module, solved.sites_of(a)) == portable_sites(
-                reparsed, points_to.sites_of(b)
+            assert portable_sites(module, sites_of(solved, a)) == portable_sites(
+                reparsed, sites_of(points_to, b)
             )
     assert portable_heap(solved) == portable_heap(points_to)
     assert portable_heap(solved)  # the module does store a pointer
@@ -476,7 +477,7 @@ def test_disk_round_trip_keeps_unknown_site_identity(tmp_path):
     unknowns = [
         site
         for instr in reparsed.instructions()
-        for site in points_to.sites_of(instr)
+        for site in sites_of(points_to, instr)
         if site.space == "unknown"
     ]
     assert unknowns
@@ -594,7 +595,7 @@ def test_queries_leave_solution_and_entry_unchanged(tmp_path):
     assert classification.score(counter) == 1
     assert classification.score(buffer) == -1
     for value in [counter, buffer, *module.get_function("main").instructions()]:
-        points_to.sites_of(value)
+        points_to.mask_of(value)
         classification.score(value)
         classification.may_be_pm(value)
     assert classification.may_be_pm(counter)
@@ -604,6 +605,25 @@ def test_queries_leave_solution_and_entry_unchanged(tmp_path):
     assert cache.store(module, points_to)
     with open(entry_path, "rb") as handle:
         assert handle.read() == before
+
+
+def test_fresh_solves_count_fixpoint_work_and_disk_hits_do_not(tmp_path):
+    module = build_disk_module()
+    cold = counted(module, disk_cache=AnalysisDiskCache(str(tmp_path)))
+    solved = cold.get(POINTS_TO)
+    assert solved.passes > 0 and solved.evaluations > 0
+    assert stats(cold)["andersen_passes"] == solved.passes
+    assert stats(cold)["andersen_evaluations"] == solved.evaluations
+
+    warm = counted(
+        parse_module(format_module(module)),
+        disk_cache=AnalysisDiskCache(str(tmp_path)),
+    )
+    restored = warm.get(POINTS_TO)
+    assert stats(warm)["disk_hits"] == 1
+    assert restored.passes == restored.evaluations == 0
+    assert "andersen_passes" not in stats(warm)
+    assert "andersen_evaluations" not in stats(warm)
 
 
 def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
@@ -623,7 +643,7 @@ def test_manager_seeds_callgraph_from_disk_hit(tmp_path):
     misses_before = stats(manager)["misses"]
     callgraph = manager.get(CALLGRAPH)
     assert stats(manager)["misses"] == misses_before + 1
-    assert callgraph.callees("main") == {"make"}
+    assert callgraph._callees["main"] == {"make"}
     assert manager.get(CALLGRAPH) is callgraph
 
 
@@ -665,6 +685,7 @@ def test_corpus_cache_on_vs_off_is_byte_identical(tmp_path):
     counters = obs.metrics_snapshot()["counters"]
     assert counters["analysis.disk_hits"] == len(warm.outcomes)
     assert "analysis.disk_misses" not in counters
+    assert "analysis.andersen_passes" not in counters
 
 
 def test_resume_after_kill_with_cache_is_byte_identical(tmp_path):

@@ -234,14 +234,15 @@ def test_run_table_invariants():
             assert (
                 pc == 0 or pc in block_starts or code[pc - 1][0] in RUN_ENDS
             ), (fn.name, pc)
-            steps, counts, iids, body = runs[pc]
+            steps, counts, body = runs[pc]
             assert body == code[pc : pc + len(body)]
             # it ends at its first run end
             assert all(inst[0] not in RUN_ENDS for inst in body[:-1])
             assert body[-1][0] in RUN_ENDS
             assert steps == len(body)
-            assert iids == tuple(inst[1] for inst in body)
-            assert iids == tuple(i.iid for i in cf.insts[pc : pc + steps])
+            assert tuple(inst[1] for inst in body) == tuple(
+                i.iid for i in cf.insts[pc : pc + steps]
+            )
             summed.update(dict(counts))
         # every branch target and call continuation is a run start
         for pc, inst in enumerate(code):

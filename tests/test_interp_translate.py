@@ -137,7 +137,7 @@ def _ran_translated(interp, iid):
         for pc, instr in enumerate(lf.insts):
             if instr.iid == iid:
                 start = max(p for p in range(pc + 1) if lf.runs[p] is not None)
-                return lf.runs[start][5] is not None
+                return lf.runs[start][4] is not None
     raise AssertionError(f"no instruction {iid}")
 
 
@@ -435,7 +435,7 @@ def test_a_run_translates_on_its_nth_entry():
             interp = make_interpreter(module)
             interp.call("main", [entries])
             lf, start = _loop_run(interp, "main")
-            translated = lf.runs[start][5] is not None
+            translated = lf.runs[start][4] is not None
             assert translated == (entries >= 4), entries
             # a translated run's later entries skip the count
             assert lf.entries[start] == min(entries, 4)
@@ -487,7 +487,7 @@ def test_a_loop_is_translated_once_when_its_last_run_gets_hot(default_threshold)
     _, reference = _fingerprint(module, "reference", [4])
     assert flat == reference
     lf, start = _loop_run(interp, "main")
-    body = lf.runs[start][4][-1][3]  # the header's branch into the body
+    body = lf.runs[start][3][-1][3]  # the header's branch into the body
     assert list(lf.cf.translations) == [(start, body)]
     assert spy.call_count == 1
     assert interp._loops_translated == 1
@@ -500,7 +500,7 @@ def test_a_second_engine_reuses_the_code_object():
     first.call("main", [200])
     lf, start = _loop_run(first, "main")
     translation = lf.cf.translations[(start,)]
-    assert lf.runs[start][5].__code__ is translation.code
+    assert lf.runs[start][4].__code__ is translation.code
 
     with mock.patch.object(translate, "compile", create=True) as compile_spy:
         second = make_interpreter(module)
@@ -508,8 +508,8 @@ def test_a_second_engine_reuses_the_code_object():
     compile_spy.assert_not_called()
     lf2, _ = _loop_run(second, "main")
     assert lf2.cf is lf.cf
-    assert lf2.runs[start][5] is not lf.runs[start][5]  # bound per engine
-    assert lf2.runs[start][5].__code__ is translation.code
+    assert lf2.runs[start][4] is not lf.runs[start][4]  # bound per engine
+    assert lf2.runs[start][4].__code__ is translation.code
     # same results, different machines
     assert second.steps == first.steps
     assert second.costs.cycles == first.costs.cycles

@@ -314,6 +314,7 @@ class TestOneChannel:
             totals[mode] = layer_counters(obs)
         assert totals["inprocess"] == totals["subprocess"]
         for name in ("analysis.misses", "analysis.disk_misses",
+                     "analysis.andersen_passes", "analysis.andersen_evaluations",
                      "revalidate.synth_hits", "interp.steps",
                      "pipeline.fixes_applied"):
             assert totals["inprocess"].get(name), name
