@@ -7,12 +7,14 @@ Everything the benchmark suite (one file per paper table/figure) needs:
 - :func:`run_fig4` — YCSB Load + A-F over the three variants.
 - :func:`run_effectiveness` — fix-and-revalidate over the whole corpus.
 - :func:`run_fig3` — qualitative fix comparison on the 11 PMDK cases.
-- :func:`run_fig5` — offline overhead (size/time/memory) per target.
+- :func:`run_fig5` — offline overhead (size/time/memory) per target,
+  each repair timed by :func:`measure_fix`.
 - :func:`run_heuristic_comparison` — Full-AA vs Trace-AA (E7).
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -23,6 +25,7 @@ from ..corpus.bugs import BugCase, all_cases, pmdk_cases
 from ..detect import pmemcheck_run
 from ..ir.module import Module
 from ..ir.printer import format_module
+from ..obs.observability import Observability
 from ..supervisor import CaseOutcome, run_case
 from ..workloads.ycsb import (
     CORE_WORKLOADS,
@@ -179,6 +182,32 @@ class OverheadRow:
     bugs_fixed: int
 
 
+def measure_fix(fixer: Hippocrates) -> Tuple[FixReport, float, int]:
+    """Run ``fixer.fix()`` under ``tracemalloc``: the report, the
+    seconds its top-level ``phase.*`` spans took, and the peak traced
+    bytes — the paper's Fig. 5 "offline overhead".
+
+    ``fixer`` must carry an enabled :class:`Observability` with a real
+    clock; its spans are the timer.  ``tracemalloc`` is stopped even
+    when the repair raises, so a failed repair never leaks tracing
+    overhead into the caller's process.
+    """
+    tracemalloc.start()
+    try:
+        report = fixer.fix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    seconds = sum(
+        record["duration"]
+        for record in fixer.obs.tracer.records
+        if record["type"] == "span"
+        and record["parent_id"] == 0
+        and record["name"].startswith("phase.")
+    )
+    return report, seconds, peak
+
+
 def _measure_target(
     name: str, builds: List[Tuple[Module, Callable]], sized: Module
 ) -> OverheadRow:
@@ -187,11 +216,11 @@ def _measure_target(
     bugs = 0
     for module, drive in builds:
         _, trace, interp = pmemcheck_run(module, drive)
-        report = Hippocrates(module, trace, interp.machine).fix(
-            measure_overhead=True
+        report, seconds, peak_bytes = measure_fix(
+            Hippocrates(module, trace, interp.machine, obs=Observability())
         )
-        total_seconds += report.elapsed_seconds
-        peak = max(peak, report.peak_memory_bytes)
+        total_seconds += seconds
+        peak = max(peak, peak_bytes)
         bugs += report.bugs_fixed
     return OverheadRow(
         target=name,
@@ -227,13 +256,15 @@ def run_fig5() -> List[OverheadRow]:
     kv = KVStore(redis)
     redis_trace_workload(kv)
     trace = kv.finish()
-    report = Hippocrates(redis, trace, kv.machine).fix(measure_overhead=True)
+    report, seconds, peak = measure_fix(
+        Hippocrates(redis, trace, kv.machine, obs=Observability())
+    )
     rows.append(
         OverheadRow(
             target="Redis-pmem",
             ir_kinstr=redis.instruction_count() / 1000.0,
-            seconds=report.elapsed_seconds,
-            peak_mb=report.peak_memory_bytes / (1024 * 1024),
+            seconds=seconds,
+            peak_mb=peak / (1024 * 1024),
             bugs_fixed=report.bugs_fixed,
         )
     )

@@ -62,14 +62,18 @@ class Budget:
         return False
 
     def try_charge(self, items: int = 1) -> bool:
-        """Consume ``items``; False when the budget is already exhausted.
+        """Consume ``items``; False, consuming nothing, when the charge
+        would take ``spent_items`` past ``max_items`` or the time cap has
+        been crossed.
 
         Graceful consumers (the crash explorer) stop producing results
         when this returns False and expose what they have so far.
         """
         if self._started_at is None:
             self._started_at = self._now()
-        if self.exhausted:
+        if self.max_items is not None and self.spent_items + items > self.max_items:
+            return False
+        if self.max_seconds is not None and self.elapsed_seconds >= self.max_seconds:
             return False
         self.spent_items += items
         return True

@@ -41,9 +41,7 @@ first use, and the PM classifier once per heuristic mode that is tried.
 
 from __future__ import annotations
 
-import time
 import traceback
-import tracemalloc
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
@@ -150,8 +148,6 @@ class FixReport:
     functions_created: List[str] = field(default_factory=list)
     ir_size_before: int = 0
     ir_size_after: int = 0
-    elapsed_seconds: float = 0.0
-    peak_memory_bytes: int = 0
     #: the heuristic the pipeline actually finished with (equal to
     #: ``heuristic`` unless degraded mode kicked in)
     heuristic_effective: str = ""
@@ -697,28 +693,9 @@ class Hippocrates:
 
     # -- one-shot ------------------------------------------------------------------------
 
-    def fix(self, measure_overhead: bool = False) -> FixReport:
-        """Compute and apply all fixes; optionally measure time/memory.
-
-        The measurement is the paper's Fig. 5 "offline overhead": wall
-        time and peak memory of the whole compute+apply pipeline.
-        ``tracemalloc`` is stopped even when a phase raises, so a failed
-        repair never leaks tracing overhead into the caller's process.
-        """
-        if measure_overhead:
-            tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            plan = self.compute_fixes()
-            report = self.apply(plan)
-            report.elapsed_seconds = time.perf_counter() - start
-            if measure_overhead:
-                _, peak = tracemalloc.get_traced_memory()
-                report.peak_memory_bytes = peak
-            return report
-        finally:
-            if measure_overhead:
-                tracemalloc.stop()
+    def fix(self) -> FixReport:
+        """Compute and apply all fixes."""
+        return self.apply(self.compute_fixes())
 
 
 def fix_module(

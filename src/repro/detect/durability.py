@@ -14,19 +14,14 @@ Redundant flushes of clean lines are reported separately as performance
 diagnostics (never fixed; paper §7).
 
 The checker is *streaming*: its per-trace mutable state lives in a
-:class:`CheckerState` that events are fed into one at a time, and which
-can be :meth:`forked <CheckerState.fork>` at any event boundary.  The
-incremental revalidation engine (:mod:`repro.revalidate`) exploits this
-to resume checking from a mid-trace point — the forked state continues
-exactly where a full pass would be, so report ids, occurrence counts,
-and orderings stay byte-identical with a from-scratch check.
-:meth:`DurabilityChecker.check` is a feed loop over one state that can
-keep forks of it at the positions the engine asks for.
+:class:`CheckerState` that events are fed into one at a time
+(:meth:`DurabilityChecker.feed`), and :meth:`DurabilityChecker.finalize`
+packages the findings.  :meth:`DurabilityChecker.check` is a feed loop
+over one fresh state.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -79,12 +74,6 @@ class CheckerState:
     their store: a boundary then visits each fresh entry once, by line
     stamp and then arrival, which is the order a walk of every pending
     store would meet them in, so report ids stay the same.
-
-    Forking copies every mutable layer (the stamp dicts, the fresh
-    entry lists, the report objects whose ``occurrences`` mutate on
-    re-attribution), so feeding events into a fork never disturbs the
-    original — the invariant the incremental engine's memoized forks
-    rely on.
     """
 
     dirty: Dict[int, int] = field(default_factory=dict)
@@ -97,22 +86,6 @@ class CheckerState:
     last_fence: int = -1
     reports: Dict[BugKey, BugReport] = field(default_factory=dict)
     perf: Dict[int, PerfReport] = field(default_factory=dict)
-
-    def fork(self) -> "CheckerState":
-        return CheckerState(
-            dirty=dict(self.dirty),
-            flushing=dict(self.flushing),
-            fresh_dirty={
-                line: list(pairs) for line, pairs in self.fresh_dirty.items()
-            },
-            fresh_flushing={
-                line: list(pairs) for line, pairs in self.fresh_flushing.items()
-            },
-            stamp=self.stamp,
-            last_fence=self.last_fence,
-            reports={key: copy.copy(bug) for key, bug in self.reports.items()},
-            perf={iid: copy.copy(note) for iid, note in self.perf.items()},
-        )
 
 
 def _in_scope(store: StoreEvent, scope: object) -> bool:
@@ -249,23 +222,10 @@ class DurabilityChecker:
 
     # -- one-shot API ---------------------------------------------------------
 
-    def check(
-        self,
-        trace: PMTrace,
-        forks: Optional[Dict[int, Optional[CheckerState]]] = None,
-    ) -> DetectionResult:
-        """Check a whole trace.  For every trace position in ``forks``,
-        the state just before the event at that position is forked into
-        it."""
+    def check(self, trace: PMTrace) -> DetectionResult:
+        """Check a whole trace."""
         state = self.new_state()
-        events = trace.events
-        position = 0
-        for stop in sorted(forks or ()):
-            for event in events[position:stop]:
-                self.feed(state, event)
-            position = stop
-            forks[stop] = state.fork()
-        for event in events[position:]:
+        for event in trace.events:
             self.feed(state, event)
         return self.finalize(state)
 

@@ -326,9 +326,9 @@ def run_resume_campaign(
     :param worker_checks: include the hang/kill worker matrix.
 
     A worker killed mid-revalidation re-executes its task from pristine
-    state on resume — the recorded baseline (segments, executed-iid
-    sets, checker forks) is rebuilt, never half-trusted — so the
-    resumed report must be byte-identical.
+    state on resume — the recorded baseline (trace, verdict, callee
+    spans) is rebuilt, never half-trusted — so the resumed report must
+    be byte-identical.
     """
     import tempfile
 

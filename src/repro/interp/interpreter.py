@@ -232,11 +232,10 @@ class Interpreter:
         #: execution path.
         self.obs = obs
         #: optional :class:`~repro.revalidate.recording.RunRecorder`:
-        #: notified at top-level call boundaries and module-callee
-        #: entries and returns, so the revalidator can place its checker
-        #: forks and rewrite callee spans.  None (the default) keeps
-        #: plain runs on the unrecorded path — one pointer compare per
-        #: call.
+        #: notified at module-callee entries and returns, so the
+        #: revalidator can rewrite callee spans.  None (the default)
+        #: keeps plain runs on the unrecorded path — one pointer compare
+        #: per call.
         self._run_recorder = run_recorder
 
     # -- stack capture -----------------------------------------------------------------
@@ -281,9 +280,6 @@ class Interpreter:
             raise InterpreterError(
                 f"@{fn_name} expects {len(fn.args)} args, got {len(args)}"
             )
-        recorder = self._run_recorder
-        if recorder is not None and not self.frames:
-            recorder.begin_call(len(self.trace.events))
         start_steps = self.steps
         start_cycles = self.costs.cycles
         start_output = len(self.output)

@@ -7,9 +7,7 @@ initial detection (EXPERIMENTS E11).  This package removes that cost
 for every fix Hippocrates commits:
 
 - :mod:`recording` — the :class:`~repro.revalidate.recording.RunRecorder`
-  the interpreter notifies at top-level calls and module calls; owns
-  the segments (each one's trace offset), which of them the checker
-  forks at, and the callee spans.
+  the interpreter notifies around module calls; owns the callee spans.
 - :mod:`witness` — the mutation witness: plain-data
   :class:`~repro.revalidate.witness.InsertionSpec` /
   :class:`~repro.revalidate.witness.StructuralSpec` descriptions of
@@ -26,8 +24,8 @@ for every fix Hippocrates commits:
   :class:`~repro.revalidate.engine.IncrementalRevalidator` tying it to
   the fix pipeline.  Two tiers: a complete witness (flush/fence
   and/or structural) is revalidated by trace synthesis (no execution)
-  and a re-check from the last checker fork before the first changed
-  event; a degraded witness or any failure takes the full re-record.
+  and one checker pass over the synthesized trace; a degraded witness
+  or any failure takes the full re-record.
   An unchanged module returns the baseline verdict without either.
 
 The engine's contract is *byte-identity*: detection results, canonical
@@ -43,12 +41,9 @@ from .. import lazy_exports
 _EXPORTS = {
     ".engine": ("IncrementalRevalidator", "RevalidationOutcome"),
     ".recording": (
-        "CalleeSpan", "MAX_FORKS", "RecordedRun", "RunRecorder", "VolAnchorOp",
+        "CalleeSpan", "RecordedRun", "RunRecorder", "VolAnchorOp",
     ),
-    ".synthesize": (
-        "SynthesisResult", "synthesize_fixed_trace",
-        "synthesize_structural_trace",
-    ),
+    ".synthesize": ("synthesize_fixed_trace", "synthesize_structural_trace"),
     ".witness": (
         "CloneSpec", "InsertionSpec", "StructuralSpec", "SynthFence",
         "SynthFlush", "spec_for_fix",

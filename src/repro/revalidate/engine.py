@@ -7,11 +7,8 @@ flush/fence insertions and hoisted (clone + retarget) fixes alike:
 1. **Record** (:meth:`IncrementalRevalidator.record`): the initial
    detection run executes under a
    :class:`~repro.revalidate.recording.RunRecorder`, which notes each
-   top-level call's trace offset and each module call's callee span,
-   and the checker pass memoizes
-   :class:`~repro.detect.durability.CheckerState` forks at the entry of
-   every forked segment (at most
-   :data:`~repro.revalidate.recording.MAX_FORKS`).
+   module call's callee span, and one checker pass gives the baseline
+   verdict.
 2. **Witness** (:meth:`note_commit`): after each committed fix, the
    :class:`~repro.core.transaction.FixTransaction` reports what it
    inserted (:class:`~repro.revalidate.witness.InsertionSpec` per
@@ -21,10 +18,9 @@ flush/fence insertions and hoisted (clone + retarget) fixes alike:
 3. **Revalidate** (:meth:`revalidate`): flush/fence insertions change
    no control flow and no data, so the fixed module's trace is a pure
    function of the baseline trace.  With a complete witness the engine
-   *synthesizes* that trace — no execution at all — and re-checks from
-   the last memoized checker fork before the first changed event, so
-   report ids, occurrence counts, and orderings continue exactly as a
-   full pass would — byte-identical results.  A fix anchored only in
+   *synthesizes* that trace — no execution at all — and re-checks it
+   from its first event, exactly as a full re-run's check would —
+   byte-identical results.  A fix anchored only in
    code the recording never ran changes no event: synthesis returns
    the baseline trace and the baseline verdict.
 
@@ -59,8 +55,8 @@ returned as-is (``revalidate.noop_hits``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 from ..detect import Driver
 from ..detect.durability import DurabilityChecker
@@ -72,11 +68,7 @@ from ..ir.module import Module
 from ..obs.observability import NULL_OBS, Observability
 from ..trace.trace import PMTrace
 from .recording import RecordedRun, RecordingTraceRecorder, RunRecorder
-from .synthesize import (
-    SynthesisResult,
-    synthesize_fixed_trace,
-    synthesize_structural_trace,
-)
+from .synthesize import synthesize_fixed_trace, synthesize_structural_trace
 from .witness import InsertionSpec, StructuralSpec
 
 
@@ -91,18 +83,14 @@ class RevalidationOutcome:
     - ``"baseline"`` — module unchanged; the recorded detection was
       returned without any execution.
     - ``"synthesized"`` — the post-fix trace was synthesized from the
-      baseline trace and the mutation witness (no execution at all);
-      only the suffix from the last memoized checker fork re-checked.
+      baseline trace and the mutation witness (no execution at all),
+      then checked.
     - ``"full"`` — fell back to (or started with) a full re-record.
     """
 
     mode: str
     detection: DetectionResult
     trace: PMTrace
-    #: segment index the re-check resumed from (synthesized mode)
-    replayed_from: Optional[int] = None
-    #: chain (cache line) addresses the synthesized trace changed
-    rechecked_chains: Set[int] = field(default_factory=set)
     #: why a fallback was taken (full mode)
     fallback_reason: str = ""
 
@@ -179,23 +167,15 @@ class IncrementalRevalidator:
         trace_recorder.current_iid = interp.current_iid
         self.driver(interp)
         trace = interp.finish()
-
-        # One checker pass over the full trace, forking the state at
-        # every forked segment's entry.
-        forked = recorder.forked_segments()
-        fork_at = {segment.trace_start: None for segment in forked}
-        detection = DurabilityChecker().check(trace, fork_at)
-        forks = {segment.index: fork_at[segment.trace_start] for segment in forked}
+        detection = DurabilityChecker().check(trace)
 
         self.baseline = RecordedRun(
             module_fingerprint=module.fingerprint(),
             module_iids=frozenset(
                 instr.iid for instr in module.instructions()
             ),
-            segments=recorder.segments,
             trace=trace,
             detection=detection,
-            forks=forks,
             vol_ops=tuple(trace_recorder.vol_ops),
             spans=tuple(recorder.spans),
             spans_ok=recorder.spans_ok,
@@ -259,8 +239,8 @@ class IncrementalRevalidator:
                 module, "fix anchored at an instruction inserted after recording"
             )
         try:
-            synthesis = synthesize_fixed_trace(base.trace, base.vol_ops, specs)
-            return self._recheck_synthesis(base, synthesis)
+            trace = synthesize_fixed_trace(base.trace, base.vol_ops, specs)
+            return self._check_synthesized(trace)
         except Exception as exc:
             return self._full(
                 module, f"trace synthesis failed: {type(exc).__name__}: {exc}"
@@ -276,38 +256,12 @@ class IncrementalRevalidator:
             mode="full", detection=detection, trace=trace, fallback_reason=reason
         )
 
-    def _recheck_synthesis(
-        self, base: RecordedRun, synthesis: SynthesisResult
-    ) -> RevalidationOutcome:
-        """Re-check a synthesized trace from the last memoized checker
-        fork at or before its first changed position (every earlier
-        event is the identical baseline object the fork already
-        consumed)."""
-        trace = synthesis.trace
-        start = base.segments[0]
-        for segment in base.segments:
-            if (
-                segment.index in base.forks
-                and segment.trace_start <= synthesis.changed_from
-            ):
-                start = segment
-        state = base.forks[start.index].fork()
-        checker = DurabilityChecker()
-        for event in trace.events[start.trace_start :]:
-            checker.feed(state, event)
-        detection = checker.finalize(state)
-
-        self.obs.count("revalidate.incremental_hits")
+    def _check_synthesized(self, trace: PMTrace) -> RevalidationOutcome:
+        """Check a synthesized trace from its first event."""
+        detection = DurabilityChecker().check(trace)
         self.obs.count("revalidate.synth_hits")
-        self.obs.count(
-            "revalidate.chains_rechecked", len(synthesis.affected_lines)
-        )
         return RevalidationOutcome(
-            mode="synthesized",
-            detection=detection,
-            trace=trace,
-            replayed_from=start.index,
-            rechecked_chains=synthesis.affected_lines,
+            mode="synthesized", detection=detection, trace=trace
         )
 
     def _structural(
@@ -343,14 +297,14 @@ class IncrementalRevalidator:
                 "fix anchored at an instruction inserted after recording",
             )
         try:
-            synthesis = synthesize_structural_trace(
+            trace = synthesize_structural_trace(
                 base.trace,
                 base.vol_ops,
                 base.spans,
                 struct_specs,
                 self._pending_specs,
             )
-            outcome = self._recheck_synthesis(base, synthesis)
+            outcome = self._check_synthesized(trace)
         except Exception as exc:
             return self._full(
                 module,

@@ -1,32 +1,21 @@
 """Recording a detection run for later revalidation.
 
-The interpreter notifies a :class:`RunRecorder` at every *top-level*
-driver call (``interp.call(...)`` with an empty frame stack).  Each call
-becomes a :class:`CallRecord` — a segment of the run — carrying the
-trace offset at call entry.  The checker pass over the recorded trace
-forks its state at the entry of every ``stride``-th segment
-(:meth:`RunRecorder.forked_segments`), so a re-check of a synthesized
-trace resumes from the last fork before its first changed event instead
-of from the start.  At most :data:`MAX_FORKS` segments are forked: the
-stride is the smallest power of two that keeps the count under it, and
-segment 0 is always forked.
-
-The recorder also keeps one :class:`CalleeSpan` per module-function
-call, the structural-synthesis witness.
+The interpreter notifies a :class:`RunRecorder` around every
+module-function call; it keeps one :class:`CalleeSpan` per call, the
+structural-synthesis witness.  The recording trace recorder adds the
+volatile-op side channel (:class:`VolAnchorOp`) the flush/fence
+synthesizer places fences with.  Nothing else is kept per call: a
+synthesized trace is re-checked from its first event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from ..detect.durability import CheckerState
 from ..detect.reports import DetectionResult
 from ..trace.events import StoreEvent
 from ..trace.trace import PMTrace, TraceRecorder
-
-#: The most segment entries a recording forks the checker state at.
-MAX_FORKS = 32
 
 
 class VolAnchorOp(NamedTuple):
@@ -109,34 +98,25 @@ class CalleeSpan:
     depth: int
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One top-level driver call of the recording run."""
-
-    index: int
-    #: ``len(trace.events)`` at call entry
-    trace_start: int
-
-
 class RunRecorder:
-    """Collects segments and callee spans during a recorded run.
+    """Collects callee spans during a recorded run.
 
     Attach via ``Interpreter(..., run_recorder=recorder)``; the
-    interpreter calls :meth:`begin_call` at each top-level call and
-    :meth:`enter_callee`/:meth:`exit_callee` around each module call.
+    interpreter calls :meth:`enter_callee`/:meth:`exit_callee` around
+    each module call.
     """
 
     def __init__(self) -> None:
-        self.segments: List[CallRecord] = []
         #: completed callee spans, in execution (return) order
         self.spans: List[CalleeSpan] = []
         self._open: List[Tuple[int, int, int, int]] = []
-        #: False once an exception unwound past an open callee — the
-        #: span record is then incomplete and structural synthesis must
-        #: not trust it
-        self.spans_ok = True
 
-    # -- callee spans (structural-synthesis witness) ---------------------------
+    @property
+    def spans_ok(self) -> bool:
+        """True when no callee is still open: an exception that unwound
+        past an open callee leaves its entry behind for good, and
+        structural synthesis must not trust the span record then."""
+        return not self._open
 
     def enter_callee(
         self, call_iid: int, trace_pos: int, vol_pos: int, depth: int
@@ -158,36 +138,14 @@ class RunRecorder:
             )
         )
 
-    # -- segments ---------------------------------------------------------------
-
-    def begin_call(self, trace_pos: int) -> None:
-        """A top-level call starts at trace position ``trace_pos``."""
-        # An exception that unwound out of the previous top-level call
-        # left open callee entries behind; the span record is unusable
-        # from here.
-        if self._open:
-            self.spans_ok = False
-            self._open.clear()
-        self.segments.append(CallRecord(len(self.segments), trace_pos))
-
-    def forked_segments(self) -> List[CallRecord]:
-        """The segments whose entry the checker pass forks at: every
-        ``stride``-th, for the smallest power-of-two stride that keeps
-        at most :data:`MAX_FORKS` of them."""
-        stride = 1
-        while -(-len(self.segments) // stride) > MAX_FORKS:
-            stride *= 2
-        return self.segments[::stride]
-
 
 @dataclass
 class RecordedRun:
     """A completed recording: the revalidation baseline.
 
     Everything needed to revalidate a fixed module without executing
-    it: the segments, the full baseline trace, the detection result,
-    and the checker-state forks memoized at the forked segments' trace
-    offsets.
+    it: the full baseline trace, its detection result, and the
+    synthesis witnesses (volatile ops and callee spans).
 
     ``module_iids`` is the id set of the module *as recorded* — a fix
     anchored at an instruction outside it post-dates the recording, so
@@ -196,15 +154,12 @@ class RecordedRun:
 
     module_fingerprint: str
     module_iids: frozenset
-    segments: List[CallRecord]
     trace: PMTrace
     detection: DetectionResult
-    #: segment index -> checker state forked at that segment's trace_start
-    forks: Dict[int, CheckerState]
     #: volatile-target anchor executions (the synthesis side channel)
     vol_ops: Tuple[VolAnchorOp, ...] = ()
     #: completed callee spans, in execution (return) order
     spans: Tuple[CalleeSpan, ...] = ()
-    #: True when the span record is complete (no exception ever unwound
-    #: past an open callee during recording)
+    #: True when the span record is complete (no callee was still open
+    #: when the recording ended)
     spans_ok: bool = True

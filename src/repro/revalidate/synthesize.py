@@ -58,20 +58,15 @@ inside its span (single-frame when the span recorded none) — the
 detector never reads fence stacks, so detection results (and every
 canonical record derived from them) are still byte-identical to a real
 re-execution; only those stack fields are approximate.
-
-The returned ``changed_from`` index is the synthesized-stream position
-of the first inserted *or re-mapped* event: every event before it is
-the identical baseline object, which lets the engine resume the checker
-from a memoized fork instead of re-feeding the prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..memory.cache import LineStates
-from ..memory.layout import line_of, lines_covering
+from ..memory.layout import line_of
 from ..trace.events import (
     FenceEvent,
     FlushEvent,
@@ -92,29 +87,6 @@ from .witness import (
 class StructuralSynthesisError(ValueError):
     """The span record cannot be rewritten soundly (the engine falls
     back to a full re-record; synthesis never guesses)."""
-
-
-class SynthesisResult:
-    """A synthesized post-fix trace plus what it disturbed."""
-
-    def __init__(
-        self,
-        trace: PMTrace,
-        affected_lines: Set[int],
-        changed_from: int,
-        inserted_events: int,
-    ):
-        self.trace = trace
-        #: cache lines (chains) whose durability history the mutations
-        #: touch: the lines inserted flushes cover, every line with
-        #: pending (dirty or queued) state at each inserted fence, and
-        #: every line a re-mapped in-span store or flush touches.  Bug
-        #: verdicts outside these chains cannot change.
-        self.affected_lines = affected_lines
-        #: first synthesized-stream index that differs from the
-        #: baseline (== len(trace) when nothing changed)
-        self.changed_from = changed_from
-        self.inserted_events = inserted_events
 
 
 class _Site:
@@ -171,7 +143,7 @@ def _synthesize_stream(
     specs: Sequence[InsertionSpec],
     sites: Dict[int, _Site],
     outer_spans: Sequence,  # Sequence[CalleeSpan], disjoint, entry-sorted
-) -> SynthesisResult:
+) -> PMTrace:
     """The shared synthesis engine (flush/fence and structural tiers)."""
     store_plans: Dict[int, List[InsertionSpec]] = {}
     flush_plans: Dict[int, List[InsertionSpec]] = {}
@@ -181,16 +153,8 @@ def _synthesize_stream(
 
     events = baseline.events
     out: List[TraceEvent] = []
-    affected: Set[int] = set()
-    changed_from: Optional[int] = None
-    inserted_events = 0
     lines = LineStates()
     seq = 0
-
-    def mark_changed() -> None:
-        nonlocal changed_from
-        if changed_from is None:
-            changed_from = len(out)
 
     def emit_base(event: TraceEvent) -> None:
         nonlocal seq
@@ -223,18 +187,15 @@ def _synthesize_stream(
         inserted flushes then flush volatile lines (no event, no PM
         effect) and only the fences record.
         """
-        nonlocal seq, inserted_events
+        nonlocal seq
         for op in spec.ops:
             if isinstance(op, SynthFlush):
                 if anchor_event is None:
                     continue
-                mark_changed()
                 addr = anchor_event.addr + op.offset
                 line_addr = line_of(addr)
-                affected.add(line_addr)
                 had_work = lines.flush_line(line_addr, op.flush_kind) != "redundant"
                 seq += 1
-                inserted_events += 1
                 out.append(
                     FlushEvent(
                         seq=seq,
@@ -251,11 +212,8 @@ def _synthesize_stream(
                 )
             else:
                 assert isinstance(op, SynthFence)
-                mark_changed()
-                affected.update(lines.pending_lines())
                 lines.drain()
                 seq += 1
-                inserted_events += 1
                 if anchor_event is not None:
                     function = anchor_event.function
                     stack = anchor_event.stack[:-1] + (
@@ -293,16 +251,13 @@ def _synthesize_stream(
 
     def close_active() -> None:
         """Leave the active span: splice the call site's sfence."""
-        nonlocal active, active_site, outer_stack, seq, inserted_events
+        nonlocal active, active_site, outer_stack, seq
         site = active_site
         assert site is not None
         fence = site.fence
         if fence is not None:
-            mark_changed()
-            affected.update(lines.pending_lines())
             lines.drain()
             seq += 1
-            inserted_events += 1
             stack = (outer_stack or ()) + (
                 StackFrame(site.caller_function, fence.iid, fence.loc),
             )
@@ -363,40 +318,24 @@ def _synthesize_stream(
         if active is not None:
             if outer_stack is None and len(event.stack) >= active.depth:
                 outer_stack = event.stack[: active.depth - 1]
-            rewritten = _rewrite_event(event, active_site, active.depth)
-            mark_changed()
-            if isinstance(event, StoreEvent):
-                if event.space == "pm":
-                    affected.update(lines_covering(event.addr, event.size))
-            elif isinstance(event, FlushEvent):
-                affected.add(event.line_addr)
-            emit_base(rewritten)
-            anchor_iid = rewritten.iid
-        else:
-            emit_base(event)
-            anchor_iid = event.iid
+            event = _rewrite_event(event, active_site, active.depth)
+        emit_base(event)
         emitted = out[-1]
-        if isinstance(event, StoreEvent) and anchor_iid in store_plans:
-            for spec in store_plans[anchor_iid]:
+        if isinstance(event, StoreEvent) and event.iid in store_plans:
+            for spec in store_plans[event.iid]:
                 emit_synth(spec, emitted if event.space == "pm" else None)
-        elif isinstance(event, FlushEvent) and anchor_iid in flush_plans:
-            for spec in flush_plans[anchor_iid]:
+        elif isinstance(event, FlushEvent) and event.iid in flush_plans:
+            for spec in flush_plans[event.iid]:
                 emit_synth(spec, emitted)
     drain(len(events))
-
-    return SynthesisResult(
-        trace=PMTrace(out),
-        affected_lines=affected,
-        changed_from=changed_from if changed_from is not None else len(out),
-        inserted_events=inserted_events,
-    )
+    return PMTrace(out)
 
 
 def synthesize_fixed_trace(
     baseline: PMTrace,
     vol_ops: Iterable,  # Iterable[VolAnchorOp]
     specs: Iterable[InsertionSpec],
-) -> SynthesisResult:
+) -> PMTrace:
     """Build the trace the fixed module's re-execution would record."""
     return _synthesize_stream(baseline, vol_ops, list(specs), {}, ())
 
@@ -407,7 +346,7 @@ def synthesize_structural_trace(
     spans: Iterable,  # Iterable[CalleeSpan]
     struct_specs: Iterable[StructuralSpec],
     specs: Iterable[InsertionSpec],
-) -> SynthesisResult:
+) -> PMTrace:
     """Build the post-fix trace for a commit batch containing hoisted
     (structural) fixes, without any execution.
 

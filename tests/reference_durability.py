@@ -2,7 +2,8 @@
 
 ``ReferenceCacheModel`` and ``ReferenceDurabilityChecker`` are the
 per-store implementations the two-set cache model and the fresh-entry
-checker replaced, kept verbatim apart from their names: the cache model
+checker replaced, kept verbatim apart from their names (and the state
+fork both checkers have since dropped): the cache model
 records the store seqs of every line it ever touched and walks all of
 them at each fence, and the checker re-walks every pending store at
 every boundary.  ``tests/test_prop_durability_reference.py`` feeds both
@@ -12,7 +13,6 @@ sides the same event streams and requires identical results.
 from __future__ import annotations
 
 import bisect
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -198,13 +198,7 @@ def _pmtest_policy(boundary: BoundaryEvent) -> Optional[object]:
 
 @dataclass
 class ReferenceCheckerState:
-    """The checker's complete mutable state after some event prefix.
-
-    Forking deep-copies every mutable layer (the per-line event lists,
-    the report objects whose ``occurrences`` mutate on re-attribution),
-    so feeding events into a fork never disturbs the original — the
-    invariant the incremental engine's memoized forks rely on.
-    """
+    """The checker's complete mutable state after some event prefix."""
 
     dirty: Dict[int, List[StoreEvent]] = field(default_factory=dict)
     flushing: Dict[int, List[_Pending]] = field(default_factory=dict)
@@ -212,16 +206,6 @@ class ReferenceCheckerState:
     reports: Dict[BugKey, BugReport] = field(default_factory=dict)
     attributed_seqs: Set[int] = field(default_factory=set)
     perf: Dict[int, PerfReport] = field(default_factory=dict)
-
-    def fork(self) -> "ReferenceCheckerState":
-        return ReferenceCheckerState(
-            dirty={line: list(stores) for line, stores in self.dirty.items()},
-            flushing={line: list(pairs) for line, pairs in self.flushing.items()},
-            fence_seqs=list(self.fence_seqs),
-            reports={key: copy.copy(bug) for key, bug in self.reports.items()},
-            attributed_seqs=set(self.attributed_seqs),
-            perf={iid: copy.copy(note) for iid, note in self.perf.items()},
-        )
 
 
 class ReferenceDurabilityChecker:

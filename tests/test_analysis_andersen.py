@@ -335,13 +335,11 @@ def assert_matches_reference(module):
     per_pass, spent = reference.per_pass, budget.spent_items
     assert spent == solved.passes * per_pass
     assert spent <= reference_budget.spent_items
-    # The charge is exact: a budget that admits the last pass's charge
-    # completes, one that runs out just before it raises.  (A charge is
-    # refused only once the budget is already spent, so the boundary
-    # lies one pass's charge below ``spent``.)
-    PointsTo(module, budget=Budget(max_items=spent - per_pass + 1))
+    # The charge is exact: a budget of exactly ``spent`` completes, one
+    # item less refuses the last pass's charge.
+    PointsTo(module, budget=Budget(max_items=spent))
     with pytest.raises(BudgetExceeded):
-        PointsTo(module, budget=Budget(max_items=spent - per_pass))
+        PointsTo(module, budget=Budget(max_items=spent - 1))
     return solved
 
 

@@ -65,10 +65,12 @@ def stats(manager):
 
 
 def build_module():
+    """One PM store through a gep: the gep is Andersen's one constraint,
+    so every fixpoint pass charges the analysis budget."""
     mb = ModuleBuilder("mgr")
     b = mb.function("main", [], I64, source_file="m.c")
     p = b.call("pm_alloc", [64], PTR)
-    b.store(7, p)
+    b.store(7, b.gep(p, 8))
     b.ret(0)
     return mb.module
 

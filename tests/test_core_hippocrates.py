@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.harness import measure_fix
 from repro.core import Hippocrates, HoistedFix, fix_module
 from repro.detect import check_trace, pmemcheck_run
 from repro.errors import FixError
@@ -13,6 +14,7 @@ from repro.ir import (
     parse_module,
     verify_module,
 )
+from repro.obs import Observability
 from repro.trace import dump_trace
 
 from conftest import build_listing5_module, drive_main
@@ -98,13 +100,13 @@ class TestEndToEnd:
 class TestReporting:
     def test_report_fields(self, listing5):
         module, _, trace, interp = listing5
-        report = Hippocrates(module, trace, interp.machine).fix(
-            measure_overhead=True
+        report, seconds, peak = measure_fix(
+            Hippocrates(module, trace, interp.machine, obs=Observability())
         )
         assert report.ir_size_after > report.ir_size_before
         assert report.inserted_instructions >= 1
-        assert report.elapsed_seconds > 0
-        assert report.peak_memory_bytes > 0
+        assert seconds > 0
+        assert peak > 0
         assert report.hoist_depths == [2]
         assert "interprocedural" in report.summary()
         assert report.ir_growth_percent > 0

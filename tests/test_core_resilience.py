@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import build_listing5_module, drive_main
+from repro.bench.harness import measure_fix
 from repro.budget import Budget
 from repro.core import (
     DOWNGRADE_CHAIN,
@@ -21,6 +22,7 @@ from repro.detect import pmemcheck_run
 from repro.errors import BudgetExceeded, LocateError, ValidationError
 from repro.faultinject import FaultPlan, InjectedFault, install_faults
 from repro.ir import I64, ModuleBuilder, PTR, format_module, verify_module
+from repro.obs import Observability
 
 
 def build_two_bug_module():
@@ -252,11 +254,13 @@ def test_downgrade_chain_terminates_at_off():
 def test_measure_overhead_stops_tracemalloc_on_failure():
     module = build_two_bug_module()
     _, trace, interp = pmemcheck_run(module, drive_main)
-    fixer = Hippocrates(module, trace, interp.machine, keep_going=False)
+    fixer = Hippocrates(
+        module, trace, interp.machine, keep_going=False, obs=Observability()
+    )
     fixer.locator = ExplodingLocator(module)
     assert not tracemalloc.is_tracing()
     with pytest.raises(LocateError):
-        fixer.fix(measure_overhead=True)
+        measure_fix(fixer)
     assert not tracemalloc.is_tracing()
 
 
@@ -304,6 +308,23 @@ def test_budget_try_charge_and_strict_charge():
         budget.charge()
     assert info.value.limit == 2
     assert "probe" in str(info.value)
+
+
+def test_budget_refuses_a_charge_past_its_cap():
+    budget = Budget(max_items=5, label="probe")
+    assert budget.try_charge(3)
+    # 3 + 3 would pass the cap: refused, and nothing is consumed
+    assert not budget.try_charge(3)
+    assert budget.spent_items == 3
+    assert not budget.exhausted
+    with pytest.raises(BudgetExceeded):
+        budget.charge(3)
+    assert budget.spent_items == 3
+    # a charge that lands exactly on the cap is accepted
+    assert budget.try_charge(2)
+    assert budget.spent_items == 5
+    assert budget.exhausted
+    assert not budget.try_charge()
 
 
 def test_unlimited_budget_never_exhausts():

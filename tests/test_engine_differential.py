@@ -108,7 +108,7 @@ def test_corpus_detect_byte_identical(case_id):
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_corpus_byte_identical_every_run_translated(case_id):
     """The corpus detect differential, plus the revalidation recorder's
-    segments, with every run translated."""
+    callee spans, with every run translated."""
     case = _case(case_id)
     module = case.build()
     with hot_after(1):
@@ -813,7 +813,8 @@ def _loop_fingerprint(module, engine, args, fuel, vol_ops):
         "frames": interp._capture_stack(),
         "stack": bytes(stack.data),
         "high_water": stack.high_water,
-        "segments": list(recorder.segments),
+        "spans": list(recorder.spans),
+        "spans_ok": recorder.spans_ok,
         "stack_at_events": seen,
         "vol_ops": list(machine.recorder.vol_ops),
     }
@@ -833,8 +834,8 @@ def _loop_fingerprint(module, engine, args, fuel, vol_ops):
 def test_translated_loops_identical(shape, args, fuel):
     """Loops translated after their first or third entry, promoted or
     not, against the reference: events, steps, cycles, counts, output,
-    the final stack bytes and high water, and the recorder's segments
-    — with and without the volatile-op side channel."""
+    the final stack bytes and high water, and the recorder's callee
+    spans — with and without the volatile-op side channel."""
     module = build_loops(shape)
     for vol_ops in (False, True):
         reference = _loop_fingerprint(module, "reference", args, fuel, vol_ops)
@@ -868,7 +869,6 @@ def _guarded_fingerprint(module, drive, engine, fuel=50_000_000, record=False):
         outcome = ("err", type(exc).__name__, str(exc))
     fingerprint = {"outcome": outcome, "accounting": _accounting(interp)}
     if recorder is not None:
-        fingerprint["segments"] = list(recorder.segments)
         fingerprint["spans"] = list(recorder.spans)
         fingerprint["spans_ok"] = recorder.spans_ok
     return fingerprint
@@ -930,8 +930,8 @@ def build_one_block_loop():
 
 def test_one_block_loop_fuel_sweep_parity():
     """The limit lands at every position of the loop's run, in each of
-    its first three iterations; the recorder's segments and callee
-    spans match the reference's."""
+    its first three iterations; the recorder's callee spans match the
+    reference's."""
     _assert_one_block_loop_fuel_sweep(build_one_block_loop())
 
 
@@ -960,8 +960,8 @@ def _assert_one_block_loop_fuel_sweep(module):
 # ---------------------------------------------------------------------------
 # run-recorder parity
 # ---------------------------------------------------------------------------
-# The revalidation recorder reads each segment's trace offset and the
-# callee spans, also when a fault cuts a run short.
+# The revalidation recorder reads the callee spans, also when a fault
+# cuts a run short.
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -1017,7 +1017,9 @@ def test_crash_mid_run_recorder_parity():
     )
     assert flat == reference
     assert flat["outcome"][1] == "SimulatedCrash"
-    assert len(flat["segments"]) == 3
+    # steps 0 and 1 returned from ``put``; step 2 crashed inside it
+    assert len(flat["spans"]) == 2
+    assert flat["spans_ok"] is False
 
 
 # ---------------------------------------------------------------------------

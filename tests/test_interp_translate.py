@@ -6,7 +6,7 @@ The flat engine translates a cycle of hot runs into one Python function
 ``_TRANSLATE_AFTER`` times; a run on no hot cycle is never translated.
 A fault raised inside the translated function is located from the
 traceback's line number; the engine must then settle steps, cycles,
-counts, the recorder's segments, the frame's pc and — for a loop
+counts, the recorder's callee spans, the frame's pc and — for a loop
 keeping stack slots in locals — the stack bytes exactly as the
 reference engine leaves them.
 """
@@ -122,7 +122,8 @@ def _fingerprint(module, engine, args, machine=None, fuel=50_000_000, vol_ops=Fa
         "events": list(interp.trace.events),
         "vol_ops": list(interp.machine.recorder.vol_ops),
         "output": list(interp.output),
-        "segments": list(recorder.segments),
+        "spans": list(recorder.spans),
+        "spans_ok": recorder.spans_ok,
         # the frames a fault leaves, down to the faulting instruction
         "stack": interp._capture_stack(),
         # a promoted loop's slots are written back on every exit
@@ -324,7 +325,7 @@ def test_fault_inside_a_translated_loop_settles_like_the_reference(kind):
 
 def _two_calls(module, engine):
     """``main`` runs its loop whole, then faults on the first pass of
-    the next call; the second segment starts empty."""
+    the next call."""
     recorder = RunRecorder()
     interp = make_interpreter(module, engine=engine, run_recorder=recorder)
     interp.call("main", [LOOPS, LOOPS])
@@ -332,7 +333,8 @@ def _two_calls(module, engine):
     return interp, {
         "outcome": outcome,
         "accounting": (interp.steps, interp.costs.cycles, interp.costs.counts),
-        "segments": list(recorder.segments),
+        "spans": list(recorder.spans),
+        "spans_ok": recorder.spans_ok,
         "stack": interp._capture_stack(),
         "stack_bytes": bytes(interp.machine.space.stack.data),
     }

@@ -182,36 +182,20 @@ def test_cache_model_matches_reference(program):
 
 
 @settings(max_examples=300, deadline=None)
-@given(prefix=ops, tail=ops, fork_tail=ops, trailing_exit=st.booleans())
-def test_checker_matches_reference_across_a_fork(
-    prefix, tail, fork_tail, trailing_exit
-):
+@given(prefix=ops, tail=ops, trailing_exit=st.booleans())
+def test_checker_matches_reference_across_a_fork(prefix, tail, trailing_exit):
     machines = Machines()
     head = build_events(prefix, machines)
     rest = build_events(tail, machines, first_seq=len(head) + 1)
-    # the fork's suffix runs on its own machines: only its events matter
-    forked_rest = build_events(fork_tail, Machines(), first_seq=len(head) + 1)
     if trailing_exit:
-        exit_seq = len(head) + max(len(rest), len(forked_rest)) + 1
-        exit_event = BoundaryEvent(exit_seq, 32, LOC, "fn", (), label="exit")
-        rest.append(exit_event)
-        forked_rest.append(exit_event)
+        exit_seq = len(head) + len(rest) + 1
+        rest.append(BoundaryEvent(exit_seq, 32, LOC, "fn", (), label="exit"))
     for new, ref in CHECKER_PAIRS:
         new_state, ref_state = new.new_state(), ref.new_state()
-        for event in head:
+        for event in head + rest:
             new.feed(new_state, event)
             ref.feed(ref_state, event)
-        new_fork, ref_fork = new_state.fork(), ref_state.fork()
-        for event in rest:
-            new.feed(new_state, event)
-            ref.feed(ref_state, event)
-        for event in forked_rest:
-            new.feed(new_fork, event)
-            ref.feed(ref_fork, event)
-        for new_side, ref_side in ((new_state, ref_state), (new_fork, ref_fork)):
-            assert records(new.finalize(new_side)) == records(
-                ref.finalize(ref_side)
-            )
+        assert records(new.finalize(new_state)) == records(ref.finalize(ref_state))
         assert set(new_state.dirty) | set(new_state.flushing) == {
             line for line, stores in ref_state.dirty.items() if stores
         } | {line for line, pairs in ref_state.flushing.items() if pairs}

@@ -18,6 +18,7 @@ from repro.core.fixes import FixPlan, InsertFlushAndFence
 from repro.core.hippocrates import Hippocrates
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
+from repro.errors import ReproError
 from repro.ir import I64, ModuleBuilder, PTR
 from repro.ir.instructions import Store
 from repro.obs import Observability
@@ -160,10 +161,94 @@ def test_fix_anchored_in_code_never_run_is_synthesized_to_the_baseline():
 
     outcome = fixer.revalidate()
     assert outcome.mode == "synthesized"
-    assert outcome.rechecked_chains == set()
     assert outcome.trace.events == trace.events
     assert [b.describe() for b in outcome.detection.bugs] == [
         b.describe() for b in detection.bugs
+    ]
+
+
+def build_trapping_module():
+    """``set_and_trap`` stores ``v`` to ``p`` and traps when ``v == 7``;
+    ``main`` calls it on a volatile and a PM pointer, ``boom`` on PM
+    with 7."""
+    mb = ModuleBuilder("trapper")
+    b = mb.function("set_and_trap", [("p", PTR), ("v", I64)], source_file="t.c")
+    p, v = b.function.args
+    b.store(v, p)
+    b.call("require", [b.icmp("ne", v, 7)])
+    b.ret()
+    b = mb.function("main", [], I64, source_file="t.c")
+    b.call("set_and_trap", [b.call("vol_alloc", [64], PTR), 1])
+    b.call("set_and_trap", [b.call("pm_alloc", [64], PTR), 2])
+    b.call("checkpoint", [])
+    b.ret(0)
+    b = mb.function("boom", [], I64, source_file="t.c")
+    b.call("set_and_trap", [b.call("pm_alloc", [64], PTR), 7])
+    b.ret(0)
+    return mb.module
+
+
+def drive_then_trap(interp):
+    interp.call("main")
+    try:
+        interp.call("boom")
+    except ReproError:
+        pass
+
+
+def test_recording_ending_inside_a_callee_rerecords_hoisted_fixes():
+    """Regression: a recording whose *last* call unwound out of an open
+    callee used to claim a complete span record, and structural
+    synthesis then disagreed with the oracle (a missing flush&fence in
+    ``set_and_trap`` where re-execution finds a missing fence in
+    ``set_and_trap_PM``).  The record is complete only when no callee
+    is still open at the end, so both hoisted fixes re-record."""
+    module = build_trapping_module()
+    engine = IncrementalRevalidator(drive_then_trap)
+    _, trace, interp = engine.record(module)
+    assert not engine.baseline.spans_ok
+    fixer = Hippocrates(module, trace, interp.machine, revalidator=engine)
+    report = fixer.apply(fixer.compute_fixes())
+    assert report.interprocedural_count == 2
+
+    outcome = fixer.revalidate()
+    assert outcome.mode == "full"
+    assert outcome.fallback_reason == "callee-span record incomplete"
+    oracle, _, _ = pmemcheck_run(module, drive_then_trap, engine="reference")
+    assert [(b.kind.name, b.store.function) for b in oracle.bugs] == [
+        ("MISSING_FENCE", "set_and_trap_PM")
+    ]
+    assert [b.describe() for b in outcome.detection.bugs] == [
+        b.describe() for b in oracle.bugs
+    ]
+
+
+def trap_then_drive(interp):
+    try:
+        interp.call("boom")
+    except ReproError:
+        pass
+    interp.call("main")
+
+
+def test_callee_left_open_by_an_earlier_call_keeps_the_span_record_incomplete():
+    """A callee unwound by an earlier top-level call stays open for the
+    rest of the recording: later calls that complete do not make the
+    span record trustworthy again, and revalidation agrees with the
+    oracle through a full re-record."""
+    module = build_trapping_module()
+    engine = IncrementalRevalidator(trap_then_drive)
+    _, trace, interp = engine.record(module)
+    assert not engine.baseline.spans_ok
+    fixer = Hippocrates(module, trace, interp.machine, revalidator=engine)
+    fixer.apply(fixer.compute_fixes())
+
+    outcome = fixer.revalidate()
+    assert outcome.mode == "full"
+    assert outcome.fallback_reason == "callee-span record incomplete"
+    oracle, _, _ = pmemcheck_run(module, trap_then_drive, engine="reference")
+    assert [b.describe() for b in outcome.detection.bugs] == [
+        b.describe() for b in oracle.bugs
     ]
 
 

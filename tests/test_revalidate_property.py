@@ -1,15 +1,9 @@
 """Property-based equivalence for the incremental revalidation engine.
 
 Over seeded random small PM programs and random flush/fence fix
-sequences:
-
-1. after each committed fix round, incremental revalidation (both
-   tiers: synthesis and the full fallback) reaches exactly the
-   detection a from-scratch run on the same module reaches;
-2. the rechecked-chain set is *complete*: any cache line whose per-line
-   bug population changed between the recorded baseline and the
-   post-fix truth is among the chains the engine re-checked — no bug
-   outside the reported chains ever changes state.
+sequences, after each committed fix round, incremental revalidation
+(both tiers: synthesis and the full fallback) reaches exactly the
+detection a from-scratch run on the same module reaches.
 """
 
 from __future__ import annotations
@@ -19,9 +13,7 @@ from hypothesis import given, settings
 
 from repro.core.hippocrates import Hippocrates
 from repro.detect import pmemcheck_run
-from repro.memory.layout import lines_covering
 from repro.revalidate import IncrementalRevalidator
-from repro.revalidate.recording import MAX_FORKS, CallRecord, RunRecorder
 from repro.ir import I64, ModuleBuilder, PTR
 
 #: Each element: (persist?, slot, value, via_helper?) — the same shape
@@ -67,27 +59,6 @@ def _bug_records(detection):
     return [b.as_record() for b in detection.bugs]
 
 
-def _lines_by_bugs(detection):
-    """Map cache line -> frozenset of bug records touching it."""
-    by_line = {}
-    for bug in detection.bugs:
-        key = (bug.kind.value, bug.store.function, str(bug.store.loc))
-        for line in lines_covering(bug.store.addr, bug.store.size):
-            by_line.setdefault(line, set()).add(key)
-    return by_line
-
-
-def _changed_lines(before_detection, after_detection):
-    """Cache lines whose per-line bug population differs."""
-    before = _lines_by_bugs(before_detection)
-    after = _lines_by_bugs(after_detection)
-    return {
-        line
-        for line in set(before) | set(after)
-        if before.get(line, set()) != after.get(line, set())
-    }
-
-
 def _repair_incrementally(module):
     """Record, repair, revalidate; returns (engine, fixer, outcome).
 
@@ -124,31 +95,6 @@ def test_incremental_matches_scratch_detection(actions):
     assert outcome.detection.bug_count == 0  # Hippocrates converges
 
 
-@settings(max_examples=30, deadline=None)
-@given(actions=st.lists(action, min_size=1, max_size=8))
-def test_rechecked_chains_cover_every_state_change(actions):
-    """Completeness: a bug can only change state (appear, disappear,
-    change occurrence count) on a cache line the engine re-checked."""
-    module = build(actions)
-    engine = IncrementalRevalidator(drive)
-    baseline_detection, trace, interp = engine.record(module)
-    fixer = Hippocrates(
-        module, trace, interp.machine, heuristic="off", revalidator=engine
-    )
-    fixer.apply(fixer.compute_fixes())
-    outcome = fixer.revalidate()
-    if outcome.mode == "baseline":
-        assert _bug_records(outcome.detection) == _bug_records(
-            baseline_detection
-        )
-        return
-
-    assert (
-        _changed_lines(baseline_detection, outcome.detection)
-        <= outcome.rechecked_chains
-    )
-
-
 @settings(max_examples=20, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=8))
 def test_replay_tier_matches_synthesis_tier(actions):
@@ -179,40 +125,3 @@ def test_structural_commit_forces_full_rerecord(actions):
     outcome = fixer.revalidate()
     assert outcome.mode == "full"
     assert _bug_records(outcome.detection) == _bug_records(first.detection)
-
-
-# ---------------------------------------------------------------------------
-# checker-fork thinning
-# ---------------------------------------------------------------------------
-
-
-def _recorder_with_segments(n_segments):
-    """A recorder as it stands after a recording of ``n_segments``
-    top-level calls."""
-    recorder = RunRecorder()
-    for index in range(n_segments):
-        recorder.begin_call(trace_pos=3 * index)
-    return recorder
-
-
-@settings(max_examples=100, deadline=None)
-@given(n_segments=st.integers(min_value=1, max_value=300))
-def test_thin_always_reaches_budget(n_segments):
-    """For any segment count, the forked segments stay within
-    ``MAX_FORKS``, start at segment 0 (a re-check can always resume
-    from the very beginning), and are exactly the multiples of the
-    smallest power-of-two stride that fits — so every segment has a
-    fork at most one stride before it."""
-    recorder = _recorder_with_segments(n_segments)
-    assert recorder.segments == [
-        CallRecord(index=i, trace_start=3 * i) for i in range(n_segments)
-    ]
-    forked = [segment.index for segment in recorder.forked_segments()]
-    assert len(forked) <= MAX_FORKS
-    assert forked[0] == 0
-    stride = forked[1] - forked[0] if len(forked) > 1 else 1
-    assert stride & (stride - 1) == 0
-    assert forked == list(range(0, n_segments, stride))
-    # a stride half as long would have exceeded the budget
-    if stride > 1:
-        assert len(range(0, n_segments, stride // 2)) > MAX_FORKS

@@ -1,14 +1,9 @@
-"""Fork isolation and fresh machines: what revalidation resumes from must
-never change under it.
+"""Repeatable revalidation and fresh machines: what revalidation
+starts from must never change under it.
 
-A synthesis re-check resumes from a :class:`CheckerState` fork memoized
-at a top-level call boundary of the recording.  Every store, flush and
-fence the re-check feeds mutates the state's ``dirty`` and ``flushing``
-line maps **in place**; if a fork shared them with the memoized state,
-the first re-check would drain it and a second re-check from the same
-boundary would see already-fenced lines — silently changing detection
-results.  These are the regression tests for the fork-on-use contract
-(see ``CheckerState.fork`` in ``src/repro/detect/durability.py``).
+A synthesis re-check runs the checker over the synthesized trace from
+its first event, so two revalidations against one recording must agree
+with each other and with the oracle.
 
 A full re-record — the fallback for a degraded witness — must start
 from a machine no earlier run has touched, and equal a plain detection
@@ -19,18 +14,15 @@ from __future__ import annotations
 
 from repro.core.hippocrates import Hippocrates
 from repro.detect import pmemcheck_run
-from repro.detect.durability import DurabilityChecker
 from repro.interp import Machine
 from repro.ir import I64, ModuleBuilder, PTR
 from repro.obs import Observability
-from repro.revalidate import MAX_FORKS, IncrementalRevalidator
+from repro.revalidate import IncrementalRevalidator
 
 
 def build_two_phase_module():
     """Two top-level entry points: ``setup`` leaves PM state pending
-    (dirty lines at the call boundary), ``finish`` stores unpersisted.
-    The checker fork at the boundary carries non-empty line maps —
-    exactly the state the aliasing hazard corrupts."""
+    (dirty lines at the call boundary), ``finish`` stores unpersisted."""
     mb = ModuleBuilder("twophase")
 
     b = mb.function("setup", [], I64, source_file="twophase.c")
@@ -67,69 +59,14 @@ def _record(module, obs=None):
     return engine, detection, trace, interp
 
 
-def _boundary_fork(engine):
-    """The checker state forked between ``setup`` and ``finish``."""
-    base = engine.baseline
-    segment = base.segments[1]
-    assert segment.trace_start > 0
-    return base, segment, base.forks[segment.index]
-
-
-def _feed_rest(base, segment, state):
-    checker = DurabilityChecker()
-    for event in base.trace.events[segment.trace_start :]:
-        checker.feed(state, event)
-    return checker.finalize(state)
-
-
 def _bug_records(detection):
     # describe() embeds iids: sound here, every side runs one module
     return [b.describe() for b in detection.bugs]
 
 
-def test_snapshot_lines_survive_mutation_of_materialized_machine():
-    module = build_two_phase_module()
-    engine, detection, _, _ = _record(module)
-    base, segment, memoized = _boundary_fork(engine)
-    # the recording left a dirty and a flushing line at the boundary
-    assert memoized.dirty and memoized.flushing
-    before = (dict(memoized.dirty), dict(memoized.flushing))
-
-    # finish's flush and fence drain both maps of the fork fed with it
-    first = memoized.fork()
-    assert _bug_records(_feed_rest(base, segment, first)) == _bug_records(detection)
-    assert not first.dirty.keys() & before[0].keys()
-    assert not first.flushing
-    assert (memoized.dirty, memoized.flushing) == before
-
-    second = memoized.fork()
-    assert (second.dirty, second.flushing) == before
-
-
-def test_materialized_machines_share_no_mutable_state():
-    module = build_two_phase_module()
-    engine, _, _, _ = _record(module)
-    base, segment, memoized = _boundary_fork(engine)
-    a = memoized.fork()
-    b = memoized.fork()
-    assert a.dirty == b.dirty and a.dirty
-    assert a.dirty is not b.dirty
-    assert a.flushing is not b.flushing
-    # the pending-store lists are independent copies too
-    for line, pairs in a.fresh_dirty.items():
-        assert pairs is not b.fresh_dirty[line]
-    a.dirty.clear()
-    a.fresh_dirty.clear()
-    assert b.dirty and b.fresh_dirty
-    # feeding one fork to the end reports bugs the other never sees
-    _feed_rest(base, segment, a)
-    assert a.reports and not b.reports
-
-
 def test_second_replay_from_same_snapshot_is_unaffected_by_first():
-    """Two consecutive synthesis re-checks resume from the same
-    memoized fork; if the first drained its line maps, the second would
-    diverge."""
+    """Two consecutive synthesis re-checks against one recording reach
+    the same trace and verdict, the oracle's."""
     module = build_two_phase_module()
     engine, detection, trace, interp = _record(module)
     assert detection.bug_count >= 1
@@ -141,16 +78,84 @@ def test_second_replay_from_same_snapshot_is_unaffected_by_first():
 
     first = fixer.revalidate()
     assert first.mode == "synthesized"
-    assert first.replayed_from == 1  # resumed at the setup/finish boundary
     second = fixer.revalidate()
     assert second.mode == "synthesized"
-    assert second.replayed_from == first.replayed_from
     assert _bug_records(second.detection) == _bug_records(first.detection)
     assert len(second.trace.events) == len(first.trace.events)
     for ours, theirs in zip(second.trace.events, first.trace.events):
         assert ours == theirs
     oracle, _, _ = pmemcheck_run(module, drive, engine="reference")
     assert _bug_records(second.detection) == _bug_records(oracle)
+
+
+def _recording_state(base):
+    return (
+        list(base.trace.events),
+        _bug_records(base.detection),
+        base.vol_ops,
+        base.spans,
+        base.spans_ok,
+    )
+
+
+def test_snapshot_lines_survive_mutation_of_materialized_machine():
+    """A synthesized revalidation leaves the recording it starts from
+    as it was, even when the caller then mutates the outcome's trace
+    and detection; the next revalidation reaches the same verdict."""
+    module = build_two_phase_module()
+    engine, _, trace, interp = _record(module)
+    base = engine.baseline
+    before = _recording_state(base)
+    assert before[0]
+
+    fixer = Hippocrates(
+        module, trace, interp.machine, heuristic="off", revalidator=engine
+    )
+    fixer.apply(fixer.compute_fixes())
+    first = fixer.revalidate()
+    assert first.mode == "synthesized"
+    assert _recording_state(base) == before
+
+    verdict = _bug_records(first.detection)
+    first.trace.events.clear()
+    first.detection.bugs.clear()
+    assert _recording_state(base) == before
+
+    second = fixer.revalidate()
+    assert second.mode == "synthesized"
+    assert second.trace.events
+    assert _bug_records(second.detection) == verdict
+    assert _recording_state(base) == before
+
+
+def test_materialized_machines_share_no_mutable_state():
+    """Two synthesized revalidations against one recording hand back
+    independent traces and detections, neither aliasing the
+    recording's."""
+    module = build_two_phase_module()
+    engine, _, trace, interp = _record(module)
+    base = engine.baseline
+    fixer = Hippocrates(
+        module, trace, interp.machine, heuristic="off", revalidator=engine
+    )
+    fixer.apply(fixer.compute_fixes())
+    a = fixer.revalidate()
+    b = fixer.revalidate()
+    assert a.mode == b.mode == "synthesized"
+
+    assert a.trace.events == b.trace.events and a.trace.events
+    assert a.trace.events is not b.trace.events
+    assert base.trace.events is not a.trace.events
+    assert base.trace.events is not b.trace.events
+    assert a.detection.bugs is not b.detection.bugs
+    assert base.detection.bugs is not a.detection.bugs
+
+    b_events = list(b.trace.events)
+    b_bugs = _bug_records(b.detection)
+    a.trace.events.clear()
+    a.detection.bugs.clear()
+    assert b.trace.events == b_events
+    assert _bug_records(b.detection) == b_bugs
 
 
 # ---------------------------------------------------------------------------
@@ -264,30 +269,27 @@ def test_double_replay_from_one_snapshot_on_pooled_regions():
 
 
 # ---------------------------------------------------------------------------
-# fork accounting
+# recording accounting
 # ---------------------------------------------------------------------------
 
 
 def test_snapshot_bytes_gauge_matches_byte_size():
-    """A recording captures no machine state, so it reports no
-    ``revalidate.snapshot_bytes`` gauge; it keeps one checker fork per
-    segment entry (two segments, far under ``MAX_FORKS``), each equal
-    to the state a checker fed the trace up to that entry holds."""
+    """A recording captures no machine state and no checker state: it
+    reports no ``revalidate.snapshot_bytes`` gauge, and a synthesized
+    revalidation counts one ``synth_hits`` and nothing of the deleted
+    partial re-check."""
     module = build_two_phase_module()
     obs = Observability()
-    engine, _, trace, _ = _record(module, obs)
+    engine, _, trace, interp = _record(module, obs)
+    fixer = Hippocrates(
+        module, trace, interp.machine, heuristic="off", revalidator=engine
+    )
+    fixer.apply(fixer.compute_fixes())
+    assert fixer.revalidate().mode == "synthesized"
 
     metrics = obs.metrics_snapshot()
     assert "revalidate.snapshot_bytes" not in metrics.get("gauges", {})
-    base = engine.baseline
-    assert len(base.segments) == 2 < MAX_FORKS
-    assert sorted(base.forks) == [0, 1]
-    for segment in base.segments:
-        checker = DurabilityChecker()
-        state = checker.new_state()
-        for event in trace.events[: segment.trace_start]:
-            checker.feed(state, event)
-        fork = base.forks[segment.index]
-        assert (fork.dirty, fork.flushing, fork.stamp, fork.last_fence) == (
-            state.dirty, state.flushing, state.stamp, state.last_fence
-        )
+    counters = metrics["counters"]
+    assert counters["revalidate.synth_hits"] == 1
+    assert "revalidate.incremental_hits" not in counters
+    assert "revalidate.chains_rechecked" not in counters
